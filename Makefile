@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-parallel bench-cache bench-obs bench-repair check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke docs-check
+.PHONY: all build test race vet golden bench bench-parallel bench-cache bench-obs bench-repair check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke docs-check
 
 all: build
 
@@ -24,6 +24,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Regenerates the repair search's golden fixtures
+# (internal/repair/testdata/golden: one Result JSON and one JSONL trace
+# per recorded run). Only for an intended behaviour change whose fixture
+# diff gets reviewed — see CONTRIBUTING.md.
+golden:
+	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

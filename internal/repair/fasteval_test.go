@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -13,103 +12,70 @@ import (
 // slowOptions is DefaultOptions with the fast evaluation path switched
 // off: full clones, printed-text cache keys, per-candidate tree-walking
 // difftest — the exact pre-FastEval pipeline.
-func slowOptions() Options {
-	opts := DefaultOptions()
-	opts.FastEval = false
-	return opts
-}
+func slowOptions(o *Options) { o.FastEval = false }
 
-// TestFastEvalParity is the central contract of the fast evaluation
-// path: for every evaluation subject, the FastEval search returns a
-// Result bit-identical to the slow path — accepted edit sequence,
-// printed program, the whole Stats struct down to the virtual clock —
-// and a byte-identical JSONL trace, for both the sequential and the
-// speculative (Workers=4) search.
+// TestFastEvalParity pins the evaluation path to the recorded goldens:
+// for every untargeted golden case, the sequential and the speculative
+// (Workers=4) search reproduce the fixture's Result — printed program,
+// verdicts, the whole Stats struct down to the virtual clock, the final
+// difftest Report — and its JSONL trace byte for byte. With -update
+// the sequential run rewrites the fixtures.
 func TestFastEvalParity(t *testing.T) {
-	for _, id := range paritySubjects() {
-		t.Run(id, func(t *testing.T) {
-			orig, initial, kernel, tests := subjectInputs(t, id)
+	for _, c := range untargetedGoldenCases() {
+		t.Run(c.subject, func(t *testing.T) {
+			seq, seqTrace := runGolden(t, c, nil)
+			recordGolden(t, c, seq, seqTrace)
+			assertGolden(t, c, "workers=1", seq, seqTrace)
 
-			slow, slowTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, slowOptions())
+			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			assertGolden(t, c, "workers=4", par, parTrace)
 
-			fast, fastTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, DefaultOptions())
-			assertIdentical(t, id+"/seq", slow, fast)
-			assertTracesIdentical(t, id+"/seq", slowTrace, fastTrace)
-
-			parOpts := DefaultOptions()
-			parOpts.Workers = 4
-			par, parTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, parOpts)
-			assertIdentical(t, id+"/par", slow, par)
-			assertTracesIdentical(t, id+"/par", slowTrace, parTrace)
+			slow, slowTrace := runGolden(t, c, slowOptions)
+			assertGolden(t, c, "slow path", slow, slowTrace)
 		})
 	}
 }
 
-// TestFastEvalTargetsParity extends the parity contract to multi-target
-// mode: verdict table and Pareto set included.
+// TestFastEvalTargetsParity is TestFastEvalParity for the targeted
+// golden cases: verdict table and Pareto archive included.
 func TestFastEvalTargetsParity(t *testing.T) {
-	targets := mustTargets(t, "vivado_hls:xcvu9p", "vivado_hls:zc706", "vitis:aws_f1")
-	for _, id := range []string{"P2", "P6"} {
-		t.Run(id, func(t *testing.T) {
-			orig, initial, kernel, tests := subjectInputs(t, id)
+	for _, c := range targetedGoldenCases() {
+		t.Run(c.subject, func(t *testing.T) {
+			seq, seqTrace := runGolden(t, c, nil)
+			recordGolden(t, c, seq, seqTrace)
+			assertGolden(t, c, "workers=1", seq, seqTrace)
 
-			slowOpts := slowOptions()
-			slowOpts.Targets = targets
-			slow, slowTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, slowOpts)
+			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			assertGolden(t, c, "workers=4", par, parTrace)
 
-			fastOpts := DefaultOptions()
-			fastOpts.Targets = targets
-			fast, fastTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, fastOpts)
-
-			assertIdentical(t, id, slow, fast)
-			assertTracesIdentical(t, id, slowTrace, fastTrace)
-			if !reflect.DeepEqual(slow.PerTarget, fast.PerTarget) {
-				t.Errorf("verdict tables diverge:\n  slow: %+v\n  fast: %+v", slow.PerTarget, fast.PerTarget)
-			}
-			if !reflect.DeepEqual(slow.Pareto, fast.Pareto) {
-				t.Errorf("pareto sets diverge: %d vs %d points", len(slow.Pareto), len(fast.Pareto))
-			}
+			slow, slowTrace := runGolden(t, c, slowOptions)
+			assertGolden(t, c, "slow path", slow, slowTrace)
 		})
 	}
 }
 
-// TestFastEvalCacheParity: the fast path keys the eval cache by content
-// fingerprint instead of printed text, so a fresh cache misses cleanly
-// and a warm cache serves the same verdicts. Disabled, cold, and warm
-// runs all match the slow path bit-for-bit, and the warm run must
-// actually hit.
+// TestFastEvalCacheParity: cold and warm evaluation-cache runs
+// reproduce the goldens for any Workers value (cache off is
+// TestFastEvalParity), and the warm run is actually served from the
+// cache.
 func TestFastEvalCacheParity(t *testing.T) {
 	for _, id := range []string{"P2", "P6"} {
+		c := goldenCase{subject: id}
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", id, workers), func(t *testing.T) {
-				orig, initial, kernel, tests := subjectInputs(t, id)
-
-				slowOpts := slowOptions()
-				slowOpts.Workers = workers
-				slow, slowTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, slowOpts)
-
-				fastOpts := DefaultOptions()
-				fastOpts.Workers = workers
-				plain, plainTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, fastOpts)
-
 				cache, err := evalcache.New(evalcache.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				fastOpts.Cache = cache
-				cold, coldTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, fastOpts)
+				withCache := func(o *Options) { o.Workers, o.Cache = workers, cache }
+				cold, coldTrace := runGolden(t, c, withCache)
 				before := cache.Stats()
-				warm, warmTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, fastOpts)
+				warm, warmTrace := runGolden(t, c, withCache)
 				if cache.Stats().Sub(before).Hits() == 0 {
-					t.Error("warm fast-path run never hit the cache")
+					t.Error("warm run never hit the cache")
 				}
-
-				assertIdentical(t, "plain", slow, plain)
-				assertIdentical(t, "cold", slow, cold)
-				assertIdentical(t, "warm", slow, warm)
-				assertTracesIdentical(t, "plain", slowTrace, plainTrace)
-				assertTracesIdentical(t, "cold", slowTrace, coldTrace)
-				assertTracesIdentical(t, "warm", slowTrace, warmTrace)
+				assertGolden(t, c, "cold", cold, coldTrace)
+				assertGolden(t, c, "warm", warm, warmTrace)
 			})
 		}
 	}

@@ -34,25 +34,17 @@ func paritySubjects() []string {
 }
 
 // TestSingleDefaultTargetParity: spelling out Options.Targets =
-// [default target] is the same search as leaving Targets empty — same
-// accepted edits, same Stats down to the virtual clock, byte-identical
-// trace. The only additions are the verdict table and Pareto fields.
+// [default target] is the same search as leaving Targets empty — it
+// reproduces the untargeted golden's Result and trace byte for byte.
+// The only additions are the one-row verdict table and the Pareto
+// archive.
 func TestSingleDefaultTargetParity(t *testing.T) {
 	for _, id := range paritySubjects() {
 		t.Run(id, func(t *testing.T) {
-			orig, initial, kernel, tests := subjectInputs(t, id)
-
-			legacy, legacyTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, DefaultOptions())
-
-			opts := DefaultOptions()
-			opts.Targets = []hls.Target{hls.DefaultTarget()}
-			targeted, targetedTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
-
-			assertIdentical(t, id, legacy, targeted)
-			assertTracesIdentical(t, id, legacyTrace, targetedTrace)
-			if len(legacy.PerTarget) != 0 {
-				t.Errorf("legacy search grew a verdict table: %+v", legacy.PerTarget)
-			}
+			c := goldenCase{subject: id}
+			targeted, trace := runGolden(t, c, func(o *Options) {
+				o.Targets = []hls.Target{hls.DefaultTarget()}
+			})
 			if len(targeted.PerTarget) != 1 {
 				t.Fatalf("targeted search has %d verdicts, want 1", len(targeted.PerTarget))
 			}
@@ -64,6 +56,8 @@ func TestSingleDefaultTargetParity(t *testing.T) {
 				t.Errorf("verdict %+v disagrees with the scalar result %v/%v",
 					v, targeted.Compatible, targeted.BehaviorOK)
 			}
+			targeted.PerTarget, targeted.Pareto = nil, nil
+			assertGolden(t, c, "explicit default target", targeted, trace)
 		})
 	}
 }
