@@ -79,8 +79,9 @@ const (
 // Target names one (backend, device) pair a design should be built
 // for, e.g. {Backend: "vivado_hls", Device: "zc706"}. Set
 // Options.Targets to search for a program that fits a whole target set
-// at once; an empty set keeps the legacy single-target behavior (the
-// default evaluation platform) byte-identical.
+// at once; an empty set means the default target (the paper's
+// evaluation platform), without the per-device verdict table and Pareto
+// archive.
 type Target = hls.Target
 
 // TargetVerdict is one target's verdict on the final program — a row of

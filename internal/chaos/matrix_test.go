@@ -18,7 +18,6 @@ import (
 	"github.com/hetero/heterogen/internal/core"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/guard"
-	"github.com/hetero/heterogen/internal/hls/sim"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/repair"
 )
@@ -37,10 +36,6 @@ int top(int in) {
 func matrixOptions(g *guard.Guard, sink obs.Observer) core.Options {
 	ro := repair.DefaultOptions()
 	ro.MaxIterations = 8
-	// The capacity gate makes resource estimation part of every
-	// candidate evaluation, so the estimate row of the matrix flows
-	// through the candidate-failure path like the other stages.
-	ro.Device = sim.XCVU9P
 	return core.Options{
 		Kernel: "top",
 		Fuzz:   fuzz.Options{Seed: 1, MaxExecs: 60, Plateau: 30, TypedMutation: true},
@@ -70,7 +65,12 @@ func TestChaosMatrix(t *testing.T) {
 
 	// Unit-input stages: the pipeline degrades and still returns a
 	// Result. Parse and print — whose failures are hard errors by design
-	// — are covered by TestChaosMatrixParseAndPrint below.
+	// — are covered by TestChaosMatrixParseAndPrint below. The capacity
+	// gate runs in every search (an untargeted one checks the default
+	// device), so resource estimation is part of every compilable
+	// candidate's evaluation: the estimate row injects through the
+	// candidate-failure path like the other stages, which each cell's
+	// failure or retry counter below proves.
 	stages := []guard.Stage{guard.StageStyle, guard.StageCheck,
 		guard.StageEstimate, guard.StageDifftest, guard.StageInterp}
 	for _, stage := range stages {

@@ -42,14 +42,14 @@ type Options struct {
 	// SkipProfile disables bitwidth finitization (ablation).
 	SkipProfile bool
 	// Targets names the (backend, device) set the design must fit — the
-	// target-set API. Empty means the implicit default target (the
-	// paper's evaluation platform) with legacy single-target behavior
-	// and byte-identical traces. With targets set, the repair search
-	// runs in multi-target mode (per-device fitness vectors, Pareto
-	// archive — see repair.Options.Targets), Check/Simulate resolve
-	// their config and capacity table from Targets[0]'s profile, and
-	// unknown backend or device names fail fast with an explicit error.
-	// It is passed down to Repair.Targets unless that is already set.
+	// target-set API. Empty means the default target (the paper's
+	// evaluation platform), capacity gate included. Check/Simulate
+	// resolve their config and capacity table from Targets[0]'s profile,
+	// and unknown backend or device names fail fast with an explicit
+	// error. It is passed down to Repair.Targets unless that is already
+	// set; naming targets adds the per-device verdict table and Pareto
+	// archive to the Result (see repair.Options.Targets), and traces of
+	// a single named target are byte-identical to untargeted ones.
 	Targets []hls.Target
 	// Workers bounds concurrent candidate evaluation in the repair
 	// search (see repair.Options.Workers). Results are bit-identical
@@ -120,8 +120,8 @@ type Result struct {
 	// Resources estimates fabric utilization of the final design.
 	Resources sim.Resources
 	// PerTarget is the final design's per-device verdict table and
-	// Pareto the search's latency/resource archive (multi-target runs
-	// only; both nil on the legacy single-target path).
+	// Pareto the search's latency/resource archive (runs that named
+	// their targets only; both nil on untargeted runs).
 	PerTarget []repair.TargetVerdict
 	Pareto    []repair.ParetoPoint
 	// CacheStats is the evaluation-cache activity attributable to this
@@ -365,60 +365,61 @@ func CheckObserved(src, top string, o obs.Observer) (hls.Report, error) {
 // function, Obs receives the hls_check event, Cache memoizes the
 // verdict, Guard contains checker failures; the remaining fields are
 // ignored. A cache hit emits the identical event a fresh check would.
-// With Targets set, the primary target (Targets[0]) provides the config
-// and the diagnostic dialect, and the verdict is cached under a
-// target-aware key; unknown target names fail with an explicit error.
-// Use CheckSet for the full per-target report vector.
+// The primary target (Targets[0], or the default target when Targets
+// is empty) provides the config and the diagnostic dialect, and the
+// verdict is cached under a target-aware key; unknown target names
+// fail with an explicit error. Use CheckSet for the full per-target
+// report vector.
 func CheckWith(src string, opts Options) (hls.Report, error) {
 	u, err := cparser.Parse(src)
 	if err != nil {
 		return hls.Report{}, err
 	}
-	if len(opts.Targets) == 0 {
-		cfg := hls.DefaultConfig(opts.Kernel)
-		return checkOne(u, cfg, nil, evalcache.CheckSalt(cfg.Top, cfg.Device, cfg.ClockMHz), opts)
+	t := hls.DefaultTarget()
+	if len(opts.Targets) > 0 {
+		t = opts.Targets[0]
 	}
-	backend, profile, err := hls.ResolveTarget(opts.Targets[0])
-	if err != nil {
-		return hls.Report{}, fmt.Errorf("heterogen: %w", err)
-	}
-	cfg := hls.ConfigFor(opts.Kernel, profile)
-	salt := evalcache.TargetCheckSalt(backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
-	return checkOne(u, cfg, backend, salt, opts)
+	rep, _, err := checkOne(u, t, opts)
+	return rep, err
 }
 
 // checkOne is the cached, guarded, observed checker stage for one
-// resolved config; backend (nil = reference dialect) translates the
-// diagnostics before they are cached and reported.
-func checkOne(u *cast.Unit, cfg hls.Config, backend hls.Backend, salt string, opts Options) (hls.Report, error) {
+// target: its profile provides the config, its backend translates the
+// diagnostics before they are cached and reported. It also returns the
+// target's canonical form.
+func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target, error) {
+	backend, profile, err := hls.ResolveTarget(t)
+	if err != nil {
+		return hls.Report{}, t, fmt.Errorf("heterogen: %w", err)
+	}
+	t = hls.Target{Backend: backend.Name(), Device: profile.Name}
+	cfg := hls.ConfigFor(opts.Kernel, profile)
 	var key string
 	var rep hls.Report
 	cached := false
 	if opts.Cache != nil {
+		salt := evalcache.CheckSalt(backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
 		key = evalcache.CheckKey(salt, cast.Print(u))
 		cached = opts.Cache.Get(evalcache.StageCheck, key, &rep)
 	}
 	if !cached {
-		var err error
 		rep, err = guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageCheck, Unit: u},
 			func(cu *cast.Unit) (hls.Report, error) {
 				r := check.Run(cu, cfg)
-				if backend != nil {
-					for i := range r.Diags {
-						r.Diags[i] = backend.Translate(r.Diags[i])
-					}
+				for i := range r.Diags {
+					r.Diags[i] = backend.Translate(r.Diags[i])
 				}
 				return r, nil
 			})
 		if err != nil {
-			return hls.Report{}, err
+			return hls.Report{}, t, err
 		}
 		if opts.Cache != nil {
 			opts.Cache.Put(evalcache.StageCheck, key, rep)
 		}
 	}
 	check.Observe(opts.Obs, cfg, rep)
-	return rep, nil
+	return rep, t, nil
 }
 
 // TargetReport pairs one target with its checker verdict.
@@ -441,20 +442,11 @@ func CheckSet(src string, opts Options) ([]TargetReport, error) {
 	}
 	out := make([]TargetReport, len(targets))
 	for i, t := range targets {
-		backend, profile, err := hls.ResolveTarget(t)
-		if err != nil {
-			return nil, fmt.Errorf("heterogen: %w", err)
-		}
-		cfg := hls.ConfigFor(opts.Kernel, profile)
-		salt := evalcache.TargetCheckSalt(backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
-		rep, err := checkOne(u, cfg, backend, salt, opts)
+		rep, canon, err := checkOne(u, t, opts)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = TargetReport{
-			Target: hls.Target{Backend: backend.Name(), Device: profile.Name}.String(),
-			Report: rep,
-		}
+		out[i] = TargetReport{Target: canon.String(), Report: rep}
 	}
 	return out, nil
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/hls/sim"
 	"github.com/hetero/heterogen/internal/interp"
 )
 
@@ -31,13 +30,8 @@ type Outcome struct {
 	Cost   int64
 }
 
-// RunCPU executes the kernel of u on the CPU interpreter for one test.
-func RunCPU(u *cast.Unit, kernel string, tc fuzz.TestCase) Outcome {
-	return runCPU(u, kernel, tc, 0)
-}
-
-// runCPU is RunCPU with an explicit step budget (0 = interpreter
-// default).
+// runCPU executes the kernel of u on the CPU interpreter for one test
+// with an explicit step budget (0 = interpreter default).
 func runCPU(u *cast.Unit, kernel string, tc fuzz.TestCase, maxSteps int64) Outcome {
 	in, err := interp.New(u, interp.Options{MaxSteps: maxSteps})
 	if err != nil {
@@ -46,18 +40,6 @@ func runCPU(u *cast.Unit, kernel string, tc fuzz.TestCase, maxSteps int64) Outco
 	return runWith(tc, func(args []interp.Value) (interp.Value, int64, string, error) {
 		res, err := in.CallKernel(kernel, args)
 		return res.Ret, res.Cost, res.Output, err
-	})
-}
-
-// RunFPGA executes the kernel of u on the FPGA simulator for one test.
-func RunFPGA(u *cast.Unit, cfg hls.Config, tc fuzz.TestCase) Outcome {
-	s, err := sim.New(u, cfg)
-	if err != nil {
-		return Outcome{Err: err}
-	}
-	return runWith(tc, func(args []interp.Value) (interp.Value, int64, string, error) {
-		res, err := s.Run(args)
-		return res.Ret, res.Cycles, res.Output, err
 	})
 }
 
@@ -143,52 +125,11 @@ func (r Report) AllPass() bool { return r.Passed == r.Total }
 func (r Report) CPUMeanMS() float64  { return interp.CPUTimeMS(int64(r.CPUMeanCost)) }
 func (r Report) FPGAMeanMS() float64 { return interp.FPGATimeMS(int64(r.FPGAMeanCycles)) }
 
-// Run differential-tests candidate against original over the suite.
+// Run differential-tests candidate against original over the suite: a
+// one-shot Runner without a compiled-code cache, so the FPGA side walks
+// trees — the reference every compiled-code run must reproduce.
 func Run(original, candidate *cast.Unit, kernel string, cfg hls.Config, tests []fuzz.TestCase) Report {
-	rep := Report{Total: len(tests)}
-	var cpuSum, fpgaSum float64
-	measured := 0
-	for i, tc := range tests {
-		ref := runCPU(original, kernel, tc, cfg.InterpSteps)
-		got := RunFPGA(candidate, cfg, tc)
-		if interp.IsBudget(ref.Err) || interp.IsBudget(got.Err) {
-			// A step-budget exhaustion is a verdict about the budget, not
-			// the behaviour: the run was cut short, so agreement is
-			// unknowable. Never report it as a mismatch.
-			rep.Inconclusive++
-			if len(rep.Timeouts) < 16 {
-				rep.Timeouts = append(rep.Timeouts, i)
-			}
-			if rep.FirstDiff == "" {
-				side := "CPU"
-				if !interp.IsBudget(ref.Err) {
-					side = "FPGA"
-				}
-				rep.FirstDiff = timeoutDiff(i, side)
-			}
-			continue
-		}
-		if Agree(ref, got) {
-			rep.Passed++
-			if ref.Err == nil && got.Err == nil {
-				cpuSum += float64(ref.Cost)
-				fpgaSum += float64(got.Cost)
-				measured++
-			}
-			continue
-		}
-		if len(rep.Mismatches) < 16 {
-			rep.Mismatches = append(rep.Mismatches, i)
-		}
-		if rep.FirstDiff == "" || len(rep.Mismatches) == 1 {
-			rep.FirstDiff = describeDiff(i, ref, got)
-		}
-	}
-	if measured > 0 {
-		rep.CPUMeanCost = cpuSum / float64(measured)
-		rep.FPGAMeanCycles = fpgaSum / float64(measured)
-	}
-	return rep
+	return NewRunner(original, kernel, cfg, tests, nil, nil).Run(candidate)
 }
 
 func timeoutDiff(i int, side string) string {

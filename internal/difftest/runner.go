@@ -10,10 +10,10 @@ import (
 	"github.com/hetero/heterogen/internal/interp"
 )
 
-// Runner amortizes differential testing over many candidates of one
-// repair search against a fixed (original, kernel, config, tests)
-// quadruple. Three costs disappear relative to calling Run per
-// candidate:
+// Runner differential-tests candidates against a fixed (original,
+// kernel, config, tests) quadruple, amortizing the work over the many
+// candidates of one repair search. Three costs disappear relative to a
+// one-shot Run per candidate:
 //
 //   - the CPU reference outcomes are computed once, lazily, and reused —
 //     they depend only on the original program and the suite, never on
@@ -27,11 +27,11 @@ import (
 //     deterministic, so a content-identical candidate revisited in a
 //     later search iteration is served its memoized verdict outright.
 //
-// Run on a Runner returns a Report byte-identical to the package-level
-// Run for the same inputs: outcomes are deterministic, the reference
-// outcomes are immutable once computed (Agree and the describers only
-// read them), and the compiled fast path reproduces tree-walker results
-// exactly. Safe for concurrent use by evaluation workers.
+// A Runner's Report does not depend on its caches: outcomes are
+// deterministic, the reference outcomes are immutable once computed
+// (Agree and the describers only read them), and the compiled fast path
+// reproduces tree-walker results exactly. Safe for concurrent use by
+// evaluation workers.
 type Runner struct {
 	original *cast.Unit
 	kernel   string
@@ -53,7 +53,7 @@ type Runner struct {
 const reportMemoCap = 4096
 
 // NewRunner prepares a reusable differential tester. code may be nil
-// (the FPGA side then walks trees like Run does). fps may be nil; when
+// (the FPGA side then walks trees). fps may be nil; when
 // both code and fps are set, each candidate's content fingerprint keys
 // the compiled-code cache, so a candidate regenerated with identical
 // content in a later search iteration reuses compiled bodies instead of
@@ -89,7 +89,7 @@ func (r *Runner) runFPGA(candidate *cast.Unit, tc fuzz.TestCase, codeKey string)
 }
 
 // Run differential-tests candidate against the runner's original over
-// its suite, exactly like the package-level Run.
+// its suite.
 func (r *Runner) Run(candidate *cast.Unit) Report {
 	refs := r.references()
 	var codeKey string
@@ -115,6 +115,9 @@ func (r *Runner) Run(candidate *cast.Unit) Report {
 		ref := refs[i]
 		got := r.runFPGA(candidate, tc, codeKey)
 		if interp.IsBudget(ref.Err) || interp.IsBudget(got.Err) {
+			// A step-budget exhaustion is a verdict about the budget, not
+			// the behaviour: the run was cut short, so agreement is
+			// unknowable. Never report it as a mismatch.
 			rep.Inconclusive++
 			if len(rep.Timeouts) < 16 {
 				rep.Timeouts = append(rep.Timeouts, i)

@@ -42,11 +42,12 @@ func Stages() []Stage {
 // formatVersion salts every fingerprint. Bump it whenever the
 // serialized form of any cached verdict, or the meaning of any key
 // component, changes: old on-disk entries then miss instead of
-// deserializing into the wrong shape. Version 3: the repair search's
-// fast evaluation path addresses per-candidate entries by incremental
-// content fingerprint (cast.Fingerprints) instead of the full printed
-// text, so keys written by version 2 are a clean miss.
-const formatVersion = 3
+// deserializing into the wrong shape. Version 3: the repair search
+// addresses per-candidate entries by incremental content fingerprint
+// (cast.Fingerprints) instead of the full printed text. Version 4:
+// toolchain salts always name the backend (an untargeted run is keyed
+// as the default target), so version 3 entries are a clean miss.
+const formatVersion = 4
 
 // Fingerprint hashes an ordered list of key components into a hex
 // content address. Components are length-prefixed, so the boundary

@@ -90,12 +90,12 @@ func TestFailedAppendDegradesOnce(t *testing.T) {
 // of the step-budget satellite: verdicts produced under different
 // budgets must never collide.
 func TestDifftestSaltIncludesInterpSteps(t *testing.T) {
-	a := DifftestSalt("top", "dev", 250, 0, "k", "orig", "corpus")
-	b := DifftestSalt("top", "dev", 250, 500, "k", "orig", "corpus")
+	a := DifftestSalt("be", "top", "dev", 250, 0, "k", "orig", "corpus")
+	b := DifftestSalt("be", "top", "dev", 250, 500, "k", "orig", "corpus")
 	if a == b {
 		t.Error("salt ignores the interpreter step budget")
 	}
-	if a != DifftestSalt("top", "dev", 250, 0, "k", "orig", "corpus") {
+	if a != DifftestSalt("be", "top", "dev", 250, 0, "k", "orig", "corpus") {
 		t.Error("salt not deterministic")
 	}
 }

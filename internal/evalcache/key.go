@@ -4,68 +4,52 @@ import "fmt"
 
 // Key derivation — the single place that decides what each cached
 // verdict depends on (and therefore what invalidates it). Every
-// component is either canonical program text (cast.Print output — or,
-// on the repair search's fast evaluation path, a cast.FingerprintUnit
-// content hash of that text; both are passed in by callers since this
-// package stays AST-agnostic) or a rendered option value; anything
-// that cannot affect the verdict — Workers, observers, the cache
-// itself, EvalDelay — is deliberately absent, so cold and warm runs
-// address the same entries regardless of parallelism or tracing.
-// Printed-text keys and fingerprint keys never collide: a fingerprint
-// is a fixed-width hex string that is not valid C, and the salts that
-// feed per-candidate keys (CheckSalt, DifftestSalt) still consume the
-// original's printed text, which is produced once per search.
+// component is either program content (cast.Print text, or the repair
+// search's cast.Fingerprints content hash of it; callers pass both in
+// since this package stays AST-agnostic) or a rendered option value;
+// anything that cannot affect the verdict — Workers, observers, the
+// cache itself, EvalDelay — is deliberately absent, so cold and warm
+// runs address the same entries regardless of parallelism or tracing.
+// Printed-text and fingerprint keys never collide: a fingerprint is a
+// fixed-width hex string that is not valid C. Toolchain verdicts are
+// always keyed per resolved (backend, device) target; an untargeted run
+// is a run on hls.DefaultTarget.
 
 // CheckSalt captures the toolchain configuration a synthesizability
-// verdict depends on. Combine with the candidate's printed text via
-// CheckKey.
-func CheckSalt(top, device string, clockMHz float64) string {
-	return Fingerprint("check-cfg", top, device, fmt.Sprintf("%g", clockMHz))
+// verdict depends on: the backend name joins the part so
+// dialect-translated verdicts for different toolchains never collide,
+// even on the same part. Combine with the candidate via CheckKey.
+func CheckSalt(backend, top, device string, clockMHz float64) string {
+	return Fingerprint("check-cfg", backend, top, device, fmt.Sprintf("%g", clockMHz))
 }
 
 // CheckKey addresses one StageCheck verdict.
-func CheckKey(salt, printedUnit string) string {
-	return Fingerprint("check", salt, printedUnit)
+func CheckKey(salt, unit string) string {
+	return Fingerprint("check", salt, unit)
 }
 
 // ResourceKey addresses one StageSim estimate. Resource estimation
-// walks only the design itself, so the printed text is the whole key.
-func ResourceKey(printedUnit string) string {
-	return Fingerprint("sim", printedUnit)
-}
-
-// TargetCheckSalt is CheckSalt for a resolved (backend, device) target:
-// the backend name joins the fingerprint so dialect-translated verdicts
-// for different toolchains never collide, even on the same part.
-func TargetCheckSalt(backend, top, device string, clockMHz float64) string {
-	return Fingerprint("check-cfg-target", backend, top, device, fmt.Sprintf("%g", clockMHz))
+// walks only the design itself, so the design is the whole key — no
+// target, which lets estimates carry across devices.
+func ResourceKey(unit string) string {
+	return Fingerprint("sim", unit)
 }
 
 // DifftestSalt captures everything a differential-test verdict depends
-// on besides the candidate: the toolchain configuration (including the
-// interpreter step budget, which decides pass vs inconclusive), the
-// kernel under test, the oracle program, and the test corpus. Combine
-// with the candidate's printed text via DifftestKey.
-func DifftestSalt(top, device string, clockMHz float64, interpSteps int64, kernel, printedOriginal, corpusHash string) string {
-	return Fingerprint("difftest-cfg", top, device,
+// on besides the candidate: the target configuration (the report embeds
+// simulated latencies under the target's clock, and the interpreter
+// step budget decides pass vs inconclusive), the kernel under test, the
+// oracle program, and the test corpus. Combine with the candidate via
+// DifftestKey.
+func DifftestSalt(backend, top, device string, clockMHz float64, interpSteps int64, kernel, printedOriginal, corpusHash string) string {
+	return Fingerprint("difftest-cfg", backend, top, device,
 		fmt.Sprintf("%g|%d", clockMHz, interpSteps),
 		kernel, printedOriginal, corpusHash)
 }
 
 // DifftestKey addresses one StageDifftest verdict.
-func DifftestKey(salt, printedCandidate string) string {
-	return Fingerprint("difftest", salt, printedCandidate)
-}
-
-// TargetDifftestSalt is DifftestSalt for a resolved target. The
-// differential test itself is behaviour-only (target-independent), but
-// its report embeds simulated latencies under the target's clock, so
-// verdicts are keyed per target. ResourceKey stays target-free on
-// purpose: resource estimation is a pure function of the design text.
-func TargetDifftestSalt(backend, top, device string, clockMHz float64, interpSteps int64, kernel, printedOriginal, corpusHash string) string {
-	return Fingerprint("difftest-cfg-target", backend, top, device,
-		fmt.Sprintf("%g|%d", clockMHz, interpSteps),
-		kernel, printedOriginal, corpusHash)
+func DifftestKey(salt, candidate string) string {
+	return Fingerprint("difftest", salt, candidate)
 }
 
 // FuzzKey addresses one StageFuzz campaign: the program, the kernel,

@@ -79,7 +79,7 @@ func ParseTarget(s string) (Target, error) {
 
 // ParseTargets parses a list of target specs, dropping duplicates while
 // preserving first-occurrence order. An empty list parses to nil (the
-// caller's legacy single-target path).
+// caller's untargeted, default-target path).
 func ParseTargets(specs []string) ([]Target, error) {
 	var out []Target
 	seen := map[Target]bool{}

@@ -170,8 +170,8 @@ type DoneEvent struct {
 	StageFailures int `json:"stage_failures,omitempty"`
 	// Targets lists the canonical target names of a multi-target search,
 	// and ParetoSize the number of non-dominated programs it archived.
-	// Both are absent from legacy and single-target runs, whose traces
-	// stay byte-identical to pre-target-set behavior.
+	// Both are absent from single-target runs, whose traces are
+	// byte-identical whether or not the target was named.
 	Targets    []string `json:"targets,omitempty"`
 	ParetoSize int      `json:"pareto_size,omitempty"`
 }

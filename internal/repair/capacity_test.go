@@ -6,8 +6,34 @@ import (
 
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/fuzz"
+	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/hls/sim"
 )
+
+// tinyProfile is a deliberately small part, so modest designs exercise
+// the capacity gate.
+var tinyProfile = hls.DeviceProfile{Name: "tiny", Part: "tiny-part",
+	Cap: hls.Capacity{LUT: 5000, FF: 20000, DSP: 64, BRAM: 12}, ClockMHz: 250}
+
+// tinyBackend is the reference backend with tinyProfile as its only
+// device, registered for this package's tests as "captest".
+type tinyBackend struct{ hls.Backend }
+
+func (tinyBackend) Name() string                 { return "captest" }
+func (tinyBackend) Devices() []hls.DeviceProfile { return []hls.DeviceProfile{tinyProfile} }
+func (tinyBackend) Device(name string) (hls.DeviceProfile, bool) {
+	return tinyProfile, name == tinyProfile.Name || name == tinyProfile.Part
+}
+
+func init() {
+	ref, err := hls.BackendByName(hls.DefaultBackendName)
+	if err != nil {
+		panic(err)
+	}
+	hls.RegisterBackend(tinyBackend{ref})
+}
+
+var tinyTarget = []hls.Target{{Backend: "captest", Device: "tiny"}}
 
 // With a capacity-gated device, the search must back off from resource-
 // hungry pragma configurations instead of accepting the fastest one.
@@ -27,7 +53,7 @@ void kernel(int a[64], int b[64]) {
 	}
 	tests := []fuzz.TestCase{mk()}
 
-	// Unconstrained: partitions freely.
+	// Default target: the large part leaves room to partition freely.
 	free := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, DefaultOptions())
 	if !free.Compatible || !free.BehaviorOK {
 		t.Fatalf("unconstrained search failed: %v", free.Remaining)
@@ -35,21 +61,35 @@ void kernel(int a[64], int b[64]) {
 	freeRes := sim.Estimate(free.Unit)
 
 	// Tiny device: whatever the search accepts must fit.
-	tiny := sim.Device{Name: "tiny", Cap: sim.Resources{LUT: 5000, FF: 20000, DSP: 64, BRAM: 12}}
 	opts := DefaultOptions()
-	opts.Device = tiny
+	opts.Targets = tinyTarget
 	gated := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, opts)
 	if !gated.Compatible || !gated.BehaviorOK {
 		t.Fatalf("gated search failed: %v / %v", gated.Remaining, gated.Stats.EditLog)
 	}
 	gatedRes := sim.Estimate(gated.Unit)
-	if ok, over := sim.CheckCapacity(gatedRes, tiny); !ok {
+	if ok, over := sim.CheckCapacity(gatedRes, sim.DeviceFor(tinyProfile)); !ok {
 		t.Errorf("accepted design over-utilizes the device: %v (%s)", over, gatedRes)
 	}
 	if gatedRes.BRAM > freeRes.BRAM {
 		t.Errorf("gated design should not use more BRAM than the free one: %d vs %d",
 			gatedRes.BRAM, freeRes.BRAM)
 	}
+}
+
+// assertOverUtilized checks that a search failed on the implementation
+// diagnostic.
+func assertOverUtilized(t *testing.T, res Result) {
+	t.Helper()
+	if res.Compatible {
+		t.Fatal("an over-utilizing design was reported compatible")
+	}
+	for _, d := range res.Remaining {
+		if d.Code == "IMPL 200-1" && strings.Contains(d.Message, "over-utilizes") {
+			return
+		}
+	}
+	t.Errorf("implementation diagnostic missing: %v", res.Remaining)
 }
 
 // An initial design that already exceeds the device fails with the
@@ -61,22 +101,33 @@ int kernel(int x) {
     huge[0] = x;
     return huge[0];
 }`
-	tiny := sim.Device{Name: "tiny", Cap: sim.Resources{LUT: 5000, FF: 20000, DSP: 64, BRAM: 12}}
 	opts := DefaultOptions()
-	opts.Device = tiny
+	opts.Targets = tinyTarget
 	opts.MaxIterations = 4
 	res := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel",
 		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
-	if res.Compatible {
-		t.Fatal("a megaword array cannot fit the tiny device")
+	assertOverUtilized(t, res)
+}
+
+// An untargeted search runs on the default target, capacity gate
+// included: a design too large for xcvu9p is reported as such instead
+// of passing unchecked.
+func TestUntargetedSearchGatesDefaultDevice(t *testing.T) {
+	src := `
+int huge[4000000];
+int kernel(int x) {
+    huge[0] = x;
+    return huge[0];
+}`
+	if ok, _ := sim.CheckCapacity(sim.Estimate(cparser.MustParse(src)), sim.XCVU9P); ok {
+		t.Fatal("test design must over-utilize xcvu9p")
 	}
-	found := false
-	for _, d := range res.Remaining {
-		if strings.Contains(d.Message, "over-utilizes") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("implementation diagnostic missing: %v", res.Remaining)
+	opts := DefaultOptions()
+	opts.MaxIterations = 4
+	res := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel",
+		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
+	assertOverUtilized(t, res)
+	if len(res.PerTarget) != 0 {
+		t.Errorf("untargeted search grew a verdict table: %+v", res.PerTarget)
 	}
 }

@@ -13,19 +13,17 @@
 // accept-first-improvement rule, Pareto consideration, event emission)
 // executes again identically, so the resumed run's Result, Stats, and
 // trace are byte-identical to an uninterrupted run's — the same
-// argument that makes Workers, FastEval, and cache temperature
-// invisible.
+// argument that makes Workers and cache temperature invisible.
 //
 // The file is append-only JSONL, crash-tolerant like evalcache's
 // persistent tier: a header line binds the log to a fingerprint of
 // every determinism-relevant input (a mismatched header discards the
 // file), then one line for the initial evaluation and one per
 // committed candidate. A truncated or corrupt tail is dropped and the
-// file is rewritten to its valid prefix on open. Workers and FastEval
-// are deliberately excluded from the fingerprint: both are
-// parity-proven to leave results and traces byte-identical, so a
-// search may resume under a different worker count or evaluation path
-// than the one that wrote the log.
+// file is rewritten to its valid prefix on open. Workers is
+// deliberately excluded from the fingerprint: it is proven to leave
+// results and traces byte-identical, so a search may resume under a
+// different worker count than the one that wrote the log.
 package repair
 
 import (
@@ -48,7 +46,7 @@ import (
 
 // ckptVersion is the on-disk format version; it joins the key
 // fingerprint, so any format change invalidates old logs wholesale.
-const ckptVersion = 1
+const ckptVersion = 2
 
 // ckptSyncEvery bounds how many appended records may be buffered in
 // the OS page cache before an fsync. Appends always flush to the
@@ -179,8 +177,8 @@ func candSig(c Candidate) string {
 }
 
 // checkpointKey fingerprints every input the enumeration and the
-// outcomes depend on. Workers, FastEval, Cache, and EvalDelay are
-// excluded on purpose: all are parity-proven byte-identical.
+// outcomes depend on. Workers, Cache, and EvalDelay are excluded on
+// purpose: all are proven to leave results byte-identical.
 func checkpointKey(opts Options, original, initial *cast.Unit, kernel string, tests []fuzz.TestCase) string {
 	classes := make([]string, 0, len(opts.ClassFilter))
 	for c, ok := range opts.ClassFilter {
@@ -198,7 +196,6 @@ func checkpointKey(opts Options, original, initial *cast.Unit, kernel string, te
 		fmt.Sprintf("budget=%v style=%t dep=%t perf=%t seed=%d maxiter=%d isteps=%d",
 			opts.Budget, opts.UseStyleChecker, opts.UseDependence, opts.PerfExploration,
 			opts.Seed, opts.MaxIterations, opts.InterpSteps),
-		fmt.Sprintf("device=%+v", opts.Device),
 		strings.Join(classes, ","),
 		strings.Join(targets, ","),
 		kernel,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/difftest"
+	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 )
@@ -166,6 +168,67 @@ func assertGolden(t *testing.T, c goldenCase, label string, res Result, trace []
 		t.Fatalf("%s: %v", label, err)
 	}
 	assertTracesIdentical(t, label+" trace vs "+goldenPath(c, ".jsonl"), wantTrace, trace)
+}
+
+// TestFastEvalParity pins the evaluation path to the recorded goldens:
+// for every untargeted golden case, the sequential and the speculative
+// (Workers=4) search reproduce the fixture's Result — printed program,
+// verdicts, the whole Stats struct down to the virtual clock, the final
+// difftest Report — and its JSONL trace byte for byte. With -update
+// the sequential run rewrites the fixtures.
+func TestFastEvalParity(t *testing.T) {
+	for _, c := range untargetedGoldenCases() {
+		t.Run(c.subject, func(t *testing.T) {
+			seq, seqTrace := runGolden(t, c, nil)
+			recordGolden(t, c, seq, seqTrace)
+			assertGolden(t, c, "workers=1", seq, seqTrace)
+
+			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			assertGolden(t, c, "workers=4", par, parTrace)
+		})
+	}
+}
+
+// TestFastEvalTargetsParity is TestFastEvalParity for the targeted
+// golden cases: verdict table and Pareto archive included.
+func TestFastEvalTargetsParity(t *testing.T) {
+	for _, c := range targetedGoldenCases() {
+		t.Run(c.subject, func(t *testing.T) {
+			seq, seqTrace := runGolden(t, c, nil)
+			recordGolden(t, c, seq, seqTrace)
+			assertGolden(t, c, "workers=1", seq, seqTrace)
+
+			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			assertGolden(t, c, "workers=4", par, parTrace)
+		})
+	}
+}
+
+// TestFastEvalCacheParity: cold and warm evaluation-cache runs
+// reproduce the goldens for any Workers value (cache off is
+// TestFastEvalParity), and the warm run is actually served from the
+// cache.
+func TestFastEvalCacheParity(t *testing.T) {
+	for _, id := range []string{"P2", "P6"} {
+		c := goldenCase{subject: id}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", id, workers), func(t *testing.T) {
+				cache, err := evalcache.New(evalcache.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				withCache := func(o *Options) { o.Workers, o.Cache = workers, cache }
+				cold, coldTrace := runGolden(t, c, withCache)
+				before := cache.Stats()
+				warm, warmTrace := runGolden(t, c, withCache)
+				if cache.Stats().Sub(before).Hits() == 0 {
+					t.Error("warm run never hit the cache")
+				}
+				assertGolden(t, c, "cold", cold, coldTrace)
+				assertGolden(t, c, "warm", warm, warmTrace)
+			})
+		}
+	}
 }
 
 // firstDiffLine is the 1-based first line where a and b differ.

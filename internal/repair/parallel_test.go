@@ -47,9 +47,11 @@ func assertTracesIdentical(t *testing.T, name string, seq, par []byte) {
 	}
 }
 
-// searchSubjects are the determinism-test inputs: real evaluation
+// subjectInputs returns the determinism-test inputs: real evaluation
 // subjects with multiple error classes, driven by small deterministic
-// fuzzing campaigns.
+// fuzzing campaigns. The programs are parsed afresh on every call; the
+// suites are read-only and memoized per subject, because the campaign
+// is deterministic and costs far more than the searches that use it.
 func subjectInputs(t *testing.T, id string) (orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase) {
 	t.Helper()
 	s, err := subjects.ByID(id)
@@ -57,19 +59,30 @@ func subjectInputs(t *testing.T, id string) (orig, initial *cast.Unit, kernel st
 		t.Fatal(err)
 	}
 	orig = s.MustParse()
-	fopts := fuzz.DefaultOptions()
-	fopts.MaxExecs = 150
-	fopts.Plateau = 60
-	camp, err := fuzz.Run(orig, s.Kernel, fopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := camp.Tests
-	if len(suite) > 8 {
-		suite = suite[:8]
+	suitesMu.Lock()
+	defer suitesMu.Unlock()
+	suite, ok := suites[id]
+	if !ok {
+		fopts := fuzz.DefaultOptions()
+		fopts.MaxExecs = 150
+		fopts.Plateau = 60
+		camp, err := fuzz.Run(orig, s.Kernel, fopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite = camp.Tests
+		if len(suite) > 8 {
+			suite = suite[:8]
+		}
+		suites[id] = suite
 	}
 	return orig, s.MustParse(), s.Kernel, suite
 }
+
+var (
+	suitesMu sync.Mutex
+	suites   = map[string][]fuzz.TestCase{}
+)
 
 // assertIdentical compares two search results bit-for-bit: accepted
 // edit sequence, final printed program, and the complete Stats struct

@@ -71,24 +71,18 @@ type Options struct {
 	// allowed error classes — how the HeteroRefactor baseline's
 	// dynamic-data-only scope is modelled.
 	ClassFilter map[hls.ErrorClass]bool
-	// Device, when set, gates candidates on fabric capacity: a candidate
-	// whose resource estimate over-utilizes the device fails evaluation
-	// like any other diagnostic (so the search backs off to cheaper
-	// partition factors). Zero value disables the gate. Ignored when
-	// Targets is set — each target's profile brings its own capacity.
-	Device sim.Device
-	// Targets, when non-empty, switches the search to multi-target mode:
-	// candidate fitness becomes a per-device vector over the resolved
-	// (backend, device) set (see targets.go), the capacity gate runs
-	// against every profile, compile cost is charged per target, and the
-	// result carries a per-device verdict table plus a latency/resource
-	// Pareto archive. Targets[0] is the primary target: it provides the
-	// toolchain config, the diagnostic dialect of Remaining, and the
-	// cache salts. Empty keeps the legacy single-target behavior
-	// byte-identical, and a single explicit default target produces the
-	// same results and traces as the legacy path (given the design fits
-	// the device, which legacy runs never checked — that silent skip is
-	// the Config.Device bug this field fixes).
+	// Targets is the (backend, device) set the design must fit; empty
+	// means [hls.DefaultTarget()]. Candidate fitness is a per-device
+	// vector over the resolved set (see targets.go): the capacity gate
+	// runs against every profile — a candidate whose resource estimate
+	// over-utilizes a device fails evaluation like any other diagnostic,
+	// so the search backs off to cheaper partition factors — and compile
+	// cost is charged per target. Targets[0] is the primary target: it
+	// provides the toolchain config, the diagnostic dialect of
+	// Remaining, and the cache salts. Naming targets explicitly adds the
+	// per-device verdict table and the latency/resource Pareto archive
+	// to the Result; apart from those two fields, an explicit single
+	// default target and an empty set give identical results and traces.
 	Targets []hls.Target
 	// Obs receives structured events — one per tried candidate, plus
 	// init/done snapshots. Events are emitted on the search goroutine in
@@ -97,10 +91,10 @@ type Options struct {
 	Obs obs.Observer
 	// Cache, when non-nil, memoizes the expensive per-candidate
 	// verdicts on content-addressed fingerprints: the synthesizability
-	// Report (keyed on config + printed candidate), the resource
-	// estimate (printed candidate), and the differential-test outcome
-	// (config + kernel + printed oracle + corpus hash + printed
-	// candidate). A hit skips the recomputation and any EvalDelay
+	// Report (keyed on target config + candidate fingerprint), the
+	// resource estimate (candidate fingerprint), and the
+	// differential-test outcome (target config + kernel + printed oracle
+	// + corpus hash + candidate fingerprint). A hit skips the recomputation and any EvalDelay
 	// pause, but is charged exactly the same virtual toolchain cost in
 	// the same commit order as a cold evaluation — the cost inputs
 	// (line count, whether simulation ran) are deterministic — so
@@ -121,28 +115,6 @@ type Options struct {
 	// keeps package defaults. Exhaustion yields inconclusive(timeout)
 	// verdicts, never behaviour mismatches.
 	InterpSteps int64
-	// FastEval enables the high-throughput candidate evaluation path:
-	//
-	//   - candidates whose edits declare a mutation Scope are built as
-	//     structure-sharing clones (cast.CloneUnitScoped) instead of
-	//     full deep clones, so construction costs O(edit);
-	//   - the differential test runs through a per-search Runner that
-	//     computes the CPU reference outcomes once and executes the
-	//     FPGA side on direct-threaded compiled code shared across
-	//     candidates (interp.Codebase, keyed by *cast.FuncDecl
-	//     identity — shared declarations reuse compiled bodies);
-	//   - cache keys derive from incremental content fingerprints
-	//     (cast.Fingerprints) recombined per edit instead of printing
-	//     the whole candidate.
-	//
-	// Results, Stats, and traces are byte-identical to the slow path
-	// for any Workers value, cache temperature, and target set — the
-	// compiled interpreter reproduces tree-walker behaviour exactly
-	// (held to that by the differential belt in internal/interp), the
-	// reference outcomes are deterministic, and fingerprint cache keys
-	// are content-addressed just like printed-text keys. The zero value
-	// keeps the pre-existing evaluation path untouched.
-	FastEval bool
 	// CheckpointPath, when non-empty, makes the search durable: every
 	// committed candidate outcome is appended to a crash-tolerant JSONL
 	// log at this path (see checkpoint.go), and a search started
@@ -151,8 +123,8 @@ type Options struct {
 	// already-committed prefix — skipping their expensive recomputation
 	// but re-running every piece of commit-time accounting, so the
 	// resumed Result, Stats, and trace are byte-identical to an
-	// uninterrupted run's, for any Workers value, cache temperature,
-	// and evaluation path. A log written under different inputs (seed,
+	// uninterrupted run's, for any Workers value and cache temperature.
+	// A log written under different inputs (seed,
 	// budget, program, tests, targets, …) is discarded, never replayed.
 	// Empty disables checkpointing and leaves every code path
 	// byte-identical to before the feature existed.
@@ -174,7 +146,6 @@ func DefaultOptions() Options {
 		Seed:            1,
 		MaxIterations:   64,
 		Workers:         1,
-		FastEval:        true,
 	}
 }
 
@@ -218,18 +189,18 @@ type Result struct {
 	// Report is the final differential-test report (when run).
 	Report difftest.Report
 	Stats  Stats
-	// Remaining lists unfixed diagnostics when the search failed (in the
-	// primary target's dialect when Targets was set).
+	// Remaining lists unfixed diagnostics when the search failed, in the
+	// primary target's dialect.
 	Remaining []hls.Diagnostic
-	// PerTarget is the final program's per-device verdict table
-	// (multi-target mode only; nil otherwise).
+	// PerTarget is the final program's per-device verdict table (only
+	// when the caller named Targets; nil otherwise).
 	PerTarget []TargetVerdict
 	// Pareto is the latency/resource Pareto archive of every fully
 	// evaluated, all-targets-compatible program the search committed, in
-	// commit order (multi-target mode only; nil otherwise). The final
-	// program is not necessarily a member: the scalar objective chases
-	// the worst-target latency, while the archive keeps every
-	// non-dominated trade-off.
+	// commit order (only when the caller named Targets; nil otherwise).
+	// The final program is not necessarily a member: the scalar
+	// objective chases the worst-target latency, while the archive keeps
+	// every non-dominated trade-off.
 	Pareto []ParetoPoint
 }
 
@@ -282,14 +253,12 @@ func (c *LineCounter) EditedLines(repaired *cast.Unit) int {
 
 // searcher carries the loop state.
 type searcher struct {
-	original *cast.Unit
-	kernel   string
-	cfg      hls.Config
-	tests    []fuzz.TestCase
-	opts     Options
-	rng      *rand.Rand
-	stats    Stats
-	state    *State
+	cfg   hls.Config
+	tests []fuzz.TestCase
+	opts  Options
+	rng   *rand.Rand
+	stats Stats
+	state *State
 	// obs is the normalized event sink; tracing gates payload
 	// construction on the per-candidate hot path.
 	obs     obs.Observer
@@ -314,16 +283,18 @@ type searcher struct {
 	cache     *evalcache.Cache
 	checkSalt string
 	diffSalt  string
-	// targets is the resolved multi-target set (nil in legacy mode); the
-	// Pareto archive and its dedupe set live on the search goroutine.
+	// targets is the resolved target set, never empty. named records
+	// that the caller spelled it out, which alone decides whether the
+	// Pareto archive (and its dedupe set, both on the search goroutine)
+	// and the verdict table are produced.
 	targets    []resolvedTarget
+	named      bool
 	pareto     []paretoEntry
 	paretoSeen map[string]bool
-	// Fast-evaluation state (Options.FastEval; all nil otherwise):
-	// code is the shared compiled-function cache, fps the per-search
-	// fingerprint memo, runner the reference-caching differential
-	// tester. All three are safe for concurrent worker use.
-	code   *interp.Codebase
+	// fps is the per-search fingerprint memo (cache keys and compiled
+	// code keys), runner the reference-caching differential tester
+	// with its shared compiled-function cache. Both are safe for
+	// concurrent worker use.
 	fps    *cast.Fingerprints
 	runner *difftest.Runner
 	// ckpt is the durable commit log (Options.CheckpointPath; nil
@@ -353,29 +324,28 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	if opts.Budget == 0 {
 		opts.Budget = 3 * 3600
 	}
-	var targets []resolvedTarget
-	cfg := hls.DefaultConfig(kernel)
-	if len(opts.Targets) > 0 {
-		var err error
-		targets, err = resolveAll(opts.Targets)
-		if err != nil {
-			// SearchContext has no error return; an unresolvable target
-			// set surfaces as a configuration diagnostic (core validates
-			// targets up front, so this path serves direct callers only).
-			return Result{
-				Unit: cast.CloneUnit(initial),
-				Remaining: []hls.Diagnostic{{
-					Code:    "CFG 100-1",
-					Message: fmt.Sprintf("target resolution failed: %v", err),
-				}},
-			}
-		}
-		cfg = hls.ConfigFor(kernel, targets[0].profile)
+	named := len(opts.Targets) > 0
+	ts := opts.Targets
+	if !named {
+		ts = []hls.Target{hls.DefaultTarget()}
 	}
+	targets, err := resolveAll(ts)
+	if err != nil {
+		// SearchContext has no error return; an unresolvable target set
+		// surfaces as a configuration diagnostic (core validates targets
+		// up front, so this path serves direct callers only).
+		return Result{
+			Unit: cast.CloneUnit(initial),
+			Remaining: []hls.Diagnostic{{
+				Code:    "CFG 100-1",
+				Message: fmt.Sprintf("target resolution failed: %v", err),
+			}},
+		}
+	}
+	cfg := hls.ConfigFor(kernel, targets[0].profile)
 	cfg.InterpSteps = opts.InterpSteps
+	fps := cast.NewFingerprints()
 	s := &searcher{
-		original:  original,
-		kernel:    kernel,
 		cfg:       cfg,
 		tests:     tests,
 		opts:      opts,
@@ -387,30 +357,22 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		ctx:       ctx,
 		cache:     opts.Cache,
 		targets:   targets,
+		named:     named,
+		fps:       fps,
+		runner:    difftest.NewRunner(original, kernel, cfg, tests, interp.NewCodebase(), fps),
 	}
-	if len(targets) > 0 {
+	if named {
 		s.paretoSeen = map[string]bool{}
 	}
-	if opts.FastEval {
-		s.code = interp.NewCodebase()
-		s.fps = cast.NewFingerprints()
-		s.runner = difftest.NewRunner(original, kernel, cfg, tests, s.code, s.fps)
-		s.state.FastClone = true
-	}
+	s.state.FastClone = true
 	if s.cache != nil {
-		if len(targets) > 0 {
-			// Per-target salts: the primary backend name joins the
-			// fingerprint so verdicts for different toolchains (dialect
-			// translation included) never collide across devices.
-			be := targets[0].backend.Name()
-			s.checkSalt = evalcache.TargetCheckSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
-			s.diffSalt = evalcache.TargetDifftestSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
-				s.cfg.InterpSteps, kernel, cast.Print(original), fuzz.CorpusFingerprint(tests))
-		} else {
-			s.checkSalt = evalcache.CheckSalt(s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
-			s.diffSalt = evalcache.DifftestSalt(s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
-				s.cfg.InterpSteps, kernel, cast.Print(original), fuzz.CorpusFingerprint(tests))
-		}
+		// The primary backend name joins the salts so verdicts for
+		// different toolchains (dialect translation included) never
+		// collide across devices.
+		be := targets[0].backend.Name()
+		s.checkSalt = evalcache.CheckSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
+		s.diffSalt = evalcache.DifftestSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
+			s.cfg.InterpSteps, kernel, cast.Print(original), fuzz.CorpusFingerprint(tests))
 	}
 	s.state.TestCount = len(tests)
 	if opts.CheckpointPath != "" {
@@ -470,7 +432,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	if curScore.errors == 0 && curScore.behaviorOK {
 		res.Improved = curScore.report.FPGAMeanMS() < curScore.report.CPUMeanMS()
 	}
-	if len(s.targets) > 0 {
+	if s.named {
 		res.PerTarget = s.verdicts(curScore)
 		res.Pareto = s.paretoPoints()
 	}
@@ -492,9 +454,9 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 			StageFailures:       s.stats.StageFailures,
 		}
 		// The target set rides in the done event only when there is more
-		// than one target: a single-target run is the same search with a
-		// verdict table, and keeping its trace byte-identical to the
-		// legacy path is the API-redesign parity contract.
+		// than one target: a single-target run is the same search whether
+		// or not the caller named the target, and its trace is
+		// byte-identical either way.
 		if len(s.targets) > 1 {
 			de.Targets = s.targetNames()
 			de.ParetoSize = len(s.pareto)
@@ -504,9 +466,9 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	return res
 }
 
-// score is the lexicographic fitness of a program version. In
-// multi-target mode the scalar fields aggregate the per-target vector:
-// errors sum over targets and latencyMS is the slowest target.
+// score is the lexicographic fitness of a program version. The scalar
+// fields aggregate the per-target vector: errors sum over targets and
+// latencyMS is the slowest target.
 type score struct {
 	errors     int
 	behaviorOK bool
@@ -514,11 +476,10 @@ type score struct {
 	latencyMS  float64
 	diags      []hls.Diagnostic
 	report     difftest.Report
-	// perTarget is the fitness vector (multi-target mode only).
+	// perTarget is the fitness vector.
 	perTarget []targetFit
-	// res / resOK carry the resource estimate when one was computed
-	// (multi-target mode), feeding utilization rows and the Pareto
-	// archive.
+	// res / resOK carry the resource estimate when one was computed,
+	// feeding utilization rows and the Pareto archive.
 	res   sim.Resources
 	resOK bool
 }
@@ -616,19 +577,12 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 		delayed = true
 	}
 	// printed is the candidate's content key for cache lookups and
-	// guard invocations: its canonical text, or — under FastEval — its
-	// incremental fingerprint, recombined from memoized per-declaration
-	// hashes in O(edit) for structure-sharing clones. Both are pure
-	// functions of the candidate's content, so memoization behaves
-	// identically; the evalcache schema version separates the key
-	// domains across persisted stores.
+	// guard invocations: its incremental fingerprint, recombined from
+	// memoized per-declaration hashes in O(edit) for structure-sharing
+	// clones.
 	var printed string
 	if s.cache != nil {
-		if s.fps != nil {
-			printed = s.fps.Unit(u)
-		} else {
-			printed = cast.Print(u)
-		}
+		printed = s.fps.Unit(u)
 	}
 
 	sc = score{latencyMS: 1e18}
@@ -658,37 +612,15 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 		}
 	}
 	sc = score{errors: len(rep.Diags), diags: rep.Diags, latencyMS: 1e18}
-	if len(s.targets) > 0 {
-		// Multi-target mode: the capacity gate runs per device and the
-		// latency model per clock; the differential test below stays
-		// shared (behaviour is target-independent).
-		runDT, terr := s.scoreTargets(u, printed, &sc)
-		if sf := guard.AsFailure(terr); sf != nil {
-			return lines, false, sc, sf
-		}
-		if !runDT {
-			return lines, false, sc, nil
-		}
-	} else if sc.errors > 0 {
-		return lines, false, sc, nil
+	// The capacity gate runs per device and the latency model per clock;
+	// the differential test below stays shared (behaviour is
+	// target-independent).
+	runDT, terr := s.scoreTargets(u, printed, &sc)
+	if sf := guard.AsFailure(terr); sf != nil {
+		return lines, false, sc, sf
 	}
-	if len(s.targets) == 0 && s.opts.Device.Name != "" {
-		est, err := s.estimate(u, printed)
-		if sf := guard.AsFailure(err); sf != nil {
-			return lines, false, sc, sf
-		}
-		if ok, over := sim.CheckCapacity(est, s.opts.Device); !ok {
-			d := hls.Diagnostic{
-				Code: "IMPL 200-1",
-				Message: fmt.Sprintf(
-					"implementation failed: design over-utilizes %s on %s",
-					strings.Join(over, ", "), s.opts.Device.Name),
-				Class: hls.ClassLoopParallel,
-			}
-			sc.errors = 1
-			sc.diags = []hls.Diagnostic{d}
-			return lines, false, sc, nil
-		}
+	if !runDT {
+		return lines, false, sc, nil
 	}
 	var dt difftest.Report
 	cached = false
@@ -702,10 +634,7 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 		var err error
 		dt, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: printed, Unit: u},
 			func(cu *cast.Unit) (difftest.Report, error) {
-				if s.runner != nil {
-					return s.runner.Run(cu), nil
-				}
-				return difftest.Run(s.original, cu, s.kernel, s.cfg, s.tests), nil
+				return s.runner.Run(cu), nil
 			})
 		if sf := guard.AsFailure(err); sf != nil {
 			return lines, false, sc, sf
@@ -718,14 +647,12 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	sc.passRatio = dt.PassRatio()
 	sc.behaviorOK = dt.AllPass()
 	sc.latencyMS = dt.FPGAMeanMS()
-	if len(s.targets) > 0 {
-		s.finishTargets(&sc)
-	}
+	s.finishTargets(&sc)
 	return lines, true, sc, nil
 }
 
 // estimate is the resource-estimation stage with memoization; printed
-// is the candidate's canonical text (empty when the cache is off). The
+// is the candidate's fingerprint (empty when the cache is off). The
 // only possible error is a contained *guard.StageFailure.
 func (s *searcher) estimate(u *cast.Unit, printed string) (sim.Resources, error) {
 	var r sim.Resources
@@ -759,13 +686,9 @@ type costBreakdown struct {
 func (c costBreakdown) total() float64 { return c.style + c.compile + c.sim }
 
 // compileCost is the virtual cost of one full compilation of a design
-// across the active target set: each target pays its backend's cost
-// model (one compile per device). Legacy mode and a single default
-// target charge the identical reference cost.
+// across the target set: each target pays its backend's cost model (one
+// compile per device).
 func (s *searcher) compileCost(lines int) float64 {
-	if len(s.targets) == 0 {
-		return float64(hls.CompileCost(lines))
-	}
 	total := 0.0
 	for _, rt := range s.targets {
 		total += float64(rt.backend.CompileCost(lines))
@@ -774,12 +697,7 @@ func (s *searcher) compileCost(lines int) float64 {
 }
 
 // invocations is how many toolchain invocations one evaluation spends.
-func (s *searcher) invocations() int {
-	if len(s.targets) == 0 {
-		return 1
-	}
-	return len(s.targets)
-}
+func (s *searcher) invocations() int { return len(s.targets) }
 
 // chargeOutcome replays the virtual-cost accounting of one tried
 // candidate. The virtual clock models a single HLS toolchain license,

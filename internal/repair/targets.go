@@ -1,11 +1,11 @@
 // Multi-target fitness for the repair search.
 //
-// With Options.Targets set, the search looks for one program that fits
-// a *set* of (backend, device) targets at once: the synthesizability
-// check and the differential test run once per candidate (their
-// verdicts are target-independent up to diagnostic dialect), while the
-// capacity gate and the latency model evaluate per target, making
-// candidate fitness a per-device vector. The scalar search objective
+// The search looks for one program that fits a *set* of (backend,
+// device) targets at once — Options.Targets, or the default target
+// alone: the synthesizability check and the differential test run once
+// per candidate (their verdicts are target-independent up to diagnostic
+// dialect), while the capacity gate and the latency model evaluate per
+// target, making candidate fitness a per-device vector. The scalar search objective
 // aggregates that vector conservatively — error counts sum over
 // targets, latency is the worst (slowest) target — and, orthogonally to
 // the accept-first-improvement rule, every fully-evaluated candidate
@@ -17,7 +17,8 @@
 // (pure, worker-safe); the Pareto archive is updated only on the search
 // goroutine at commit time, in candidate enumeration order, so results
 // and traces stay bit-identical for any Workers value. An empty target
-// set leaves every legacy code path untouched.
+// set is the default target; only a caller-named set gets the verdict
+// table and the Pareto archive in its Result.
 package repair
 
 import (
@@ -198,7 +199,7 @@ const paretoCap = 64
 // passed over (slower overall) can still be the archive's cheapest
 // design on a small part.
 func (s *searcher) considerPareto(u *cast.Unit, sc score) {
-	if len(s.targets) == 0 || sc.errors != 0 || !sc.behaviorOK || !sc.resOK {
+	if !s.named || sc.errors != 0 || !sc.behaviorOK || !sc.resOK {
 		return
 	}
 	src := cast.Print(u)

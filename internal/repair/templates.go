@@ -84,8 +84,8 @@ type State struct {
 	// TestCount scales simulated validation cost.
 	TestCount int
 	// FastClone enables structure-sharing candidate construction for
-	// edits that declare a Scope (set from Options.FastEval; candidate
-	// generators consult it at their clone sites).
+	// edits that declare a Scope (the repair search always sets it;
+	// candidate generators consult it at their clone sites).
 	FastClone bool
 }
 

@@ -62,8 +62,8 @@ type Request struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Targets selects the HLS backends/devices the job runs against,
 	// as "backend:device" specs (bare backend or device names are also
-	// accepted — see hls.ParseTarget). Empty keeps the legacy
-	// single-default-target behavior. An unknown spec rejects the
+	// accepted — see hls.ParseTarget). Empty means the default target
+	// without a per-device verdict table. An unknown spec rejects the
 	// submission with 400.
 	Targets []string `json:"targets,omitempty"`
 	// Budget bounds the job; zero fields take server defaults and every
@@ -96,8 +96,8 @@ type Job struct {
 	corr   string
 	budget Budget
 	req    Request
-	// targets holds the resolved canonical target set (empty = legacy
-	// single-target behavior), validated at submission time.
+	// targets holds the resolved canonical target set (empty = the
+	// default target, unnamed), validated at submission time.
 	targets []hls.Target
 
 	events *eventLog
@@ -136,8 +136,8 @@ type Status struct {
 	State         State  `json:"state"`
 	Client        string `json:"client,omitempty"`
 	// Targets is the resolved canonical target set the job runs
-	// against ("backend:device" per entry); absent for legacy
-	// single-target jobs.
+	// against ("backend:device" per entry); absent for jobs that named
+	// no target.
 	Targets []string `json:"targets,omitempty"`
 	// Budget is the effective (clamped) budget the job runs under.
 	Budget Budget `json:"budget"`

@@ -44,7 +44,7 @@ type Options struct {
 	Defaults Budget
 	// DefaultTargets fills the target set of requests that omit the
 	// targets field (hgserve's -backend/-device/-target flags). Nil
-	// keeps such requests on the legacy single-default-target path.
+	// leaves such requests untargeted (the default target, unnamed).
 	DefaultTargets []hls.Target
 	// Cache, when non-nil, is shared by every job (typically sharded —
 	// see evalcache.Options.Shards — since jobs run concurrently).

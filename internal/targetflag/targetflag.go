@@ -11,8 +11,8 @@
 //
 // Bare device names, full part names, and "backend:device" specs are
 // all accepted (see hls.ParseTarget). No flag given resolves to an
-// empty set, which keeps the legacy single-default-target code paths —
-// results and traces stay byte-identical with the flags absent.
+// empty set: the default target, without the per-device verdict table
+// and Pareto archive of a named set.
 package targetflag
 
 import (
@@ -49,7 +49,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 
 // Targets resolves the flags into a canonical, deduplicated target
 // set. A nil set with a nil error means no flag was given — callers
-// keep the legacy single-target behavior.
+// run untargeted, on the default target.
 func (f *Flags) Targets() ([]hls.Target, error) {
 	specs := append([]string(nil), f.specs...)
 	if f.backend != "" || f.device != "" {
