@@ -1,13 +1,11 @@
 package repair
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -158,11 +156,7 @@ func assertGolden(t *testing.T, c goldenCase, label string, res Result, trace []
 	if err != nil {
 		t.Fatalf("%s: %v (run `make golden` to record fixtures)", label, err)
 	}
-	if got := goldenJSON(t, c, res); !bytes.Equal(want, got) {
-		n := firstDiffLine(want, got)
-		t.Errorf("%s: result diverges from %s at line %d:\n  want: %s\n  got:  %s",
-			label, goldenPath(c, ".json"), n, lineAt(want, n), lineAt(got, n))
-	}
+	assertTracesIdentical(t, label+" result vs "+goldenPath(c, ".json"), want, goldenJSON(t, c, res))
 	wantTrace, err := os.ReadFile(goldenPath(c, ".jsonl"))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -229,26 +223,4 @@ func TestFastEvalCacheParity(t *testing.T) {
 			})
 		}
 	}
-}
-
-// firstDiffLine is the 1-based first line where a and b differ.
-func firstDiffLine(a, b []byte) int {
-	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return i + 1
-		}
-	}
-	if len(al) < len(bl) {
-		return len(al) + 1
-	}
-	return len(bl) + 1
-}
-
-func lineAt(b []byte, n int) string {
-	lines := strings.Split(string(b), "\n")
-	if n-1 < len(lines) {
-		return lines[n-1]
-	}
-	return "<eof>"
 }

@@ -29,21 +29,23 @@ func tracedSearch(orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase
 
 // assertTracesIdentical is the observability half of the Workers
 // contract: events are emitted at commit time on the commit goroutine,
-// so the JSONL trace must be byte-identical for any worker count.
-func assertTracesIdentical(t *testing.T, name string, seq, par []byte) {
+// so the JSONL trace must be byte-identical for any worker count. The
+// golden checks use it for any recorded bytes, want being the
+// reference.
+func assertTracesIdentical(t *testing.T, name string, want, got []byte) {
 	t.Helper()
-	if len(seq) == 0 {
-		t.Fatalf("%s: sequential trace is empty", name)
+	if len(want) == 0 {
+		t.Fatalf("%s: reference is empty", name)
 	}
-	if !bytes.Equal(seq, par) {
-		sl, pl := bytes.Split(seq, []byte("\n")), bytes.Split(par, []byte("\n"))
-		for i := 0; i < len(sl) && i < len(pl); i++ {
-			if !bytes.Equal(sl[i], pl[i]) {
-				t.Fatalf("%s: traces diverge at line %d:\n  seq: %s\n  par: %s",
-					name, i+1, sl[i], pl[i])
+	if !bytes.Equal(want, got) {
+		wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+		for i := 0; i < len(wl) && i < len(gl); i++ {
+			if !bytes.Equal(wl[i], gl[i]) {
+				t.Fatalf("%s: diverges at line %d:\n  want: %s\n  got:  %s",
+					name, i+1, wl[i], gl[i])
 			}
 		}
-		t.Fatalf("%s: traces differ in length: %d vs %d lines", name, len(sl), len(pl))
+		t.Fatalf("%s: differs in length: %d vs %d lines", name, len(wl), len(gl))
 	}
 }
 

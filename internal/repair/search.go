@@ -94,13 +94,13 @@ type Options struct {
 	// Report (keyed on target config + candidate fingerprint), the
 	// resource estimate (candidate fingerprint), and the
 	// differential-test outcome (target config + kernel + printed oracle
-	// + corpus hash + candidate fingerprint). A hit skips the recomputation and any EvalDelay
-	// pause, but is charged exactly the same virtual toolchain cost in
-	// the same commit order as a cold evaluation — the cost inputs
-	// (line count, whether simulation ran) are deterministic — so
-	// Result, Stats, and traces are byte-identical whether the cache is
-	// disabled, cold, or warm, for any Workers value. Nil disables
-	// memoization.
+	// + corpus hash + candidate fingerprint). A hit skips the
+	// recomputation and any EvalDelay pause, but is charged exactly the
+	// same virtual toolchain cost in the same commit order as a cold
+	// evaluation — the cost inputs (line count, whether simulation ran)
+	// are deterministic — so Result, Stats, and traces are
+	// byte-identical whether the cache is disabled, cold, or warm, for
+	// any Workers value. Nil disables memoization.
 	Cache *evalcache.Cache
 	// Guard contains stage failures: a candidate whose style check,
 	// compatibility check, resource estimate, or differential test
@@ -124,10 +124,10 @@ type Options struct {
 	// but re-running every piece of commit-time accounting, so the
 	// resumed Result, Stats, and trace are byte-identical to an
 	// uninterrupted run's, for any Workers value and cache temperature.
-	// A log written under different inputs (seed,
-	// budget, program, tests, targets, …) is discarded, never replayed.
-	// Empty disables checkpointing and leaves every code path
-	// byte-identical to before the feature existed.
+	// A log written under different inputs (seed, budget, program,
+	// tests, targets, …) is discarded, never replayed. Empty disables
+	// checkpointing and leaves every code path byte-identical to before
+	// the feature existed.
 	CheckpointPath string
 }
 
