@@ -109,7 +109,8 @@ crash-smoke:
 # retained traces with the real hgstat binary in two different orders,
 # and assert the fleet report, the JSON aggregate, and the priors
 # artifact are byte-identical — the end-to-end determinism contract of
-# the trace warehouse. Also exercises -verify and the -span view.
+# the trace warehouse. Also exercises -verify, the -span view, and the
+# single-run report with -check on a sound and a broken trace.
 obs-smoke:
 	OBS_SMOKE=1 $(GO) test -run TestObsSmoke -v ./cmd/hgstat
 
@@ -122,17 +123,17 @@ target-smoke:
 	TARGET_SMOKE=1 $(GO) test -run TestTargetSmoke -v .
 
 # Docs gate: every flag registered by any cmd/ binary (including the
-# shared chaos.Flags vocabulary) must appear in the README's
+# shared internal/cliflag families) must appear in the README's
 # consolidated CLI reference table.
 docs-check:
 	$(GO) test -run TestDocsFlagReference -v .
 
 # Traces one evaluation subject end-to-end and cross-validates the trace
-# with hgtrace -check: the event stream must reproduce the run's
+# with hgstat -check: the event stream must reproduce the run's
 # reported attempts, edit chain, and virtual clock exactly.
 TRACE_DEMO := $(or $(TMPDIR),/tmp)/heterogen-trace-demo.jsonl
 trace-demo:
 	$(GO) run ./cmd/hgeval -quick -subject P2 -table3 -workers 4 -trace $(TRACE_DEMO)
-	$(GO) run ./cmd/hgtrace -check $(TRACE_DEMO)
+	$(GO) run ./cmd/hgstat -check $(TRACE_DEMO)
 
 check: build vet test race

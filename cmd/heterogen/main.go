@@ -21,7 +21,7 @@
 //
 // -trace writes a JSONL structured-event trace of the whole run — one
 // event per fuzz execution and repair-candidate trial, byte-identical
-// for any -workers value. Feed it to hgtrace for Figure 2-style repair
+// for any -workers value. Feed it to hgstat for Figure 2-style repair
 // trajectories, coverage curves, and the virtual-budget breakdown.
 // -metrics prints aggregated counters and duration histograms to stderr.
 //
@@ -45,10 +45,7 @@ import (
 	"runtime"
 
 	"github.com/hetero/heterogen"
-	"github.com/hetero/heterogen/internal/chaos"
-	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/obs"
-	"github.com/hetero/heterogen/internal/targetflag"
+	"github.com/hetero/heterogen/internal/cliflag"
 )
 
 func main() {
@@ -60,13 +57,11 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"concurrent candidate evaluations in the repair search (results are identical for any value)")
 	verbose := flag.Bool("v", false, "print the edit log and diagnostics")
-	trace := flag.String("trace", "", "write a JSONL structured-event trace to this file (read it with hgtrace)")
-	metrics := flag.Bool("metrics", false, "print aggregated run metrics to stderr")
-	cacheDir := flag.String("cache-dir", "", "persist the evaluation cache in this directory (reused across runs)")
-	noCache := flag.Bool("no-cache", false, "disable the evaluation cache (results are identical either way)")
-	var cf chaos.Flags
-	cf.Register(flag.CommandLine)
-	var tf targetflag.Flags
+	var run cliflag.Run
+	run.Register(flag.CommandLine)
+	var gf cliflag.Guard
+	gf.Register(flag.CommandLine)
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -91,60 +86,21 @@ func main() {
 		opts.Fuzz.Plateau = 100
 		opts.Fuzz.TypedMutation = true
 	}
-	var sinks []obs.Observer
-	var tw *obs.TraceWriter
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tw = obs.NewTraceWriter(f)
-		sinks = append(sinks, tw)
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-		sinks = append(sinks, reg)
-	}
-	opts.Obs = obs.Multi(sinks...)
-	if len(targets) > 0 {
-		// Stamp the target set on every trace event at this configuration
-		// edge; untargeted runs keep byte-identical traces.
-		opts.Obs = obs.TagTarget(opts.Obs, hls.TargetSetString(targets))
-	}
-	opts.Guard = cf.Build(reg, func(msg string) {
-		fmt.Fprintln(os.Stderr, "heterogen:", msg)
-	})
-	if !*noCache {
-		cache, err := heterogen.NewCache(heterogen.CacheOptions{Dir: *cacheDir, Metrics: reg})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := cache.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "heterogen: cache:", err)
-			}
-		}()
-		opts.Cache = cache
-	}
-
-	res, err := heterogen.Transpile(string(src), opts)
-	if tw != nil {
-		if ferr := tw.Flush(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "heterogen: trace:", ferr)
-		}
-	}
+	sess, err := cliflag.Open("heterogen", &run, &gf, targets)
 	if err != nil {
 		fatal(err)
+	}
+	opts.Obs, opts.Guard, opts.Cache = sess.Obs, sess.Guard, sess.Cache
+
+	res, err := heterogen.Transpile(string(src), opts)
+	if err != nil {
+		sess.Fatal(err)
 	}
 	if res.Campaign.Plateaued {
 		fmt.Fprintf(os.Stderr, "heterogen: warning: fuzz campaign plateaued at %d executions before its budget; coverage may be low (%.0f%%)\n",
 			res.Campaign.Execs, 100*res.Campaign.Coverage)
 	}
-	if reg != nil {
-		fmt.Fprint(os.Stderr, reg.Text())
-	}
+	sess.Close()
 
 	fmt.Fprintf(os.Stderr, "heterogen: %s\n", res.Summary())
 	for _, v := range res.PerTarget {
@@ -175,7 +131,7 @@ func main() {
 	}
 	if *report != "" {
 		if err := os.WriteFile(*report, []byte(res.Markdown(*kernel)), 0o644); err != nil {
-			fatal(err)
+			sess.Fatal(err)
 		}
 	}
 
@@ -184,7 +140,7 @@ func main() {
 		return
 	}
 	if err := os.WriteFile(*out, []byte(res.Source), 0o644); err != nil {
-		fatal(err)
+		sess.Fatal(err)
 	}
 }
 

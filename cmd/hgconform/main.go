@@ -32,8 +32,7 @@ import (
 	"os/signal"
 
 	"github.com/hetero/heterogen"
-	"github.com/hetero/heterogen/internal/chaos"
-	"github.com/hetero/heterogen/internal/targetflag"
+	"github.com/hetero/heterogen/internal/cliflag"
 )
 
 func main() {
@@ -47,9 +46,9 @@ func main() {
 	out := flag.String("out", "", "write minimized reproducers for failures into this directory")
 	traceDir := flag.String("trace-dir", "", "retain each seed's pipeline trace as seed-<n>.jsonl in this directory (hgstat ingests it)")
 	verbose := flag.Bool("v", false, "print each failure's minimized source")
-	var cf chaos.Flags
-	cf.Register(flag.CommandLine)
-	var tf targetflag.Flags
+	var gf cliflag.Guard
+	gf.Register(flag.CommandLine)
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -75,7 +74,7 @@ func main() {
 		OutDir:        *out,
 		TraceDir:      *traceDir,
 		Targets:       targets,
-		Guard: cf.Build(nil, func(msg string) {
+		Guard: gf.Build(nil, func(msg string) {
 			fmt.Fprintln(os.Stderr, "hgconform:", msg)
 		}),
 	})

@@ -16,7 +16,7 @@
 //
 // -trace writes a JSONL structured-event trace of every subject's
 // fuzzing campaign and repair search, each event tagged with its subject
-// id (read it with hgtrace). Single-subject traces (-subject) are
+// id (read it with hgstat). Single-subject traces (-subject) are
 // byte-deterministic; full runs interleave subjects in scheduler order.
 // -metrics prints aggregated counters and histograms to stderr.
 //
@@ -31,14 +31,10 @@ import (
 	"os"
 	"runtime"
 
-	"github.com/hetero/heterogen/internal/chaos"
+	"github.com/hetero/heterogen/internal/cliflag"
 	"github.com/hetero/heterogen/internal/eval"
-	"github.com/hetero/heterogen/internal/evalcache"
-	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
-	"github.com/hetero/heterogen/internal/targetflag"
 )
 
 func main() {
@@ -53,13 +49,11 @@ func main() {
 	f3 := flag.Bool("fig3", false, "Figure 3: forum study")
 	summary := flag.Bool("summary", false, "§6 headline summary")
 	deps := flag.Bool("deps", false, "print the Table 2 template catalog with its Figure 7c dependences")
-	trace := flag.String("trace", "", "write a JSONL structured-event trace to this file (read it with hgtrace)")
-	metrics := flag.Bool("metrics", false, "print aggregated run metrics to stderr")
-	cacheDir := flag.String("cache-dir", "", "persist the evaluation cache in this directory (reused across runs)")
-	noCache := flag.Bool("no-cache", false, "disable the evaluation cache (all numbers are identical either way)")
-	var cf chaos.Flags
-	cf.Register(flag.CommandLine)
-	var tf targetflag.Flags
+	var run cliflag.Run
+	run.Register(flag.CommandLine)
+	var gf cliflag.Guard
+	gf.Register(flag.CommandLine)
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -80,49 +74,13 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Targets = targets
 
-	var sinks []obs.Observer
-	var tw *obs.TraceWriter
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tw = obs.NewTraceWriter(f)
-		defer func() {
-			if err := tw.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "hgeval: trace:", err)
-			}
-		}()
-		sinks = append(sinks, tw)
+	sess, err := cliflag.Open("hgeval", &run, &gf, targets)
+	if err != nil {
+		fatal(err)
 	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-		defer func() { fmt.Fprint(os.Stderr, reg.Text()) }()
-	}
-	if reg != nil {
-		sinks = append(sinks, reg)
-	}
-	cfg.Obs = obs.Multi(sinks...)
-	if len(targets) > 0 {
-		cfg.Obs = obs.TagTarget(cfg.Obs, hls.TargetSetString(targets))
-	}
-	cfg.Guard = cf.Build(reg, func(msg string) {
-		fmt.Fprintln(os.Stderr, "hgeval:", msg)
-	})
-	if !*noCache {
-		cache, err := evalcache.New(evalcache.Options{Dir: *cacheDir, Metrics: reg})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := cache.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "hgeval: cache:", err)
-			}
-		}()
-		cfg.Cache = cache
-	}
+	defer sess.Close()
+	cfg.Obs, cfg.Guard, cfg.Cache = sess.Obs, sess.Guard, sess.Cache
+
 	all := !*t3 && !*t4 && !*t5 && !*f9 && !*f3 && !*summary
 
 	if *f3 || all {
@@ -136,18 +94,18 @@ func main() {
 		if *subject != "" {
 			s, err := subjects.ByID(*subject)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 			r, err := eval.RunSubject(s, cfg)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 			runs = []eval.SubjectRun{r}
 		} else {
 			var err error
 			runs, err = eval.RunAll(cfg)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 		}
 	}
@@ -172,18 +130,18 @@ func main() {
 		if *subject != "" {
 			s, err := subjects.ByID(*subject)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 			a, err := eval.RunAblation(s, cfg)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 			abls = []eval.AblationRun{a}
 		} else {
 			var err error
 			abls, err = eval.RunAllAblations(cfg)
 			if err != nil {
-				fatal(err)
+				sess.Fatal(err)
 			}
 		}
 		fmt.Print(eval.FormatFigure9(abls))

@@ -6,7 +6,7 @@
 //
 //	hgfuzz -kernel <fn> [-host <fn>] [-execs N] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] file.c
 //
-// -trace writes one JSONL event per execution (read it with hgtrace for
+// -trace writes one JSONL event per execution (read it with hgstat for
 // the coverage-over-iterations curve); -metrics prints aggregated
 // counters to stderr. A campaign that plateaus — no new coverage for the
 // plateau window before the execution budget is spent — is flagged in
@@ -30,10 +30,7 @@ import (
 	"os"
 
 	"github.com/hetero/heterogen"
-	"github.com/hetero/heterogen/internal/chaos"
-	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/obs"
-	"github.com/hetero/heterogen/internal/targetflag"
+	"github.com/hetero/heterogen/internal/cliflag"
 )
 
 func main() {
@@ -41,13 +38,11 @@ func main() {
 	host := flag.String("host", "", "host entry point for seed capture")
 	execs := flag.Int("execs", 2000, "maximum kernel executions")
 	seed := flag.Int64("seed", 1, "mutation RNG seed")
-	trace := flag.String("trace", "", "write a JSONL structured-event trace to this file (read it with hgtrace)")
-	metrics := flag.Bool("metrics", false, "print aggregated run metrics to stderr")
-	cacheDir := flag.String("cache-dir", "", "persist the evaluation cache in this directory (reused across runs)")
-	noCache := flag.Bool("no-cache", false, "disable the evaluation cache (results are identical either way)")
-	var cf chaos.Flags
-	cf.Register(flag.CommandLine)
-	var tf targetflag.Flags
+	var run cliflag.Run
+	run.Register(flag.CommandLine)
+	var gf cliflag.Guard
+	gf.Register(flag.CommandLine)
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 	if *kernel == "" || flag.NArg() != 1 {
@@ -56,32 +51,17 @@ func main() {
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hgfuzz:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	// Test generation is target-independent; the flags are accepted for
 	// a uniform CLI surface, validated, and stamped on the trace.
 	targets, err := tf.Targets()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hgfuzz:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	var sinks []obs.Observer
-	var tw *obs.TraceWriter
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hgfuzz:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tw = obs.NewTraceWriter(f)
-		sinks = append(sinks, tw)
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-		sinks = append(sinks, reg)
+	sess, err := cliflag.Open("hgfuzz", &run, &gf, targets)
+	if err != nil {
+		fatal(err)
 	}
 	opts := heterogen.FuzzOptions{
 		Seed:          *seed,
@@ -89,39 +69,16 @@ func main() {
 		Plateau:       *execs / 5,
 		TypedMutation: true,
 		HostMain:      *host,
-		Obs:           obs.Multi(sinks...),
+		Obs:           sess.Obs,
+		Guard:         sess.Guard,
+		Cache:         sess.Cache,
 	}
-	if len(targets) > 0 {
-		opts.Obs = obs.TagTarget(opts.Obs, hls.TargetSetString(targets))
-	}
-	opts.Guard = cf.Build(reg, func(msg string) {
-		fmt.Fprintln(os.Stderr, "hgfuzz:", msg)
-	})
-	if s := opts.Guard.InterpSteps(); s != 0 {
+	if s := sess.Guard.InterpSteps(); s != 0 {
 		opts.MaxStepsPerExec = s
 	}
-	if !*noCache {
-		cache, err := heterogen.NewCache(heterogen.CacheOptions{Dir: *cacheDir, Metrics: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hgfuzz:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := cache.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "hgfuzz: cache:", err)
-			}
-		}()
-		opts.Cache = cache
-	}
 	camp, err := heterogen.GenerateTests(string(src), *kernel, opts)
-	if tw != nil {
-		if ferr := tw.Flush(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "hgfuzz: trace:", ferr)
-		}
-	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hgfuzz:", err)
-		os.Exit(1)
+		sess.Fatal(err)
 	}
 	fmt.Printf("campaign: %s\n", camp.Summary())
 	fmt.Printf("executions: %d, retained corpus: %d, outcomes: %d/%d\n",
@@ -140,7 +97,10 @@ func main() {
 	for i := 0; i < max; i++ {
 		fmt.Printf("test[%d] = %s\n", i, camp.Tests[i])
 	}
-	if reg != nil {
-		fmt.Fprint(os.Stderr, reg.Text())
-	}
+	sess.Close()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "hgfuzz:", err)
+	os.Exit(1)
 }

@@ -46,11 +46,11 @@ import (
 	"time"
 
 	"github.com/hetero/heterogen/internal/chaos"
+	"github.com/hetero/heterogen/internal/cliflag"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/guard"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/serve"
-	"github.com/hetero/heterogen/internal/targetflag"
 )
 
 func main() {
@@ -78,7 +78,7 @@ func main() {
 	logMode := flag.String("log", "off", "structured job log on stderr: json | text | off")
 	queueWaitSLO := flag.Duration("queue-wait-slo", 0, "queue-wait objective; longer waits count into serve.slo.queue_wait_violations (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (separate listener; empty disables)")
-	var tf targetflag.Flags
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {

@@ -1,20 +1,47 @@
-// Command hgstat is the fleet-scale trace analytics tool: it ingests
-// directories of HeteroGen trace files (hgconform sweeps, hgserve job
-// retention dirs, hgtrace captures) into a content-addressed warehouse
-// and reports per-stage latency and virtual-cost percentiles, repair
-// convergence funnels, cache-hit attribution, and an evidence table of
-// (error class × fix template) outcomes.
+// Command hgstat reads HeteroGen traces, one run or a whole fleet.
+//
+// Given a trace file (written by heterogen/hgfuzz/hgeval with -trace)
+// it renders the paper's run artifacts: the Figure 2-style repair
+// trajectory, the coverage-over-iterations curve, a fix-pattern
+// frequency table, and the virtual-budget breakdown by pipeline phase
+// and cost component. Given directories of trace files (hgconform
+// sweeps, hgserve job retention dirs) it ingests them into a
+// content-addressed warehouse and reports per-stage latency and
+// virtual-cost percentiles, repair convergence funnels, cache-hit
+// attribution, and an evidence table of (error class × fix template)
+// outcomes. The operand's file type picks the mode.
 //
 // Usage:
 //
-//	hgstat [-json] [-priors out.json] dir [dir...]
+//	hgstat [-json] [-check] [-cache-dir d] [target flags] trace.jsonl
+//	hgstat [-json] -cache-dir d
+//	hgstat [-json] [-priors out.json] [target flags] dir [dir...]
 //	hgstat -span trace.jsonl [-top n]
 //	hgstat -verify priors.json
 //
-// Traces are keyed by content hash, every aggregate is computed on the
-// sorted sample multiset, and the report is rendered in canonical
-// order — the output is byte-identical for any ingestion order of the
-// same trace set, and identical trace files are counted once.
+// Target flags are -backend, -device and -target (internal/cliflag).
+// On a trace file they keep only the events stamped with a matching
+// HLS target (targeted runs stamp their target set on every event; see
+// internal/obs.TagTarget), so events from untargeted runs are dropped
+// by any filter. On directories they narrow the per-target breakdown.
+//
+// -check cross-validates a trace file's event stream against the run's
+// final summary events (candidate counts, accepted-edit chain,
+// virtual-time totals) and exits 1 on any mismatch — the trace must
+// reproduce the run exactly.
+//
+// -cache-dir appends an evaluation-cache section summarizing the given
+// persistent cache directory: entries and bytes per stage, plus the
+// cumulative hit/miss statistics recorded across runs. Cache activity
+// lives in this on-disk summary and in -metrics counters, never in the
+// trace itself — traces stay byte-identical whether or not a cache was
+// used. With no trace file only the cache section is printed.
+//
+// Fleet traces are keyed by content hash, every aggregate is computed
+// on the sorted sample multiset, and the report is rendered in
+// canonical order — the output is byte-identical for any ingestion
+// order of the same trace set, and identical trace files are counted
+// once.
 //
 // The -priors artifact is a versioned, content-hashed JSON table
 // (format "heterogen-priors") that downstream candidate reordering can
@@ -29,19 +56,23 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/hetero/heterogen/internal/cliflag"
+	"github.com/hetero/heterogen/internal/evalcache"
+	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/obs/agg"
 	"github.com/hetero/heterogen/internal/obs/span"
-	"github.com/hetero/heterogen/internal/targetflag"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit the fleet aggregate as JSON instead of the text report")
+	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
 	priorsOut := flag.String("priors", "", "write the (error class x fix template) priors artifact to this path")
 	spanTrace := flag.String("span", "", "render one trace file as a span tree with its critical path, then exit")
 	top := flag.Int("top", 8, "max child spans shown per level in the -span view")
 	verifyPath := flag.String("verify", "", "verify a priors artifact's integrity, then exit")
-	var tf targetflag.Flags
+	check := flag.Bool("check", false, "cross-validate a trace file's events against its run summary; exit 1 on mismatch")
+	cacheDir := flag.String("cache-dir", "", "summarize this persistent evaluation-cache directory alongside a trace file's report")
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 	filter, err := tf.Targets()
@@ -69,12 +100,24 @@ func main() {
 			fail(err)
 		}
 		return
-	}
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: hgstat [-json] [-priors out.json] dir [dir...] (see -h)")
+	case flag.NArg() == 0 && *cacheDir != "":
+		runReport("", *cacheDir, filter, *jsonOut, *check)
+		return
+	case flag.NArg() == 0:
+		fmt.Fprintln(os.Stderr, "usage: hgstat [-json] [-check] [-cache-dir d] trace.jsonl | [-json] [-priors out.json] dir [dir...] (see -h)")
 		os.Exit(2)
 	}
+	if fi, err := os.Stat(flag.Arg(0)); err == nil && fi.Mode().IsRegular() {
+		if flag.NArg() != 1 || *priorsOut != "" {
+			fail(fmt.Errorf("a trace file takes no other operands and no -priors"))
+		}
+		runReport(flag.Arg(0), *cacheDir, filter, *jsonOut, *check)
+		return
+	}
+	if *check || *cacheDir != "" {
+		fail(fmt.Errorf("-check and -cache-dir take a trace file, not directories"))
+	}
+
 	in := agg.NewIngestor()
 	total := 0
 	for _, dir := range flag.Args() {
@@ -91,17 +134,11 @@ func main() {
 	if len(filter) > 0 {
 		// The flags narrow the per-target breakdown to stamps containing
 		// a requested target; the rest of the report is unaffected.
-		wanted := map[string]bool{}
-		for _, t := range filter {
-			wanted[t.String()] = true
-		}
+		match := cliflag.StampMatcher(filter)
 		var kept []agg.TargetStat
 		for _, ts := range fleet.Targets {
-			for _, part := range strings.Split(ts.Target, "+") {
-				if wanted[part] {
-					kept = append(kept, ts)
-					break
-				}
+			if match(ts.Target) {
+				kept = append(kept, ts)
 			}
 		}
 		fleet.Targets = kept
@@ -116,14 +153,105 @@ func main() {
 	}
 
 	if *jsonOut {
-		b, err := json.MarshalIndent(fleet, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(append(b, '\n'))
+		writeJSON(fleet)
 		return
 	}
 	fmt.Print(fleet.Text())
+}
+
+// runReport renders one trace file as obs.BuildReport's single-run
+// report, followed by the cache section when cacheDir is set. An empty
+// path reports only the cache. With check, any mismatch between the
+// events and the run's summary exits 1.
+func runReport(path, cacheDir string, filter []hls.Target, asJSON, check bool) {
+	var cache *evalcache.DirSummary
+	if cacheDir != "" {
+		sum, err := evalcache.SummarizeDir(cacheDir)
+		if err != nil {
+			fail(err)
+		}
+		cache = &sum
+	}
+	if path == "" {
+		emit(nil, cache, asJSON)
+		return
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		fail(err)
+	}
+	events, err := obs.ParseTrace(f)
+	f.Close()
+	if err != nil {
+		fail(err)
+	}
+	if len(filter) > 0 {
+		match := cliflag.StampMatcher(filter)
+		var kept []obs.Event
+		for _, e := range events {
+			if match(e.Target) {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) == 0 {
+			fail(fmt.Errorf("no events match the target filter (targeted traces stamp every event; untargeted ones carry no stamp)"))
+		}
+		events = kept
+	}
+	if len(events) == 0 {
+		fail(fmt.Errorf("trace is empty"))
+	}
+	rep := obs.BuildReport(events)
+	emit(rep, cache, asJSON)
+
+	if check {
+		if problems := rep.Check(); len(problems) > 0 {
+			for _, p := range problems {
+				fmt.Fprintln(os.Stderr, "hgstat: check:", p)
+			}
+			os.Exit(1)
+		}
+		fmt.Fprintln(os.Stderr, "hgstat: check: trace is consistent with the run summary")
+	}
+}
+
+// emit renders the run report and/or the cache summary. In JSON mode
+// the bare report keeps its historical shape; the cache, when
+// requested, rides alongside it in a wrapper object.
+func emit(rep *obs.Report, cache *evalcache.DirSummary, asJSON bool) {
+	if asJSON {
+		switch {
+		case rep != nil && cache != nil:
+			writeJSON(struct {
+				Report *obs.Report           `json:"report"`
+				Cache  *evalcache.DirSummary `json:"cache"`
+			}{rep, cache})
+		case cache != nil:
+			writeJSON(cache)
+		default:
+			writeJSON(rep)
+		}
+		return
+	}
+	if rep != nil {
+		fmt.Print(rep.Text())
+	}
+	if cache != nil {
+		if rep != nil {
+			fmt.Println()
+		}
+		fmt.Print(cache.Text())
+	}
+}
+
+// writeJSON prints v as indented JSON plus a newline.
+func writeJSON(v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	os.Stdout.Write(append(b, '\n'))
 }
 
 // renderSpans prints the span tree of every run in one trace file;

@@ -5,11 +5,13 @@ package main
 // over the retained traces and assert the fleet report and the priors
 // artifact are byte-identical across two ingestion orders. This is the
 // end-to-end determinism contract: trace capture -> warehouse ->
-// operator report, order-free.
+// operator report, order-free. It also drives the single-run views
+// of one trace file: the report and its -check cross-validation.
 
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -115,5 +117,55 @@ func TestObsSmoke(t *testing.T) {
 	spanOut := run("-span", traces[0])
 	if !bytes.HasPrefix(spanOut, []byte("== ")) || !bytes.Contains(spanOut, []byte("critical path:")) {
 		t.Errorf("span view:\n%s", spanOut)
+	}
+
+	// A trace file operand gets the single-run report, and -check
+	// cross-validates it against the run summary: a consistent trace
+	// exits 0, one with a candidate event deleted exits 1.
+	var repaired string
+	var data []byte
+	for _, tr := range traces {
+		b, err := os.ReadFile(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(`"type":"repair_candidate"`)) {
+			repaired, data = tr, b
+			break
+		}
+	}
+	if repaired == "" {
+		t.Fatal("no sweep trace reached the repair search")
+	}
+	runOut := run(repaired)
+	if !bytes.Contains(runOut, []byte("repair trajectory")) {
+		t.Errorf("single-run report:\n%s", runOut)
+	}
+	run("-check", repaired)
+
+	var kept [][]byte
+	dropped := false
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if !dropped && bytes.Contains(line, []byte(`"type":"repair_candidate"`)) {
+			dropped = true
+			continue
+		}
+		kept = append(kept, line)
+	}
+	broken := filepath.Join(t.TempDir(), "broken.jsonl")
+	if err := os.WriteFile(broken, bytes.Join(kept, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-check", broken)
+	cmd.Stdout = io.Discard
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("hgstat -check passed a trace with a candidate event deleted:\n%s", stderr.Bytes())
+	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hgstat -check on a broken trace: %v, want exit status 1", err)
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("hgstat: check:")) {
+		t.Errorf("-check reported no problem lines:\n%s", stderr.Bytes())
 	}
 }

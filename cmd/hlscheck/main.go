@@ -27,17 +27,16 @@ import (
 	"os"
 
 	"github.com/hetero/heterogen"
-	"github.com/hetero/heterogen/internal/chaos"
-	"github.com/hetero/heterogen/internal/targetflag"
+	"github.com/hetero/heterogen/internal/cliflag"
 )
 
 func main() {
 	top := flag.String("top", "", "top function of the design (required)")
-	cacheDir := flag.String("cache-dir", "", "persist the evaluation cache in this directory (reused across runs)")
-	noCache := flag.Bool("no-cache", false, "disable the evaluation cache (diagnostics are identical either way)")
-	var cf chaos.Flags
-	cf.Register(flag.CommandLine)
-	var tf targetflag.Flags
+	var run cliflag.Run
+	run.RegisterCache(flag.CommandLine)
+	var gf cliflag.Guard
+	gf.Register(flag.CommandLine)
+	var tf cliflag.Target
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 	if *top == "" || flag.NArg() != 1 {
@@ -46,33 +45,23 @@ func main() {
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hlscheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	targets, err := tf.Targets()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hlscheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	opts := heterogen.Options{Kernel: *top, Targets: targets}
-	opts.Guard = cf.Build(nil, func(msg string) {
-		fmt.Fprintln(os.Stderr, "hlscheck:", msg)
-	})
-	if !*noCache {
-		cache, err := heterogen.NewCache(heterogen.CacheOptions{Dir: *cacheDir})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hlscheck:", err)
-			os.Exit(1)
-		}
-		opts.Cache = cache
+	sess, err := cliflag.Open("hlscheck", &run, &gf, targets)
+	if err != nil {
+		fatal(err)
 	}
+	opts := heterogen.Options{Kernel: *top, Targets: targets, Guard: sess.Guard, Cache: sess.Cache}
 	if len(targets) > 1 {
 		reps, err := heterogen.CheckTargets(string(src), opts)
-		closeCache(opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hlscheck:", err)
-			os.Exit(1)
+			sess.Fatal(err)
 		}
+		sess.Close()
 		code := 0
 		for _, tr := range reps {
 			if tr.Report.OK {
@@ -86,27 +75,16 @@ func main() {
 		os.Exit(code)
 	}
 	rep, err := heterogen.Check(string(src), opts)
-	closeCache(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hlscheck:", err)
-		os.Exit(1)
+		sess.Fatal(err)
 	}
+	sess.Close()
 	if rep.OK {
 		fmt.Println("Synthesizability check passed.")
 		return
 	}
 	printDiags(rep)
 	os.Exit(1)
-}
-
-// closeCache flushes the persistent cache, if one was configured.
-func closeCache(opts heterogen.Options) {
-	if opts.Cache == nil {
-		return
-	}
-	if cerr := opts.Cache.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "hlscheck: cache:", cerr)
-	}
 }
 
 // printDiags renders one report's diagnostics grouped by error class.
@@ -126,4 +104,9 @@ func printDiags(rep heterogen.Report) {
 			fmt.Println("  " + d.Error())
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "hlscheck:", err)
+	os.Exit(1)
 }

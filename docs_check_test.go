@@ -12,9 +12,9 @@ import (
 // flag any binary registers must appear in the README's consolidated CLI
 // reference table (the region between the flag-reference markers). Flags
 // are read from the source — flag.X(...) registrations in cmd/*/main.go
-// plus the shared containment/chaos vocabulary a binary pulls in via
-// chaos.Flags.Register — so adding a flag without documenting it fails
-// the build, and the README can never silently drift from the CLIs.
+// plus every flag of each internal/cliflag family a binary names — so
+// adding a flag without documenting it fails the build, and the README
+// can never silently drift from the CLIs.
 func TestDocsFlagReference(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -29,11 +29,12 @@ func TestDocsFlagReference(t *testing.T) {
 	}
 	table := string(readme[start:end])
 
-	// The shared flag vocabularies pulled in via <pkg>.Flags.Register:
-	// the containment/chaos flags and the backend/device target flags.
+	// The shared flag families, one file each in internal/cliflag: a
+	// binary that names a family is held to all of its flags.
 	shared := map[string][]string{
-		"chaos.Flags":      sharedFlagNames(t, filepath.Join("internal", "chaos", "chaos.go")),
-		"targetflag.Flags": sharedFlagNames(t, filepath.Join("internal", "targetflag", "targetflag.go")),
+		"cliflag.Target": sharedFlagNames(t, filepath.Join("internal", "cliflag", "target.go")),
+		"cliflag.Guard":  sharedFlagNames(t, filepath.Join("internal", "cliflag", "guard.go")),
+		"cliflag.Run":    sharedFlagNames(t, filepath.Join("internal", "cliflag", "run.go")),
 	}
 
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
@@ -44,7 +45,8 @@ func TestDocsFlagReference(t *testing.T) {
 		t.Fatal("no cmd/*/main.go files found")
 	}
 
-	flagRe := regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([^"]+)"`)
+	// \b keeps calls like cliflag.Open("name", ...) out of the match.
+	flagRe := regexp.MustCompile(`\bflag\.[A-Za-z0-9]+\("([^"]+)"`)
 	for _, main := range mains {
 		src, err := os.ReadFile(main)
 		if err != nil {
@@ -74,7 +76,7 @@ func TestDocsFlagReference(t *testing.T) {
 	}
 }
 
-// sharedFlagNames extracts the flag names a shared flag struct
+// sharedFlagNames extracts the flag names a shared flag family
 // registers on a FlagSet (fs.StringVar/fs.Var/... calls).
 func sharedFlagNames(t *testing.T, path string) []string {
 	t.Helper()

@@ -1,13 +1,10 @@
 package chaos
 
 import (
-	"flag"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"github.com/hetero/heterogen/internal/guard"
-	"github.com/hetero/heterogen/internal/obs"
 )
 
 // Options configures an injector.
@@ -97,47 +94,4 @@ func (i *Injector) hash(purpose string, stage guard.Stage, key string) uint64 {
 	h.Write([]byte{0})
 	h.Write([]byte(key))
 	return h.Sum64()
-}
-
-// Flags bundles the containment and chaos knobs the five CLIs expose,
-// so each binary registers the same flag vocabulary with four lines.
-type Flags struct {
-	StageDeadline time.Duration
-	InterpSteps   int64
-	QuarantineDir string
-	Rate          float64
-	Seed          int64
-}
-
-// Register installs the shared flags on fs (normally flag.CommandLine).
-func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&f.StageDeadline, "stage-deadline", 0,
-		"wall-clock deadline per guarded stage invocation (0 disables)")
-	fs.Int64Var(&f.InterpSteps, "interp-steps", 0,
-		"interpreter step budget for execution stages (0 = package defaults)")
-	fs.StringVar(&f.QuarantineDir, "quarantine-dir", "",
-		"directory for minimized reproducers of contained stage failures (empty disables)")
-	fs.Float64Var(&f.Rate, "chaos", 0,
-		"deterministic fault-injection rate in [0,1] (0 disables; testing only)")
-	fs.Int64Var(&f.Seed, "chaos-seed", 1,
-		"seed for the chaos injection schedule")
-}
-
-// Build assembles the guard the flags describe, or nil when every knob
-// is off (a nil guard still contains panics at the built-in backstops).
-func (f *Flags) Build(metrics *obs.Registry, warn func(string)) *guard.Guard {
-	if f.StageDeadline == 0 && f.InterpSteps == 0 && f.QuarantineDir == "" && f.Rate == 0 {
-		return nil
-	}
-	opts := guard.Options{
-		StageDeadline: f.StageDeadline,
-		InterpSteps:   f.InterpSteps,
-		QuarantineDir: f.QuarantineDir,
-		Metrics:       metrics,
-		Warn:          warn,
-	}
-	if f.Rate > 0 {
-		opts.Injector = New(Options{Seed: f.Seed, Rate: f.Rate})
-	}
-	return guard.New(opts)
 }

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"flag"
 	"testing"
-	"time"
 
 	"github.com/hetero/heterogen/internal/guard"
 )
@@ -92,30 +90,5 @@ func TestRateIsApproximatelyHonored(t *testing.T) {
 	got := float64(fired) / n
 	if got < 0.18 || got > 0.32 {
 		t.Fatalf("rate 0.25 fired %.3f of the time", got)
-	}
-}
-
-func TestFlagsBuild(t *testing.T) {
-	var f Flags
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f.Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if g := f.Build(nil, nil); g != nil {
-		t.Fatal("all-default flags must build a nil guard")
-	}
-	if err := fs.Parse([]string{"-chaos", "0.5", "-chaos-seed", "9", "-stage-deadline", "2s"}); err != nil {
-		t.Fatal(err)
-	}
-	g := f.Build(nil, nil)
-	if g == nil {
-		t.Fatal("configured flags built a nil guard")
-	}
-	if !g.Injecting() {
-		t.Fatal("chaos rate did not install an injector")
-	}
-	if f.StageDeadline != 2*time.Second {
-		t.Fatalf("StageDeadline = %s", f.StageDeadline)
 	}
 }

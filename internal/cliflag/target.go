@@ -1,7 +1,16 @@
-// Package targetflag is the shared CLI surface for selecting HLS
-// targets. Every HeteroGen binary registers the same three flags —
-// -backend, -device, and a repeatable -target — so a target set is
-// spelled identically across the toolchain:
+package cliflag
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+
+	"github.com/hetero/heterogen/internal/hls"
+)
+
+// Target is the target family: -backend, -device and a repeatable
+// -target, so a target set is spelled identically across the
+// toolchain:
 //
 //	-device zc706                    one target, default backend
 //	-backend vitis                   one target, the backend's first device
@@ -13,19 +22,7 @@
 // all accepted (see hls.ParseTarget). No flag given resolves to an
 // empty set: the default target, without the per-device verdict table
 // and Pareto archive of a named set.
-package targetflag
-
-import (
-	"flag"
-	"fmt"
-	"strings"
-
-	"github.com/hetero/heterogen/internal/hls"
-)
-
-// Flags holds the parsed target-selection flags. Register wires them
-// into a FlagSet; Targets resolves them after parsing.
-type Flags struct {
+type Target struct {
 	backend string
 	device  string
 	specs   specList
@@ -37,8 +34,8 @@ type specList []string
 func (l *specList) String() string     { return strings.Join(*l, ",") }
 func (l *specList) Set(v string) error { *l = append(*l, v); return nil }
 
-// Register installs the shared target flags on fs.
-func (f *Flags) Register(fs *flag.FlagSet) {
+// Register installs the target flags on fs.
+func (f *Target) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.backend, "backend", "",
 		"HLS backend to target (one of: "+strings.Join(hls.BackendNames(), ", ")+")")
 	fs.StringVar(&f.device, "device", "",
@@ -50,11 +47,11 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // Targets resolves the flags into a canonical, deduplicated target
 // set. A nil set with a nil error means no flag was given — callers
 // run untargeted, on the default target.
-func (f *Flags) Targets() ([]hls.Target, error) {
+func (f *Target) Targets() ([]hls.Target, error) {
 	specs := append([]string(nil), f.specs...)
 	if f.backend != "" || f.device != "" {
 		if len(specs) > 0 {
-			return nil, fmt.Errorf("targetflag: -backend/-device cannot be combined with -target (spell every target as -target backend:device)")
+			return nil, fmt.Errorf("cliflag: -backend/-device cannot be combined with -target (spell every target as -target backend:device)")
 		}
 		switch {
 		case f.backend != "" && f.device != "":
@@ -67,7 +64,26 @@ func (f *Flags) Targets() ([]hls.Target, error) {
 	}
 	ts, err := hls.ParseTargets(specs)
 	if err != nil {
-		return nil, fmt.Errorf("targetflag: %w", err)
+		return nil, fmt.Errorf("cliflag: %w", err)
 	}
 	return ts, nil
+}
+
+// StampMatcher returns a predicate over target stamps — the
+// "+"-joined set string obs.TagTarget writes on every event of a
+// targeted run. A stamp matches when any of its components is in
+// want; the empty stamp of an untargeted run never matches.
+func StampMatcher(want []hls.Target) func(stamp string) bool {
+	wanted := map[string]bool{}
+	for _, t := range want {
+		wanted[t.String()] = true
+	}
+	return func(stamp string) bool {
+		for _, part := range strings.Split(stamp, "+") {
+			if wanted[part] {
+				return true
+			}
+		}
+		return false
+	}
 }

@@ -1,4 +1,4 @@
-package targetflag
+package cliflag
 
 import (
 	"flag"
@@ -8,10 +8,10 @@ import (
 	"github.com/hetero/heterogen/internal/hls"
 )
 
-// parse registers a Flags on a fresh FlagSet and parses args.
-func parse(t *testing.T, args ...string) *Flags {
+// parse registers a Target on a fresh FlagSet and parses args.
+func parse(t *testing.T, args ...string) *Target {
 	t.Helper()
-	var f Flags
+	var f Target
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -20,7 +20,7 @@ func parse(t *testing.T, args ...string) *Flags {
 	return &f
 }
 
-func TestNoFlagsYieldsEmptySet(t *testing.T) {
+func TestNoTargetFlagsYieldsEmptySet(t *testing.T) {
 	ts, err := parse(t).Targets()
 	if err != nil {
 		t.Fatalf("Targets: %v", err)
@@ -30,7 +30,7 @@ func TestNoFlagsYieldsEmptySet(t *testing.T) {
 	}
 }
 
-func TestFlagForms(t *testing.T) {
+func TestTargetFlagForms(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
@@ -56,12 +56,31 @@ func TestFlagForms(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
+func TestTargetErrors(t *testing.T) {
 	if _, err := parse(t, "-device", "nope").Targets(); err == nil {
 		t.Error("unknown device accepted")
 	}
 	_, err := parse(t, "-backend", "vivado_hls", "-target", "zc706").Targets()
 	if err == nil || !strings.Contains(err.Error(), "cannot be combined") {
 		t.Errorf("mixing -backend with -target: err = %v, want combination error", err)
+	}
+}
+
+func TestStampMatcher(t *testing.T) {
+	ts, err := parse(t, "-target", "vitis:aws_f1").Targets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := StampMatcher(ts)
+	for stamp, want := range map[string]bool{
+		"vitis:aws_f1":                   true,
+		"vivado_hls:xcvu9p+vitis:aws_f1": true,
+		"vivado_hls:xcvu9p":              false,
+		"vitis:aws":                      false,
+		"":                               false,
+	} {
+		if got := match(stamp); got != want {
+			t.Errorf("match(%q) = %v, want %v", stamp, got, want)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func tracedRun(t *testing.T, id string, workers int) (Result, []byte) {
 }
 
 // TestPipelineTraceRoundTrip is the acceptance check for the tracing
-// layer: the report hgtrace builds from a pipeline trace must reproduce
+// layer: the report hgstat builds from a pipeline trace must reproduce
 // the run's attempts, accepted-edit chain, and virtual clock exactly as
 // Result.Stats reported them, and the trace must be byte-identical for
 // Workers=1 and Workers=4.

@@ -615,7 +615,7 @@ func (c *Cache) Len() int {
 }
 
 // Close flushes every shard's persistent tier and merges this cache's
-// lifetime statistics into <dir>/stats.json, so hgtrace can report
+// lifetime statistics into <dir>/stats.json, so hgstat can report
 // cumulative hit rates across runs. A nil or memory-only cache closes
 // trivially. The first flush error is returned; the sidecar is still
 // written for the shards that flushed.

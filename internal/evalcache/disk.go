@@ -207,7 +207,7 @@ type DirSummary struct {
 }
 
 // SummarizeDir scans a persistent cache directory for reporting
-// (hgtrace's cache section). Missing files yield an empty summary, not
+// (hgstat's cache section). Missing files yield an empty summary, not
 // an error; the error is reserved for an unreadable directory.
 func SummarizeDir(dir string) (DirSummary, error) {
 	sum := DirSummary{Dir: dir}

@@ -268,7 +268,7 @@ func mine(events []obs.Event) *traceFacts {
 			}
 			bump(cc, r.Accepted)
 			for _, edit := range r.Edits {
-				k := priorKey{class: r.Class, template: templateOf(edit)}
+				k := priorKey{class: r.Class, template: obs.TemplateOf(edit)}
 				c := tf.priors[k]
 				if c == nil {
 					c = &counts{}
@@ -295,15 +295,6 @@ func bump(c *counts, accepted bool) {
 	} else {
 		c.rejected++
 	}
-}
-
-// templateOf reduces an edit rendering ("resize(buf, 2048)") to its
-// template name ("resize") — the same convention obs.Report uses.
-func templateOf(edit string) string {
-	if i := strings.IndexByte(edit, '('); i > 0 {
-		return edit[:i]
-	}
-	return edit
 }
 
 // TraceInfo is one ingested trace's identity in the snapshot.

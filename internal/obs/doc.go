@@ -8,7 +8,7 @@
 // trace is a faithful, replayable record of the paper's evaluation data:
 // Figure 2's repair trajectory, Table 3's attempts and virtual minutes,
 // and §6's coverage curves all reconstruct from one trace file (see
-// cmd/hgtrace and this package's report.go).
+// cmd/hgstat and this package's report.go).
 //
 // Determinism contract: the instrumented subsystems emit every event on
 // their commit goroutine, in candidate/mutation enumeration order — the

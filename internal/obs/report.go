@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Report is everything cmd/hgtrace reconstructs from one JSONL trace:
-// per-subject repair trajectories (Figure 2), coverage curves (§6 /
-// Table 4), fix-pattern frequencies, and the virtual-budget breakdown.
+// Report is the single-run view cmd/hgstat renders for one JSONL trace
+// file: per-subject repair trajectories (Figure 2), coverage curves (§6
+// / Table 4), fix-pattern frequencies, and the virtual-budget breakdown.
 // A trace without subject tags (a plain `heterogen -trace` run) yields
 // one SubjectReport with an empty Subject.
 type Report struct {
@@ -175,14 +175,21 @@ func (b *BudgetSplit) add(r *RepairEvent) {
 	b.SimSeconds += r.CostSim
 }
 
-// countPatterns tallies each edit's template name ("resize(buf, 2048)"
-// -> "resize") into the pattern table.
+// TemplateOf reduces an edit rendering ("resize(buf, 2048)") to its
+// fix-template name ("resize"), the key every trace view counts fix
+// patterns under.
+func TemplateOf(edit string) string {
+	if i := strings.IndexByte(edit, '('); i > 0 {
+		return edit[:i]
+	}
+	return edit
+}
+
+// countPatterns tallies each edit's template name into the pattern
+// table.
 func (s *SubjectReport) countPatterns(r *RepairEvent) {
 	for _, edit := range r.Edits {
-		name := edit
-		if i := strings.IndexByte(edit, '('); i > 0 {
-			name = edit[:i]
-		}
+		name := TemplateOf(edit)
 		found := false
 		for i := range s.Patterns {
 			if s.Patterns[i].Template == name {

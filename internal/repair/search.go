@@ -677,7 +677,7 @@ func (s *searcher) estimate(u *cast.Unit, printed string) (sim.Resources, error)
 }
 
 // costBreakdown itemizes the virtual seconds charged for one trial, so
-// candidate events (and hgtrace's budget breakdown) can attribute spend
+// candidate events (and hgstat's budget breakdown) can attribute spend
 // to the style check, the HLS compilation, and the simulation.
 type costBreakdown struct {
 	style, compile, sim float64
