@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet golden bench bench-parallel bench-cache bench-obs bench-repair check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke docs-check
+.PHONY: all build test race vet golden bench bench-test bench-obs check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke docs-check
 
 all: build
 
@@ -35,16 +35,11 @@ golden:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerates bench_parallel.json, the committed record of the
-# toolchain-overlap speedup (fails below 2x).
-bench-parallel:
-	WRITE_BENCH=1 $(GO) test -run TestWriteParallelBenchReport -v .
-
-# Regenerates bench_cache.json, the committed record of the evaluation
-# cache's cold-vs-warm speedup (fails below 2x or on a zero warm hit
-# rate).
-bench-cache:
-	WRITE_BENCH=1 $(GO) test -run TestWriteCacheBenchReport -v .
+# The repository benchmark's own tests (bench/ is a separate module, so
+# `make test` does not build it): every workload at smoke-test size,
+# input generation, the statistics and the compare verdicts. About 3 s.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Regenerates bench_obs.json, the committed record of the tracing
 # overhead: the Figure 2 repair search with the full hgserve
@@ -52,14 +47,6 @@ bench-cache:
 # observer at all, pure compute. Fails at 5% overhead or above.
 bench-obs:
 	WRITE_BENCH=1 $(GO) test -run TestWriteObsBenchReport -v .
-
-# Regenerates the candidate_throughput section of bench_parallel.json:
-# the fast evaluation path (structure-sharing clones, compiled code,
-# cached references, report memoization) vs the per-candidate
-# clone-and-tree-walk pipeline on the Figure 2 subject. Fails below 10x
-# or on any report divergence between the two paths.
-bench-repair:
-	WRITE_BENCH=1 $(GO) test -run TestWriteRepairBenchReport -v .
 
 # Full differential belt for the compiled fast path: the 2000-seed
 # VM-vs-tree sweep (clean and fault-injected progen programs, CPU and

@@ -2,9 +2,9 @@
 // with the full trace stack off and on. "On" means the production
 // hgserve sink — a JSONL TraceWriter plus the metrics registry — so the
 // measured delta is what a deployment actually pays for tracing.
-// EvalDelay is zero here (unlike the overlap benchmark): the search is
-// pure compute, which makes the comparison as unforgiving as possible;
-// any emulated toolchain wait would only dilute the overhead.
+// The search is pure compute, which makes the comparison as
+// unforgiving as possible: any toolchain wait would only dilute the
+// overhead.
 package heterogen_test
 
 import (
@@ -22,11 +22,10 @@ import (
 	"github.com/hetero/heterogen/internal/repair"
 )
 
-// obsBenchOptions is overlapOptions without the toolchain-wait
-// emulation.
+// obsBenchOptions is overlapOptions on one worker, with the hgserve
+// sink attached when traced.
 func obsBenchOptions(traced bool) (repair.Options, func() error) {
 	opts := overlapOptions(1)
-	opts.EvalDelay = 0
 	if !traced {
 		return opts, func() error { return nil }
 	}
@@ -100,8 +99,8 @@ func TestWriteObsBenchReport(t *testing.T) {
 		OnMedianMS  float64   `json:"trace_on_median_ms"`
 		OverheadPct float64   `json:"overhead_pct"`
 	}{
-		Note: "Figure 2 subject (random-mode repair search, EvalDelay=0, pure " +
-			"compute) run with tracing off vs the full hgserve sink (JSONL " +
+		Note: "Figure 2 subject (random-mode repair search, pure compute) " +
+			"run with tracing off vs the full hgserve sink (JSONL " +
 			"TraceWriter + metrics registry). Medians over interleaved rounds. " +
 			"The budget gate is 5% overhead; production jobs additionally block " +
 			"on external toolchain invocations, so their relative overhead is " +

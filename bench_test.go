@@ -9,13 +9,7 @@
 package heterogen_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"github.com/hetero/heterogen/internal/baselines"
 	"github.com/hetero/heterogen/internal/cast"
@@ -331,240 +325,6 @@ func searchWithProfile(b *testing.B, s subjects.Subject, tests []fuzz.TestCase) 
 		return 0
 	}
 	return 100 * float64(base-narrowed) / float64(base)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel candidate evaluation — sequential vs Workers=4 repair search
-
-// repairInputs builds deterministic repair-search inputs for a subject:
-// a small fuzzing campaign supplies the differential-test suite, capped
-// so one search stays benchmark-sized.
-func repairInputs(tb testing.TB, id string) (orig *cast.Unit, kernel string, tests []fuzz.TestCase) {
-	tb.Helper()
-	s, err := subjects.ByID(id)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fopts := fuzz.DefaultOptions()
-	fopts.MaxExecs = 150
-	fopts.Plateau = 60
-	camp, err := fuzz.Run(s.MustParse(), s.Kernel, fopts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	suite := camp.Tests
-	if len(suite) > 8 {
-		suite = suite[:8]
-	}
-	return s.MustParse(), s.Kernel, suite
-}
-
-// BenchmarkParallelRepair times the repair search sequentially and with
-// four workers on every subject. Results are bit-identical by
-// construction (see internal/repair/parallel.go); the interesting
-// number is wall-clock. On a single-CPU machine the in-process searches
-// are compute-bound, so the workers=4 rows mostly measure pool
-// overhead; BenchmarkParallelToolchainOverlap shows the speedup the
-// pool exists for.
-func BenchmarkParallelRepair(b *testing.B) {
-	for _, s := range subjects.All() {
-		s := s
-		orig, kernel, tests := repairInputs(b, s.ID)
-		for _, workers := range []int{1, 4} {
-			workers := workers
-			b.Run(fmt.Sprintf("%s/workers%d", s.ID, workers), func(b *testing.B) {
-				opts := repair.DefaultOptions()
-				opts.Workers = workers
-				for i := 0; i < b.N; i++ {
-					res := repair.Search(orig, cast.CloneUnit(orig), kernel, tests, opts)
-					b.ReportMetric(float64(res.Stats.CandidatesTried), "cands")
-					b.ReportMetric(float64(res.Stats.VirtualSeconds), "virt_s")
-				}
-			})
-		}
-	}
-}
-
-// overlapKernel is the paper's Figure 2 working example — the dynamic
-// tree with malloc, pointer links, recursion, and a global — carrying
-// several error classes at once. It is the overlap benchmark's subject
-// because its random-mode search tries tens of candidates per accepted
-// edit, so there are enough blocking evaluations to overlap; the
-// dependence-guided search converges in single-digit evaluations and
-// leaves a worker pool nothing to hide.
-const overlapKernel = `
-struct Node {
-    int val;
-    struct Node *left;
-    struct Node *right;
-};
-int total;
-void traverse(struct Node *curr) {
-    if (curr == 0) { return; }
-    total = total + curr->val;
-    traverse(curr->left);
-    traverse(curr->right);
-}
-int kernel(int n) {
-    if (n < 0) { n = -n; }
-    if (n > 24) { n = 24; }
-    struct Node *root = 0;
-    for (int i = 0; i < n; i++) {
-        int v = (i * 37) % 101;
-        struct Node *nn = (struct Node *)malloc(sizeof(struct Node));
-        nn->val = v;
-        nn->left = 0;
-        nn->right = 0;
-        if (root == 0) { root = nn; }
-        else {
-            struct Node *p = root;
-            while (1) {
-                if (v < p->val) {
-                    if (p->left == 0) { p->left = nn; break; }
-                    p = p->left;
-                } else {
-                    if (p->right == 0) { p->right = nn; break; }
-                    p = p->right;
-                }
-            }
-        }
-    }
-    total = 0;
-    traverse(root);
-    return total;
-}`
-
-func overlapInputs() (*cast.Unit, []fuzz.TestCase) {
-	var tests []fuzz.TestCase
-	for _, n := range []int64{0, 1, 3, 8, 24, 17} {
-		tests = append(tests, fuzz.TestCase{
-			Args: []fuzz.Arg{{Scalar: true, Ints: []int64{n}, Width: 32}},
-		})
-	}
-	return cparser.MustParse(overlapKernel), tests
-}
-
-// overlapOptions is the shared configuration of the overlap benchmark
-// and the bench_parallel.json writer: random-mode search (many
-// candidates per acceptance) with a 20ms EvalDelay emulating the
-// blocking external toolchain invocation each full evaluation pays in
-// production.
-func overlapOptions(workers int) repair.Options {
-	opts := repair.DefaultOptions()
-	opts.UseDependence = false
-	opts.Budget = 12 * 3600
-	opts.MaxIterations = 96
-	opts.Workers = workers
-	opts.EvalDelay = 20 * time.Millisecond
-	return opts
-}
-
-// BenchmarkParallelToolchainOverlap measures what the worker pool is
-// for: in production each full candidate evaluation blocks on an
-// external HLS toolchain invocation, emulated here by EvalDelay. Those
-// waits overlap across workers (the virtual clock still models one
-// serialized license, so reported budgets are unchanged), which is
-// where the wall-clock speedup comes from even on one CPU.
-func BenchmarkParallelToolchainOverlap(b *testing.B) {
-	orig, tests := overlapInputs()
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			opts := overlapOptions(workers)
-			for i := 0; i < b.N; i++ {
-				res := repair.Search(orig, cast.CloneUnit(orig), "kernel", tests, opts)
-				if !res.Compatible {
-					b.Fatal("overlap subject must repair")
-				}
-			}
-		})
-	}
-}
-
-// TestWriteParallelBenchReport regenerates bench_parallel.json, the
-// committed record of the toolchain-overlap speedup. Guarded by an env
-// var so normal test runs stay fast:
-//
-//	WRITE_BENCH=1 go test -run TestWriteParallelBenchReport -v
-func TestWriteParallelBenchReport(t *testing.T) {
-	if os.Getenv("WRITE_BENCH") == "" {
-		t.Skip("set WRITE_BENCH=1 to regenerate bench_parallel.json")
-	}
-	type row struct {
-		Subject      string  `json:"subject"`
-		Workers      int     `json:"workers"`
-		EvalDelayMS  float64 `json:"eval_delay_ms"`
-		WallMS       float64 `json:"wall_ms"`
-		VirtualSec   float64 `json:"virtual_seconds"`
-		Candidates   int     `json:"candidates_tried"`
-		EditLogEqual bool    `json:"edit_log_equal_to_sequential"`
-	}
-	report := struct {
-		Note      string  `json:"note"`
-		GOMAXPROC int     `json:"gomaxprocs"`
-		Speedup   float64 `json:"speedup_workers4_over_workers1"`
-		Rows      []row   `json:"rows"`
-	}{
-		Note: "Subject is the paper's Figure 2 working example (multi-error: " +
-			"dynamic tree with malloc, pointers, recursion, a global) searched in " +
-			"random mode, where tens of candidates are evaluated per accepted " +
-			"edit. EvalDelay emulates the blocking external HLS-toolchain " +
-			"invocation each full candidate evaluation pays in production; the " +
-			"worker pool overlaps those waits, so the speedup holds even at " +
-			"GOMAXPROCS=1. Virtual-clock numbers (the paper's budget) are " +
-			"identical across worker counts by construction.",
-		GOMAXPROC: runtime.GOMAXPROCS(0),
-	}
-	orig, tests := overlapInputs()
-	var seqRes, parRes repair.Result
-	var seqMS, parMS float64
-	for _, workers := range []int{1, 4} {
-		opts := overlapOptions(workers)
-		start := time.Now()
-		res := repair.Search(orig, cast.CloneUnit(orig), "kernel", tests, opts)
-		wall := time.Since(start)
-		if workers == 1 {
-			seqRes, seqMS = res, float64(wall.Milliseconds())
-		} else {
-			parRes, parMS = res, float64(wall.Milliseconds())
-		}
-		report.Rows = append(report.Rows, row{
-			Subject:     "figure2-tree",
-			Workers:     workers,
-			EvalDelayMS: float64(opts.EvalDelay.Milliseconds()),
-			WallMS:      float64(wall.Milliseconds()),
-			VirtualSec:  float64(res.Stats.VirtualSeconds),
-			Candidates:  res.Stats.CandidatesTried,
-		})
-	}
-	equal := reflect.DeepEqual(seqRes.Stats, parRes.Stats) &&
-		cast.Print(seqRes.Unit) == cast.Print(parRes.Unit)
-	for i := range report.Rows {
-		report.Rows[i].EditLogEqual = equal
-	}
-	if !equal {
-		t.Fatal("parallel search diverged from sequential; not writing report")
-	}
-	report.Speedup = seqMS / parMS
-	if report.Speedup < 2 {
-		t.Errorf("speedup %.2fx below the 2x target", report.Speedup)
-	}
-	// Merge into the committed file so sections owned by other writers
-	// (candidate_throughput from TestWriteRepairBenchReport) survive.
-	data, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mine map[string]json.RawMessage
-	if err := json.Unmarshal(data, &mine); err != nil {
-		t.Fatal(err)
-	}
-	sections := readBenchSections(t)
-	for k, v := range mine {
-		sections[k] = v
-	}
-	writeBenchSections(t, sections)
-	t.Logf("speedup %.2fx (%.0fms -> %.0fms), results identical", report.Speedup, seqMS, parMS)
 }
 
 // ---------------------------------------------------------------------------

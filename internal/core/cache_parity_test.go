@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -209,5 +211,34 @@ func TestPipelineCacheDiskWarm(t *testing.T) {
 	}
 	if stores == 0 || hits == 0 {
 		t.Errorf("cumulative stats.json not merged across runs: stores=%d hits=%d", stores, hits)
+	}
+}
+
+// TestFinalEstimateSharesSearchKey pins the resource-estimate key: the
+// repair search caches every estimate it computes under the design's
+// fingerprint, so the pipeline's estimate of the final design must be
+// served from that entry.
+func TestFinalEstimateSharesSearchKey(t *testing.T) {
+	s, err := subjects.ByID("P3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := evalcache.New(evalcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := repair.DefaultOptions()
+	opts.Cache = cache
+	orig := s.MustParse()
+	res := repair.Search(orig, cast.CloneUnit(orig), s.Kernel, s.ExistingTests(), opts)
+	if !res.Compatible {
+		t.Fatalf("P3 must repair: %v", res.Remaining)
+	}
+	before := cache.Stats()
+	if _, err := estimateResources(cache, nil, res.Unit); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats().Sub(before).Stages[evalcache.StageSim]; st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("final estimate: %d hits, %d misses; want the search's entry (1 hit)", st.Hits, st.Misses)
 	}
 }

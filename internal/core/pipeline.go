@@ -324,13 +324,13 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 }
 
 // estimateResources is sim.Estimate through the cache and the guard.
-// The key scheme is shared with the repair search's device-capacity
-// gate, so the final design's estimate is often already present. The
-// only possible error is a contained *guard.StageFailure.
+// It keys by fingerprint exactly as the repair search's device-capacity
+// gate does, so the final design's estimate is usually already present.
+// The only possible error is a contained *guard.StageFailure.
 func estimateResources(c *evalcache.Cache, g *guard.Guard, u *cast.Unit) (sim.Resources, error) {
 	var key string
 	if c != nil {
-		key = evalcache.ResourceKey(cast.Print(u))
+		key = evalcache.ResourceKey(cast.FingerprintUnit(u))
 		var r sim.Resources
 		if c.Get(evalcache.StageSim, key, &r) {
 			return r, nil

@@ -12,7 +12,7 @@ import (
 
 // Runner differential-tests candidates against a fixed (original,
 // kernel, config, tests) quadruple, amortizing the work over the many
-// candidates of one repair search. Three costs disappear relative to a
+// candidates of one repair search. Two costs disappear relative to a
 // one-shot Run per candidate:
 //
 //   - the CPU reference outcomes are computed once, lazily, and reused —
@@ -22,16 +22,15 @@ import (
 //     candidates that share unedited function declarations (by pointer,
 //     via structure-sharing clones) execute pre-compiled bodies, and
 //     with content fingerprints as code keys even a regenerated
-//     identical candidate reuses its edited function's compiled body;
-//   - whole Reports are memoized by candidate fingerprint: outcomes are
-//     deterministic, so a content-identical candidate revisited in a
-//     later search iteration is served its memoized verdict outright.
+//     identical candidate reuses its edited function's compiled body.
 //
-// A Runner's Report does not depend on its caches: outcomes are
-// deterministic, the reference outcomes are immutable once computed
-// (Agree and the describers only read them), and the compiled fast path
-// reproduces tree-walker results exactly. Safe for concurrent use by
-// evaluation workers.
+// A Runner does not memoize Reports: every Run executes the suite. The
+// repair search's evaluation cache (evalcache.StageDifftest) is the one
+// place a verdict is remembered. A Runner's Report does not depend on
+// its caches: outcomes are deterministic, the reference outcomes are
+// immutable once computed (Agree and the describers only read them),
+// and the compiled fast path reproduces tree-walker results exactly.
+// Safe for concurrent use by evaluation workers.
 type Runner struct {
 	original *cast.Unit
 	kernel   string
@@ -42,15 +41,7 @@ type Runner struct {
 
 	refOnce sync.Once
 	refs    []Outcome
-
-	mu      sync.Mutex
-	reports map[string]Report
 }
-
-// reportMemoCap bounds the per-search report memo (a Report is a few
-// ints and short strings; the cap is generous for any real candidate
-// space and resets harmlessly if exceeded).
-const reportMemoCap = 4096
 
 // NewRunner prepares a reusable differential tester. code may be nil
 // (the FPGA side then walks trees). fps may be nil; when
@@ -95,18 +86,6 @@ func (r *Runner) Run(candidate *cast.Unit) Report {
 	var codeKey string
 	if r.code != nil && r.fps != nil {
 		codeKey = r.fps.Unit(candidate)
-		// Outcomes are deterministic functions of (original, candidate,
-		// config, tests), so a candidate regenerated with identical
-		// content — the dominant pattern in random-mode search, which
-		// re-instantiates the same template set every iteration — can be
-		// served its memoized Report without running anything. Callers
-		// treat Reports as read-only values.
-		r.mu.Lock()
-		if rep, ok := r.reports[codeKey]; ok {
-			r.mu.Unlock()
-			return rep
-		}
-		r.mu.Unlock()
 	}
 	rep := Report{Total: len(r.tests)}
 	var cpuSum, fpgaSum float64
@@ -150,14 +129,6 @@ func (r *Runner) Run(candidate *cast.Unit) Report {
 	if measured > 0 {
 		rep.CPUMeanCost = cpuSum / float64(measured)
 		rep.FPGAMeanCycles = fpgaSum / float64(measured)
-	}
-	if codeKey != "" {
-		r.mu.Lock()
-		if r.reports == nil || len(r.reports) >= reportMemoCap {
-			r.reports = make(map[string]Report)
-		}
-		r.reports[codeKey] = rep
-		r.mu.Unlock()
 	}
 	return rep
 }

@@ -47,7 +47,9 @@ func Stages() []Stage {
 // (cast.Fingerprints) instead of the full printed text. Version 4:
 // toolchain salts always name the backend (an untargeted run is keyed
 // as the default target), so version 3 entries are a clean miss.
-const formatVersion = 4
+// Version 5: the pipeline's final resource estimate is keyed by
+// fingerprint like the search's, not by printed text.
+const formatVersion = 5
 
 // Fingerprint hashes an ordered list of key components into a hex
 // content address. Components are length-prefixed, so the boundary

@@ -8,12 +8,16 @@ import "fmt"
 // search's cast.Fingerprints content hash of it; callers pass both in
 // since this package stays AST-agnostic) or a rendered option value;
 // anything that cannot affect the verdict — Workers, observers, the
-// cache itself, EvalDelay — is deliberately absent, so cold and warm
-// runs address the same entries regardless of parallelism or tracing.
-// Printed-text and fingerprint keys never collide: a fingerprint is a
-// fixed-width hex string that is not valid C. Toolchain verdicts are
-// always keyed per resolved (backend, device) target; an untargeted run
-// is a run on hls.DefaultTarget.
+// cache itself — is deliberately absent, so cold and warm runs address
+// the same entries regardless of parallelism or tracing. Resource
+// estimates are keyed by fingerprint everywhere, so the pipeline's
+// final estimate finds the repair search's entry. Check verdicts are
+// not shared: the repair search keys untranslated reports by
+// fingerprint and core keys backend-translated reports by printed
+// text, under the same CheckSalt. The two key spaces stay apart
+// because a fingerprint is a fixed-width hex string that is not valid
+// C. Toolchain verdicts are always keyed per resolved (backend,
+// device) target; an untargeted run is a run on hls.DefaultTarget.
 
 // CheckSalt captures the toolchain configuration a synthesizability
 // verdict depends on: the backend name joins the part so

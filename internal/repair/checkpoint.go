@@ -177,8 +177,8 @@ func candSig(c Candidate) string {
 }
 
 // checkpointKey fingerprints every input the enumeration and the
-// outcomes depend on. Workers, Cache, and EvalDelay are excluded on
-// purpose: all are proven to leave results byte-identical.
+// outcomes depend on. Workers and Cache are excluded on purpose: both
+// are proven to leave results byte-identical.
 func checkpointKey(opts Options, original, initial *cast.Unit, kernel string, tests []fuzz.TestCase) string {
 	classes := make([]string, 0, len(opts.ClassFilter))
 	for c, ok := range opts.ClassFilter {

@@ -1,10 +1,14 @@
 package repair
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
+	"github.com/hetero/heterogen/internal/difftest"
+	"github.com/hetero/heterogen/internal/hls"
+	"github.com/hetero/heterogen/internal/interp"
 )
 
 // aliasSrc has several functions, pragmas on declarations and in
@@ -150,5 +154,39 @@ func TestLineCounterPinsReport(t *testing.T) {
 	}
 	if got := EditedLines(orig, ins); got != 1 {
 		t.Errorf("one inserted pragma (one-shot): %d edited lines, want 1", got)
+	}
+}
+
+// TestRunnerMatchesOneShotRun: the search's differential tester —
+// structure-sharing candidates, cached reference outcomes, compiled
+// code keyed by fingerprint — reports exactly what a one-shot
+// tree-walking difftest.Run reports on a full clone, for every
+// candidate of a random-mode iteration on the Figure 2 kernel. The
+// candidate set is generated twice, so the second round runs fresh
+// pointers against content-keyed compiled code.
+func TestRunnerMatchesOneShotRun(t *testing.T) {
+	orig := cparser.MustParse(treeKernel)
+	tests := treeTests()
+	cfg := hls.DefaultConfig("kernel")
+	runner := difftest.NewRunner(orig, "kernel", cfg, tests, interp.NewCodebase(), cast.NewFingerprints())
+	for round := 0; round < 2; round++ {
+		st := NewState()
+		st.FastClone = true
+		cands := append(RandomCandidates(orig, nil, st), PerfCandidates(orig, st)...)
+		if len(cands) == 0 {
+			t.Fatal("no candidates for the Figure 2 kernel")
+		}
+		for _, c := range cands {
+			full := cast.CloneUnit(orig)
+			for _, e := range c.Edits {
+				if err := e.Apply(full); err != nil {
+					t.Fatalf("%s does not re-apply to a full clone: %v", c.Describe(), err)
+				}
+			}
+			want := difftest.Run(orig, full, "kernel", cfg, tests)
+			if got := runner.Run(c.Unit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, %s:\n  runner:   %+v\n  one-shot: %+v", round, c.Describe(), got, want)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/difftest"
@@ -59,12 +58,6 @@ type Options struct {
 	// is committed in that same order, so accepted edits, final program,
 	// and Stats do not depend on Workers.
 	Workers int
-	// EvalDelay adds a real-time pause to every full fitness evaluation,
-	// emulating the blocking invocation of an external HLS toolchain
-	// process (the deployment this engine is built for). It never
-	// touches the virtual clock; benchmarks use it to measure how much
-	// of that latency the worker pool can overlap.
-	EvalDelay time.Duration
 	// MaxIterations is a safety bound on accepted edits.
 	MaxIterations int
 	// ClassFilter, when non-nil, restricts the search to templates of the
@@ -94,11 +87,12 @@ type Options struct {
 	// Report (keyed on target config + candidate fingerprint), the
 	// resource estimate (candidate fingerprint), and the
 	// differential-test outcome (target config + kernel + printed oracle
-	// + corpus hash + candidate fingerprint). A hit skips the
-	// recomputation and any EvalDelay pause, but is charged exactly the
-	// same virtual toolchain cost in the same commit order as a cold
-	// evaluation — the cost inputs (line count, whether simulation ran)
-	// are deterministic — so Result, Stats, and traces are
+	// + corpus hash + candidate fingerprint). It is the only verdict
+	// memo: without it a candidate revisited in a later iteration is
+	// re-evaluated. A hit skips the recomputation but is charged exactly
+	// the same virtual toolchain cost in the same commit order as a
+	// cold evaluation — the cost inputs (line count, whether simulation
+	// ran) are deterministic — so Result, Stats, and traces are
 	// byte-identical whether the cache is disabled, cold, or warm, for
 	// any Workers value. Nil disables memoization.
 	Cache *evalcache.Cache
@@ -564,25 +558,12 @@ func (s *searcher) computeOutcome(u *cast.Unit) evalOutcome {
 // inputs alongside the score.
 func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score, failure *guard.StageFailure) {
 	lines = cast.CountLines(u)
-	// EvalDelay emulates the blocking invocation of one external
-	// toolchain process per evaluation; it is paid at most once, and
-	// only when some stage actually computes — a fully cache-served
-	// evaluation invokes no toolchain, which is the wall-clock saving
-	// the cache exists for. The virtual clock is untouched either way.
-	delayed := false
-	delay := func() {
-		if !delayed && s.opts.EvalDelay > 0 {
-			time.Sleep(s.opts.EvalDelay)
-		}
-		delayed = true
-	}
-	// printed is the candidate's content key for cache lookups and
-	// guard invocations: its incremental fingerprint, recombined from
-	// memoized per-declaration hashes in O(edit) for structure-sharing
-	// clones.
-	var printed string
+	// fp is the candidate's content key for cache lookups and guard
+	// invocations: its incremental fingerprint, recombined from memoized
+	// per-declaration hashes in O(edit) for structure-sharing clones.
+	var fp string
 	if s.cache != nil {
-		printed = s.fps.Unit(u)
+		fp = s.fps.Unit(u)
 	}
 
 	sc = score{latencyMS: 1e18}
@@ -594,13 +575,12 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	cached := false
 	var checkKey string
 	if s.cache != nil {
-		checkKey = evalcache.CheckKey(s.checkSalt, printed)
+		checkKey = evalcache.CheckKey(s.checkSalt, fp)
 		cached = s.cache.Get(evalcache.StageCheck, checkKey, &rep)
 	}
 	if !cached {
-		delay()
 		var err error
-		rep, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageCheck, Key: printed, Unit: u},
+		rep, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageCheck, Key: fp, Unit: u},
 			func(cu *cast.Unit) (hls.Report, error) {
 				return check.Run(cu, s.cfg), nil
 			})
@@ -615,7 +595,7 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	// The capacity gate runs per device and the latency model per clock;
 	// the differential test below stays shared (behaviour is
 	// target-independent).
-	runDT, terr := s.scoreTargets(u, printed, &sc)
+	runDT, terr := s.scoreTargets(u, fp, &sc)
 	if sf := guard.AsFailure(terr); sf != nil {
 		return lines, false, sc, sf
 	}
@@ -626,13 +606,12 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	cached = false
 	var diffKey string
 	if s.cache != nil {
-		diffKey = evalcache.DifftestKey(s.diffSalt, printed)
+		diffKey = evalcache.DifftestKey(s.diffSalt, fp)
 		cached = s.cache.Get(evalcache.StageDifftest, diffKey, &dt)
 	}
 	if !cached {
-		delay()
 		var err error
-		dt, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: printed, Unit: u},
+		dt, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: fp, Unit: u},
 			func(cu *cast.Unit) (difftest.Report, error) {
 				return s.runner.Run(cu), nil
 			})
@@ -651,19 +630,19 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	return lines, true, sc, nil
 }
 
-// estimate is the resource-estimation stage with memoization; printed
-// is the candidate's fingerprint (empty when the cache is off). The
-// only possible error is a contained *guard.StageFailure.
-func (s *searcher) estimate(u *cast.Unit, printed string) (sim.Resources, error) {
+// estimate is the resource-estimation stage with memoization; fp is
+// the candidate's fingerprint (empty when the cache is off). The only
+// possible error is a contained *guard.StageFailure.
+func (s *searcher) estimate(u *cast.Unit, fp string) (sim.Resources, error) {
 	var r sim.Resources
 	var key string
 	if s.cache != nil {
-		key = evalcache.ResourceKey(printed)
+		key = evalcache.ResourceKey(fp)
 		if s.cache.Get(evalcache.StageSim, key, &r) {
 			return r, nil
 		}
 	}
-	r, err := guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageEstimate, Key: printed, Unit: u},
+	r, err := guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageEstimate, Key: fp, Unit: u},
 		func(cu *cast.Unit) (sim.Resources, error) {
 			return sim.Estimate(cu), nil
 		})

@@ -9,6 +9,7 @@ import (
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/hls/check"
+	"github.com/hetero/heterogen/internal/obs"
 )
 
 // treeKernel is the paper's Figure 2 working example shape: dynamic tree
@@ -264,6 +265,89 @@ int kernel(int n) {
 	for _, want := range []string{"insert(A", "insert(B", "pointer(A", "pointer(B"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("edit log missing %q: %v", want, res.Stats.EditLog)
+		}
+	}
+}
+
+// dataflowKernel chains two loop processes in its top function. A
+// dataflow pragma there fails the check (buffer b is used by both
+// processes), so the first perf step rejects insert_pragma and accepts
+// the explore_all sweep; the sweep leaves insert_pragma on offer,
+// unchanged, for the second perf step.
+const dataflowKernel = `
+void scale(int a[12], int b[12]) {
+    for (int i = 0; i < 12; i++) { b[i] = a[i] * 3; }
+}
+void shift(int b[12], int c[12]) {
+    for (int i = 0; i < 12; i++) { c[i] = b[i] + 1; }
+}
+int kernel(int a[12]) {
+    int b[12];
+    int c[12];
+    scale(a, b);
+    shift(b, c);
+    int s = 0;
+    for (int i = 0; i < 12; i++) { s += c[i]; }
+    return s;
+}`
+
+// perfTrials collects the perf-phase candidate events of a search.
+type perfTrials []obs.RepairEvent
+
+func (p *perfTrials) Emit(e obs.Event) {
+	if e.Type == obs.EvCandidate && e.Repair.Step == "perf" {
+		*p = append(*p, *e.Repair)
+	}
+}
+
+// TestPerfStepSkipsRejectedConfiguration pins perfStep's dedupe
+// (triedPerf): a configuration rejected in one perf step comes back in
+// the next, and there it is skipped — neither charged nor traced.
+func TestPerfStepSkipsRejectedConfiguration(t *testing.T) {
+	const dataflow = "insert_pragma(kernel, insert dataflow)"
+	u := cparser.MustParse(dataflowKernel)
+	var tests []fuzz.TestCase
+	for seed := int64(0); seed < 4; seed++ {
+		arg := fuzz.Arg{Ints: make([]int64, 12), Width: 32}
+		for i := range arg.Ints {
+			arg.Ints[i] = (seed*7 + int64(i)*3) % 50
+		}
+		tests = append(tests, fuzz.TestCase{Args: []fuzz.Arg{arg}})
+	}
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		var trials perfTrials
+		opts.Obs = &trials
+		res := Search(u, cast.CloneUnit(u), "kernel", tests, opts)
+		if got := strings.Join(res.Stats.EditLog, " ; "); got != "explore_all(program, pragma sweep over all loops)" {
+			t.Fatalf("workers=%d: edit log %q, want the explore_all sweep alone", workers, got)
+		}
+		reoffered := false
+		for _, c := range PerfCandidates(res.Unit, NewState()) {
+			reoffered = reoffered || c.Describe() == dataflow
+		}
+		if !reoffered {
+			t.Fatalf("workers=%d: %s is not re-enumerated after the sweep; the test no longer reaches the skip", workers, dataflow)
+		}
+		var tries, secondStep int
+		for _, tr := range trials {
+			if tr.Iter == 2 {
+				secondStep++
+			}
+			if len(tr.Edits) == 1 && tr.Edits[0] == dataflow {
+				tries++
+				if tr.Accepted {
+					t.Fatalf("workers=%d: %s was accepted", workers, dataflow)
+				}
+			}
+		}
+		if secondStep == 0 {
+			t.Fatalf("workers=%d: no second perf step ran", workers)
+		}
+		if tries != 1 {
+			t.Errorf("workers=%d: %s charged %d times, want once (rejected configurations are skipped in later perf steps)",
+				workers, dataflow, tries)
 		}
 	}
 }

@@ -101,7 +101,7 @@ type ParetoPoint struct {
 // latency vector derived from the shared 250 MHz reference simulation.
 // It mutates sc in place and reports whether the differential test
 // should run. Pure: safe on worker goroutines.
-func (s *searcher) scoreTargets(u *cast.Unit, printed string, sc *score) (runDifftest bool, failure error) {
+func (s *searcher) scoreTargets(u *cast.Unit, fp string, sc *score) (runDifftest bool, failure error) {
 	sc.perTarget = make([]targetFit, len(s.targets))
 	if sc.errors > 0 {
 		// Compile errors apply to every target; surface the primary
@@ -112,7 +112,7 @@ func (s *searcher) scoreTargets(u *cast.Unit, printed string, sc *score) (runDif
 		sc.diags = translateDiags(s.targets[0].backend, sc.diags)
 		return false, nil
 	}
-	est, err := s.estimate(u, printed)
+	est, err := s.estimate(u, fp)
 	if err != nil {
 		return false, err
 	}

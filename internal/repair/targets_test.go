@@ -131,3 +131,46 @@ func TestMultiTargetCacheParity(t *testing.T) {
 		})
 	}
 }
+
+// TestCrossDeviceCacheKeying: target-keyed verdicts must not leak
+// across devices. A search on zc706 against a cache warmed on xcvu9p is
+// compared with the same search on a fresh cache (a search also hits
+// its own stores when it revisits a candidate, so raw hit counts
+// overcount carryover). Only StageSim resource estimates, which are
+// target-free by design (evalcache.ResourceKey), may carry over.
+func TestCrossDeviceCacheKeying(t *testing.T) {
+	orig, initial, kernel, tests := subjectInputs(t, "P3")
+	warmup, target := mustTargets(t, "vivado_hls:xcvu9p"), mustTargets(t, "vivado_hls:zc706")
+	search := func(warm bool) evalcache.Stats {
+		cache, err := evalcache.New(evalcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Cache = cache
+		if warm {
+			opts.Targets = warmup
+			Search(orig, cast.CloneUnit(initial), kernel, tests, opts)
+		}
+		opts.Targets = target
+		before := cache.Stats()
+		Search(orig, cast.CloneUnit(initial), kernel, tests, opts)
+		return cache.Stats().Sub(before)
+	}
+	solo, crossed := search(false), search(true)
+	if crossed.Stages[evalcache.StageCheck].Misses == 0 {
+		t.Fatal("cross-device search never missed the check stage; device keying is broken")
+	}
+	for _, stage := range evalcache.Stages() {
+		if stage == evalcache.StageSim {
+			continue
+		}
+		if got, want := crossed.Stages[stage].Hits, solo.Stages[stage].Hits; got != want {
+			t.Errorf("%s: %d hits after an xcvu9p warm-up, %d on a fresh cache; verdicts leaked across devices",
+				stage, got, want)
+		}
+	}
+	if crossed.Stages[evalcache.StageSim].Hits <= solo.Stages[evalcache.StageSim].Hits {
+		t.Error("no resource estimate carried over; StageSim keys should be target-free")
+	}
+}

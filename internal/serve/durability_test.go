@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/hetero/heterogen/internal/guard"
 )
 
 // readJournal parses every well-formed record in a state dir's journal.
@@ -424,6 +426,18 @@ func TestCancelRacesDrain(t *testing.T) {
 	}
 }
 
+// pacer is a fault injector that plants no fault: it sleeps before
+// every HLS check and differential test, pacing a search in real time
+// without changing what it computes.
+type pacer struct{ delay time.Duration }
+
+func (p pacer) Fault(stage guard.Stage, _ string, _ int) guard.Fault {
+	if stage == guard.StageCheck || stage == guard.StageDifftest {
+		time.Sleep(p.delay)
+	}
+	return guard.Fault{}
+}
+
 // TestDrainResumeRepairParity is the end-to-end durability contract in
 // process: a repair job drain-stopped mid-search resumes after restart
 // to a result and event trace byte-identical to an undisturbed run.
@@ -447,12 +461,12 @@ func TestDrainResumeRepairParity(t *testing.T) {
 	}
 	controlEvents := eventBody(t, tsC, stC.ID)
 
-	// Durable server: drain-stop the job mid-search. The evalDelay
-	// paces evaluations in real time so the drain deterministically
-	// lands mid-run; it is outside the determinism envelope, so the
-	// paced run's outcome log matches the unpaced control.
+	// Durable server: drain-stop the job mid-search. The pacing
+	// injector slows evaluations in real time so the drain
+	// deterministically lands mid-run; it plants no fault, so the paced
+	// run's outcome log matches the unpaced control.
 	dir := t.TempDir()
-	s1 := New(Options{StateDir: dir, evalDelay: 300 * time.Millisecond})
+	s1 := New(Options{StateDir: dir, Injector: pacer{300 * time.Millisecond}})
 	ts1 := httptest.NewServer(s1.Handler())
 	st, _ := postJob(t, ts1, req, "")
 	awaitRunning(t, ts1, st.ID, 1)

@@ -81,12 +81,6 @@ type Options struct {
 	// before starting counts into serve.slo.queue_wait_violations.
 	// Zero disables the counter.
 	QueueWaitSLO time.Duration
-	// evalDelay (test hook, package-internal) rides into every repair
-	// job's repair.Options.EvalDelay so durability tests can pace a
-	// search in real time and interrupt it deterministically mid-run.
-	// It never changes results or traces (EvalDelay is excluded from
-	// the determinism envelope and the checkpoint key).
-	evalDelay time.Duration
 	// StateDir, when set, makes the server crash-recoverable: every job
 	// state transition is appended (fsynced) to a write-ahead journal
 	// under it before the transition is visible to clients, and repair
@@ -752,7 +746,6 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 	}
 	copts.Repair = repair.DefaultOptions()
 	copts.Repair.MaxIterations = j.budget.MaxIterations
-	copts.Repair.EvalDelay = s.opts.evalDelay
 	if j.req.Seed != 0 {
 		copts.Repair.Seed = j.req.Seed
 	}

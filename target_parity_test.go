@@ -22,7 +22,6 @@ func TestFigure2MultiTargetPareto(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := overlapOptions(4)
-	opts.EvalDelay = 0 // the toolchain-wait emulation only slows the test down
 	opts.Targets = targets
 
 	res := repair.Search(orig, cast.CloneUnit(orig), "kernel", tests, opts)
