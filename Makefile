@@ -25,12 +25,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Regenerates the repair search's golden fixtures
+# Regenerates the golden fixtures: the repair search's
 # (internal/repair/testdata/golden: one Result JSON and one JSONL trace
-# per recorded run). Only for an intended behaviour change whose fixture
-# diff gets reviewed — see CONTRIBUTING.md.
+# per recorded run) and test generation's (internal/fuzz/testdata/golden:
+# one campaign-and-profile JSON and one JSONL trace per subject). Only
+# for an intended behaviour change whose fixture diff gets reviewed —
+# see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
+	$(GO) test -count=1 -run TestCampaignGolden ./internal/fuzz/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
