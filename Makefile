@@ -14,13 +14,16 @@ test:
 	$(GO) test ./...
 
 # The worker pools (internal/repair/parallel.go, internal/fuzz/parallel.go)
-# and the evaluation cache they share are the only concurrency in the
-# module; this is their data-race proof. -short trims the determinism
-# suites to a few subjects — race coverage comes from the code paths,
-# not subject breadth, and the full-breadth suites exceed the test
-# binary's default timeout under the race detector's ~10x slowdown.
+# and the evaluation cache and compiled-code cache they share are the
+# only concurrency in the module; this is their data-race proof. -short
+# trims the repair determinism suites to a few subjects — race coverage
+# comes from the code paths, not subject breadth, and the full-breadth
+# suites exceed the test binary's default timeout under the race
+# detector's ~10x slowdown. Fuzz pool workers share one Codebase per
+# campaign, and the fuzz goldens run every subject with Workers 4.
 race:
-	$(GO) test -race -short ./internal/repair/... ./internal/fuzz/...
+	$(GO) test -race -short ./internal/repair/...
+	$(GO) test -race ./internal/fuzz/ ./internal/profile/
 
 vet:
 	$(GO) vet ./...
@@ -53,10 +56,11 @@ bench-obs:
 
 # Full differential belt for the compiled fast path: the 2000-seed
 # VM-vs-tree sweep (clean and fault-injected progen programs, CPU and
-# FPGA modes, tight step budgets) plus the shared-Codebase race test.
-# `make check` runs the same belt at its 200-seed default.
+# FPGA modes, tight step budgets), the variable-length array edge
+# cases, and the subjects' fallback inventory, plus the shared-Codebase
+# race test. `make check` runs the same belt at its 200-seed default.
 interp-diff-smoke:
-	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffEqualVerdicts' -v ./internal/interp/
+	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffEqualVerdicts|TestDiffVLAAgainstTree|TestSubjectsCompile' -v ./internal/interp/
 	$(GO) test -race -run TestCodebaseSharedConcurrently ./internal/interp/
 
 # Fixed-seed conformance smoke: 100 generated kernels with planted HLS

@@ -191,10 +191,10 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 		inSites[s] = true
 	}
 
-	in, err := interp.New(u, interp.Options{
-		Coverage: true,
-		MaxSteps: opts.MaxStepsPerExec,
-	})
+	// Every campaign execution — sequential, pooled, after a contained
+	// failure, and the host run — shares one compiled-code cache.
+	code := interp.NewCodebase()
+	in, err := newCoverageInterp(u, code, opts.MaxStepsPerExec)
 	if err != nil {
 		return Campaign{}, err
 	}
@@ -246,7 +246,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 				if cu != u {
 					// Quarantine replay on a reduced clone: run it on a
 					// private interpreter so campaign state stays intact.
-					rin, rerr := interp.New(cu, interp.Options{Coverage: true, MaxSteps: opts.MaxStepsPerExec})
+					rin, rerr := newCoverageInterp(cu, nil, opts.MaxStepsPerExec)
 					if rerr != nil {
 						return struct{}{}, rerr
 					}
@@ -266,7 +266,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 			if sf.Injected {
 				in.CoverageBits = saved
 			} else {
-				nin, nerr := interp.New(u, interp.Options{Coverage: true, MaxSteps: opts.MaxStepsPerExec})
+				nin, nerr := newCoverageInterp(u, code, opts.MaxStepsPerExec)
 				if nerr != nil {
 					return false, false, nil, nerr
 				}
@@ -285,7 +285,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 
 	// Seed: host capture when available, else type-valid random.
 	if opts.HostMain != "" {
-		if seed, ok := captureHostSeed(u, kernel, opts.HostMain, sp); ok {
+		if seed, ok := captureHostSeed(u, kernel, opts.HostMain, sp, code); ok {
 			queue = append(queue, seed)
 			camp.SeededFromHost = true
 		}
@@ -316,7 +316,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 
 	var pool *execPool
 	if opts.Workers > 1 {
-		pool, err = newExecPool(u, kernel, opts.Workers, opts.MaxStepsPerExec, opts.Guard)
+		pool, err = newExecPool(u, kernel, opts.Workers, opts.MaxStepsPerExec, opts.Guard, code)
 		if err != nil {
 			return camp, err
 		}
@@ -498,9 +498,10 @@ func ReplayParallel(u *cast.Unit, kernel string, tests []TestCase, workers int) 
 
 // captureHostSeed runs the host entry point and snapshots the first
 // kernel-call arguments.
-func captureHostSeed(u *cast.Unit, kernel, hostMain string, sp Spec) (TestCase, bool) {
+func captureHostSeed(u *cast.Unit, kernel, hostMain string, sp Spec, code *interp.Codebase) (TestCase, bool) {
 	var captured []interp.Value
 	in, err := interp.New(u, interp.Options{
+		Code:        code,
 		CaptureName: kernel,
 		CaptureCall: func(args []interp.Value) {
 			if captured == nil {

@@ -42,24 +42,32 @@ type execJob struct {
 	wg  *sync.WaitGroup
 }
 
-// newExecPool starts workers interpreter-owning goroutines. The unit is
-// shared read-only; every worker gets its own interpreter (and thus its
-// own globals, coverage bits, and step budget).
-func newExecPool(u *cast.Unit, kernel string, workers int, maxSteps int64, g *guard.Guard) (*execPool, error) {
+// newCoverageInterp is the interpreter every campaign execution runs
+// on: coverage on, the per-execution step budget, and the campaign's
+// compiled-code cache (safe to share across workers).
+func newCoverageInterp(u *cast.Unit, code *interp.Codebase, maxSteps int64) (*interp.Interp, error) {
+	return interp.New(u, interp.Options{Coverage: true, MaxSteps: maxSteps, Code: code})
+}
+
+// newExecPool starts workers interpreter-owning goroutines. The unit and
+// the compiled code are shared read-only; every worker gets its own
+// interpreter (and thus its own globals, coverage bits, and step
+// budget).
+func newExecPool(u *cast.Unit, kernel string, workers int, maxSteps int64, g *guard.Guard, code *interp.Codebase) (*execPool, error) {
 	// Fail construction eagerly if the program cannot initialize, like
 	// the sequential path's interp.New call.
-	if _, err := interp.New(u, interp.Options{Coverage: true, MaxSteps: maxSteps}); err != nil {
+	if _, err := newCoverageInterp(u, code, maxSteps); err != nil {
 		return nil, err
 	}
 	p := &execPool{jobs: make(chan execJob, workers)}
 	for i := 0; i < workers; i++ {
-		go p.worker(u, kernel, maxSteps, g)
+		go p.worker(u, kernel, maxSteps, g, code)
 	}
 	return p, nil
 }
 
-func (p *execPool) worker(u *cast.Unit, kernel string, maxSteps int64, g *guard.Guard) {
-	in, err := interp.New(u, interp.Options{Coverage: true, MaxSteps: maxSteps})
+func (p *execPool) worker(u *cast.Unit, kernel string, maxSteps int64, g *guard.Guard, code *interp.Codebase) {
+	in, err := newCoverageInterp(u, code, maxSteps)
 	for job := range p.jobs {
 		if err == nil {
 			res, discard := guardedRun(g, u, in, kernel, maxSteps, job.tc)
@@ -68,7 +76,7 @@ func (p *execPool) worker(u *cast.Unit, kernel string, maxSteps int64, g *guard.
 				// A contained execution may have left the private
 				// interpreter dirty (or a deadline-abandoned goroutine
 				// still writing to it): replace it before the next job.
-				in, err = interp.New(u, interp.Options{Coverage: true, MaxSteps: maxSteps})
+				in, err = newCoverageInterp(u, code, maxSteps)
 			}
 		} else {
 			job.out.crashed = true
@@ -87,7 +95,7 @@ func guardedRun(g *guard.Guard, u *cast.Unit, in *interp.Interp, kernel string, 
 			if cu != u {
 				// Quarantine replay on a reduced clone: use a private
 				// interpreter so the worker's stays untouched.
-				rin, rerr := interp.New(cu, interp.Options{Coverage: true, MaxSteps: maxSteps})
+				rin, rerr := newCoverageInterp(cu, nil, maxSteps)
 				if rerr != nil {
 					return execResult{}, rerr
 				}
@@ -141,8 +149,9 @@ func (p *execPool) runBatch(children []TestCase, schedule []bool) []execResult {
 // input order. Used by Replay and Minimize, whose aggregations are
 // order-insensitive unions over these sets.
 func collectHits(u *cast.Unit, kernel string, tests []TestCase, workers int) ([]execResult, error) {
+	code := interp.NewCodebase()
 	if workers <= 1 {
-		in, err := interp.New(u, interp.Options{Coverage: true})
+		in, err := newCoverageInterp(u, code, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +161,7 @@ func collectHits(u *cast.Unit, kernel string, tests []TestCase, workers int) ([]
 		}
 		return out, nil
 	}
-	pool, err := newExecPool(u, kernel, workers, 0, nil)
+	pool, err := newExecPool(u, kernel, workers, 0, nil, code)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestCodebaseSharedConcurrently(t *testing.T) {
 		p := &prog
 		for _, mode := range []interp.Mode{interp.CPU, interp.FPGA} {
 			opts := interp.Options{Mode: mode, Coverage: true, Profile: true}
-			jobs = append(jobs, job{p, tc.Clone(), mode, diffOutcome(p, tc, opts)})
+			jobs = append(jobs, job{p, tc.Clone(), mode, diffOutcome(p.Unit, p.Kernel, tc.Values(), opts)})
 		}
 	}
 	if len(jobs) < programs {
@@ -61,7 +61,7 @@ func TestCodebaseSharedConcurrently(t *testing.T) {
 			for i := 0; i < len(jobs); i++ {
 				j := jobs[(i+g*5)%len(jobs)]
 				opts := interp.Options{Mode: j.mode, Coverage: true, Profile: true, Code: code}
-				if got := diffOutcome(j.prog, j.tc.Clone(), opts); got != j.want {
+				if got := diffOutcome(j.prog.Unit, j.prog.Kernel, j.tc.Values(), opts); got != j.want {
 					select {
 					case errs <- j.prog.Kernel + ": compiled outcome diverged under contention:\n--- tree ---\n" + j.want + "\n--- vm ---\n" + got:
 					default:

@@ -23,11 +23,15 @@ func bail(why string) { panic(&fallbackError{why: why}) }
 
 // ctSlot is a compile-time name binding: the frame slot plus the
 // declared type (what frame.lookup(...).typ would report) and whether
-// the binding is array storage (isLV == false at run time).
+// the binding is array storage (isLV == false at run time). A
+// variable-length array (vla) is bound at run time with its
+// concretized type, so typ keeps the unknown outer length and anything
+// that reads the length must read the binding instead.
 type ctSlot struct {
 	slot    int
 	typ     ctypes.Type
 	isArray bool
+	vla     bool
 }
 
 type compiler struct {
@@ -74,6 +78,36 @@ func (c *compiler) declare(name string, t ctypes.Type, isArray bool) int {
 	c.nslots++
 	c.scopes[len(c.scopes)-1][name] = ctSlot{slot: s, typ: t, isArray: isArray}
 	return s
+}
+
+// declareVLA is declare for a variable-length array.
+func (c *compiler) declareVLA(name string, t ctypes.Type) int {
+	s := c.declare(name, t, true)
+	c.scopes[len(c.scopes)-1][name] = ctSlot{slot: s, typ: t, isArray: true, vla: true}
+	return s
+}
+
+// touchesVLA reports whether e names a variable-length array in scope:
+// its static type then carries an unknown length the tree walker sees
+// concretized.
+func (c *compiler) touchesVLA(e cast.Expr) bool {
+	found := false
+	cast.Inspect(e, func(n cast.Node) bool {
+		if id, ok := n.(*cast.Ident); ok {
+			if s, ok := c.lookup(id.Name); ok && s.vla {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// unsized reports whether t is an array type with a dimension of
+// unknown length.
+func unsized(t ctypes.Type) bool {
+	a, ok := ctypes.Resolve(t).(ctypes.Array)
+	return ok && (a.Len < 0 || unsized(a.Elem))
 }
 
 // lookup resolves a name against the compile-time scope chain.
@@ -416,7 +450,7 @@ func (c *compiler) declStmt(d *cast.DeclStmt) execOp {
 		bail("static local declaration")
 	}
 	if len(d.VLADims) > 0 {
-		bail("variable-length array declaration")
+		return c.vlaDecl(d)
 	}
 	pos := d.Pos()
 	name, t := d.Name, d.Type
@@ -466,38 +500,86 @@ func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr cty
 		return slotless
 	}
 	total, elem := flattenArray(arr)
-	var leafOps []evalOp
-	if il, ok := init.(*cast.InitList); ok {
-		var collect func(e cast.Expr)
-		collect = func(e cast.Expr) {
-			if sub, ok := e.(*cast.InitList); ok {
-				for _, el := range sub.Elems {
-					collect(el)
-				}
-				return
-			}
-			if len(leafOps) < total {
-				leafOps = append(leafOps, c.eval(e))
-			}
-		}
-		for _, el := range il.Elems {
-			collect(el)
-		}
-	}
-	// A non-InitList initializer on an array declaration is ignored by
-	// makeStorage (never evaluated), so nothing is compiled for it.
+	leafOps := c.initLeaves(init)
 	slot := c.declare(name, t, true)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
-		obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
-		zero := ZeroValue(elem)
-		for i := range obj.Elems {
-			obj.Elems[i] = zero.DeepCopy()
+		fr.slots[slot] = &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
+		in.addCost(costStore)
+		return ctlNone
+	}
+}
+
+// initLeaves compiles the flattened leaves of an array initializer
+// list. A non-InitList initializer on an array declaration is ignored
+// by makeStorage (never evaluated), so nothing is compiled for it.
+func (c *compiler) initLeaves(init cast.Expr) []evalOp {
+	il, ok := init.(*cast.InitList)
+	if !ok {
+		return nil
+	}
+	var leafOps []evalOp
+	var collect func(e cast.Expr)
+	collect = func(e cast.Expr) {
+		if sub, ok := e.(*cast.InitList); ok {
+			for _, el := range sub.Elems {
+				collect(el)
+			}
+			return
 		}
-		for i, leaf := range leafOps {
-			obj.Elems[i] = in.coerce(leaf(in, fr), elem).DeepCopy()
+		leafOps = append(leafOps, c.eval(e))
+	}
+	for _, el := range il.Elems {
+		collect(el)
+	}
+	return leafOps
+}
+
+// newArray is makeStorage's array allocation: zero-filled storage of
+// total elements, then the initializer leaves in order (fillArray never
+// evaluates leaves beyond the array's capacity).
+func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []evalOp, fr *frame) *Object {
+	obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
+	zero := ZeroValue(elem)
+	for i := range obj.Elems {
+		obj.Elems[i] = zero.DeepCopy()
+	}
+	for i, leaf := range leafOps {
+		if i >= total {
+			break
 		}
-		fr.slots[slot] = &binding{typ: t, obj: obj}
+		obj.Elems[i] = in.coerce(leaf(in, fr), elem).DeepCopy()
+	}
+	return obj
+}
+
+// vlaDecl compiles a variable-length array declaration whose outermost
+// dimension is its only runtime one, mirroring execDecl: CPU mode
+// evaluates the dimension before the name is declared (concretizeVLA)
+// and binds the storage with the concretized type; FPGA mode skips
+// concretization, so makeStorage fails on the unknown size. A dynamic
+// inner dimension would make strides run-time values: it falls back.
+func (c *compiler) vlaDecl(d *cast.DeclStmt) execOp {
+	arr, ok := d.Type.(ctypes.Array)
+	if !ok || arr.Len >= 0 || len(d.VLADims) != 1 || unsized(arr.Elem) {
+		bail("variable-length array with a runtime inner dimension")
+	}
+	pos, p, name, outer := d.Pos(), d.P, d.Name, arr.Elem
+	dimOp := c.eval(d.VLADims[0])
+	inner, elem := flattenArray(ctypes.Array{Elem: outer, Len: 1})
+	leafOps := c.initLeaves(d.Init)
+	slot := c.declareVLA(name, d.Type)
+	return func(in *Interp, fr *frame) control {
+		in.step(pos)
+		if in.opts.Mode != CPU {
+			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
+		}
+		n := dimOp(in, fr).AsInt()
+		if n < 0 || n > 1<<22 {
+			in.fail(p, "invalid VLA dimension %d for %q", n, name)
+		}
+		obj := in.newArray(name, elem, int(n)*inner, leafOps, fr)
+		fr.slots[slot] = &binding{typ: ctypes.Array{Elem: outer, Len: int(n)}, obj: obj}
 		in.addCost(costStore)
 		return ctlNone
 	}

@@ -91,8 +91,21 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 		v := IntValue(int64(SizeofBytes(x.T)))
 		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
 	case *cast.SizeofExpr:
+		if id, ok := x.X.(*cast.Ident); ok {
+			if s, ok := c.lookup(id.Name); ok && s.vla {
+				// The walker sizes the binding's concretized type.
+				slot := s.slot
+				return func(in *Interp, fr *frame) Value {
+					in.step(pos)
+					return IntValue(int64(SizeofBytes(fr.slots[slot].typ)))
+				}
+			}
+		}
 		n := int64(8)
 		if t := c.ctTypeOf(x.X); t != nil {
+			if unsized(t) && c.touchesVLA(x.X) {
+				bail("sizeof of an expression typed by a variable-length array")
+			}
 			n = int64(SizeofBytes(t))
 		}
 		v := IntValue(n)

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/progen"
@@ -100,16 +101,17 @@ func diffValueBits(v interp.Value) string {
 
 // diffOutcome renders one execution as a canonical string so that a
 // divergence shows up as a plain text diff in the failure message.
-func diffOutcome(u *progen.Program, tc fuzz.TestCase, opts interp.Options) string {
-	in, err := interp.New(u.Unit, opts)
+func diffOutcome(u *cast.Unit, kernel string, vals []interp.Value, opts interp.Options) string {
+	in, err := interp.New(u, opts)
 	if err != nil {
 		return "new-error: " + err.Error()
 	}
-	vals := tc.Values()
-	res, err := in.CallKernel(u.Kernel, vals)
+	res, err := in.CallKernel(kernel, vals)
 	var sb strings.Builder
 	if err != nil {
-		fmt.Fprintf(&sb, "err=%q budget=%v\n", err.Error(), interp.IsBudget(err))
+		// A failed call's Result is zero; the interpreter still holds
+		// the cost and output accumulated up to the fault.
+		fmt.Fprintf(&sb, "err=%q budget=%v cost=%d output=%q\n", err.Error(), interp.IsBudget(err), in.Cost(), in.Output())
 	}
 	fmt.Fprintf(&sb, "ret=%s cost=%d steps=%d\n", diffValueBits(res.Ret), res.Cost, res.Steps)
 	fmt.Fprintf(&sb, "output=%q\n", res.Output)
@@ -166,9 +168,9 @@ func TestDiffVMAgainstTree(t *testing.T) {
 		for _, mode := range []interp.Mode{interp.CPU, interp.FPGA} {
 			for _, maxSteps := range []int64{0, 2500} {
 				opts := interp.Options{Mode: mode, Coverage: true, Profile: true, MaxSteps: maxSteps}
-				want := diffOutcome(&prog, tc, opts)
+				want := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
 				opts.Code = code
-				got := diffOutcome(&prog, tc, opts)
+				got := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
 				if want != got {
 					divergences++
 					t.Errorf("seed %d mode=%v maxSteps=%d clean=%v diverged:\n--- tree ---\n%s--- compiled ---\n%s",

@@ -35,7 +35,7 @@ const SafetyMarginBits = 1
 // Generate profiles the kernel of u over the test suite and returns the
 // initial HLS version (a deep copy; u is untouched).
 func Generate(u *cast.Unit, kernel string, tests []fuzz.TestCase) (Result, error) {
-	in, err := interp.New(u, interp.Options{Profile: true})
+	in, err := interp.New(u, interp.Options{Profile: true, Code: interp.NewCodebase()})
 	if err != nil {
 		return Result{}, err
 	}
