@@ -564,9 +564,9 @@ func (c *compiler) vlaDecl(d *cast.DeclStmt) execOp {
 	if !ok || arr.Len >= 0 || len(d.VLADims) != 1 || unsized(arr.Elem) {
 		bail("variable-length array with a runtime inner dimension")
 	}
-	pos, p, name, outer := d.Pos(), d.P, d.Name, arr.Elem
+	pos, p, name, row := d.Pos(), d.P, d.Name, arr.Elem
 	dimOp := c.eval(d.VLADims[0])
-	inner, elem := flattenArray(ctypes.Array{Elem: outer, Len: 1})
+	rowLen, elem := flattenArray(ctypes.Array{Elem: row, Len: 1})
 	leafOps := c.initLeaves(d.Init)
 	slot := c.declareVLA(name, d.Type)
 	return func(in *Interp, fr *frame) control {
@@ -578,8 +578,8 @@ func (c *compiler) vlaDecl(d *cast.DeclStmt) execOp {
 		if n < 0 || n > 1<<22 {
 			in.fail(p, "invalid VLA dimension %d for %q", n, name)
 		}
-		obj := in.newArray(name, elem, int(n)*inner, leafOps, fr)
-		fr.slots[slot] = &binding{typ: ctypes.Array{Elem: outer, Len: int(n)}, obj: obj}
+		obj := in.newArray(name, elem, int(n)*rowLen, leafOps, fr)
+		fr.slots[slot] = &binding{typ: ctypes.Array{Elem: row, Len: int(n)}, obj: obj}
 		in.addCost(costStore)
 		return ctlNone
 	}
