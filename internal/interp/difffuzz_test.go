@@ -9,16 +9,26 @@ package interp_test
 // sweep covers clean and fault-injected progen programs, CPU and FPGA
 // modes, and a tight step budget that forces mid-execution cutoffs.
 //
+// Every outcome is also pinned by testdata/golden/belt.txt: one sha256
+// of the canonical outcome string per seed, mode and budget, recorded
+// from the tree walker. `go test -update` rewrites it.
+//
 // By default the belt runs a 200-seed slice (fast enough for `make
 // check`); setting INTERP_DIFF=1 widens it to the full 2000-seed sweep
 // used by the `interp-diff-smoke` CI job.
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -28,8 +38,85 @@ import (
 	"github.com/hetero/heterogen/internal/progen"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current interpreter instead of comparing")
+
 const diffDefaultSeeds = 200
 const diffFullSeeds = 2000
+
+// beltRuns are the executions recorded per belt seed, in belt.txt's
+// column order.
+var beltRuns = []struct {
+	mode     interp.Mode
+	maxSteps int64
+}{{interp.CPU, 0}, {interp.CPU, 2500}, {interp.FPGA, 0}, {interp.FPGA, 2500}}
+
+func beltOptions(mode interp.Mode, maxSteps int64) interp.Options {
+	return interp.Options{Mode: mode, Coverage: true, Profile: true, MaxSteps: maxSteps}
+}
+
+const beltPath = "testdata/golden/belt.txt"
+
+func outcomeHash(outcome string) string {
+	sum := sha256.Sum256([]byte(outcome))
+	return hex.EncodeToString(sum[:])
+}
+
+// readBelt loads belt.txt: one line per seed, the seed followed by one
+// outcome hash per beltRuns entry.
+func readBelt(t *testing.T) [][]string {
+	t.Helper()
+	f, err := os.Open(beltPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -update)", err)
+	}
+	defer f.Close()
+	var rows [][]string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 1+len(beltRuns) || fields[0] != strconv.Itoa(len(rows)) {
+			t.Fatalf("%s:%d: malformed line %q", beltPath, len(rows)+1, sc.Text())
+		}
+		rows = append(rows, fields[1:])
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func writeBelt(t *testing.T, rows [][]string) {
+	t.Helper()
+	var sb strings.Builder
+	for seed, row := range rows {
+		fmt.Fprintf(&sb, "%d %s\n", seed, strings.Join(row, " "))
+	}
+	writeGolden(t, beltPath, sb.String())
+}
+
+func writeGolden(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// beltProgram generates belt seed's program and test case.
+func beltProgram(t *testing.T, seed int) (progen.Program, fuzz.TestCase) {
+	t.Helper()
+	prog, err := progen.Generate(progen.Options{Seed: int64(seed), Clean: seed%2 == 0})
+	if err != nil {
+		t.Fatalf("seed %d: progen: %v", seed, err)
+	}
+	sp, err := fuzz.SpecOf(prog.Unit, prog.Kernel)
+	if err != nil {
+		t.Fatalf("seed %d: spec: %v", seed, err)
+	}
+	return prog, diffCase(sp, int64(seed))
+}
 
 func diffSeedCount() int {
 	if os.Getenv("INTERP_DIFF") != "" {
@@ -104,7 +191,7 @@ func diffValueBits(v interp.Value) string {
 func diffOutcome(u *cast.Unit, kernel string, vals []interp.Value, opts interp.Options) string {
 	in, err := interp.New(u, opts)
 	if err != nil {
-		return "new-error: " + err.Error()
+		return "new-error: " + err.Error() + "\n"
 	}
 	res, err := in.CallKernel(kernel, vals)
 	var sb strings.Builder
@@ -150,37 +237,46 @@ func diffOutcome(u *cast.Unit, kernel string, vals []interp.Value, opts interp.O
 
 // TestDiffVMAgainstTree is the belt itself: tree walker vs compiled code
 // over generated programs, in both modes, with and without a starved
-// step budget, requiring byte-identical outcomes.
+// step budget, requiring byte-identical outcomes that hash to the
+// recorded ones.
 func TestDiffVMAgainstTree(t *testing.T) {
 	n := diffSeedCount()
+	var want [][]string
+	if *update {
+		n = diffFullSeeds
+	} else if want = readBelt(t); len(want) < n {
+		t.Fatalf("%s records %d seeds, want %d", beltPath, len(want), n)
+	}
+	rows := make([][]string, n)
 	code := interp.NewCodebase()
 	divergences := 0
 	for seed := 0; seed < n; seed++ {
-		prog, err := progen.Generate(progen.Options{Seed: int64(seed), Clean: seed%2 == 0})
-		if err != nil {
-			t.Fatalf("seed %d: progen: %v", seed, err)
-		}
-		sp, err := fuzz.SpecOf(prog.Unit, prog.Kernel)
-		if err != nil {
-			t.Fatalf("seed %d: spec: %v", seed, err)
-		}
-		tc := diffCase(sp, int64(seed))
-		for _, mode := range []interp.Mode{interp.CPU, interp.FPGA} {
-			for _, maxSteps := range []int64{0, 2500} {
-				opts := interp.Options{Mode: mode, Coverage: true, Profile: true, MaxSteps: maxSteps}
-				want := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
-				opts.Code = code
-				got := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
-				if want != got {
-					divergences++
-					t.Errorf("seed %d mode=%v maxSteps=%d clean=%v diverged:\n--- tree ---\n%s--- compiled ---\n%s",
-						seed, mode, maxSteps, seed%2 == 0, want, got)
-					if divergences >= 10 {
-						t.Fatalf("stopping after %d divergences", divergences)
-					}
+		prog, tc := beltProgram(t, seed)
+		rows[seed] = make([]string, len(beltRuns))
+		for i, r := range beltRuns {
+			opts := beltOptions(r.mode, r.maxSteps)
+			tree := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
+			opts.Code = code
+			got := diffOutcome(prog.Unit, prog.Kernel, tc.Values(), opts)
+			rows[seed][i] = outcomeHash(tree)
+			diverged := tree != got
+			if diverged {
+				t.Errorf("seed %d mode=%v maxSteps=%d clean=%v diverged:\n--- tree ---\n%s--- compiled ---\n%s",
+					seed, r.mode, r.maxSteps, seed%2 == 0, tree, got)
+			} else if want != nil && rows[seed][i] != want[seed][i] {
+				diverged = true
+				t.Errorf("seed %d mode=%v maxSteps=%d clean=%v: outcome no longer hashes to the recorded %s:\n%s",
+					seed, r.mode, r.maxSteps, seed%2 == 0, want[seed][i], got)
+			}
+			if diverged {
+				if divergences++; divergences >= 10 {
+					t.Fatalf("stopping after %d divergences", divergences)
 				}
 			}
 		}
+	}
+	if *update {
+		writeBelt(t, rows)
 	}
 	if code.Size() == 0 {
 		t.Fatal("compiled-code cache is empty: the fast path never engaged")
@@ -226,4 +322,70 @@ func TestDiffEqualVerdicts(t *testing.T) {
 			t.Fatalf("seed %d: Equal verdict false: tree=%s vm=%s", seed, treeRes.Ret, vmRes.Ret)
 		}
 	}
+}
+
+// outcomeGolden is a file of recorded full outcome strings under
+// testdata/golden: each record is a "=== <key>" line followed by the
+// outcome text. check compares against the record; under -update the
+// file is rewritten from the outcomes checked, in check order, when the
+// test finishes.
+type outcomeGolden struct {
+	path string
+	want map[string]string
+	keys []string
+	got  map[string]string
+}
+
+func loadOutcomes(t *testing.T, name string) *outcomeGolden {
+	t.Helper()
+	g := &outcomeGolden{path: filepath.Join("testdata", "golden", name), want: map[string]string{}, got: map[string]string{}}
+	if *update {
+		t.Cleanup(func() {
+			var sb strings.Builder
+			for _, k := range g.keys {
+				fmt.Fprintf(&sb, "=== %s\n%s", k, g.got[k])
+			}
+			writeGolden(t, g.path, sb.String())
+		})
+		return g
+	}
+	data, err := os.ReadFile(g.path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -update)", err)
+	}
+	key := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if k, ok := strings.CutPrefix(line, "=== "); ok {
+			key = strings.TrimSuffix(k, "\n")
+			g.want[key] = ""
+			continue
+		}
+		g.want[key] += line
+	}
+	return g
+}
+
+func (g *outcomeGolden) check(t *testing.T, key, got string) {
+	t.Helper()
+	if _, dup := g.got[key]; dup {
+		t.Fatalf("duplicate outcome key %q", key)
+	}
+	g.keys = append(g.keys, key)
+	g.got[key] = got
+	if *update {
+		return
+	}
+	want, ok := g.want[key]
+	if !ok {
+		t.Errorf("%s: no recorded outcome for %q (regenerate with go test -update)", g.path, key)
+	} else if got != want {
+		t.Errorf("%s: outcome differs from the record:\n--- recorded ---\n%s--- got ---\n%s", key, want, got)
+	}
+}
+
+func modeName(m interp.Mode) string {
+	if m == interp.FPGA {
+		return "FPGA"
+	}
+	return "CPU"
 }

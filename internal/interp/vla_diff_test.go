@@ -11,9 +11,11 @@ import (
 // tree walker on the edge cases the generated belt rarely reaches: every
 // case runs on both paths in CPU and FPGA mode, and the outcomes —
 // return bits, steps, cost, output, coverage, profiles, error text and
-// position — must be identical. fallback marks the declarations the
-// compiler must leave to the tree walker.
+// position — must be identical and match the tree walker's outcome
+// recorded in testdata/golden/vla.txt. fallback marks the declarations
+// the compiler must leave to the tree walker.
 func TestDiffVLAAgainstTree(t *testing.T) {
+	golden := loadOutcomes(t, "vla.txt")
 	cases := []struct {
 		name     string
 		src      string
@@ -144,6 +146,7 @@ int f(int n) {
 				if want != got {
 					t.Errorf("mode=%v diverged:\n--- tree ---\n%s--- compiled ---\n%s", mode, want, got)
 				}
+				golden.check(t, c.name+"/"+modeName(mode), want)
 			}
 			if fell := code.Fallbacks() > 0; fell != c.fallback {
 				t.Errorf("fallbacks = %d, want fallback %v", code.Fallbacks(), c.fallback)
