@@ -25,7 +25,7 @@ func (in *Interp) evalCall(c *cast.Call) Value {
 			if fr.receiver != nil && fr.recvType != nil {
 				if ms, ok := in.methods[fr.recvType.Tag]; ok {
 					if m, ok := ms[fun.Name]; ok {
-						return in.callMethod(m, *fr.receiver, fr.recvType, c.Args, c.P)
+						return in.walkMethod(m, *fr.receiver, fr.recvType, c.Args, c.P)
 					}
 				}
 			}
@@ -110,7 +110,7 @@ func (in *Interp) evalMethodCall(m *cast.Member, c *cast.Call) Value {
 	if !ok {
 		in.fail(c.P, "struct %s has no method %q", stct.Tag, m.Field)
 	}
-	return in.callMethod(fn, recvLV, stct, c.Args, c.P)
+	return in.walkMethod(fn, recvLV, stct, c.Args, c.P)
 }
 
 // tryMemberBase resolves the receiver expression of a method call to

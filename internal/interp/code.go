@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"fmt"
 	"sync"
 
 	"github.com/hetero/heterogen/internal/cast"
+	"github.com/hetero/heterogen/internal/ctypes"
 )
 
 // This file holds the compiled-code runtime: the direct-threaded
@@ -47,9 +49,11 @@ type compiledFunc struct {
 	// partitionsShared and copies on the first runtime pragma write.
 	parts    map[string]int
 	dataflow bool
-	// fallback marks a function the compiler could not reproduce
-	// exactly; callers run the tree walker instead.
-	fallback bool
+	// frameName is the running frame's name: the function's, or
+	// Tag::name for a method body.
+	frameName string
+	// err is a compile failure, raised when the function is called.
+	err *RuntimeError
 }
 
 // run executes the body like callFunction's execBlock(fn.Body) — the
@@ -191,14 +195,23 @@ const codebaseCap = 4096
 // recompilation.
 const codebasePtrCap = 128
 
+// codeID is the pointer-cache key: a function compiled as a method
+// resolves receiver fields at compile time, so it is compiled once per
+// receiver struct (recv is nil for a plain call).
+type codeID struct {
+	fn   *cast.FuncDecl
+	recv *ctypes.Struct
+}
+
 // Codebase caches compiled functions, keyed twice: by declaration
 // identity (the fast hit for structure-sharing candidates, which keep
 // unedited *cast.FuncDecl pointers and for repeated runs of one
 // candidate), and — when the caller supplies a content key via
-// Options.CodeKey — by (unit content key, function name), so a
-// candidate regenerated with identical content in a later search
+// Options.CodeKey — by (unit content key, struct tag, function name), so
+// a candidate regenerated with identical content in a later search
 // iteration, a fresh pointer every time, reuses the compiled body
-// instead of recompiling it.
+// instead of recompiling it. It also caches each unit's compiled global
+// initializers, which Reset replays.
 //
 // The CodeKey contract: two units presenting the same key must be
 // interchangeable per declaration — equal canonical text, equal token
@@ -216,35 +229,42 @@ const codebasePtrCap = 128
 // equivalent code, and the last write wins harmlessly).
 type Codebase struct {
 	mu      sync.Mutex
-	m       map[*cast.FuncDecl]*compiledFunc
+	m       map[codeID]*compiledFunc
 	content map[string]*compiledFunc
-	reuses  int
+	units   map[*cast.Unit]*unitCode
 }
 
 // NewCodebase creates an empty compiled-code cache, shareable across
 // interpreters, goroutines, and execution modes.
 func NewCodebase() *Codebase {
 	return &Codebase{
-		m:       map[*cast.FuncDecl]*compiledFunc{},
+		m:       map[codeID]*compiledFunc{},
 		content: map[string]*compiledFunc{},
+		units:   map[*cast.Unit]*unitCode{},
 	}
 }
 
 // contentKey builds the content-cache key for fn inside a unit whose
-// caller-supplied key is codeKey. The function name disambiguates
-// declarations within the unit; the body marker separates a prototype
-// from its definition (same name, different compiled form).
-func contentKey(codeKey string, fn *cast.FuncDecl) string {
+// caller-supplied key is codeKey. The struct tag separates a method from
+// a same-named function, the function name disambiguates declarations
+// within the unit, and the body marker separates a prototype from its
+// definition (same name, different compiled form).
+func contentKey(codeKey string, id codeID) string {
 	body := "p"
-	if fn.Body != nil {
+	if id.fn.Body != nil {
 		body = "d"
 	}
-	return codeKey + "\x00" + fn.Name + "\x00" + body
+	tag := ""
+	if id.recv != nil {
+		tag = id.recv.Tag
+	}
+	return codeKey + "\x00" + tag + "\x00" + id.fn.Name + "\x00" + body
 }
 
-func (cb *Codebase) get(u *cast.Unit, fn *cast.FuncDecl, codeKey string) *compiledFunc {
+func (cb *Codebase) get(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct, codeKey string) *compiledFunc {
+	id := codeID{fn, recv}
 	cb.mu.Lock()
-	if cf, ok := cb.m[fn]; ok {
+	if cf, ok := cb.m[id]; ok {
 		cb.mu.Unlock()
 		return cf
 	}
@@ -252,26 +272,25 @@ func (cb *Codebase) get(u *cast.Unit, fn *cast.FuncDecl, codeKey string) *compil
 
 	var key string
 	if codeKey != "" {
-		key = contentKey(codeKey, fn)
+		key = contentKey(codeKey, id)
 		cb.mu.Lock()
 		if cf, ok := cb.content[key]; ok {
 			if len(cb.m) >= codebasePtrCap {
-				cb.m = map[*cast.FuncDecl]*compiledFunc{}
+				cb.m = map[codeID]*compiledFunc{}
 			}
-			cb.m[fn] = cf
-			cb.reuses++
+			cb.m[id] = cf
 			cb.mu.Unlock()
 			return cf
 		}
 		cb.mu.Unlock()
 	}
 
-	cf := compileFunc(u, fn)
+	cf := compileFunc(u, fn, recv)
 	cb.mu.Lock()
 	if len(cb.m) >= codebasePtrCap {
-		cb.m = map[*cast.FuncDecl]*compiledFunc{}
+		cb.m = map[codeID]*compiledFunc{}
 	}
-	cb.m[fn] = cf
+	cb.m[id] = cf
 	if key != "" {
 		if len(cb.content) >= codebaseCap {
 			cb.content = map[string]*compiledFunc{}
@@ -282,6 +301,24 @@ func (cb *Codebase) get(u *cast.Unit, fn *cast.FuncDecl, codeKey string) *compil
 	return cf
 }
 
+// unit returns u's compiled global initializers.
+func (cb *Codebase) unit(u *cast.Unit) *unitCode {
+	cb.mu.Lock()
+	uc, ok := cb.units[u]
+	cb.mu.Unlock()
+	if ok {
+		return uc
+	}
+	uc = compileUnit(u)
+	cb.mu.Lock()
+	if len(cb.units) >= codebasePtrCap {
+		cb.units = map[*cast.Unit]*unitCode{}
+	}
+	cb.units[u] = uc
+	cb.mu.Unlock()
+	return uc
+}
+
 // Size reports the number of cached compiled functions (for tests and
 // observability).
 func (cb *Codebase) Size() int {
@@ -290,25 +327,55 @@ func (cb *Codebase) Size() int {
 	return len(cb.m)
 }
 
-// Reuses reports how many pointer-cache misses were served by the
-// content cache instead of a fresh compilation (for tests and
-// observability).
-func (cb *Codebase) Reuses() int {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	return cb.reuses
+// unitCode is a unit's compiled global storage, in declaration order:
+// each entry either allocates and initializes one global or installs
+// one struct's method table.
+type unitCode struct {
+	decls []globalDecl
 }
 
-// Fallbacks reports how many cached functions could not be compiled and
-// run on the tree walker instead.
-func (cb *Codebase) Fallbacks() int {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	n := 0
-	for _, cf := range cb.m {
-		if cf.fallback {
-			n++
+type globalDecl struct {
+	name  string
+	alloc func(in *Interp, fr *frame) *binding
+	// tag and methods install a struct's method table.
+	tag     string
+	methods map[string]*cast.FuncDecl
+}
+
+// compileUnit compiles u's global initializers. Each one compiles
+// against the globals and method tables declared before it, exactly
+// what Reset has bound when it runs; a compiler defect faults that
+// global's initialization.
+func compileUnit(u *cast.Unit) *unitCode {
+	c := &compiler{
+		typeEnv: typeEnv{unit: u, methods: map[string]map[string]*cast.FuncDecl{}},
+		globals: map[string]ctypes.Type{},
+	}
+	uc := &unitCode{}
+	for _, d := range u.Decls {
+		switch x := d.(type) {
+		case *cast.VarDecl:
+			uc.decls = append(uc.decls, globalDecl{name: x.Name, alloc: c.globalInit(x)})
+			c.globals[x.Name] = x.Type
+		case *cast.StructDecl:
+			m := methodTable(x)
+			c.methods[x.Type.Tag] = m
+			uc.decls = append(uc.decls, globalDecl{tag: x.Type.Tag, methods: m})
 		}
 	}
-	return n
+	return uc
+}
+
+func (c *compiler) globalInit(d *cast.VarDecl) (alloc func(in *Interp, fr *frame) *binding) {
+	defer func() {
+		if r := recover(); r != nil {
+			err := &RuntimeError{Msg: fmt.Sprintf("internal compiler error in the initializer of %q: %v", d.Name, r), Pos: d.P}
+			alloc = func(in *Interp, fr *frame) *binding { panic(err) }
+		}
+	}()
+	name, t := d.Name, d.Type
+	leafOps, initOp := c.initOps(t, d.Init)
+	return func(in *Interp, fr *frame) *binding {
+		return in.allocate(name, t, leafOps, initOp, fr)
+	}
 }

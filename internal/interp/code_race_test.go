@@ -79,6 +79,6 @@ func TestCodebaseSharedConcurrently(t *testing.T) {
 	if code.Size() == 0 {
 		t.Fatal("shared codebase compiled nothing")
 	}
-	t.Logf("shared codebase: %d compiled functions (%d fallbacks) across %d jobs x %d goroutines",
-		code.Size(), code.Fallbacks(), len(jobs), goroutines)
+	t.Logf("shared codebase: %d compiled functions across %d jobs x %d goroutines",
+		code.Size(), len(jobs), goroutines)
 }

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/ctypes"
@@ -12,91 +14,217 @@ import (
 // expression types, strides, builtin dispatch, branch IDs, pragma
 // directives — is resolved here once; everything that can differ at run
 // time (values, modes, partition maps, callee declarations under
-// structure-sharing units) stays a run-time read. When a construct
-// cannot be reproduced exactly, compilation bails out (panic recovered
-// in compileFunc) and the whole function falls back to the tree.
+// structure-sharing units, the concretized lengths of variable-length
+// arrays, whether a conditionally declared name is bound yet) stays a
+// run-time read. A compiler defect is recovered in compileFunc and
+// raised as a RuntimeError when the function is called.
 
-// fallbackError is the sentinel the compiler panics with to bail out.
-type fallbackError struct{ why string }
+// refKind classifies a compile-time name resolution.
+type refKind int
 
-func bail(why string) { panic(&fallbackError{why: why}) }
+const (
+	refUndef  refKind = iota // unbound: using the name is a runtime error
+	refSlot                  // a local in the frame's slot array
+	refField                 // a field of the method receiver
+	refGlobal                // a global (or nothing, if Reset has not bound it)
+)
 
-// ctSlot is a compile-time name binding: the frame slot plus the
-// declared type (what frame.lookup(...).typ would report) and whether
-// the binding is array storage (isLV == false at run time). A
-// variable-length array (vla) is bound at run time with its
-// concretized type, so typ keeps the unknown outer length and anything
-// that reads the length must read the binding instead.
-type ctSlot struct {
-	slot    int
+// nameRef is an identifier's compile-time resolution, in the walker's
+// lookup order: frame scopes, then receiver fields, then globals. typ is
+// the declared type the walker's typeOfExpr would report. A local
+// declared in a conditional non-block position (if branch, loop body,
+// switch arm) is bound only once its declaration has run, so its slot
+// may be empty; outer is then the resolution the name had before the
+// declaration.
+type nameRef struct {
+	kind    refKind
+	name    string
 	typ     ctypes.Type
-	isArray bool
-	vla     bool
+	slot    int
+	isArray bool // a slot bound to array storage (binding.isLV false)
+	field   int
+	outer   *nameRef
+}
+
+// bind resolves r in the running frame like the walker's lvalueOf: the
+// location, the binding (nil for a receiver field), and whether the name
+// is bound at all.
+func (r *nameRef) bind(in *Interp, fr *frame) (lvalue, *binding, bool) {
+	switch r.kind {
+	case refSlot:
+		if b := fr.slots[r.slot]; b != nil {
+			return b.lv, b, true
+		}
+		if r.outer != nil {
+			return r.outer.bind(in, fr)
+		}
+	case refField:
+		return fr.receiver.field(r.field, r.typ), nil, true
+	case refGlobal:
+		if b, ok := in.globals[r.name]; ok {
+			return b.lv, b, true
+		}
+	}
+	return lvalue{}, nil, false
+}
+
+// typeAt is the walker's typeOfExpr for the name in the running frame.
+func (r *nameRef) typeAt(in *Interp, fr *frame) ctypes.Type {
+	switch r.kind {
+	case refSlot:
+		if b := fr.slots[r.slot]; b != nil {
+			return b.typ
+		}
+		if r.outer != nil {
+			return r.outer.typeAt(in, fr)
+		}
+	case refField:
+		return r.typ
+	case refGlobal:
+		if b, ok := in.globals[r.name]; ok {
+			return b.typ
+		}
+	}
+	return nil
+}
+
+// ambiguous reports whether r's type depends on which of its
+// alternatives is bound at run time.
+func (r *nameRef) ambiguous() bool {
+	for o := r.outer; o != nil; o = o.outer {
+		if !sameType(r.typ, o.typ) {
+			return true
+		}
+	}
+	return false
+}
+
+func sameType(a, b ctypes.Type) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Equal(b)
+}
+
+// ctScope is one compile-time lexical scope, mirroring one scope map of
+// the walker. conds lists the slots of conditional declarations made in
+// it: the walker starts every execution of the scope with a fresh map,
+// so those slots are emptied when the scope is entered.
+type ctScope struct {
+	names map[string]*nameRef
+	conds []int
 }
 
 type compiler struct {
-	unit   *cast.Unit
-	fn     *cast.FuncDecl
-	scopes []map[string]ctSlot
-	nslots int
+	typeEnv
+	fn *cast.FuncDecl
+	// recv is the receiver struct of a method body, nil otherwise.
+	recv *ctypes.Struct
+	// frameName is the walker's frame.fn: the function name, or
+	// Tag::name for a method (it keys profiles and statics).
+	frameName string
+	scopes    []*ctScope
+	nslots    int
+	nconds    int
 	// globals maps name -> declared type with Reset's last-wins
 	// semantics (the runtime map is overwritten in declaration order).
 	globals map[string]ctypes.Type
+}
+
+// typeEnv is the unit-level context of static typing.
+type typeEnv struct {
+	unit    *cast.Unit
 	methods map[string]map[string]*cast.FuncDecl
 }
 
-func newCompiler(u *cast.Unit, fn *cast.FuncDecl) *compiler {
+// methodTable is the per-tag method map Reset installs for a struct.
+func methodTable(sd *cast.StructDecl) map[string]*cast.FuncDecl {
+	m := map[string]*cast.FuncDecl{}
+	for _, fn := range sd.Methods {
+		m[fn.Name] = fn
+	}
+	return m
+}
+
+func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler {
 	c := &compiler{
-		unit:    u,
+		typeEnv: typeEnv{unit: u, methods: map[string]map[string]*cast.FuncDecl{}},
 		fn:      fn,
+		recv:    recv,
 		globals: map[string]ctypes.Type{},
-		methods: map[string]map[string]*cast.FuncDecl{},
+	}
+	c.frameName = fn.Name
+	if recv != nil {
+		c.frameName = recv.Tag + "::" + fn.Name
 	}
 	for _, d := range u.Decls {
 		switch x := d.(type) {
 		case *cast.VarDecl:
 			c.globals[x.Name] = x.Type
 		case *cast.StructDecl:
-			m := map[string]*cast.FuncDecl{}
-			for _, fn := range x.Methods {
-				m[fn.Name] = fn
-			}
-			c.methods[x.Type.Tag] = m
+			c.methods[x.Type.Tag] = methodTable(x)
 		}
 	}
 	return c
 }
 
-func (c *compiler) pushScope() { c.scopes = append(c.scopes, map[string]ctSlot{}) }
-func (c *compiler) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *compiler) pushScope() {
+	c.scopes = append(c.scopes, &ctScope{names: map[string]*nameRef{}})
+}
+
+// popScope closes the innermost scope and returns its conditional slots.
+func (c *compiler) popScope() []int {
+	s := c.scopes[len(c.scopes)-1]
+	c.scopes = c.scopes[:len(c.scopes)-1]
+	return s.conds
+}
 
 // declare allocates a fresh slot for a name in the current scope (a
 // redeclaration shadows, exactly like frame.define overwriting the
-// scope map entry).
-func (c *compiler) declare(name string, t ctypes.Type, isArray bool) int {
+// scope map entry). cond marks a declaration in a conditional non-block
+// position.
+func (c *compiler) declare(name string, t ctypes.Type, isArray, cond bool) int {
 	s := c.nslots
 	c.nslots++
-	c.scopes[len(c.scopes)-1][name] = ctSlot{slot: s, typ: t, isArray: isArray}
+	r := &nameRef{kind: refSlot, name: name, typ: t, slot: s, isArray: isArray}
+	scope := c.scopes[len(c.scopes)-1]
+	if cond {
+		r.outer = c.resolve(name)
+		scope.conds = append(scope.conds, s)
+		c.nconds++
+	}
+	scope.names[name] = r
 	return s
 }
 
-// declareVLA is declare for a variable-length array.
-func (c *compiler) declareVLA(name string, t ctypes.Type) int {
-	s := c.declare(name, t, true)
-	c.scopes[len(c.scopes)-1][name] = ctSlot{slot: s, typ: t, isArray: true, vla: true}
-	return s
+// resolve resolves a name at the current compile position.
+func (c *compiler) resolve(name string) *nameRef {
+	for i := len(c.scopes) - 1; i >= 0; i-- {
+		if r, ok := c.scopes[i].names[name]; ok {
+			return r
+		}
+	}
+	if c.recv != nil {
+		if i := c.recv.FieldIndex(name); i >= 0 {
+			return &nameRef{kind: refField, name: name, typ: c.recv.Fields[i].Type, field: i}
+		}
+	}
+	if t, ok := c.globals[name]; ok {
+		return &nameRef{kind: refGlobal, name: name, typ: t}
+	}
+	return &nameRef{kind: refUndef, name: name}
 }
 
-// touchesVLA reports whether e names a variable-length array in scope:
-// its static type then carries an unknown length the tree walker sees
-// concretized.
-func (c *compiler) touchesVLA(e cast.Expr) bool {
+// ambiguous reports whether e's type depends on which declaration of a
+// conditionally declared name is bound at run time.
+func (c *compiler) ambiguous(e cast.Expr) bool {
+	if c.nconds == 0 {
+		return false
+	}
 	found := false
 	cast.Inspect(e, func(n cast.Node) bool {
-		if id, ok := n.(*cast.Ident); ok {
-			if s, ok := c.lookup(id.Name); ok && s.vla {
-				found = true
-			}
+		if id, ok := n.(*cast.Ident); ok && c.resolve(id.Name).ambiguous() {
+			found = true
 		}
 		return !found
 	})
@@ -110,37 +238,29 @@ func unsized(t ctypes.Type) bool {
 	return ok && (a.Len < 0 || unsized(a.Elem))
 }
 
-// lookup resolves a name against the compile-time scope chain.
-func (c *compiler) lookup(name string) (ctSlot, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s, true
-		}
-	}
-	return ctSlot{}, false
-}
-
-// compileFunc compiles fn against unit u; any bail-out (or compiler
-// defect) recovers into a fallback marker and the tree walker runs the
-// function instead.
-func compileFunc(u *cast.Unit, fn *cast.FuncDecl) (cf *compiledFunc) {
+// compileFunc compiles fn against unit u, as a method of recv when recv
+// is non-nil. A compiler defect (any panic) is recovered into err, which
+// the interpreter raises when the function is called.
+func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *compiledFunc) {
 	cf = &compiledFunc{fn: fn}
 	defer func() {
 		if r := recover(); r != nil {
-			*cf = compiledFunc{fn: fn, fallback: true}
+			*cf = compiledFunc{fn: fn, err: &RuntimeError{
+				Msg: fmt.Sprintf("internal compiler error in %q: %v", fn.Name, r), Pos: fn.P}}
 		}
 	}()
 	if fn.Body == nil {
-		cf.fallback = true
+		cf.err = &RuntimeError{Msg: fmt.Sprintf("call to undefined function %q", fn.Name), Pos: fn.P}
 		return
 	}
-	c := newCompiler(u, fn)
+	c := newCompiler(u, fn, recv)
+	cf.frameName = c.frameName
 	c.pushScope() // the frame's parameter scope (newFrame's initial scope)
 	cf.paramSlots = make([]int, len(fn.Params))
 	for i, prm := range fn.Params {
 		// Parameters always bind as scalar lvalues (arrays decay to
 		// pointers in bindParams), so isArray is false.
-		cf.paramSlots[i] = c.declare(prm.Name, prm.Type, false)
+		cf.paramSlots[i] = c.declare(prm.Name, prm.Type, false, false)
 	}
 	c.pushScope() // execBlock's scope for the body
 	for _, s := range fn.Body.Stmts {
@@ -171,16 +291,19 @@ func (c *compiler) stmt(s cast.Stmt) execOp {
 			return ctlNone
 		}
 	case *cast.DeclStmt:
-		return c.declStmt(x)
+		return c.declStmt(x, false)
 	case *cast.Block:
 		c.pushScope()
 		ops := make([]execOp, 0, len(x.Stmts))
 		for _, sub := range x.Stmts {
 			ops = append(ops, c.stmt(sub))
 		}
-		c.popScope()
+		conds := c.popScope()
 		return func(in *Interp, fr *frame) control {
 			in.step(pos)
+			for _, s := range conds {
+				fr.slots[s] = nil
+			}
 			for _, op := range ops {
 				if ctl := op(in, fr); ctl != ctlNone || fr.returned {
 					return ctl
@@ -254,13 +377,12 @@ func (c *compiler) stmt(s cast.Stmt) execOp {
 }
 
 // condStmt compiles a statement in a conditionally-executed non-block
-// position (if branch, loop body, switch arm). A declaration here would
-// define its name in the enclosing runtime scope only on the paths that
-// execute it — static slot resolution cannot express that, so the
-// function falls back.
+// position (if branch, loop body, switch arm). A declaration here
+// defines its name in the enclosing runtime scope only on the paths that
+// execute it.
 func (c *compiler) condStmt(s cast.Stmt) execOp {
-	if _, ok := s.(*cast.DeclStmt); ok {
-		bail("declaration in conditional non-block position")
+	if d, ok := s.(*cast.DeclStmt); ok {
+		return c.declStmt(d, true)
 	}
 	return c.stmt(s)
 }
@@ -304,10 +426,13 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 		postOp = c.eval(f.Post)
 	}
 	body := c.condStmt(f.Body)
-	c.popScope()
+	conds := c.popScope()
 	ls := newLoopScale(f.Pragmas, f.Body)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
+		for _, s := range conds {
+			fr.slots[s] = nil
+		}
 		if initOp != nil {
 			initOp(in, fr)
 		}
@@ -395,7 +520,7 @@ func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 			caseVals[i] = c.eval(cs.Value)
 		}
 		// Case bodies run in the switch's enclosing scope with
-		// fall-through: declarations are conditional, so they bail.
+		// fall-through: every declaration in them is conditional.
 		for _, s := range cs.Body {
 			bodies[i] = append(bodies[i], c.condStmt(s))
 		}
@@ -442,28 +567,26 @@ func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 // ---------------------------------------------------------------------------
 // Declarations
 
-func (c *compiler) declStmt(d *cast.DeclStmt) execOp {
-	if d.Static {
-		// Statics resolve their one-shot initializer through the scope
-		// maps (makeStorage runs under the tree evaluator); keeping that
-		// path exact in slot frames is not worth the rarity.
-		bail("static local declaration")
-	}
-	if len(d.VLADims) > 0 {
-		return c.vlaDecl(d)
-	}
+// declStmt compiles execDecl. Initializers and VLA dimensions compile
+// before the name is declared: they evaluate in the scope state before
+// the walker's frame.define. cond marks a declaration in a conditional
+// non-block position.
+func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 	pos := d.Pos()
 	name, t := d.Name, d.Type
 	rt := ctypes.Resolve(t)
-	if arr, ok := rt.(ctypes.Array); ok {
-		op := c.arrayDecl(pos, name, t, arr, d.Init)
-		return op
+	arr, isArray := rt.(ctypes.Array)
+	switch {
+	case d.Static:
+		return c.staticDecl(d, cond)
+	case len(d.VLADims) > 0:
+		return c.vlaDecl(d, cond)
+	case isArray:
+		return c.arrayDecl(pos, name, t, arr, d.Init, cond)
 	}
-	// Scalar (or struct/stream) declaration. Compile the initializer
-	// first: it evaluates in the scope state before the name is defined
-	// (makeStorage runs before frame.define).
+	// Scalar (or struct/stream) declaration.
 	initOp := c.initOp(d.Init, rt)
-	slot := c.declare(name, t, false)
+	slot := c.declare(name, t, false, cond)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
 		obj := &Object{Name: name, Elem: rt, Elems: []Value{ZeroValue(rt)}}
@@ -483,25 +606,20 @@ func (c *compiler) declStmt(d *cast.DeclStmt) execOp {
 	}
 }
 
-// arrayDecl compiles an array declaration: storage allocation plus the
-// flattened initializer-list fill. Leaves beyond the array's capacity
-// are never evaluated by fillArray, so they are truncated statically.
-func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr ctypes.Array, init cast.Expr) execOp {
+// arrayDecl compiles an array declaration of static size: storage
+// allocation plus the flattened initializer-list fill.
+func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr ctypes.Array, init cast.Expr, cond bool) execOp {
+	leafOps := c.initLeaves(init)
+	slot := c.declare(name, t, true, cond)
 	if arr.Len < 0 {
 		// The walker fails at allocation time with a zero position.
-		slotless := func(in *Interp, fr *frame) control {
+		return func(in *Interp, fr *frame) control {
 			in.step(pos)
 			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
 			return ctlNone
 		}
-		// The declaration never completes, but keep scope state coherent
-		// for any (unreachable) later lookups.
-		c.declare(name, t, true)
-		return slotless
 	}
 	total, elem := flattenArray(arr)
-	leafOps := c.initLeaves(init)
-	slot := c.declare(name, t, true)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
 		fr.slots[slot] = &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
@@ -510,9 +628,117 @@ func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr cty
 	}
 }
 
+// staticDecl compiles a static local: one storage per frame name and
+// variable name, allocated and initialized by the first execution and
+// rebound by every later one (Reset clears it with the globals).
+func (c *compiler) staticDecl(d *cast.DeclStmt, cond bool) execOp {
+	pos, name, t := d.Pos(), d.Name, d.Type
+	leafOps, initOp := c.initOps(t, d.Init)
+	_, isArray := ctypes.Resolve(t).(ctypes.Array)
+	key := c.frameName + ".static." + name
+	slot := c.declare(name, t, isArray, cond)
+	return func(in *Interp, fr *frame) control {
+		in.step(pos)
+		b, ok := in.globals[key]
+		if !ok {
+			b = in.allocate(name, t, leafOps, initOp, fr)
+			in.globals[key] = b
+		}
+		fr.slots[slot] = b
+		return ctlNone
+	}
+}
+
+// vlaDecl compiles a variable-length array declaration. CPU mode
+// evaluates the runtime dimensions and binds the storage with the
+// concretized type, which later strides and sizeofs read back; FPGA
+// mode skips concretization, so an unknown outer length faults at
+// allocation.
+func (c *compiler) vlaDecl(d *cast.DeclStmt, cond bool) execOp {
+	pos, p, name, t := d.Pos(), d.P, d.Name, d.Type
+	dimOps := make([]evalOp, len(d.VLADims))
+	for i, e := range d.VLADims {
+		dimOps[i] = c.eval(e)
+	}
+	leafOps, initOp := c.initOps(t, d.Init)
+	_, isArray := ctypes.Resolve(t).(ctypes.Array)
+	slot := c.declare(name, t, isArray, cond)
+	return func(in *Interp, fr *frame) control {
+		in.step(pos)
+		typ := t
+		if in.opts.Mode == CPU {
+			typ = in.concretize(t, dimOps, p, name, fr)
+		}
+		b := in.allocate(name, typ, leafOps, initOp, fr)
+		fr.slots[slot] = b
+		if in.opts.Profile && b.isLV {
+			if v := b.lv.load(); v.Kind == VInt {
+				in.noteProfile(fr.fn, name, v.Int)
+			}
+		}
+		in.addCost(costStore)
+		return ctlNone
+	}
+}
+
+// concretize fills a VLA type's unknown dimensions, outer first, with
+// the values of its dimension expressions.
+func (in *Interp) concretize(t ctypes.Type, dimOps []evalOp, p ctoken.Pos, name string, fr *frame) ctypes.Type {
+	dims := make([]int, len(dimOps))
+	for i, op := range dimOps {
+		n := op(in, fr).AsInt()
+		if n < 0 || n > 1<<22 {
+			in.fail(p, "invalid VLA dimension %d for %q", n, name)
+		}
+		dims[i] = int(n)
+	}
+	var fill func(t ctypes.Type) ctypes.Type
+	fill = func(t ctypes.Type) ctypes.Type {
+		a, ok := t.(ctypes.Array)
+		if !ok {
+			return t
+		}
+		if a.Len < 0 && len(dims) > 0 {
+			a.Len, dims = dims[0], dims[1:]
+		}
+		return ctypes.Array{Elem: fill(a.Elem), Len: a.Len}
+	}
+	return fill(t)
+}
+
+// allocate creates the storage of a declaration of type t and runs its
+// compiled initializer: an array zero-fills and takes the
+// initializer-list leaves (an unknown length faults), anything else
+// stores the initializer's value.
+func (in *Interp) allocate(name string, t ctypes.Type, leafOps []evalOp, initOp evalOp, fr *frame) *binding {
+	rt := ctypes.Resolve(t)
+	if arr, ok := rt.(ctypes.Array); ok {
+		if arr.Len < 0 {
+			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
+		}
+		total, elem := flattenArray(arr)
+		return &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
+	}
+	obj := &Object{Name: name, Elem: rt, Elems: []Value{ZeroValue(rt)}}
+	b := &binding{lv: lvalue{obj: obj, declared: rt}, typ: t, isLV: true}
+	if initOp != nil {
+		b.lv.store(in.coerce(initOp(in, fr), rt).DeepCopy())
+	}
+	return b
+}
+
+// initOps compiles a declaration's initializer for allocate.
+func (c *compiler) initOps(t ctypes.Type, init cast.Expr) ([]evalOp, evalOp) {
+	rt := ctypes.Resolve(t)
+	if _, ok := rt.(ctypes.Array); ok {
+		return c.initLeaves(init), nil
+	}
+	return nil, c.initOp(init, rt)
+}
+
 // initLeaves compiles the flattened leaves of an array initializer
-// list. A non-InitList initializer on an array declaration is ignored
-// by makeStorage (never evaluated), so nothing is compiled for it.
+// list. A non-InitList initializer on an array declaration is never
+// evaluated, so nothing is compiled for it.
 func (c *compiler) initLeaves(init cast.Expr) []evalOp {
 	il, ok := init.(*cast.InitList)
 	if !ok {
@@ -535,9 +761,9 @@ func (c *compiler) initLeaves(init cast.Expr) []evalOp {
 	return leafOps
 }
 
-// newArray is makeStorage's array allocation: zero-filled storage of
-// total elements, then the initializer leaves in order (fillArray never
-// evaluates leaves beyond the array's capacity).
+// newArray allocates zero-filled storage of total elements, then runs
+// the initializer leaves in order (leaves beyond the array's capacity
+// are never evaluated).
 func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []evalOp, fr *frame) *Object {
 	obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
 	zero := ZeroValue(elem)
@@ -553,42 +779,8 @@ func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []e
 	return obj
 }
 
-// vlaDecl compiles a variable-length array declaration whose outermost
-// dimension is its only runtime one, mirroring execDecl: CPU mode
-// evaluates the dimension before the name is declared (concretizeVLA)
-// and binds the storage with the concretized type; FPGA mode skips
-// concretization, so makeStorage fails on the unknown size. A dynamic
-// inner dimension would make strides run-time values: it falls back.
-func (c *compiler) vlaDecl(d *cast.DeclStmt) execOp {
-	arr, ok := d.Type.(ctypes.Array)
-	if !ok || arr.Len >= 0 || len(d.VLADims) != 1 || unsized(arr.Elem) {
-		bail("variable-length array with a runtime inner dimension")
-	}
-	pos, p, name, row := d.Pos(), d.P, d.Name, arr.Elem
-	dimOp := c.eval(d.VLADims[0])
-	rowLen, elem := flattenArray(ctypes.Array{Elem: row, Len: 1})
-	leafOps := c.initLeaves(d.Init)
-	slot := c.declareVLA(name, d.Type)
-	return func(in *Interp, fr *frame) control {
-		in.step(pos)
-		if in.opts.Mode != CPU {
-			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
-		}
-		n := dimOp(in, fr).AsInt()
-		if n < 0 || n > 1<<22 {
-			in.fail(p, "invalid VLA dimension %d for %q", n, name)
-		}
-		obj := in.newArray(name, elem, int(n)*rowLen, leafOps, fr)
-		fr.slots[slot] = &binding{typ: ctypes.Array{Elem: row, Len: int(n)}, obj: obj}
-		in.addCost(costStore)
-		return ctlNone
-	}
-}
-
 // initOp compiles evalInit: a struct initializer list constructs the
-// struct value field by field (constructor dispatch falls back — it
-// routes through callMethod, which is a tree-walker path); anything
-// else is a plain evaluation.
+// struct value; anything else is a plain evaluation.
 func (c *compiler) initOp(init cast.Expr, rt ctypes.Type) evalOp {
 	if init == nil {
 		return nil
@@ -601,27 +793,32 @@ func (c *compiler) initOp(init cast.Expr, rt ctypes.Type) evalOp {
 	return c.eval(init)
 }
 
-// structInit compiles structFromInitList for the no-constructor case.
+// structInit compiles structFromInitList: when the struct has a
+// constructor taking as many parameters as the list has elements, the
+// elements are its arguments and it runs on a temporary; otherwise they
+// initialize the fields in order (elements beyond the field count are
+// never evaluated). The constructor is looked up at run time, in the
+// method tables Reset has installed so far.
 func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
-	if ms, ok := c.methods[st.Tag]; ok {
-		if ctor, ok := ms[st.Tag]; ok && len(ctor.Params) == len(il.Elems) {
-			bail("struct constructor call")
-		}
+	elemOps := make([]evalOp, len(il.Elems))
+	for i, e := range il.Elems {
+		elemOps[i] = c.eval(e)
 	}
 	n := len(il.Elems)
 	if n > len(st.Fields) {
 		n = len(st.Fields)
 	}
-	fieldOps := make([]evalOp, n)
-	for i := 0; i < n; i++ {
-		fieldOps[i] = c.eval(il.Elems[i])
-	}
-	// Trailing elements beyond the field count are never evaluated
-	// (structFromInitList breaks out of the loop first).
+	p := il.P
 	return func(in *Interp, fr *frame) Value {
 		v := ZeroValue(st)
-		for i, fop := range fieldOps {
-			v.Fields[i] = in.coerce(fop(in, fr), st.Fields[i].Type).DeepCopy()
+		if ctor, ok := in.methods[st.Tag][st.Tag]; ok && len(ctor.Params) == len(elemOps) {
+			obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{v}}
+			args := in.evalArgs(elemOps, ctor.Params, fr)
+			in.callMethod(ctor, lvalue{obj: obj, declared: st}, st, args, p)
+			return obj.Elems[0]
+		}
+		for i := 0; i < n; i++ {
+			v.Fields[i] = in.coerce(elemOps[i](in, fr), st.Fields[i].Type).DeepCopy()
 		}
 		return v
 	}
@@ -630,14 +827,34 @@ func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
 // ---------------------------------------------------------------------------
 // Static expression typing
 
-// ctTypeOf is the compile-time mirror of Interp.typeOfExpr: identical
-// case analysis, with frame lookups replaced by the compiler's scope
-// chain and the globals/methods tables replaced by their compile-time
-// equivalents. Compiled functions never run with a receiver (method
-// invocations via callMethod stay on the tree walker, and plain calls
-// reach a method body with a nil receiver on both paths), so the
-// receiver cases of typeOfExpr are dead here.
+// ctTypeOf is the static type of e: the walker's typeOfExpr with every
+// name typed by its compile-time resolution. It is exact unless e reads
+// a conditionally declared name whose alternatives differ in type
+// (ambiguous), and up to array lengths, which a variable-length array's
+// binding carries only at run time (unsized).
 func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
+	return c.typeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
+}
+
+// typer compiles the walker's typeOfExpr for e as a run-time read: the
+// names in e are resolved now, and typed by whatever they are bound to
+// when the op runs.
+func (c *compiler) typer(e cast.Expr) func(in *Interp, fr *frame) ctypes.Type {
+	refs := map[*cast.Ident]*nameRef{}
+	cast.Inspect(e, func(n cast.Node) bool {
+		if id, ok := n.(*cast.Ident); ok {
+			refs[id] = c.resolve(id.Name)
+		}
+		return true
+	})
+	env := c.typeEnv
+	return func(in *Interp, fr *frame) ctypes.Type {
+		return env.typeOf(e, func(id *cast.Ident) ctypes.Type { return refs[id].typeAt(in, fr) })
+	}
+}
+
+// typeOf mirrors typeOfExpr case by case, typing names with ident.
+func (env typeEnv) typeOf(e cast.Expr, ident func(*cast.Ident) ctypes.Type) ctypes.Type {
 	switch x := e.(type) {
 	case *cast.IntLit:
 		return ctypes.IntT
@@ -648,15 +865,9 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 	case *cast.BoolLit:
 		return ctypes.Bool{}
 	case *cast.Ident:
-		if s, ok := c.lookup(x.Name); ok {
-			return s.typ
-		}
-		if t, ok := c.globals[x.Name]; ok {
-			return t
-		}
-		return nil
+		return ident(x)
 	case *cast.Index:
-		bt := c.ctTypeOf(x.X)
+		bt := env.typeOf(x.X, ident)
 		switch u := ctypes.Resolve(bt).(type) {
 		case ctypes.Array:
 			return u.Elem
@@ -665,7 +876,7 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 		}
 		return nil
 	case *cast.Member:
-		bt := c.ctTypeOf(x.X)
+		bt := env.typeOf(x.X, ident)
 		rt := ctypes.Resolve(bt)
 		if p, ok := rt.(ctypes.Pointer); ok && x.Arrow {
 			rt = ctypes.Resolve(p.Elem)
@@ -679,12 +890,12 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 	case *cast.Unary:
 		switch x.Op {
 		case ctoken.MUL:
-			if p, ok := ctypes.Resolve(c.ctTypeOf(x.X)).(ctypes.Pointer); ok {
+			if p, ok := ctypes.Resolve(env.typeOf(x.X, ident)).(ctypes.Pointer); ok {
 				return p.Elem
 			}
 			return nil
 		case ctoken.AND:
-			bt := c.ctTypeOf(x.X)
+			bt := env.typeOf(x.X, ident)
 			if bt == nil {
 				return nil
 			}
@@ -692,12 +903,12 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 		case ctoken.NOT:
 			return ctypes.IntT
 		}
-		return c.ctTypeOf(x.X)
+		return env.typeOf(x.X, ident)
 	case *cast.Postfix:
-		return c.ctTypeOf(x.X)
+		return env.typeOf(x.X, ident)
 	case *cast.Binary:
-		lt := c.ctTypeOf(x.L)
-		rt := c.ctTypeOf(x.R)
+		lt := env.typeOf(x.L, ident)
+		rt := env.typeOf(x.R, ident)
 		if lt == nil {
 			return rt
 		}
@@ -712,14 +923,14 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 		}
 		return lt
 	case *cast.Assign:
-		return c.ctTypeOf(x.L)
+		return env.typeOf(x.L, ident)
 	case *cast.Cond:
-		return c.ctTypeOf(x.T)
+		return env.typeOf(x.T, ident)
 	case *cast.Cast:
 		return x.To
 	case *cast.Call:
 		if id, ok := x.Fun.(*cast.Ident); ok {
-			if fn := c.unit.Func(id.Name); fn != nil {
+			if fn := env.unit.Func(id.Name); fn != nil {
 				return fn.Ret
 			}
 			switch id.Name {
@@ -733,7 +944,7 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 			}
 		}
 		if m, ok := x.Fun.(*cast.Member); ok {
-			bt := c.ctTypeOf(m.X)
+			bt := env.typeOf(m.X, ident)
 			if st, ok := ctypes.Resolve(bt).(ctypes.Stream); ok {
 				switch m.Field {
 				case "read":
@@ -746,7 +957,7 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 				return ctypes.Void{}
 			}
 			if st, ok := ctypes.Resolve(bt).(*ctypes.Struct); ok {
-				if ms, ok := c.methods[st.Tag]; ok {
+				if ms, ok := env.methods[st.Tag]; ok {
 					if fn, ok := ms[m.Field]; ok {
 						return fn.Ret
 					}

@@ -70,6 +70,18 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 		return c.callEval(x)
 	case *cast.Index:
 		lvO := c.indexLv(x)
+		if c.ambiguous(x) {
+			typeOp := c.typer(x)
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				lv := lvO(in, fr)
+				if _, decay := ctypes.Resolve(typeOp(in, fr)).(ctypes.Array); decay {
+					return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
+				}
+				in.addCost(costLoad)
+				return lv.load()
+			}
+		}
 		decay := false
 		if t := c.ctTypeOf(x); t != nil {
 			_, decay = ctypes.Resolve(t).(ctypes.Array)
@@ -91,24 +103,17 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 		v := IntValue(int64(SizeofBytes(x.T)))
 		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
 	case *cast.SizeofExpr:
-		if id, ok := x.X.(*cast.Ident); ok {
-			if s, ok := c.lookup(id.Name); ok && s.vla {
-				// The walker sizes the binding's concretized type.
-				slot := s.slot
-				return func(in *Interp, fr *frame) Value {
-					in.step(pos)
-					return IntValue(int64(SizeofBytes(fr.slots[slot].typ)))
-				}
+		t := c.ctTypeOf(x.X)
+		if unsized(t) || c.ambiguous(x.X) {
+			// The walker sizes the bound type: a variable-length
+			// array's binding carries its concretized lengths.
+			typeOp := c.typer(x.X)
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				return IntValue(sizeofOrPointer(typeOp(in, fr)))
 			}
 		}
-		n := int64(8)
-		if t := c.ctTypeOf(x.X); t != nil {
-			if unsized(t) && c.touchesVLA(x.X) {
-				bail("sizeof of an expression typed by a variable-length array")
-			}
-			n = int64(SizeofBytes(t))
-		}
-		v := IntValue(n)
+		v := IntValue(sizeofOrPointer(t))
 		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
 	case *cast.InitList:
 		// Expression-position initializer lists assert the node's own
@@ -137,9 +142,11 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 
 func (c *compiler) identEval(x *cast.Ident) evalOp {
 	pos, name := x.P, x.Name
-	if s, ok := c.lookup(name); ok {
-		slot := s.slot
-		if s.isArray {
+	r := c.resolve(name)
+	switch {
+	case r.kind == refSlot && r.outer == nil:
+		slot := r.slot
+		if r.isArray {
 			return func(in *Interp, fr *frame) Value {
 				in.step(pos)
 				return Value{Kind: VPtr, Obj: fr.slots[slot].obj}
@@ -150,22 +157,25 @@ func (c *compiler) identEval(x *cast.Ident) evalOp {
 			in.addCost(costLoad)
 			return fr.slots[slot].lv.load()
 		}
-	}
-	if _, ok := c.globals[name]; ok {
+	case r.kind == refUndef:
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
-			b := in.globals[name]
-			if !b.isLV {
-				return Value{Kind: VPtr, Obj: b.obj}
-			}
-			in.addCost(costLoad)
-			return b.lv.load()
+			in.fail(pos, "undefined identifier %q", name)
+			return Value{}
 		}
 	}
 	return func(in *Interp, fr *frame) Value {
 		in.step(pos)
-		in.fail(pos, "undefined identifier %q", name)
-		return Value{}
+		lv, b, ok := r.bind(in, fr)
+		if !ok {
+			in.fail(pos, "undefined identifier %q", name)
+		}
+		if b != nil && !b.isLV {
+			// Array name decays to a pointer.
+			return Value{Kind: VPtr, Obj: b.obj}
+		}
+		in.addCost(costLoad)
+		return lv.load()
 	}
 }
 
@@ -342,9 +352,10 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 	switch x := e.(type) {
 	case *cast.Ident:
 		pos, name := x.P, x.Name
-		if s, ok := c.lookup(name); ok {
-			slot := s.slot
-			if s.isArray {
+		r := c.resolve(name)
+		if r.kind == refSlot && r.outer == nil {
+			slot := r.slot
+			if r.isArray {
 				return func(in *Interp, fr *frame) lvalue {
 					in.fail(pos, "array %q is not assignable", name)
 					return lvalue{}
@@ -354,18 +365,15 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 				return fr.slots[slot].lv
 			}
 		}
-		if _, ok := c.globals[name]; ok {
-			return func(in *Interp, fr *frame) lvalue {
-				b := in.globals[name]
-				if !b.isLV {
-					in.fail(pos, "array %q is not assignable", name)
-				}
-				return b.lv
-			}
-		}
 		return func(in *Interp, fr *frame) lvalue {
-			in.fail(pos, "undefined identifier %q", name)
-			return lvalue{}
+			lv, b, ok := r.bind(in, fr)
+			if !ok {
+				in.fail(pos, "undefined identifier %q", name)
+			}
+			if b != nil && !b.isLV {
+				in.fail(pos, "array %q is not assignable", name)
+			}
+			return lv
 		}
 	case *cast.Index:
 		return c.indexLv(x)
@@ -397,26 +405,11 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 }
 
 func (c *compiler) indexLv(ix *cast.Index) lvOp {
-	stride := 1
-	if t := c.ctTypeOf(ix.X); t != nil {
-		switch u := ctypes.Resolve(t).(type) {
-		case ctypes.Array:
-			if inner, ok := ctypes.Resolve(u.Elem).(ctypes.Array); ok {
-				n, _ := flattenArray(inner)
-				stride = n
-			}
-		case ctypes.Pointer:
-			if inner, ok := ctypes.Resolve(u.Elem).(ctypes.Array); ok {
-				n, _ := flattenArray(inner)
-				stride = n
-			}
-		}
-	}
 	baseOp := c.eval(ix.X)
 	idxOp := c.eval(ix.Idx)
 	basePos := ix.X.Pos()
 	p := ix.P
-	return func(in *Interp, fr *frame) lvalue {
+	index := func(in *Interp, fr *frame, stride int) lvalue {
 		v := baseOp(in, fr)
 		if v.Kind != VPtr {
 			in.fail(basePos, "indexed expression is not an array or pointer")
@@ -428,6 +421,36 @@ func (c *compiler) indexLv(ix *cast.Index) lvOp {
 		in.checkBounds(pv, p)
 		return lvalue{obj: pv.Obj, off: pv.Off, declared: pv.Obj.Elem}
 	}
+	if stride, sized := strideOf(c.ctTypeOf(ix.X)); sized && !c.ambiguous(ix.X) {
+		return func(in *Interp, fr *frame) lvalue { return index(in, fr, stride) }
+	}
+	// The row length of a runtime-sized inner dimension is read from
+	// the bound type.
+	typeOp := c.typer(ix.X)
+	return func(in *Interp, fr *frame) lvalue {
+		stride, _ := strideOf(typeOp(in, fr))
+		return index(in, fr, stride)
+	}
+}
+
+// strideOf is the flattened element stride of indexing an expression of
+// type t: indexing the outer dimension of int[2][3] moves 3 slots at a
+// time. sized is false when the row has a dimension of unknown length.
+func strideOf(t ctypes.Type) (stride int, sized bool) {
+	var elem ctypes.Type
+	switch u := ctypes.Resolve(t).(type) {
+	case ctypes.Array:
+		elem = u.Elem
+	case ctypes.Pointer:
+		elem = u.Elem
+	default:
+		return 1, true
+	}
+	if inner, ok := ctypes.Resolve(elem).(ctypes.Array); ok {
+		n, _ := flattenArray(inner)
+		return n, !unsized(inner)
+	}
+	return 1, true
 }
 
 func (c *compiler) memberLv(m *cast.Member) lvOp {
@@ -529,48 +552,40 @@ func (c *compiler) callEval(call *cast.Call) evalOp {
 		if op, ok := c.builtin(fun.Name, call); ok {
 			return op
 		}
-		// Compiled code never runs with a receiver (method invocations
-		// route through callMethod on the tree walker, and plain calls
-		// reaching a method body carry a nil receiver on both paths),
-		// so the walker's sibling-method probe is statically dead here.
 		name := fun.Name
 		argOps := make([]evalOp, len(call.Args))
 		for i, a := range call.Args {
 			argOps[i] = c.eval(a)
 		}
+		// A bare call inside a method body first resolves against the
+		// receiver's sibling methods (C++ implicit this).
+		method := c.recv != nil
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
+			if method {
+				if m, ok := in.methods[fr.recvType.Tag][name]; ok {
+					return in.callMethod(m, *fr.receiver, fr.recvType, in.evalArgs(argOps, m.Params, fr), pos)
+				}
+			}
 			fn := in.funcOf(name)
 			if fn == nil {
 				in.fail(pos, "call to undefined function %q", name)
 			}
-			args := make([]Value, len(argOps))
-			for i, aop := range argOps {
-				var pt ctypes.Type
-				if i < len(fn.Params) {
-					pt = fn.Params[i].Type
-				}
-				v := aop(in, fr)
-				if pt != nil {
-					if _, isRef := pt.(ctypes.Ref); isRef {
-						args[i] = v
-						continue
-					}
-				}
-				if v.Kind == VStruct {
-					v = v.DeepCopy()
-				}
-				args[i] = v
-			}
-			return in.callFunction(fn, args, pos)
+			return in.callFunction(fn, in.evalArgs(argOps, fn.Params, fr), pos)
 		}
 	case *cast.Member:
+		if c.ambiguous(fun.X) {
+			field := fun.Field
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				in.fail(pos, "call %q on a name whose conditional declaration changes its type is outside the subset", field)
+				return Value{}
+			}
+		}
 		if st, ok := ctypes.Resolve(c.ctTypeOf(fun.X)).(ctypes.Stream); ok {
 			return c.streamOp(fun, call, st)
 		}
-		// Struct method dispatch routes through callMethod (receiver
-		// frames, constructor temporaries) — tree-walker territory.
-		bail("struct method call")
+		return c.methodCall(fun, call)
 	}
 	ff := call.Fun
 	return func(in *Interp, fr *frame) Value {
@@ -578,6 +593,92 @@ func (c *compiler) callEval(call *cast.Call) evalOp {
 		in.fail(pos, "unsupported call target %T", ff)
 		return Value{}
 	}
+}
+
+// evalArgs evaluates call arguments against the callee's parameters
+// (the walker's evalArg): a reference parameter receives the value
+// itself, anything else a copy of a struct value.
+func (in *Interp) evalArgs(argOps []evalOp, params []cast.Param, fr *frame) []Value {
+	args := make([]Value, len(argOps))
+	for i, aop := range argOps {
+		v := aop(in, fr)
+		if i < len(params) {
+			if _, isRef := params[i].Type.(ctypes.Ref); isRef {
+				args[i] = v
+				continue
+			}
+		}
+		if v.Kind == VStruct {
+			v = v.DeepCopy()
+		}
+		args[i] = v
+	}
+	return args
+}
+
+// methodCall compiles a member-function call. The receiver is a struct
+// temporary built from an initializer list, or the storage the base
+// expression designates; any fault while resolving that storage
+// reports, like any other base, as a call on a non-struct. The method
+// is looked up by the receiver's run-time struct tag.
+func (c *compiler) methodCall(m *cast.Member, call *cast.Call) evalOp {
+	pos, field := call.P, m.Field
+	var recvOp func(in *Interp, fr *frame) (lvalue, *ctypes.Struct)
+	switch x := m.X.(type) {
+	case *cast.InitList:
+		if st, ok := x.Type.(*ctypes.Struct); ok {
+			initOp := c.structInit(st, x)
+			recvOp = func(in *Interp, fr *frame) (lvalue, *ctypes.Struct) {
+				obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{initOp(in, fr)}}
+				return lvalue{obj: obj, declared: st}, st
+			}
+		}
+	case *cast.Ident, *cast.Index, *cast.Member:
+		lvO := c.lv(m.X)
+		recvOp = func(in *Interp, fr *frame) (lvalue, *ctypes.Struct) {
+			lv, ok := in.tryLvalue(lvO, fr)
+			if !ok {
+				return lvalue{}, nil
+			}
+			st, _ := ctypes.Resolve(in.declaredOf(lv)).(*ctypes.Struct)
+			return lv, st
+		}
+	}
+	argOps := make([]evalOp, len(call.Args))
+	for i, a := range call.Args {
+		argOps[i] = c.eval(a)
+	}
+	return func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		var recv lvalue
+		var st *ctypes.Struct
+		if recvOp != nil {
+			recv, st = recvOp(in, fr)
+		}
+		if st == nil {
+			in.fail(pos, "method call %q on non-struct", field)
+		}
+		ms, ok := in.methods[st.Tag]
+		if !ok {
+			in.fail(pos, "struct %s has no methods", st.Tag)
+		}
+		fn, ok := ms[field]
+		if !ok {
+			in.fail(pos, "struct %s has no method %q", st.Tag, field)
+		}
+		return in.callMethod(fn, recv, st, in.evalArgs(argOps, fn.Params, fr), pos)
+	}
+}
+
+// tryLvalue resolves a method receiver's storage, reporting any fault
+// (the walker swallows every panic here) as not ok.
+func (in *Interp) tryLvalue(lvO lvOp, fr *frame) (lv lvalue, ok bool) {
+	defer func() {
+		if recover() != nil {
+			lv, ok = lvalue{}, false
+		}
+	}()
+	return lvO(in, fr), true
 }
 
 func (c *compiler) streamOp(m *cast.Member, call *cast.Call, st ctypes.Stream) evalOp {
@@ -629,9 +730,8 @@ func (c *compiler) streamOp(m *cast.Member, call *cast.Call, st ctypes.Stream) e
 // Builtins
 
 // builtin compiles library calls, mirroring evalBuiltin's evaluation
-// orders, arity checks, and costs exactly. Arity shapes the walker
-// would crash on (abs/assert with no argument, fmin/fmax with fewer
-// than two) bail to the tree rather than reproduce a Go panic.
+// orders, arity checks, and costs exactly. A call with too few
+// arguments is a runtime error at the call.
 func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 	pos := call.P
 	nargs := len(call.Args)
@@ -681,7 +781,7 @@ func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 		}, true
 	case "abs":
 		if nargs < 1 {
-			bail("abs with no argument")
+			return arityFault(pos, "abs takes one argument"), true
 		}
 		arg0 := c.eval(call.Args[0])
 		return func(in *Interp, fr *frame) Value {
@@ -711,11 +811,7 @@ func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 		return c.mathOp(call, math.Ceil), true
 	case "pow", "powf":
 		if nargs != 2 {
-			return func(in *Interp, fr *frame) Value {
-				in.step(pos)
-				in.fail(pos, "pow takes two arguments")
-				return Value{}
-			}, true
+			return arityFault(pos, "pow takes two arguments"), true
 		}
 		a0, a1 := c.eval(call.Args[0]), c.eval(call.Args[1])
 		return func(in *Interp, fr *frame) Value {
@@ -726,12 +822,12 @@ func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 			return FloatValue(math.Pow(a, b))
 		}, true
 	case "fmin":
-		return c.minmaxOp(call, math.Min), true
+		return c.minmaxOp(name, call, math.Min), true
 	case "fmax":
-		return c.minmaxOp(call, math.Max), true
+		return c.minmaxOp(name, call, math.Max), true
 	case "assert":
 		if nargs < 1 {
-			bail("assert with no argument")
+			return arityFault(pos, "assert takes one argument"), true
 		}
 		arg0 := c.eval(call.Args[0])
 		return func(in *Interp, fr *frame) Value {
@@ -746,14 +842,19 @@ func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 	return nil, false
 }
 
+// arityFault is a builtin call with the wrong number of arguments.
+func arityFault(pos ctoken.Pos, msg string) evalOp {
+	return func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		in.fail(pos, "%s", msg)
+		return Value{}
+	}
+}
+
 func (c *compiler) mathOp(call *cast.Call, f func(float64) float64) evalOp {
 	pos := call.P
 	if len(call.Args) != 1 {
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			in.fail(pos, "math builtin takes one argument")
-			return Value{}
-		}
+		return arityFault(pos, "math builtin takes one argument")
 	}
 	arg0 := c.eval(call.Args[0])
 	return func(in *Interp, fr *frame) Value {
@@ -764,11 +865,11 @@ func (c *compiler) mathOp(call *cast.Call, f func(float64) float64) evalOp {
 	}
 }
 
-func (c *compiler) minmaxOp(call *cast.Call, f func(a, b float64) float64) evalOp {
-	if len(call.Args) < 2 {
-		bail("fmin/fmax with fewer than two arguments")
-	}
+func (c *compiler) minmaxOp(name string, call *cast.Call, f func(a, b float64) float64) evalOp {
 	pos := call.P
+	if len(call.Args) < 2 {
+		return arityFault(pos, name+" takes two arguments")
+	}
 	a0, a1 := c.eval(call.Args[0]), c.eval(call.Args[1])
 	return func(in *Interp, fr *frame) Value {
 		in.step(pos)
@@ -825,4 +926,13 @@ func (c *compiler) mallocOp(stepPos ctoken.Pos, castTo ctypes.Type, call *cast.C
 		in.addCost(costCall)
 		return Value{Kind: VPtr, Obj: obj}
 	}
+}
+
+// sizeofOrPointer is sizeof of an expression of type t; an expression
+// of unknown type sizes as a pointer.
+func sizeofOrPointer(t ctypes.Type) int64 {
+	if t == nil {
+		return 8
+	}
+	return int64(SizeofBytes(t))
 }

@@ -281,8 +281,7 @@ func TestDiffVMAgainstTree(t *testing.T) {
 	if code.Size() == 0 {
 		t.Fatal("compiled-code cache is empty: the fast path never engaged")
 	}
-	t.Logf("diff belt: %d seeds, %d compiled functions (%d fallbacks), %d divergences",
-		n, code.Size(), code.Fallbacks(), divergences)
+	t.Logf("diff belt: %d seeds, %d compiled functions, %d divergences", n, code.Size(), divergences)
 }
 
 // TestDiffEqualVerdicts pins the paper's differential-comparison rule on

@@ -192,6 +192,17 @@ func (in *Interp) Reset() error {
 				panic(r)
 			}
 		}()
+		if in.opts.Code != nil {
+			fr := &frame{}
+			for _, g := range in.opts.Code.unit(in.unit).decls {
+				if g.alloc == nil {
+					in.methods[g.tag] = g.methods
+					continue
+				}
+				in.globals[g.name] = g.alloc(in, fr)
+			}
+			return
+		}
 		for _, d := range in.unit.Decls {
 			switch x := d.(type) {
 			case *cast.VarDecl:
@@ -306,7 +317,7 @@ func (in *Interp) structFromInitList(st *ctypes.Struct, il *cast.InitList) Value
 		if ctor, ok := ms[st.Tag]; ok && len(ctor.Params) == len(il.Elems) {
 			obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{v}}
 			lv := lvalue{obj: obj, declared: st}
-			in.callMethod(ctor, lv, st, il.Elems, il.P)
+			in.walkMethod(ctor, lv, st, il.Elems, il.P)
 			return obj.Elems[0]
 		}
 	}
@@ -414,23 +425,47 @@ func (in *Interp) callFunction(fn *cast.FuncDecl, args []Value, p ctoken.Pos) Va
 }
 
 // compiledFor returns the compiled form of fn when the fast path is on
-// and the function compiles (nil otherwise: tree walk).
+// (nil otherwise: tree walk).
 func (in *Interp) compiledFor(fn *cast.FuncDecl) *compiledFunc {
 	if in.opts.Code == nil {
 		return nil
 	}
-	cf := in.opts.Code.get(in.unit, fn, in.opts.CodeKey)
-	if cf.fallback {
-		return nil
+	return in.compiled(fn, nil)
+}
+
+// compiled returns fn's compiled form (as a method of recv when recv is
+// non-nil), raising its compile error if it has one.
+func (in *Interp) compiled(fn *cast.FuncDecl, recv *ctypes.Struct) *compiledFunc {
+	cf := in.opts.Code.get(in.unit, fn, recv, in.opts.CodeKey)
+	if cf.err != nil {
+		panic(cf.err)
 	}
 	return cf
+}
+
+// callMethod executes a struct member function on the receiver storage
+// recv: a frame named Tag::name whose receiver fields resolve to recv.
+// Unlike a plain call it keeps the caller's partition map and runs the
+// body sequentially even under dataflow.
+func (in *Interp) callMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, args []Value, p ctoken.Pos) Value {
+	if len(in.frames) >= in.opts.MaxDepth {
+		in.fail(p, "call depth limit exceeded in method %q", fn.Name)
+	}
+	cf := in.compiled(fn, st)
+	fr := &frame{fn: cf.frameName, receiver: &recv, recvType: st}
+	in.bindParamsSlots(fr, cf, fn, args, p)
+	in.frames = append(in.frames, fr)
+	in.addCost(costCall)
+	cf.run(in, fr)
+	in.frames = in.frames[:len(in.frames)-1]
+	return fr.retVal
 }
 
 // callCompiled is callFunction's compiled-code twin: same frame
 // discipline, same cost and partition accounting, but locals live in a
 // flat slot array instead of scope maps.
 func (in *Interp) callCompiled(cf *compiledFunc, fn *cast.FuncDecl, args []Value, p ctoken.Pos) Value {
-	fr := &frame{fn: fn.Name}
+	fr := &frame{fn: cf.frameName}
 	in.bindParamsSlots(fr, cf, fn, args, p)
 	in.frames = append(in.frames, fr)
 	prevPart, prevShared := in.partitions, in.partitionsShared
@@ -516,7 +551,7 @@ func (in *Interp) bindParams(fr *frame, fn *cast.FuncDecl, args []Value, p ctoke
 
 // callMethod executes a struct member function with the given receiver
 // storage. Field names resolve against the receiver.
-func (in *Interp) callMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, argExprs []cast.Expr, p ctoken.Pos) Value {
+func (in *Interp) walkMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, argExprs []cast.Expr, p ctoken.Pos) Value {
 	args := make([]Value, len(argExprs))
 	for i, a := range argExprs {
 		args[i] = in.evalArg(a, fn.Params[i].Type)

@@ -1,11 +1,11 @@
 package interp_test
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
+	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/subjects"
 )
@@ -54,16 +54,11 @@ int kernel(int n) {
     return total;
 }`
 
-// TestSubjectsCompile is the compiled path's fallback inventory: every
-// function defined by the evaluation subjects and the Figure 2 kernel
-// compiles, except the ones listed here. A construct that silently
-// sends a subject back to the tree walker fails this test instead of
-// costing fuzzing and profiling time unnoticed.
+// TestSubjectsCompile checks that every function defined by the
+// evaluation subjects and the Figure 2 kernel compiles without a compile
+// error — methods as members of their struct — so none of them faults
+// when it is called.
 func TestSubjectsCompile(t *testing.T) {
-	fallbacks := map[string][]string{
-		// Struct method calls run on the tree walker.
-		"P9": {"stage1", "stage2"},
-	}
 	type subject struct {
 		id string
 		u  *cast.Unit
@@ -75,19 +70,23 @@ func TestSubjectsCompile(t *testing.T) {
 	all = append(all, subject{"fig2", cparser.MustParse(figure2Kernel)})
 	for _, s := range all {
 		code := interp.NewCodebase()
-		var fell []string
-		for _, d := range s.u.Decls {
-			fn, ok := d.(*cast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		check := func(fn *cast.FuncDecl, recv *ctypes.Struct) {
+			if fn.Body == nil {
+				return
 			}
-			if interp.CompileInto(code, s.u, fn) {
-				fell = append(fell, fn.Name)
+			if err := interp.CompileInto(code, s.u, fn, recv); err != nil {
+				t.Errorf("%s: %s: %v", s.id, fn.Name, err)
 			}
 		}
-		if want := fallbacks[s.id]; !reflect.DeepEqual(fell, want) || code.Fallbacks() != len(want) {
-			t.Errorf("%s: functions on the tree walker = %v (Fallbacks %d), want %v",
-				s.id, fell, code.Fallbacks(), want)
+		for _, d := range s.u.Decls {
+			switch x := d.(type) {
+			case *cast.FuncDecl:
+				check(x, nil)
+			case *cast.StructDecl:
+				for _, m := range x.Methods {
+					check(m, x.Type)
+				}
+			}
 		}
 	}
 }

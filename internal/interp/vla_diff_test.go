@@ -12,15 +12,13 @@ import (
 // case runs on both paths in CPU and FPGA mode, and the outcomes —
 // return bits, steps, cost, output, coverage, profiles, error text and
 // position — must be identical and match the tree walker's outcome
-// recorded in testdata/golden/vla.txt. fallback marks the declarations
-// the compiler must leave to the tree walker.
+// recorded in testdata/golden/vla.txt.
 func TestDiffVLAAgainstTree(t *testing.T) {
 	golden := loadOutcomes(t, "vla.txt")
 	cases := []struct {
-		name     string
-		src      string
-		args     []int64
-		fallback bool
+		name string
+		src  string
+		args []int64
 	}{
 		{name: "param dimension", args: []int64{5}, src: `
 int f(int n) {
@@ -107,7 +105,7 @@ int f(int n) {
     for (int i = 0; i < n; i++) { a[i] = i + 1; }
     return sum(a, n);
 }`},
-		{name: "dynamic inner dimension", args: []int64{3}, fallback: true, src: `
+		{name: "dynamic inner dimension", args: []int64{3}, src: `
 int f(int n) {
     int a[4][n];
     a[1][2] = 5;
@@ -121,7 +119,7 @@ int f(int n) {
     a[3] = 7;
     return (&a)[0][3];
 }`},
-		{name: "sizeof of an array-typed expression", args: []int64{5}, fallback: true, src: `
+		{name: "sizeof of an array-typed expression", args: []int64{5}, src: `
 int f(int n) {
     int a[n];
     return sizeof(a + 0);
@@ -147,9 +145,6 @@ int f(int n) {
 					t.Errorf("mode=%v diverged:\n--- tree ---\n%s--- compiled ---\n%s", mode, want, got)
 				}
 				golden.check(t, c.name+"/"+modeName(mode), want)
-			}
-			if fell := code.Fallbacks() > 0; fell != c.fallback {
-				t.Errorf("fallbacks = %d, want fallback %v", code.Fallbacks(), c.fallback)
 			}
 		})
 	}
@@ -178,7 +173,7 @@ int f(int n) {
 			t.Errorf("compiled=%v: sizeof(a) = %d, want 20", opts.Code != nil, got)
 		}
 	}
-	if code.Size() == 0 || code.Fallbacks() != 0 {
-		t.Fatalf("f did not run compiled: size=%d fallbacks=%d", code.Size(), code.Fallbacks())
+	if code.Size() == 0 {
+		t.Fatal("f did not run compiled")
 	}
 }
