@@ -30,13 +30,16 @@ vet:
 
 # Regenerates the golden fixtures: the repair search's
 # (internal/repair/testdata/golden: one Result JSON and one JSONL trace
-# per recorded run) and test generation's (internal/fuzz/testdata/golden:
-# one campaign-and-profile JSON and one JSONL trace per subject). Only
-# for an intended behaviour change whose fixture diff gets reviewed —
-# see CONTRIBUTING.md.
+# per recorded run), test generation's (internal/fuzz/testdata/golden:
+# one campaign-and-profile JSON and one JSONL trace per subject) and the
+# interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
+# hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
+# case outcomes). Only for an intended behaviour change whose fixture
+# diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
 	$(GO) test -count=1 -run TestCampaignGolden ./internal/fuzz/ -update
+	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -54,13 +57,14 @@ bench-test:
 bench-obs:
 	WRITE_BENCH=1 $(GO) test -run TestWriteObsBenchReport -v .
 
-# Full differential belt for the compiled fast path: the 2000-seed
-# VM-vs-tree sweep (clean and fault-injected progen programs, CPU and
-# FPGA modes, tight step budgets), the variable-length array edge
-# cases, and the subjects' fallback inventory, plus the shared-Codebase
-# race test. `make check` runs the same belt at its 200-seed default.
+# Full outcome belt for the interpreter: all 2000 seeds of the
+# recorded-outcome sweep (clean and fault-injected progen programs, CPU
+# and FPGA modes, tight step budgets, checked against
+# internal/interp/testdata/golden/belt.txt), the recorded edge cases,
+# and the subjects' compile check, plus the shared-Codebase race test.
+# `make check` runs the same belt at its 200-seed default.
 interp-diff-smoke:
-	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffEqualVerdicts|TestDiffVLAAgainstTree|TestSubjectsCompile' -v ./internal/interp/
+	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes|TestSubjectsCompile' -v ./internal/interp/
 	$(GO) test -race -run TestCodebaseSharedConcurrently ./internal/interp/
 
 # Fixed-seed conformance smoke: 100 generated kernels with planted HLS

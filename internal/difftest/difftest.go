@@ -31,9 +31,10 @@ type Outcome struct {
 }
 
 // runCPU executes the kernel of u on the CPU interpreter for one test
-// with an explicit step budget (0 = interpreter default).
-func runCPU(u *cast.Unit, kernel string, tc fuzz.TestCase, maxSteps int64) Outcome {
-	in, err := interp.New(u, interp.Options{MaxSteps: maxSteps})
+// with an explicit step budget (0 = interpreter default), compiling into
+// code.
+func runCPU(u *cast.Unit, kernel string, tc fuzz.TestCase, maxSteps int64, code *interp.Codebase) Outcome {
+	in, err := interp.New(u, interp.Options{MaxSteps: maxSteps, Code: code})
 	if err != nil {
 		return Outcome{Err: err}
 	}
@@ -126,8 +127,7 @@ func (r Report) CPUMeanMS() float64  { return interp.CPUTimeMS(int64(r.CPUMeanCo
 func (r Report) FPGAMeanMS() float64 { return interp.FPGATimeMS(int64(r.FPGAMeanCycles)) }
 
 // Run differential-tests candidate against original over the suite: a
-// one-shot Runner without a compiled-code cache, so the FPGA side walks
-// trees — the reference every compiled-code run must reproduce.
+// one-shot Runner with its own compiled-code cache.
 func Run(original, candidate *cast.Unit, kernel string, cfg hls.Config, tests []fuzz.TestCase) Report {
 	return NewRunner(original, kernel, cfg, tests, nil, nil).Run(candidate)
 }

@@ -18,7 +18,7 @@ import (
 //   - the CPU reference outcomes are computed once, lazily, and reused —
 //     they depend only on the original program and the suite, never on
 //     the candidate;
-//   - the FPGA side runs with a shared compiled-code cache, so
+//   - both sides run with one shared compiled-code cache, so
 //     candidates that share unedited function declarations (by pointer,
 //     via structure-sharing clones) execute pre-compiled bodies, and
 //     with content fingerprints as code keys even a regenerated
@@ -29,7 +29,7 @@ import (
 // place a verdict is remembered. A Runner's Report does not depend on
 // its caches: outcomes are deterministic, the reference outcomes are
 // immutable once computed (Agree and the describers only read them),
-// and the compiled fast path reproduces tree-walker results exactly.
+// and compiled code behaves the same whichever unit compiled it.
 // Safe for concurrent use by evaluation workers.
 type Runner struct {
 	original *cast.Unit
@@ -44,14 +44,16 @@ type Runner struct {
 }
 
 // NewRunner prepares a reusable differential tester. code may be nil
-// (the FPGA side then walks trees). fps may be nil; when
-// both code and fps are set, each candidate's content fingerprint keys
-// the compiled-code cache, so a candidate regenerated with identical
-// content in a later search iteration reuses compiled bodies instead of
-// recompiling its edited functions (the fingerprint memo is shared with
-// the search's cache-key computation, so the fingerprint is effectively
-// free here).
+// (the Runner then uses a private cache). fps may be nil; when set, each
+// candidate's content fingerprint keys the compiled-code cache, so a
+// candidate regenerated with identical content in a later search
+// iteration reuses compiled bodies instead of recompiling its edited
+// functions (the fingerprint memo is shared with the search's cache-key
+// computation, so the fingerprint is effectively free here).
 func NewRunner(original *cast.Unit, kernel string, cfg hls.Config, tests []fuzz.TestCase, code *interp.Codebase, fps *cast.Fingerprints) *Runner {
+	if code == nil {
+		code = interp.NewCodebase()
+	}
 	return &Runner{original: original, kernel: kernel, cfg: cfg, tests: tests, code: code, fps: fps}
 }
 
@@ -60,7 +62,7 @@ func (r *Runner) references() []Outcome {
 	r.refOnce.Do(func() {
 		r.refs = make([]Outcome, len(r.tests))
 		for i, tc := range r.tests {
-			r.refs[i] = runCPU(r.original, r.kernel, tc, r.cfg.InterpSteps)
+			r.refs[i] = runCPU(r.original, r.kernel, tc, r.cfg.InterpSteps, r.code)
 		}
 	})
 	return r.refs
@@ -69,7 +71,7 @@ func (r *Runner) references() []Outcome {
 // runFPGA executes the candidate's kernel on the FPGA simulator with the
 // shared compiled-code cache.
 func (r *Runner) runFPGA(candidate *cast.Unit, tc fuzz.TestCase, codeKey string) Outcome {
-	s, err := sim.NewWithCode(candidate, r.cfg, r.code, codeKey)
+	s, err := sim.New(candidate, r.cfg, r.code, codeKey)
 	if err != nil {
 		return Outcome{Err: err}
 	}
@@ -84,7 +86,7 @@ func (r *Runner) runFPGA(candidate *cast.Unit, tc fuzz.TestCase, codeKey string)
 func (r *Runner) Run(candidate *cast.Unit) Report {
 	refs := r.references()
 	var codeKey string
-	if r.code != nil && r.fps != nil {
+	if r.fps != nil {
 		codeKey = r.fps.Unit(candidate)
 	}
 	rep := Report{Total: len(r.tests)}

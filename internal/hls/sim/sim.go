@@ -27,20 +27,14 @@ type Simulator struct {
 
 // New prepares a simulator for the design. The unit should already have
 // passed the synthesizability check; runtime faults (allocation, deep
-// recursion) still surface as errors.
-func New(u *cast.Unit, cfg hls.Config) (*Simulator, error) {
-	return NewWithCode(u, cfg, nil, "")
-}
-
-// NewWithCode is New with a shared compiled-code cache: function bodies
-// execute as direct-threaded bytecode compiled once per *cast.FuncDecl,
-// so repeated simulations of candidates that share unedited functions
-// (structure-sharing repair clones) skip re-walking their trees. A
-// non-empty codeKey additionally enables content-keyed reuse across
-// identical candidates regenerated with fresh declarations (see the
-// interp.Codebase CodeKey contract). The interpreter guarantees results
-// identical to the tree walker; nil code is the plain tree-walking New.
-func NewWithCode(u *cast.Unit, cfg hls.Config, code *interp.Codebase, codeKey string) (*Simulator, error) {
+// recursion) still surface as errors. Function bodies run as code
+// compiled once per *cast.FuncDecl and cached in code, so repeated
+// simulations of candidates that share unedited functions
+// (structure-sharing repair clones) skip recompiling them; nil code
+// gives the simulator a private cache. A non-empty codeKey additionally
+// enables content-keyed reuse across identical candidates regenerated
+// with fresh declarations (see the interp.Codebase CodeKey contract).
+func New(u *cast.Unit, cfg hls.Config, code *interp.Codebase, codeKey string) (*Simulator, error) {
 	in, err := interp.New(u, interp.Options{Mode: interp.FPGA, MaxSteps: cfg.InterpSteps, Code: code, CodeKey: codeKey})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -13,7 +13,7 @@ import (
 func TestSimulatorRunsKernel(t *testing.T) {
 	u := cparser.MustParse(`
 int kernel(int x) { return x * x + 1; }`)
-	s, err := New(u, hls.DefaultConfig("kernel"))
+	s, err := New(u, hls.DefaultConfig("kernel"), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ int kernel(int x) { return x * x + 1; }`)
 
 func TestLatencyIncludesInvocationOverhead(t *testing.T) {
 	u := cparser.MustParse(`int kernel() { return 1; }`)
-	s, _ := New(u, hls.DefaultConfig("kernel"))
+	s, _ := New(u, hls.DefaultConfig("kernel"), nil, "")
 	res, err := s.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestLatencyIncludesInvocationOverhead(t *testing.T) {
 // runLoopKernel runs a two-array loop kernel and reports its cycle count.
 func runLoopKernel(t *testing.T, u *cast.Unit) int64 {
 	t.Helper()
-	s, err := New(u, hls.DefaultConfig("kernel"))
+	s, err := New(u, hls.DefaultConfig("kernel"), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ int kernel(int n) {
     int *p = (int *)malloc(n);
     return 0;
 }`)
-	s, _ := New(u, hls.DefaultConfig("kernel"))
+	s, _ := New(u, hls.DefaultConfig("kernel"), nil, "")
 	if _, err := s.Run([]interp.Value{interp.IntValue(8)}); err == nil {
 		t.Error("malloc must fault on the fabric")
 	}
@@ -179,7 +179,7 @@ func TestResetClearsGlobals(t *testing.T) {
 	u := cparser.MustParse(`
 int g;
 int kernel() { g++; return g; }`)
-	s, _ := New(u, hls.DefaultConfig("kernel"))
+	s, _ := New(u, hls.DefaultConfig("kernel"), nil, "")
 	r1, _ := s.Run(nil)
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)

@@ -13,20 +13,18 @@ import (
 // container, and the shared Codebase cache that lets every candidate
 // unit sharing an unedited *cast.FuncDecl reuse its compiled form.
 //
-// The contract with the tree walker is strict: for any program in the
-// subset, compiled execution produces byte-identical results — values,
-// cost, raw cost, step count, output, coverage bits, profiles, and
-// error messages (including positions and budget classification). The
-// differential belt in difffuzz_test.go enforces the contract over
-// thousands of generated programs. Any construct the compiler cannot
-// reproduce exactly falls back to the tree for the whole function.
+// Compiled execution is the interpreter's only execution path. Its
+// observable outcomes — values, cost, raw cost, step count, output,
+// coverage bits, profiles, and error messages with their positions and
+// budget classification — are pinned by recorded golden outcomes under
+// testdata/golden (difffuzz_test.go, outcomes_test.go, vla_diff_test.go).
 
 // Op types: compiled code is a flat slice of closures ("direct-threaded
 // code") — one execOp per statement, composed from evalOp/lvOp
 // sub-instructions. Closures carry only compile-time-constant state, so
 // one compiled function is safely shared across goroutines, interpreter
 // instances, and execution modes (every mode-dependent decision reads
-// in.opts at run time, mirroring the tree walker).
+// in.opts at run time).
 type (
 	execOp func(in *Interp, fr *frame) control
 	evalOp func(in *Interp, fr *frame) Value
@@ -56,9 +54,8 @@ type compiledFunc struct {
 	err *RuntimeError
 }
 
-// run executes the body like callFunction's execBlock(fn.Body) — the
-// body block itself is not stepped, and compiled frames need no scope
-// push (every name was resolved to a slot at compile time).
+// run executes the body's statements in order — the body block itself
+// is not stepped — until a return or an escaping break/continue.
 func (cf *compiledFunc) run(in *Interp, fr *frame) {
 	for _, op := range cf.stmts {
 		if c := op(in, fr); c != ctlNone || fr.returned {
@@ -67,9 +64,10 @@ func (cf *compiledFunc) run(in *Interp, fr *frame) {
 	}
 }
 
-// runDataflow mirrors execDataflowBody: top-level call statements
-// overlap (max instead of sum, on cost only — rawCost keeps the
-// sequential sum, exactly like the tree walker's addCost/rollback).
+// runDataflow runs a body under #pragma HLS dataflow: semantics are
+// unchanged, but the top-level call statements overlap (the longest
+// one's cost instead of the sum, on cost only — rawCost keeps the
+// sequential sum), the fabric's task-level pipelining.
 func (cf *compiledFunc) runDataflow(in *Interp, fr *frame) {
 	var maxCall int64
 	for i, op := range cf.stmts {
@@ -87,100 +85,6 @@ func (cf *compiledFunc) runDataflow(in *Interp, fr *frame) {
 		}
 	}
 	in.cost += maxCall
-}
-
-// loopScale is the compile-time precomputation of scaleLoopCost's
-// inputs: the parsed pragma directives and the index-identifier names
-// the body's partition lookup walks. The partition factors themselves
-// stay a run-time lookup (pragmas executed inside the body can change
-// them mid-run, and the tree walker sees that).
-type loopScale struct {
-	// hasPragmas preserves the tree walker's raw len(pragmas) > 0 gate,
-	// which counts unparsed and non-HLS pragmas too.
-	hasPragmas bool
-	dirs       []PragmaDirective
-	idxNames   []string
-}
-
-func newLoopScale(pragmas []*cast.Pragma, body cast.Stmt) *loopScale {
-	ls := &loopScale{hasPragmas: len(pragmas) > 0}
-	for _, p := range pragmas {
-		ls.dirs = append(ls.dirs, ParsePragma(p.Text))
-	}
-	seen := map[string]bool{}
-	cast.Inspect(body, func(n cast.Node) bool {
-		if ix, ok := n.(*cast.Index); ok {
-			if id, ok := ix.X.(*cast.Ident); ok && !seen[id.Name] {
-				seen[id.Name] = true
-				ls.idxNames = append(ls.idxNames, id.Name)
-			}
-		}
-		return true
-	})
-	return ls
-}
-
-// maxPartition is maxPartitionOf over the precomputed name list.
-func (ls *loopScale) maxPartition(in *Interp) int {
-	max := 1
-	for _, n := range ls.idxNames {
-		if f, ok := in.partitions[n]; ok && f > max {
-			max = f
-		}
-	}
-	return max
-}
-
-// vmScaleLoop is scaleLoopCost over a precomputed loopScale.
-func (in *Interp) vmScaleLoop(ls *loopScale, startCost, iterations int64, minII int) {
-	if in.opts.Mode != FPGA || !ls.hasPragmas || iterations <= 0 {
-		return
-	}
-	delta := in.cost - startCost
-	if delta <= 0 {
-		return
-	}
-	pipelined := false
-	ii := minII
-	unroll := 1
-	for _, d := range ls.dirs {
-		switch d.Kind {
-		case PragmaPipeline:
-			pipelined = true
-			if d.Factor > ii {
-				ii = d.Factor
-			}
-		case PragmaUnroll:
-			f := d.Factor
-			if f <= 0 {
-				f = 8 // full unroll default benefit
-			}
-			ports := 2 * ls.maxPartition(in)
-			if f > ports {
-				f = ports
-			}
-			if f > unroll {
-				unroll = f
-			}
-		}
-	}
-	scaled := delta
-	if unroll > 1 {
-		scaled = delta / int64(unroll)
-	}
-	if pipelined {
-		piped := iterations*int64(ii)/int64(unroll) + pipelineDepth
-		if piped < scaled {
-			scaled = piped
-		}
-	}
-	if floor := delta / maxLoopSpeedup; scaled < floor {
-		scaled = floor
-	}
-	if scaled >= delta {
-		return
-	}
-	in.cost = startCost + scaled + costLoopOverhead
 }
 
 // codebaseCap bounds the content-keyed compiled-function cache; it

@@ -2,11 +2,11 @@ package interp_test
 
 // Concurrency belt for the shared compiled-code cache: a single
 // Codebase is pounded from many goroutines executing many programs in
-// both modes at once, and every execution must still match the
-// tree-walker outcome computed up front. Run under `go test -race`
-// (the interp-diff-smoke CI job does) this doubles as the data-race
-// proof for structure-sharing candidates evaluating concurrently
-// against one compiled-code cache.
+// both modes at once, and every execution must still hash to its
+// recorded belt outcome. Run under `go test -race` (the
+// interp-diff-smoke CI job does) this doubles as the data-race proof
+// for structure-sharing candidates evaluating concurrently against one
+// compiled-code cache.
 
 import (
 	"sync"
@@ -22,30 +22,20 @@ func TestCodebaseSharedConcurrently(t *testing.T) {
 	const goroutines = 8
 
 	type job struct {
-		prog *progen.Program
+		prog progen.Program
 		tc   fuzz.TestCase
-		mode interp.Mode
+		opts interp.Options
 		want string
 	}
+	belt := readBelt(t)
 	var jobs []job
 	for seed := 0; seed < programs; seed++ {
-		prog, err := progen.Generate(progen.Options{Seed: int64(seed), Clean: seed%2 == 0})
-		if err != nil {
-			continue
+		prog, tc := beltProgram(t, seed)
+		for i, r := range beltRuns {
+			if r.maxSteps == 0 {
+				jobs = append(jobs, job{prog, tc, beltOptions(r.mode, 0), belt[seed][i]})
+			}
 		}
-		sp, err := fuzz.SpecOf(prog.Unit, prog.Kernel)
-		if err != nil {
-			continue
-		}
-		tc := diffCase(sp, int64(seed))
-		p := &prog
-		for _, mode := range []interp.Mode{interp.CPU, interp.FPGA} {
-			opts := interp.Options{Mode: mode, Coverage: true, Profile: true}
-			jobs = append(jobs, job{p, tc.Clone(), mode, diffOutcome(p.Unit, p.Kernel, tc.Values(), opts)})
-		}
-	}
-	if len(jobs) < programs {
-		t.Fatalf("only %d jobs generated", len(jobs))
 	}
 
 	code := interp.NewCodebase()
@@ -60,10 +50,11 @@ func TestCodebaseSharedConcurrently(t *testing.T) {
 			// compilations of the same function race from the first round.
 			for i := 0; i < len(jobs); i++ {
 				j := jobs[(i+g*5)%len(jobs)]
-				opts := interp.Options{Mode: j.mode, Coverage: true, Profile: true, Code: code}
-				if got := diffOutcome(j.prog.Unit, j.prog.Kernel, j.tc.Values(), opts); got != j.want {
+				opts := j.opts
+				opts.Code = code
+				if got := diffOutcome(j.prog.Unit, j.prog.Kernel, j.tc.Values(), opts); outcomeHash(got) != j.want {
 					select {
-					case errs <- j.prog.Kernel + ": compiled outcome diverged under contention:\n--- tree ---\n" + j.want + "\n--- vm ---\n" + got:
+					case errs <- j.prog.Kernel + ": outcome under contention no longer hashes to the recorded " + j.want + ":\n" + got:
 					default:
 					}
 					return

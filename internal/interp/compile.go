@@ -9,15 +9,20 @@ import (
 )
 
 // The compiler translates one function body into direct-threaded code
-// (code.go) by mirroring the tree walker case-by-case. Every decision
-// the walker makes from information that is static — name resolution,
-// expression types, strides, builtin dispatch, branch IDs, pragma
-// directives — is resolved here once; everything that can differ at run
-// time (values, modes, partition maps, callee declarations under
-// structure-sharing units, the concretized lengths of variable-length
-// arrays, whether a conditionally declared name is bound yet) stays a
-// run-time read. A compiler defect is recovered in compileFunc and
-// raised as a RuntimeError when the function is called.
+// (code.go). Every decision that depends only on static information —
+// name resolution, expression types, strides, builtin dispatch, branch
+// IDs, pragma directives — is made here once; everything that can
+// differ at run time (values, modes, partition maps, callee
+// declarations under structure-sharing units, the concretized lengths
+// of variable-length arrays, whether a conditionally declared name is
+// bound yet) stays a run-time read. A compiler defect is recovered in
+// compileFunc and raised as a RuntimeError when the function is called.
+//
+// The semantics are those of a lexically scoped C interpreter: each
+// block, for statement and call opens a scope; a declaration defines
+// its name in the innermost open scope when it executes; a name
+// resolves to the innermost definition, then to a receiver field inside
+// a method, then to a global.
 
 // refKind classifies a compile-time name resolution.
 type refKind int
@@ -29,9 +34,9 @@ const (
 	refGlobal                // a global (or nothing, if Reset has not bound it)
 )
 
-// nameRef is an identifier's compile-time resolution, in the walker's
-// lookup order: frame scopes, then receiver fields, then globals. typ is
-// the declared type the walker's typeOfExpr would report. A local
+// nameRef is an identifier's compile-time resolution, in lookup order:
+// frame scopes, then receiver fields, then globals. typ is the name's
+// declared type. A local
 // declared in a conditional non-block position (if branch, loop body,
 // switch arm) is bound only once its declaration has run, so its slot
 // may be empty; outer is then the resolution the name had before the
@@ -46,9 +51,8 @@ type nameRef struct {
 	outer   *nameRef
 }
 
-// bind resolves r in the running frame like the walker's lvalueOf: the
-// location, the binding (nil for a receiver field), and whether the name
-// is bound at all.
+// bind resolves r in the running frame: the location, the binding (nil
+// for a receiver field), and whether the name is bound at all.
 func (r *nameRef) bind(in *Interp, fr *frame) (lvalue, *binding, bool) {
 	switch r.kind {
 	case refSlot:
@@ -68,7 +72,8 @@ func (r *nameRef) bind(in *Interp, fr *frame) (lvalue, *binding, bool) {
 	return lvalue{}, nil, false
 }
 
-// typeAt is the walker's typeOfExpr for the name in the running frame.
+// typeAt is the declared type of whatever r is bound to in the running
+// frame (nil when unbound).
 func (r *nameRef) typeAt(in *Interp, fr *frame) ctypes.Type {
 	switch r.kind {
 	case refSlot:
@@ -106,10 +111,10 @@ func sameType(a, b ctypes.Type) bool {
 	return a.Equal(b)
 }
 
-// ctScope is one compile-time lexical scope, mirroring one scope map of
-// the walker. conds lists the slots of conditional declarations made in
-// it: the walker starts every execution of the scope with a fresh map,
-// so those slots are emptied when the scope is entered.
+// ctScope is one compile-time lexical scope. conds lists the slots of
+// conditional declarations made in it: every execution of the scope
+// starts with none of its names defined, so those slots are emptied
+// when the scope is entered.
 type ctScope struct {
 	names map[string]*nameRef
 	conds []int
@@ -120,7 +125,7 @@ type compiler struct {
 	fn *cast.FuncDecl
 	// recv is the receiver struct of a method body, nil otherwise.
 	recv *ctypes.Struct
-	// frameName is the walker's frame.fn: the function name, or
+	// frameName is the running frame's name: the function name, or
 	// Tag::name for a method (it keys profiles and statics).
 	frameName string
 	scopes    []*ctScope
@@ -180,9 +185,8 @@ func (c *compiler) popScope() []int {
 }
 
 // declare allocates a fresh slot for a name in the current scope (a
-// redeclaration shadows, exactly like frame.define overwriting the
-// scope map entry). cond marks a declaration in a conditional non-block
-// position.
+// redeclaration in the same scope shadows the earlier one). cond marks
+// a declaration in a conditional non-block position.
 func (c *compiler) declare(name string, t ctypes.Type, isArray, cond bool) int {
 	s := c.nslots
 	c.nslots++
@@ -255,14 +259,14 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 	}
 	c := newCompiler(u, fn, recv)
 	cf.frameName = c.frameName
-	c.pushScope() // the frame's parameter scope (newFrame's initial scope)
+	c.pushScope() // the frame's parameter scope
 	cf.paramSlots = make([]int, len(fn.Params))
 	for i, prm := range fn.Params {
 		// Parameters always bind as scalar lvalues (arrays decay to
 		// pointers in bindParams), so isArray is false.
 		cf.paramSlots[i] = c.declare(prm.Name, prm.Type, false, false)
 	}
-	c.pushScope() // execBlock's scope for the body
+	c.pushScope() // the body block's scope
 	for _, s := range fn.Body.Stmts {
 		cf.stmts = append(cf.stmts, c.stmt(s))
 		cf.isCall = append(cf.isCall, isCallStmt(s))
@@ -278,8 +282,8 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 // ---------------------------------------------------------------------------
 // Statements
 
-// stmt compiles one statement. The produced op performs the walker's
-// execStmt step (in.step(s.Pos())) before its work.
+// stmt compiles one statement. Every statement costs one step
+// (in.step(s.Pos())) before its work.
 func (c *compiler) stmt(s cast.Stmt) execOp {
 	pos := s.Pos()
 	switch x := s.(type) {
@@ -452,14 +456,14 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 			iterations++
 			ctl := body(in, fr)
 			if fr.returned || ctl == ctlBreak {
-				in.vmScaleLoop(ls, startCost, iterations, 1)
+				in.scaleLoopCost(ls, startCost, iterations, 1)
 				return ctlNone
 			}
 			if postOp != nil {
 				postOp(in, fr)
 			}
 		}
-		in.vmScaleLoop(ls, startCost, iterations, 1)
+		in.scaleLoopCost(ls, startCost, iterations, 1)
 		return ctlNone
 	}
 }
@@ -467,7 +471,7 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 func (c *compiler) whileStmt(w *cast.While) execOp {
 	pos, wp, bid, doWhile := w.Pos(), w.P, w.BranchID, w.DoWhile
 	cond := c.eval(w.Cond)
-	// execWhile runs the body in the enclosing scope (no push).
+	// A while loop opens no scope: the body runs in the enclosing one.
 	body := c.condStmt(w.Body)
 	ls := newLoopScale(w.Pragmas, w.Body)
 	return func(in *Interp, fr *frame) control {
@@ -500,7 +504,7 @@ func (c *compiler) whileStmt(w *cast.While) execOp {
 			}
 			first = false
 		}
-		in.vmScaleLoop(ls, startCost, iterations, whileMinII)
+		in.scaleLoopCost(ls, startCost, iterations, whileMinII)
 		return ctlNone
 	}
 }
@@ -567,9 +571,9 @@ func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 // ---------------------------------------------------------------------------
 // Declarations
 
-// declStmt compiles execDecl. Initializers and VLA dimensions compile
-// before the name is declared: they evaluate in the scope state before
-// the walker's frame.define. cond marks a declaration in a conditional
+// declStmt compiles a local declaration. Initializers and VLA
+// dimensions compile before the name is declared: they evaluate before
+// the name is defined. cond marks a declaration in a conditional
 // non-block position.
 func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 	pos := d.Pos()
@@ -612,7 +616,7 @@ func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr cty
 	leafOps := c.initLeaves(init)
 	slot := c.declare(name, t, true, cond)
 	if arr.Len < 0 {
-		// The walker fails at allocation time with a zero position.
+		// An unknown length faults at allocation, with no position.
 		return func(in *Interp, fr *frame) control {
 			in.step(pos)
 			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
@@ -779,8 +783,9 @@ func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []e
 	return obj
 }
 
-// initOp compiles evalInit: a struct initializer list constructs the
-// struct value; anything else is a plain evaluation.
+// initOp compiles a scalar declaration's initializer: a struct
+// initializer list constructs the struct value; anything else is a
+// plain evaluation.
 func (c *compiler) initOp(init cast.Expr, rt ctypes.Type) evalOp {
 	if init == nil {
 		return nil
@@ -793,7 +798,7 @@ func (c *compiler) initOp(init cast.Expr, rt ctypes.Type) evalOp {
 	return c.eval(init)
 }
 
-// structInit compiles structFromInitList: when the struct has a
+// structInit compiles a struct initializer list: when the struct has a
 // constructor taking as many parameters as the list has elements, the
 // elements are its arguments and it runs on a temporary; otherwise they
 // initialize the fields in order (elements beyond the field count are
@@ -827,8 +832,8 @@ func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
 // ---------------------------------------------------------------------------
 // Static expression typing
 
-// ctTypeOf is the static type of e: the walker's typeOfExpr with every
-// name typed by its compile-time resolution. It is exact unless e reads
+// ctTypeOf is the static type of e, with every name typed by its
+// compile-time resolution (nil when unknown). It is exact unless e reads
 // a conditionally declared name whose alternatives differ in type
 // (ambiguous), and up to array lengths, which a variable-length array's
 // binding carries only at run time (unsized).
@@ -836,9 +841,9 @@ func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
 	return c.typeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
 }
 
-// typer compiles the walker's typeOfExpr for e as a run-time read: the
-// names in e are resolved now, and typed by whatever they are bound to
-// when the op runs.
+// typer compiles e's type as a run-time read: the names in e are
+// resolved now, and typed by whatever they are bound to when the op
+// runs.
 func (c *compiler) typer(e cast.Expr) func(in *Interp, fr *frame) ctypes.Type {
 	refs := map[*cast.Ident]*nameRef{}
 	cast.Inspect(e, func(n cast.Node) bool {
@@ -853,7 +858,9 @@ func (c *compiler) typer(e cast.Expr) func(in *Interp, fr *frame) ctypes.Type {
 	}
 }
 
-// typeOf mirrors typeOfExpr case by case, typing names with ident.
+// typeOf is the best-effort static type of e (nil when unknown), typing
+// names with ident. It drives sizeof, strides, array decay and stream
+// dispatch.
 func (env typeEnv) typeOf(e cast.Expr, ident func(*cast.Ident) ctypes.Type) ctypes.Type {
 	switch x := e.(type) {
 	case *cast.IntLit:

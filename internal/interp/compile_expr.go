@@ -3,15 +3,16 @@ package interp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/ctypes"
 )
 
-// Expression compilation. Every evalOp performs the walker's eval step
-// (in.step(e.Pos())) before its work; lvOps never step their own node
-// (mustLvalue does not step), only the sub-expressions they evaluate.
+// Expression compilation. Every evalOp costs one step (in.step(e.Pos()))
+// before its work; lvOps never step their own node, only the
+// sub-expressions they evaluate.
 
 func (c *compiler) eval(e cast.Expr) evalOp {
 	pos := e.Pos()
@@ -105,8 +106,8 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 	case *cast.SizeofExpr:
 		t := c.ctTypeOf(x.X)
 		if unsized(t) || c.ambiguous(x.X) {
-			// The walker sizes the bound type: a variable-length
-			// array's binding carries its concretized lengths.
+			// Size the bound type: a variable-length array's binding
+			// carries its concretized lengths.
 			typeOp := c.typer(x.X)
 			return func(in *Interp, fr *frame) Value {
 				in.step(pos)
@@ -116,8 +117,8 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 		v := IntValue(sizeofOrPointer(t))
 		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
 	case *cast.InitList:
-		// Expression-position initializer lists assert the node's own
-		// (unresolved) type annotation, unlike evalInit.
+		// Expression-position initializer lists use the node's own
+		// (unresolved) type annotation, unlike declaration initializers.
 		if st, ok := x.Type.(*ctypes.Struct); ok {
 			fieldsOp := c.structInit(st, x)
 			return func(in *Interp, fr *frame) Value {
@@ -298,8 +299,8 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
-			// evalArg against the destination's declared type: Ref
-			// targets alias, everything else copies struct values.
+			// Against the destination's declared type, Ref targets
+			// alias and everything else copies struct values.
 			pt := in.declaredOf(lv)
 			v := rOp(in, fr)
 			if _, isRef := pt.(ctypes.Ref); !isRef && v.Kind == VStruct {
@@ -518,9 +519,9 @@ func (c *compiler) memberEval(m *cast.Member) evalOp {
 			base := xLv(in, fr)
 			st, ok := ctypes.Resolve(in.declaredOf(base)).(*ctypes.Struct)
 			if !ok {
-				// tryMemberLvalue declined: re-evaluate the base as an
-				// rvalue, exactly like the walker's member-of-temporary
-				// path (the lvalue resolution's side effects stand).
+				// Not struct storage: re-evaluate the base as an rvalue,
+				// a member of a temporary (the lvalue resolution's side
+				// effects stand).
 				bv := xEv(in, fr)
 				return in.memberOfValue(bv, mm)
 			}
@@ -595,9 +596,9 @@ func (c *compiler) callEval(call *cast.Call) evalOp {
 	}
 }
 
-// evalArgs evaluates call arguments against the callee's parameters
-// (the walker's evalArg): a reference parameter receives the value
-// itself, anything else a copy of a struct value.
+// evalArgs evaluates call arguments against the callee's parameters: a
+// reference parameter receives the value itself, anything else a copy
+// of a struct value.
 func (in *Interp) evalArgs(argOps []evalOp, params []cast.Param, fr *frame) []Value {
 	args := make([]Value, len(argOps))
 	for i, aop := range argOps {
@@ -671,7 +672,7 @@ func (c *compiler) methodCall(m *cast.Member, call *cast.Call) evalOp {
 }
 
 // tryLvalue resolves a method receiver's storage, reporting any fault
-// (the walker swallows every panic here) as not ok.
+// while doing so (every panic, budget exhaustion included) as not ok.
 func (in *Interp) tryLvalue(lvO lvOp, fr *frame) (lv lvalue, ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -729,9 +730,9 @@ func (c *compiler) streamOp(m *cast.Member, call *cast.Call, st ctypes.Stream) e
 // ---------------------------------------------------------------------------
 // Builtins
 
-// builtin compiles library calls, mirroring evalBuiltin's evaluation
-// orders, arity checks, and costs exactly. A call with too few
-// arguments is a runtime error at the call.
+// builtin compiles library calls with their evaluation orders, arity
+// checks and costs. A call with too few arguments is a runtime error at
+// the call.
 func (c *compiler) builtin(name string, call *cast.Call) (evalOp, bool) {
 	pos := call.P
 	nargs := len(call.Args)
@@ -851,6 +852,51 @@ func arityFault(pos ctoken.Pos, msg string) evalOp {
 	}
 }
 
+// formatC implements the printf subset: %d %u %f %g %c %s %%.
+func formatC(format string, args []Value) string {
+	var sb strings.Builder
+	ai := 0
+	next := func() Value {
+		if ai < len(args) {
+			v := args[ai]
+			ai++
+			return v
+		}
+		return Value{}
+	}
+	for i := 0; i < len(format); i++ {
+		ch := format[i]
+		if ch != '%' || i+1 >= len(format) {
+			sb.WriteByte(ch)
+			continue
+		}
+		i++
+		// Skip width/precision.
+		for i < len(format) && (format[i] == '.' || format[i] == '-' ||
+			(format[i] >= '0' && format[i] <= '9')) {
+			i++
+		}
+		if i >= len(format) {
+			break
+		}
+		switch format[i] {
+		case 'd', 'i', 'u', 'l':
+			fmt.Fprintf(&sb, "%d", next().AsInt())
+		case 'f':
+			fmt.Fprintf(&sb, "%f", next().AsFloat())
+		case 'g':
+			fmt.Fprintf(&sb, "%g", next().AsFloat())
+		case 'c':
+			fmt.Fprintf(&sb, "%c", rune(next().AsInt()))
+		case 's':
+			sb.WriteString(next().String())
+		case '%':
+			sb.WriteByte('%')
+		}
+	}
+	return sb.String()
+}
+
 func (c *compiler) mathOp(call *cast.Call, f func(float64) float64) evalOp {
 	pos := call.P
 	if len(call.Args) != 1 {
@@ -880,8 +926,8 @@ func (c *compiler) minmaxOp(name string, call *cast.Call, f func(a, b float64) f
 	}
 }
 
-// mallocOp compiles dynamic allocation: stepPos is the node the walker
-// steps ((T*)malloc steps only the cast node; bare malloc steps the
+// mallocOp compiles dynamic allocation: stepPos is the node that costs
+// the step ((T*)malloc steps only the cast node; bare malloc steps the
 // call), while failures always report at the call position.
 func (c *compiler) mallocOp(stepPos ctoken.Pos, castTo ctypes.Type, call *cast.Call) evalOp {
 	callP := call.P

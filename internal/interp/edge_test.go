@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/ctypes"
 )
@@ -273,5 +274,21 @@ int helper(int x) { return x * 2; }`
 	}
 	if res.Ret.AsInt() != 21 {
 		t.Errorf("caller(10) = %d, want 21", res.Ret.AsInt())
+	}
+}
+
+func TestCompilerDefectIsRuntimeError(t *testing.T) {
+	u := cparser.MustParse(`int f(int x) { x = x + 1; return x; }`)
+	// An expression statement without an expression cannot come from the
+	// parser; compiling it panics inside the compiler.
+	u.Func("f").Body.Stmts[0].(*cast.ExprStmt).X = nil
+	in, err := New(u, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = in.CallKernel("f", []Value{IntValue(1)})
+	re, ok := err.(*RuntimeError)
+	if !ok || !strings.Contains(re.Msg, `internal compiler error in "f"`) {
+		t.Fatalf("got %v, want an internal compiler error", err)
 	}
 }

@@ -41,11 +41,6 @@ func (lv lvalue) field(i int, ft ctypes.Type) lvalue {
 	return out
 }
 
-// scope is one lexical scope of local variables.
-type scope struct {
-	vars map[string]*binding
-}
-
 // binding associates a name with its storage and declared type. Reference
 // parameters bind directly to the caller's storage.
 type binding struct {
@@ -55,37 +50,14 @@ type binding struct {
 	obj  *Object
 }
 
-// frame is one function activation.
+// frame is one function activation. The compiler resolves every local
+// name to an index in slots; a receiver-bound method frame also carries
+// the receiver's storage and struct type.
 type frame struct {
 	fn       string
-	scopes   []*scope
-	receiver *lvalue // method receiver storage, or nil
+	receiver *lvalue
 	recvType *ctypes.Struct
 	retVal   Value
 	returned bool
-	// slots is the flat local-variable array of a compiled-code frame
-	// (compile.go): the compiler resolves every name to a slot index, so
-	// compiled frames never touch the scope maps. Tree-walked frames
-	// leave it nil.
-	slots []*binding
-}
-
-func newFrame(fn string) *frame {
-	return &frame{fn: fn, scopes: []*scope{{vars: map[string]*binding{}}}}
-}
-
-func (f *frame) push() { f.scopes = append(f.scopes, &scope{vars: map[string]*binding{}}) }
-func (f *frame) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
-
-func (f *frame) define(name string, b *binding) {
-	f.scopes[len(f.scopes)-1].vars[name] = b
-}
-
-func (f *frame) lookup(name string) (*binding, bool) {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if b, ok := f.scopes[i].vars[name]; ok {
-			return b, true
-		}
-	}
-	return nil, false
+	slots    []*binding
 }

@@ -8,97 +8,6 @@ import (
 	"github.com/hetero/heterogen/internal/ctypes"
 )
 
-// eval evaluates an expression to a value.
-func (in *Interp) eval(e cast.Expr) Value {
-	in.step(e.Pos())
-	switch x := e.(type) {
-	case *cast.IntLit:
-		return IntValue(x.Value)
-	case *cast.FloatLit:
-		return FloatValue(x.Value)
-	case *cast.CharLit:
-		return Value{Kind: VInt, Int: int64(x.Value), Width: 8}
-	case *cast.BoolLit:
-		return BoolValue(x.Value)
-	case *cast.StrLit:
-		// Strings only appear as printf formats in the subset.
-		return Value{Kind: VVoid}
-	case *cast.Ident:
-		lv, b, ok := in.lvalueOf(x)
-		if !ok {
-			in.fail(x.P, "undefined identifier %q", x.Name)
-		}
-		if b != nil && !b.isLV {
-			// Array name decays to a pointer.
-			return Value{Kind: VPtr, Obj: b.obj}
-		}
-		in.addCost(costLoad)
-		return lv.load()
-	case *cast.Unary:
-		return in.evalUnary(x)
-	case *cast.Postfix:
-		lv := in.mustLvalue(x.X)
-		old := lv.load()
-		delta := int64(1)
-		if x.Op == ctoken.DEC {
-			delta = -1
-		}
-		in.storeArith(lv, old, delta, x.P)
-		in.addCost(costIAdd)
-		return old
-	case *cast.Binary:
-		return in.evalBinary(x)
-	case *cast.Assign:
-		return in.evalAssign(x)
-	case *cast.Cond:
-		in.addCost(costBranch)
-		c := in.eval(x.C).Truthy()
-		in.recordBranch(x.BranchID, c)
-		if c {
-			return in.eval(x.T)
-		}
-		return in.eval(x.F)
-	case *cast.Call:
-		return in.evalCall(x)
-	case *cast.Index:
-		lv := in.indexLvalue(x)
-		// An index into a multi-dimensional array yields a sub-array,
-		// which decays to a pointer at the flattened offset.
-		if t := in.typeOfExpr(x); t != nil {
-			if _, isArr := ctypes.Resolve(t).(ctypes.Array); isArr {
-				return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-			}
-		}
-		in.addCost(costLoad)
-		return lv.load()
-	case *cast.Member:
-		if lv, ok := in.tryMemberLvalue(x); ok {
-			in.addCost(costLoad)
-			return lv.load()
-		}
-		// Member of a temporary (e.g. call().field).
-		base := in.eval(x.X)
-		return in.memberOfValue(base, x)
-	case *cast.Cast:
-		return in.evalCast(x)
-	case *cast.SizeofType:
-		return IntValue(int64(SizeofBytes(x.T)))
-	case *cast.SizeofExpr:
-		t := in.typeOfExpr(x.X)
-		if t == nil {
-			return IntValue(8)
-		}
-		return IntValue(int64(SizeofBytes(t)))
-	case *cast.InitList:
-		if st, ok := x.Type.(*ctypes.Struct); ok {
-			return in.structFromInitList(st, x)
-		}
-		in.fail(x.P, "initializer list outside declaration")
-	}
-	in.fail(e.Pos(), "unsupported expression %T", e)
-	return Value{}
-}
-
 // SizeofBytes returns the byte size of a type (minimum 1).
 func SizeofBytes(t ctypes.Type) int {
 	b := ctypes.Resolve(t).Bits()
@@ -115,64 +24,6 @@ func SizeofBytes(t ctypes.Type) int {
 // ---------------------------------------------------------------------------
 // Lvalues
 
-// lvalueOf resolves an identifier to its binding. The bool result is false
-// when the name is undefined.
-func (in *Interp) lvalueOf(id *cast.Ident) (lvalue, *binding, bool) {
-	if len(in.frames) > 0 {
-		fr := in.top()
-		if b, ok := fr.lookup(id.Name); ok {
-			return b.lv, b, true
-		}
-		// Receiver fields.
-		if fr.receiver != nil && fr.recvType != nil {
-			if i := fr.recvType.FieldIndex(id.Name); i >= 0 {
-				return fr.receiver.field(i, fr.recvType.Fields[i].Type), nil, true
-			}
-		}
-	}
-	if b, ok := in.globals[id.Name]; ok {
-		return b.lv, b, true
-	}
-	return lvalue{}, nil, false
-}
-
-// mustLvalue resolves an expression that must designate storage.
-func (in *Interp) mustLvalue(e cast.Expr) lvalue {
-	switch x := e.(type) {
-	case *cast.Ident:
-		lv, b, ok := in.lvalueOf(x)
-		if !ok {
-			in.fail(x.P, "undefined identifier %q", x.Name)
-		}
-		if b != nil && !b.isLV {
-			in.fail(x.P, "array %q is not assignable", x.Name)
-		}
-		return lv
-	case *cast.Index:
-		return in.indexLvalue(x)
-	case *cast.Member:
-		lv, ok := in.tryMemberLvalue(x)
-		if !ok {
-			in.fail(x.P, "member %q of non-lvalue", x.Field)
-		}
-		return lv
-	case *cast.Unary:
-		if x.Op == ctoken.MUL {
-			p := in.eval(x.X)
-			if p.Kind != VPtr || p.Obj == nil {
-				in.fail(x.P, "dereference of null or non-pointer")
-			}
-			in.checkBounds(p, x.P)
-			return lvalue{obj: p.Obj, off: p.Off, declared: p.Obj.Elem}
-		}
-	case *cast.Cast:
-		// (T)x as lvalue: ignore the cast (write-through).
-		return in.mustLvalue(x.X)
-	}
-	in.fail(e.Pos(), "expression is not assignable (%T)", e)
-	return lvalue{}
-}
-
 func (in *Interp) checkBounds(p Value, pos ctoken.Pos) {
 	if p.Obj == nil {
 		in.fail(pos, "null pointer access")
@@ -183,82 +34,6 @@ func (in *Interp) checkBounds(p Value, pos ctoken.Pos) {
 	if p.Off < 0 || p.Off >= len(p.Obj.Elems) {
 		in.fail(pos, "index %d out of bounds for %q (size %d)", p.Off, p.Obj.Name, len(p.Obj.Elems))
 	}
-}
-
-// indexLvalue computes the storage cell of a[i] (with multi-dimensional
-// row-major flattening for nested arrays).
-func (in *Interp) indexLvalue(ix *cast.Index) lvalue {
-	base, stride := in.evalIndexBase(ix.X)
-	idx := in.eval(ix.Idx).AsInt()
-	in.addCost(costIAdd)
-	p := base
-	p.Off += int(idx) * stride
-	in.checkBounds(p, ix.P)
-	return lvalue{obj: p.Obj, off: p.Off, declared: p.Obj.Elem}
-}
-
-// evalIndexBase evaluates the base of an index expression to a pointer,
-// returning the element stride in flattened slots: indexing the outer
-// dimension of int[2][3] moves 3 slots at a time.
-func (in *Interp) evalIndexBase(e cast.Expr) (Value, int) {
-	t := in.typeOfExpr(e)
-	stride := 1
-	if t != nil {
-		switch u := ctypes.Resolve(t).(type) {
-		case ctypes.Array:
-			if inner, ok := ctypes.Resolve(u.Elem).(ctypes.Array); ok {
-				n, _ := flattenArray(inner)
-				stride = n
-			}
-		case ctypes.Pointer:
-			if inner, ok := ctypes.Resolve(u.Elem).(ctypes.Array); ok {
-				n, _ := flattenArray(inner)
-				stride = n
-			}
-		}
-	}
-	v := in.eval(e)
-	if v.Kind != VPtr {
-		in.fail(e.Pos(), "indexed expression is not an array or pointer")
-	}
-	return v, stride
-}
-
-// tryMemberLvalue resolves x.f / p->f when the base designates storage.
-func (in *Interp) tryMemberLvalue(m *cast.Member) (lvalue, bool) {
-	if m.Arrow {
-		p := in.eval(m.X)
-		if p.Kind != VPtr {
-			in.fail(m.P, "-> on non-pointer")
-		}
-		in.checkBounds(p, m.P)
-		st, ok := ctypes.Resolve(p.Obj.Elem).(*ctypes.Struct)
-		if !ok {
-			in.fail(m.P, "-> on pointer to non-struct")
-		}
-		i := st.FieldIndex(m.Field)
-		if i < 0 {
-			in.fail(m.P, "no field %q in struct %s", m.Field, st.Tag)
-		}
-		base := lvalue{obj: p.Obj, off: p.Off, declared: st}
-		return base.field(i, st.Fields[i].Type), true
-	}
-	// Dot access: base must itself be an lvalue (or stream/struct value).
-	switch bx := m.X.(type) {
-	case *cast.Ident, *cast.Index, *cast.Member:
-		_ = bx
-		base := in.mustLvalue(m.X)
-		st, ok := ctypes.Resolve(in.declaredOf(base)).(*ctypes.Struct)
-		if !ok {
-			return lvalue{}, false
-		}
-		i := st.FieldIndex(m.Field)
-		if i < 0 {
-			in.fail(m.P, "no field %q in struct %s", m.Field, st.Tag)
-		}
-		return base.field(i, st.Fields[i].Type), true
-	}
-	return lvalue{}, false
 }
 
 func (in *Interp) declaredOf(lv lvalue) ctypes.Type {
@@ -281,55 +56,6 @@ func (in *Interp) memberOfValue(base Value, m *cast.Member) Value {
 
 // ---------------------------------------------------------------------------
 // Operators
-
-func (in *Interp) evalUnary(u *cast.Unary) Value {
-	switch u.Op {
-	case ctoken.SUB:
-		v := in.eval(u.X)
-		in.addCost(costIAdd)
-		if v.Kind == VFloat {
-			v.Float = -v.Float
-			return v
-		}
-		v.Int = in.wrap(-v.Int, v)
-		return v
-	case ctoken.NOT:
-		v := in.eval(u.X)
-		in.addCost(costIAdd)
-		return BoolValue(v.IsZero())
-	case ctoken.TILD:
-		v := in.eval(u.X)
-		in.addCost(costIAdd)
-		v.Int = in.wrap(^v.Int, v)
-		return v
-	case ctoken.MUL:
-		p := in.eval(u.X)
-		if p.Kind != VPtr {
-			in.fail(u.P, "dereference of non-pointer")
-		}
-		in.checkBounds(p, u.P)
-		in.addCost(costLoad)
-		return p.Obj.Elems[p.Off]
-	case ctoken.AND:
-		lv := in.mustLvalue(u.X)
-		if len(lv.path) != 0 {
-			in.fail(u.P, "address of struct field is outside the subset")
-		}
-		return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-	case ctoken.INC, ctoken.DEC:
-		lv := in.mustLvalue(u.X)
-		old := lv.load()
-		delta := int64(1)
-		if u.Op == ctoken.DEC {
-			delta = -1
-		}
-		in.storeArith(lv, old, delta, u.P)
-		in.addCost(costIAdd)
-		return lv.load()
-	}
-	in.fail(u.P, "unsupported unary operator %s", u.Op)
-	return Value{}
-}
 
 // storeArith stores old+delta into lv, handling pointers and profiling.
 func (in *Interp) storeArith(lv lvalue, old Value, delta int64, pos ctoken.Pos) {
@@ -362,27 +88,6 @@ func (in *Interp) profileStore(lv lvalue, v Value) {
 		return
 	}
 	in.noteProfile(in.top().fn, lv.obj.Name, v.Int)
-}
-
-func (in *Interp) evalBinary(b *cast.Binary) Value {
-	// Short-circuit logical operators.
-	switch b.Op {
-	case ctoken.LAND:
-		in.addCost(costBranch)
-		if !in.eval(b.L).Truthy() {
-			return BoolValue(false)
-		}
-		return BoolValue(in.eval(b.R).Truthy())
-	case ctoken.LOR:
-		in.addCost(costBranch)
-		if in.eval(b.L).Truthy() {
-			return BoolValue(true)
-		}
-		return BoolValue(in.eval(b.R).Truthy())
-	}
-	l := in.eval(b.L)
-	r := in.eval(b.R)
-	return in.applyBinary(b.Op, l, r, b.P)
 }
 
 func (in *Interp) applyBinary(op ctoken.Kind, l, r Value, pos ctoken.Pos) Value {
@@ -551,24 +256,6 @@ func samePtr(l, r Value) bool {
 	return l.Obj == r.Obj && l.Off == r.Off
 }
 
-func (in *Interp) evalAssign(a *cast.Assign) Value {
-	lv := in.mustLvalue(a.L)
-	var v Value
-	if a.Op == ctoken.ASSIGN {
-		v = in.evalArg(a.R, in.declaredOf(lv))
-	} else {
-		old := lv.load()
-		r := in.eval(a.R)
-		binOp := compoundToBinary(a.Op)
-		v = in.applyBinary(binOp, old, r, a.P)
-	}
-	v = in.coerce(v, in.declaredOf(lv))
-	lv.store(v.DeepCopy())
-	in.addCost(costStore)
-	in.profileStore(lv, v)
-	return v
-}
-
 func compoundToBinary(op ctoken.Kind) ctoken.Kind {
 	switch op {
 	case ctoken.ADDASSIGN:
@@ -653,15 +340,4 @@ func boolToInt(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func (in *Interp) evalCast(c *cast.Cast) Value {
-	// (T*)malloc(...) — the canonical dynamic allocation form.
-	if call, ok := c.X.(*cast.Call); ok {
-		if id, ok := call.Fun.(*cast.Ident); ok && id.Name == "malloc" {
-			return in.evalMalloc(c.To, call)
-		}
-	}
-	v := in.eval(c.X)
-	return in.coerce(v, c.To)
 }

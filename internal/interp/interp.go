@@ -40,14 +40,11 @@ type Options struct {
 	// getKernelSeed).
 	CaptureName string
 	CaptureCall func(args []Value)
-	// Code, when non-nil, enables the compiled fast path: function
-	// bodies are compiled once into direct-threaded code (compile.go)
-	// and cached in the shared Codebase, keyed by *cast.FuncDecl
-	// identity. Semantics, costs, step accounting, coverage, profiles,
-	// and error messages are identical to the tree walker (the
-	// differential belt in difffuzz_test.go holds both paths to that
-	// contract); functions using unsupported constructs fall back to the
-	// tree per function.
+	// Code is the compiled-code cache the interpreter runs from: every
+	// function body is compiled once into direct-threaded code
+	// (compile.go) and cached, keyed by *cast.FuncDecl identity, so
+	// interpreters sharing a Codebase share compiled code. Nil means a
+	// private Codebase.
 	Code *Codebase
 	// CodeKey is an optional content identity for the unit, enabling
 	// compiled-code reuse across distinct units with identical content
@@ -157,6 +154,9 @@ func New(u *cast.Unit, opts Options) (*Interp, error) {
 			opts.MaxDepth = 4096
 		}
 	}
+	if opts.Code == nil {
+		opts.Code = NewCodebase()
+	}
 	in := &Interp{unit: u, opts: opts}
 	if err := in.Reset(); err != nil {
 		return nil, err
@@ -192,28 +192,13 @@ func (in *Interp) Reset() error {
 				panic(r)
 			}
 		}()
-		if in.opts.Code != nil {
-			fr := &frame{}
-			for _, g := range in.opts.Code.unit(in.unit).decls {
-				if g.alloc == nil {
-					in.methods[g.tag] = g.methods
-					continue
-				}
-				in.globals[g.name] = g.alloc(in, fr)
+		fr := &frame{}
+		for _, g := range in.opts.Code.unit(in.unit).decls {
+			if g.alloc == nil {
+				in.methods[g.tag] = g.methods
+				continue
 			}
-			return
-		}
-		for _, d := range in.unit.Decls {
-			switch x := d.(type) {
-			case *cast.VarDecl:
-				in.defineGlobal(x)
-			case *cast.StructDecl:
-				m := map[string]*cast.FuncDecl{}
-				for _, fn := range x.Methods {
-					m[fn.Name] = fn
-				}
-				in.methods[x.Type.Tag] = m
-			}
+			in.globals[g.name] = g.alloc(in, fr)
 		}
 	}()
 	return err
@@ -224,41 +209,6 @@ func (in *Interp) Output() string { return in.out.String() }
 
 // Cost returns accumulated cost units.
 func (in *Interp) Cost() int64 { return in.cost }
-
-func (in *Interp) defineGlobal(d *cast.VarDecl) {
-	b := in.makeStorage(d.Name, d.Type, d.Init, true)
-	in.globals[d.Name] = b
-}
-
-// makeStorage allocates storage for a declaration and evaluates its
-// initializer. Array declarations create multi-element objects.
-func (in *Interp) makeStorage(name string, t ctypes.Type, init cast.Expr, global bool) *binding {
-	rt := ctypes.Resolve(t)
-	if arr, ok := rt.(ctypes.Array); ok {
-		n := arr.Len
-		if n < 0 {
-			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
-		}
-		total, elem := flattenArray(arr)
-		obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
-		zero := ZeroValue(elem)
-		for i := range obj.Elems {
-			obj.Elems[i] = zero.DeepCopy()
-		}
-		if il, ok := init.(*cast.InitList); ok {
-			in.fillArray(obj, il)
-		}
-		_ = n
-		return &binding{typ: t, obj: obj}
-	}
-	obj := &Object{Name: name, Elem: rt, Elems: []Value{ZeroValue(rt)}}
-	b := &binding{lv: lvalue{obj: obj, declared: rt}, typ: t, isLV: true}
-	if init != nil {
-		v := in.evalInit(init, rt)
-		b.lv.store(in.coerce(v, rt).DeepCopy())
-	}
-	return b
-}
 
 // flattenArray flattens nested array types to (total length, element type):
 // int[2][3] becomes (6, int) with row-major addressing.
@@ -276,58 +226,6 @@ func flattenArray(a ctypes.Array) (int, ctypes.Type) {
 		total *= inner.Len
 		elem = ctypes.Resolve(inner.Elem)
 	}
-}
-
-func (in *Interp) fillArray(obj *Object, il *cast.InitList) {
-	idx := 0
-	var fill func(e cast.Expr)
-	fill = func(e cast.Expr) {
-		if sub, ok := e.(*cast.InitList); ok {
-			for _, el := range sub.Elems {
-				fill(el)
-			}
-			return
-		}
-		if idx < len(obj.Elems) {
-			obj.Elems[idx] = in.coerce(in.eval(e), obj.Elem).DeepCopy()
-			idx++
-		}
-	}
-	for _, el := range il.Elems {
-		fill(el)
-	}
-}
-
-// evalInit evaluates an initializer expression in the context of type t
-// (struct InitLists construct struct values).
-func (in *Interp) evalInit(e cast.Expr, t ctypes.Type) Value {
-	if il, ok := e.(*cast.InitList); ok {
-		if st, ok := ctypes.Resolve(t).(*ctypes.Struct); ok {
-			return in.structFromInitList(st, il)
-		}
-	}
-	return in.eval(e)
-}
-
-// structFromInitList builds a struct value, invoking the explicit
-// constructor when one exists with matching arity.
-func (in *Interp) structFromInitList(st *ctypes.Struct, il *cast.InitList) Value {
-	v := ZeroValue(st)
-	if ms, ok := in.methods[st.Tag]; ok {
-		if ctor, ok := ms[st.Tag]; ok && len(ctor.Params) == len(il.Elems) {
-			obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{v}}
-			lv := lvalue{obj: obj, declared: st}
-			in.walkMethod(ctor, lv, st, il.Elems, il.P)
-			return obj.Elems[0]
-		}
-	}
-	for i, el := range il.Elems {
-		if i >= len(st.Fields) {
-			break
-		}
-		v.Fields[i] = in.coerce(in.eval(el), st.Fields[i].Type).DeepCopy()
-	}
-	return v
 }
 
 // fail raises a runtime error.
@@ -400,37 +298,25 @@ func (in *Interp) callFunction(fn *cast.FuncDecl, args []Value, p ctoken.Pos) Va
 		}
 		in.opts.CaptureCall(snap)
 	}
-	if cf := in.compiledFor(fn); cf != nil {
-		return in.callCompiled(cf, fn, args, p)
-	}
-	fr := newFrame(fn.Name)
-	in.bindParams(fr, fn, args, p)
+	cf := in.compiled(fn, nil)
+	fr := &frame{fn: cf.frameName}
+	in.bindParams(fr, cf, fn, args, p)
 	in.frames = append(in.frames, fr)
 	prevPart, prevShared := in.partitions, in.partitionsShared
-	in.partitions = gatherPartitions(fn)
-	in.partitionsShared = false
+	in.partitions = cf.parts
+	in.partitionsShared = true
 	in.addCost(costCall)
 
-	dataflow := hasDataflow(fn)
-	if dataflow && in.opts.Mode == FPGA {
-		in.execDataflowBody(fn.Body)
+	if cf.dataflow && in.opts.Mode == FPGA {
+		cf.runDataflow(in, fr)
 	} else {
-		in.execBlock(fn.Body)
+		cf.run(in, fr)
 	}
 
 	in.partitions, in.partitionsShared = prevPart, prevShared
 	ret := fr.retVal
 	in.frames = in.frames[:len(in.frames)-1]
 	return ret
-}
-
-// compiledFor returns the compiled form of fn when the fast path is on
-// (nil otherwise: tree walk).
-func (in *Interp) compiledFor(fn *cast.FuncDecl) *compiledFunc {
-	if in.opts.Code == nil {
-		return nil
-	}
-	return in.compiled(fn, nil)
 }
 
 // compiled returns fn's compiled form (as a method of recv when recv is
@@ -453,36 +339,12 @@ func (in *Interp) callMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, 
 	}
 	cf := in.compiled(fn, st)
 	fr := &frame{fn: cf.frameName, receiver: &recv, recvType: st}
-	in.bindParamsSlots(fr, cf, fn, args, p)
+	in.bindParams(fr, cf, fn, args, p)
 	in.frames = append(in.frames, fr)
 	in.addCost(costCall)
 	cf.run(in, fr)
 	in.frames = in.frames[:len(in.frames)-1]
 	return fr.retVal
-}
-
-// callCompiled is callFunction's compiled-code twin: same frame
-// discipline, same cost and partition accounting, but locals live in a
-// flat slot array instead of scope maps.
-func (in *Interp) callCompiled(cf *compiledFunc, fn *cast.FuncDecl, args []Value, p ctoken.Pos) Value {
-	fr := &frame{fn: cf.frameName}
-	in.bindParamsSlots(fr, cf, fn, args, p)
-	in.frames = append(in.frames, fr)
-	prevPart, prevShared := in.partitions, in.partitionsShared
-	in.partitions = cf.parts
-	in.partitionsShared = true
-	in.addCost(costCall)
-
-	if cf.dataflow && in.opts.Mode == FPGA {
-		cf.runDataflow(in, fr)
-	} else {
-		cf.run(in, fr)
-	}
-
-	in.partitions, in.partitionsShared = prevPart, prevShared
-	ret := fr.retVal
-	in.frames = in.frames[:len(in.frames)-1]
-	return ret
 }
 
 // funcOf resolves a function name against the unit, memoized. Compiled
@@ -502,10 +364,10 @@ func (in *Interp) funcOf(name string) *cast.FuncDecl {
 	return fn
 }
 
-// bindParamsSlots is bindParams for a compiled frame: identical checks,
-// coercions, and profile notes, but bindings land in the flat slot
-// array at the compiler-assigned parameter slots.
-func (in *Interp) bindParamsSlots(fr *frame, cf *compiledFunc, fn *cast.FuncDecl, args []Value, p ctoken.Pos) {
+// bindParams binds the argument values to fresh parameter storage at
+// the compiler-assigned slots, coercing each to its parameter type
+// (array parameters are pointers) and profiling integer arguments.
+func (in *Interp) bindParams(fr *frame, cf *compiledFunc, fn *cast.FuncDecl, args []Value, p ctoken.Pos) {
 	if len(args) != len(fn.Params) {
 		in.fail(p, "call to %q with %d args, want %d", fn.Name, len(args), len(fn.Params))
 	}
@@ -514,7 +376,6 @@ func (in *Interp) bindParamsSlots(fr *frame, cf *compiledFunc, fn *cast.FuncDecl
 		rt := ctypes.Resolve(prm.Type)
 		v := args[i]
 		if arr, isArr := rt.(ctypes.Array); isArr {
-			// Array parameters are pointers under the hood.
 			rt = ctypes.Pointer{Elem: arr.Elem}
 		}
 		obj := &Object{Name: prm.Name, Elem: rt, Elems: []Value{in.coerce(v, rt)}}
@@ -525,50 +386,6 @@ func (in *Interp) bindParamsSlots(fr *frame, cf *compiledFunc, fn *cast.FuncDecl
 			}
 		}
 	}
-}
-
-// bindParams defines parameter bindings in the new frame.
-func (in *Interp) bindParams(fr *frame, fn *cast.FuncDecl, args []Value, p ctoken.Pos) {
-	if len(args) != len(fn.Params) {
-		in.fail(p, "call to %q with %d args, want %d", fn.Name, len(args), len(fn.Params))
-	}
-	for i, prm := range fn.Params {
-		rt := ctypes.Resolve(prm.Type)
-		v := args[i]
-		if _, isArr := rt.(ctypes.Array); isArr {
-			// Array parameters are pointers under the hood.
-			rt = ctypes.Pointer{Elem: rt.(ctypes.Array).Elem}
-		}
-		obj := &Object{Name: prm.Name, Elem: rt, Elems: []Value{in.coerce(v, rt)}}
-		fr.define(prm.Name, &binding{lv: lvalue{obj: obj, declared: rt}, typ: prm.Type, isLV: true})
-		if in.opts.Profile {
-			if v.Kind == VInt {
-				in.noteProfile(fn.Name, prm.Name, v.Int)
-			}
-		}
-	}
-}
-
-// callMethod executes a struct member function with the given receiver
-// storage. Field names resolve against the receiver.
-func (in *Interp) walkMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, argExprs []cast.Expr, p ctoken.Pos) Value {
-	args := make([]Value, len(argExprs))
-	for i, a := range argExprs {
-		args[i] = in.evalArg(a, fn.Params[i].Type)
-	}
-	if len(in.frames) >= in.opts.MaxDepth {
-		in.fail(p, "call depth limit exceeded in method %q", fn.Name)
-	}
-	fr := newFrame(st.Tag + "::" + fn.Name)
-	fr.receiver = &recv
-	fr.recvType = st
-	in.bindParams(fr, fn, args, p)
-	in.frames = append(in.frames, fr)
-	in.addCost(costCall)
-	in.execBlock(fn.Body)
-	ret := fr.retVal
-	in.frames = in.frames[:len(in.frames)-1]
-	return ret
 }
 
 func (in *Interp) top() *frame { return in.frames[len(in.frames)-1] }

@@ -425,8 +425,8 @@ int f(int n) {
 // edgeTightSteps is a budget that cuts most edge cases off mid-run.
 const edgeTightSteps = 60
 
-// TestEdgeOutcomes holds compiled execution of edgeCases to the tree
-// walker's outcomes recorded in testdata/golden/edge.txt.
+// TestEdgeOutcomes holds edgeCases to the tree walker's outcomes
+// recorded in testdata/golden/edge.txt.
 func TestEdgeOutcomes(t *testing.T) {
 	golden := loadOutcomes(t, "edge.txt")
 	code := interp.NewCodebase()
@@ -447,14 +447,9 @@ func TestEdgeOutcomes(t *testing.T) {
 						maxSteps = edgeTightSteps
 					}
 					opts := beltOptions(r.mode, maxSteps)
-					tree := diffOutcome(u, "f", vals(), opts)
 					opts.Code = code
-					got := diffOutcome(u, "f", vals(), opts)
 					key := fmt.Sprintf("%s/%v/%s/%d", c.name, args, modeName(r.mode), maxSteps)
-					if got != tree {
-						t.Errorf("%s diverged:\n--- tree ---\n%s--- compiled ---\n%s", key, tree, got)
-					}
-					golden.check(t, key, tree)
+					golden.check(t, key, diffOutcome(u, "f", vals(), opts))
 				}
 			}
 		})

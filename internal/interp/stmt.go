@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/ctypes"
 )
 
 // control reports whether a break/continue unwound out of a statement.
@@ -17,47 +16,6 @@ const (
 	ctlContinue
 )
 
-// execBlock executes statements in a fresh scope.
-func (in *Interp) execBlock(b *cast.Block) control {
-	fr := in.top()
-	fr.push()
-	defer fr.pop()
-	for _, s := range b.Stmts {
-		if c := in.execStmt(s); c != ctlNone || fr.returned {
-			return c
-		}
-	}
-	return ctlNone
-}
-
-// execDataflowBody executes a function body under #pragma HLS dataflow:
-// semantics are unchanged, but the cycle accounting of its top-level call
-// statements is overlapped (max instead of sum), the fabric's task-level
-// pipelining.
-func (in *Interp) execDataflowBody(b *cast.Block) {
-	fr := in.top()
-	fr.push()
-	defer fr.pop()
-	// Call statements overlap: only the longest contributes. Everything
-	// else keeps its sequential cost.
-	var maxCall int64
-	for _, s := range b.Stmts {
-		before := in.cost
-		c := in.execStmt(s)
-		if isCallStmt(s) {
-			delta := in.cost - before
-			in.cost = before
-			if delta > maxCall {
-				maxCall = delta
-			}
-		}
-		if c != ctlNone || fr.returned {
-			break
-		}
-	}
-	in.cost += maxCall
-}
-
 func isCallStmt(s cast.Stmt) bool {
 	es, ok := s.(*cast.ExprStmt)
 	if !ok {
@@ -65,235 +23,6 @@ func isCallStmt(s cast.Stmt) bool {
 	}
 	_, isCall := es.X.(*cast.Call)
 	return isCall
-}
-
-func (in *Interp) execStmt(s cast.Stmt) control {
-	in.step(s.Pos())
-	switch x := s.(type) {
-	case *cast.ExprStmt:
-		in.eval(x.X)
-		return ctlNone
-	case *cast.DeclStmt:
-		in.execDecl(x)
-		return ctlNone
-	case *cast.Block:
-		return in.execBlock(x)
-	case *cast.If:
-		in.addCost(costBranch)
-		cond := in.eval(x.Cond).Truthy()
-		in.recordBranch(x.BranchID, cond)
-		if cond {
-			return in.execStmt(x.Then)
-		}
-		if x.Else != nil {
-			return in.execStmt(x.Else)
-		}
-		return ctlNone
-	case *cast.For:
-		return in.execFor(x)
-	case *cast.While:
-		return in.execWhile(x)
-	case *cast.Return:
-		fr := in.top()
-		if x.X != nil {
-			fr.retVal = in.eval(x.X)
-		}
-		fr.returned = true
-		in.addCost(costReturn)
-		return ctlNone
-	case *cast.Break:
-		return ctlBreak
-	case *cast.Continue:
-		return ctlContinue
-	case *cast.Switch:
-		return in.execSwitch(x)
-	case *cast.Pragma:
-		// Free-standing pragma inside a body: record array partitions.
-		in.notePartition(x.Text)
-		return ctlNone
-	case *cast.Label:
-		return ctlNone
-	case *cast.Goto:
-		in.fail(x.P, "goto is not supported by the interpreter")
-	}
-	return ctlNone
-}
-
-func (in *Interp) execDecl(d *cast.DeclStmt) {
-	fr := in.top()
-	// Statics keep one storage per declaration site, keyed by name within
-	// the function; a simple emulation sufficient for the subset.
-	if d.Static {
-		key := fr.fn + ".static." + d.Name
-		if g, ok := in.globals[key]; ok {
-			fr.define(d.Name, g)
-			return
-		}
-		b := in.makeStorage(d.Name, d.Type, d.Init, true)
-		in.globals[key] = b
-		fr.define(d.Name, b)
-		return
-	}
-	typ := d.Type
-	if len(d.VLADims) > 0 && in.opts.Mode == CPU {
-		// Variable-length array: evaluate runtime dimensions (software
-		// semantics only; the fabric has no VLAs).
-		typ = in.concretizeVLA(d)
-	}
-	b := in.makeStorage(d.Name, typ, d.Init, false)
-	fr.define(d.Name, b)
-	if in.opts.Profile && b.isLV {
-		if v := b.lv.load(); v.Kind == VInt {
-			in.noteProfile(fr.fn, d.Name, v.Int)
-		}
-	}
-	in.addCost(costStore)
-}
-
-// concretizeVLA resolves a VLA declaration's unknown dimensions by
-// evaluating their runtime expressions.
-func (in *Interp) concretizeVLA(d *cast.DeclStmt) ctypes.Type {
-	dims := make([]int, 0, len(d.VLADims))
-	for _, e := range d.VLADims {
-		n := in.eval(e).AsInt()
-		if n < 0 || n > 1<<22 {
-			in.fail(d.P, "invalid VLA dimension %d for %q", n, d.Name)
-		}
-		dims = append(dims, int(n))
-	}
-	next := 0
-	var fill func(t ctypes.Type) ctypes.Type
-	fill = func(t ctypes.Type) ctypes.Type {
-		a, ok := t.(ctypes.Array)
-		if !ok {
-			return t
-		}
-		ln := a.Len
-		if ln < 0 && next < len(dims) {
-			ln = dims[next]
-			next++
-		}
-		return ctypes.Array{Elem: fill(a.Elem), Len: ln}
-	}
-	return fill(d.Type)
-}
-
-func (in *Interp) execFor(f *cast.For) control {
-	fr := in.top()
-	fr.push()
-	defer fr.pop()
-	if f.Init != nil {
-		in.execStmt(f.Init)
-	}
-	startCost := in.cost
-	iterations := int64(0)
-	for {
-		in.step(f.P)
-		cond := true
-		if f.Cond != nil {
-			in.addCost(costBranch)
-			cond = in.eval(f.Cond).Truthy()
-		}
-		in.recordBranch(f.BranchID, cond)
-		if !cond {
-			break
-		}
-		iterations++
-		c := in.execStmt(f.Body)
-		if fr.returned || c == ctlBreak {
-			if c == ctlBreak {
-				c = ctlNone
-			}
-			in.scaleLoopCost(startCost, iterations, 1, f.Pragmas, f.Body)
-			return ctlNone
-		}
-		if f.Post != nil {
-			in.eval(f.Post)
-		}
-	}
-	in.scaleLoopCost(startCost, iterations, 1, f.Pragmas, f.Body)
-	return ctlNone
-}
-
-func (in *Interp) execWhile(w *cast.While) control {
-	fr := in.top()
-	startCost := in.cost
-	first := true
-	iterations := int64(0)
-	for {
-		in.step(w.P)
-		if !w.DoWhile || !first {
-			in.addCost(costBranch)
-			cond := in.eval(w.Cond).Truthy()
-			in.recordBranch(w.BranchID, cond)
-			if !cond {
-				break
-			}
-		}
-		iterations++
-		c := in.execStmt(w.Body)
-		if fr.returned || c == ctlBreak {
-			break
-		}
-		if w.DoWhile && first {
-			// Condition of a do-while runs after the first body pass.
-			in.addCost(costBranch)
-			cond := in.eval(w.Cond).Truthy()
-			in.recordBranch(w.BranchID, cond)
-			if !cond {
-				break
-			}
-		}
-		first = false
-	}
-	// While loops carry loop-borne dependences more often than counted
-	// loops; the pipeline model charges them a higher initiation interval.
-	in.scaleLoopCost(startCost, iterations, whileMinII, w.Pragmas, w.Body)
-	return ctlNone
-}
-
-func (in *Interp) execSwitch(sw *cast.Switch) control {
-	v := in.eval(sw.X).AsInt()
-	in.addCost(costBranch)
-	matched := -1
-	for i, c := range sw.Cases {
-		if c.IsDefault {
-			continue
-		}
-		if in.eval(c.Value).AsInt() == v {
-			matched = i
-			break
-		}
-	}
-	if matched < 0 {
-		for i, c := range sw.Cases {
-			if c.IsDefault {
-				matched = i
-				break
-			}
-		}
-	}
-	if matched < 0 {
-		return ctlNone
-	}
-	in.recordBranch(sw.BranchID+matched, true)
-	fr := in.top()
-	// Execute from the matched arm with C fall-through semantics.
-	for i := matched; i < len(sw.Cases); i++ {
-		for _, s := range sw.Cases[i].Body {
-			c := in.execStmt(s)
-			if fr.returned {
-				return ctlNone
-			}
-			if c == ctlBreak {
-				return ctlNone
-			}
-			if c == ctlContinue {
-				return ctlContinue
-			}
-		}
-	}
-	return ctlNone
 }
 
 // ---------------------------------------------------------------------------
@@ -311,6 +40,49 @@ const (
 	whileMinII = 2
 )
 
+// loopScale is the compile-time precomputation of scaleLoopCost's
+// inputs: the parsed pragma directives and the index-identifier names
+// the body's partition lookup walks. The partition factors themselves
+// stay a run-time lookup (pragmas executed inside the body can change
+// them mid-run).
+type loopScale struct {
+	// hasPragmas gates scaling on any pragma at all, unparsed and
+	// non-HLS ones included.
+	hasPragmas bool
+	dirs       []PragmaDirective
+	idxNames   []string
+}
+
+func newLoopScale(pragmas []*cast.Pragma, body cast.Stmt) *loopScale {
+	ls := &loopScale{hasPragmas: len(pragmas) > 0}
+	for _, p := range pragmas {
+		ls.dirs = append(ls.dirs, ParsePragma(p.Text))
+	}
+	seen := map[string]bool{}
+	cast.Inspect(body, func(n cast.Node) bool {
+		if ix, ok := n.(*cast.Index); ok {
+			if id, ok := ix.X.(*cast.Ident); ok && !seen[id.Name] {
+				seen[id.Name] = true
+				ls.idxNames = append(ls.idxNames, id.Name)
+			}
+		}
+		return true
+	})
+	return ls
+}
+
+// maxPartition returns the largest partition factor among the arrays
+// the loop body indexes (1 when none are partitioned).
+func (ls *loopScale) maxPartition(in *Interp) int {
+	max := 1
+	for _, n := range ls.idxNames {
+		if f, ok := in.partitions[n]; ok && f > max {
+			max = f
+		}
+	}
+	return max
+}
+
 // scaleLoopCost rescales the cycles consumed by a finished loop according
 // to its HLS pragmas (FPGA mode only):
 //
@@ -321,8 +93,8 @@ const (
 //     ports available (2 per partition bank of the arrays the body
 //     touches);
 //   - the combined speedup is capped at maxLoopSpeedup.
-func (in *Interp) scaleLoopCost(startCost, iterations int64, minII int, pragmas []*cast.Pragma, body cast.Stmt) {
-	if in.opts.Mode != FPGA || len(pragmas) == 0 || iterations <= 0 {
+func (in *Interp) scaleLoopCost(ls *loopScale, startCost, iterations int64, minII int) {
+	if in.opts.Mode != FPGA || !ls.hasPragmas || iterations <= 0 {
 		return
 	}
 	delta := in.cost - startCost
@@ -332,8 +104,7 @@ func (in *Interp) scaleLoopCost(startCost, iterations int64, minII int, pragmas 
 	pipelined := false
 	ii := minII
 	unroll := 1
-	for _, p := range pragmas {
-		d := ParsePragma(p.Text)
+	for _, d := range ls.dirs {
 		switch d.Kind {
 		case PragmaPipeline:
 			pipelined = true
@@ -345,7 +116,7 @@ func (in *Interp) scaleLoopCost(startCost, iterations int64, minII int, pragmas 
 			if f <= 0 {
 				f = 8 // full unroll default benefit
 			}
-			ports := 2 * in.maxPartitionOf(body)
+			ports := 2 * ls.maxPartition(in)
 			if f > ports {
 				f = ports
 			}
@@ -359,7 +130,6 @@ func (in *Interp) scaleLoopCost(startCost, iterations int64, minII int, pragmas 
 		scaled = delta / int64(unroll)
 	}
 	if pipelined {
-		// II cycles per (unroll-group of) iteration(s), plus fill/flush.
 		piped := iterations*int64(ii)/int64(unroll) + pipelineDepth
 		if piped < scaled {
 			scaled = piped
@@ -374,23 +144,6 @@ func (in *Interp) scaleLoopCost(startCost, iterations int64, minII int, pragmas 
 	in.cost = startCost + scaled + costLoopOverhead
 }
 
-// maxPartitionOf returns the largest partition factor among arrays
-// referenced in the loop body (1 when none are partitioned).
-func (in *Interp) maxPartitionOf(body cast.Stmt) int {
-	max := 1
-	cast.Inspect(body, func(n cast.Node) bool {
-		if ix, ok := n.(*cast.Index); ok {
-			if id, ok := ix.X.(*cast.Ident); ok {
-				if f, ok := in.partitions[id.Name]; ok && f > max {
-					max = f
-				}
-			}
-		}
-		return true
-	})
-	return max
-}
-
 // partitionBanks derives the effective bank count of a partition
 // directive: the factor for cyclic/block partitions, or "fully
 // registered" for type=complete.
@@ -402,14 +155,6 @@ func partitionBanks(d PragmaDirective) int {
 		return 4
 	}
 	return d.Factor
-}
-
-// notePartition records an array_partition pragma's banking.
-func (in *Interp) notePartition(text string) {
-	d := ParsePragma(text)
-	if d.Kind == PragmaArrayPartition && d.Variable != "" {
-		in.setPartition(d.Variable, partitionBanks(d))
-	}
 }
 
 // setPartition records one array's banking, copying the partition map

@@ -1,5 +1,7 @@
-// Package interp implements a tree-walking interpreter for the C/HLS-C
-// subset. It provides the three execution services HeteroGen depends on:
+// Package interp implements an interpreter for the C/HLS-C subset: it
+// compiles each function body once into direct-threaded closures
+// (compile.go) and runs them. It provides the three execution services
+// HeteroGen depends on:
 //
 //   - CPU-semantics execution of the original C program (unbounded heap,
 //     native recursion) with branch-coverage instrumentation — the fuzzing

@@ -160,7 +160,7 @@ func TestLineCounterPinsReport(t *testing.T) {
 // TestRunnerMatchesOneShotRun: the search's differential tester —
 // structure-sharing candidates, cached reference outcomes, compiled
 // code keyed by fingerprint — reports exactly what a one-shot
-// tree-walking difftest.Run reports on a full clone, for every
+// difftest.Run reports on a full clone, for every
 // candidate of a random-mode iteration on the Figure 2 kernel. The
 // candidate set is generated twice, so the second round runs fresh
 // pointers against content-keyed compiled code.
