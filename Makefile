@@ -105,10 +105,10 @@ crash-smoke:
 
 # Observability smoke: run a small traced hgconform sweep, ingest the
 # retained traces with the real hgstat binary in two different orders,
-# and assert the fleet report, the JSON aggregate, and the priors
-# artifact are byte-identical — the end-to-end determinism contract of
-# the trace warehouse. Also exercises -verify, the -span view, and the
-# single-run report with -check on a sound and a broken trace.
+# and assert the fleet report and the JSON aggregate are byte-identical
+# — the end-to-end determinism contract of the trace warehouse. Also
+# exercises the -span view and the single-run report with -check on a
+# sound and a broken trace.
 obs-smoke:
 	OBS_SMOKE=1 $(GO) test -run TestObsSmoke -v ./cmd/hgstat
 
@@ -122,7 +122,8 @@ target-smoke:
 
 # Docs gate: every flag registered by any cmd/ binary (including the
 # shared internal/cliflag families) must appear in the README's
-# consolidated CLI reference table.
+# consolidated CLI reference table, and every row of that table must
+# name a flag its binary (or, for shared rows, some binary) registers.
 docs-check:
 	$(GO) test -run TestDocsFlagReference -v .
 

@@ -8,7 +8,7 @@
 //	hgserve [-addr host:port] [-pool n] [-queue n] [-per-client n]
 //	        [-state-dir d] [-drain-timeout d]
 //	        [-cache-dir d] [-cache-shards n] [-cache-capacity n] [-no-cache]
-//	        [-cache-compact-bytes n] [-cache-compact-garbage f]
+//	        [-cache-compact-bytes n]
 //	        [-quarantine-dir d] [-chaos rate] [-chaos-seed n]
 //	        [-max-stage-deadline d] [-max-interp-steps n]
 //	        [-max-fuzz-execs n] [-max-iterations n] [-max-workers n]
@@ -63,8 +63,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the shared evaluation cache in this directory (reused across restarts)")
 	cacheShards := flag.Int("cache-shards", 8, "evaluation-cache shard count (concurrent jobs contend per shard, not globally)")
 	cacheCapacity := flag.Int("cache-capacity", 0, "in-memory cache entry bound across all shards (0 = package default)")
-	cacheCompactBytes := flag.Int64("cache-compact-bytes", 0, "compact the persistent cache on open once its files reach this size (0 disables compaction)")
-	cacheCompactGarbage := flag.Float64("cache-compact-garbage", 0.5, "garbage fraction that must also be exceeded before an on-open compaction runs")
+	cacheCompactBytes := flag.Int64("cache-compact-bytes", 0, "compact the persistent cache on open once its files reach this size and are at least half garbage (0 disables compaction)")
 	noCache := flag.Bool("no-cache", false, "disable the shared evaluation cache")
 	quarantineDir := flag.String("quarantine-dir", "", "directory for minimized reproducers of contained stage failures (empty disables)")
 	chaosRate := flag.Float64("chaos", 0, "deterministic fault-injection rate in [0,1] (0 disables; testing only)")
@@ -140,7 +139,6 @@ func main() {
 			Shards:          *cacheShards,
 			Capacity:        *cacheCapacity,
 			CompactMinBytes: *cacheCompactBytes,
-			CompactGarbage:  *cacheCompactGarbage,
 			Metrics:         metrics,
 			Warn:            warn,
 		})

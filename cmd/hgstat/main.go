@@ -7,17 +7,16 @@
 // and cost component. Given directories of trace files (hgconform
 // sweeps, hgserve job retention dirs) it ingests them into a
 // content-addressed warehouse and reports per-stage latency and
-// virtual-cost percentiles, repair convergence funnels, cache-hit
-// attribution, and an evidence table of (error class × fix template)
-// outcomes. The operand's file type picks the mode.
+// virtual-cost percentiles, repair convergence funnels, candidate
+// outcomes by error class, and cache-hit attribution. The operand's
+// file type picks the mode.
 //
 // Usage:
 //
 //	hgstat [-json] [-check] [-cache-dir d] [target flags] trace.jsonl
 //	hgstat [-json] -cache-dir d
-//	hgstat [-json] [-priors out.json] [target flags] dir [dir...]
+//	hgstat [-json] [target flags] dir [dir...]
 //	hgstat -span trace.jsonl [-top n]
-//	hgstat -verify priors.json
 //
 // Target flags are -backend, -device and -target (internal/cliflag).
 // On a trace file they keep only the events stamped with a matching
@@ -42,10 +41,6 @@
 // canonical order — the output is byte-identical for any ingestion
 // order of the same trace set, and identical trace files are counted
 // once.
-//
-// The -priors artifact is a versioned, content-hashed JSON table
-// (format "heterogen-priors") that downstream candidate reordering can
-// consume; -verify recomputes its hash and fails on any tampering.
 package main
 
 import (
@@ -53,7 +48,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/hetero/heterogen/internal/cliflag"
@@ -66,10 +60,8 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
-	priorsOut := flag.String("priors", "", "write the (error class x fix template) priors artifact to this path")
 	spanTrace := flag.String("span", "", "render one trace file as a span tree with its critical path, then exit")
 	top := flag.Int("top", 8, "max child spans shown per level in the -span view")
-	verifyPath := flag.String("verify", "", "verify a priors artifact's integrity, then exit")
 	check := flag.Bool("check", false, "cross-validate a trace file's events against its run summary; exit 1 on mismatch")
 	cacheDir := flag.String("cache-dir", "", "summarize this persistent evaluation-cache directory alongside a trace file's report")
 	var tf cliflag.Target
@@ -81,17 +73,6 @@ func main() {
 	}
 
 	switch {
-	case *verifyPath != "":
-		if flag.NArg() != 0 || *spanTrace != "" {
-			fail(fmt.Errorf("-verify takes no other inputs"))
-		}
-		t, err := agg.LoadPriors(*verifyPath)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("hgstat: %s: format %s v%d, %d entries from %d traces, hash %s OK\n",
-			*verifyPath, t.Format, t.Version, len(t.Entries), t.Traces, short(t.Hash))
-		return
 	case *spanTrace != "":
 		if flag.NArg() != 0 {
 			fail(fmt.Errorf("-span takes no directory arguments"))
@@ -104,12 +85,12 @@ func main() {
 		runReport("", *cacheDir, filter, *jsonOut, *check)
 		return
 	case flag.NArg() == 0:
-		fmt.Fprintln(os.Stderr, "usage: hgstat [-json] [-check] [-cache-dir d] trace.jsonl | [-json] [-priors out.json] dir [dir...] (see -h)")
+		fmt.Fprintln(os.Stderr, "usage: hgstat [-json] [-check] [-cache-dir d] trace.jsonl | [-json] dir [dir...] (see -h)")
 		os.Exit(2)
 	}
 	if fi, err := os.Stat(flag.Arg(0)); err == nil && fi.Mode().IsRegular() {
-		if flag.NArg() != 1 || *priorsOut != "" {
-			fail(fmt.Errorf("a trace file takes no other operands and no -priors"))
+		if flag.NArg() != 1 {
+			fail(fmt.Errorf("a trace file takes no other operands"))
 		}
 		runReport(flag.Arg(0), *cacheDir, filter, *jsonOut, *check)
 		return
@@ -142,14 +123,6 @@ func main() {
 			}
 		}
 		fleet.Targets = kept
-	}
-
-	if *priorsOut != "" {
-		if err := fleet.Priors.WriteFile(*priorsOut); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "hgstat: wrote %d priors entries (hash %s) to %s\n",
-			len(fleet.Priors.Entries), short(fleet.Priors.Hash), *priorsOut)
 	}
 
 	if *jsonOut {
@@ -272,7 +245,7 @@ func renderSpans(path string, top int) error {
 	}
 	// A sidecar written by hgserve retention enriches the tree with the
 	// job envelope and cache attribution when present.
-	if meta := sidecarFor(path); meta != nil && len(runs) == 1 {
+	if meta := span.ReadMeta(path); meta != nil && len(runs) == 1 {
 		span.Attach(runs[0], meta)
 	}
 	for i, r := range runs {
@@ -282,27 +255,6 @@ func renderSpans(path string, top int) error {
 		fmt.Print(r.Text(top))
 	}
 	return nil
-}
-
-// sidecarFor loads <base>.meta.json next to a trace, if any.
-func sidecarFor(tracePath string) *span.RunMeta {
-	base := strings.TrimSuffix(tracePath, filepath.Ext(tracePath))
-	b, err := os.ReadFile(base + ".meta.json")
-	if err != nil {
-		return nil
-	}
-	var m span.RunMeta
-	if json.Unmarshal(b, &m) != nil {
-		return nil
-	}
-	return &m
-}
-
-func short(hash string) string {
-	if len(hash) > 12 {
-		return hash[:12]
-	}
-	return hash
 }
 
 func fail(err error) {

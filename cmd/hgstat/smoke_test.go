@@ -2,8 +2,8 @@ package main
 
 // The obs-smoke gate (`make obs-smoke`, OBS_SMOKE=1): run a small
 // traced hgconform sweep in-process, then drive the real hgstat binary
-// over the retained traces and assert the fleet report and the priors
-// artifact are byte-identical across two ingestion orders. This is the
+// over the retained traces and assert the fleet report and its JSON
+// aggregate are byte-identical across two ingestion orders. This is the
 // end-to-end determinism contract: trace capture -> warehouse ->
 // operator report, order-free. It also drives the single-run views
 // of one trace file: the report and its -check cross-validation.
@@ -78,32 +78,13 @@ func TestObsSmoke(t *testing.T) {
 		return out
 	}
 
-	priors1 := filepath.Join(t.TempDir(), "priors-1.json")
-	priors2 := filepath.Join(t.TempDir(), "priors-2.json")
-	report1 := run("-priors", priors1, dirA, dirB)
-	report2 := run("-priors", priors2, dirB, dirA)
+	report1 := run(dirA, dirB)
+	report2 := run(dirB, dirA)
 	if !bytes.Equal(report1, report2) {
 		t.Fatalf("fleet report depends on ingestion order\n--- A,B\n%s\n--- B,A\n%s", report1, report2)
 	}
-	p1, err := os.ReadFile(priors1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := os.ReadFile(priors2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p1, p2) {
-		t.Fatalf("priors artifact depends on ingestion order\n--- A,B\n%s\n--- B,A\n%s", p1, p2)
-	}
 	if !bytes.Contains(report1, []byte("convergence funnel")) {
 		t.Errorf("report missing convergence funnel:\n%s", report1)
-	}
-
-	// The artifact must survive its own integrity check.
-	verify := run("-verify", priors1)
-	if !bytes.Contains(verify, []byte("OK")) {
-		t.Errorf("verify output: %s", verify)
 	}
 
 	// JSON mode is equally order-free.

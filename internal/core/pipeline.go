@@ -385,8 +385,11 @@ func CheckWith(src string, opts Options) (hls.Report, error) {
 
 // checkOne is the cached, guarded, observed checker stage for one
 // target: its profile provides the config, its backend translates the
-// diagnostics before they are cached and reported. It also returns the
-// target's canonical form.
+// diagnostics before they are reported. The cache holds the
+// untranslated report under the repair search's key, so a check finds
+// the verdicts a repair already paid for; source positions are not
+// content, so a hit reports those of the unit that first produced the
+// verdict. It also returns the target's canonical form.
 func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target, error) {
 	backend, profile, err := hls.ResolveTarget(t)
 	if err != nil {
@@ -399,17 +402,13 @@ func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target,
 	cached := false
 	if opts.Cache != nil {
 		salt := evalcache.CheckSalt(backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
-		key = evalcache.CheckKey(salt, cast.Print(u))
+		key = evalcache.CheckKey(salt, cast.FingerprintUnit(u))
 		cached = opts.Cache.Get(evalcache.StageCheck, key, &rep)
 	}
 	if !cached {
 		rep, err = guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageCheck, Unit: u},
 			func(cu *cast.Unit) (hls.Report, error) {
-				r := check.Run(cu, cfg)
-				for i := range r.Diags {
-					r.Diags[i] = backend.Translate(r.Diags[i])
-				}
-				return r, nil
+				return check.Run(cu, cfg), nil
 			})
 		if err != nil {
 			return hls.Report{}, t, err
@@ -417,6 +416,9 @@ func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target,
 		if opts.Cache != nil {
 			opts.Cache.Put(evalcache.StageCheck, key, rep)
 		}
+	}
+	for i := range rep.Diags {
+		rep.Diags[i] = backend.Translate(rep.Diags[i])
 	}
 	check.Observe(opts.Obs, cfg, rep)
 	return rep, t, nil

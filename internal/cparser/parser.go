@@ -238,9 +238,14 @@ func (p *parser) parseStructDecl() cast.Decl {
 		}
 		typ, name := p.parseDeclarator(base)
 		if p.cur().Kind == ctoken.LPAREN {
-			// Member function.
+			// Member function. One named after its struct is a
+			// constructor: cast.Print renders constructors as
+			// `void Tag(...)`, so printed units must parse back to one.
 			m := p.parseFuncRest(p.cur().Pos, typ, name, false).(*cast.FuncDecl)
 			decl.Methods = append(decl.Methods, m)
+			if name == tag {
+				decl.HasCtor = true
+			}
 			continue
 		}
 		st.Fields = append(st.Fields, ctypes.Field{Name: name, Type: typ})

@@ -222,6 +222,30 @@ void top(hls::stream<unsigned> &in, hls::stream<unsigned> &out) {
 	}
 }
 
+// TestPrintedConstructorParsesBack: cast.Print renders a constructor as
+// `void Tag(...)`; parsing that text must still find the constructor,
+// or a printed design would check as if it had none.
+func TestPrintedConstructorParsesBack(t *testing.T) {
+	src := cast.Print(MustParse(`
+struct P {
+    int a;
+    P(int x) : a(x) {}
+    int get() { return a; }
+};
+int k(int x) { return P{x}.get(); }
+`))
+	if !strings.Contains(src, "void P(int x)") {
+		t.Fatalf("printer no longer renders constructors as void methods; revisit this test:\n%s", src)
+	}
+	again := MustParse(src)
+	if sd := again.StructOf("P"); sd == nil || !sd.HasCtor {
+		t.Errorf("printed constructor parsed back as a plain method:\n%s", src)
+	}
+	if got := cast.Print(again); got != src {
+		t.Errorf("print/parse round trip changed the text:\n--- first\n%s\n--- second\n%s", src, got)
+	}
+}
+
 func TestParseLoopPragmaAttachment(t *testing.T) {
 	u := MustParse(`
 void k(int a[16]) {

@@ -48,8 +48,11 @@ func Stages() []Stage {
 // toolchain salts always name the backend (an untargeted run is keyed
 // as the default target), so version 3 entries are a clean miss.
 // Version 5: the pipeline's final resource estimate is keyed by
-// fingerprint like the search's, not by printed text.
-const formatVersion = 5
+// fingerprint like the search's, not by printed text. Version 6: every
+// key names program content by fingerprint — the pipeline's check
+// stage stores the untranslated report under the search's key, and
+// fuzz campaigns and difftest salts drop printed text.
+const formatVersion = 6
 
 // Fingerprint hashes an ordered list of key components into a hex
 // content address. Components are length-prefixed, so the boundary
@@ -102,19 +105,16 @@ type Options struct {
 	Warn func(string)
 	// CompactMinBytes enables on-open compaction of the persistent
 	// tier: when the entries files total at least this many bytes AND
-	// their garbage fraction (bytes not backing a live entry — stale
-	// overwrites, shard-count leftovers, corrupt lines) reaches
-	// CompactGarbage, the store is rewritten to exactly the live
-	// entries under the current shard count. The rewrite is crash-safe
-	// at every point: new shard images build as invisible .tmp files,
-	// are fsynced, and replace the old files by atomic rename; a kill
-	// anywhere leaves a store that loads every live entry (possibly
-	// duplicated across old and new copies — either is valid, the
-	// content address never lies). 0 disables compaction.
+	// at least half of them are garbage (bytes not backing a live
+	// entry — stale overwrites, shard-count leftovers, corrupt lines),
+	// the store is rewritten to exactly the live entries under the
+	// current shard count. The rewrite is crash-safe at every point:
+	// new shard images build as invisible .tmp files, are fsynced, and
+	// replace the old files by atomic rename; a kill anywhere leaves a
+	// store that loads every live entry (possibly duplicated across old
+	// and new copies — either is valid, the content address never
+	// lies). 0 disables compaction.
 	CompactMinBytes int64
-	// CompactGarbage is the garbage fraction in [0,1) that triggers
-	// compaction once CompactMinBytes is reached (default 0.5).
-	CompactGarbage float64
 }
 
 // DefaultCapacity is the in-memory LRU bound when Options.Capacity is
@@ -350,11 +350,7 @@ func New(opts Options) (*Cache, error) {
 		// rebuilt from scratch, so sweep them before deciding anew.
 		removeStaleTmps(opts.Dir)
 		if opts.CompactMinBytes > 0 {
-			garbage := opts.CompactGarbage
-			if garbage <= 0 {
-				garbage = 0.5
-			}
-			if due, before := compactionDue(opts.Dir, loaded, opts.CompactMinBytes, garbage); due {
+			if due, before := compactionDue(opts.Dir, loaded, opts.CompactMinBytes); due {
 				if err := compactDir(opts.Dir, loaded, nshards); err != nil {
 					c.degradeNotice(fmt.Sprintf("evalcache: compaction failed: %v", err))
 				} else {

@@ -49,10 +49,15 @@ func storeBytes(dir string) int64 {
 	return total
 }
 
+// compactGarbage is the garbage fraction (bytes not backing a live
+// entry over total bytes) at which a store of at least
+// Options.CompactMinBytes is rewritten.
+const compactGarbage = 0.5
+
 // compactionDue decides whether the store has enough garbage to be
 // worth rewriting; it also returns the current store size so the
 // caller can report the reduction.
-func compactionDue(dir string, live map[key]json.RawMessage, minBytes int64, garbage float64) (bool, int64) {
+func compactionDue(dir string, live map[key]json.RawMessage, minBytes int64) (bool, int64) {
 	total := storeBytes(dir)
 	if total < minBytes {
 		return false, total
@@ -63,7 +68,7 @@ func compactionDue(dir string, live map[key]json.RawMessage, minBytes int64, gar
 			liveBytes += int64(len(b)) + 1 // trailing newline
 		}
 	}
-	return float64(total-liveBytes) >= garbage*float64(total), total
+	return float64(total-liveBytes) >= compactGarbage*float64(total), total
 }
 
 // removeStaleTmps sweeps half-built shard images a crashed compaction

@@ -101,7 +101,7 @@ func TestCompactionThresholds(t *testing.T) {
 		dir := t.TempDir()
 		fillGarbage(t, dir, 1, 10, 1) // no overwrites: ~0% garbage
 		before := storeBytes(dir)
-		c, err := New(Options{Dir: dir, CompactMinBytes: 1, CompactGarbage: 0.5})
+		c, err := New(Options{Dir: dir, CompactMinBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	// shape that no longer decodes against the recomputed spec.
 	var cacheKey string
 	if opts.Cache != nil {
-		cacheKey = evalcache.FuzzKey(cast.Print(u), kernel, opts.Seed,
+		cacheKey = evalcache.FuzzKey(cast.FingerprintUnit(u), kernel, opts.Seed,
 			opts.MaxExecs, opts.Plateau, opts.HostMain, opts.TypedMutation, opts.MaxStepsPerExec)
 		var cc cachedCampaign
 		var restored Campaign

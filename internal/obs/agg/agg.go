@@ -2,24 +2,22 @@
 // deterministic JSONL traces (hgconform sweeps, hgserve job retention
 // dirs, CLI -trace runs) into a compact content-addressed index and
 // derives fleet-level statistics — per-stage virtual-cost and wall
-// latency percentiles, repair convergence funnels, cache-hit
-// attribution from job sidecars, and the versioned priors table the
-// candidate-reordering search consumes.
+// latency percentiles, repair convergence funnels, candidate outcomes
+// by error class, and cache-hit attribution from job sidecars.
 //
 // The warehouse is deterministic by construction: traces are keyed by
 // the SHA-256 of their bytes, every aggregate either commutes (counts,
 // sums) or is computed after sorting (percentiles, table rows), and
 // Snapshot renders trace summaries in hash order. Ingesting the same
-// trace set in any order therefore yields byte-identical reports and
-// priors tables; ingesting the same trace twice (same bytes, any file
-// name) counts its events once, though each copy's job sidecar still
-// contributes to the fleet's cache and latency aggregates.
+// trace set in any order therefore yields byte-identical reports;
+// ingesting the same trace twice (same bytes, any file name) counts its
+// events once, though each copy's job sidecar still contributes to the
+// fleet's cache and latency aggregates.
 package agg
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,7 +52,6 @@ type traceFacts struct {
 	stageVirtual map[string][]float64
 
 	funnel  Funnel
-	priors  map[priorKey]*counts
 	classes map[string]*counts
 	// targets aggregates per target-set stamp (obs.Event.Target, set
 	// only by targeted runs); empty for classic untargeted traces.
@@ -66,8 +63,6 @@ type traceFacts struct {
 	// order-independent (counts commute, samples are sorted by NewDist).
 	metas []*span.RunMeta
 }
-
-type priorKey struct{ class, template string }
 
 type counts struct{ tried, accepted, rejected int64 }
 
@@ -122,15 +117,7 @@ func (in *Ingestor) AddFile(path string) error {
 	if err != nil {
 		return err
 	}
-	var meta *span.RunMeta
-	metaPath := strings.TrimSuffix(path, filepath.Ext(path)) + ".meta.json"
-	if mb, merr := os.ReadFile(metaPath); merr == nil {
-		var m span.RunMeta
-		if jerr := json.Unmarshal(mb, &m); jerr == nil {
-			meta = &m
-		}
-	}
-	return in.Add(filepath.Base(path), data, meta)
+	return in.Add(filepath.Base(path), data, span.ReadMeta(path))
 }
 
 // IngestDir ingests every *.jsonl file directly inside dir (sidecar
@@ -192,7 +179,6 @@ func mine(events []obs.Event) *traceFacts {
 		phaseVirtual: map[string][]float64{},
 		phaseWall:    map[string][]float64{},
 		stageVirtual: map[string][]float64{},
-		priors:       map[priorKey]*counts{},
 		classes:      map[string]*counts{},
 		targets:      map[string]*targetCounts{},
 	}
@@ -266,15 +252,11 @@ func mine(events []obs.Event) *traceFacts {
 				cc = &counts{}
 				tf.classes[r.Class] = cc
 			}
-			bump(cc, r.Accepted)
-			for _, edit := range r.Edits {
-				k := priorKey{class: r.Class, template: obs.TemplateOf(edit)}
-				c := tf.priors[k]
-				if c == nil {
-					c = &counts{}
-					tf.priors[k] = c
-				}
-				bump(c, r.Accepted)
+			cc.tried++
+			if r.Accepted {
+				cc.accepted++
+			} else {
+				cc.rejected++
 			}
 		case obs.EvRepairDone:
 			if e.Done != nil && e.Done.Compatible && e.Done.BehaviorOK {
@@ -286,15 +268,6 @@ func mine(events []obs.Event) *traceFacts {
 		}
 	}
 	return tf
-}
-
-func bump(c *counts, accepted bool) {
-	c.tried++
-	if accepted {
-		c.accepted++
-	} else {
-		c.rejected++
-	}
 }
 
 // TraceInfo is one ingested trace's identity in the snapshot.
@@ -369,8 +342,6 @@ type Fleet struct {
 	Cache       []CacheStat `json:"cache,omitempty"`
 	QueueWaitMS *Dist       `json:"queue_wait_ms,omitempty"`
 	JobWallMS   []StageStat `json:"job_wall_ms,omitempty"`
-
-	Priors *PriorsTable `json:"priors"`
 }
 
 // Snapshot merges every ingested trace, in content-hash order, into
@@ -388,7 +359,6 @@ func (in *Ingestor) Snapshot() *Fleet {
 	phaseW := map[string][]float64{}
 	stageV := map[string][]float64{}
 	classes := map[string]*counts{}
-	priors := map[priorKey]*counts{}
 	targets := map[string]*targetCounts{}
 	cache := map[string]*CacheStat{}
 	var queueWait []float64
@@ -414,16 +384,6 @@ func (in *Ingestor) Snapshot() *Fleet {
 			if dst == nil {
 				dst = &counts{}
 				classes[k] = dst
-			}
-			dst.tried += c.tried
-			dst.accepted += c.accepted
-			dst.rejected += c.rejected
-		}
-		for k, c := range tf.priors {
-			dst := priors[k]
-			if dst == nil {
-				dst = &counts{}
-				priors[k] = dst
 			}
 			dst.tried += c.tried
 			dst.accepted += c.accepted
@@ -483,7 +443,6 @@ func (in *Ingestor) Snapshot() *Fleet {
 		f.QueueWaitMS = &d
 	}
 	f.JobWallMS = distTable(jobWall)
-	f.Priors = buildPriors(priors, len(hashes))
 	return f
 }
 
@@ -554,13 +513,6 @@ func (f *Fleet) Text() string {
 		fmt.Fprintf(&sb, "  %-22s %s\n", "queue_wait_ms", f.QueueWaitMS.Row())
 		for _, s := range f.JobWallMS {
 			fmt.Fprintf(&sb, "  %-22s %s\n", "wall_ms."+s.Name, s.Dist.Row())
-		}
-	}
-	if f.Priors != nil && len(f.Priors.Entries) > 0 {
-		fmt.Fprintf(&sb, "\npriors table (version %d, hash %s):\n", f.Priors.Version, f.Priors.Hash[:12])
-		fmt.Fprintf(&sb, "  %-22s %-22s %8s %9s %9s\n", "class", "template", "tried", "accepted", "rejected")
-		for _, e := range f.Priors.Entries {
-			fmt.Fprintf(&sb, "  %-22s %-22s %8d %9d %9d\n", e.Class, e.Template, e.Tried, e.Accepted, e.Rejected)
 		}
 	}
 	return sb.String()

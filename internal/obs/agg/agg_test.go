@@ -48,18 +48,20 @@ func traceBytes(t *testing.T, subject string, accepted int) []byte {
 	return buf.Bytes()
 }
 
+// fleetBytes renders both views of the aggregate: the text report and
+// the JSON encoding (hgstat -json) of every field.
 func fleetBytes(t *testing.T, f *Fleet) ([]byte, []byte) {
 	t.Helper()
-	pb, err := f.Priors.Encode()
+	jb, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []byte(f.Text()), pb
+	return []byte(f.Text()), jb
 }
 
 // TestIngestionOrderIndependence is the warehouse's core regression:
-// any permutation of the same trace set yields byte-identical report
-// and priors artifacts.
+// any permutation of the same trace set yields a byte-identical report
+// and JSON aggregate.
 func TestIngestionOrderIndependence(t *testing.T) {
 	var names []string
 	var data [][]byte
@@ -73,7 +75,7 @@ func TestIngestionOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantText, wantPriors := fleetBytes(t, baseline.Snapshot())
+	wantText, wantJSON := fleetBytes(t, baseline.Snapshot())
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
@@ -84,12 +86,12 @@ func TestIngestionOrderIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gotText, gotPriors := fleetBytes(t, in.Snapshot())
+		gotText, gotJSON := fleetBytes(t, in.Snapshot())
 		if !bytes.Equal(gotText, wantText) {
 			t.Fatalf("permutation %v: report differs\n--- want\n%s\n--- got\n%s", perm, wantText, gotText)
 		}
-		if !bytes.Equal(gotPriors, wantPriors) {
-			t.Fatalf("permutation %v: priors differ", perm)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("permutation %v: JSON aggregate differs\n--- want\n%s\n--- got\n%s", perm, wantJSON, gotJSON)
 		}
 	}
 }
@@ -195,42 +197,6 @@ func TestIngestDirWithSidecars(t *testing.T) {
 	}
 	if len(f.JobWallMS) != 1 || f.JobWallMS[0].Name != "repair" {
 		t.Fatalf("job wall: %+v", f.JobWallMS)
-	}
-}
-
-func TestPriorsRoundTripAndIntegrity(t *testing.T) {
-	in := NewIngestor()
-	if err := in.Add("a.jsonl", traceBytes(t, "P1", 2), nil); err != nil {
-		t.Fatal(err)
-	}
-	f := in.Snapshot()
-	if f.Priors.Hash == "" || len(f.Priors.Entries) == 0 {
-		t.Fatalf("empty priors: %+v", f.Priors)
-	}
-	path := filepath.Join(t.TempDir(), "priors.json")
-	if err := f.Priors.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPriors(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Hash != f.Priors.Hash || len(loaded.Entries) != len(f.Priors.Entries) {
-		t.Fatalf("round trip changed the table: %+v vs %+v", loaded, f.Priors)
-	}
-	// Tampering with a count must fail verification.
-	loaded.Entries[0].Accepted++
-	if err := loaded.Verify(); err == nil {
-		t.Fatal("tampered priors verified")
-	}
-	// An empty table is valid and hash-stable (it reproduces the
-	// unconditioned candidate order by contract).
-	empty := buildPriors(map[priorKey]*counts{}, 0)
-	if err := empty.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Hash != buildPriors(map[priorKey]*counts{}, 0).Hash {
-		t.Fatal("empty-table hash unstable")
 	}
 }
 

@@ -94,9 +94,6 @@ func TestUntargetedReportUnchanged(t *testing.T) {
 	if strings.Contains(f.Text(), "per-target") {
 		t.Error("untargeted report mentions targets")
 	}
-	if b, err := f.Priors.Encode(); err != nil || bytes.Contains(b, []byte("target")) {
-		t.Errorf("priors artifact grew a target field (err %v)", err)
-	}
 }
 
 // TestTargetOrderIndependence extends the warehouse's core byte-
@@ -120,7 +117,7 @@ func TestTargetOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantText, wantPriors := fleetBytes(t, baseline.Snapshot())
+	wantText, wantJSON := fleetBytes(t, baseline.Snapshot())
 	if !bytes.Contains(wantText, []byte("per-target breakdown:")) {
 		t.Fatal("mixed trace set did not render the per-target section")
 	}
@@ -134,12 +131,12 @@ func TestTargetOrderIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gotText, gotPriors := fleetBytes(t, in.Snapshot())
+		gotText, gotJSON := fleetBytes(t, in.Snapshot())
 		if !bytes.Equal(gotText, wantText) {
 			t.Fatalf("permutation %v: report differs\n--- want\n%s\n--- got\n%s", perm, wantText, gotText)
 		}
-		if !bytes.Equal(gotPriors, wantPriors) {
-			t.Fatalf("permutation %v: priors differ", perm)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("permutation %v: JSON aggregate differs\n--- want\n%s\n--- got\n%s", perm, wantJSON, gotJSON)
 		}
 	}
 }

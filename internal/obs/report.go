@@ -175,10 +175,9 @@ func (b *BudgetSplit) add(r *RepairEvent) {
 	b.SimSeconds += r.CostSim
 }
 
-// TemplateOf reduces an edit rendering ("resize(buf, 2048)") to its
-// fix-template name ("resize"), the key every trace view counts fix
-// patterns under.
-func TemplateOf(edit string) string {
+// templateOf reduces an edit rendering ("resize(buf, 2048)") to its
+// fix-template name ("resize"), the key fix patterns are counted under.
+func templateOf(edit string) string {
 	if i := strings.IndexByte(edit, '('); i > 0 {
 		return edit[:i]
 	}
@@ -189,7 +188,7 @@ func TemplateOf(edit string) string {
 // table.
 func (s *SubjectReport) countPatterns(r *RepairEvent) {
 	for _, edit := range r.Edits {
-		name := TemplateOf(edit)
+		name := templateOf(edit)
 		found := false
 		for i := range s.Patterns {
 			if s.Patterns[i].Template == name {

@@ -24,7 +24,10 @@
 package span
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"github.com/hetero/heterogen/internal/evalcache"
@@ -108,6 +111,20 @@ type RunMeta struct {
 	// Cache is the job-attributed evaluation-cache activity
 	// (approximate when jobs share one cache concurrently).
 	Cache *evalcache.Stats `json:"cache,omitempty"`
+}
+
+// ReadMeta loads the sidecar `<base>.meta.json` next to a trace file;
+// nil when there is none or it does not decode.
+func ReadMeta(tracePath string) *RunMeta {
+	b, err := os.ReadFile(strings.TrimSuffix(tracePath, filepath.Ext(tracePath)) + ".meta.json")
+	if err != nil {
+		return nil
+	}
+	var m RunMeta
+	if json.Unmarshal(b, &m) != nil {
+		return nil
+	}
+	return &m
 }
 
 // Build derives one Run per subject from the event stream, preserving

@@ -366,7 +366,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		be := targets[0].backend.Name()
 		s.checkSalt = evalcache.CheckSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
 		s.diffSalt = evalcache.DifftestSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
-			s.cfg.InterpSteps, kernel, cast.Print(original), fuzz.CorpusFingerprint(tests))
+			s.cfg.InterpSteps, kernel, cast.FingerprintUnit(original), fuzz.CorpusFingerprint(tests))
 	}
 	s.state.TestCount = len(tests)
 	if opts.CheckpointPath != "" {
