@@ -31,14 +31,15 @@ vet:
 # Regenerates the golden fixtures: the repair search's
 # (internal/repair/testdata/golden: one Result JSON and one JSONL trace
 # per recorded run), test generation's (internal/fuzz/testdata/golden:
-# one campaign-and-profile JSON and one JSONL trace per subject) and the
+# one campaign-and-profile JSON and one JSONL trace per subject and per
+# crashy, untyped and chaos campaign shape) and the
 # interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
 # hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
 # case outcomes). Only for an intended behaviour change whose fixture
 # diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
-	$(GO) test -count=1 -run TestCampaignGolden ./internal/fuzz/ -update
+	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 
 bench:

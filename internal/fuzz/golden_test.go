@@ -12,7 +12,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/chaos"
+	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/fuzz"
+	"github.com/hetero/heterogen/internal/guard"
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/profile"
@@ -25,10 +28,14 @@ import (
 // the coverage counts, the execution count and the plateau flag), its
 // JSONL event trace, and profile.Generate's rewrites and value ranges
 // over the campaign's tests. The budget is the repository benchmark's
-// transpile_suite budget. A change that moves any byte of any fixture
-// changes what the pipeline feeds the repair search. Regenerate with
-// `make golden` (go test -update) only for an intended behaviour
-// change, and review the fixture diff like code.
+// transpile_suite budget. Three more fixtures pin campaign shapes no
+// subject reaches: crashy (crashing children gain coverage but are
+// never retained), untyped (the TypedMutation ablation, which executes
+// type-invalid children) and chaos (injected interpreter faults). A
+// change that moves any byte of any fixture changes what the pipeline
+// feeds the repair search. Regenerate with `make golden` (go test
+// -update) only for an intended behaviour change, and review the
+// fixture diff like code.
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current campaigns instead of comparing")
 
@@ -39,6 +46,67 @@ func goldenOptions(s subjects.Subject, workers int) fuzz.Options {
 	opts.HostMain = s.HostMain
 	opts.Workers = workers
 	return opts
+}
+
+// goldenCase is one recorded campaign: its fixture name, program and
+// options.
+type goldenCase struct {
+	id, kernel, src string
+	opts            fuzz.Options
+}
+
+func subjectCase(s subjects.Subject, workers int) goldenCase {
+	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, opts: goldenOptions(s, workers)}
+}
+
+// crashyCase divides by zero or reads an uninitialized array on many
+// inputs: crashed children still add coverage, but the repair oracle
+// needs clean reference outputs, so they are never retained.
+func crashyCase(workers int) goldenCase {
+	opts := fuzz.DefaultOptions()
+	opts.MaxExecs, opts.Plateau = 600, 200
+	opts.Workers = workers
+	return goldenCase{id: "crashy", kernel: "kernel", opts: opts, src: `
+int kernel(int x) {
+    int a[8];
+    if (x > 0 && x < 100) { return a[x % 8]; }
+    return 10 / x;
+}`}
+}
+
+// untypedCase is the TypedMutation ablation: type-invalid children
+// are executed (and die at the kernel entry) instead of being filtered
+// for free, a different schedule shape.
+func untypedCase(workers int) goldenCase {
+	opts := fuzz.DefaultOptions()
+	opts.MaxExecs, opts.Plateau = 400, 150
+	opts.TypedMutation = false
+	opts.Workers = workers
+	return goldenCase{id: "untyped", kernel: "kernel", opts: opts, src: `
+int kernel(fpga_uint<7> x) {
+    if (x > 100) { return 1; }
+    if (x == 7) { return 2; }
+    return 0;
+}`}
+}
+
+// chaosCase runs a campaign under probabilistic injected interpreter
+// faults (rate 0.3, chaos seed 11). Each run gets a fresh guard.
+func chaosCase(workers int) goldenCase {
+	return goldenCase{id: "chaos", kernel: "kernel", src: `
+int kernel(int x, int y) {
+    int r = 0;
+    if (x > 100) { r += 1; } else { r -= 1; }
+    if (y < -50) { r *= 2; }
+    if (x == 7) { r += 1000; }
+    for (int i = 0; i < y % 8; i++) { r += i; }
+    return r;
+}`, opts: fuzz.Options{
+		Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true, Workers: workers,
+		Guard: guard.New(guard.Options{
+			Injector: chaos.New(chaos.Options{Seed: 11, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
+		}),
+	}}
 }
 
 // goldenTest records one test case: its diagnostic summary and a digest
@@ -93,23 +161,26 @@ type goldenRecord struct {
 	Profile  goldenProfile  `json:"profile"`
 }
 
-// runGoldenCase runs the subject's campaign and profiling and returns
-// the fixture JSON and the campaign's trace.
-func runGoldenCase(t *testing.T, s subjects.Subject, workers int) ([]byte, []byte) {
+// runGoldenCase runs the case's campaign and profiling and returns the
+// campaign, the fixture JSON and the campaign's trace.
+func runGoldenCase(t *testing.T, c goldenCase) (fuzz.Campaign, []byte, []byte) {
 	t.Helper()
-	u := s.MustParse()
+	u := cparser.MustParse(c.src)
 	var trace bytes.Buffer
 	tw := obs.NewTraceWriter(&trace)
-	opts := goldenOptions(s, workers)
+	opts := c.opts
 	opts.Obs = tw
-	camp, err := fuzz.Run(u, s.Kernel, opts)
+	camp, err := fuzz.Run(u, c.kernel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rec := goldenRecord{Subject: s.ID, Kernel: s.Kernel, Campaign: goldenCampaign{
+	if n := bytes.Count(trace.Bytes(), []byte(`"type":"fuzz_exec"`)); n != camp.Execs {
+		t.Errorf("trace has %d fuzz_exec events, want one per execution (%d)", n, camp.Execs)
+	}
+	rec := goldenRecord{Subject: c.id, Kernel: c.kernel, Campaign: goldenCampaign{
 		Coverage:        camp.Coverage,
 		CoveredOutcomes: camp.CoveredOutcomes,
 		TotalOutcomes:   camp.TotalOutcomes,
@@ -122,7 +193,7 @@ func runGoldenCase(t *testing.T, s subjects.Subject, workers int) ([]byte, []byt
 	for _, tc := range camp.Tests {
 		rec.Campaign.Tests = append(rec.Campaign.Tests, recordTest(tc))
 	}
-	prof, err := profile.Generate(u, s.Kernel, camp.Tests)
+	prof, err := profile.Generate(u, c.kernel, camp.Tests)
 	if err != nil {
 		rec.Profile.Error = err.Error()
 	} else {
@@ -135,7 +206,7 @@ func runGoldenCase(t *testing.T, s subjects.Subject, workers int) ([]byte, []byt
 	if err := enc.Encode(rec); err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes(), trace.Bytes()
+	return camp, b.Bytes(), trace.Bytes()
 }
 
 func goldenPath(id, ext string) string {
@@ -168,32 +239,57 @@ func assertGoldenFile(t *testing.T, label, path string, got []byte) {
 	}
 }
 
+// checkGolden compares the case's campaign with its fixture and trace
+// byte for byte; with -update (and record set) it rewrites them first.
+func checkGolden(t *testing.T, label string, c goldenCase, record bool) fuzz.Campaign {
+	t.Helper()
+	camp, got, trace := runGoldenCase(t, c)
+	if *update && record {
+		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath(c.id, ".json"), got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath(c.id, ".jsonl"), trace, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertGoldenFile(t, label+" campaign", goldenPath(c.id, ".json"), got)
+	assertGoldenFile(t, label+" trace", goldenPath(c.id, ".jsonl"), trace)
+	return camp
+}
+
 // TestCampaignGolden pins test generation and bitwidth profiling to the
-// recorded goldens: for every evaluation subject, the sequential and
-// the pooled (Workers=4) campaign reproduce the fixture — retained
-// tests, coverage, execution count, plateau flag, profile rewrites and
-// ranges — and its JSONL trace byte for byte. With -update the
-// sequential run rewrites the fixtures.
+// recorded goldens: for every evaluation subject and the crashy and
+// untyped shapes, the sequential and the pooled (Workers=4) campaign
+// reproduce the fixture — retained tests, coverage, execution count,
+// plateau flag, profile rewrites and ranges — and its JSONL trace byte
+// for byte. With -update the sequential run rewrites the fixtures.
 func TestCampaignGolden(t *testing.T) {
+	var cases []func(workers int) goldenCase
 	for _, s := range subjects.All() {
-		t.Run(s.ID, func(t *testing.T) {
+		cases = append(cases, func(workers int) goldenCase { return subjectCase(s, workers) })
+	}
+	cases = append(cases, crashyCase, untypedCase)
+	for _, mk := range cases {
+		t.Run(mk(1).id, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				got, trace := runGoldenCase(t, s, workers)
-				if *update && workers == 1 {
-					if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(goldenPath(s.ID, ".json"), got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(goldenPath(s.ID, ".jsonl"), trace, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				label := fmt.Sprintf("workers=%d", workers)
-				assertGoldenFile(t, label+" campaign", goldenPath(s.ID, ".json"), got)
-				assertGoldenFile(t, label+" trace", goldenPath(s.ID, ".jsonl"), trace)
+				checkGolden(t, fmt.Sprintf("workers=%d", workers), mk(workers), workers == 1)
 			}
 		})
+	}
+}
+
+// TestCampaignSurvivesInterpFaults runs a campaign with probabilistic
+// faults on the execution stage: contained failures count, gain
+// nothing, and — because the schedule is keyed on test-case content —
+// the campaign reproduces the chaos fixture for any Workers value.
+func TestCampaignSurvivesInterpFaults(t *testing.T) {
+	for _, workers := range []int{1, 4, 8} {
+		camp := checkGolden(t, fmt.Sprintf("workers=%d", workers), chaosCase(workers), workers == 1)
+		if camp.StageFailures == 0 {
+			t.Fatal("chaos at rate 0.3 contained no failures — the test exercises nothing")
+		}
 	}
 }

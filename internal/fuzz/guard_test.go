@@ -1,73 +1,12 @@
 package fuzz
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/chaos"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/guard"
-	"github.com/hetero/heterogen/internal/obs"
 )
-
-func guardedOptions(rate float64, seed int64) Options {
-	return Options{
-		Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true,
-		Guard: guard.New(guard.Options{
-			Injector: chaos.New(chaos.Options{
-				Seed:   seed,
-				Rate:   rate,
-				Stages: []guard.Stage{guard.StageInterp},
-			}),
-		}),
-	}
-}
-
-func tracedCampaign(t *testing.T, opts Options) (Campaign, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	tw := obs.NewTraceWriter(&buf)
-	opts.Obs = tw
-	camp, err := Run(cparser.MustParse(branchy), "kernel", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return camp, buf.Bytes()
-}
-
-// TestCampaignSurvivesInterpFaults runs a campaign with probabilistic
-// faults on the execution stage: contained failures count, gain
-// nothing, and — because the schedule is keyed on test-case content —
-// the campaign is bit-identical for any Workers value.
-func TestCampaignSurvivesInterpFaults(t *testing.T) {
-	opts := guardedOptions(0.3, 11)
-	seq, seqTrace := tracedCampaign(t, opts)
-	if seq.StageFailures == 0 {
-		t.Fatal("chaos at rate 0.3 contained no failures — the test exercises nothing")
-	}
-	for _, workers := range []int{4, 8} {
-		opts := guardedOptions(0.3, 11)
-		opts.Workers = workers
-		par, parTrace := tracedCampaign(t, opts)
-		if !bytes.Equal(seqTrace, parTrace) {
-			sl, pl := bytes.Split(seqTrace, []byte("\n")), bytes.Split(parTrace, []byte("\n"))
-			for i := 0; i < len(sl) && i < len(pl); i++ {
-				if !bytes.Equal(sl[i], pl[i]) {
-					t.Fatalf("workers=%d: traces diverge at line %d:\n  seq: %s\n  par: %s",
-						workers, i+1, sl[i], pl[i])
-				}
-			}
-			t.Fatalf("workers=%d: traces differ in length", workers)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: campaigns diverge:\n  seq: %+v\n  par: %+v", workers, seq, par)
-		}
-	}
-}
 
 // TestCampaignAllExecsCrashingStillReturns pins the worst case: every
 // execution panics, yet the campaign terminates with a structured
