@@ -28,7 +28,6 @@ func cachedRun(t *testing.T, id string, workers int, cache *evalcache.Cache) (Re
 	opts.Fuzz = fuzz.DefaultOptions()
 	opts.Fuzz.MaxExecs = 150
 	opts.Fuzz.Plateau = 60
-	opts.Fuzz.Workers = workers
 	res, err := RunUnit(s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ func tracedRun(t *testing.T, id string, workers int) (Result, []byte) {
 	opts.Fuzz = fuzz.DefaultOptions()
 	opts.Fuzz.MaxExecs = 150
 	opts.Fuzz.Plateau = 60
-	opts.Fuzz.Workers = workers
 	res, err := RunUnit(s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,14 @@
 package fuzz
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/ctypes"
+	"github.com/hetero/heterogen/internal/obs"
 )
 
 const branchy = `
@@ -258,5 +261,56 @@ void kernel(float in[8], float out[8]) {
 		if len(tc.Args) != 2 || tc.Args[0].Len() != 8 || tc.Args[1].Len() != 8 {
 			t.Fatalf("shape broken: %s", tc)
 		}
+	}
+}
+
+// tracedRun runs a campaign with a JSONL trace writer attached and
+// returns the campaign plus the raw trace bytes.
+func tracedRun(t *testing.T, u *cast.Unit, kernel string, opts Options) (Campaign, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := obs.NewTraceWriter(&buf)
+	opts.Obs = tw
+	camp, err := Run(u, kernel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return camp, buf.Bytes()
+}
+
+// TestCampaignPlateauFlag: a kernel whose coverage saturates instantly
+// must set Campaign.Plateaued and emit exactly one warning event; a
+// campaign that runs its full budget must not.
+func TestCampaignPlateauFlag(t *testing.T) {
+	src := `
+int kernel(int x) {
+    return x + 1;
+}`
+	opts := DefaultOptions()
+	opts.MaxExecs = 200
+	opts.Plateau = 40
+	camp, trace := tracedRun(t, cparser.MustParse(src), "kernel", opts)
+	if !camp.Plateaued {
+		t.Fatalf("straight-line kernel should plateau: %d/%d execs", camp.Execs, opts.MaxExecs)
+	}
+	if camp.Execs >= opts.MaxExecs {
+		t.Fatalf("plateaued campaign ran its whole budget: %d execs", camp.Execs)
+	}
+	if n := bytes.Count(trace, []byte(`"type":"warning"`)); n != 1 {
+		t.Errorf("plateaued campaign emitted %d warning events, want 1", n)
+	}
+
+	// Exhausting the budget exactly is not a plateau.
+	opts.MaxExecs = 30
+	opts.Plateau = 500
+	camp, trace = tracedRun(t, cparser.MustParse(src), "kernel", opts)
+	if camp.Plateaued {
+		t.Errorf("budget-bound campaign reported a plateau at %d execs", camp.Execs)
+	}
+	if n := bytes.Count(trace, []byte(`"type":"warning"`)); n != 0 {
+		t.Errorf("budget-bound campaign emitted %d warning events, want 0", n)
 	}
 }

@@ -30,36 +30,27 @@ type Options struct {
 	TypedMutation bool
 	// MaxStepsPerExec bounds one kernel execution.
 	MaxStepsPerExec int64
-	// Workers bounds how many kernel executions of one mutation batch
-	// run concurrently, each on its own interpreter. Coverage merges by
-	// set union and retention decisions are committed in mutation
-	// order, so the campaign — tests, coverage, execution count — is
-	// bit-identical for any value. 0 or 1 executes sequentially.
-	Workers int
-	// Obs receives one structured event per committed execution plus a
-	// campaign summary (and a plateau warning when the campaign stalls
-	// before MaxExecs). Events are emitted in mutation commit order, so
-	// a trace is byte-identical for any Workers value. Nil disables
-	// observation.
+	// Obs receives one structured event per execution plus a campaign
+	// summary (and a plateau warning when the campaign stalls before
+	// MaxExecs). Nil disables observation.
 	Obs obs.Observer
 	// Cache, when non-nil, memoizes whole campaigns on a fingerprint of
-	// (printed program, kernel, Seed, MaxExecs, Plateau, HostMain,
+	// (program fingerprint, kernel, Seed, MaxExecs, Plateau, HostMain,
 	// TypedMutation, MaxStepsPerExec) — everything that shapes the
-	// outcome; Workers and observers are excluded by the determinism
-	// contract. A hit returns the stored campaign, replaying its
-	// recorded event stream when tracing, so results and traces are
-	// byte-identical to a cold run. An entry stored by an untraced run
-	// carries no events and cannot serve a traced run: that lookup
-	// misses and the recomputed campaign overwrites the entry. Nil
-	// disables memoization.
+	// outcome; observers are excluded. A hit returns the stored
+	// campaign, replaying its recorded event stream when tracing, so
+	// results and traces are byte-identical to a cold run. An entry
+	// stored by an untraced run carries no events and cannot serve a
+	// traced run: that lookup misses and the recomputed campaign
+	// overwrites the entry. Nil disables memoization.
 	Cache *evalcache.Cache
 	// Guard contains kernel-execution failures: an input whose execution
 	// panics outside the interpreter's own fault model (or overruns the
 	// guard deadline) is dropped — it contributes no coverage and is
 	// never retained — instead of killing the campaign. A nil guard
 	// still contains panics; failure decisions are keyed on the rendered
-	// test case, so they are identical for any Workers value. When the
-	// guard injects faults, the campaign cache is bypassed entirely and
+	// test case, so a fault schedule is reproducible. When the guard
+	// injects faults, the campaign cache is bypassed entirely and
 	// campaigns that contained failures are never memoized.
 	Guard *guard.Guard
 }
@@ -191,8 +182,9 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 		inSites[s] = true
 	}
 
-	// Every campaign execution — sequential, pooled, after a contained
-	// failure, and the host run — shares one compiled-code cache.
+	// Every campaign execution, the interpreter that replaces one a
+	// contained failure dirtied, and the host run share one
+	// compiled-code cache.
 	code := interp.NewCodebase()
 	in, err := newCoverageInterp(u, code, opts.MaxStepsPerExec)
 	if err != nil {
@@ -200,23 +192,10 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	}
 
 	covered := map[int]bool{} // outcome index -> seen
-	newCoverage := func() bool {
-		found := false
-		for idx, hit := range in.CoverageBits {
-			if hit && !covered[idx] && inSites[idx/2] {
-				covered[idx] = true
-				found = true
-			}
-		}
-		return found
-	}
-
-	// Observability: one event per committed execution, emitted on this
-	// goroutine in mutation order — the pooled path below commits (and
-	// therefore emits) in exactly the same sequence, so traces are
-	// byte-identical for any Workers value.
 	sinceGain := 0
 	var queue []TestCase
+	// Observability: one event per execution, emitted after that
+	// execution's bookkeeping.
 	emitExec := func(gained, crashed, invalid bool, failure string) {
 		if !tracing {
 			return
@@ -230,57 +209,49 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 		}})
 	}
 
-	execute := func(tc TestCase) (gained, crashed bool, failure *guard.StageFailure, err error) {
-		// Fresh globals per test, preserving cumulative coverage bits.
-		saved := in.CoverageBits
-		if err := in.Reset(); err != nil {
-			return false, false, nil, err
-		}
-		copy(in.CoverageBits, saved)
+	// commit executes one input and applies Algorithm 1's bookkeeping:
+	// merge its hits into covered, retain it when it gained coverage,
+	// advance the plateau counter otherwise, then emit its event.
+	// Initial corpus entries (seed) always count as tests and never
+	// move the plateau counter, even when their execution crashed or
+	// was contained. Crashing inputs contribute coverage but are not
+	// retained: the repair oracle needs clean reference outputs.
+	commit := func(tc TestCase, seed bool) error {
 		camp.Execs++
 		camp.VirtualSeconds += execVirtualSeconds
-		var runErr error
-		_, doErr := guard.Do(opts.Guard,
-			guard.Invocation{Stage: guard.StageInterp, Key: "exec|" + tc.String(), Unit: u},
-			func(cu *cast.Unit) (struct{}, error) {
-				if cu != u {
-					// Quarantine replay on a reduced clone: run it on a
-					// private interpreter so campaign state stays intact.
-					rin, rerr := newCoverageInterp(cu, nil, opts.MaxStepsPerExec)
-					if rerr != nil {
-						return struct{}{}, rerr
-					}
-					_, _ = rin.CallKernel(kernel, tc.Values())
-					return struct{}{}, nil
-				}
-				_, runErr = in.CallKernel(kernel, tc.Values())
-				return struct{}{}, nil
-			})
-		if sf := guard.AsFailure(doErr); sf != nil {
-			// The execution was contained mid-flight: its partial coverage
-			// must not leak (the pooled path merges no hits on failure).
-			// Reset reallocates CoverageBits, so the pre-exec snapshot in
-			// saved is intact — but a deadline-abandoned goroutine may
-			// still be writing through the old interpreter, so replace it
-			// entirely when the fault actually ran.
-			if sf.Injected {
-				in.CoverageBits = saved
-			} else {
-				nin, nerr := newCoverageInterp(u, code, opts.MaxStepsPerExec)
-				if nerr != nil {
-					return false, false, nil, nerr
-				}
-				copy(nin.CoverageBits, saved)
-				in = nin
+		res, discard, err := guardedRun(opts.Guard, u, in, kernel, opts.MaxStepsPerExec, tc)
+		if err != nil {
+			return err
+		}
+		if discard {
+			// A contained execution may have left the interpreter dirty,
+			// or a deadline-abandoned goroutine still writing to it.
+			if in, err = newCoverageInterp(u, code, opts.MaxStepsPerExec); err != nil {
+				return err
 			}
-			return false, false, sf, nil
 		}
-		if runErr != nil {
-			// Crashing inputs still contribute coverage but are not
-			// retained: the repair oracle needs clean reference outputs.
-			return newCoverage(), true, nil, nil
+		gained := false
+		for _, idx := range res.hits {
+			if !covered[idx] && inSites[idx/2] {
+				covered[idx] = true
+				gained = true
+			}
 		}
-		return newCoverage(), false, nil, nil
+		switch {
+		case seed:
+			camp.Tests = append(camp.Tests, tc)
+		case gained && !res.crashed:
+			queue = append(queue, tc)
+			camp.Tests = append(camp.Tests, tc)
+			sinceGain = 0
+		default:
+			sinceGain++
+		}
+		if res.failed != "" {
+			camp.StageFailures++
+		}
+		emitExec(gained, res.crashed, false, res.failed)
+		return nil
 	}
 
 	// Seed: host capture when available, else type-valid random.
@@ -293,102 +264,19 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	if len(queue) == 0 {
 		queue = append(queue, randomCase(sp, rng))
 	}
-
-	// Initial corpus entries always count as tests (even when their
-	// execution crashed or was contained — the corpus membership rule
-	// predates the guard and stays put).
 	for _, tc := range queue {
 		if ctx.Err() != nil {
 			break
 		}
-		gained, crashed, failure, err := execute(tc)
-		if err != nil {
+		if err := commit(tc, true); err != nil {
 			return camp, err
 		}
-		camp.Tests = append(camp.Tests, tc)
-		if failure != nil {
-			camp.StageFailures++
-			emitExec(false, false, false, failure.Label())
-			continue
-		}
-		emitExec(gained, crashed, false, "")
-	}
-
-	var pool *execPool
-	if opts.Workers > 1 {
-		pool, err = newExecPool(u, kernel, opts.Workers, opts.MaxStepsPerExec, opts.Guard, code)
-		if err != nil {
-			return camp, err
-		}
-		defer pool.close()
 	}
 
 	for camp.Execs < opts.MaxExecs && sinceGain < opts.Plateau && ctx.Err() == nil {
 		// Pop a corpus entry (round-robin over the retained queue).
 		parent := queue[camp.Execs%len(queue)]
-		children := mutate(parent, sp, rng, opts.TypedMutation)
-
-		if pool != nil {
-			// Speculatively execute the whole batch concurrently, then
-			// commit retention/plateau decisions in mutation order —
-			// identical to the sequential loop below (executions past a
-			// MaxExecs stop are wasted CPU, never wrong state).
-			schedule := make([]bool, len(children))
-			for i, child := range children {
-				schedule[i] = TypeValid(sp, child)
-			}
-			results := pool.runBatch(children, schedule)
-			for i, child := range children {
-				if camp.Execs >= opts.MaxExecs || ctx.Err() != nil {
-					break
-				}
-				if !schedule[i] {
-					if opts.TypedMutation {
-						continue
-					}
-					camp.Execs++
-					camp.VirtualSeconds += execVirtualSeconds
-					sinceGain++
-					emitExec(false, false, true, "")
-					continue
-				}
-				camp.Execs++
-				camp.VirtualSeconds += execVirtualSeconds
-				if results[i].failed != "" {
-					// Contained execution: no coverage merged, nothing
-					// retained — identical to the sequential path.
-					camp.StageFailures++
-					sinceGain++
-					emitExec(false, false, false, results[i].failed)
-					continue
-				}
-				gained := false
-				for _, idx := range results[i].hits {
-					if !covered[idx] && inSites[idx/2] {
-						covered[idx] = true
-						gained = true
-					}
-				}
-				if results[i].crashed {
-					// Crashing inputs contribute coverage but are not
-					// retained (the repair oracle needs clean outputs).
-					sinceGain++
-					emitExec(gained, true, false, "")
-					continue
-				}
-				if gained {
-					queue = append(queue, child)
-					camp.Tests = append(camp.Tests, child)
-					sinceGain = 0
-				} else {
-					sinceGain++
-				}
-				emitExec(gained, false, false, "")
-			}
-			continue
-		}
-
-		for _, child := range children {
+		for _, child := range mutate(parent, sp, rng, opts.TypedMutation) {
 			if camp.Execs >= opts.MaxExecs || ctx.Err() != nil {
 				break
 			}
@@ -405,29 +293,9 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 				emitExec(false, false, true, "")
 				continue
 			}
-			gained, crashed, failure, err := execute(child)
-			if err != nil {
+			if err := commit(child, false); err != nil {
 				return camp, err
 			}
-			if failure != nil {
-				camp.StageFailures++
-				sinceGain++
-				emitExec(false, false, false, failure.Label())
-				continue
-			}
-			if crashed {
-				sinceGain++
-				emitExec(gained, true, false, "")
-				continue
-			}
-			if gained {
-				queue = append(queue, child)
-				camp.Tests = append(camp.Tests, child)
-				sinceGain = 0
-			} else {
-				sinceGain++
-			}
-			emitExec(gained, false, false, "")
 		}
 	}
 
@@ -464,15 +332,9 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 }
 
 // Replay measures the coverage of a fixed test suite (used to score
-// pre-existing tests for Table 4).
+// pre-existing tests for Table 4): the union of the tests' hit sets
+// over the branch sites reachable from the kernel.
 func Replay(u *cast.Unit, kernel string, tests []TestCase) (float64, error) {
-	return ReplayParallel(u, kernel, tests, 1)
-}
-
-// ReplayParallel is Replay with up to workers concurrent executions,
-// each on its own interpreter. Coverage is a set union over per-test
-// hit sets, so the measured fraction is identical for any worker count.
-func ReplayParallel(u *cast.Unit, kernel string, tests []TestCase, workers int) (float64, error) {
 	sites := reachableSites(u, kernel)
 	if len(sites) == 0 {
 		return 1, nil
@@ -481,7 +343,7 @@ func ReplayParallel(u *cast.Unit, kernel string, tests []TestCase, workers int) 
 	for _, s := range sites {
 		inSites[s] = true
 	}
-	results, err := collectHits(u, kernel, tests, workers)
+	results, err := collectHits(u, kernel, tests)
 	if err != nil {
 		return 0, err
 	}

@@ -40,11 +40,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current campaigns instead of comparing")
 
 // goldenOptions is the transpile_suite fuzz budget.
-func goldenOptions(s subjects.Subject, workers int) fuzz.Options {
+func goldenOptions(s subjects.Subject) fuzz.Options {
 	opts := fuzz.DefaultOptions()
 	opts.Seed, opts.MaxExecs, opts.Plateau = 1, 24, 90
 	opts.HostMain = s.HostMain
-	opts.Workers = workers
 	return opts
 }
 
@@ -55,17 +54,16 @@ type goldenCase struct {
 	opts            fuzz.Options
 }
 
-func subjectCase(s subjects.Subject, workers int) goldenCase {
-	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, opts: goldenOptions(s, workers)}
+func subjectCase(s subjects.Subject) goldenCase {
+	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, opts: goldenOptions(s)}
 }
 
 // crashyCase divides by zero or reads an uninitialized array on many
 // inputs: crashed children still add coverage, but the repair oracle
 // needs clean reference outputs, so they are never retained.
-func crashyCase(workers int) goldenCase {
+func crashyCase() goldenCase {
 	opts := fuzz.DefaultOptions()
 	opts.MaxExecs, opts.Plateau = 600, 200
-	opts.Workers = workers
 	return goldenCase{id: "crashy", kernel: "kernel", opts: opts, src: `
 int kernel(int x) {
     int a[8];
@@ -77,11 +75,10 @@ int kernel(int x) {
 // untypedCase is the TypedMutation ablation: type-invalid children
 // are executed (and die at the kernel entry) instead of being filtered
 // for free, a different schedule shape.
-func untypedCase(workers int) goldenCase {
+func untypedCase() goldenCase {
 	opts := fuzz.DefaultOptions()
 	opts.MaxExecs, opts.Plateau = 400, 150
 	opts.TypedMutation = false
-	opts.Workers = workers
 	return goldenCase{id: "untyped", kernel: "kernel", opts: opts, src: `
 int kernel(fpga_uint<7> x) {
     if (x > 100) { return 1; }
@@ -91,8 +88,8 @@ int kernel(fpga_uint<7> x) {
 }
 
 // chaosCase runs a campaign under probabilistic injected interpreter
-// faults (rate 0.3, chaos seed 11). Each run gets a fresh guard.
-func chaosCase(workers int) goldenCase {
+// faults (rate 0.3, chaos seed 11).
+func chaosCase() goldenCase {
 	return goldenCase{id: "chaos", kernel: "kernel", src: `
 int kernel(int x, int y) {
     int r = 0;
@@ -102,7 +99,7 @@ int kernel(int x, int y) {
     for (int i = 0; i < y % 8; i++) { r += i; }
     return r;
 }`, opts: fuzz.Options{
-		Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true, Workers: workers,
+		Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true,
 		Guard: guard.New(guard.Options{
 			Injector: chaos.New(chaos.Options{Seed: 11, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
 		}),
@@ -240,11 +237,11 @@ func assertGoldenFile(t *testing.T, label, path string, got []byte) {
 }
 
 // checkGolden compares the case's campaign with its fixture and trace
-// byte for byte; with -update (and record set) it rewrites them first.
-func checkGolden(t *testing.T, label string, c goldenCase, record bool) fuzz.Campaign {
+// byte for byte; with -update it rewrites them first.
+func checkGolden(t *testing.T, c goldenCase) fuzz.Campaign {
 	t.Helper()
 	camp, got, trace := runGoldenCase(t, c)
-	if *update && record {
+	if *update {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -255,41 +252,34 @@ func checkGolden(t *testing.T, label string, c goldenCase, record bool) fuzz.Cam
 			t.Fatal(err)
 		}
 	}
-	assertGoldenFile(t, label+" campaign", goldenPath(c.id, ".json"), got)
-	assertGoldenFile(t, label+" trace", goldenPath(c.id, ".jsonl"), trace)
+	assertGoldenFile(t, "campaign", goldenPath(c.id, ".json"), got)
+	assertGoldenFile(t, "trace", goldenPath(c.id, ".jsonl"), trace)
 	return camp
 }
 
 // TestCampaignGolden pins test generation and bitwidth profiling to the
 // recorded goldens: for every evaluation subject and the crashy and
-// untyped shapes, the sequential and the pooled (Workers=4) campaign
-// reproduce the fixture — retained tests, coverage, execution count,
-// plateau flag, profile rewrites and ranges — and its JSONL trace byte
-// for byte. With -update the sequential run rewrites the fixtures.
+// untyped shapes, the campaign reproduces the fixture — retained
+// tests, coverage, execution count, plateau flag, profile rewrites and
+// ranges — and its JSONL trace byte for byte. With -update it rewrites
+// the fixtures.
 func TestCampaignGolden(t *testing.T) {
-	var cases []func(workers int) goldenCase
+	var cases []goldenCase
 	for _, s := range subjects.All() {
-		cases = append(cases, func(workers int) goldenCase { return subjectCase(s, workers) })
+		cases = append(cases, subjectCase(s))
 	}
-	cases = append(cases, crashyCase, untypedCase)
-	for _, mk := range cases {
-		t.Run(mk(1).id, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				checkGolden(t, fmt.Sprintf("workers=%d", workers), mk(workers), workers == 1)
-			}
-		})
+	cases = append(cases, crashyCase(), untypedCase())
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) { checkGolden(t, c) })
 	}
 }
 
 // TestCampaignSurvivesInterpFaults runs a campaign with probabilistic
 // faults on the execution stage: contained failures count, gain
 // nothing, and — because the schedule is keyed on test-case content —
-// the campaign reproduces the chaos fixture for any Workers value.
+// the campaign reproduces the chaos fixture.
 func TestCampaignSurvivesInterpFaults(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		camp := checkGolden(t, fmt.Sprintf("workers=%d", workers), chaosCase(workers), workers == 1)
-		if camp.StageFailures == 0 {
-			t.Fatal("chaos at rate 0.3 contained no failures — the test exercises nothing")
-		}
+	if camp := checkGolden(t, chaosCase()); camp.StageFailures == 0 {
+		t.Fatal("chaos at rate 0.3 contained no failures — the test exercises nothing")
 	}
 }

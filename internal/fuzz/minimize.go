@@ -11,17 +11,10 @@ import (
 // dropped. Order: tests are considered in their original order, so
 // earlier (seed) tests are preferred witnesses.
 func Minimize(u *cast.Unit, kernel string, tests []TestCase) ([]TestCase, error) {
-	return MinimizeParallel(u, kernel, tests, 1)
-}
-
-// MinimizeParallel is Minimize with up to workers concurrent witness
-// executions. The greedy cover runs over witnesses in input order
-// either way, so the minimized suite is identical for any worker count.
-func MinimizeParallel(u *cast.Unit, kernel string, tests []TestCase, workers int) ([]TestCase, error) {
 	if len(tests) <= 1 {
 		return tests, nil
 	}
-	results, err := collectHits(u, kernel, tests, workers)
+	results, err := collectHits(u, kernel, tests)
 	if err != nil {
 		return nil, err
 	}

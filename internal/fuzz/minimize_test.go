@@ -49,7 +49,7 @@ func TestMinimizePreservesOutcomeWitnesses(t *testing.T) {
 		t.Fatalf("minimization kept %d of %d tests", len(min), len(suite))
 	}
 	outcomes := func(tests []TestCase) map[int]bool {
-		res, err := collectHits(u, "kernel", tests, 1)
+		res, err := collectHits(u, "kernel", tests)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +72,8 @@ func TestMinimizePreservesOutcomeWitnesses(t *testing.T) {
 	}
 }
 
-// Minimization is a pure function of the input suite: repeated runs and
-// any worker count give the identical result.
+// Minimization is a pure function of the input suite: repeated runs
+// give the identical result.
 func TestMinimizeDeterministic(t *testing.T) {
 	u := cparser.MustParse(minimizeKernel)
 	suite := minimizeSuite(t)
@@ -89,14 +89,12 @@ func TestMinimizeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		for _, workers := range []int{1, 4} {
-			got, err := MinimizeParallel(u, "kernel", suite, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if render(got) != render(first) {
-				t.Fatalf("run %d workers %d: %s != %s", run, workers, render(got), render(first))
-			}
+		got, err := Minimize(u, "kernel", suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(got) != render(first) {
+			t.Fatalf("run %d: %s != %s", run, render(got), render(first))
 		}
 	}
 }
