@@ -112,9 +112,14 @@ func (p *evalPool) budgetExhausted() bool {
 	return p.committedVirtual >= p.budget
 }
 
-// chunkSize is how many candidates are speculatively evaluated per
-// batch.
-func (p *evalPool) chunkSize() int { return p.workers * speculationFactor }
+// chunkSize is how many of n candidates are speculatively evaluated
+// per batch; without a pool (nil) all n form one batch.
+func (p *evalPool) chunkSize(n int) int {
+	if p == nil {
+		return n
+	}
+	return p.workers * speculationFactor
+}
 
 // evaluateBatch computes outcomes for a batch concurrently. predictSkip
 // (optional, called in order on the calling goroutine) previews commit-
@@ -125,9 +130,12 @@ func (p *evalPool) chunkSize() int { return p.workers * speculationFactor }
 // predictions are only schedule hints: a misprediction wastes or saves
 // speculative work, never changes what the commit loop decides.
 // Outcomes of unscheduled candidates stay zero-valued (computed ==
-// false).
+// false); without a pool (nil) none is scheduled.
 func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, predictSkip func(Candidate) bool, nextIdx int) []evalOutcome {
 	outcomes := make([]evalOutcome, len(batch))
+	if p == nil {
+		return outcomes
+	}
 	var wg sync.WaitGroup
 	idx := nextIdx
 	for i, cand := range batch {
@@ -157,32 +165,14 @@ func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, predictSkip fun
 // preview skip's decisions without side effects on searcher state (used
 // only to avoid scheduling doomed speculative work).
 //
-// With no pool (Workers <= 1) candidates are computed inline, one at a
-// time — the classic sequential search. With a pool, batches of
-// chunkSize are computed concurrently and then committed in order;
-// either way every candidate passes through the same budget check,
-// chargeOutcome call, and acceptance rule, in the same sequence.
+// With a pool, batches of chunkSize are computed concurrently and then
+// committed in order. With no pool (Workers <= 1) nothing is computed
+// ahead, so the commit loop computes each candidate inline, one at a
+// time — the classic sequential search. Either way every candidate
+// passes through the same budget check, chargeOutcome call, and
+// acceptance rule, in the same sequence.
 func (s *searcher) evalCandidates(cands []Candidate, skip, predictSkip func(Candidate) bool, cur **cast.Unit, curScore *score) bool {
-	if s.pool == nil {
-		for _, cand := range cands {
-			if s.stats.VirtualSeconds >= float64(s.opts.Budget) || s.ctx.Err() != nil {
-				return false
-			}
-			if skip != nil && skip(cand) {
-				continue
-			}
-			o, replayed := s.ckpt.replay(s.commitIdx, cand)
-			if !replayed {
-				o = s.safeOutcome(cand.Unit)
-			}
-			if s.commitOutcome(cand, o, cur, curScore) {
-				return true
-			}
-		}
-		return false
-	}
-
-	chunk := s.pool.chunkSize()
+	chunk := s.pool.chunkSize(len(cands))
 	for start := 0; start < len(cands); start += chunk {
 		end := min(start+chunk, len(cands))
 		batch := cands[start:end]
@@ -204,8 +194,8 @@ func (s *searcher) evalCandidates(cands []Candidate, skip, predictSkip func(Cand
 			if ro, replayed := s.ckpt.replay(s.commitIdx, cand); replayed {
 				o = ro
 			} else if !o.computed {
-				// The worker declined the job (budget raced exhausted)
-				// or predictSkip mispredicted; fall back to computing
+				// No pool, the worker declined the job (budget raced
+				// exhausted), or predictSkip mispredicted; compute it
 				// here so commit semantics never depend on speculation.
 				o = s.safeOutcome(cand.Unit)
 			}
