@@ -23,9 +23,9 @@
 //   - corrupt:   the stage's output failed validation (only ever
 //     injected today; real validators can adopt the class). Never
 //     retried.
-//   - transient: an environmental fault (I/O flake). Retried up to
-//     Options.TransientRetries with exponential backoff, because a rerun
-//     genuinely can succeed.
+//   - transient: an environmental fault (I/O flake). Retried at once,
+//     up to Options.TransientRetries times, because a rerun genuinely
+//     can succeed.
 //
 // Deterministic failures on quarantinable inputs are minimized with
 // progen.Reduce and written under Options.QuarantineDir as committable

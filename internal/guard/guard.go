@@ -56,7 +56,7 @@ const (
 	ClassDeadline Class = "deadline"
 	// ClassCorrupt is an invalid stage output; never retried.
 	ClassCorrupt Class = "corrupt"
-	// ClassTransient is an environmental fault; retried with backoff.
+	// ClassTransient is an environmental fault; retried at once.
 	ClassTransient Class = "transient"
 )
 
@@ -148,10 +148,6 @@ type Options struct {
 	// TransientRetries is how many times a ClassTransient failure is
 	// retried before it becomes terminal (default 2; negative disables).
 	TransientRetries int
-	// RetryBackoff is the real-time pause before the first transient
-	// retry, doubling per attempt (default 0: no pause, which keeps
-	// tests fast; deployments set e.g. 50ms).
-	RetryBackoff time.Duration
 	// QuarantineDir, when non-empty, receives progen.Reduce-minimized
 	// reproducers of deterministic failures (see quarantine.go); ""
 	// disables quarantine.
@@ -261,9 +257,6 @@ func Do[T any](g *Guard, inv Invocation, fn func(*cast.Unit) (T, error)) (T, err
 		if sf.Class == ClassTransient && attempt <= opts.TransientRetries {
 			if opts.Metrics != nil {
 				opts.Metrics.Add("guard.retries."+string(inv.Stage), 1)
-			}
-			if opts.RetryBackoff > 0 {
-				time.Sleep(opts.RetryBackoff << (attempt - 1))
 			}
 			continue
 		}
