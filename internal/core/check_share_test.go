@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/repair"
@@ -17,14 +16,9 @@ import (
 // through a cache the repair filled is a check-stage hit — for the
 // default target, a named target of the default toolchain, and a
 // toolchain whose dialect translates the diagnostics — and the hit
-// reports what an uncached check reports. P9's repair inserts a
-// constructor, which must print and parse back as one.
-//
-// A search cut short after one iteration leaves diagnostics behind.
-// Their source positions are not program content: a hit carries the
-// positions of the unit that first produced the verdict (here the
-// repair's, which come from the original source), so that case
-// compares everything but positions.
+// reports what an uncached check reports, including the diagnostics
+// a search cut short after one iteration leaves behind. P9's repair
+// inserts a constructor, which must print and parse back as one.
 func TestCheckReusesRepairVerdict(t *testing.T) {
 	ids := []string{"P2", "P9"}
 	if !testing.Short() {
@@ -77,22 +71,10 @@ func TestCheckReusesRepairVerdict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if iterations > 0 {
-					got, want = withoutPositions(got), withoutPositions(want)
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: cached check differs from uncached\n  cached:   %+v\n  uncached: %+v", name, got, want)
 				}
 			}
 		}
 	}
-}
-
-func withoutPositions(rep hls.Report) hls.Report {
-	out := rep
-	out.Diags = append([]hls.Diagnostic(nil), rep.Diags...)
-	for i := range out.Diags {
-		out.Diags[i].Pos = ctoken.Pos{}
-	}
-	return out
 }

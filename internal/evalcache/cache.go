@@ -51,8 +51,10 @@ func Stages() []Stage {
 // fingerprint like the search's, not by printed text. Version 6: every
 // key names program content by fingerprint — the pipeline's check
 // stage stores the untranslated report under the search's key, and
-// fuzz campaigns and difftest salts drop printed text.
-const formatVersion = 6
+// fuzz campaigns and difftest salts drop printed text. Version 7: check
+// reports drop diagnostic source positions, the one part of a stored
+// report that was not a function of its key.
+const formatVersion = 7
 
 // Fingerprint hashes an ordered list of key components into a hex
 // content address. Components are length-prefixed, so the boundary

@@ -137,7 +137,7 @@ type Backend interface {
 	Name() string
 	// Translate rewrites a diagnostic from the reference (Vivado-style)
 	// dialect into this backend's dialect. It must be deterministic and
-	// must preserve Class, Pos, and Subject.
+	// must preserve Class and Subject.
 	Translate(d Diagnostic) Diagnostic
 	// ParseLog extracts diagnostics from toolchain console output in
 	// this backend's dialect (the vivadolog-style parser hook).

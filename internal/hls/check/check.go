@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/interp"
@@ -104,7 +103,7 @@ func (c *checker) checkTopFunction() {
 	// Conflicting "#pragma HLS top name=X" directives must agree with the
 	// configured top. Such pragmas may survive at file scope or attached
 	// to a function head.
-	checkTopDirective := func(text string, pos ctoken.Pos) {
+	checkTopDirective := func(text string) {
 		dir := interp.ParsePragma(text)
 		if dir.Kind == interp.PragmaTop && dir.Name != "" && dir.Name != c.cfg.Top {
 			c.add(hls.Diagnostic{
@@ -112,7 +111,6 @@ func (c *checker) checkTopFunction() {
 				Message: fmt.Sprintf(
 					"Cannot find the top function '%s' in the design: configuration names '%s'",
 					dir.Name, c.cfg.Top),
-				Pos:     pos,
 				Class:   hls.ClassTopFunction,
 				Subject: dir.Name,
 			})
@@ -121,10 +119,10 @@ func (c *checker) checkTopFunction() {
 	for _, d := range c.unit.Decls {
 		switch x := d.(type) {
 		case *cast.PragmaDecl:
-			checkTopDirective(x.Text, x.P)
+			checkTopDirective(x.Text)
 		case *cast.FuncDecl:
 			for _, p := range x.Pragmas {
-				checkTopDirective(p.Text, p.P)
+				checkTopDirective(p.Text)
 			}
 		}
 	}
@@ -147,7 +145,6 @@ func (c *checker) checkDynamicData() {
 					Code: "SYNCHK 200-31",
 					Message: fmt.Sprintf(
 						"dynamic memory allocation/deallocation is not supported: call to '%s'", id.Name),
-					Pos:     call.P,
 					Class:   hls.ClassDynamicData,
 					Subject: id.Name,
 				})
@@ -155,7 +152,6 @@ func (c *checker) checkDynamicData() {
 				c.add(hls.Diagnostic{
 					Code:    "SYNCHK 200-31",
 					Message: "dynamic memory allocation/deallocation is not supported: call to 'free'",
-					Pos:     call.P,
 					Class:   hls.ClassDynamicData,
 					Subject: "free",
 				})
@@ -166,13 +162,10 @@ func (c *checker) checkDynamicData() {
 
 	// Recursion: direct or mutual, via call-graph cycle detection.
 	for _, fname := range recursiveFunctions(c.unit) {
-		fn := c.unit.Func(fname)
-		pos := fn.P
 		c.add(hls.Diagnostic{
 			Code: "XFORM 202-876",
 			Message: fmt.Sprintf(
 				"Synthesizability check failed: recursive functions are not supported ('%s')", fname),
-			Pos:     pos,
 			Class:   hls.ClassDynamicData,
 			Subject: fname,
 		})
@@ -187,7 +180,6 @@ func (c *checker) checkDynamicData() {
 				Code: "SYNCHK 200-62",
 				Message: fmt.Sprintf(
 					"goto '%s' is not synthesizable: restructure the control flow with loops and conditionals", g.Name),
-				Pos:     g.P,
 				Class:   hls.ClassDynamicData,
 				Subject: g.Name,
 			})
@@ -205,7 +197,6 @@ func (c *checker) checkDynamicData() {
 					Code: "SYNCHK 200-61",
 					Message: fmt.Sprintf(
 						"unsupported memory access on variable '%s' which is (or contains) an array with unknown size at compile time", x.Name),
-					Pos:     x.P,
 					Class:   hls.ClassDynamicData,
 					Subject: x.Name,
 				})
@@ -216,7 +207,6 @@ func (c *checker) checkDynamicData() {
 					Code: "SYNCHK 200-61",
 					Message: fmt.Sprintf(
 						"unsupported memory access on variable '%s' which is (or contains) an array with unknown size at compile time", x.Name),
-					Pos:     x.P,
 					Class:   hls.ClassDynamicData,
 					Subject: x.Name,
 				})
@@ -301,14 +291,13 @@ func recursiveFunctions(u *cast.Unit) []string {
 func (c *checker) checkTypes() {
 	top := c.unit.Func(c.cfg.Top)
 
-	checkType := func(t ctypes.Type, name string, pos cast.Node, isTopParam bool) {
+	checkType := func(t ctypes.Type, name string, isTopParam bool) {
 		rt := ctypes.Resolve(t)
 		if f, ok := rt.(ctypes.Float); ok && f.FK == ctypes.F80 {
 			c.add(hls.Diagnostic{
 				Code: "SYNCHK 200-11",
 				Message: fmt.Sprintf(
 					"type 'long double' of '%s' is not synthesizable: call of overloaded arithmetic is ambiguous", name),
-				Pos:     pos.Pos(),
 				Class:   hls.ClassUnsupportedType,
 				Subject: name,
 			})
@@ -318,7 +307,6 @@ func (c *checker) checkTypes() {
 				Code: "SYNCHK 200-41",
 				Message: fmt.Sprintf(
 					"pointer '%s' is not supported: pointers are only allowed on top-level interface ports", name),
-				Pos:     pos.Pos(),
 				Class:   hls.ClassUnsupportedType,
 				Subject: name,
 			})
@@ -328,7 +316,7 @@ func (c *checker) checkTypes() {
 	for _, d := range c.unit.Decls {
 		switch x := d.(type) {
 		case *cast.VarDecl:
-			checkType(x.Type, x.Name, x, false)
+			checkType(x.Type, x.Name, false)
 		case *cast.FuncDecl:
 			c.checkFuncTypes(x, x == top, checkType)
 		case *cast.StructDecl:
@@ -339,7 +327,6 @@ func (c *checker) checkTypes() {
 						Code: "SYNCHK 200-11",
 						Message: fmt.Sprintf(
 							"type 'long double' of field '%s.%s' is not synthesizable", x.Type.Tag, f.Name),
-						Pos:     x.P,
 						Class:   hls.ClassUnsupportedType,
 						Subject: f.Name,
 					})
@@ -349,7 +336,6 @@ func (c *checker) checkTypes() {
 						Code: "SYNCHK 200-41",
 						Message: fmt.Sprintf(
 							"pointer field '%s.%s' is not supported in a synthesizable struct", x.Type.Tag, f.Name),
-						Pos:     x.P,
 						Class:   hls.ClassUnsupportedType,
 						Subject: f.Name,
 					})
@@ -363,14 +349,14 @@ func (c *checker) checkTypes() {
 }
 
 func (c *checker) checkFuncTypes(fn *cast.FuncDecl, isTop bool,
-	checkType func(ctypes.Type, string, cast.Node, bool)) {
+	checkType func(ctypes.Type, string, bool)) {
 	for _, p := range fn.Params {
-		checkType(p.Type, p.Name, fn, isTop)
+		checkType(p.Type, p.Name, isTop)
 	}
-	checkType(fn.Ret, fn.Name+"() return", fn, false)
+	checkType(fn.Ret, fn.Name+"() return", false)
 	cast.Inspect(fn, func(n cast.Node) bool {
 		if d, ok := n.(*cast.DeclStmt); ok {
-			checkType(d.Type, d.Name, d, false)
+			checkType(d.Type, d.Name, false)
 		}
 		return true
 	})
@@ -384,13 +370,12 @@ func (c *checker) checkStructs() {
 	// an explicit hardware-level representation, so any union-typed
 	// declaration is flagged (the paper's "Struct and Union" class covers
 	// both; see Table 1's post 1117215 discussion).
-	flagUnion := func(t ctypes.Type, name string, pos ctoken.Pos) {
+	flagUnion := func(t ctypes.Type, name string) {
 		if st, ok := ctypes.Resolve(t).(*ctypes.Struct); ok && st.IsUnion {
 			c.add(hls.Diagnostic{
 				Code: "SYNCHK 200-93",
 				Message: fmt.Sprintf(
 					"union '%s' of variable '%s' is not synthesizable without an explicit hardware-level implementation", st.Tag, name),
-				Pos:     pos,
 				Class:   hls.ClassStructUnion,
 				Subject: st.Tag,
 			})
@@ -399,9 +384,9 @@ func (c *checker) checkStructs() {
 	cast.Inspect(c.unit, func(n cast.Node) bool {
 		switch x := n.(type) {
 		case *cast.DeclStmt:
-			flagUnion(x.Type, x.Name, x.P)
+			flagUnion(x.Type, x.Name)
 		case *cast.VarDecl:
-			flagUnion(x.Type, x.Name, x.P)
+			flagUnion(x.Type, x.Name)
 		}
 		return true
 	})
@@ -422,7 +407,6 @@ func (c *checker) checkStructs() {
 				Code: "SYNCHK 200-91",
 				Message: fmt.Sprintf(
 					"Argument 'this' has an unsynthesizable struct type '%s': no explicit constructor for hardware instantiation", st.Tag),
-				Pos:     il.P,
 				Class:   hls.ClassStructUnion,
 				Subject: st.Tag,
 			})
@@ -458,7 +442,6 @@ func (c *checker) checkStructs() {
 					Code: "SYNCHK 200-92",
 					Message: fmt.Sprintf(
 						"the connecting stream '%s' between struct instances in a dataflow region must be static", d.Name),
-					Pos:     d.P,
 					Class:   hls.ClassStructUnion,
 					Subject: d.Name,
 				})

@@ -43,7 +43,6 @@ func (c *checker) checkDataflow() {
 					Code: "XFORM 202-712",
 					Message: fmt.Sprintf(
 						"Argument '%s' failed dataflow checking: a buffer may only be consumed by one process in a dataflow region (used by %d)", name, n),
-					Pos:     fn.P,
 					Class:   hls.ClassDataflow,
 					Subject: name,
 				})
@@ -153,7 +152,6 @@ func (c *checker) checkLoops() {
 							Code: "HLS 200-70",
 							Message: fmt.Sprintf(
 								"Pre-synthesis failed: unroll factor %d interacts with the enclosing dataflow region; set an explicit tripcount and reduce the factor", d.Factor),
-							Pos:     p.P,
 							Class:   hls.ClassLoopParallel,
 							Subject: "unroll",
 						})
@@ -163,7 +161,6 @@ func (c *checker) checkLoops() {
 							Code: "XFORM 202-805",
 							Message: fmt.Sprintf(
 								"unroll factor %d exceeds the loop trip count %d", d.Factor, trip),
-							Pos:     p.P,
 							Class:   hls.ClassLoopParallel,
 							Subject: "unroll",
 						})
@@ -173,7 +170,6 @@ func (c *checker) checkLoops() {
 							Code: "XFORM 202-806",
 							Message: fmt.Sprintf(
 								"loop trip count %d is not a multiple of unroll factor %d", trip, d.Factor),
-							Pos:     p.P,
 							Class:   hls.ClassLoopParallel,
 							Subject: "unroll",
 						})
@@ -200,7 +196,6 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 				Code: "XFORM 202-711",
 				Message: fmt.Sprintf(
 					"Array '%s' failed dataflow checking: no array of that name is visible here", d.Variable),
-				Pos:     p.P,
 				Class:   hls.ClassLoopParallel,
 				Subject: d.Variable,
 			})
@@ -211,7 +206,6 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 			Code: "XFORM 202-711",
 			Message: fmt.Sprintf(
 				"array_partition type '%s' is not one of cyclic, block, complete", d.PartitionType),
-			Pos:     p.P,
 			Class:   hls.ClassLoopParallel,
 			Subject: d.Variable,
 		})
@@ -221,7 +215,6 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 		c.add(hls.Diagnostic{
 			Code:    "XFORM 202-711",
 			Message: "array_partition requires a variable= operand",
-			Pos:     p.P,
 			Class:   hls.ClassLoopParallel,
 			Subject: "array_partition",
 		})
@@ -233,7 +226,6 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 			Code: "XFORM 202-711",
 			Message: fmt.Sprintf(
 				"Array '%s' failed dataflow checking: no array of that name is visible here", d.Variable),
-			Pos:     p.P,
 			Class:   hls.ClassLoopParallel,
 			Subject: d.Variable,
 		})
@@ -244,7 +236,6 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 			Code: "XFORM 202-711",
 			Message: fmt.Sprintf(
 				"Array '%s' failed dataflow checking: size %d is not a multiple of partition factor %d", d.Variable, size, d.Factor),
-			Pos:     p.P,
 			Class:   hls.ClassLoopParallel,
 			Subject: d.Variable,
 		})

@@ -10,8 +10,6 @@ package hls
 
 import (
 	"fmt"
-
-	"github.com/hetero/heterogen/internal/ctoken"
 )
 
 // ErrorClass is one of the six HLS compatibility error types of §5.1.
@@ -59,7 +57,6 @@ func AllClasses() []ErrorClass {
 type Diagnostic struct {
 	Code    string // e.g. "XFORM 202-876"
 	Message string
-	Pos     ctoken.Pos
 	Class   ErrorClass
 	// Subject names the offending entity (function, variable, array).
 	Subject string
