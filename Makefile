@@ -13,14 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The worker pools (internal/repair/parallel.go, internal/fuzz/parallel.go)
-# and the evaluation cache and compiled-code cache they share are the
-# only concurrency in the module; this is their data-race proof. -short
+# The repair worker pool (internal/repair/parallel.go) and the
+# evaluation cache and compiled-code cache it shares are the main
+# concurrency in the module; this is their data-race proof. -short
 # trims the repair determinism suites to a few subjects — race coverage
 # comes from the code paths, not subject breadth, and the full-breadth
 # suites exceed the test binary's default timeout under the race
-# detector's ~10x slowdown. Fuzz pool workers share one Codebase per
-# campaign, and the fuzz goldens run every subject with Workers 4.
+# detector's ~10x slowdown. Fuzzing has no pool, but a guard deadline
+# runs each execution on its own goroutine, and an abandoned one may
+# still run while the campaign goes on; the fuzz package runs in full.
 race:
 	$(GO) test -race -short ./internal/repair/...
 	$(GO) test -race ./internal/fuzz/ ./internal/profile/

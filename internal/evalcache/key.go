@@ -53,9 +53,8 @@ func DifftestKey(salt, candidateFingerprint string) string {
 }
 
 // FuzzKey addresses one StageFuzz campaign: the program, the kernel,
-// and every option that shapes the campaign's outcome. Workers is
-// excluded by the determinism contract (campaigns are bit-identical
-// for any value), and observers never change what a campaign computes.
+// and every option that shapes the campaign's outcome. Observers never
+// change what a campaign computes.
 func FuzzKey(unitFingerprint, kernel string, seed int64, maxExecs, plateau int, hostMain string, typedMutation bool, maxStepsPerExec int64) string {
 	return Fingerprint("fuzz", unitFingerprint, kernel,
 		fmt.Sprintf("%d|%d|%d|%t|%d", seed, maxExecs, plateau, typedMutation, maxStepsPerExec),

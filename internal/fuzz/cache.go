@@ -1,9 +1,10 @@
 // Campaign memoization. A fuzzing campaign is a pure function of the
 // program, the kernel, and the campaign-shaping options (seed, budget,
-// plateau, host seeding, mutation typing, step bound) — Workers and
-// observers never change what it computes — so a finished campaign can
-// be stored whole in the evaluation cache and replayed on the next run
-// over the same subject.
+// plateau, host seeding, mutation typing, step bound) — observers never
+// change what it computes — so a finished campaign can be stored whole
+// in the evaluation cache, keyed by the program's fingerprint
+// (cast.FingerprintUnit) and those options, and replayed on the next
+// run over the same subject.
 //
 // Two representation problems make this more than a json.Marshal:
 //
@@ -13,10 +14,10 @@
 //     element type equals its parameter's by construction (seeds and
 //     mutations all clone from Spec.Params).
 //
-//   - Trace parity: a traced cold run emits one event per committed
-//     execution, and warm runs must produce byte-identical traces. So
-//     a traced run records its emitted events into the entry, and a
-//     replay re-emits them verbatim. An entry stored by an untraced
+//   - Trace parity: a traced cold run emits one event per execution,
+//     and warm runs must produce byte-identical traces. So a traced
+//     run records its emitted events into the entry, and a replay
+//     re-emits them verbatim. An entry stored by an untraced
 //     run carries no events and cannot serve a traced run — that
 //     lookup counts as a miss and the recomputed campaign overwrites
 //     the entry.
@@ -157,7 +158,7 @@ func (cc cachedCampaign) decode(sp Spec) (Campaign, bool) {
 }
 
 // eventRecorder tees emitted events into a buffer for the cache entry.
-// Fuzz events are emitted only on the campaign goroutine, so no lock.
+// A campaign emits on its own goroutine only, so no lock.
 type eventRecorder struct {
 	inner  obs.Observer
 	events []obs.Event

@@ -86,10 +86,10 @@ type Options struct {
 	// verdicts on content-addressed fingerprints: the synthesizability
 	// Report (keyed on target config + candidate fingerprint), the
 	// resource estimate (candidate fingerprint), and the
-	// differential-test outcome (target config + kernel + printed oracle
-	// + corpus hash + candidate fingerprint). It is the only verdict
-	// memo: without it a candidate revisited in a later iteration is
-	// re-evaluated. A hit skips the recomputation but is charged exactly
+	// differential-test outcome (target config + kernel + oracle
+	// fingerprint + corpus hash + candidate fingerprint). It is the only
+	// verdict memo: without it a candidate revisited in a later
+	// iteration is re-evaluated. A hit skips the recomputation but is charged exactly
 	// the same virtual toolchain cost in the same commit order as a
 	// cold evaluation — the cost inputs (line count, whether simulation
 	// ran) are deterministic — so Result, Stats, and traces are
