@@ -58,9 +58,9 @@ func subjectCase(s subjects.Subject) goldenCase {
 	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, opts: goldenOptions(s)}
 }
 
-// crashyCase divides by zero or reads an uninitialized array on many
-// inputs: crashed children still add coverage, but the repair oracle
-// needs clean reference outputs, so they are never retained.
+// crashyCase's kernel crashes on some inputs: crashed children still
+// add coverage, but the repair oracle needs clean reference outputs, so
+// they are never retained.
 func crashyCase() goldenCase {
 	opts := fuzz.DefaultOptions()
 	opts.MaxExecs, opts.Plateau = 600, 200
