@@ -2,6 +2,8 @@ package fuzz
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -264,21 +266,113 @@ void kernel(float in[8], float out[8]) {
 	}
 }
 
-// tracedRun runs a campaign with a JSONL trace writer attached and
+// traceCampaign runs a campaign with a JSONL trace writer attached and
 // returns the campaign plus the raw trace bytes.
-func tracedRun(t *testing.T, u *cast.Unit, kernel string, opts Options) (Campaign, []byte) {
-	t.Helper()
+func traceCampaign(u *cast.Unit, kernel string, opts Options) (Campaign, []byte, error) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts.Obs = tw
 	camp, err := Run(u, kernel, opts)
 	if err != nil {
-		t.Fatal(err)
+		return Campaign{}, nil, err
 	}
 	if err := tw.Flush(); err != nil {
+		return Campaign{}, nil, err
+	}
+	return camp, buf.Bytes(), nil
+}
+
+// tracedRun is traceCampaign failing the test on error.
+func tracedRun(t *testing.T, u *cast.Unit, kernel string, opts Options) (Campaign, []byte) {
+	t.Helper()
+	camp, trace, err := traceCampaign(u, kernel, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return camp, buf.Bytes()
+	return camp, trace
+}
+
+// assertCampaignsIdentical fails unless the two campaigns are
+// bit-identical: same retained tests in the same order, same coverage,
+// same execution and accounting numbers.
+func assertCampaignsIdentical(t *testing.T, want, got Campaign) {
+	t.Helper()
+	if len(want.Tests) != len(got.Tests) {
+		t.Fatalf("retained tests differ: %d vs %d", len(want.Tests), len(got.Tests))
+	}
+	for i := range want.Tests {
+		if !reflect.DeepEqual(want.Tests[i], got.Tests[i]) {
+			t.Errorf("test %d differs:\nwant: %s\ngot:  %s", i, want.Tests[i], got.Tests[i])
+		}
+	}
+	if want.Coverage != got.Coverage ||
+		want.CoveredOutcomes != got.CoveredOutcomes ||
+		want.TotalOutcomes != got.TotalOutcomes {
+		t.Errorf("coverage differs: %.4f (%d/%d) vs %.4f (%d/%d)",
+			want.Coverage, want.CoveredOutcomes, want.TotalOutcomes,
+			got.Coverage, got.CoveredOutcomes, got.TotalOutcomes)
+	}
+	if want.Execs != got.Execs || want.VirtualSeconds != got.VirtualSeconds {
+		t.Errorf("accounting differs: execs=%d vt=%.2f vs execs=%d vt=%.2f",
+			want.Execs, want.VirtualSeconds, got.Execs, got.VirtualSeconds)
+	}
+	if want.SeededFromHost != got.SeededFromHost {
+		t.Errorf("host seeding differs: %v vs %v", want.SeededFromHost, got.SeededFromHost)
+	}
+}
+
+// TestParallelCampaignDeterminism: campaigns run at the same time on
+// one shared unit, as concurrent service jobs run them, must each be
+// bit-identical to a campaign run alone with the same seed, trace
+// included, on both a branchy kernel and one with crashing inputs
+// (crashed children contribute coverage but are never retained).
+func TestParallelCampaignDeterminism(t *testing.T) {
+	kernels := map[string]string{
+		"branchy": branchy,
+		"crashy": `
+int kernel(int x) {
+    int a[8];
+    if (x > 0 && x < 100) { return a[x % 8]; }
+    return 10 / x;
+}`,
+	}
+	for name, src := range kernels {
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.MaxExecs = 600
+			opts.Plateau = 200
+			alone, aloneTrace := tracedRun(t, cparser.MustParse(src), "kernel", opts)
+			// One fuzz_exec event per execution.
+			if n := bytes.Count(aloneTrace, []byte(`"type":"fuzz_exec"`)); n != alone.Execs {
+				t.Errorf("trace has %d fuzz_exec events, want %d", n, alone.Execs)
+			}
+
+			const runs = 3
+			shared := cparser.MustParse(src)
+			camps := make([]Campaign, runs)
+			traces := make([][]byte, runs)
+			errs := make([]error, runs)
+			var wg sync.WaitGroup
+			for i := range camps {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					camps[i], traces[i], errs[i] = traceCampaign(shared, "kernel", opts)
+				}(i)
+			}
+			wg.Wait()
+			for i := range camps {
+				if errs[i] != nil {
+					t.Fatalf("concurrent campaign %d: %v", i, errs[i])
+				}
+				assertCampaignsIdentical(t, alone, camps[i])
+				if !bytes.Equal(aloneTrace, traces[i]) {
+					t.Errorf("concurrent campaign %d: trace differs from the lone run (%d vs %d bytes)",
+						i, len(aloneTrace), len(traces[i]))
+				}
+			}
+		})
+	}
 }
 
 // TestCampaignPlateauFlag: a kernel whose coverage saturates instantly
