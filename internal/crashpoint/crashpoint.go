@@ -12,10 +12,11 @@
 //
 // The kill is a real SIGKILL to self — no deferred functions, no
 // buffer flushes, no atexit — so a fired crash point exercises exactly
-// the torn state an external `kill -9` would leave. Callers that want
-// to simulate a *mid-write* crash split the write around Hit:
+// the torn state an external `kill -9` would leave. A *mid-write*
+// crash splits the write around Hit; jsonlog.Appender.Append is the
+// one such site, shared by every durable log:
 //
-//	if crashpoint.Hit("store.append") {
+//	if crashpoint.Hit(site) {
 //	    w.Write(line[:len(line)/2]) // torn final line
 //	    w.Flush()
 //	    crashpoint.Kill()

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -337,14 +338,14 @@ func New(opts Options) (*Cache, error) {
 	}
 	if opts.Dir != "" {
 		c.dir = opts.Dir
-		loaded, skipped, err := loadDir(opts.Dir)
-		if err != nil {
-			// The whole persistent tier is unusable (e.g. the directory
-			// cannot be created): every shard stays memory-only.
+		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+			// The whole persistent tier is unusable: every shard stays
+			// memory-only.
 			c.shards[0].stats.DiskWriteFailures++
-			c.degradeNotice(fmt.Sprintf("evalcache: persistent tier disabled: %v", err))
+			c.degradeNotice(fmt.Sprintf("evalcache: persistent tier disabled: create dir: %v", err))
 			return c, nil
 		}
+		loaded, skipped := scanDir(opts.Dir)
 		c.diskLoaded = int64(len(loaded))
 		c.diskSkipped = skipped
 		// Leftover .tmp images from a compaction a crash interrupted are
@@ -428,7 +429,7 @@ func (c *Cache) degradeNotice(msg string) {
 func (c *Cache) degradeShard(sh *shard, msg string) {
 	sh.mu.Lock()
 	if sh.store != nil {
-		sh.store.discard()
+		_ = sh.store.Close()
 		sh.store = nil
 	}
 	sh.stats.DiskWriteFailures++
@@ -544,7 +545,7 @@ func (c *Cache) Put(stage Stage, hash string, val any) {
 	}
 	var storeErr error
 	if sh.store != nil {
-		storeErr = sh.store.append(k, raw)
+		storeErr = sh.store.put(k, raw)
 	}
 	sh.mu.Unlock()
 	if storeErr != nil {
@@ -635,7 +636,7 @@ func (c *Cache) Close() error {
 			continue
 		}
 		hadStore = true
-		if err := store.close(); err != nil && firstErr == nil {
+		if err := store.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

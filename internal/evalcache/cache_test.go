@@ -198,6 +198,42 @@ func TestCorruptDiskEntries(t *testing.T) {
 	}
 }
 
+// TestEntriesAfterLongCorruptLine: a corrupt line counts as one skip
+// whatever its length, and the entries after it still load. (Through
+// a 64 MiB line scanner, a longer line ended the scan and cost every
+// entry after it.)
+func TestEntriesAfterLongCorruptLine(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, entriesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"stage":"check","hash":"before","val":1}` + "\n")
+	chunk := []byte(strings.Repeat("x", 1<<20))
+	for i := 0; i <= 64; i++ {
+		if _, err := f.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.WriteString("\n" + `{"stage":"check","hash":"after","val":2}` + "\n")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st := c.Stats(); st.DiskLoaded != 2 || st.DiskSkipped != 1 {
+		t.Errorf("loaded=%d skipped=%d, want 2/1", st.DiskLoaded, st.DiskSkipped)
+	}
+	var got int
+	if !c.Get(StageCheck, "after", &got) || got != 2 {
+		t.Error("entry after the long corrupt line lost")
+	}
+}
+
 func TestEncodeFailureSkipsCaching(t *testing.T) {
 	c, err := New(Options{})
 	if err != nil {

@@ -1,13 +1,13 @@
 package evalcache
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/hetero/heterogen/internal/crashpoint"
+	"github.com/hetero/heterogen/internal/jsonlog"
 )
 
 // On-open compaction of the persistent tier.
@@ -20,8 +20,8 @@ import (
 //
 // Crash safety is by construction, not by locking:
 //
-//  1. Each shard's new image builds as <file>.tmp — a name neither
-//     entriesFiles' stat (entries.jsonl) nor its glob
+//  1. Each shard's new image builds as <file>.tmp (jsonlog.WriteTmp) —
+//     a name neither entriesFiles' stat (entries.jsonl) nor its glob
 //     (entries-*.jsonl) ever matches, so a half-written image is
 //     invisible to every loader.
 //  2. Every tmp is fsynced before any rename: once a rename lands, the
@@ -99,32 +99,13 @@ func compactDir(dir string, live map[key]json.RawMessage, nshards int) error {
 
 	// Step 1: build every shard's new image as an invisible tmp.
 	for i := 0; i < nshards; i++ {
-		path := filepath.Join(dir, shardFile(i))
-		f, err := os.Create(path + ".tmp")
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		for _, k := range keys {
-			if shardIndex(k.hash, nshards) != i {
-				continue
+		err := jsonlog.WriteTmp(filepath.Join(dir, shardFile(i)), func(w jsonlog.Writer) {
+			for _, k := range keys {
+				if shardIndex(k.hash, nshards) == i {
+					w.Put(diskEntry{Stage: k.stage, Hash: k.hash, Val: live[k]})
+				}
 			}
-			line, err := json.Marshal(diskEntry{Stage: k.stage, Hash: k.hash, Val: live[k]})
-			if err != nil {
-				continue
-			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		err = w.Flush()
-		if serr := f.Sync(); err == nil {
-			err = serr
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		})
 		if err != nil {
 			return err
 		}
@@ -134,7 +115,7 @@ func compactDir(dir string, live map[key]json.RawMessage, nshards int) error {
 	// Step 2: atomically swap each shard file in.
 	for i := 0; i < nshards; i++ {
 		path := filepath.Join(dir, shardFile(i))
-		if err := os.Rename(path+".tmp", path); err != nil {
+		if err := os.Rename(jsonlog.TmpPath(path), path); err != nil {
 			return err
 		}
 		crashpoint.Here("evalcache.compact")

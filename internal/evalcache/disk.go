@@ -1,8 +1,6 @@
 package evalcache
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +8,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hetero/heterogen/internal/crashpoint"
+	"github.com/hetero/heterogen/internal/jsonlog"
 )
 
 // The persistent tier is a set of append-only JSONL files plus a small
@@ -20,9 +18,10 @@ import (
 //	<dir>/entries-<i>.jsonl   shard i > 0 of a sharded cache
 //	<dir>/stats.json          cumulative Stats merged on every Close
 //
-// Append-only JSONL makes the store crash-tolerant by construction: a
-// process killed mid-write leaves at most one truncated final line,
-// which the loader skips (and counts) like any other corrupt line.
+// The files are internal/jsonlog logs, and append-only JSONL makes the
+// store crash-tolerant by construction: a process killed mid-write
+// leaves at most one truncated final line, which the loader skips (and
+// counts) like any other corrupt line.
 // Duplicate lines are legal — the last write for a key wins, matching
 // overwrite semantics of the in-memory tier. On open, *every* entries
 // file present is loaded regardless of the current shard count; which
@@ -59,11 +58,6 @@ func entriesFiles(dir string) []string {
 	return files
 }
 
-// maxEntryLine bounds one serialized entry (fuzz campaigns with event
-// streams are the largest, hundreds of KB). Longer lines are treated
-// as corrupt on load.
-const maxEntryLine = 64 << 20
-
 // diskEntry is the JSONL line format.
 type diskEntry struct {
 	Stage Stage           `json:"stage"`
@@ -71,120 +65,72 @@ type diskEntry struct {
 	Val   json.RawMessage `json:"val"`
 }
 
-// diskStore is one shard's open append handle.
+// diskStore is one shard's open append handle; f is the file it
+// appends to.
 type diskStore struct {
+	*jsonlog.Appender
 	f *os.File
-	w *bufio.Writer
 }
 
-// scanEntries folds every well-formed entry of one file into dst and
-// returns the malformed-line count. Malformed lines are skipped, never
+// scanDir loads every well-formed entry from every entries file in dir
+// and counts the malformed lines. Malformed lines are skipped, never
 // fatal: the cache must survive a corrupted or truncated store (e.g. a
-// run killed mid-write).
-func scanEntries(path string, dst map[key]json.RawMessage) int64 {
-	var skipped int64
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 64*1024), maxEntryLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e diskEntry
-		if json.Unmarshal(line, &e) != nil || e.Stage == "" || e.Hash == "" || len(e.Val) == 0 {
-			skipped++
-			continue
-		}
-		dst[key{e.Stage, e.Hash}] = append(json.RawMessage(nil), e.Val...)
-	}
-	if sc.Err() != nil {
-		// An over-long or unreadable tail: everything before it loaded
-		// fine; what remains is unrecoverable.
-		skipped++
-	}
-	return skipped
-}
-
-// loadDir creates dir if needed and loads every well-formed entry from
-// every entries file present (last write wins within a file; across
-// files the load order is fixed, and duplicate keys across files only
-// arise from shard-count changes, where either copy is valid).
-func loadDir(dir string) (map[key]json.RawMessage, int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, 0, fmt.Errorf("evalcache: create dir: %w", err)
-	}
+// run killed mid-write). Last write wins within a file; across files
+// the load order is fixed, and duplicate keys across files only arise
+// from shard-count changes, where either copy is valid.
+func scanDir(dir string) (map[key]json.RawMessage, int64) {
 	loaded := map[key]json.RawMessage{}
 	var skipped int64
 	for _, name := range entriesFiles(dir) {
-		skipped += scanEntries(filepath.Join(dir, name), loaded)
+		lines, _ := jsonlog.Lines(filepath.Join(dir, name))
+		for _, line := range lines {
+			var e diskEntry
+			if json.Unmarshal(line, &e) != nil || e.Stage == "" || e.Hash == "" || len(e.Val) == 0 {
+				skipped++
+				continue
+			}
+			loaded[key{e.Stage, e.Hash}] = e.Val
+		}
 	}
-	return loaded, skipped, nil
+	return loaded, skipped
 }
 
 // openAppend opens shard i's entries file for append.
 func openAppend(dir string, i int) (*diskStore, error) {
-	f, err := os.OpenFile(filepath.Join(dir, shardFile(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := jsonlog.OpenAppender(filepath.Join(dir, shardFile(i)), "evalcache.append")
 	if err != nil {
 		return nil, fmt.Errorf("evalcache: open store: %w", err)
 	}
-	return &diskStore{f: f, w: bufio.NewWriter(f)}, nil
+	return &diskStore{Appender: log, f: log.File()}, nil
 }
 
-// append writes one entry line.
-func (s *diskStore) append(k key, raw json.RawMessage) error {
+// put appends one entry line. It never fsyncs: a lost tail costs only
+// recomputation.
+func (s *diskStore) put(k key, raw json.RawMessage) error {
 	line, err := json.Marshal(diskEntry{Stage: k.stage, Hash: k.hash, Val: raw})
 	if err != nil {
 		return err
 	}
-	if crashpoint.Hit("evalcache.append") {
-		// Kill-matrix hook: stage the torn final line a SIGKILL
-		// mid-append leaves (half a record, flushed to the kernel, no
-		// newline) and die without cleanup. The loader must skip it.
-		s.w.Write(line[:len(line)/2])
-		s.w.Flush()
-		crashpoint.Kill()
-	}
-	if _, err := s.w.Write(line); err != nil {
-		return err
-	}
-	return s.w.WriteByte('\n')
-}
-
-// discard abandons the append handle without flushing buffered writes —
-// used when a shard degrades to in-memory operation after a write
-// failure.
-func (s *diskStore) discard() {
-	_ = s.f.Close()
-}
-
-// close flushes buffered entries and closes the file.
-func (s *diskStore) close() error {
-	flushErr := s.w.Flush()
-	if err := s.f.Close(); flushErr == nil {
-		flushErr = err
-	}
-	return flushErr
+	return s.Append(line)
 }
 
 // mergeSidecar merges one cache's lifetime statistics into the
-// cumulative stats.json sidecar. A corrupt or missing sidecar restarts
-// the count rather than failing.
+// cumulative stats.json sidecar, replacing it atomically so a kill
+// mid-write cannot truncate the counts. A corrupt or missing sidecar
+// restarts the count rather than failing.
 func mergeSidecar(dir string, stats Stats) error {
 	path := filepath.Join(dir, statsFile)
 	var prior Stats
 	if data, err := os.ReadFile(path); err == nil {
 		_ = json.Unmarshal(data, &prior)
 	}
-	merged := prior.merge(stats)
-	data, err := json.MarshalIndent(merged, "", "  ")
+	data, err := json.MarshalIndent(prior.merge(stats), "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return jsonlog.Rewrite(path, func(w jsonlog.Writer) {
+		w.Write(append(data, '\n'))
+	})
 }
 
 // DirSummary describes a persistent cache directory: the live entry
@@ -214,13 +160,9 @@ func SummarizeDir(dir string) (DirSummary, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return sum, fmt.Errorf("evalcache: %w", err)
 	}
-	seen := map[key]json.RawMessage{}
-	files := entriesFiles(dir)
-	sum.Files = len(files)
-	for _, name := range files {
-		sum.Skipped += scanEntries(filepath.Join(dir, name), seen)
-	}
-	for k, raw := range seen {
+	live, skipped := scanDir(dir)
+	sum.Files, sum.Skipped = len(entriesFiles(dir)), skipped
+	for k, raw := range live {
 		if sum.Entries == nil {
 			sum.Entries = map[Stage]int{}
 			sum.Bytes = map[Stage]int64{}

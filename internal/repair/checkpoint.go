@@ -15,33 +15,31 @@
 // trace are byte-identical to an uninterrupted run's — the same
 // argument that makes Workers and cache temperature invisible.
 //
-// The file is append-only JSONL, crash-tolerant like evalcache's
-// persistent tier: a header line binds the log to a fingerprint of
-// every determinism-relevant input (a mismatched header discards the
-// file), then one line for the initial evaluation and one per
-// committed candidate. A truncated or corrupt tail is dropped and the
-// file is rewritten to its valid prefix on open. Workers is
-// deliberately excluded from the fingerprint: it is proven to leave
-// results and traces byte-identical, so a search may resume under a
-// different worker count than the one that wrote the log.
+// The file is an append-only internal/jsonlog log, like the job
+// journal and evalcache's persistent tier: a header line binds the log
+// to a fingerprint of every determinism-relevant input (a mismatched
+// header discards the file), then one line for the initial evaluation
+// and one per committed candidate. A truncated or corrupt tail is
+// dropped and the file is rewritten to its valid prefix on open.
+// Workers is deliberately excluded from the fingerprint: it is proven
+// to leave results and traces byte-identical, so a search may resume
+// under a different worker count than the one that wrote the log.
 package repair
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/crashpoint"
 	"github.com/hetero/heterogen/internal/difftest"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/guard"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/hls/sim"
+	"github.com/hetero/heterogen/internal/jsonlog"
 )
 
 // ckptVersion is the on-disk format version; it joins the key
@@ -215,9 +213,7 @@ type checkpoint struct {
 	init    *savedOutcome
 	records []ckptLine // cand lines, records[k] covers commit index k
 
-	f        *os.File
-	w        *bufio.Writer
-	appended int // records durable in the file (suffix of records is in-memory-only on failure)
+	log      *jsonlog.Appender
 	unsynced int
 	broken   bool // a write failed: stop persisting, keep searching
 }
@@ -228,18 +224,10 @@ type checkpoint struct {
 // the append handle always extends a well-formed log.
 func openCheckpoint(path, key string) (*checkpoint, error) {
 	c := &checkpoint{path: path, key: key}
-	data, err := os.ReadFile(path)
-	valid := false // file exists and holds exactly header + valid prefix
-	if err == nil {
-		valid = c.parse(data)
-	}
-	if valid {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	if lines, err := jsonlog.Lines(path); err == nil && c.parse(lines) {
+		if c.log, err = jsonlog.OpenAppender(path, ckptSite); err != nil {
 			return nil, err
 		}
-		c.f, c.w = f, bufio.NewWriter(f)
-		c.appended = len(c.records)
 		return c, nil
 	}
 	// Fresh file (or salvage rewrite of the valid prefix).
@@ -249,22 +237,18 @@ func openCheckpoint(path, key string) (*checkpoint, error) {
 	return c, nil
 }
 
-// parse loads header + init + candidate records from data, keeping the
-// longest valid prefix. Returns true when the whole file was valid
+// ckptSite is the crashpoint at which an append is torn.
+const ckptSite = "repair.checkpoint.append"
+
+// parse loads header + init + candidate records from lines, keeping
+// the longest valid prefix. Returns true when the whole file was valid
 // (nothing needs rewriting).
-func (c *checkpoint) parse(data []byte) bool {
-	lines := strings.Split(string(data), "\n")
+func (c *checkpoint) parse(lines [][]byte) bool {
 	sawHdr := false
-	clean := true
 	for _, raw := range lines {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
-		}
 		var l ckptLine
-		if json.Unmarshal([]byte(raw), &l) != nil {
-			clean = false
-			break
+		if json.Unmarshal(raw, &l) != nil {
+			return false
 		}
 		switch {
 		case !sawHdr:
@@ -277,62 +261,34 @@ func (c *checkpoint) parse(data []byte) bool {
 		case l.T == "cand" && l.O != nil && l.I == len(c.records) && l.Sig != "":
 			c.records = append(c.records, l)
 		default:
-			clean = false
-		}
-		if !clean {
-			break
+			return false
 		}
 	}
-	return sawHdr && clean
+	return sawHdr
 }
 
 // rewrite atomically replaces the file with header + valid prefix and
 // reopens it for append.
 func (c *checkpoint) rewrite() error {
-	if c.f != nil {
-		_ = c.f.Close()
-		c.f, c.w = nil, nil
+	if c.log != nil {
+		_ = c.log.Close()
+		c.log = nil
 	}
-	tmp := c.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	writeLine := func(l ckptLine) {
-		b, _ := json.Marshal(l)
-		w.Write(b)
-		w.WriteByte('\n')
-	}
-	writeLine(ckptLine{T: "hdr", V: ckptVersion, Key: c.key})
-	if c.init != nil {
-		writeLine(ckptLine{T: "init", O: c.init})
-	}
-	for _, r := range c.records {
-		writeLine(r)
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		return err
-	}
-	af, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	c.f, c.w = af, bufio.NewWriter(af)
-	c.appended = len(c.records)
 	c.unsynced = 0
-	return nil
+	err := jsonlog.Rewrite(c.path, func(w jsonlog.Writer) {
+		w.Put(ckptLine{T: "hdr", V: ckptVersion, Key: c.key})
+		if c.init != nil {
+			w.Put(ckptLine{T: "init", O: c.init})
+		}
+		for _, r := range c.records {
+			w.Put(r)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	c.log, err = jsonlog.OpenAppender(c.path, ckptSite)
+	return err
 }
 
 // replayInit returns the stored initial evaluation, if any.
@@ -406,50 +362,31 @@ func (c *checkpoint) record(i int, cand Candidate, o evalOutcome) {
 // degrade the checkpoint to in-memory-only: the search continues, it
 // just stops persisting.
 func (c *checkpoint) appendLine(l ckptLine) {
-	if c.broken || c.w == nil {
+	if c.broken || c.log == nil {
 		return
 	}
 	b, err := json.Marshal(l)
+	if err == nil {
+		err = c.log.Append(b)
+	}
+	if err == nil {
+		err = c.log.Flush()
+	}
+	if c.unsynced++; err == nil && c.unsynced >= ckptSyncEvery {
+		err = c.log.Sync()
+		c.unsynced = 0
+	}
 	if err != nil {
 		c.broken = true
-		return
-	}
-	if crashpoint.Hit("repair.checkpoint.append") {
-		// Torn append: half a line reaches the disk, then the process
-		// dies. The loader must drop it and resume from the prefix.
-		_, _ = c.w.Write(b[:len(b)/2])
-		_ = c.w.Flush()
-		_ = c.f.Sync()
-		crashpoint.Kill()
-	}
-	if _, err := c.w.Write(append(b, '\n')); err != nil {
-		c.broken = true
-		return
-	}
-	if err := c.w.Flush(); err != nil {
-		c.broken = true
-		return
-	}
-	c.appended++
-	c.unsynced++
-	if c.unsynced >= ckptSyncEvery {
-		if err := c.f.Sync(); err != nil {
-			c.broken = true
-			return
-		}
-		c.unsynced = 0
 	}
 }
 
 // close flushes, fsyncs, and releases the file handle.
 func (c *checkpoint) close() {
-	if c == nil || c.f == nil {
+	if c == nil || c.log == nil {
 		return
 	}
-	if c.w != nil {
-		_ = c.w.Flush()
-	}
-	_ = c.f.Sync()
-	_ = c.f.Close()
-	c.f, c.w = nil, nil
+	_ = c.log.Sync()
+	_ = c.log.Close()
+	c.log = nil
 }

@@ -4,11 +4,10 @@
 // and fsynced before the transition is visible to clients — in
 // particular, a submission is journaled before its 202 response, so an
 // accepted job survives any crash after the client sees it. The
-// journal is append-only JSONL in the same crash-tolerance style as
-// evalcache's disk log: a torn final line (the shape a SIGKILL
-// mid-append leaves) is skipped on replay, and every replay compacts
-// the log — one accepted record plus one latest-state record per job
-// — via temp file + fsync + atomic rename before reopening it for
+// journal is an internal/jsonlog file: a torn final line (the shape a
+// SIGKILL mid-append leaves) is skipped on replay, and every replay
+// compacts the log — one accepted record plus one latest-state record
+// per job — with an atomic jsonlog.Rewrite before reopening it for
 // appends.
 //
 // Replay folds records per job id, last record winning, with the
@@ -22,8 +21,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,8 +31,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/hetero/heterogen/internal/crashpoint"
 	"github.com/hetero/heterogen/internal/guard"
+	"github.com/hetero/heterogen/internal/jsonlog"
 )
 
 // Journal-only states: they appear in journal records, never in a
@@ -84,8 +81,7 @@ type journalEntry struct {
 // record returned from append survives a crash immediately after.
 type journal struct {
 	mu     sync.Mutex
-	f      *os.File
-	path   string
+	log    *jsonlog.Appender
 	broken bool
 }
 
@@ -96,17 +92,14 @@ const journalFile = "journal.jsonl"
 // A missing file is an empty journal, not an error.
 func openJournal(dir string) (*journal, []*journalEntry, error) {
 	path := filepath.Join(dir, journalFile)
-	data, err := os.ReadFile(path)
+	lines, err := jsonlog.Lines(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
 
 	byID := map[string]*journalEntry{}
 	var order []string
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	for _, line := range lines {
 		var rec journalRecord
 		if json.Unmarshal(line, &rec) != nil || rec.ID == "" || rec.State == "" {
 			// Torn or corrupt line — a crash mid-append. Skip it; every
@@ -147,52 +140,28 @@ func openJournal(dir string) (*journal, []*journalEntry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	tmp := path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := bufio.NewWriter(tf)
-	for _, e := range entries {
-		req := e.req
-		writeRecord(w, journalRecord{ID: e.id, State: stateAccepted,
-			Client: e.client, Corr: e.corr, Req: &req, MS: e.acceptedMS})
-		if e.state != stateAccepted {
-			rec := journalRecord{ID: e.id, State: e.state, MS: e.lastMS}
-			if e.state.Terminal() {
-				rec.Result, rec.Error, rec.Failure = e.result, e.errMsg, e.failure
+	err = jsonlog.Rewrite(path, func(w jsonlog.Writer) {
+		for _, e := range entries {
+			req := e.req
+			w.Put(journalRecord{ID: e.id, State: stateAccepted,
+				Client: e.client, Corr: e.corr, Req: &req, MS: e.acceptedMS})
+			if e.state != stateAccepted {
+				rec := journalRecord{ID: e.id, State: e.state, MS: e.lastMS}
+				if e.state.Terminal() {
+					rec.Result, rec.Error, rec.Failure = e.result, e.errMsg, e.failure
+				}
+				w.Put(rec)
 			}
-			writeRecord(w, rec)
 		}
-	}
-	if err := w.Flush(); err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return nil, nil, err
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &journal{f: f, path: path}, entries, nil
-}
-
-func writeRecord(w *bufio.Writer, rec journalRecord) {
-	b, err := json.Marshal(rec)
+	log, err := jsonlog.OpenAppender(path, "serve.journal.append")
 	if err != nil {
-		return
+		return nil, nil, err
 	}
-	w.Write(b)
-	w.WriteByte('\n')
+	return &journal{log: log}, entries, nil
 }
 
 // append writes one record and fsyncs it — the record is durable when
@@ -206,41 +175,33 @@ func (j *journal) append(rec journalRecord) error {
 	if err != nil {
 		return err
 	}
-	line := append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.broken {
 		return fmt.Errorf("serve: journal broken")
 	}
-	if crashpoint.Hit("serve.journal.append") {
-		// Stage the torn state a kill mid-append leaves: half a line,
-		// flushed, then SIGKILL with no cleanup.
-		j.f.Write(line[:len(line)/2])
-		j.f.Sync()
-		crashpoint.Kill()
-	}
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append(b); err != nil {
 		j.broken = true
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Sync(); err != nil {
 		j.broken = true
 		return err
 	}
 	return nil
 }
 
-// close flushes and closes the append handle.
+// close fsyncs and closes the append handle.
 func (j *journal) close() {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f != nil {
-		j.f.Sync()
-		j.f.Close()
-		j.f = nil
+	if j.log != nil {
+		j.log.Sync()
+		j.log.Close()
+		j.log = nil
 		j.broken = true
 	}
 }
