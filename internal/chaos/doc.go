@@ -5,7 +5,7 @@
 //
 // Determinism contract: an injection decision is a pure hash of
 // (seed, stage, invocation key) — invocation keys are content-derived
-// (printed candidate text, rendered test case), never call counters —
+// (printed candidate text, test-case content), never call counters —
 // so the same program reaches the same faults regardless of worker
 // scheduling, Workers value, or prior cache state. Running the same
 // seed twice degrades the pipeline identically; running with Rate 0 (or

@@ -33,8 +33,12 @@ func newCoverageInterp(u *cast.Unit, code *interp.Codebase, maxSteps int64) (*in
 // faults never run it). err is runOnce's Reset error, which aborts the
 // campaign.
 func guardedRun(g *guard.Guard, u *cast.Unit, in *interp.Interp, kernel string, maxSteps int64, tc TestCase) (res execResult, discard bool, err error) {
+	var key string
+	if g.Injecting() {
+		key = execKey(tc)
+	}
 	res, err = guard.Do(g,
-		guard.Invocation{Stage: guard.StageInterp, Key: "exec|" + tc.String(), Unit: u},
+		guard.Invocation{Stage: guard.StageInterp, Key: key, Unit: u},
 		func(cu *cast.Unit) (execResult, error) {
 			if cu != u {
 				// Quarantine replay on a reduced clone: use a private
@@ -51,6 +55,20 @@ func guardedRun(g *guard.Guard, u *cast.Unit, in *interp.Interp, kernel string, 
 		return execResult{failed: sf.Label()}, !sf.Injected, nil
 	}
 	return res, false, err
+}
+
+// execKey names one execution for fault injection by the test's
+// content. TestCase.String renders an array as its type and length
+// only, so a case with an array argument also carries a digest of its
+// payload; an all-scalar case's key is its rendering alone.
+func execKey(tc TestCase) string {
+	key := "exec|" + tc.String()
+	for _, a := range tc.Args {
+		if !a.Scalar {
+			return key + "|" + CorpusFingerprint([]TestCase{tc})[:16]
+		}
+	}
+	return key
 }
 
 // runOnce executes one test on fresh globals and extracts its hit set.

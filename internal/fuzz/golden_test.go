@@ -283,3 +283,37 @@ func TestCampaignSurvivesInterpFaults(t *testing.T) {
 		t.Fatal("chaos at rate 0.3 contained no failures — the test exercises nothing")
 	}
 }
+
+// TestChaosKeysArrayPayload: the fault schedule keys each execution by
+// its test's payload, so on a kernel whose only parameter is an array
+// a rate-0.3 schedule faults some executions and spares others. Keyed
+// by the array's type and length alone, every execution would share
+// one decision.
+func TestChaosKeysArrayPayload(t *testing.T) {
+	u, err := cparser.Parse(`
+int kernel(int a[16]) {
+    int s = 0;
+    for (int i = 0; i < 16; i++) {
+        if (a[i] > 10) { s += a[i]; } else { s -= 1; }
+    }
+    return s;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		camp, err := fuzz.Run(u, "kernel", fuzz.Options{
+			Seed: 1, MaxExecs: 60, Plateau: 60, TypedMutation: true,
+			Guard: guard.New(guard.Options{
+				Injector: chaos.New(chaos.Options{Seed: seed, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if camp.StageFailures == 0 || camp.StageFailures >= camp.Execs {
+			t.Errorf("chaos seed %d: %d contained failures in %d executions, want some but not all",
+				seed, camp.StageFailures, camp.Execs)
+		}
+	}
+}
