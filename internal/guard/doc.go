@@ -24,8 +24,8 @@
 //     injected today; real validators can adopt the class). Never
 //     retried.
 //   - transient: an environmental fault (I/O flake). Retried at once,
-//     up to Options.TransientRetries times, because a rerun genuinely
-//     can succeed.
+//     up to twice (the transientRetries constant), because a rerun
+//     genuinely can succeed.
 //
 // Deterministic failures on quarantinable inputs are minimized with
 // progen.Reduce and written under Options.QuarantineDir as committable

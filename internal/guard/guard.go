@@ -145,9 +145,6 @@ type Options struct {
 	// transport, surfaced via the InterpSteps accessor and consumed by
 	// internal/core. 0 keeps the per-package defaults.
 	InterpSteps int64
-	// TransientRetries is how many times a ClassTransient failure is
-	// retried before it becomes terminal (default 2; negative disables).
-	TransientRetries int
 	// QuarantineDir, when non-empty, receives progen.Reduce-minimized
 	// reproducers of deterministic failures (see quarantine.go); ""
 	// disables quarantine.
@@ -169,8 +166,9 @@ type Options struct {
 	Warn func(string)
 }
 
-// defaultTransientRetries applies when Options.TransientRetries is 0.
-const defaultTransientRetries = 2
+// transientRetries is how many times a ClassTransient failure is
+// retried before it becomes terminal.
+const transientRetries = 2
 
 // defaultReduceTrials applies when Options.ReduceTrials is 0.
 const defaultReduceTrials = 400
@@ -187,11 +185,6 @@ type Guard struct {
 
 // New builds a guard, normalizing defaults.
 func New(opts Options) *Guard {
-	if opts.TransientRetries == 0 {
-		opts.TransientRetries = defaultTransientRetries
-	} else if opts.TransientRetries < 0 {
-		opts.TransientRetries = 0
-	}
 	if opts.ReduceTrials == 0 {
 		opts.ReduceTrials = defaultReduceTrials
 	}
@@ -201,7 +194,7 @@ func New(opts Options) *Guard {
 // options returns the effective configuration, nil-safe.
 func (g *Guard) options() Options {
 	if g == nil {
-		return Options{TransientRetries: defaultTransientRetries, ReduceTrials: defaultReduceTrials}
+		return Options{ReduceTrials: defaultReduceTrials}
 	}
 	return g.opts
 }
@@ -254,7 +247,7 @@ func Do[T any](g *Guard, inv Invocation, fn func(*cast.Unit) (T, error)) (T, err
 		if sf == nil {
 			return out, err
 		}
-		if sf.Class == ClassTransient && attempt <= opts.TransientRetries {
+		if sf.Class == ClassTransient && attempt <= transientRetries {
 			if opts.Metrics != nil {
 				opts.Metrics.Add("guard.retries."+string(inv.Stage), 1)
 			}

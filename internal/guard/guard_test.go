@@ -85,43 +85,53 @@ func TestDoContainsPanicNilAndNonNilGuard(t *testing.T) {
 	}
 }
 
+// transientScript fails the first n attempts with a transient fault.
+func transientScript(n int) *scriptedInjector {
+	inj := &scriptedInjector{}
+	for i := 0; i < n; i++ {
+		inj.script = append(inj.script, ClassTransient)
+	}
+	return inj
+}
+
 func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 	reg := obs.NewRegistry()
-	inj := &scriptedInjector{script: []Class{ClassTransient, ClassTransient}}
-	g := New(Options{Injector: inj, TransientRetries: 2, Metrics: reg})
+	g := New(Options{Injector: transientScript(transientRetries), Metrics: reg})
 	out, err := Do(g, Invocation{Stage: StageCheck, Key: "k"}, func(*cast.Unit) (int, error) { return 7, nil })
 	if err != nil || out != 7 {
-		t.Fatalf("third attempt should succeed, got (%d, %v)", out, err)
+		t.Fatalf("attempt %d should succeed, got (%d, %v)", transientRetries+1, out, err)
 	}
-	if n := reg.Counter("guard.retries.check"); n != 2 {
-		t.Errorf("guard.retries.check = %d, want 2", n)
+	if n := reg.Counter("guard.retries.check"); n != transientRetries {
+		t.Errorf("guard.retries.check = %d, want %d", n, transientRetries)
 	}
 }
 
 func TestDoTransientExhaustion(t *testing.T) {
-	inj := &scriptedInjector{script: []Class{ClassTransient, ClassTransient, ClassTransient}}
-	g := New(Options{Injector: inj, TransientRetries: 1})
+	inj := transientScript(transientRetries + 2)
+	g := New(Options{Injector: inj})
 	_, err := Do(g, Invocation{Stage: StageCheck, Key: "k"}, func(*cast.Unit) (int, error) { return 7, nil })
 	sf := AsFailure(err)
 	if sf == nil || sf.Class != ClassTransient {
 		t.Fatalf("want terminal transient failure, got %v", err)
 	}
-	if sf.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (initial + one retry)", sf.Attempts)
+	if want := transientRetries + 1; sf.Attempts != want || inj.calls != want {
+		t.Errorf("Attempts = %d, injector calls = %d, want %d (initial + %d retries)",
+			sf.Attempts, inj.calls, want, transientRetries)
 	}
 }
 
 func TestDoNeverRetriesDeterministicClasses(t *testing.T) {
 	for _, class := range []Class{ClassPanic, ClassDeadline, ClassCorrupt} {
-		inj := &scriptedInjector{script: []Class{class}}
-		g := New(Options{Injector: inj, TransientRetries: 3})
+		// Every attempt would fault: only a retry could reach attempt 2.
+		inj := &scriptedInjector{script: []Class{class, class, class}}
+		g := New(Options{Injector: inj})
 		_, err := Do(g, Invocation{Stage: StageEstimate, Key: "k"}, func(*cast.Unit) (int, error) { return 1, nil })
 		sf := AsFailure(err)
 		if sf == nil || sf.Class != class {
 			t.Fatalf("%s: got %v", class, err)
 		}
-		if sf.Attempts != 1 {
-			t.Errorf("%s: Attempts = %d, want 1 (no retry)", class, sf.Attempts)
+		if sf.Attempts != 1 || inj.calls != 1 {
+			t.Errorf("%s: Attempts = %d, injector calls = %d, want 1 (no retry)", class, sf.Attempts, inj.calls)
 		}
 		if !sf.Injected {
 			t.Errorf("%s: injected fault not marked Injected", class)
