@@ -73,9 +73,6 @@ func main() {
 		Guard:         sess.Guard,
 		Cache:         sess.Cache,
 	}
-	if s := sess.Guard.InterpSteps(); s != 0 {
-		opts.MaxStepsPerExec = s
-	}
 	camp, err := heterogen.GenerateTests(string(src), *kernel, opts)
 	if err != nil {
 		sess.Fatal(err)

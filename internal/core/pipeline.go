@@ -77,10 +77,10 @@ type Options struct {
 	// expensive stage call (parse, final print, synthesizability checks,
 	// resource estimation, kernel executions, differential tests). It is
 	// passed down to Fuzz.Guard / Repair.Guard unless those are already
-	// set, and its InterpSteps budget seeds the fuzzer's per-exec step
-	// bound and the repair search's difftest budget when the caller left
-	// them unset. Nil still contains panics (guard.Do is nil-safe) but
-	// has no deadlines, injection, or quarantine.
+	// set. Its InterpSteps budget, when set, bounds every fuzz and
+	// difftest execution (see fuzz.Options.MaxStepsPerExec and
+	// repair.Options.InterpSteps). Nil still contains panics (guard.Do
+	// is nil-safe) but has no deadlines, injection, or quarantine.
 	Guard *guard.Guard
 	// RepairCheckpoint, when non-empty, names the repair search's
 	// write-ahead outcome log (see repair.Options.CheckpointPath): an
@@ -198,7 +198,6 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 
 	// Stage 1: test input generation.
-	userSteps := opts.Fuzz.MaxStepsPerExec != 0
 	fopts := opts.Fuzz
 	if fopts.MaxExecs == 0 {
 		fopts = fuzz.DefaultOptions()
@@ -214,9 +213,6 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 	if fopts.Guard == nil {
 		fopts.Guard = opts.Guard
-	}
-	if steps := opts.Guard.InterpSteps(); steps != 0 && !userSteps {
-		fopts.MaxStepsPerExec = steps
 	}
 	endFuzz := phase("fuzz")
 	camp, err := fuzz.RunContext(ctx, orig, opts.Kernel, fopts)
@@ -270,9 +266,6 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 	if ropts.Guard == nil {
 		ropts.Guard = opts.Guard
-	}
-	if ropts.InterpSteps == 0 {
-		ropts.InterpSteps = opts.Guard.InterpSteps()
 	}
 	if ropts.Targets == nil {
 		ropts.Targets = opts.Targets
@@ -590,9 +583,6 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 	}
 	if ropts.Guard == nil {
 		ropts.Guard = opts.Guard
-	}
-	if ropts.InterpSteps == 0 {
-		ropts.InterpSteps = opts.Guard.InterpSteps()
 	}
 	if ropts.Targets == nil {
 		ropts.Targets = opts.Targets

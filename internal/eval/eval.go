@@ -167,7 +167,6 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	ropts.Obs = o
 	ropts.Cache = cfg.Cache
 	ropts.Guard = cfg.Guard
-	ropts.InterpSteps = cfg.Guard.InterpSteps()
 	ropts.Targets = cfg.Targets
 	rr := repair.Search(orig, initial, s.Kernel, valSuite, ropts)
 	// One counter serves every ΔLOC render of this run: the original is

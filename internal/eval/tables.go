@@ -126,6 +126,7 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 	orig := s.MustParse()
 	fopts := cfg.fuzzOptions()
 	fopts.Cache = cfg.Cache
+	fopts.Guard = cfg.Guard
 	camp, err := fuzz.Run(orig, s.Kernel, fopts)
 	if err != nil {
 		return out, err
@@ -142,6 +143,7 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 	withWorkers := func(o repair.Options) repair.Options {
 		o.Workers = cfg.Workers
 		o.Cache = cfg.Cache
+		o.Guard = cfg.Guard
 		return o
 	}
 	hg := repair.Search(orig, initialOf(), s.Kernel, valSuite, withWorkers(repair.DefaultOptions()))

@@ -28,7 +28,8 @@ type Options struct {
 	// TypedMutation disables the HLS-type-validity filter when false
 	// (used by the ablation benchmarks).
 	TypedMutation bool
-	// MaxStepsPerExec bounds one kernel execution.
+	// MaxStepsPerExec bounds one kernel execution. A guard step budget
+	// (guard.Options.InterpSteps), when set, replaces it.
 	MaxStepsPerExec int64
 	// Obs receives one structured event per execution plus a campaign
 	// summary (and a plateau warning when the campaign stalls before
@@ -48,8 +49,8 @@ type Options struct {
 	// panics outside the interpreter's own fault model (or overruns the
 	// guard deadline) is dropped — it contributes no coverage and is
 	// never retained — instead of killing the campaign. A nil guard
-	// still contains panics; failure decisions are keyed on the rendered
-	// test case, so a fault schedule is reproducible. When the guard
+	// still contains panics; failure decisions are keyed on the test
+	// case's content, so a fault schedule is reproducible. When the guard
 	// injects faults, the campaign cache is bypassed entirely and
 	// campaigns that contained failures are never memoized.
 	Guard *guard.Guard
@@ -116,7 +117,9 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	if opts.Plateau == 0 {
 		opts.Plateau = 600
 	}
-	if opts.MaxStepsPerExec == 0 {
+	if steps := opts.Guard.InterpSteps(); steps != 0 {
+		opts.MaxStepsPerExec = steps
+	} else if opts.MaxStepsPerExec == 0 {
 		opts.MaxStepsPerExec = 2_000_000
 	}
 	sp, err := SpecOf(u, kernel)

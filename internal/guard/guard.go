@@ -139,11 +139,13 @@ type Options struct {
 	// goroutine; an attempt that overruns is abandoned (the goroutine
 	// finishes in the background) and classified ClassDeadline.
 	StageDeadline time.Duration
-	// InterpSteps is the interpreter step budget the pipeline should
-	// apply to execution-backed stages (fuzz executions, differential
-	// tests). The guard itself does not enforce it — it is configuration
-	// transport, surfaced via the InterpSteps accessor and consumed by
-	// internal/core. 0 keeps the per-package defaults.
+	// InterpSteps is the interpreter step budget of execution-backed
+	// stages: when set, it bounds every fuzz execution and both sides of
+	// every differential test, replacing fuzz.Options.MaxStepsPerExec
+	// and repair.Options.InterpSteps. The guard itself does not enforce
+	// it — it is configuration transport, surfaced via the InterpSteps
+	// accessor and read by the fuzz and repair engines. 0 keeps the
+	// per-package defaults.
 	InterpSteps int64
 	// QuarantineDir, when non-empty, receives progen.Reduce-minimized
 	// reproducers of deterministic failures (see quarantine.go); ""

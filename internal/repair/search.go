@@ -106,8 +106,9 @@ type Options struct {
 	Guard *guard.Guard
 	// InterpSteps bounds each interpreter execution inside the
 	// differential test (both CPU reference and FPGA simulation); 0
-	// keeps package defaults. Exhaustion yields inconclusive(timeout)
-	// verdicts, never behaviour mismatches.
+	// keeps package defaults. A guard step budget
+	// (guard.Options.InterpSteps), when set, replaces it. Exhaustion
+	// yields inconclusive(timeout) verdicts, never behaviour mismatches.
 	InterpSteps int64
 	// CheckpointPath, when non-empty, makes the search durable: every
 	// committed candidate outcome is appended to a crash-tolerant JSONL
@@ -317,6 +318,9 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	}
 	if opts.Budget == 0 {
 		opts.Budget = 3 * 3600
+	}
+	if steps := opts.Guard.InterpSteps(); steps != 0 {
+		opts.InterpSteps = steps
 	}
 	named := len(opts.Targets) > 0
 	ts := opts.Targets

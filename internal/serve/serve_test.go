@@ -202,6 +202,45 @@ func TestBudgetClampEcho(t *testing.T) {
 	awaitTerminal(t, ts, st.ID)
 }
 
+// TestTranspileJobHonoursStepBudget: a transpile job's fuzz stage runs
+// under the job's interp_steps budget, exactly as a fuzz job does. The
+// kernel's loop outlasts 300 steps, so under that budget no execution
+// reaches the branch after it.
+func TestTranspileJobHonoursStepBudget(t *testing.T) {
+	const src = `
+int kernel(int n) {
+    int s = 0;
+    for (int i = 0; i < 1000; i++) { s += i; }
+    if (n > 5) { return s; }
+    return -s;
+}`
+	_, ts := startServer(t, Options{})
+	run := func(kind Kind, steps int64) Status {
+		t.Helper()
+		st, resp := postJob(t, ts, Request{Kind: kind, Source: src, Kernel: "kernel",
+			Budget: Budget{FuzzExecs: 40, MaxIterations: 2, Workers: 1, InterpSteps: steps}}, "")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s submit: status %d", kind, resp.StatusCode)
+		}
+		fin := awaitTerminal(t, ts, st.ID)
+		if fin.State != StateDone {
+			t.Fatalf("%s job state = %q (error %q)", kind, fin.State, fin.Error)
+		}
+		return fin
+	}
+	full := run(KindFuzz, 0).Result.Fuzz
+	bounded := run(KindFuzz, 300).Result.Fuzz
+	if bounded.Coverage >= full.Coverage {
+		t.Fatalf("a 300-step budget did not bound the fuzz job: coverage %v, unbounded %v",
+			bounded.Coverage, full.Coverage)
+	}
+	tr := run(KindTranspile, 300).Result.Transpile
+	if tr.Coverage != bounded.Coverage || tr.Tests != bounded.Tests {
+		t.Errorf("transpile job's campaign (coverage %v, %d tests) ignores the step budget; the fuzz job under it has coverage %v, %d tests",
+			tr.Coverage, tr.Tests, bounded.Coverage, bounded.Tests)
+	}
+}
+
 // TestCancelMidRun: cancelling a running job at a commit point leaves
 // the best-so-far partial result behind.
 func TestCancelMidRun(t *testing.T) {

@@ -795,7 +795,6 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 		fopts.Obs = sink
 		fopts.Cache = s.opts.Cache
 		fopts.Guard = g
-		fopts.MaxStepsPerExec = j.budget.InterpSteps
 		camp, ferr := fuzz.RunContext(j.ctx, u, j.req.Kernel, fopts)
 		if ferr != nil {
 			return nil, ferr
