@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet golden bench bench-test bench-obs check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke docs-check
+.PHONY: all build test race vet golden bench bench-test bench-obs check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke fuzz-smoke docs-check
 
 all: build
 
@@ -121,6 +121,19 @@ obs-smoke:
 # (including the 400 contract for unknown target specs).
 target-smoke:
 	TARGET_SMOKE=1 $(GO) test -run TestTargetSmoke -v .
+
+# Fuzz smoke: every native fuzz target for 10 s on two workers — the
+# parser, the interpreter, hgstat's trace views, and the decoders of
+# the three durable logs (journal replay, checkpoint open, cache load).
+# A target fails on a panic or a broken invariant and writes the input
+# under its package's testdata/fuzz, where `go test` replays it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/cparser/
+	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -parallel 2 ./internal/interp/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceViews$$' -fuzztime 10s -parallel 2 ./cmd/hgstat/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -parallel 2 ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 10s -parallel 2 ./internal/repair/
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -parallel 2 ./internal/evalcache/
 
 # Docs gate: every flag registered by any cmd/ binary (including the
 # shared internal/cliflag families) must appear in the README's
