@@ -11,8 +11,8 @@
 // printed once per target. No target flags keep the classic
 // vivado_hls:xcvu9p behavior, byte-identical to earlier releases.
 //
-// With -cache-dir the checker verdict is memoized on the printed
-// program text, so re-checking an unchanged file (a CI gate's common
+// With -cache-dir the checker verdict is memoized on the unit's content
+// fingerprint, so re-checking an unchanged file (a CI gate's common
 // case) is a cache hit; -no-cache disables the cache. Diagnostics are
 // identical either way.
 //
