@@ -65,8 +65,9 @@ type diskEntry struct {
 	Val   json.RawMessage `json:"val"`
 }
 
-// diskStore is one shard's open append handle; f is the file it
-// appends to.
+// diskStore is one shard's open append handle. f is the file it
+// appends to, which TestFailedAppendDegradesOnce closes behind the
+// store's back to make an append fail.
 type diskStore struct {
 	*jsonlog.Appender
 	f *os.File
