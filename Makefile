@@ -36,12 +36,15 @@ vet:
 # crashy, untyped and chaos campaign shape) and the
 # interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
 # hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
-# case outcomes). Only for an intended behaviour change whose fixture
-# diff gets reviewed — see CONTRIBUTING.md.
+# case outcomes) and the whole pipeline's (internal/core/testdata/golden:
+# one end-to-end Result per subject and for Figure 2). Only for an
+# intended behaviour change whose fixture diff gets reviewed — see
+# CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
 	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
+	$(GO) test -count=1 -run 'TestPipelineGolden' ./internal/core/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -420,6 +420,106 @@ int f(int n) {
     int m[n][n + 1];
     return sizeof(a[1]) * 10000 + sizeof(m[0]) * 100 + sizeof(*m) + sizeof(a[0][0]);
 }`},
+	{name: "loop local address kept across iterations", args: [][]int64{{0}, {4}}, src: `
+int f(int n) {
+    int *keep[8];
+    int *last = 0;
+    for (int i = 0; i < n; i++) {
+        int v = i * 3 + 1;
+        keep[i] = &v;
+        if (last != 0) { *last = *last + 100; }
+        last = &v;
+    }
+    int s = 0;
+    for (int i = 0; i < n; i++) { s = s * 10 + *keep[i]; }
+    return s;
+}`},
+	{name: "scalar bound to a reference parameter", args: [][]int64{{3}}, src: `
+void bump(int &r, int by) {
+    r = r + by;
+    r++;
+}
+int f(int n) {
+    int x = n;
+    for (int i = 0; i < 3; i++) {
+        int y = i;
+        bump(y, n);
+        bump(x, y);
+        x = x + y;
+    }
+    return x;
+}`},
+	{name: "address of a scalar parameter", args: [][]int64{{2}, {-5}}, src: `
+void twice(int *p) { *p = *p * 2; }
+int g(int a, int b) {
+    int *q = &a;
+    twice(q);
+    twice(&b);
+    a += 1;
+    return a * 100 + b;
+}
+int f(int n) {
+    int t = 0;
+    for (int i = 0; i < 2; i++) { t += g(n + i, i - n); }
+    return t;
+}`},
+	{name: "static local in a loop", args: [][]int64{{3}}, src: `
+int tick(int k) {
+    static int calls = 0;
+    calls = calls + k;
+    return calls;
+}
+int f(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        static int seen = 10;
+        seen++;
+        int local = seen;
+        s += local + tick(i);
+    }
+    return s;
+}`},
+	{name: "struct local method in a loop", args: [][]int64{{4}}, src: `
+struct Win {
+    int sum;
+    int n;
+    void push(int v) { sum += v; n++; }
+    int avg() { return n == 0 ? 0 : sum / n; }
+};
+int f(int n) {
+    int r = 0;
+    for (int i = 0; i < n; i++) {
+        struct Win w;
+        w.sum = i;
+        w.n = 1;
+        for (int j = 0; j < i; j++) { w.push(j * 2); }
+        r = r * 10 + w.avg();
+    }
+    return r;
+}`},
+	{name: "shadowed locals in nested scopes", args: [][]int64{{3}}, src: `
+int f(int n) {
+    int x = n;
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        int x = i * 7;
+        {
+            int x = -i;
+            acc += x;
+            x++;
+            acc += x;
+        }
+        acc += x;
+        x -= 2;
+        acc = acc * 2 + x;
+    }
+    {
+        unsigned char x = 250;
+        x += 10;
+        acc += x;
+    }
+    return acc + x;
+}`},
 }
 
 // edgeTightSteps is a budget that cuts most edge cases off mid-run.
