@@ -126,14 +126,16 @@ target-smoke:
 	TARGET_SMOKE=1 $(GO) test -run TestTargetSmoke -v .
 
 # Fuzz smoke: every native fuzz target for 10 s on two workers — the
-# parser, the interpreter, hgstat's trace views, and the decoders of
-# the three durable logs (journal replay, checkpoint open, cache load).
+# parser, the interpreter, hgstat's trace views, hgserve's job
+# submission endpoint, and the decoders of the three durable logs
+# (journal replay, checkpoint open, cache load).
 # A target fails on a panic or a broken invariant and writes the input
 # under its package's testdata/fuzz, where `go test` replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/cparser/
 	$(GO) test -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -parallel 2 ./internal/interp/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceViews$$' -fuzztime 10s -parallel 2 ./cmd/hgstat/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s -parallel 2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -parallel 2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 10s -parallel 2 ./internal/repair/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -parallel 2 ./internal/evalcache/

@@ -64,12 +64,15 @@ func TestFloatComparisonEdgeCases(t *testing.T) {
 // recursive struct comparison must not re-introduce NaN != NaN.
 func TestFloatComparisonInStructs(t *testing.T) {
 	nan := interp.FloatValue(math.NaN())
-	sa := interp.Value{Kind: interp.VStruct, Fields: []interp.Value{nan, interp.IntValue(3)}}
-	sb := interp.Value{Kind: interp.VStruct, Fields: []interp.Value{nan, interp.IntValue(3)}}
+	structOf := func(fields ...interp.Value) interp.Value {
+		return interp.Value{Kind: interp.VStruct, Aggregate: &interp.Aggregate{Fields: fields}}
+	}
+	sa := structOf(nan, interp.IntValue(3))
+	sb := structOf(nan, interp.IntValue(3))
 	if !interp.Equal(sa, sb, FloatTolerance) {
 		t.Error("structs with matching NaN fields compare unequal")
 	}
-	sc := interp.Value{Kind: interp.VStruct, Fields: []interp.Value{interp.FloatValue(0), interp.IntValue(3)}}
+	sc := structOf(interp.FloatValue(0), interp.IntValue(3))
 	if interp.Equal(sa, sc, FloatTolerance) {
 		t.Error("NaN field compared equal to zero")
 	}

@@ -37,7 +37,7 @@ func (a Arg) Value() interp.Value {
 		if a.IsFloat {
 			return interp.FloatValue(a.Floats[0])
 		}
-		return interp.Value{Kind: interp.VInt, Int: a.Ints[0], Width: a.Width, Unsigned: a.Unsigned}
+		return interp.Value{Kind: interp.VInt, Int: a.Ints[0], Width: int32(a.Width), Unsigned: a.Unsigned}
 	}
 	if a.IsFloat {
 		vals := make([]interp.Value, len(a.Floats))
@@ -48,7 +48,7 @@ func (a Arg) Value() interp.Value {
 	}
 	vals := make([]interp.Value, len(a.Ints))
 	for i, v := range a.Ints {
-		vals[i] = interp.Value{Kind: interp.VInt, Int: v, Width: a.Width, Unsigned: a.Unsigned}
+		vals[i] = interp.Value{Kind: interp.VInt, Int: v, Width: int32(a.Width), Unsigned: a.Unsigned}
 	}
 	return interp.NewArrayObject("arg", a.Elem, vals)
 }

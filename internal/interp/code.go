@@ -38,10 +38,10 @@ type compiledFunc struct {
 	// call statements (the dataflow cost-overlap set, precomputed).
 	stmts  []execOp
 	isCall []bool
-	// nslots is the frame's flat local-variable array size; paramSlots
-	// maps parameter index -> slot.
-	nslots     int
-	paramSlots []int
+	// nslots and nvals size the frame's slots and vals; params binds
+	// the arguments.
+	nslots, nvals int
+	params        []param
 	// parts is the function-head array_partition map. It is shared by
 	// every frame running this code, so the interpreter marks it
 	// partitionsShared and copies on the first runtime pragma write.
@@ -52,6 +52,17 @@ type compiledFunc struct {
 	frameName string
 	// err is a compile failure, raised when the function is called.
 	err *RuntimeError
+}
+
+// param is one parameter's compiled binding.
+type param struct {
+	slot int  // index in the frame's vals, or slots
+	val  bool // a frame-slot scalar
+	// rt is the storage type (the resolved type; an array decays to a
+	// pointer), typ the declared one.
+	rt, typ ctypes.Type
+	name    string
+	key     string // the Profiles key
 }
 
 // run executes the body's statements in order — the body block itself

@@ -30,6 +30,7 @@ type refKind int
 const (
 	refUndef  refKind = iota // unbound: using the name is a runtime error
 	refSlot                  // a local in the frame's slot array
+	refVal                   // a scalar local in the frame's value array
 	refField                 // a field of the method receiver
 	refGlobal                // a global (or nothing, if Reset has not bound it)
 )
@@ -42,10 +43,13 @@ const (
 // may be empty; outer is then the resolution the name had before the
 // declaration.
 type nameRef struct {
-	kind    refKind
-	name    string
-	typ     ctypes.Type
+	kind refKind
+	name string
+	typ  ctypes.Type
+	// slot indexes the frame's slots, or its vals for refVal; a refVal
+	// also records its storage type.
 	slot    int
+	rt      ctypes.Type
 	isArray bool // a slot bound to array storage (binding.isLV false)
 	field   int
 	outer   *nameRef
@@ -76,6 +80,8 @@ func (r *nameRef) bind(in *Interp, fr *frame) (lvalue, *binding, bool) {
 // frame (nil when unbound).
 func (r *nameRef) typeAt(in *Interp, fr *frame) ctypes.Type {
 	switch r.kind {
+	case refVal:
+		return r.typ
 	case refSlot:
 		if b := fr.slots[r.slot]; b != nil {
 			return b.typ
@@ -130,7 +136,11 @@ type compiler struct {
 	frameName string
 	scopes    []*ctScope
 	nslots    int
+	nvals     int
 	nconds    int
+	// boxed names the locals that keep Object storage even when scalar
+	// (see addressTaken).
+	boxed map[string]bool
 	// globals maps name -> declared type with Reset's last-wins
 	// semantics (the runtime map is overwritten in declaration order).
 	globals map[string]ctypes.Type
@@ -201,6 +211,42 @@ func (c *compiler) declare(name string, t ctypes.Type, isArray, cond bool) int {
 	return s
 }
 
+// declareVal allocates a value slot for a scalar local whose storage
+// type is rt, in the current scope.
+func (c *compiler) declareVal(name string, t, rt ctypes.Type) *nameRef {
+	r := &nameRef{kind: refVal, name: name, typ: t, slot: c.nvals, rt: rt}
+	c.nvals++
+	c.scopes[len(c.scopes)-1].names[name] = r
+	return r
+}
+
+// inVals reports whether a local named name of declared type t and
+// storage type rt lives in a frame value slot: an int, float or pointer
+// that is not a reference and that addressTaken does not box.
+func (c *compiler) inVals(name string, t, rt ctypes.Type) bool {
+	if _, isRef := t.(ctypes.Ref); isRef || c.boxed[name] {
+		return false
+	}
+	switch rt.(type) {
+	case ctypes.Int, ctypes.FPGAInt, ctypes.Bool, ctypes.Float, ctypes.FPGAFloat, ctypes.Pointer:
+		return true
+	}
+	return false
+}
+
+// valRef is e's resolution when e names a frame value slot, else nil.
+func (c *compiler) valRef(e cast.Expr) *nameRef {
+	if id, ok := e.(*cast.Ident); ok {
+		if r := c.resolve(id.Name); r.kind == refVal {
+			return r
+		}
+	}
+	return nil
+}
+
+// profileKey is the Profiles key of a local of the function compiled.
+func (c *compiler) profileKey(name string) string { return c.frameName + "." + name }
+
 // resolve resolves a name at the current compile position.
 func (c *compiler) resolve(name string) *nameRef {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
@@ -258,13 +304,24 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 		return
 	}
 	c := newCompiler(u, fn, recv)
+	c.boxed = addressTaken(u, fn)
 	cf.frameName = c.frameName
 	c.pushScope() // the frame's parameter scope
-	cf.paramSlots = make([]int, len(fn.Params))
+	cf.params = make([]param, len(fn.Params))
 	for i, prm := range fn.Params {
-		// Parameters always bind as scalar lvalues (arrays decay to
-		// pointers in bindParams), so isArray is false.
-		cf.paramSlots[i] = c.declare(prm.Name, prm.Type, false, false)
+		rt := ctypes.Resolve(prm.Type)
+		if arr, isArr := rt.(ctypes.Array); isArr {
+			rt = ctypes.Pointer{Elem: arr.Elem}
+		}
+		p := param{rt: rt, typ: prm.Type, name: prm.Name, key: fn.Name + "." + prm.Name}
+		if c.inVals(prm.Name, prm.Type, rt) {
+			p.val, p.slot = true, c.declareVal(prm.Name, prm.Type, rt).slot
+		} else {
+			// A boxed parameter binds as a scalar lvalue (an array has
+			// decayed to a pointer), so isArray is false.
+			p.slot = c.declare(prm.Name, prm.Type, false, false)
+		}
+		cf.params[i] = p
 	}
 	c.pushScope() // the body block's scope
 	for _, s := range fn.Body.Stmts {
@@ -273,10 +330,162 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 	}
 	c.popScope()
 	c.popScope()
-	cf.nslots = c.nslots
+	cf.nslots, cf.nvals = c.nslots, c.nvals
 	cf.parts = gatherPartitions(fn)
 	cf.dataflow = hasDataflow(fn)
 	return
+}
+
+// addressTaken names the locals of fn whose storage must stay an Object
+// even when they are scalars, because something needs their storage
+// beyond their own reads and writes:
+//
+//   - their address is taken (&x);
+//   - they are bound to a reference: a T& parameter of a callee or a
+//     local reference, or a reference member of a struct initializer;
+//   - they are the lvalue base of a field access, the receiver of a
+//     method call, or an assignment or ++/-- target through a cast;
+//   - they are static;
+//   - they have a declaration in a conditional position (if branch,
+//     loop body, switch arm), whose name is bound only once it runs.
+//
+// Names match across scopes: one such use boxes every local of that
+// name in the function.
+func addressTaken(u *cast.Unit, fn *cast.FuncDecl) map[string]bool {
+	boxed := map[string]bool{}
+	var lvalueOf func(e cast.Expr)
+	lvalueOf = func(e cast.Expr) {
+		switch x := e.(type) {
+		case *cast.Ident:
+			boxed[x.Name] = true
+		case *cast.Cast:
+			lvalueOf(x.X)
+		case *cast.Member:
+			if !x.Arrow {
+				lvalueOf(x.X)
+			}
+		}
+	}
+	refArgs := refParams(u)
+	refFields := func(st *ctypes.Struct, il *cast.InitList) {
+		for i, el := range il.Elems {
+			if i < len(st.Fields) {
+				if _, isRef := st.Fields[i].Type.(ctypes.Ref); isRef {
+					lvalueOf(el)
+				}
+			}
+		}
+	}
+	cond := func(s cast.Stmt) {
+		if d, ok := s.(*cast.DeclStmt); ok {
+			boxed[d.Name] = true
+		}
+	}
+	var visit func(n cast.Node) bool
+	visit = func(n cast.Node) bool {
+		switch x := n.(type) {
+		case *cast.Unary:
+			switch x.Op {
+			case ctoken.AND:
+				lvalueOf(x.X)
+			case ctoken.INC, ctoken.DEC:
+				if _, ok := x.X.(*cast.Ident); !ok {
+					lvalueOf(x.X)
+				}
+			}
+		case *cast.Postfix:
+			if _, ok := x.X.(*cast.Ident); !ok {
+				lvalueOf(x.X)
+			}
+		case *cast.Assign:
+			if _, ok := x.L.(*cast.Ident); !ok {
+				lvalueOf(x.L)
+			}
+		case *cast.Member:
+			lvalueOf(x)
+		case *cast.Call:
+			name := ""
+			switch f := x.Fun.(type) {
+			case *cast.Ident:
+				name = f.Name
+			case *cast.Member:
+				// A method call builds its receiver as an lvalue,
+				// through -> as well.
+				name = f.Field
+				lvalueOf(f.X)
+			}
+			for i, a := range x.Args {
+				if refArgs[name][i] {
+					lvalueOf(a)
+				}
+			}
+		case *cast.InitList:
+			if st, ok := x.Type.(*ctypes.Struct); ok {
+				refFields(st, x)
+			}
+		case *cast.DeclStmt:
+			rt := ctypes.Resolve(x.Type)
+			if x.Static {
+				boxed[x.Name] = true
+			}
+			if _, isRef := x.Type.(ctypes.Ref); isRef && x.Init != nil {
+				lvalueOf(x.Init)
+			}
+			if il, ok := x.Init.(*cast.InitList); ok {
+				if st, ok := rt.(*ctypes.Struct); ok {
+					refFields(st, il)
+				}
+			}
+			for _, d := range x.VLADims {
+				cast.Inspect(d, visit)
+			}
+		case *cast.If:
+			cond(x.Then)
+			if x.Else != nil {
+				cond(x.Else)
+			}
+		case *cast.For:
+			cond(x.Body)
+		case *cast.While:
+			cond(x.Body)
+		case *cast.Switch:
+			for _, cs := range x.Cases {
+				for _, st := range cs.Body {
+					cond(st)
+				}
+			}
+		}
+		return true
+	}
+	cast.Inspect(fn.Body, visit)
+	return boxed
+}
+
+// refParams maps every function and method name in u to the argument
+// positions at which some declaration of that name takes a reference.
+func refParams(u *cast.Unit) map[string]map[int]bool {
+	out := map[string]map[int]bool{}
+	note := func(fn *cast.FuncDecl) {
+		for i, p := range fn.Params {
+			if _, isRef := p.Type.(ctypes.Ref); isRef {
+				if out[fn.Name] == nil {
+					out[fn.Name] = map[int]bool{}
+				}
+				out[fn.Name][i] = true
+			}
+		}
+	}
+	for _, d := range u.Decls {
+		switch x := d.(type) {
+		case *cast.FuncDecl:
+			note(x)
+		case *cast.StructDecl:
+			for _, m := range x.Methods {
+				note(m)
+			}
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -590,20 +799,35 @@ func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 	}
 	// Scalar (or struct/stream) declaration.
 	initOp := c.initOp(d.Init, rt)
+	key := c.profileKey(name)
+	if c.inVals(name, t, rt) {
+		slot := c.declareVal(name, t, rt).slot
+		zero := ZeroValue(rt)
+		return func(in *Interp, fr *frame) control {
+			in.step(pos)
+			v := zero
+			if initOp != nil {
+				v = in.coerce(initOp(in, fr), rt).DeepCopy()
+			}
+			fr.vals[slot] = v
+			if in.opts.Profile && v.Kind == VInt {
+				in.noteProfile(key, v.Int)
+			}
+			in.addCost(costStore)
+			return ctlNone
+		}
+	}
 	slot := c.declare(name, t, false, cond)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
-		obj := &Object{Name: name, Elem: rt, Elems: []Value{ZeroValue(rt)}}
-		b := &binding{lv: lvalue{obj: obj, declared: rt}, typ: t, isLV: true}
+		v := ZeroValue(rt)
 		if initOp != nil {
-			v := initOp(in, fr)
-			b.lv.store(in.coerce(v, rt).DeepCopy())
+			v = in.coerce(initOp(in, fr), rt).DeepCopy()
 		}
+		b := newScalar(name, rt, t, v)
 		fr.slots[slot] = b
-		if in.opts.Profile {
-			if v := b.lv.load(); v.Kind == VInt {
-				in.noteProfile(fr.fn, name, v.Int)
-			}
+		if in.opts.Profile && v.Kind == VInt {
+			in.noteProfile(key, v.Int)
 		}
 		in.addCost(costStore)
 		return ctlNone
@@ -667,6 +891,7 @@ func (c *compiler) vlaDecl(d *cast.DeclStmt, cond bool) execOp {
 	leafOps, initOp := c.initOps(t, d.Init)
 	_, isArray := ctypes.Resolve(t).(ctypes.Array)
 	slot := c.declare(name, t, isArray, cond)
+	key := c.profileKey(name)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
 		typ := t
@@ -677,7 +902,7 @@ func (c *compiler) vlaDecl(d *cast.DeclStmt, cond bool) execOp {
 		fr.slots[slot] = b
 		if in.opts.Profile && b.isLV {
 			if v := b.lv.load(); v.Kind == VInt {
-				in.noteProfile(fr.fn, name, v.Int)
+				in.noteProfile(key, v.Int)
 			}
 		}
 		in.addCost(costStore)
@@ -723,12 +948,11 @@ func (in *Interp) allocate(name string, t ctypes.Type, leafOps []evalOp, initOp 
 		total, elem := flattenArray(arr)
 		return &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
 	}
-	obj := &Object{Name: name, Elem: rt, Elems: []Value{ZeroValue(rt)}}
-	b := &binding{lv: lvalue{obj: obj, declared: rt}, typ: t, isLV: true}
+	v := ZeroValue(rt)
 	if initOp != nil {
-		b.lv.store(in.coerce(initOp(in, fr), rt).DeepCopy())
+		v = in.coerce(initOp(in, fr), rt).DeepCopy()
 	}
-	return b
+	return newScalar(name, rt, t, v)
 }
 
 // initOps compiles a declaration's initializer for allocate.
@@ -813,14 +1037,15 @@ func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
 	if n > len(st.Fields) {
 		n = len(st.Fields)
 	}
-	p := il.P
+	p, tmp := il.P, "tmp."+st.Tag
 	return func(in *Interp, fr *frame) Value {
 		v := ZeroValue(st)
 		if ctor, ok := in.methods[st.Tag][st.Tag]; ok && len(ctor.Params) == len(elemOps) {
-			obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{v}}
-			args := in.evalArgs(elemOps, ctor.Params, fr)
-			in.callMethod(ctor, lvalue{obj: obj, declared: st}, st, args, p)
-			return obj.Elems[0]
+			recv := newTemp(tmp, st, v)
+			args, base := in.evalArgs(elemOps, ctor.Params, fr)
+			in.callMethod(ctor, recv, st, args, p)
+			in.args = in.args[:base]
+			return recv.obj.Elems[0]
 		}
 		for i := 0; i < n; i++ {
 			v.Fields[i] = in.coerce(elemOps[i](in, fr), st.Fields[i].Type).DeepCopy()

@@ -36,17 +36,26 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 	case *cast.Unary:
 		return c.unaryEval(x)
 	case *cast.Postfix:
-		lvO := c.lv(x.X)
 		delta := int64(1)
 		if x.Op == ctoken.DEC {
 			delta = -1
 		}
-		p := x.P
+		if r := c.valRef(x.X); r != nil {
+			slot, key := r.slot, c.profileKey(r.name)
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				old := fr.vals[slot]
+				in.bumpVal(fr, slot, key, old, delta)
+				in.addCost(costIAdd)
+				return old
+			}
+		}
+		lvO := c.lv(x.X)
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
 			old := lv.load()
-			in.storeArith(lv, old, delta, p)
+			in.storeArith(lv, old, delta)
 			in.addCost(costIAdd)
 			return old
 		}
@@ -145,6 +154,13 @@ func (c *compiler) identEval(x *cast.Ident) evalOp {
 	pos, name := x.P, x.Name
 	r := c.resolve(name)
 	switch {
+	case r.kind == refVal:
+		slot := r.slot
+		return func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			in.addCost(costLoad)
+			return fr.vals[slot]
+		}
 	case r.kind == refSlot && r.outer == nil:
 		slot := r.slot
 		if r.isArray {
@@ -236,16 +252,25 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 			return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
 		}
 	case ctoken.INC, ctoken.DEC:
-		lvO := c.lv(u.X)
 		delta := int64(1)
 		if u.Op == ctoken.DEC {
 			delta = -1
 		}
+		if r := c.valRef(u.X); r != nil {
+			slot, key := r.slot, c.profileKey(r.name)
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				in.bumpVal(fr, slot, key, fr.vals[slot], delta)
+				in.addCost(costIAdd)
+				return fr.vals[slot]
+			}
+		}
+		lvO := c.lv(u.X)
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
 			old := lv.load()
-			in.storeArith(lv, old, delta, p)
+			in.storeArith(lv, old, delta)
 			in.addCost(costIAdd)
 			return lv.load()
 		}
@@ -292,6 +317,9 @@ func (c *compiler) binaryEval(b *cast.Binary) evalOp {
 }
 
 func (c *compiler) assignEval(a *cast.Assign) evalOp {
+	if r := c.valRef(a.L); r != nil {
+		return c.valAssign(a, r)
+	}
 	pos, p := a.Pos(), a.P
 	lvO := c.lv(a.L)
 	rOp := c.eval(a.R)
@@ -328,6 +356,39 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 	}
 }
 
+// valAssign compiles an assignment to a frame value slot: the steps,
+// costs and profile notes of a store through an lvalue, on the slot.
+func (c *compiler) valAssign(a *cast.Assign, r *nameRef) evalOp {
+	pos, p := a.Pos(), a.P
+	slot, rt, key := r.slot, r.rt, c.profileKey(r.name)
+	rOp := c.eval(a.R)
+	if a.Op == ctoken.ASSIGN {
+		return func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			v := rOp(in, fr)
+			if v.Kind == VStruct {
+				v = v.DeepCopy()
+			}
+			v = in.coerce(v, rt)
+			fr.vals[slot] = v.DeepCopy()
+			in.addCost(costStore)
+			in.profileVal(key, v)
+			return v
+		}
+	}
+	binOp := compoundToBinary(a.Op)
+	return func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		old := fr.vals[slot]
+		r := rOp(in, fr)
+		v := in.coerce(in.applyBinary(binOp, old, r, p), rt)
+		fr.vals[slot] = v.DeepCopy()
+		in.addCost(costStore)
+		in.profileVal(key, v)
+		return v
+	}
+}
+
 func (c *compiler) castEval(x *cast.Cast) evalOp {
 	pos := x.Pos()
 	// (T*)malloc(...) — the canonical dynamic allocation form; the
@@ -354,6 +415,10 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 	case *cast.Ident:
 		pos, name := x.P, x.Name
 		r := c.resolve(name)
+		if r.kind == refVal {
+			// addressTaken boxes every name an lvalue is built for.
+			panic(fmt.Sprintf("lvalue of frame-slot scalar %q", name))
+		}
 		if r.kind == refSlot && r.outer == nil {
 			slot := r.slot
 			if r.isArray {
@@ -565,14 +630,20 @@ func (c *compiler) callEval(call *cast.Call) evalOp {
 			in.step(pos)
 			if method {
 				if m, ok := in.methods[fr.recvType.Tag][name]; ok {
-					return in.callMethod(m, *fr.receiver, fr.recvType, in.evalArgs(argOps, m.Params, fr), pos)
+					args, base := in.evalArgs(argOps, m.Params, fr)
+					ret := in.callMethod(m, fr.receiver, fr.recvType, args, pos)
+					in.args = in.args[:base]
+					return ret
 				}
 			}
 			fn := in.funcOf(name)
 			if fn == nil {
 				in.fail(pos, "call to undefined function %q", name)
 			}
-			return in.callFunction(fn, in.evalArgs(argOps, fn.Params, fr), pos)
+			args, base := in.evalArgs(argOps, fn.Params, fr)
+			ret := in.callFunction(fn, args, pos)
+			in.args = in.args[:base]
+			return ret
 		}
 	case *cast.Member:
 		if c.ambiguous(fun.X) {
@@ -598,23 +669,24 @@ func (c *compiler) callEval(call *cast.Call) evalOp {
 
 // evalArgs evaluates call arguments against the callee's parameters: a
 // reference parameter receives the value itself, anything else a copy
-// of a struct value.
-func (in *Interp) evalArgs(argOps []evalOp, params []cast.Param, fr *frame) []Value {
-	args := make([]Value, len(argOps))
+// of a struct value. The arguments go on the interpreter's argument
+// stack from base up; the caller pops them (in.args[:base]) once the
+// call returns, so a call allocates no argument slice.
+func (in *Interp) evalArgs(argOps []evalOp, params []cast.Param, fr *frame) (args []Value, base int) {
+	base = len(in.args)
 	for i, aop := range argOps {
 		v := aop(in, fr)
-		if i < len(params) {
-			if _, isRef := params[i].Type.(ctypes.Ref); isRef {
-				args[i] = v
-				continue
-			}
-		}
-		if v.Kind == VStruct {
+		if v.Kind == VStruct && (i >= len(params) || !isRefType(params[i].Type)) {
 			v = v.DeepCopy()
 		}
-		args[i] = v
+		in.args = append(in.args, v)
 	}
-	return args
+	return in.args[base:], base
+}
+
+func isRefType(t ctypes.Type) bool {
+	_, ok := t.(ctypes.Ref)
+	return ok
 }
 
 // methodCall compiles a member-function call. The receiver is a struct
@@ -628,10 +700,9 @@ func (c *compiler) methodCall(m *cast.Member, call *cast.Call) evalOp {
 	switch x := m.X.(type) {
 	case *cast.InitList:
 		if st, ok := x.Type.(*ctypes.Struct); ok {
-			initOp := c.structInit(st, x)
+			initOp, tmp := c.structInit(st, x), "tmp."+st.Tag
 			recvOp = func(in *Interp, fr *frame) (lvalue, *ctypes.Struct) {
-				obj := &Object{Name: "tmp." + st.Tag, Elem: st, Elems: []Value{initOp(in, fr)}}
-				return lvalue{obj: obj, declared: st}, st
+				return newTemp(tmp, st, initOp(in, fr)), st
 			}
 		}
 	case *cast.Ident, *cast.Index, *cast.Member:
@@ -667,7 +738,10 @@ func (c *compiler) methodCall(m *cast.Member, call *cast.Call) evalOp {
 		if !ok {
 			in.fail(pos, "struct %s has no method %q", st.Tag, field)
 		}
-		return in.callMethod(fn, recv, st, in.evalArgs(argOps, fn.Params, fr), pos)
+		args, base := in.evalArgs(argOps, fn.Params, fr)
+		ret := in.callMethod(fn, recv, st, args, pos)
+		in.args = in.args[:base]
+		return ret
 	}
 }
 
@@ -694,7 +768,7 @@ func (c *compiler) streamOp(m *cast.Member, call *cast.Call, st ctypes.Stream) e
 	return func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		base := baseOp(in, fr)
-		if base.Kind != VStream || base.Stream == nil {
+		if base.Kind != VStream || base.Aggregate == nil || base.Stream == nil {
 			in.fail(pos, "stream operation on non-stream value")
 		}
 		s := base.Stream

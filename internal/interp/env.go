@@ -33,10 +33,25 @@ func (lv lvalue) store(v Value) {
 	*target = v
 }
 
+// fieldPaths are the one-step field paths, shared (paths are never
+// written in place) so that a field of a variable or an array element
+// costs no allocation.
+var fieldPaths = func() [][]int {
+	p := make([][]int, 32)
+	for i := range p {
+		p[i] = []int{i}
+	}
+	return p
+}()
+
 // field returns the lvalue of field index i within this struct location.
 func (lv lvalue) field(i int, ft ctypes.Type) lvalue {
 	out := lv
-	out.path = append(append([]int{}, lv.path...), i)
+	if len(lv.path) == 0 && i < len(fieldPaths) {
+		out.path = fieldPaths[i]
+	} else {
+		out.path = append(append(make([]int, 0, len(lv.path)+1), lv.path...), i)
+	}
 	out.declared = ft
 	return out
 }
@@ -50,14 +65,55 @@ type binding struct {
 	obj  *Object
 }
 
+// newScalar makes the storage of one non-array variable holding v:
+// binding, Object and element in a single allocation.
+func newScalar(name string, rt, t ctypes.Type, v Value) *binding {
+	x := new(struct {
+		b    binding
+		obj  Object
+		elem [1]Value
+	})
+	x.elem[0] = v
+	x.obj = Object{Name: name, Elem: rt, Elems: x.elem[:]}
+	x.b = binding{lv: lvalue{obj: &x.obj, declared: rt}, typ: t, isLV: true}
+	return &x.b
+}
+
+// newTemp makes the storage of a struct temporary (an initializer-list
+// method receiver, or the object a constructor runs on), Object and
+// element in one allocation.
+func newTemp(name string, st *ctypes.Struct, v Value) lvalue {
+	x := new(struct {
+		obj  Object
+		elem [1]Value
+	})
+	x.elem[0] = v
+	x.obj = Object{Name: name, Elem: st, Elems: x.elem[:]}
+	return lvalue{obj: &x.obj, declared: st}
+}
+
 // frame is one function activation. The compiler resolves every local
-// name to an index in slots; a receiver-bound method frame also carries
-// the receiver's storage and struct type.
+// name to an index in vals (a scalar whose storage nothing but its own
+// reads and writes needs) or in slots (everything else); a
+// receiver-bound method frame also carries the receiver's storage and
+// struct type.
 type frame struct {
 	fn       string
-	receiver *lvalue
+	receiver lvalue
 	recvType *ctypes.Struct
 	retVal   Value
 	returned bool
 	slots    []*binding
+	vals     []Value
+}
+
+// cleared returns s resized to n zero elements, reusing its array when
+// it is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -45,7 +45,7 @@ func (in *Interp) declaredOf(lv lvalue) ctypes.Type {
 
 // memberOfValue extracts a field from a struct temporary.
 func (in *Interp) memberOfValue(base Value, m *cast.Member) Value {
-	if base.Kind == VStruct && base.Struct != nil {
+	if base.Kind == VStruct && base.Aggregate != nil && base.Struct != nil {
 		if i := base.Struct.FieldIndex(m.Field); i >= 0 {
 			return base.Fields[i]
 		}
@@ -58,36 +58,57 @@ func (in *Interp) memberOfValue(base Value, m *cast.Member) Value {
 // Operators
 
 // storeArith stores old+delta into lv, handling pointers and profiling.
-func (in *Interp) storeArith(lv lvalue, old Value, delta int64, pos ctoken.Pos) {
+func (in *Interp) storeArith(lv lvalue, old Value, delta int64) {
+	v := in.bumped(old, delta)
+	lv.store(v)
+	in.profileStore(lv, v)
+	in.addCost(costStore)
+}
+
+// bumpVal is storeArith on a frame value slot.
+func (in *Interp) bumpVal(fr *frame, slot int, key string, old Value, delta int64) {
+	v := in.bumped(old, delta)
+	fr.vals[slot] = v
+	in.profileVal(key, v)
+	in.addCost(costStore)
+}
+
+// bumped is old+delta as ++ and -- store it, without coercion: a
+// pointer moves, a float adds, an integer adds and wraps in FPGA mode.
+func (in *Interp) bumped(old Value, delta int64) Value {
 	switch old.Kind {
 	case VPtr:
 		old.Off += int(delta)
-		lv.store(old)
 	case VFloat:
 		old.Float += float64(delta)
-		lv.store(old)
 	default:
 		old.Int = in.wrap(old.Int+delta, old)
-		lv.store(old)
-		in.profileStore(lv, old)
 	}
-	in.addCost(costStore)
+	return old
 }
 
 // wrap applies fixed-width wrapping in FPGA mode. In CPU mode values
 // behave as int64 (the subjects stay within 64-bit ranges, matching C).
 func (in *Interp) wrap(v int64, like Value) int64 {
 	if in.opts.Mode == FPGA && like.Width > 0 && like.Width < 64 {
-		return WrapInt(v, like.Width, like.Unsigned)
+		return WrapInt(v, int(like.Width), like.Unsigned)
 	}
 	return v
+}
+
+// profileVal notes a store of v to a variable whose Profiles key is
+// known at compile time.
+func (in *Interp) profileVal(key string, v Value) {
+	if in.opts.Profile && v.Kind == VInt {
+		in.noteProfile(key, v.Int)
+	}
 }
 
 func (in *Interp) profileStore(lv lvalue, v Value) {
 	if !in.opts.Profile || v.Kind != VInt || len(in.frames) == 0 {
 		return
 	}
-	in.noteProfile(in.top().fn, lv.obj.Name, v.Int)
+	in.noteProfile(in.profileKey(in.top().fn, lv.obj.Name), v.Int)
 }
 
 func (in *Interp) applyBinary(op ctoken.Kind, l, r Value, pos ctoken.Pos) Value {
@@ -289,14 +310,14 @@ func (in *Interp) coerce(v Value, t ctypes.Type) Value {
 	}
 	switch u := ctypes.Resolve(t).(type) {
 	case ctypes.Int:
-		out := Value{Kind: VInt, Int: v.AsInt(), Width: u.Width, Unsigned: u.Unsigned}
+		out := Value{Kind: VInt, Int: v.AsInt(), Width: int32(u.Width), Unsigned: u.Unsigned}
 		// C narrows on store even on CPU.
 		if u.Width < 64 {
 			out.Int = WrapInt(out.Int, u.Width, u.Unsigned)
 		}
 		return out
 	case ctypes.FPGAInt:
-		out := Value{Kind: VInt, Int: v.AsInt(), Width: u.Width, Unsigned: u.Unsigned}
+		out := Value{Kind: VInt, Int: v.AsInt(), Width: int32(u.Width), Unsigned: u.Unsigned}
 		if in.opts.Mode == FPGA {
 			out.Int = WrapInt(out.Int, u.Width, u.Unsigned)
 		}

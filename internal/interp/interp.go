@@ -140,6 +140,11 @@ type Interp struct {
 	// resolve callees by name at runtime so compiled code can be shared
 	// between structure-sharing candidate units.
 	fnCache map[string]*cast.FuncDecl
+	// args is the argument stack calls evaluate their arguments onto.
+	args []Value
+	// profKeys memoizes the Profiles keys of stores whose variable is
+	// known only at run time (through a pointer or into an array).
+	profKeys map[[2]string]string
 }
 
 // New builds an interpreter over u and initializes global storage.
@@ -169,7 +174,9 @@ func New(u *cast.Unit, opts Options) (*Interp, error) {
 func (in *Interp) Reset() error {
 	in.globals = map[string]*binding{}
 	in.methods = map[string]map[string]*cast.FuncDecl{}
-	in.frames = nil
+	// Popped frames above the stack's length are reused by later calls.
+	in.frames = in.frames[:0]
+	in.args = in.args[:0]
 	in.steps = 0
 	in.cost = 0
 	in.rawCost = 0
@@ -299,7 +306,7 @@ func (in *Interp) callFunction(fn *cast.FuncDecl, args []Value, p ctoken.Pos) Va
 		in.opts.CaptureCall(snap)
 	}
 	cf := in.compiled(fn, nil)
-	fr := &frame{fn: cf.frameName}
+	fr := in.nextFrame(cf.frameName, lvalue{}, nil)
 	in.bindParams(fr, cf, fn, args, p)
 	in.frames = append(in.frames, fr)
 	prevPart, prevShared := in.partitions, in.partitionsShared
@@ -338,7 +345,7 @@ func (in *Interp) callMethod(fn *cast.FuncDecl, recv lvalue, st *ctypes.Struct, 
 		in.fail(p, "call depth limit exceeded in method %q", fn.Name)
 	}
 	cf := in.compiled(fn, st)
-	fr := &frame{fn: cf.frameName, receiver: &recv, recvType: st}
+	fr := in.nextFrame(cf.frameName, recv, st)
 	in.bindParams(fr, cf, fn, args, p)
 	in.frames = append(in.frames, fr)
 	in.addCost(costCall)
@@ -364,6 +371,22 @@ func (in *Interp) funcOf(name string) *cast.FuncDecl {
 	return fn
 }
 
+// nextFrame returns a fresh frame for a call: the one a finished call
+// left just above the top of the stack, or a new one. The caller pushes
+// it once its parameters are bound.
+func (in *Interp) nextFrame(fn string, recv lvalue, st *ctypes.Struct) *frame {
+	var fr *frame
+	if n := len(in.frames); n < cap(in.frames) {
+		fr = in.frames[:n+1][n]
+	}
+	if fr == nil {
+		fr = &frame{}
+	}
+	fr.fn, fr.receiver, fr.recvType = fn, recv, st
+	fr.retVal, fr.returned = Value{}, false
+	return fr
+}
+
 // bindParams binds the argument values to fresh parameter storage at
 // the compiler-assigned slots, coercing each to its parameter type
 // (array parameters are pointers) and profiling integer arguments.
@@ -371,34 +394,45 @@ func (in *Interp) bindParams(fr *frame, cf *compiledFunc, fn *cast.FuncDecl, arg
 	if len(args) != len(fn.Params) {
 		in.fail(p, "call to %q with %d args, want %d", fn.Name, len(args), len(fn.Params))
 	}
-	fr.slots = make([]*binding, cf.nslots)
-	for i, prm := range fn.Params {
-		rt := ctypes.Resolve(prm.Type)
+	fr.slots = cleared(fr.slots, cf.nslots)
+	fr.vals = cleared(fr.vals, cf.nvals)
+	for i, prm := range cf.params {
 		v := args[i]
-		if arr, isArr := rt.(ctypes.Array); isArr {
-			rt = ctypes.Pointer{Elem: arr.Elem}
+		if prm.val {
+			fr.vals[prm.slot] = in.coerce(v, prm.rt)
+		} else {
+			fr.slots[prm.slot] = newScalar(prm.name, prm.rt, prm.typ, in.coerce(v, prm.rt))
 		}
-		obj := &Object{Name: prm.Name, Elem: rt, Elems: []Value{in.coerce(v, rt)}}
-		fr.slots[cf.paramSlots[i]] = &binding{lv: lvalue{obj: obj, declared: rt}, typ: prm.Type, isLV: true}
-		if in.opts.Profile {
-			if v.Kind == VInt {
-				in.noteProfile(fn.Name, prm.Name, v.Int)
-			}
+		if in.opts.Profile && v.Kind == VInt {
+			in.noteProfile(prm.key, v.Int)
 		}
 	}
 }
 
 func (in *Interp) top() *frame { return in.frames[len(in.frames)-1] }
 
-// noteProfile records an observed integer value for func.var.
-func (in *Interp) noteProfile(fn, name string, v int64) {
-	key := fn + "." + name
+// noteProfile records an observed integer value under a "func.var" key.
+func (in *Interp) noteProfile(key string, v int64) {
 	r, ok := in.Profiles[key]
 	if !ok {
 		r = &Range{}
 		in.Profiles[key] = r
 	}
 	r.Note(v)
+}
+
+// profileKey is the Profiles key of variable name in frame fn.
+func (in *Interp) profileKey(fn, name string) string {
+	k := [2]string{fn, name}
+	key, ok := in.profKeys[k]
+	if !ok {
+		if in.profKeys == nil {
+			in.profKeys = map[[2]string]string{}
+		}
+		key = fn + "." + name
+		in.profKeys[k] = key
+	}
+	return key
 }
 
 // recordBranch notes a (site, outcome) coverage event.

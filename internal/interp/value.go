@@ -22,7 +22,7 @@ import (
 )
 
 // ValueKind discriminates runtime values.
-type ValueKind int
+type ValueKind uint8
 
 // Runtime value kinds.
 const (
@@ -36,22 +36,66 @@ const (
 
 // Value is a runtime value. Ints carry their declared width/signedness so
 // FPGA mode can wrap them; pointers reference an Object plus an element
-// offset; structs carry their field values in declaration order.
+// offset; structs and streams keep their parts in an Aggregate.
+//
+// Every array element and every evaluation result is one Value, so it is
+// kept to six words: the four payload words, the aggregate pointer, and
+// one word packing the kind, the two flags and the width.
 type Value struct {
-	Kind     ValueKind
-	Int      int64
-	Float    float64
-	Width    int  // integer bit width (32 default, N for fpga_int<N>)
-	Unsigned bool // integer signedness
-	FloatSyn bool // float value held in a synthesizable (custom) float type
+	Int   int64
+	Float float64
 
 	Obj *Object // pointer target (nil pointer when Obj == nil)
 	Off int     // pointer element offset
 
+	// *Aggregate holds a struct's type and fields or a stream; it is nil
+	// for every other kind. Copies of a Value share it, so a field store
+	// through one copy shows in all of them; DeepCopy gives a struct its
+	// own.
+	*Aggregate
+
+	Kind     ValueKind
+	Unsigned bool  // integer signedness
+	FloatSyn bool  // float value held in a synthesizable (custom) float type
+	Width    int32 // integer bit width (32 default, N for fpga_int<N>)
+}
+
+// Aggregate is the rarely used part of a Value.
+type Aggregate struct {
 	Struct *ctypes.Struct // struct type for VStruct
 	Fields []Value        // struct field values
+	Stream *StreamObj     // the FIFO for VStream
+}
 
-	Stream *StreamObj
+// newAggregate allocates the aggregate of a struct with n fields. Up to
+// eight fields live in the aggregate's own allocation, so a struct copy
+// allocates once.
+func newAggregate(st *ctypes.Struct, n int) *Aggregate {
+	var a *Aggregate
+	switch {
+	case n <= 2:
+		x := new(struct {
+			Aggregate
+			buf [2]Value
+		})
+		x.Fields, a = x.buf[:n], &x.Aggregate
+	case n <= 4:
+		x := new(struct {
+			Aggregate
+			buf [4]Value
+		})
+		x.Fields, a = x.buf[:n], &x.Aggregate
+	case n <= 8:
+		x := new(struct {
+			Aggregate
+			buf [8]Value
+		})
+		x.Fields, a = x.buf[:n], &x.Aggregate
+	default:
+		a = &Aggregate{Fields: make([]Value, n)}
+	}
+	a.Struct = st
+	return a
 }
 
 // Object is a storage cell: every variable, array, and heap allocation is
@@ -132,7 +176,7 @@ func (v Value) String() string {
 	switch v.Kind {
 	case VInt:
 		if v.Unsigned {
-			return fmt.Sprintf("%d", uint64(v.Int)&maskFor(v.Width))
+			return fmt.Sprintf("%d", uint64(v.Int)&maskFor(int(v.Width)))
 		}
 		return fmt.Sprintf("%d", v.Int)
 	case VFloat:
@@ -143,8 +187,8 @@ func (v Value) String() string {
 		}
 		return fmt.Sprintf("&%s+%d", v.Obj.Name, v.Off)
 	case VStruct:
-		parts := make([]string, len(v.Fields))
-		for i, f := range v.Fields {
+		parts := make([]string, len(v.fields()))
+		for i, f := range v.fields() {
 			parts[i] = f.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
@@ -157,15 +201,22 @@ func (v Value) String() string {
 // DeepCopy copies a value so that struct assignment has C value semantics.
 // Pointers and streams copy shallowly (reference semantics), as in C/HLS.
 func (v Value) DeepCopy() Value {
-	if v.Kind == VStruct {
-		out := v
-		out.Fields = make([]Value, len(v.Fields))
+	if v.Kind == VStruct && v.Aggregate != nil {
+		a := newAggregate(v.Struct, len(v.Fields))
 		for i, f := range v.Fields {
-			out.Fields[i] = f.DeepCopy()
+			a.Fields[i] = f.DeepCopy()
 		}
-		return out
+		v.Aggregate = a
 	}
 	return v
+}
+
+// fields is v's struct fields, nil when it has no aggregate.
+func (v Value) fields() []Value {
+	if v.Aggregate == nil {
+		return nil
+	}
+	return v.Fields
 }
 
 // Equal compares two values for differential testing. Floats compare with
@@ -198,11 +249,12 @@ func Equal(a, b Value, tol float64) bool {
 	case VPtr:
 		return b.Kind == VPtr && a.Obj == b.Obj && a.Off == b.Off
 	case VStruct:
-		if b.Kind != VStruct || len(a.Fields) != len(b.Fields) {
+		af, bf := a.fields(), b.fields()
+		if b.Kind != VStruct || len(af) != len(bf) {
 			return false
 		}
-		for i := range a.Fields {
-			if !Equal(a.Fields[i], b.Fields[i], tol) {
+		for i := range af {
+			if !Equal(af[i], bf[i], tol) {
 				return false
 			}
 		}
@@ -245,9 +297,9 @@ func WrapInt(v int64, width int, unsigned bool) int64 {
 func ZeroValue(t ctypes.Type) Value {
 	switch u := ctypes.Resolve(t).(type) {
 	case ctypes.Int:
-		return Value{Kind: VInt, Width: u.Width, Unsigned: u.Unsigned}
+		return Value{Kind: VInt, Width: int32(u.Width), Unsigned: u.Unsigned}
 	case ctypes.FPGAInt:
-		return Value{Kind: VInt, Width: u.Width, Unsigned: u.Unsigned}
+		return Value{Kind: VInt, Width: int32(u.Width), Unsigned: u.Unsigned}
 	case ctypes.Bool:
 		return Value{Kind: VInt, Width: 1, Unsigned: true}
 	case ctypes.Float:
@@ -257,13 +309,18 @@ func ZeroValue(t ctypes.Type) Value {
 	case ctypes.Pointer:
 		return Value{Kind: VPtr}
 	case *ctypes.Struct:
-		fields := make([]Value, len(u.Fields))
+		a := newAggregate(u, len(u.Fields))
 		for i, f := range u.Fields {
-			fields[i] = ZeroValue(f.Type)
+			a.Fields[i] = ZeroValue(f.Type)
 		}
-		return Value{Kind: VStruct, Struct: u, Fields: fields}
+		return Value{Kind: VStruct, Aggregate: a}
 	case ctypes.Stream:
-		return Value{Kind: VStream, Stream: &StreamObj{}}
+		x := new(struct {
+			Aggregate
+			s StreamObj
+		})
+		x.Stream = &x.s
+		return Value{Kind: VStream, Aggregate: &x.Aggregate}
 	case ctypes.Array:
 		// Handled by declaration; a bare array value decays to null.
 		return Value{Kind: VPtr}

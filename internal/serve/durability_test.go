@@ -7,12 +7,26 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetero/heterogen/internal/guard"
 )
+
+// sortedCheckpointIDs lists the job ids with a checkpoint file under
+// stateDir/checkpoints.
+func sortedCheckpointIDs(stateDir string) []string {
+	matches, _ := filepath.Glob(filepath.Join(stateDir, "checkpoints", "*.ckpt"))
+	ids := make([]string, 0, len(matches))
+	for _, m := range matches {
+		ids = append(ids, strings.TrimSuffix(filepath.Base(m), ".ckpt"))
+	}
+	sort.Strings(ids)
+	return ids
+}
 
 // readJournal parses every well-formed record in a state dir's journal.
 func readJournal(t *testing.T, stateDir string) []journalRecord {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -230,16 +229,4 @@ func parseJobID(id string) (int64, bool) {
 // record builds the journal line for a job's transition to st.
 func record(j *Job, st State) journalRecord {
 	return journalRecord{ID: j.id, State: st, MS: time.Now().UnixMilli()}
-}
-
-// sortedCheckpointIDs lists job ids with a checkpoint file under
-// dir/checkpoints (test/ops helper for orphan sweeps).
-func sortedCheckpointIDs(stateDir string) []string {
-	matches, _ := filepath.Glob(filepath.Join(stateDir, "checkpoints", "*.ckpt"))
-	ids := make([]string, 0, len(matches))
-	for _, m := range matches {
-		ids = append(ids, strings.TrimSuffix(filepath.Base(m), ".ckpt"))
-	}
-	sort.Strings(ids)
-	return ids
 }
