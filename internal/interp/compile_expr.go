@@ -209,7 +209,7 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 				v.Float = -v.Float
 				return v
 			}
-			v.Int = in.wrap(-v.Int, v)
+			v.Int = in.wrap(-v.Int, &v)
 			return v
 		}
 	case ctoken.NOT:
@@ -226,7 +226,7 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 			in.step(pos)
 			v := xOp(in, fr)
 			in.addCost(costIAdd)
-			v.Int = in.wrap(^v.Int, v)
+			v.Int = in.wrap(^v.Int, &v)
 			return v
 		}
 	case ctoken.MUL:
@@ -312,7 +312,7 @@ func (c *compiler) binaryEval(b *cast.Binary) evalOp {
 		in.step(pos)
 		l := lOp(in, fr)
 		r := rOp(in, fr)
-		return in.applyBinary(op, l, r, p)
+		return in.applyBinary(op, &l, &r, p)
 	}
 }
 
@@ -347,7 +347,7 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 		lv := lvO(in, fr)
 		old := lv.load()
 		r := rOp(in, fr)
-		v := in.applyBinary(binOp, old, r, p)
+		v := in.applyBinary(binOp, &old, &r, p)
 		v = in.coerce(v, in.declaredOf(lv))
 		lv.store(v.DeepCopy())
 		in.addCost(costStore)
@@ -381,7 +381,7 @@ func (c *compiler) valAssign(a *cast.Assign, r *nameRef) evalOp {
 		in.step(pos)
 		old := fr.vals[slot]
 		r := rOp(in, fr)
-		v := in.coerce(in.applyBinary(binOp, old, r, p), rt)
+		v := in.coerce(in.applyBinary(binOp, &old, &r, p), rt)
 		fr.vals[slot] = v.DeepCopy()
 		in.addCost(costStore)
 		in.profileVal(key, v)

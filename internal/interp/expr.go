@@ -82,14 +82,14 @@ func (in *Interp) bumped(old Value, delta int64) Value {
 	case VFloat:
 		old.Float += float64(delta)
 	default:
-		old.Int = in.wrap(old.Int+delta, old)
+		old.Int = in.wrap(old.Int+delta, &old)
 	}
 	return old
 }
 
 // wrap applies fixed-width wrapping in FPGA mode. In CPU mode values
 // behave as int64 (the subjects stay within 64-bit ranges, matching C).
-func (in *Interp) wrap(v int64, like Value) int64 {
+func (in *Interp) wrap(v int64, like *Value) int64 {
 	if in.opts.Mode == FPGA && like.Width > 0 && like.Width < 64 {
 		return WrapInt(v, int(like.Width), like.Unsigned)
 	}
@@ -111,7 +111,10 @@ func (in *Interp) profileStore(lv lvalue, v Value) {
 	in.noteProfile(in.profileKey(in.top().fn, lv.obj.Name), v.Int)
 }
 
-func (in *Interp) applyBinary(op ctoken.Kind, l, r Value, pos ctoken.Pos) Value {
+// applyBinary applies a binary operator. The operands are passed by
+// pointer and only read: a Value is six words, and this is the VM's
+// hottest call.
+func (in *Interp) applyBinary(op ctoken.Kind, l, r *Value, pos ctoken.Pos) Value {
 	// Pointer arithmetic and comparison.
 	if l.Kind == VPtr || r.Kind == VPtr {
 		return in.pointerBinary(op, l, r, pos)
@@ -196,13 +199,13 @@ func (in *Interp) applyBinary(op ctoken.Kind, l, r Value, pos ctoken.Pos) Value 
 	default:
 		in.fail(pos, "invalid integer operator %s", op)
 	}
-	res.Int = in.wrap(res.Int, res)
+	res.Int = in.wrap(res.Int, &res)
 	return res
 }
 
 // floatResult builds a float result, propagating the "synthesizable float"
 // flag so FPGA precision reduction applies transitively.
-func (in *Interp) floatResult(v float64, l, r Value) Value {
+func (in *Interp) floatResult(v float64, l, r *Value) Value {
 	out := FloatValue(v)
 	out.FloatSyn = l.FloatSyn || r.FloatSyn
 	if in.opts.Mode == FPGA && out.FloatSyn {
@@ -215,10 +218,10 @@ func (in *Interp) floatResult(v float64, l, r Value) Value {
 
 // promote computes the result carrier for integer ops: widest width wins,
 // unsigned wins ties (C usual arithmetic conversions, simplified).
-func promote(l, r Value) Value {
-	out := l
+func promote(l, r *Value) Value {
+	out := *l
 	if r.Width > out.Width {
-		out = r
+		out = *r
 	}
 	if l.Width == r.Width && (l.Unsigned || r.Unsigned) {
 		out.Unsigned = true
@@ -230,26 +233,29 @@ func promote(l, r Value) Value {
 	return out
 }
 
-func (in *Interp) pointerBinary(op ctoken.Kind, l, r Value, pos ctoken.Pos) Value {
+func (in *Interp) pointerBinary(op ctoken.Kind, l, r *Value, pos ctoken.Pos) Value {
 	in.addCost(costIAdd)
 	switch op {
 	case ctoken.ADD:
 		if l.Kind == VPtr {
-			l.Off += int(r.AsInt())
-			return l
+			out := *l
+			out.Off += int(r.AsInt())
+			return out
 		}
-		r.Off += int(l.AsInt())
-		return r
+		out := *r
+		out.Off += int(l.AsInt())
+		return out
 	case ctoken.SUB:
 		if l.Kind == VPtr && r.Kind == VPtr {
 			return IntValue(int64(l.Off - r.Off))
 		}
-		l.Off -= int(r.AsInt())
-		return l
+		out := *l
+		out.Off -= int(r.AsInt())
+		return out
 	case ctoken.EQL:
-		return BoolValue(samePtr(l, r))
+		return BoolValue(samePtr(*l, *r))
 	case ctoken.NEQ:
-		return BoolValue(!samePtr(l, r))
+		return BoolValue(!samePtr(*l, *r))
 	case ctoken.LSS, ctoken.GTR, ctoken.LEQ, ctoken.GEQ:
 		lo, ro := l.Off, r.Off
 		switch op {
