@@ -45,7 +45,7 @@ func (c *compiler) eval(e cast.Expr) evalOp {
 			return func(in *Interp, fr *frame) Value {
 				in.step(pos)
 				old := fr.vals[slot]
-				in.bumpVal(fr, slot, key, old, delta)
+				in.bumpVal(fr, slot, key, delta)
 				in.addCost(costIAdd)
 				return old
 			}
@@ -260,7 +260,7 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 			slot, key := r.slot, c.profileKey(r.name)
 			return func(in *Interp, fr *frame) Value {
 				in.step(pos)
-				in.bumpVal(fr, slot, key, fr.vals[slot], delta)
+				in.bumpVal(fr, slot, key, delta)
 				in.addCost(costIAdd)
 				return fr.vals[slot]
 			}

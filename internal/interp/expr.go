@@ -66,8 +66,8 @@ func (in *Interp) storeArith(lv lvalue, old Value, delta int64) {
 }
 
 // bumpVal is storeArith on a frame value slot.
-func (in *Interp) bumpVal(fr *frame, slot int, key string, old Value, delta int64) {
-	v := in.bumped(old, delta)
+func (in *Interp) bumpVal(fr *frame, slot int, key string, delta int64) {
+	v := in.bumped(fr.vals[slot], delta)
 	fr.vals[slot] = v
 	in.profileVal(key, v)
 	in.addCost(costStore)
