@@ -78,19 +78,19 @@ func newAggregate(st *ctypes.Struct, n int) *Aggregate {
 			Aggregate
 			buf [2]Value
 		})
-		x.Fields, a = x.buf[:n], &x.Aggregate
+		x.Fields, a = x.buf[:n:n], &x.Aggregate
 	case n <= 4:
 		x := new(struct {
 			Aggregate
 			buf [4]Value
 		})
-		x.Fields, a = x.buf[:n], &x.Aggregate
+		x.Fields, a = x.buf[:n:n], &x.Aggregate
 	case n <= 8:
 		x := new(struct {
 			Aggregate
 			buf [8]Value
 		})
-		x.Fields, a = x.buf[:n], &x.Aggregate
+		x.Fields, a = x.buf[:n:n], &x.Aggregate
 	default:
 		a = &Aggregate{Fields: make([]Value, n)}
 	}
