@@ -42,8 +42,8 @@ func TestBuiltinArityFaults(t *testing.T) {
 // parses (the function named kernel, else the last one defined) runs
 // under a 2000-step budget in CPU and FPGA mode and must return a
 // result or a *RuntimeError, never panic. The seeds — belt programs,
-// the evaluation subjects, Figure 2 and the bad-arity builtin calls —
-// run in every `go test`; `go test -fuzz=FuzzExec` runs a campaign.
+// the evaluation subjects, Figure 2, the bad-arity builtin calls and
+// the recorded edge cases — run in every `go test`; `go test -fuzz=FuzzExec` runs a campaign.
 func FuzzExec(f *testing.F) {
 	for seed := 0; seed < 20; seed++ {
 		prog := progen.MustGenerate(progen.Options{Seed: int64(seed), Clean: seed%2 == 0})
@@ -54,6 +54,9 @@ func FuzzExec(f *testing.F) {
 	}
 	f.Add(figure2Kernel)
 	for _, c := range badArity {
+		f.Add(c.src)
+	}
+	for _, c := range edgeCases {
 		f.Add(c.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

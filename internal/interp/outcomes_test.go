@@ -520,6 +520,199 @@ int f(int n) {
     }
     return acc + x;
 }`},
+	{name: "mixed integer carriers", args: [][]int64{{3}, {-7}, {100}}, src: `
+int f(int n) {
+    fpga_int<12> a = n * 300;
+    fpga_uint<12> b = n * 700 - 5;
+    char c = n * 50;
+    bool t = n;
+    unsigned char uc = 250 + n;
+    short s = -n * 1000;
+    long big = n;
+    big = big << 40;
+    int r = a + b * c - t;
+    r = r ^ (uc * s);
+    int q = (a * b) >> 3;
+    q += (c - uc) * t;
+    unsigned int u = a - b;
+    int k = 'a' + c + true + (n > 0 ? c : s);
+    int casts = (fpga_uint<4>)(n * 7) + (bool)(n - 3) * 10 + (char)(n * 40) + (int)(2.7 * n);
+    unsigned wide = (unsigned)(-n);
+    return r + q + (u >> 28) + (big >> 38) + (t + t) * 7 - (s < uc) + (a == b) + k + casts + (wide >> 20);
+}`},
+	{name: "unsigned shift and equal-width promotion", args: [][]int64{{-7}, {9}}, src: `
+long f(int n) {
+    unsigned u = n;
+    fpga_uint<8> w = n;
+    int s = n;
+    unsigned long ul = n;
+    long l = n;
+    unsigned r1 = u >> 3;
+    int r2 = s >> 3;
+    int r3 = (u + s) >> 30;
+    int r4 = w >> 1;
+    long r5 = (w - 300) >> 60;
+    long r6 = (ul + l) >> 62;
+    long r7 = (l - ul) >> 1;
+    int lt = (s < u) + (l < ul) * 2 + (w > s) * 4 + ((u - s) == 0) * 8;
+    u >>= 2;
+    w >>= 3;
+    return r1 + r2 * 3 + r3 * 5 + r4 * 7 + r5 + r6 * 11 + (r7 >> 40) + lt * 1000 + u + w;
+}`},
+	{name: "shift by the left operand's signedness", args: [][]int64{{-7}, {5}}, src: `
+long f(int n) {
+    int s = n;
+    unsigned u = n;
+    fpga_uint<8> w = n;
+    char c = n;
+    long l = n;
+    unsigned long ul = n;
+    long a1 = s >> u;
+    long a2 = w >> 1;
+    long a3 = c >> (ul & 3);
+    long a4 = (s + c) >> (w & 7);
+    long a5 = (u * 3) >> (l & 15);
+    long a6 = l >> (s & 5);
+    long a7 = ul >> (u & 9);
+    long a8 = (ul - 1) >> 63;
+    return a1 + a2 / 1000 + a3 + a4 + a5 + a6 + a7 + a8;
+}`},
+	{name: "negation in a narrow carrier and mixed ?: arms", args: [][]int64{{3}, {-1}, {-64}}, src: `
+long f(int n) {
+    fpga_uint<3> u = n;
+    fpga_int<7> s = n;
+    unsigned char c = n;
+    long l = n;
+    l = l * 1000000;
+    int i = n;
+    long r1 = -u;
+    long r2 = -s;
+    long r3 = -c + ~c;
+    long r4 = (n > 0 ? i : l) * 3000000000;
+    long r5 = (n > 0 ? c : u) - 10;
+    long r6 = (n < 0 ? s : i) * 100000000;
+    return r1 + r2 * 10 + r3 * 100 + r4 + r5 * 7 + r6;
+}`},
+	{name: "truth of floats and pointers", args: [][]int64{{0}, {1}, {2}}, src: `
+int f(int n) {
+    int a[4];
+    int *p = a;
+    int *q = 0;
+    double h = n * 0.25;
+    float z = 0.0;
+    int r = 0;
+    if (h) r += 1;
+    if (p) r += 2;
+    if (q) r += 4;
+    if (!h) r += 8;
+    if (!q) r += 16;
+    r += (h && p) * 32 + (q || h) * 64 + (z || q) * 128;
+    r += (h ? 256 : 512) + (q ? 1024 : 2048);
+    bool b = h;
+    r += b * 4096 + (bool)p * 8192 + (bool)z * 16384;
+    int k = 0;
+    while (p && k < n) { k++; }
+    for (int j = 0; h; j++) { h = h - 0.25; r++; }
+    return r + k * 100000;
+}`},
+	{name: "compound assignment carriers", args: [][]int64{{3}, {-9}}, src: `
+long f(int n) {
+    long acc = n;
+    acc <<= 36;
+    acc += n;
+    acc *= 3;
+    unsigned long ua = n;
+    ua -= 5;
+    ua >>= 3;
+    char c = n;
+    c += 300;
+    c *= n;
+    fpga_int<9> w = n;
+    w += 260;
+    w <<= 2;
+    int i = n;
+    i -= 2147483647;
+    i *= 4;
+    i += 0.75 * n;
+    unsigned u = n;
+    u += 4294967290;
+    u >>= 1;
+    u %= n + 20;
+    return acc + ua % 1000 + c + w + i + u;
+}`},
+	{name: "short-circuit costs", args: [][]int64{{0}, {3}}, src: `
+int g(int k) { return k * 2; }
+int f(int n) {
+    int hits = 0;
+    for (int i = 0; i < 6; i++) {
+        if (i > n && g(i) > 4) hits += 1;
+        if (i < n || g(i) < 0) hits += 10;
+        hits += (i & 1) && (n > 2);
+        hits += !(i == n) || !n;
+        hits += (i ? n : i) > 2;
+        int z = (n && i) + (n || i) * 2 + !i * 4;
+        hits = hits * 2 + z;
+    }
+    return hits;
+}`},
+	{name: "division by zero inside a nested expression", args: [][]int64{{5, 3}, {5, 1}, {5, -1}, {4, 2}}, src: `
+int f(int n, int d) {
+    int a = n * 3 + 1;
+    int r = (a + 2) * ((a - 1) / (d - 1)) + 5;
+    r = r - (a * 2) % (d * d - 1 + (n & 0));
+    r %= (d - 2) * n;
+    return r;
+}`},
+	{name: "budget inside a nested expression", args: [][]int64{{1}, {2}, {40}}, src: `
+int f(int n) {
+    int x = n;
+    int y = n + 1;
+    int r = 0;
+    for (int i = 0; i < n; i++) {
+        r = ((x + y) * (x - y) + (x * 3 - y * 2)) * ((x ^ y) + (x & 7) - (y | 1))
+            + (((x << 2) >> 1) - ((y % 5) + (x / 3))) + ((r + i) * (r - i) - ((x + 1) * (y + 2))) % 1000;
+        x = (x * 5 + r) % 977;
+        y = y + (x > r && r > 0 || i == 2);
+    }
+    return r + x + y;
+}`},
+	{name: "CPU and FPGA wrapping", args: [][]int64{{7}, {-3}, {100}}, src: `
+int f(int n) {
+    int m = n * 65536;
+    int sq = m * m;
+    long wide = (long)m * m;
+    fpga_int<7> s = n * 9;
+    fpga_int<7> t = s * s;
+    fpga_uint<3> u = n;
+    u++;
+    u += 7;
+    ++u;
+    s--;
+    int neg = -s + ~u;
+    unsigned char c = 255;
+    c = c + n;
+    c++;
+    bool b = n;
+    b++;
+    b += 2;
+    int carry = (m * m) >> 31;
+    int hi = (s * 1000000) * 5000;
+    return sq + (wide >> 32) + t + u * 100 + neg * 1000 + c + b * 7 + carry + (hi >> 8);
+}`},
+	{name: "typed index and switch", args: [][]int64{{1}, {2}, {5}}, src: `
+int f(int n) {
+    int a[8];
+    for (int i = 0; i < 8; i++) { a[i * 3 % 8] = i + n; }
+    char c = 'a' + n;
+    int s = 0;
+    switch (c - 1) {
+    case 'a': s = 1; break;
+    case 'b': s = a[n * 2 - 1]; break;
+    default: s = a[(unsigned char)(n + 250)];
+    }
+    for (int j = 0; j < 4; j++) { s += a[a[j] % 8] * (j + 1); }
+    return s;
+}`},
 }
 
 // edgeTightSteps is a budget that cuts most edge cases off mid-run.
