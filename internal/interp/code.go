@@ -25,9 +25,12 @@ import (
 // one compiled function is safely shared across goroutines, interpreter
 // instances, and execution modes (every mode-dependent decision reads
 // in.opts at run time).
+// An intOp is a typed integer expression (compile_expr.go): it returns
+// the bare int64 of a value whose carrier the compiler knows.
 type (
 	execOp func(in *Interp, fr *frame) control
 	evalOp func(in *Interp, fr *frame) Value
+	intOp  func(in *Interp, fr *frame) int64
 	lvOp   func(in *Interp, fr *frame) lvalue
 )
 
@@ -52,6 +55,18 @@ type compiledFunc struct {
 	frameName string
 	// err is a compile failure, raised when the function is called.
 	err *RuntimeError
+	// sites is the body's typed-path inventory.
+	sites siteCounts
+}
+
+// siteCounts counts a body's binary operators, conditions (if, for,
+// while, ?: and switch scrutinees) and index expressions, and how many
+// of each compiled typed: a binary operator over two typed operands, a
+// condition or index read as a bare int64.
+type siteCounts struct {
+	Binary, BinaryTyped int
+	Cond, CondTyped     int
+	Index, IndexTyped   int
 }
 
 // param is one parameter's compiled binding.

@@ -117,10 +117,10 @@ func sameType(a, b ctypes.Type) bool {
 	return a.Equal(b)
 }
 
-// ctScope is one compile-time lexical scope. conds lists the slots of
-// conditional declarations made in it: every execution of the scope
-// starts with none of its names defined, so those slots are emptied
-// when the scope is entered.
+// ctScope is one compile-time lexical scope; names is made by its
+// first declaration. conds lists the slots of conditional declarations
+// made in it: every execution of the scope starts with none of its
+// names defined, so those slots are emptied when the scope is entered.
 type ctScope struct {
 	names map[string]*nameRef
 	conds []int
@@ -134,13 +134,14 @@ type compiler struct {
 	// frameName is the running frame's name: the function name, or
 	// Tag::name for a method (it keys profiles and statics).
 	frameName string
-	scopes    []*ctScope
+	scopes    []ctScope
 	nslots    int
 	nvals     int
 	nconds    int
 	// boxed names the locals that keep Object storage even when scalar
 	// (see addressTaken).
 	boxed map[string]bool
+	sites siteCounts
 	// globals maps name -> declared type with Reset's last-wins
 	// semantics (the runtime map is overwritten in declaration order).
 	globals map[string]ctypes.Type
@@ -184,7 +185,16 @@ func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler
 }
 
 func (c *compiler) pushScope() {
-	c.scopes = append(c.scopes, &ctScope{names: map[string]*nameRef{}})
+	c.scopes = append(c.scopes, ctScope{})
+}
+
+// scope is the innermost scope, ready for a declaration.
+func (c *compiler) scope() *ctScope {
+	s := &c.scopes[len(c.scopes)-1]
+	if s.names == nil {
+		s.names = map[string]*nameRef{}
+	}
+	return s
 }
 
 // popScope closes the innermost scope and returns its conditional slots.
@@ -201,7 +211,7 @@ func (c *compiler) declare(name string, t ctypes.Type, isArray, cond bool) int {
 	s := c.nslots
 	c.nslots++
 	r := &nameRef{kind: refSlot, name: name, typ: t, slot: s, isArray: isArray}
-	scope := c.scopes[len(c.scopes)-1]
+	scope := c.scope()
 	if cond {
 		r.outer = c.resolve(name)
 		scope.conds = append(scope.conds, s)
@@ -216,7 +226,7 @@ func (c *compiler) declare(name string, t ctypes.Type, isArray, cond bool) int {
 func (c *compiler) declareVal(name string, t, rt ctypes.Type) *nameRef {
 	r := &nameRef{kind: refVal, name: name, typ: t, slot: c.nvals, rt: rt}
 	c.nvals++
-	c.scopes[len(c.scopes)-1].names[name] = r
+	c.scope().names[name] = r
 	return r
 }
 
@@ -331,6 +341,7 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 	c.popScope()
 	c.popScope()
 	cf.nslots, cf.nvals = c.nslots, c.nvals
+	cf.sites = c.sites
 	cf.parts = gatherPartitions(fn)
 	cf.dataflow = hasDataflow(fn)
 	return
@@ -497,7 +508,15 @@ func (c *compiler) stmt(s cast.Stmt) execOp {
 	pos := s.Pos()
 	switch x := s.(type) {
 	case *cast.ExprStmt:
-		ev := c.eval(x.X)
+		e := c.expr(x.X)
+		if iv := e.iv; iv != nil {
+			return func(in *Interp, fr *frame) control {
+				in.step(pos)
+				iv(in, fr)
+				return ctlNone
+			}
+		}
+		ev := e.value()
 		return func(in *Interp, fr *frame) control {
 			in.step(pos)
 			ev(in, fr)
@@ -602,7 +621,7 @@ func (c *compiler) condStmt(s cast.Stmt) execOp {
 
 func (c *compiler) ifStmt(x *cast.If) execOp {
 	pos, bid := x.P, x.BranchID
-	cond := c.eval(x.Cond)
+	cond := c.cond(x.Cond)
 	then := c.condStmt(x.Then)
 	var els execOp
 	if x.Else != nil {
@@ -611,7 +630,7 @@ func (c *compiler) ifStmt(x *cast.If) execOp {
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
 		in.addCost(costBranch)
-		cv := cond(in, fr).Truthy()
+		cv := cond(in, fr) != 0
 		in.recordBranch(bid, cv)
 		if cv {
 			return then(in, fr)
@@ -630,13 +649,19 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 	if f.Init != nil {
 		initOp = c.stmt(f.Init)
 	}
-	var condOp evalOp
+	var condOp intOp
 	if f.Cond != nil {
-		condOp = c.eval(f.Cond)
+		condOp = c.cond(f.Cond)
 	}
-	var postOp evalOp
+	// The post expression runs typed or generic.
+	var postI intOp
+	var postV evalOp
 	if f.Post != nil {
-		postOp = c.eval(f.Post)
+		if x := c.expr(f.Post); x.iv != nil {
+			postI = x.iv
+		} else {
+			postV = x.value()
+		}
 	}
 	body := c.condStmt(f.Body)
 	conds := c.popScope()
@@ -656,7 +681,7 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 			cond := true
 			if condOp != nil {
 				in.addCost(costBranch)
-				cond = condOp(in, fr).Truthy()
+				cond = condOp(in, fr) != 0
 			}
 			in.recordBranch(bid, cond)
 			if !cond {
@@ -668,8 +693,10 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 				in.scaleLoopCost(ls, startCost, iterations, 1)
 				return ctlNone
 			}
-			if postOp != nil {
-				postOp(in, fr)
+			if postI != nil {
+				postI(in, fr)
+			} else if postV != nil {
+				postV(in, fr)
 			}
 		}
 		in.scaleLoopCost(ls, startCost, iterations, 1)
@@ -679,7 +706,7 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 
 func (c *compiler) whileStmt(w *cast.While) execOp {
 	pos, wp, bid, doWhile := w.Pos(), w.P, w.BranchID, w.DoWhile
-	cond := c.eval(w.Cond)
+	cond := c.cond(w.Cond)
 	// A while loop opens no scope: the body runs in the enclosing one.
 	body := c.condStmt(w.Body)
 	ls := newLoopScale(w.Pragmas, w.Body)
@@ -692,7 +719,7 @@ func (c *compiler) whileStmt(w *cast.While) execOp {
 			in.step(wp)
 			if !doWhile || !first {
 				in.addCost(costBranch)
-				cv := cond(in, fr).Truthy()
+				cv := cond(in, fr) != 0
 				in.recordBranch(bid, cv)
 				if !cv {
 					break
@@ -705,7 +732,7 @@ func (c *compiler) whileStmt(w *cast.While) execOp {
 			}
 			if doWhile && first {
 				in.addCost(costBranch)
-				cv := cond(in, fr).Truthy()
+				cv := cond(in, fr) != 0
 				in.recordBranch(bid, cv)
 				if !cv {
 					break
@@ -720,8 +747,13 @@ func (c *compiler) whileStmt(w *cast.While) execOp {
 
 func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 	pos, bid := sw.P, sw.BranchID
-	xOp := c.eval(sw.X)
-	caseVals := make([]evalOp, len(sw.Cases))
+	x := c.expr(sw.X)
+	c.sites.Cond++
+	if x.iv != nil {
+		c.sites.CondTyped++
+	}
+	xOp := x.integer()
+	caseVals := make([]intOp, len(sw.Cases))
 	defaultIdx := -1
 	bodies := make([][]execOp, len(sw.Cases))
 	for i, cs := range sw.Cases {
@@ -730,7 +762,7 @@ func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 				defaultIdx = i
 			}
 		} else {
-			caseVals[i] = c.eval(cs.Value)
+			caseVals[i] = c.expr(cs.Value).integer()
 		}
 		// Case bodies run in the switch's enclosing scope with
 		// fall-through: every declaration in them is conditional.
@@ -740,14 +772,14 @@ func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 	}
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
-		v := xOp(in, fr).AsInt()
+		v := xOp(in, fr)
 		in.addCost(costBranch)
 		matched := -1
 		for i, cop := range caseVals {
 			if cop == nil {
 				continue
 			}
-			if cop(in, fr).AsInt() == v {
+			if cop(in, fr) == v {
 				matched = i
 				break
 			}
@@ -798,8 +830,11 @@ func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 		return c.arrayDecl(pos, name, t, arr, d.Init, cond)
 	}
 	// Scalar (or struct/stream) declaration.
-	initOp := c.initOp(d.Init, rt)
 	key := c.profileKey(name)
+	if s, ok := intStorage(rt); ok && c.inVals(name, t, rt) {
+		return c.intDecl(d, s, key)
+	}
+	initOp := c.initOp(d.Init, rt)
 	if c.inVals(name, t, rt) {
 		slot := c.declareVal(name, t, rt).slot
 		zero := ZeroValue(rt)
@@ -810,9 +845,7 @@ func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 				v = in.coerce(initOp(in, fr), rt).DeepCopy()
 			}
 			fr.vals[slot] = v
-			if in.opts.Profile && v.Kind == VInt {
-				in.noteProfile(key, v.Int)
-			}
+			in.profileVal(key, &v)
 			in.addCost(costStore)
 			return ctlNone
 		}
@@ -828,6 +861,31 @@ func (c *compiler) declStmt(d *cast.DeclStmt, cond bool) execOp {
 		fr.slots[slot] = b
 		if in.opts.Profile && v.Kind == VInt {
 			in.noteProfile(key, v.Int)
+		}
+		in.addCost(costStore)
+		return ctlNone
+	}
+}
+
+// intDecl compiles the declaration of a frame-slot scalar of integer
+// storage s: a zero or the narrowed initializer, of the storage's
+// carrier.
+func (c *compiler) intDecl(d *cast.DeclStmt, s intStore, key string) execOp {
+	pos, t := d.Pos(), s.intType
+	var initOp intOp
+	if d.Init != nil {
+		initOp = c.expr(d.Init).stored(s)
+	}
+	slot := c.declareVal(d.Name, d.Type, ctypes.Resolve(d.Type)).slot
+	return func(in *Interp, fr *frame) control {
+		in.step(pos)
+		var v int64
+		if initOp != nil {
+			v = in.narrow(s, initOp(in, fr))
+		}
+		fr.vals[slot] = t.value(v)
+		if in.opts.Profile {
+			in.noteProfile(key, v)
 		}
 		in.addCost(costStore)
 		return ctlNone

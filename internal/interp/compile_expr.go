@@ -10,178 +10,264 @@ import (
 	"github.com/hetero/heterogen/internal/ctypes"
 )
 
-// Expression compilation. Every evalOp costs one step (in.step(e.Pos()))
-// before its work; lvOps never step their own node, only the
-// sub-expressions they evaluate.
+// Expression compilation. Every evalOp and intOp costs one step
+// (in.step(e.Pos())) before its work; lvOps never step their own node,
+// only the sub-expressions they evaluate.
+//
+// An integer expression whose carrier (width and signedness) is known
+// at compile time compiles typed, to an intOp returning the bare int64:
+// integer, char and bool literals, sizeof, frame-slot scalars of
+// integer storage type, unary -, ~, arithmetic and shifts over typed
+// operands, casts to an integer type, and every !, comparison, && and
+// ||, whose result is a C int whatever the operands. Integer-slot
+// assignments and ++/-- are typed too. The compiler computes each
+// carrier once with promote. A
+// Value is built only where a generic consumer asks for one (value);
+// conditions, index expressions, switch scrutinees and stores to
+// integer slots read the int64. Everything else (pointers, floats,
+// structs, boxed locals, globals, receiver fields, array elements,
+// calls) stays generic. Modes stay a run-time read: compiled code is
+// shared by CPU and FPGA interpreters.
 
-func (c *compiler) eval(e cast.Expr) evalOp {
+// expr is one compiled expression: typed when iv is set, and then every
+// Value it stands for is a VInt of carrier t; ev is its generic form,
+// which value builds when it is nil. A typed leaf (a constant, or an
+// integer slot's read) gets its own generic form, built only if asked
+// for.
+type expr struct {
+	ev evalOp
+	iv intOp
+	t  intType
+
+	leaf leafKind
+	pos  ctoken.Pos
+	k    int64 // the constant, or the slot
+}
+
+type leafKind uint8
+
+const (
+	notLeaf leafKind = iota
+	constLeaf
+	slotLeaf
+)
+
+func generic(ev evalOp) expr { return expr{ev: ev} }
+
+func typed(iv intOp, t intType) expr { return expr{iv: iv, t: t} }
+
+// value is x's generic form.
+func (x expr) value() evalOp {
+	pos := x.pos
+	switch {
+	case x.ev != nil:
+		return x.ev
+	case x.leaf == constLeaf:
+		v := x.t.value(x.k)
+		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
+	case x.leaf == slotLeaf:
+		slot := int(x.k)
+		return func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			in.addCost(costLoad)
+			return fr.vals[slot]
+		}
+	}
+	iv, t := x.iv, x.t
+	return func(in *Interp, fr *frame) Value { return t.value(iv(in, fr)) }
+}
+
+// integer is x read as C reads an integer out of a value (AsInt).
+func (x expr) integer() intOp {
+	if x.iv != nil {
+		return x.iv
+	}
+	ev := x.ev
+	return func(in *Interp, fr *frame) int64 { return ev(in, fr).AsInt() }
+}
+
+// truth is x's C truth value: zero or not.
+func (x expr) truth() intOp {
+	if x.iv != nil {
+		return x.iv
+	}
+	ev := x.ev
+	return func(in *Interp, fr *frame) int64 { return boolToInt(ev(in, fr).Truthy()) }
+}
+
+// stored is x as a store to s reads it, before narrowing.
+func (x expr) stored(s intStore) intOp {
+	if s.rule == narrowBool {
+		return x.truth()
+	}
+	return x.integer()
+}
+
+// constant is an integer constant of carrier t.
+func constant(pos ctoken.Pos, v int64, t intType) expr {
+	iv := func(in *Interp, fr *frame) int64 { in.step(pos); return v }
+	return expr{iv: iv, t: t, leaf: constLeaf, pos: pos, k: v}
+}
+
+func (c *compiler) eval(e cast.Expr) evalOp { return c.expr(e).value() }
+
+// expr compiles e, typed when its carrier is known. Each subexpression
+// compiles once, and its own result decides whether its parent can be
+// typed.
+func (c *compiler) expr(e cast.Expr) expr {
 	pos := e.Pos()
 	switch x := e.(type) {
 	case *cast.IntLit:
-		v := IntValue(x.Value)
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
+		return constant(pos, x.Value, intT)
+	case *cast.CharLit:
+		return constant(pos, int64(x.Value), intType{width: 8})
+	case *cast.BoolLit:
+		return constant(pos, boolToInt(x.Value), intT)
 	case *cast.FloatLit:
 		v := FloatValue(x.Value)
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
-	case *cast.CharLit:
-		v := Value{Kind: VInt, Int: int64(x.Value), Width: 8}
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
-	case *cast.BoolLit:
-		v := BoolValue(x.Value)
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
+		return generic(func(in *Interp, fr *frame) Value { in.step(pos); return v })
 	case *cast.StrLit:
-		return func(in *Interp, fr *frame) Value { in.step(pos); return Value{Kind: VVoid} }
+		return generic(func(in *Interp, fr *frame) Value { in.step(pos); return Value{Kind: VVoid} })
 	case *cast.Ident:
-		return c.identEval(x)
+		return c.identExpr(x)
 	case *cast.Unary:
-		return c.unaryEval(x)
+		return c.unaryExpr(x)
 	case *cast.Postfix:
-		delta := int64(1)
-		if x.Op == ctoken.DEC {
-			delta = -1
-		}
-		if r := c.valRef(x.X); r != nil {
-			slot, key := r.slot, c.profileKey(r.name)
-			return func(in *Interp, fr *frame) Value {
-				in.step(pos)
-				old := fr.vals[slot]
-				in.bumpVal(fr, slot, key, delta)
-				in.addCost(costIAdd)
-				return old
-			}
-		}
-		lvO := c.lv(x.X)
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			lv := lvO(in, fr)
-			old := lv.load()
-			in.storeArith(lv, old, delta)
-			in.addCost(costIAdd)
-			return old
-		}
+		return c.postfixExpr(x)
 	case *cast.Binary:
-		return c.binaryEval(x)
+		return c.binaryExpr(x)
 	case *cast.Assign:
-		return c.assignEval(x)
+		return c.assignExpr(x)
 	case *cast.Cond:
-		bid := x.BranchID
-		cOp, tOp, fOp := c.eval(x.C), c.eval(x.T), c.eval(x.F)
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			in.addCost(costBranch)
-			cv := cOp(in, fr).Truthy()
-			in.recordBranch(bid, cv)
-			if cv {
-				return tOp(in, fr)
-			}
-			return fOp(in, fr)
-		}
+		return c.condExpr(x)
 	case *cast.Call:
-		return c.callEval(x)
+		return generic(c.callEval(x))
 	case *cast.Index:
-		lvO := c.indexLv(x)
-		if c.ambiguous(x) {
-			typeOp := c.typer(x)
-			return func(in *Interp, fr *frame) Value {
-				in.step(pos)
-				lv := lvO(in, fr)
-				if _, decay := ctypes.Resolve(typeOp(in, fr)).(ctypes.Array); decay {
-					return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-				}
-				in.addCost(costLoad)
-				return lv.load()
-			}
-		}
-		decay := false
-		if t := c.ctTypeOf(x); t != nil {
-			_, decay = ctypes.Resolve(t).(ctypes.Array)
-		}
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			lv := lvO(in, fr)
-			if decay {
-				return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-			}
-			in.addCost(costLoad)
-			return lv.load()
-		}
+		return generic(c.indexEval(x))
 	case *cast.Member:
-		return c.memberEval(x)
+		return generic(c.memberEval(x))
 	case *cast.Cast:
-		return c.castEval(x)
+		return c.castExpr(x)
 	case *cast.SizeofType:
-		v := IntValue(int64(SizeofBytes(x.T)))
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
+		return constant(pos, int64(SizeofBytes(x.T)), intT)
 	case *cast.SizeofExpr:
 		t := c.ctTypeOf(x.X)
 		if unsized(t) || c.ambiguous(x.X) {
 			// Size the bound type: a variable-length array's binding
 			// carries its concretized lengths.
 			typeOp := c.typer(x.X)
-			return func(in *Interp, fr *frame) Value {
+			return typed(func(in *Interp, fr *frame) int64 {
 				in.step(pos)
-				return IntValue(sizeofOrPointer(typeOp(in, fr)))
-			}
+				return sizeofOrPointer(typeOp(in, fr))
+			}, intT)
 		}
-		v := IntValue(sizeofOrPointer(t))
-		return func(in *Interp, fr *frame) Value { in.step(pos); return v }
+		return constant(pos, sizeofOrPointer(t), intT)
 	case *cast.InitList:
 		// Expression-position initializer lists use the node's own
 		// (unresolved) type annotation, unlike declaration initializers.
 		if st, ok := x.Type.(*ctypes.Struct); ok {
 			fieldsOp := c.structInit(st, x)
-			return func(in *Interp, fr *frame) Value {
+			return generic(func(in *Interp, fr *frame) Value {
 				in.step(pos)
 				return fieldsOp(in, fr)
-			}
+			})
 		}
 		p := x.P
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			in.fail(p, "initializer list outside declaration")
 			return Value{}
-		}
+		})
 	}
 	ee := e
-	return func(in *Interp, fr *frame) Value {
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		in.fail(pos, "unsupported expression %T", ee)
 		return Value{}
+	})
+}
+
+// intSlot is e's resolution and storage when e names a frame value slot
+// of integer storage type.
+func (c *compiler) intSlot(e cast.Expr) (*nameRef, intStore, bool) {
+	if r := c.valRef(e); r != nil {
+		if s, ok := intStorage(r.rt); ok {
+			return r, s, true
+		}
+	}
+	return nil, intStore{}, false
+}
+
+func (c *compiler) indexEval(x *cast.Index) evalOp {
+	pos := x.Pos()
+	lvO := c.indexLv(x)
+	if c.ambiguous(x) {
+		typeOp := c.typer(x)
+		return func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			lv := lvO(in, fr)
+			if _, decay := ctypes.Resolve(typeOp(in, fr)).(ctypes.Array); decay {
+				return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
+			}
+			in.addCost(costLoad)
+			return lv.load()
+		}
+	}
+	decay := false
+	if t := c.ctTypeOf(x); t != nil {
+		_, decay = ctypes.Resolve(t).(ctypes.Array)
+	}
+	return func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		lv := lvO(in, fr)
+		if decay {
+			return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
+		}
+		in.addCost(costLoad)
+		return lv.load()
 	}
 }
 
-func (c *compiler) identEval(x *cast.Ident) evalOp {
+func (c *compiler) identExpr(x *cast.Ident) expr {
 	pos, name := x.P, x.Name
 	r := c.resolve(name)
 	switch {
 	case r.kind == refVal:
 		slot := r.slot
-		return func(in *Interp, fr *frame) Value {
+		leaf := expr{leaf: slotLeaf, pos: pos, k: int64(slot)}
+		s, ok := intStorage(r.rt)
+		if !ok {
+			return generic(leaf.value())
+		}
+		// The slot holds a VInt of its storage's carrier (see frame).
+		leaf.t = s.intType
+		leaf.iv = func(in *Interp, fr *frame) int64 {
 			in.step(pos)
 			in.addCost(costLoad)
-			return fr.vals[slot]
+			return fr.vals[slot].Int
 		}
+		return leaf
 	case r.kind == refSlot && r.outer == nil:
 		slot := r.slot
 		if r.isArray {
-			return func(in *Interp, fr *frame) Value {
+			return generic(func(in *Interp, fr *frame) Value {
 				in.step(pos)
 				return Value{Kind: VPtr, Obj: fr.slots[slot].obj}
-			}
+			})
 		}
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			in.addCost(costLoad)
 			return fr.slots[slot].lv.load()
-		}
+		})
 	case r.kind == refUndef:
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			in.fail(pos, "undefined identifier %q", name)
 			return Value{}
-		}
+		})
 	}
-	return func(in *Interp, fr *frame) Value {
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		lv, b, ok := r.bind(in, fr)
 		if !ok {
@@ -193,45 +279,53 @@ func (c *compiler) identEval(x *cast.Ident) evalOp {
 		}
 		in.addCost(costLoad)
 		return lv.load()
-	}
+	})
 }
 
-func (c *compiler) unaryEval(u *cast.Unary) evalOp {
+func (c *compiler) unaryExpr(u *cast.Unary) expr {
 	pos, p := u.Pos(), u.P
 	switch u.Op {
-	case ctoken.SUB:
-		xOp := c.eval(u.X)
-		return func(in *Interp, fr *frame) Value {
+	case ctoken.SUB, ctoken.TILD:
+		x := c.expr(u.X)
+		neg := u.Op == ctoken.SUB
+		if xi, t := x.iv, x.t; xi != nil {
+			// The operand's carrier, unpromoted.
+			return typed(func(in *Interp, fr *frame) int64 {
+				in.step(pos)
+				v := xi(in, fr)
+				in.addCost(costIAdd)
+				if neg {
+					return in.wrap(-v, t)
+				}
+				return in.wrap(^v, t)
+			}, t)
+		}
+		xOp := x.value()
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			v := xOp(in, fr)
 			in.addCost(costIAdd)
-			if v.Kind == VFloat {
+			switch {
+			case !neg:
+				v.Int = in.wrap(^v.Int, carrier(&v))
+			case v.Kind == VFloat:
 				v.Float = -v.Float
-				return v
+			default:
+				v.Int = in.wrap(-v.Int, carrier(&v))
 			}
-			v.Int = in.wrap(-v.Int, &v)
 			return v
-		}
+		})
 	case ctoken.NOT:
-		xOp := c.eval(u.X)
-		return func(in *Interp, fr *frame) Value {
+		xt := c.expr(u.X).truth()
+		return typed(func(in *Interp, fr *frame) int64 {
 			in.step(pos)
-			v := xOp(in, fr)
+			zero := xt(in, fr) == 0
 			in.addCost(costIAdd)
-			return BoolValue(v.IsZero())
-		}
-	case ctoken.TILD:
-		xOp := c.eval(u.X)
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			v := xOp(in, fr)
-			in.addCost(costIAdd)
-			v.Int = in.wrap(^v.Int, &v)
-			return v
-		}
+			return boolToInt(zero)
+		}, intT)
 	case ctoken.MUL:
 		xOp := c.eval(u.X)
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			pv := xOp(in, fr)
 			if pv.Kind != VPtr {
@@ -240,17 +334,17 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 			in.checkBounds(pv, p)
 			in.addCost(costLoad)
 			return pv.Obj.Elems[pv.Off]
-		}
+		})
 	case ctoken.AND:
 		lvO := c.lv(u.X)
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
 			if len(lv.path) != 0 {
 				in.fail(p, "address of struct field is outside the subset")
 			}
 			return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-		}
+		})
 	case ctoken.INC, ctoken.DEC:
 		delta := int64(1)
 		if u.Op == ctoken.DEC {
@@ -258,65 +352,172 @@ func (c *compiler) unaryEval(u *cast.Unary) evalOp {
 		}
 		if r := c.valRef(u.X); r != nil {
 			slot, key := r.slot, c.profileKey(r.name)
-			return func(in *Interp, fr *frame) Value {
+			if s, ok := intStorage(r.rt); ok {
+				return typed(func(in *Interp, fr *frame) int64 {
+					in.step(pos)
+					v := &fr.vals[slot]
+					in.bumpVal(v, key, delta)
+					in.addCost(costIAdd)
+					return v.Int
+				}, s.intType)
+			}
+			return generic(func(in *Interp, fr *frame) Value {
 				in.step(pos)
-				in.bumpVal(fr, slot, key, delta)
+				in.bumpVal(&fr.vals[slot], key, delta)
 				in.addCost(costIAdd)
 				return fr.vals[slot]
-			}
+			})
 		}
 		lvO := c.lv(u.X)
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
 			old := lv.load()
 			in.storeArith(lv, old, delta)
 			in.addCost(costIAdd)
 			return lv.load()
-		}
+		})
 	}
 	op := u.Op
-	return func(in *Interp, fr *frame) Value {
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		in.fail(p, "unsupported unary operator %s", op)
 		return Value{}
-	}
+	})
 }
 
-func (c *compiler) binaryEval(b *cast.Binary) evalOp {
-	pos, p := b.Pos(), b.P
-	lOp := c.eval(b.L)
-	rOp := c.eval(b.R)
-	switch b.Op {
-	case ctoken.LAND:
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			in.addCost(costBranch)
-			if !lOp(in, fr).Truthy() {
-				return BoolValue(false)
-			}
-			return BoolValue(rOp(in, fr).Truthy())
-		}
-	case ctoken.LOR:
-		return func(in *Interp, fr *frame) Value {
-			in.step(pos)
-			in.addCost(costBranch)
-			if lOp(in, fr).Truthy() {
-				return BoolValue(true)
-			}
-			return BoolValue(rOp(in, fr).Truthy())
-		}
+func (c *compiler) postfixExpr(x *cast.Postfix) expr {
+	pos := x.Pos()
+	delta := int64(1)
+	if x.Op == ctoken.DEC {
+		delta = -1
 	}
-	op := b.Op
-	return func(in *Interp, fr *frame) Value {
+	if r := c.valRef(x.X); r != nil {
+		slot, key := r.slot, c.profileKey(r.name)
+		if s, ok := intStorage(r.rt); ok {
+			return typed(func(in *Interp, fr *frame) int64 {
+				in.step(pos)
+				v := &fr.vals[slot]
+				old := v.Int
+				in.bumpVal(v, key, delta)
+				in.addCost(costIAdd)
+				return old
+			}, s.intType)
+		}
+		return generic(func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			old := fr.vals[slot]
+			in.bumpVal(&fr.vals[slot], key, delta)
+			in.addCost(costIAdd)
+			return old
+		})
+	}
+	lvO := c.lv(x.X)
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
-		l := lOp(in, fr)
-		r := rOp(in, fr)
-		return in.applyBinary(op, &l, &r, p)
-	}
+		lv := lvO(in, fr)
+		old := lv.load()
+		in.storeArith(lv, old, delta)
+		in.addCost(costIAdd)
+		return old
+	})
 }
 
-func (c *compiler) assignEval(a *cast.Assign) evalOp {
+func (c *compiler) binaryExpr(b *cast.Binary) expr {
+	pos, p, op := b.Pos(), b.P, b.Op
+	l, r := c.expr(b.L), c.expr(b.R)
+	c.sites.Binary++
+	if l.iv != nil && r.iv != nil {
+		c.sites.BinaryTyped++
+	}
+	switch op {
+	case ctoken.LAND, ctoken.LOR:
+		lt, rt := l.truth(), r.truth()
+		// && stops at a false left operand, || at a true one.
+		short := boolToInt(op == ctoken.LOR)
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			in.addCost(costBranch)
+			if boolToInt(lt(in, fr) != 0) == short {
+				return short
+			}
+			return boolToInt(rt(in, fr) != 0)
+		}, intT)
+	}
+	if li, ri := l.iv, r.iv; li != nil && ri != nil {
+		if isCompare(op) {
+			return typed(func(in *Interp, fr *frame) int64 {
+				in.step(pos)
+				lv := li(in, fr)
+				rv := ri(in, fr)
+				return boolToInt(in.intCompare(op, lv, rv))
+			}, intT)
+		}
+		res, lu := promote(l.t, r.t), l.t.unsigned
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			lv := li(in, fr)
+			rv := ri(in, fr)
+			return in.intArith(op, lv, rv, lu, res, p)
+		}, res)
+	}
+	lOp, rOp := l.value(), r.value()
+	if isCompare(op) {
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			lv := lOp(in, fr)
+			rv := rOp(in, fr)
+			return in.applyBinary(op, &lv, &rv, p).Int
+		}, intT)
+	}
+	return generic(func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		lv := lOp(in, fr)
+		rv := rOp(in, fr)
+		return in.applyBinary(op, &lv, &rv, p)
+	})
+}
+
+func (c *compiler) condExpr(x *cast.Cond) expr {
+	pos, bid := x.Pos(), x.BranchID
+	cOp := c.cond(x.C)
+	t, f := c.expr(x.T), c.expr(x.F)
+	if ti, fi := t.iv, f.iv; ti != nil && fi != nil && t.t == f.t {
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			in.addCost(costBranch)
+			cv := cOp(in, fr) != 0
+			in.recordBranch(bid, cv)
+			if cv {
+				return ti(in, fr)
+			}
+			return fi(in, fr)
+		}, t.t)
+	}
+	tOp, fOp := t.value(), f.value()
+	return generic(func(in *Interp, fr *frame) Value {
+		in.step(pos)
+		in.addCost(costBranch)
+		cv := cOp(in, fr) != 0
+		in.recordBranch(bid, cv)
+		if cv {
+			return tOp(in, fr)
+		}
+		return fOp(in, fr)
+	})
+}
+
+// cond compiles the condition of an if, loop or ?: as its truth value.
+func (c *compiler) cond(e cast.Expr) intOp {
+	x := c.expr(e)
+	c.sites.Cond++
+	if x.iv != nil {
+		c.sites.CondTyped++
+	}
+	return x.truth()
+}
+
+func (c *compiler) assignExpr(a *cast.Assign) expr {
 	if r := c.valRef(a.L); r != nil {
 		return c.valAssign(a, r)
 	}
@@ -324,7 +525,7 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 	lvO := c.lv(a.L)
 	rOp := c.eval(a.R)
 	if a.Op == ctoken.ASSIGN {
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
 			// Against the destination's declared type, Ref targets
@@ -339,10 +540,10 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 			in.addCost(costStore)
 			in.profileStore(lv, v)
 			return v
-		}
+		})
 	}
 	binOp := compoundToBinary(a.Op)
-	return func(in *Interp, fr *frame) Value {
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		lv := lvO(in, fr)
 		old := lv.load()
@@ -353,17 +554,23 @@ func (c *compiler) assignEval(a *cast.Assign) evalOp {
 		in.addCost(costStore)
 		in.profileStore(lv, v)
 		return v
-	}
+	})
 }
 
 // valAssign compiles an assignment to a frame value slot: the steps,
 // costs and profile notes of a store through an lvalue, on the slot.
-func (c *compiler) valAssign(a *cast.Assign, r *nameRef) evalOp {
+// An integer slot's assignment is typed whatever its right-hand side:
+// the store narrows it to the slot's carrier.
+func (c *compiler) valAssign(a *cast.Assign, r *nameRef) expr {
 	pos, p := a.Pos(), a.P
 	slot, rt, key := r.slot, r.rt, c.profileKey(r.name)
-	rOp := c.eval(a.R)
+	rhs := c.expr(a.R)
+	if s, ok := intStorage(rt); ok {
+		return c.intAssign(a, slot, key, rt, s, rhs)
+	}
+	rOp := rhs.value()
 	if a.Op == ctoken.ASSIGN {
-		return func(in *Interp, fr *frame) Value {
+		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			v := rOp(in, fr)
 			if v.Kind == VStruct {
@@ -372,39 +579,93 @@ func (c *compiler) valAssign(a *cast.Assign, r *nameRef) evalOp {
 			v = in.coerce(v, rt)
 			fr.vals[slot] = v.DeepCopy()
 			in.addCost(costStore)
-			in.profileVal(key, v)
+			in.profileVal(key, &v)
 			return v
-		}
+		})
 	}
 	binOp := compoundToBinary(a.Op)
-	return func(in *Interp, fr *frame) Value {
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		old := fr.vals[slot]
 		r := rOp(in, fr)
 		v := in.coerce(in.applyBinary(binOp, &old, &r, p), rt)
 		fr.vals[slot] = v.DeepCopy()
 		in.addCost(costStore)
-		in.profileVal(key, v)
+		in.profileVal(key, &v)
 		return v
+	})
+}
+
+// intAssign compiles =, or a compound assignment, to an integer slot of
+// storage type rt, whose storage is s.
+func (c *compiler) intAssign(a *cast.Assign, slot int, key string, rt ctypes.Type, s intStore, rhs expr) expr {
+	pos, p, t := a.Pos(), a.P, s.intType
+	if a.Op == ctoken.ASSIGN {
+		rOp := rhs.stored(s)
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			v := in.narrow(s, rOp(in, fr))
+			in.storeInt(&fr.vals[slot], t, key, v)
+			return v
+		}, t)
+	}
+	binOp := compoundToBinary(a.Op)
+	if ri := rhs.iv; ri != nil {
+		res := promote(t, rhs.t)
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			old := fr.vals[slot].Int
+			rv := ri(in, fr)
+			v := in.narrow(s, in.intArith(binOp, old, rv, t.unsigned, res, p))
+			in.storeInt(&fr.vals[slot], t, key, v)
+			return v
+		}, t)
+	}
+	rOp := rhs.value()
+	return typed(func(in *Interp, fr *frame) int64 {
+		in.step(pos)
+		old := fr.vals[slot]
+		rv := rOp(in, fr)
+		v := in.coerce(in.applyBinary(binOp, &old, &rv, p), rt).Int
+		in.storeInt(&fr.vals[slot], t, key, v)
+		return v
+	}, t)
+}
+
+// storeInt stores v, already narrowed, to an integer slot of carrier t
+// whose Profiles key is key.
+func (in *Interp) storeInt(slot *Value, t intType, key string, v int64) {
+	*slot = t.value(v)
+	in.addCost(costStore)
+	if in.opts.Profile {
+		in.noteProfile(key, v)
 	}
 }
 
-func (c *compiler) castEval(x *cast.Cast) evalOp {
+func (c *compiler) castExpr(x *cast.Cast) expr {
 	pos := x.Pos()
 	// (T*)malloc(...) — the canonical dynamic allocation form; the
 	// inner call node is never stepped.
 	if call, ok := x.X.(*cast.Call); ok {
 		if id, ok := call.Fun.(*cast.Ident); ok && id.Name == "malloc" {
-			return c.mallocOp(pos, x.To, call)
+			return generic(c.mallocOp(pos, x.To, call))
 		}
 	}
-	xOp := c.eval(x.X)
+	sub := c.expr(x.X)
 	to := x.To
-	return func(in *Interp, fr *frame) Value {
+	if s, ok := intStorage(ctypes.Resolve(to)); ok {
+		xOp := sub.stored(s)
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			return in.narrow(s, xOp(in, fr))
+		}, s.intType)
+	}
+	xOp := sub.value()
+	return generic(func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		v := xOp(in, fr)
 		return in.coerce(v, to)
-	}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -472,31 +733,44 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 
 func (c *compiler) indexLv(ix *cast.Index) lvOp {
 	baseOp := c.eval(ix.X)
-	idxOp := c.eval(ix.Idx)
+	idx := c.expr(ix.Idx)
+	c.sites.Index++
+	if idx.iv != nil {
+		c.sites.IndexTyped++
+	}
+	idxOp := idx.integer()
 	basePos := ix.X.Pos()
 	p := ix.P
-	index := func(in *Interp, fr *frame, stride int) lvalue {
-		v := baseOp(in, fr)
-		if v.Kind != VPtr {
-			in.fail(basePos, "indexed expression is not an array or pointer")
-		}
-		idx := idxOp(in, fr).AsInt()
-		in.addCost(costIAdd)
-		pv := v
-		pv.Off += int(idx) * stride
-		in.checkBounds(pv, p)
-		return lvalue{obj: pv.Obj, off: pv.Off, declared: pv.Obj.Elem}
-	}
 	if stride, sized := strideOf(c.ctTypeOf(ix.X)); sized && !c.ambiguous(ix.X) {
-		return func(in *Interp, fr *frame) lvalue { return index(in, fr, stride) }
+		return func(in *Interp, fr *frame) lvalue {
+			v := baseOp(in, fr)
+			if v.Kind != VPtr {
+				in.fail(basePos, "indexed expression is not an array or pointer")
+			}
+			return in.element(&v, idxOp(in, fr), stride, p)
+		}
 	}
 	// The row length of a runtime-sized inner dimension is read from
 	// the bound type.
 	typeOp := c.typer(ix.X)
 	return func(in *Interp, fr *frame) lvalue {
 		stride, _ := strideOf(typeOp(in, fr))
-		return index(in, fr, stride)
+		v := baseOp(in, fr)
+		if v.Kind != VPtr {
+			in.fail(basePos, "indexed expression is not an array or pointer")
+		}
+		return in.element(&v, idxOp(in, fr), stride, p)
 	}
+}
+
+// element is the lvalue of element idx, rows of stride elements apart,
+// from the pointer base.
+func (in *Interp) element(base *Value, idx int64, stride int, p ctoken.Pos) lvalue {
+	in.addCost(costIAdd)
+	pv := *base
+	pv.Off += int(idx) * stride
+	in.checkBounds(pv, p)
+	return lvalue{obj: pv.Obj, off: pv.Off, declared: pv.Obj.Elem}
 }
 
 // strideOf is the flattened element stride of indexing an expression of

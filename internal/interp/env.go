@@ -97,6 +97,13 @@ func newTemp(name string, st *ctypes.Struct, v Value) lvalue {
 // reads and writes needs) or in slots (everything else); a
 // receiver-bound method frame also carries the receiver's storage and
 // struct type.
+//
+// A vals slot of integer storage type (int, fpga_int, bool) always holds
+// a VInt of its declared width and signedness, once its declaration or
+// parameter binding has run: every writer narrows to the storage type
+// (bindParams, declarations, =, compound assignment) or keeps the
+// carrier (++, --). Typed integer expressions read such a slot's Int by
+// the carrier the compiler knows.
 type frame struct {
 	fn       string
 	receiver lvalue

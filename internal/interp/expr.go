@@ -59,46 +59,128 @@ func (in *Interp) memberOfValue(base Value, m *cast.Member) Value {
 
 // storeArith stores old+delta into lv, handling pointers and profiling.
 func (in *Interp) storeArith(lv lvalue, old Value, delta int64) {
-	v := in.bumped(old, delta)
+	v := old
+	in.bump(&v, delta)
 	lv.store(v)
 	in.profileStore(lv, v)
 	in.addCost(costStore)
 }
 
-// bumpVal is storeArith on a frame value slot.
-func (in *Interp) bumpVal(fr *frame, slot int, key string, delta int64) {
-	v := in.bumped(fr.vals[slot], delta)
-	fr.vals[slot] = v
-	in.profileVal(key, v)
+// bumpVal is storeArith on a frame value slot, in place.
+func (in *Interp) bumpVal(slot *Value, key string, delta int64) {
+	in.bump(slot, delta)
+	in.profileVal(key, slot)
 	in.addCost(costStore)
 }
 
-// bumped is old+delta as ++ and -- store it, without coercion: a
+// bump adds delta to v as ++ and -- store it, without coercion: a
 // pointer moves, a float adds, an integer adds and wraps in FPGA mode.
-func (in *Interp) bumped(old Value, delta int64) Value {
-	switch old.Kind {
+// An integer keeps its carrier.
+func (in *Interp) bump(v *Value, delta int64) {
+	switch v.Kind {
 	case VPtr:
-		old.Off += int(delta)
+		v.Off += int(delta)
 	case VFloat:
-		old.Float += float64(delta)
+		v.Float += float64(delta)
 	default:
-		old.Int = in.wrap(old.Int+delta, &old)
+		v.Int = in.wrap(v.Int+delta, carrier(v))
 	}
-	return old
+}
+
+// intType is an integer carrier: the Width and Unsigned of a VInt.
+// The compiler knows it for every typed integer expression.
+type intType struct {
+	width    int32
+	unsigned bool
+}
+
+// intT is C int's carrier, which literals, comparisons and logical
+// operators produce.
+var intT = intType{width: 32}
+
+func carrier(v *Value) intType { return intType{v.Width, v.Unsigned} }
+
+// value is v as a Value of carrier t.
+func (t intType) value(v int64) Value {
+	return Value{Kind: VInt, Int: v, Width: t.width, Unsigned: t.unsigned}
+}
+
+// promote computes the result carrier for integer ops: widest width
+// wins, unsigned wins ties (C usual arithmetic conversions,
+// simplified), and anything narrower than int promotes to int.
+func promote(l, r intType) intType {
+	out := l
+	if r.width > l.width {
+		out = r
+	}
+	if l.width == r.width && (l.unsigned || r.unsigned) {
+		out.unsigned = true
+	}
+	if out.width < 32 {
+		out = intT
+	}
+	return out
 }
 
 // wrap applies fixed-width wrapping in FPGA mode. In CPU mode values
 // behave as int64 (the subjects stay within 64-bit ranges, matching C).
-func (in *Interp) wrap(v int64, like *Value) int64 {
-	if in.opts.Mode == FPGA && like.Width > 0 && like.Width < 64 {
-		return WrapInt(v, int(like.Width), like.Unsigned)
+func (in *Interp) wrap(v int64, t intType) int64 {
+	if in.opts.Mode == FPGA && t.width > 0 && t.width < 64 {
+		return WrapInt(v, int(t.width), t.unsigned)
+	}
+	return v
+}
+
+// storeRule is how a store narrows a value to an integer storage type.
+type storeRule uint8
+
+const (
+	narrowC    storeRule = iota // a C integer wraps to its width on every store
+	narrowFPGA                  // fpga_int<N> wraps on the fabric only
+	narrowBool                  // bool stores 0 or 1
+)
+
+// intStore is an integer storage type: the carrier of every value it
+// holds and the rule a store narrows by.
+type intStore struct {
+	intType
+	rule storeRule
+}
+
+// intStorage is the integer storage of the resolved type t; ok is false
+// for anything but an integer, fpga_int or bool.
+func intStorage(t ctypes.Type) (s intStore, ok bool) {
+	switch u := t.(type) {
+	case ctypes.Int:
+		return intStore{intType{int32(u.Width), u.Unsigned}, narrowC}, true
+	case ctypes.FPGAInt:
+		return intStore{intType{int32(u.Width), u.Unsigned}, narrowFPGA}, true
+	case ctypes.Bool:
+		return intStore{intType{1, true}, narrowBool}, true
+	}
+	return intStore{}, false
+}
+
+// narrow converts v, read as C reads an integer (a bool store reads its
+// truth), to the value storage s holds.
+func (in *Interp) narrow(s intStore, v int64) int64 {
+	switch s.rule {
+	case narrowC:
+		// C narrows on store even on CPU.
+		return WrapInt(v, int(s.width), s.unsigned)
+	case narrowFPGA:
+		if in.opts.Mode == FPGA {
+			return WrapInt(v, int(s.width), s.unsigned)
+		}
+	case narrowBool:
+		return boolToInt(v != 0)
 	}
 	return v
 }
 
 // profileVal notes a store of v to a variable whose Profiles key is
 // known at compile time.
-func (in *Interp) profileVal(key string, v Value) {
+func (in *Interp) profileVal(key string, v *Value) {
 	if in.opts.Profile && v.Kind == VInt {
 		in.noteProfile(key, v.Int)
 	}
@@ -112,8 +194,9 @@ func (in *Interp) profileStore(lv lvalue, v Value) {
 }
 
 // applyBinary applies a binary operator. The operands are passed by
-// pointer and only read: a Value is six words, and this is the VM's
-// hottest call.
+// pointer and only read: a Value is six words. Integer operands share
+// C's rules with compiled integer expressions: promote, intArith and
+// intCompare.
 func (in *Interp) applyBinary(op ctoken.Kind, l, r *Value, pos ctoken.Pos) Value {
 	// Pointer arithmetic and comparison.
 	if l.Kind == VPtr || r.Kind == VPtr {
@@ -150,57 +233,92 @@ func (in *Interp) applyBinary(op ctoken.Kind, l, r *Value, pos ctoken.Pos) Value
 		}
 		in.fail(pos, "invalid float operator %s", op)
 	}
-	li, ri := l.Int, r.Int
-	res := promote(l, r)
+	if isCompare(op) {
+		return BoolValue(in.intCompare(op, l.Int, r.Int))
+	}
+	// The result keeps the wider operand's other fields, as C's
+	// conversion to it would.
+	res := promote(carrier(l), carrier(r))
+	out := *l
+	if r.Width > l.Width {
+		out = *r
+	}
+	out.Width, out.Unsigned = res.width, res.unsigned
+	out.Int = in.intArith(op, l.Int, r.Int, l.Unsigned, res, pos)
+	return out
+}
+
+// isCompare reports whether op is a comparison, whose result is a C int
+// 0 or 1 whatever its operands.
+func isCompare(op ctoken.Kind) bool {
+	switch op {
+	case ctoken.LSS, ctoken.GTR, ctoken.LEQ, ctoken.GEQ, ctoken.EQL, ctoken.NEQ:
+		return true
+	}
+	return false
+}
+
+// intCompare applies an integer comparison.
+func (in *Interp) intCompare(op ctoken.Kind, l, r int64) bool {
+	in.addCost(costIAdd)
+	switch op {
+	case ctoken.LSS:
+		return l < r
+	case ctoken.GTR:
+		return l > r
+	case ctoken.LEQ:
+		return l <= r
+	case ctoken.GEQ:
+		return l >= r
+	case ctoken.EQL:
+		return l == r
+	}
+	return l != r
+}
+
+// intArith applies an integer arithmetic or shift operator: C's operator
+// table. lu is the left operand's signedness (>> is logical on an
+// unsigned left operand) and res the promoted carrier, which the result
+// wraps to in FPGA mode. Division and modulo by zero fail after their
+// cost is counted.
+func (in *Interp) intArith(op ctoken.Kind, l, r int64, lu bool, res intType, pos ctoken.Pos) int64 {
 	in.addCost(costForIntOp(op))
+	var v int64
 	switch op {
 	case ctoken.ADD:
-		res.Int = li + ri
+		v = l + r
 	case ctoken.SUB:
-		res.Int = li - ri
+		v = l - r
 	case ctoken.MUL:
-		res.Int = li * ri
+		v = l * r
 	case ctoken.QUO:
-		if ri == 0 {
+		if r == 0 {
 			in.fail(pos, "integer division by zero")
 		}
-		res.Int = li / ri
+		v = l / r
 	case ctoken.REM:
-		if ri == 0 {
+		if r == 0 {
 			in.fail(pos, "integer modulo by zero")
 		}
-		res.Int = li % ri
+		v = l % r
 	case ctoken.AND:
-		res.Int = li & ri
+		v = l & r
 	case ctoken.OR:
-		res.Int = li | ri
+		v = l | r
 	case ctoken.XOR:
-		res.Int = li ^ ri
+		v = l ^ r
 	case ctoken.SHL:
-		res.Int = li << uint(ri&63)
+		v = l << uint(r&63)
 	case ctoken.SHR:
-		if l.Unsigned {
-			res.Int = int64(uint64(li) >> uint(ri&63))
+		if lu {
+			v = int64(uint64(l) >> uint(r&63))
 		} else {
-			res.Int = li >> uint(ri&63)
+			v = l >> uint(r&63)
 		}
-	case ctoken.LSS:
-		return BoolValue(li < ri)
-	case ctoken.GTR:
-		return BoolValue(li > ri)
-	case ctoken.LEQ:
-		return BoolValue(li <= ri)
-	case ctoken.GEQ:
-		return BoolValue(li >= ri)
-	case ctoken.EQL:
-		return BoolValue(li == ri)
-	case ctoken.NEQ:
-		return BoolValue(li != ri)
 	default:
 		in.fail(pos, "invalid integer operator %s", op)
 	}
-	res.Int = in.wrap(res.Int, &res)
-	return res
+	return in.wrap(v, res)
 }
 
 // floatResult builds a float result, propagating the "synthesizable float"
@@ -212,23 +330,6 @@ func (in *Interp) floatResult(v float64, l, r *Value) Value {
 		// fpga_float<8,71> carries more mantissa than float64; treat as
 		// exact. Narrower custom floats would round here.
 		_ = v
-	}
-	return out
-}
-
-// promote computes the result carrier for integer ops: widest width wins,
-// unsigned wins ties (C usual arithmetic conversions, simplified).
-func promote(l, r *Value) Value {
-	out := *l
-	if r.Width > out.Width {
-		out = *r
-	}
-	if l.Width == r.Width && (l.Unsigned || r.Unsigned) {
-		out.Unsigned = true
-	}
-	if out.Width < 32 {
-		// C integer promotion to int.
-		out.Width, out.Unsigned = 32, false
 	}
 	return out
 }
@@ -314,22 +415,15 @@ func (in *Interp) coerce(v Value, t ctypes.Type) Value {
 	if t == nil {
 		return v
 	}
-	switch u := ctypes.Resolve(t).(type) {
-	case ctypes.Int:
-		out := Value{Kind: VInt, Int: v.AsInt(), Width: int32(u.Width), Unsigned: u.Unsigned}
-		// C narrows on store even on CPU.
-		if u.Width < 64 {
-			out.Int = WrapInt(out.Int, u.Width, u.Unsigned)
+	rt := ctypes.Resolve(t)
+	if s, ok := intStorage(rt); ok {
+		x := v.AsInt()
+		if s.rule == narrowBool {
+			x = boolToInt(v.Truthy())
 		}
-		return out
-	case ctypes.FPGAInt:
-		out := Value{Kind: VInt, Int: v.AsInt(), Width: int32(u.Width), Unsigned: u.Unsigned}
-		if in.opts.Mode == FPGA {
-			out.Int = WrapInt(out.Int, u.Width, u.Unsigned)
-		}
-		return out
-	case ctypes.Bool:
-		return Value{Kind: VInt, Int: boolToInt(v.Truthy()), Width: 1, Unsigned: true}
+		return s.value(in.narrow(s, x))
+	}
+	switch u := rt.(type) {
 	case ctypes.Float:
 		out := Value{Kind: VFloat, Float: v.AsFloat()}
 		if u.FK == ctypes.F32 {

@@ -54,10 +54,30 @@ int kernel(int n) {
     return total;
 }`
 
+// typedSites pins, per subject, how many binary operators, conditions
+// and index expressions its functions hold and how many of each compile
+// typed (interp.SiteCounts). A change that moves sites off the typed
+// path, or onto it, shows here; only a deliberate change to the typing
+// rule may update the table.
+var typedSites = map[string]interp.SiteCounts{
+	"P1":   {Binary: 15, BinaryTyped: 0, Cond: 0, CondTyped: 0, Index: 3, IndexTyped: 3},
+	"P2":   {Binary: 17, BinaryTyped: 1, Cond: 1, CondTyped: 1, Index: 2, IndexTyped: 2},
+	"P3":   {Binary: 35, BinaryTyped: 32, Cond: 15, CondTyped: 15, Index: 19, IndexTyped: 19},
+	"P4":   {Binary: 29, BinaryTyped: 29, Cond: 10, CondTyped: 10, Index: 6, IndexTyped: 6},
+	"P5":   {Binary: 22, BinaryTyped: 11, Cond: 13, CondTyped: 13, Index: 2, IndexTyped: 1},
+	"P6":   {Binary: 12, BinaryTyped: 11, Cond: 5, CondTyped: 5, Index: 3, IndexTyped: 3},
+	"P7":   {Binary: 4, BinaryTyped: 3, Cond: 3, CondTyped: 3, Index: 7, IndexTyped: 7},
+	"P8":   {Binary: 21, BinaryTyped: 11, Cond: 10, CondTyped: 10, Index: 4, IndexTyped: 2},
+	"P9":   {Binary: 82, BinaryTyped: 67, Cond: 15, CondTyped: 15, Index: 20, IndexTyped: 20},
+	"P10":  {Binary: 18, BinaryTyped: 18, Cond: 8, CondTyped: 8, Index: 2, IndexTyped: 2},
+	"fig2": {Binary: 11, BinaryTyped: 5, Cond: 9, CondTyped: 9, Index: 0, IndexTyped: 0},
+}
+
 // TestSubjectsCompile checks that every function defined by the
 // evaluation subjects and the Figure 2 kernel compiles without a compile
 // error — methods as members of their struct — so none of them faults
-// when it is called.
+// when it is called, and that each subject's typed-path inventory is the
+// one typedSites pins.
 func TestSubjectsCompile(t *testing.T) {
 	type subject struct {
 		id string
@@ -70,13 +90,16 @@ func TestSubjectsCompile(t *testing.T) {
 	all = append(all, subject{"fig2", cparser.MustParse(figure2Kernel)})
 	for _, s := range all {
 		code := interp.NewCodebase()
+		var sites interp.SiteCounts
 		check := func(fn *cast.FuncDecl, recv *ctypes.Struct) {
 			if fn.Body == nil {
 				return
 			}
-			if err := interp.CompileInto(code, s.u, fn, recv); err != nil {
+			fs, err := interp.CompileInto(code, s.u, fn, recv)
+			if err != nil {
 				t.Errorf("%s: %s: %v", s.id, fn.Name, err)
 			}
+			sites = sites.Add(fs)
 		}
 		for _, d := range s.u.Decls {
 			switch x := d.(type) {
@@ -87,6 +110,9 @@ func TestSubjectsCompile(t *testing.T) {
 					check(m, x.Type)
 				}
 			}
+		}
+		if want := typedSites[s.id]; sites != want {
+			t.Errorf("%s: typed-path inventory %+v, pinned %+v", s.id, sites, want)
 		}
 	}
 }

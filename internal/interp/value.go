@@ -295,13 +295,11 @@ func WrapInt(v int64, width int, unsigned bool) int64 {
 // whole Objects, so asking for an array zero yields a null pointer (array
 // storage is created by the declaration site, not here).
 func ZeroValue(t ctypes.Type) Value {
-	switch u := ctypes.Resolve(t).(type) {
-	case ctypes.Int:
-		return Value{Kind: VInt, Width: int32(u.Width), Unsigned: u.Unsigned}
-	case ctypes.FPGAInt:
-		return Value{Kind: VInt, Width: int32(u.Width), Unsigned: u.Unsigned}
-	case ctypes.Bool:
-		return Value{Kind: VInt, Width: 1, Unsigned: true}
+	rt := ctypes.Resolve(t)
+	if s, ok := intStorage(rt); ok {
+		return s.value(0)
+	}
+	switch u := rt.(type) {
 	case ctypes.Float:
 		return Value{Kind: VFloat}
 	case ctypes.FPGAFloat:
