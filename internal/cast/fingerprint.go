@@ -35,17 +35,24 @@ import (
 // the stable declarations re-hash once, which is noise.
 const fingerprintMemoCap = 512
 
-// Fingerprints memoizes per-declaration hashes across the candidates of
-// one repair search. The zero value and nil are both usable (every
-// lookup misses); methods are safe for concurrent use.
+// Fingerprints memoizes per-declaration hashes and line counts across
+// the candidates of one repair search. The zero value and nil are both
+// usable (every lookup misses); methods are safe for concurrent use.
 type Fingerprints struct {
 	mu sync.Mutex
-	m  map[Decl]string
+	m  map[Decl]declPrint
+}
+
+// declPrint is what printing one declaration yields: its hash and its
+// non-blank line count.
+type declPrint struct {
+	hash  string
+	lines int
 }
 
 // NewFingerprints returns an empty memo.
 func NewFingerprints() *Fingerprints {
-	return &Fingerprints{m: make(map[Decl]string)}
+	return &Fingerprints{m: make(map[Decl]declPrint)}
 }
 
 // Unit composes the content fingerprint of u from per-declaration
@@ -56,18 +63,28 @@ func (f *Fingerprints) Unit(u *Unit) string {
 	hashPart(h, "unit")
 	hashPart(h, strconv.Itoa(u.NumBranches))
 	for _, d := range u.Decls {
-		hashPart(h, f.decl(d))
+		hashPart(h, f.decl(d).hash)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// decl returns the hash of one declaration, memoized by pointer
-// identity. Structure-sharing candidates keep the identity of every
-// unedited declaration (functions, structs, globals alike), so after an
-// edit only the edited declaration is rehashed.
-func (f *Fingerprints) decl(d Decl) string {
+// Lines is CountLines(u), summed from per-declaration counts: Print
+// separates declarations by line breaks, so no line spans two of them.
+func (f *Fingerprints) Lines(u *Unit) int {
+	n := 0
+	for _, d := range u.Decls {
+		n += f.decl(d).lines
+	}
+	return n
+}
+
+// decl returns the hash and line count of one declaration, memoized by
+// pointer identity. Structure-sharing candidates keep the identity of
+// every unedited declaration (functions, structs, globals alike), so
+// after an edit only the edited declaration is reprinted.
+func (f *Fingerprints) decl(d Decl) declPrint {
 	if f == nil {
-		return hashDecl(d)
+		return printDecl(d)
 	}
 	f.mu.Lock()
 	if fp, ok := f.m[d]; ok {
@@ -75,10 +92,10 @@ func (f *Fingerprints) decl(d Decl) string {
 		return fp
 	}
 	f.mu.Unlock()
-	fp := hashDecl(d)
+	fp := printDecl(d)
 	f.mu.Lock()
 	if f.m == nil || len(f.m) >= fingerprintMemoCap {
-		f.m = make(map[Decl]string)
+		f.m = make(map[Decl]declPrint)
 	}
 	f.m[d] = fp
 	f.mu.Unlock()
@@ -91,11 +108,12 @@ func FingerprintUnit(u *Unit) string {
 	return (*Fingerprints)(nil).Unit(u)
 }
 
-func hashDecl(d Decl) string {
+func printDecl(d Decl) declPrint {
+	text := PrintDecl(d)
 	h := sha256.New()
 	hashPart(h, "decl")
-	hashPart(h, PrintDecl(d))
-	return hex.EncodeToString(h.Sum(nil))
+	hashPart(h, text)
+	return declPrint{hash: hex.EncodeToString(h.Sum(nil)), lines: countLines(text)}
 }
 
 func hashPart(h interface{ Write([]byte) (int, error) }, p string) {

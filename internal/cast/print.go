@@ -49,12 +49,16 @@ func PrintExpr(e Expr) string {
 
 // CountLines returns the number of non-blank source lines in the printed
 // form of u — the unit of measure for the paper's LOC comparisons.
-func CountLines(u *Unit) int {
+func CountLines(u *Unit) int { return countLines(Print(u)) }
+
+func countLines(text string) int {
 	n := 0
-	for _, line := range strings.Split(Print(u), "\n") {
+	for text != "" {
+		line, rest, _ := strings.Cut(text, "\n")
 		if strings.TrimSpace(line) != "" {
 			n++
 		}
+		text = rest
 	}
 	return n
 }

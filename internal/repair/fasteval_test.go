@@ -9,6 +9,7 @@ import (
 	"github.com/hetero/heterogen/internal/difftest"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/interp"
+	"github.com/hetero/heterogen/internal/subjects"
 )
 
 // aliasSrc has several functions, pragmas on declarations and in
@@ -186,6 +187,49 @@ func TestRunnerMatchesOneShotRun(t *testing.T) {
 			want := difftest.Run(orig, full, "kernel", cfg, tests)
 			if got := runner.Run(c.Unit); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d, %s:\n  runner:   %+v\n  one-shot: %+v", round, c.Describe(), got, want)
+			}
+		}
+	}
+}
+
+// TestFingerprintLinesMatchCountLines checks the memoized line count
+// computeScore charges compilation by against cast.CountLines, on
+// P1–P10, the Figure 2 kernel, and two generations of candidates grown
+// from each through one shared memo (structure-sharing candidates hit it
+// for every unedited declaration). -short keeps the first generation.
+func TestFingerprintLinesMatchCountLines(t *testing.T) {
+	ids := []string{"fig2"}
+	units := []*cast.Unit{cparser.MustParse(treeKernel)}
+	for _, s := range subjects.All() {
+		ids, units = append(ids, s.ID), append(units, s.MustParse())
+	}
+	for i, u := range units {
+		id := ids[i]
+		fps := cast.NewFingerprints()
+		check := func(what string, u *cast.Unit) {
+			if got, want := fps.Lines(u), cast.CountLines(u); got != want {
+				t.Errorf("%s %s: memoized line count %d, CountLines %d", id, what, got, want)
+			}
+		}
+		check("unit", u)
+		st := NewState()
+		st.FastClone = true
+		cands := append(RandomCandidates(u, nil, st), PerfCandidates(u, st)...)
+		if len(cands) == 0 {
+			t.Errorf("%s: no candidates", id)
+		}
+		for _, c := range cands {
+			check(c.Describe(), c.Unit)
+			if testing.Short() {
+				continue
+			}
+			st2 := NewState()
+			st2.FastClone = true
+			for _, e := range c.Edits {
+				st2.MarkApplied(e)
+			}
+			for _, c2 := range append(RandomCandidates(c.Unit, nil, st2), PerfCandidates(c.Unit, st2)...) {
+				check(c.Describe()+" ; "+c2.Describe(), c2.Unit)
 			}
 		}
 	}

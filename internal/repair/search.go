@@ -561,10 +561,10 @@ func (s *searcher) computeOutcome(u *cast.Unit) evalOutcome {
 // testing with latency simulation. It returns the deterministic cost
 // inputs alongside the score.
 func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score, failure *guard.StageFailure) {
-	lines = cast.CountLines(u)
-	// fp is the candidate's content key for cache lookups and guard
-	// invocations: its incremental fingerprint, recombined from memoized
-	// per-declaration hashes in O(edit) for structure-sharing clones.
+	// The line count and fp, the candidate's content key for cache
+	// lookups and guard invocations, are recombined from memoized
+	// per-declaration prints in O(edit) for structure-sharing clones.
+	lines = s.fps.Lines(u)
 	var fp string
 	if s.cache != nil {
 		fp = s.fps.Unit(u)
