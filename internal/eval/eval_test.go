@@ -46,6 +46,11 @@ func TestTable3Shape(t *testing.T) {
 			if s.HRSupported != run.HRSucceeded {
 				t.Errorf("%s: HR success=%v, Table 5 expects %v", s.ID, run.HRSucceeded, s.HRSupported)
 			}
+			// Table 5: where HeteroRefactor applies, its version is
+			// slower than HeteroGen's.
+			if (s.ID == "P3" || s.ID == "P8") && !(run.RuntimeHRMS > run.RuntimeHGMS) {
+				t.Errorf("%s: HR runtime %.3fms not above HG's %.3fms", s.ID, run.RuntimeHRMS, run.RuntimeHGMS)
+			}
 			log := strings.Join(run.EditLog, " ")
 			for _, want := range s.ExpectedEdits {
 				if !strings.Contains(log, want) {
@@ -141,6 +146,28 @@ func TestCapSuite(t *testing.T) {
 	// Zero cap disables capping.
 	if got := capSuite(mk(100), 0); len(got) != 100 {
 		t.Errorf("zero cap should disable: %d", len(got))
+	}
+}
+
+// TestFigure9Shape checks Figure 9's ordering on every subject: the
+// dependence-guided search repairs no slower than random edit order, and
+// invokes the full toolchain on no larger a share of its attempts than
+// the search without the style checker.
+func TestFigure9Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation integration test")
+	}
+	runs, err := RunAllAblations(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if r.HGMinutes > r.WithoutDepMinutes {
+			t.Errorf("%s: HG %.1f min, slower than WithoutDependence's %.1f", r.ID, r.HGMinutes, r.WithoutDepMinutes)
+		}
+		if r.HGInvokePct > r.WithoutCheckerPct {
+			t.Errorf("%s: HG invokes HLS on %.0f%% of attempts, above WithoutChecker's %.0f%%", r.ID, r.HGInvokePct, r.WithoutCheckerPct)
+		}
 	}
 }
 
