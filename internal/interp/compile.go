@@ -653,15 +653,9 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 	if f.Cond != nil {
 		condOp = c.cond(f.Cond)
 	}
-	// The post expression runs typed or generic.
-	var postI intOp
-	var postV evalOp
+	var postOp intOp
 	if f.Post != nil {
-		if x := c.expr(f.Post); x.iv != nil {
-			postI = x.iv
-		} else {
-			postV = x.value()
-		}
+		postOp = c.expr(f.Post).discard()
 	}
 	body := c.condStmt(f.Body)
 	conds := c.popScope()
@@ -693,10 +687,8 @@ func (c *compiler) forStmt(f *cast.For) execOp {
 				in.scaleLoopCost(ls, startCost, iterations, 1)
 				return ctlNone
 			}
-			if postI != nil {
-				postI(in, fr)
-			} else if postV != nil {
-				postV(in, fr)
+			if postOp != nil {
+				postOp(in, fr)
 			}
 		}
 		in.scaleLoopCost(ls, startCost, iterations, 1)
@@ -747,12 +739,7 @@ func (c *compiler) whileStmt(w *cast.While) execOp {
 
 func (c *compiler) switchStmt(sw *cast.Switch) execOp {
 	pos, bid := sw.P, sw.BranchID
-	x := c.expr(sw.X)
-	c.sites.Cond++
-	if x.iv != nil {
-		c.sites.CondTyped++
-	}
-	xOp := x.integer()
+	xOp := c.condSite(c.expr(sw.X)).integer()
 	caseVals := make([]intOp, len(sw.Cases))
 	defaultIdx := -1
 	bodies := make([][]execOp, len(sw.Cases))

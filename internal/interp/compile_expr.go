@@ -103,6 +103,15 @@ func (x expr) stored(s intStore) intOp {
 	return x.integer()
 }
 
+// discard is x run for its side effects only.
+func (x expr) discard() intOp {
+	if x.iv != nil {
+		return x.iv
+	}
+	ev := x.ev
+	return func(in *Interp, fr *frame) int64 { ev(in, fr); return 0 }
+}
+
 // constant is an integer constant of carrier t.
 func constant(pos ctoken.Pos, v int64, t intType) expr {
 	iv := func(in *Interp, fr *frame) int64 { in.step(pos); return v }
@@ -185,17 +194,6 @@ func (c *compiler) expr(e cast.Expr) expr {
 		in.fail(pos, "unsupported expression %T", ee)
 		return Value{}
 	})
-}
-
-// intSlot is e's resolution and storage when e names a frame value slot
-// of integer storage type.
-func (c *compiler) intSlot(e cast.Expr) (*nameRef, intStore, bool) {
-	if r := c.valRef(e); r != nil {
-		if s, ok := intStorage(r.rt); ok {
-			return r, s, true
-		}
-	}
-	return nil, intStore{}, false
 }
 
 func (c *compiler) indexEval(x *cast.Index) evalOp {
@@ -508,13 +506,16 @@ func (c *compiler) condExpr(x *cast.Cond) expr {
 }
 
 // cond compiles the condition of an if, loop or ?: as its truth value.
-func (c *compiler) cond(e cast.Expr) intOp {
-	x := c.expr(e)
+func (c *compiler) cond(e cast.Expr) intOp { return c.condSite(c.expr(e)).truth() }
+
+// condSite counts x, a condition or switch scrutinee, in the typed-path
+// inventory.
+func (c *compiler) condSite(x expr) expr {
 	c.sites.Cond++
 	if x.iv != nil {
 		c.sites.CondTyped++
 	}
-	return x.truth()
+	return x
 }
 
 func (c *compiler) assignExpr(a *cast.Assign) expr {
