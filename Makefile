@@ -69,7 +69,7 @@ bench-obs:
 # and the subjects' compile check, plus the shared-Codebase race test.
 # `make check` runs the same belt at its 200-seed default.
 interp-diff-smoke:
-	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes|TestSubjectsCompile' -v ./internal/interp/
+	INTERP_DIFF=1 $(GO) test -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes|TestSubjectsCompile|TestIntSlotsKeepCarrier' -v ./internal/interp/
 	$(GO) test -race -run TestCodebaseSharedConcurrently ./internal/interp/
 
 # Fixed-seed conformance smoke: 100 generated kernels with planted HLS
