@@ -236,8 +236,8 @@ func (in *Interp) applyBinary(op ctoken.Kind, l, r *Value, pos ctoken.Pos) Value
 	if isCompare(op) {
 		return BoolValue(in.intCompare(op, l.Int, r.Int))
 	}
-	// The result keeps the wider operand's other fields, as C's
-	// conversion to it would.
+	// The result copies the wider operand (the left one on a tie),
+	// kind included; only its carrier and value change.
 	res := promote(carrier(l), carrier(r))
 	out := *l
 	if r.Width > l.Width {
