@@ -713,6 +713,194 @@ int f(int n) {
     for (int j = 0; j < 4; j++) { s += a[a[j] % 8] * (j + 1); }
     return s;
 }`},
+	{name: "integer element arrays", args: [][]int64{{3}, {-7}, {100}}, src: `
+long f(int n) {
+    char c[4];
+    unsigned u[4];
+    bool b[4];
+    fpga_int<6> s[4];
+    fpga_uint<5> w[4];
+    for (int i = 0; i < 4; i++) {
+        c[i] = n * 40 + i;
+        u[i] = n - i;
+        b[i] = n & i;
+        s[i] = n * 9 + i;
+        w[i] = n * 11 - i;
+    }
+    c[1] += 200;
+    u[2] *= n;
+    b[3] += 2;
+    s[0] -= 50;
+    w[1] <<= 3;
+    c[2]++;
+    --u[3];
+    b[0]--;
+    s[2]++;
+    w[3]--;
+    long r = 0;
+    for (int i = 0; i < 4; i++) {
+        r = r * 7 + c[i] + (u[i] >> 28) + b[i] * 3 + s[i] * 5 + w[i];
+        r += (c[i] < s[i]) + (u[i] > w[i]) * 2;
+    }
+    return r + c[0] * u[1] + (s[1] >> 2) + (w[2] >> 1) + !b[1];
+}`},
+	{name: "two-dimensional element array", args: [][]int64{{2}, {5}}, src: `
+int f(int n) {
+    int m[3][4];
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 4; j++) { m[i][j] = i * n + j; }
+    }
+    m[1][2] += m[2][3] * 2;
+    m[2][0]++;
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 4; j++) { s = s * 3 + m[i][j]; }
+    }
+    return s + m[n % 3][n % 4];
+}`},
+	{name: "global element arrays", args: [][]int64{{2}, {7}}, src: `
+int g[6];
+unsigned char h[3] = {250, 5, 7};
+int f(int n) {
+    for (int i = 0; i < 6; i++) { g[i] = g[i] + i * n; }
+    h[0] += n;
+    h[1] = h[0] * 3;
+    g[n % 6] -= h[2]++;
+    return g[0] + g[1] * 10 + g[5] * 100 + h[0] + h[1] * 1000 + h[2];
+}`},
+	{name: "pointer parameter passed p + 1", args: [][]int64{{3}, {9}}, src: `
+int fill(int *p, int k) {
+    for (int i = 0; i < k; i++) { p[i] = p[i - 1] + i; }
+    p[k - 1] *= 2;
+    return p[0] + p[-1];
+}
+int f(int n) {
+    int a[6];
+    a[0] = n;
+    int r = fill(a + 1, 4);
+    int *q = a + 2;
+    q[1]++;
+    if (n > 4) { r += fill(a + 3, n); }
+    return r * 1000 + a[1] + a[2] * 10 + a[3] * 100 + a[4] + a[5] + q[-2];
+}`},
+	{name: "element increments that wrap", args: [][]int64{{1}, {-4}}, src: `
+int f(int n) {
+    unsigned char c[2];
+    fpga_int<4> s[2];
+    fpga_uint<3> w[2];
+    int big[2];
+    c[0] = 255;
+    c[1] = 0;
+    s[0] = 7;
+    s[1] = -8;
+    w[0] = 7;
+    w[1] = 0;
+    big[0] = 2147483647;
+    big[1] = n;
+    c[0]++;
+    c[1]--;
+    s[0]++;
+    s[1]--;
+    w[0]++;
+    --w[1];
+    int o = big[0]++;
+    ++big[0];
+    int p = c[0]++ + s[0]-- + w[0]++ + --big[1];
+    return c[0] + c[1] * 10 + s[0] * 100 + s[1] * 1000 + w[0] + w[1] * 7 + big[0] + o + p;
+}`},
+	{name: "element division by zero inside a nested expression", args: [][]int64{{5, 3}, {5, 1}, {5, -1}, {4, 2}}, src: `
+int f(int n, int d) {
+    int a[4];
+    for (int i = 0; i < 4; i++) { a[i] = n * i + d; }
+    int r = (a[1] + 2) * (a[2] - (a[3] /= (d - 1))) + 5;
+    a[0] %= (d * d - 1);
+    r += a[(a[2] / (d + 1)) & 3] * 3;
+    return r + a[0] + a[3];
+}`},
+	{name: "element faults inside typed parents", args: [][]int64{{0}, {1}, {2}, {3}, {4}, {5}}, src: `
+int f(int n) {
+    int a[4];
+    for (int i = 0; i < 4; i++) { a[i] = i + 1; }
+    int *z = 0;
+    int s = a[0] * 2;
+    if (n == 1) { s += (a[n + 3] + 1) * 2; }
+    if (n == 2) {
+        int *heap = (int *)malloc(4 * sizeof(int));
+        heap[0] = 5;
+        s += heap[0];
+        free(heap);
+        s = s - heap[1] * 3;
+    }
+    if (n == 3) { s = (z[1] << 2) + s; }
+    if (n == 4) { a[n] += 5; }
+    if (n == 5) { s += a[1]++ * (z[0] = 3); }
+    return s;
+}`},
+	{name: "budget inside an index", args: [][]int64{{2, 0}, {2, 1}, {2, 2}, {2, 3}, {2, 4}, {40, 0}}, src: `
+int f(int n, int w) {
+    int a[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+    int b[8] = {7, 6, 5, 4, 3, 2, 1, 0};
+    int s = 0;
+    for (int j = 0; j < w; j++) { }
+    for (int k = 0; k < n; k++) {
+        s += a[b[a[(k + s) & 7] & 7] & 7] * b[a[b[k & 7] & 7] & 7];
+        a[b[k & 7] & 7] += b[a[(s + k) & 7] & 7];
+    }
+    return s;
+}`},
+	{name: "chained store through a char element", args: [][]int64{{1}, {-3}}, src: `
+int f(int n) {
+    char c[4];
+    unsigned char u[4];
+    bool b[2];
+    int x = c[n & 3] = 300;
+    int y = u[1] = c[n & 3] = n * 100;
+    long z = (c[2] = 200) + (u[2] = -1);
+    int t = b[0] = n;
+    return x + y * 1000 + z + t + c[n & 3];
+}`},
+	{name: "profile notes of element stores", args: [][]int64{{3}, {-2}}, src: `
+void put(int *p, int v) {
+    p[0] = v;
+    p[1] += v;
+    p[2]++;
+}
+int f(int n) {
+    int a[4];
+    int acc[3];
+    a[0] = n;
+    a[1] = -n;
+    a[2] = 0;
+    a[3] = n * n;
+    acc[0] = 0;
+    acc[1] = 0;
+    acc[2] = 0;
+    for (int i = 0; i < 4; i++) {
+        acc[i & 1] += a[i];
+        a[i]--;
+    }
+    put(a, n * 3);
+    put(acc, -7);
+    return acc[0] + acc[1] + a[0] + a[1] + a[2];
+}`},
+	{name: "view through another integer type", args: [][]int64{{3}, {-7}}, src: `
+long f(int n) {
+    int a[4];
+    a[0] = n;
+    a[1] = -5;
+    a[2] = 300;
+    a[3] = n * 1000;
+    unsigned int *q = (unsigned int *)a;
+    unsigned char *c = (unsigned char *)a;
+    long r = q[1] >> 28;
+    r = r * 1000 + c[2] + (c[3] >> 1);
+    r = r * 100 + (q[0] > 7) + *q + *(c + 1);
+    c[0] = 511;
+    q[3] += 1;
+    c[1]++;
+    r = r * 10 + a[0] + a[1] + a[3] + c[0] + q[3];
+    return r;
+}`},
 }
 
 // edgeTightSteps is a budget that cuts most edge cases off mid-run.
