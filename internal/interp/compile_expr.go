@@ -214,6 +214,14 @@ func (c *compiler) indexEval(x *cast.Index) evalOp {
 	decay := false
 	if t := c.ctTypeOf(x); t != nil {
 		_, decay = ctypes.Resolve(t).(ctypes.Array)
+		if s, ok := intStorage(ctypes.Resolve(t)); ok {
+			return func(in *Interp, fr *frame) Value {
+				in.step(pos)
+				lv := lvO(in, fr)
+				in.addCost(costLoad)
+				return in.pointee(s, lv.load())
+			}
+		}
 	}
 	return func(in *Interp, fr *frame) Value {
 		in.step(pos)
@@ -323,6 +331,8 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 		}, intT)
 	case ctoken.MUL:
 		xOp := c.eval(u.X)
+		s, toInt := intStorage(ctypes.Resolve(c.ctTypeOf(u)))
+		toInt = toInt && !c.ambiguous(u)
 		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			pv := xOp(in, fr)
@@ -331,6 +341,9 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 			}
 			in.checkBounds(pv, p)
 			in.addCost(costLoad)
+			if toInt {
+				return in.pointee(s, pv.Obj.Elems[pv.Off])
+			}
 			return pv.Obj.Elems[pv.Off]
 		})
 	case ctoken.AND:

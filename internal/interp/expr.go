@@ -161,6 +161,32 @@ func intStorage(t ctypes.Type) (s intStore, ok bool) {
 	return intStore{}, false
 }
 
+// holds reports whether v is a VInt of carrier t.
+func (t intType) holds(v *Value) bool {
+	return v.Kind == VInt && v.Width == t.width && v.Unsigned == t.unsigned
+}
+
+// convert is v converted to integer storage s as a cast or a store
+// converts it: C's integer value (a bool reads its truth), narrowed.
+func (in *Interp) convert(s intStore, v *Value) int64 {
+	x := v.AsInt()
+	if s.rule == narrowBool {
+		x = boolToInt(v.Truthy())
+	}
+	return in.narrow(s, x)
+}
+
+// pointee is element v read through a pointer whose pointee type has
+// integer storage s: an element of another carrier reads as a cast to
+// the pointee type would convert it (an int read through an unsigned
+// int pointer reads unsigned).
+func (in *Interp) pointee(s intStore, v Value) Value {
+	if s.holds(&v) {
+		return v
+	}
+	return s.value(in.convert(s, &v))
+}
+
 // narrow converts v, read as C reads an integer (a bool store reads its
 // truth), to the value storage s holds.
 func (in *Interp) narrow(s intStore, v int64) int64 {
@@ -417,11 +443,7 @@ func (in *Interp) coerce(v Value, t ctypes.Type) Value {
 	}
 	rt := ctypes.Resolve(t)
 	if s, ok := intStorage(rt); ok {
-		x := v.AsInt()
-		if s.rule == narrowBool {
-			x = boolToInt(v.Truthy())
-		}
-		return s.value(in.narrow(s, x))
+		return s.value(in.convert(s, &v))
 	}
 	switch u := rt.(type) {
 	case ctypes.Float:
