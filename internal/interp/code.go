@@ -60,13 +60,17 @@ type compiledFunc struct {
 }
 
 // siteCounts counts a body's binary operators, conditions (if, for,
-// while, ?: and switch scrutinees) and index expressions, and how many
-// of each compiled typed: a binary operator over two typed operands, a
-// condition or index read as a bare int64.
+// while, ?: and switch scrutinees), index expressions, and array element
+// loads and stores (=, compound assignment, ++ and --), and how many of
+// each compiled typed: a binary operator over two typed operands, a
+// condition or index read as a bare int64, an integer element loaded or
+// stored as one.
 type siteCounts struct {
 	Binary, BinaryTyped int
 	Cond, CondTyped     int
 	Index, IndexTyped   int
+	Load, LoadTyped     int
+	Store, StoreTyped   int
 }
 
 // param is one parameter's compiled binding.

@@ -1039,10 +1039,7 @@ func (c *compiler) initLeaves(init cast.Expr) []evalOp {
 // are never evaluated).
 func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []evalOp, fr *frame) *Object {
 	obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
-	zero := ZeroValue(elem)
-	for i := range obj.Elems {
-		obj.Elems[i] = zero.DeepCopy()
-	}
+	fillZero(obj.Elems, elem)
 	for i, leaf := range leafOps {
 		if i >= total {
 			break
@@ -1050,6 +1047,21 @@ func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []e
 		obj.Elems[i] = in.coerce(leaf(in, fr), elem).DeepCopy()
 	}
 	return obj
+}
+
+// fillZero sets every element to the zero value of elem, each with a
+// struct value of its own.
+func fillZero(elems []Value, elem ctypes.Type) {
+	zero := ZeroValue(elem)
+	if zero.Aggregate == nil {
+		for i := range elems {
+			elems[i] = zero
+		}
+		return
+	}
+	for i := range elems {
+		elems[i] = zero.DeepCopy()
+	}
 }
 
 // initOp compiles a scalar declaration's initializer: a struct

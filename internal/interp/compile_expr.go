@@ -17,17 +17,24 @@ import (
 // An integer expression whose carrier (width and signedness) is known
 // at compile time compiles typed, to an intOp returning the bare int64:
 // integer, char and bool literals, sizeof, frame-slot scalars of
-// integer storage type, unary -, ~, arithmetic and shifts over typed
-// operands, casts to an integer type, and every !, comparison, && and
-// ||, whose result is a C int whatever the operands. Integer-slot
-// assignments and ++/-- are typed too. The compiler computes each
-// carrier once with promote. A
-// Value is built only where a generic consumer asks for one (value);
-// conditions, index expressions, switch scrutinees and stores to
-// integer slots read the int64. Everything else (pointers, floats,
-// structs, boxed locals, globals, receiver fields, array elements,
+// integer storage type, array elements of integer storage type
+// (intElem), unary -, ~, arithmetic and shifts over typed operands,
+// casts to an integer type, and every !, comparison, && and ||, whose
+// result is a C int whatever the operands. Assignments and ++/-- to
+// integer slots and elements are typed too. The compiler computes each
+// carrier once with promote. A Value is built only where a generic
+// consumer asks for one (value); conditions, index expressions, switch
+// scrutinees and integer stores read the int64. Everything else
+// (pointers, floats, structs, boxed locals, globals, receiver fields,
 // calls) stays generic. Modes stay a run-time read: compiled code is
 // shared by CPU and FPGA interpreters.
+//
+// Element loads and stores compute the element's address with one
+// routine, elemAddr. A typed load checks the element's carrier against
+// the static one and converts an element of another carrier as a cast
+// would (the pointer's pointee type decides, as in C); a typed store
+// checks that the array's storage is the static one and otherwise
+// stores generically, coercing to the array's element type.
 
 // expr is one compiled expression: typed when iv is set, and then every
 // Value it stands for is a VInt of carrier t; ev is its generic form,
@@ -152,7 +159,7 @@ func (c *compiler) expr(e cast.Expr) expr {
 	case *cast.Call:
 		return generic(c.callEval(x))
 	case *cast.Index:
-		return generic(c.indexEval(x))
+		return c.indexExpr(x)
 	case *cast.Member:
 		return generic(c.memberEval(x))
 	case *cast.Cast:
@@ -196,10 +203,33 @@ func (c *compiler) expr(e cast.Expr) expr {
 	})
 }
 
+// indexExpr compiles an element read: typed when its element is an
+// integer (intElem), else an array decay or a generic load.
+func (c *compiler) indexExpr(x *cast.Index) expr {
+	s, ok := c.intElem(x)
+	if !ok {
+		return generic(c.indexEval(x))
+	}
+	c.sites.Load++
+	c.sites.LoadTyped++
+	pos, t, addr := x.Pos(), s.intType, c.elemAddr(x)
+	return typed(func(in *Interp, fr *frame) int64 {
+		in.step(pos)
+		obj, off := addr(in, fr)
+		in.addCost(costLoad)
+		e := &obj.Elems[off]
+		if t.holds(e) {
+			return e.Int
+		}
+		return in.convert(s, e)
+	}, t)
+}
+
 func (c *compiler) indexEval(x *cast.Index) evalOp {
 	pos := x.Pos()
 	lvO := c.indexLv(x)
 	if c.ambiguous(x) {
+		c.sites.Load++
 		typeOp := c.typer(x)
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
@@ -215,6 +245,8 @@ func (c *compiler) indexEval(x *cast.Index) evalOp {
 	if t := c.ctTypeOf(x); t != nil {
 		_, decay = ctypes.Resolve(t).(ctypes.Array)
 		if s, ok := intStorage(ctypes.Resolve(t)); ok {
+			// A runtime-sized row: intElem leaves it generic.
+			c.sites.Load++
 			return func(in *Interp, fr *frame) Value {
 				in.step(pos)
 				lv := lvO(in, fr)
@@ -223,12 +255,17 @@ func (c *compiler) indexEval(x *cast.Index) evalOp {
 			}
 		}
 	}
+	if decay {
+		return func(in *Interp, fr *frame) Value {
+			in.step(pos)
+			lv := lvO(in, fr)
+			return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
+		}
+	}
+	c.sites.Load++
 	return func(in *Interp, fr *frame) Value {
 		in.step(pos)
 		lv := lvO(in, fr)
-		if decay {
-			return Value{Kind: VPtr, Obj: lv.obj, Off: lv.off}
-		}
 		in.addCost(costLoad)
 		return lv.load()
 	}
@@ -339,7 +376,7 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 			if pv.Kind != VPtr {
 				in.fail(p, "dereference of non-pointer")
 			}
-			in.checkBounds(pv, p)
+			in.checkBounds(pv.Obj, pv.Off, p)
 			in.addCost(costLoad)
 			if toInt {
 				return in.pointee(s, pv.Obj.Elems[pv.Off])
@@ -378,6 +415,13 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 				in.addCost(costIAdd)
 				return fr.vals[slot]
 			})
+		}
+		if ix, ok := u.X.(*cast.Index); ok {
+			c.sites.Store++
+			if s, ok := c.intElem(ix); ok {
+				c.sites.StoreTyped++
+				return c.elemBump(pos, ix, s, delta, false)
+			}
 		}
 		lvO := c.lv(u.X)
 		return generic(func(in *Interp, fr *frame) Value {
@@ -422,6 +466,13 @@ func (c *compiler) postfixExpr(x *cast.Postfix) expr {
 			in.addCost(costIAdd)
 			return old
 		})
+	}
+	if ix, ok := x.X.(*cast.Index); ok {
+		c.sites.Store++
+		if s, ok := c.intElem(ix); ok {
+			c.sites.StoreTyped++
+			return c.elemBump(pos, ix, s, delta, true)
+		}
 	}
 	lvO := c.lv(x.X)
 	return generic(func(in *Interp, fr *frame) Value {
@@ -535,6 +586,13 @@ func (c *compiler) assignExpr(a *cast.Assign) expr {
 	if r := c.valRef(a.L); r != nil {
 		return c.valAssign(a, r)
 	}
+	if ix, ok := a.L.(*cast.Index); ok {
+		c.sites.Store++
+		if s, ok := c.intElem(ix); ok {
+			c.sites.StoreTyped++
+			return c.elemAssign(a, ix, s)
+		}
+	}
 	pos, p := a.Pos(), a.P
 	lvO := c.lv(a.L)
 	rOp := c.eval(a.R)
@@ -542,18 +600,7 @@ func (c *compiler) assignExpr(a *cast.Assign) expr {
 		return generic(func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			lv := lvO(in, fr)
-			// Against the destination's declared type, Ref targets
-			// alias and everything else copies struct values.
-			pt := in.declaredOf(lv)
-			v := rOp(in, fr)
-			if _, isRef := pt.(ctypes.Ref); !isRef && v.Kind == VStruct {
-				v = v.DeepCopy()
-			}
-			v = in.coerce(v, in.declaredOf(lv))
-			lv.store(v.DeepCopy())
-			in.addCost(costStore)
-			in.profileStore(lv, v)
-			return v
+			return in.assign(lv, rOp(in, fr))
 		})
 	}
 	binOp := compoundToBinary(a.Op)
@@ -562,13 +609,155 @@ func (c *compiler) assignExpr(a *cast.Assign) expr {
 		lv := lvO(in, fr)
 		old := lv.load()
 		r := rOp(in, fr)
-		v := in.applyBinary(binOp, &old, &r, p)
-		v = in.coerce(v, in.declaredOf(lv))
-		lv.store(v.DeepCopy())
-		in.addCost(costStore)
-		in.profileStore(lv, v)
-		return v
+		return in.update(lv, binOp, &old, &r, p)
 	})
+}
+
+// assign stores v through lv as = does. Against the destination's
+// declared type, Ref targets alias and everything else copies struct
+// values.
+func (in *Interp) assign(lv lvalue, v Value) Value {
+	pt := in.declaredOf(lv)
+	if _, isRef := pt.(ctypes.Ref); !isRef && v.Kind == VStruct {
+		v = v.DeepCopy()
+	}
+	v = in.coerce(v, pt)
+	lv.store(v.DeepCopy())
+	in.addCost(costStore)
+	in.profileStore(lv, v)
+	return v
+}
+
+// update stores old op r through lv as a compound assignment does.
+func (in *Interp) update(lv lvalue, op ctoken.Kind, old, r *Value, p ctoken.Pos) Value {
+	v := in.coerce(in.applyBinary(op, old, r, p), in.declaredOf(lv))
+	lv.store(v.DeepCopy())
+	in.addCost(costStore)
+	in.profileStore(lv, v)
+	return v
+}
+
+// elemAssign compiles =, or a compound assignment, to an element of
+// integer storage s (intElem). The store is typed when the array holds
+// s (intHolds); into any other array, such as an int array seen through
+// an unsigned char pointer, it is the generic store, and its value
+// reads back as s. Either way it costs, steps and profiles the same.
+func (c *compiler) elemAssign(a *cast.Assign, ix *cast.Index, s intStore) expr {
+	pos, p, t := a.Pos(), a.P, s.intType
+	addr := c.elemAddr(ix)
+	rhs := c.expr(a.R)
+	ri := rhs.iv
+	if a.Op == ctoken.ASSIGN {
+		if ri != nil {
+			rt := rhs.t
+			return typed(func(in *Interp, fr *frame) int64 {
+				in.step(pos)
+				obj, off := addr(in, fr)
+				rv := ri(in, fr)
+				if intHolds(obj, s) {
+					v := in.narrow(s, rv)
+					in.storeElem(obj, off, t, v)
+					return v
+				}
+				v := in.assign(elemLv(obj, off), rt.value(rv))
+				return in.convert(s, &v)
+			}, t)
+		}
+		rOp := rhs.value()
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			obj, off := addr(in, fr)
+			rv := rOp(in, fr)
+			if intHolds(obj, s) {
+				v := in.convert(s, &rv)
+				in.storeElem(obj, off, t, v)
+				return v
+			}
+			v := in.assign(elemLv(obj, off), rv)
+			return in.convert(s, &v)
+		}, t)
+	}
+	binOp := compoundToBinary(a.Op)
+	if ri != nil {
+		rt := rhs.t
+		res := promote(t, rt)
+		return typed(func(in *Interp, fr *frame) int64 {
+			in.step(pos)
+			obj, off := addr(in, fr)
+			e := &obj.Elems[off]
+			if intHolds(obj, s) && t.holds(e) {
+				old := e.Int
+				v := in.narrow(s, in.intArith(binOp, old, ri(in, fr), t.unsigned, res, p))
+				in.storeElem(obj, off, t, v)
+				return v
+			}
+			old := *e
+			r := rt.value(ri(in, fr))
+			v := in.update(elemLv(obj, off), binOp, &old, &r, p)
+			return in.convert(s, &v)
+		}, t)
+	}
+	rOp := rhs.value()
+	return typed(func(in *Interp, fr *frame) int64 {
+		in.step(pos)
+		obj, off := addr(in, fr)
+		old := obj.Elems[off]
+		r := rOp(in, fr)
+		v := in.update(elemLv(obj, off), binOp, &old, &r, p)
+		return in.convert(s, &v)
+	}, t)
+}
+
+// elemBump compiles ++ or -- (by delta) of an element of integer storage
+// s (intElem), returning the old value when post is set. It is typed
+// when the array holds s and the element s's carrier; otherwise it is
+// the generic bump, and its value reads back as s.
+func (c *compiler) elemBump(pos ctoken.Pos, ix *cast.Index, s intStore, delta int64, post bool) expr {
+	t, addr := s.intType, c.elemAddr(ix)
+	return typed(func(in *Interp, fr *frame) int64 {
+		in.step(pos)
+		obj, off := addr(in, fr)
+		e := &obj.Elems[off]
+		if intHolds(obj, s) && t.holds(e) {
+			old := e.Int
+			e.Int = in.wrap(old+delta, t)
+			in.profileElem(obj, e.Int)
+			in.addCost(costStore)
+			in.addCost(costIAdd)
+			if post {
+				return old
+			}
+			return e.Int
+		}
+		lv, old := elemLv(obj, off), *e
+		in.storeArith(lv, old, delta)
+		in.addCost(costIAdd)
+		if !post {
+			old = lv.load()
+		}
+		return in.convert(s, &old)
+	}, t)
+}
+
+// elemLv is the lvalue of element off of obj.
+func elemLv(obj *Object, off int) lvalue {
+	return lvalue{obj: obj, off: off, declared: obj.Elem}
+}
+
+// intHolds reports whether obj's elements have integer storage s. The
+// carrier alone does not tell: int and fpga_int<32> share one but
+// narrow differently.
+func intHolds(obj *Object, s intStore) bool {
+	st, ok := intStorage(ctypes.Resolve(obj.Elem))
+	return ok && st == s
+}
+
+// storeElem stores v, already narrowed, to element off of obj, whose
+// storage has carrier t.
+func (in *Interp) storeElem(obj *Object, off int, t intType, v int64) {
+	obj.Elems[off] = t.value(v)
+	in.addCost(costStore)
+	in.profileElem(obj, v)
 }
 
 // valAssign compiles an assignment to a frame value slot: the steps,
@@ -729,7 +918,7 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 				if pv.Kind != VPtr || pv.Obj == nil {
 					in.fail(p, "dereference of null or non-pointer")
 				}
-				in.checkBounds(pv, p)
+				in.checkBounds(pv.Obj, pv.Off, p)
 				return lvalue{obj: pv.Obj, off: pv.Off, declared: pv.Obj.Elem}
 			}
 		}
@@ -746,45 +935,106 @@ func (c *compiler) lv(e cast.Expr) lvOp {
 }
 
 func (c *compiler) indexLv(ix *cast.Index) lvOp {
-	baseOp := c.eval(ix.X)
+	addr := c.elemAddr(ix)
+	return func(in *Interp, fr *frame) lvalue {
+		return elemLv(addr(in, fr))
+	}
+}
+
+// addrOp computes an array element's address: its object and offset.
+type addrOp func(in *Interp, fr *frame) (*Object, int)
+
+// elemAddr compiles the address of ix's element, which every element
+// load and store goes through: the base's steps and costs, a check that
+// it is a pointer, the index, then element's cost and bounds check. A
+// local array and a pointer in a frame value slot are read in place
+// (the steps and costs of reading them as an expression); any other
+// base is evaluated.
+func (c *compiler) elemAddr(ix *cast.Index) addrOp {
+	basePos, p := ix.X.Pos(), ix.P
+	stride, sized := strideOf(c.ctTypeOf(ix.X))
+	if !sized || c.ambiguous(ix.X) {
+		baseOp, idxOp := c.eval(ix.X), c.index(ix)
+		// The row length of a runtime-sized inner dimension is read from
+		// the bound type.
+		typeOp := c.typer(ix.X)
+		return func(in *Interp, fr *frame) (*Object, int) {
+			stride, _ := strideOf(typeOp(in, fr))
+			v := baseOp(in, fr)
+			if v.Kind != VPtr {
+				in.fail(basePos, "indexed expression is not an array or pointer")
+			}
+			return in.element(v.Obj, v.Off, idxOp(in, fr), stride, p)
+		}
+	}
+	if id, ok := ix.X.(*cast.Ident); ok {
+		r := c.resolve(id.Name)
+		_, isPtr := r.rt.(ctypes.Pointer)
+		switch {
+		case r.kind == refSlot && r.outer == nil && r.isArray:
+			slot, idxOp := r.slot, c.index(ix)
+			return func(in *Interp, fr *frame) (*Object, int) {
+				in.step(basePos)
+				obj := fr.slots[slot].obj
+				return in.element(obj, 0, idxOp(in, fr), stride, p)
+			}
+		case r.kind == refVal && isPtr:
+			slot, idxOp := r.slot, c.index(ix)
+			return func(in *Interp, fr *frame) (*Object, int) {
+				in.step(basePos)
+				in.addCost(costLoad)
+				v := &fr.vals[slot]
+				if v.Kind != VPtr {
+					in.fail(basePos, "indexed expression is not an array or pointer")
+				}
+				// Read before the index runs, which may store to the slot.
+				obj, off := v.Obj, v.Off
+				return in.element(obj, off, idxOp(in, fr), stride, p)
+			}
+		}
+	}
+	baseOp, idxOp := c.eval(ix.X), c.index(ix)
+	return func(in *Interp, fr *frame) (*Object, int) {
+		v := baseOp(in, fr)
+		if v.Kind != VPtr {
+			in.fail(basePos, "indexed expression is not an array or pointer")
+		}
+		return in.element(v.Obj, v.Off, idxOp(in, fr), stride, p)
+	}
+}
+
+// index compiles ix's index expression, counting it in the typed-path
+// inventory.
+func (c *compiler) index(ix *cast.Index) intOp {
 	idx := c.expr(ix.Idx)
 	c.sites.Index++
 	if idx.iv != nil {
 		c.sites.IndexTyped++
 	}
-	idxOp := idx.integer()
-	basePos := ix.X.Pos()
-	p := ix.P
-	if stride, sized := strideOf(c.ctTypeOf(ix.X)); sized && !c.ambiguous(ix.X) {
-		return func(in *Interp, fr *frame) lvalue {
-			v := baseOp(in, fr)
-			if v.Kind != VPtr {
-				in.fail(basePos, "indexed expression is not an array or pointer")
-			}
-			return in.element(&v, idxOp(in, fr), stride, p)
-		}
-	}
-	// The row length of a runtime-sized inner dimension is read from
-	// the bound type.
-	typeOp := c.typer(ix.X)
-	return func(in *Interp, fr *frame) lvalue {
-		stride, _ := strideOf(typeOp(in, fr))
-		v := baseOp(in, fr)
-		if v.Kind != VPtr {
-			in.fail(basePos, "indexed expression is not an array or pointer")
-		}
-		return in.element(&v, idxOp(in, fr), stride, p)
-	}
+	return idx.integer()
 }
 
-// element is the lvalue of element idx, rows of stride elements apart,
-// from the pointer base.
-func (in *Interp) element(base *Value, idx int64, stride int, p ctoken.Pos) lvalue {
+// element is the address of element idx, rows of stride elements
+// apart, from element off of obj.
+func (in *Interp) element(obj *Object, off int, idx int64, stride int, p ctoken.Pos) (*Object, int) {
 	in.addCost(costIAdd)
-	pv := *base
-	pv.Off += int(idx) * stride
-	in.checkBounds(pv, p)
-	return lvalue{obj: pv.Obj, off: pv.Off, declared: pv.Obj.Elem}
+	off += int(idx) * stride
+	in.checkBounds(obj, off, p)
+	return obj, off
+}
+
+// intElem is the integer storage of ix's element when ix compiles
+// typed: its static element type has integer storage, its row stride
+// is known, and no name in it changes type with a conditional
+// declaration.
+func (c *compiler) intElem(ix *cast.Index) (intStore, bool) {
+	if c.ambiguous(ix) {
+		return intStore{}, false
+	}
+	if _, sized := strideOf(c.ctTypeOf(ix.X)); !sized {
+		return intStore{}, false
+	}
+	return intStorage(ctypes.Resolve(c.ctTypeOf(ix)))
 }
 
 // strideOf is the flattened element stride of indexing an expression of
@@ -816,7 +1066,7 @@ func (c *compiler) memberLv(m *cast.Member) lvOp {
 			if p.Kind != VPtr {
 				in.fail(pos, "-> on non-pointer")
 			}
-			in.checkBounds(p, pos)
+			in.checkBounds(p.Obj, p.Off, pos)
 			st, ok := ctypes.Resolve(p.Obj.Elem).(*ctypes.Struct)
 			if !ok {
 				in.fail(pos, "-> on pointer to non-struct")
@@ -1327,10 +1577,7 @@ func (c *compiler) mallocOp(stepPos ctoken.Pos, castTo ctypes.Type, call *cast.C
 			Elem:  elem,
 			Elems: make([]Value, count),
 		}
-		zero := ZeroValue(elem)
-		for i := range obj.Elems {
-			obj.Elems[i] = zero.DeepCopy()
-		}
+		fillZero(obj.Elems, elem)
 		in.addCost(costCall)
 		return Value{Kind: VPtr, Obj: obj}
 	}

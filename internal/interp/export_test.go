@@ -14,6 +14,8 @@ func (s SiteCounts) Add(o SiteCounts) SiteCounts {
 		Binary: s.Binary + o.Binary, BinaryTyped: s.BinaryTyped + o.BinaryTyped,
 		Cond: s.Cond + o.Cond, CondTyped: s.CondTyped + o.CondTyped,
 		Index: s.Index + o.Index, IndexTyped: s.IndexTyped + o.IndexTyped,
+		Load: s.Load + o.Load, LoadTyped: s.LoadTyped + o.LoadTyped,
+		Store: s.Store + o.Store, StoreTyped: s.StoreTyped + o.StoreTyped,
 	}
 }
 

@@ -24,16 +24,26 @@ func SizeofBytes(t ctypes.Type) int {
 // ---------------------------------------------------------------------------
 // Lvalues
 
-func (in *Interp) checkBounds(p Value, pos ctoken.Pos) {
-	if p.Obj == nil {
+// checkBounds faults unless element off of obj is live storage. The
+// fault is out of line, so the check inlines.
+func (in *Interp) checkBounds(obj *Object, off int, pos ctoken.Pos) {
+	if obj == nil || obj.Freed || uint(off) >= uint(len(obj.Elems)) {
+		in.boundsFault(obj, off, pos)
+	}
+}
+
+// boundsFault raises checkBounds' fault: a null pointer, then a freed
+// object, then an index out of bounds.
+//
+//go:noinline
+func (in *Interp) boundsFault(obj *Object, off int, pos ctoken.Pos) {
+	if obj == nil {
 		in.fail(pos, "null pointer access")
 	}
-	if p.Obj.Freed {
-		in.fail(pos, "use after free of %q", p.Obj.Name)
+	if obj.Freed {
+		in.fail(pos, "use after free of %q", obj.Name)
 	}
-	if p.Off < 0 || p.Off >= len(p.Obj.Elems) {
-		in.fail(pos, "index %d out of bounds for %q (size %d)", p.Off, p.Obj.Name, len(p.Obj.Elems))
-	}
+	in.fail(pos, "index %d out of bounds for %q (size %d)", off, obj.Name, len(obj.Elems))
 }
 
 func (in *Interp) declaredOf(lv lvalue) ctypes.Type {
@@ -212,11 +222,20 @@ func (in *Interp) profileVal(key string, v *Value) {
 	}
 }
 
+// profileStore notes a store of v through lv.
 func (in *Interp) profileStore(lv lvalue, v Value) {
-	if !in.opts.Profile || v.Kind != VInt || len(in.frames) == 0 {
+	if v.Kind == VInt {
+		in.profileElem(lv.obj, v.Int)
+	}
+}
+
+// profileElem notes a store of the integer v into obj, keyed by the
+// running function and obj's name.
+func (in *Interp) profileElem(obj *Object, v int64) {
+	if !in.opts.Profile || len(in.frames) == 0 {
 		return
 	}
-	in.noteProfile(in.profileKey(in.top().fn, lv.obj.Name), v.Int)
+	in.noteProfile(in.profileKey(in.top().fn, obj.Name), v)
 }
 
 // applyBinary applies a binary operator. The operands are passed by

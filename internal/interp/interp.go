@@ -240,15 +240,25 @@ func (in *Interp) fail(p ctoken.Pos, format string, args ...any) {
 	panic(&RuntimeError{Msg: fmt.Sprintf(format, args...), Pos: p})
 }
 
+// step counts one executed statement or expression node at p against
+// the step budget. It runs once per node, so it stays small enough to
+// inline; the fault is out of line.
 func (in *Interp) step(p ctoken.Pos) {
 	in.steps++
 	if in.steps > in.opts.MaxSteps {
-		panic(&RuntimeError{
-			Msg:    fmt.Sprintf("step limit exceeded (%d)", in.opts.MaxSteps),
-			Pos:    p,
-			Budget: true,
-		})
+		in.stepLimit(p)
 	}
+}
+
+// stepLimit raises the step-budget fault at p.
+//
+//go:noinline
+func (in *Interp) stepLimit(p ctoken.Pos) {
+	panic(&RuntimeError{
+		Msg:    fmt.Sprintf("step limit exceeded (%d)", in.opts.MaxSteps),
+		Pos:    p,
+		Budget: true,
+	})
 }
 
 // CallKernel invokes the named function with the given argument values,

@@ -1,6 +1,8 @@
 package interp_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -99,6 +101,103 @@ func TestIntSlotsKeepCarrier(t *testing.T) {
 			if v.Kind != w.Kind || v.Width != w.Width || v.Unsigned != w.Unsigned {
 				t.Errorf("%s: slot %d holds %s of kind %d, width %d, unsigned %v; declared kind %d, width %d, unsigned %v",
 					modeName(mode), i, v, v.Kind, v.Width, v.Unsigned, w.Kind, w.Width, w.Unsigned)
+			}
+		}
+	}
+}
+
+// elemTypes are the integer storage types TestIntElemsKeepCarrier
+// stores into, one array of each per scope.
+var elemTypes = []string{"int", "unsigned char", "fpga_int<5>", "fpga_uint<12>", "bool", "long", "short", "unsigned"}
+
+// elemStores builds a kernel f that stores into integer arrays of
+// every elemTypes type in every way a program can: =, every compound
+// assignment, prefix and postfix ++ and --, from typed, float, bool,
+// char, comparison and other-element right-hand sides. It does so into
+// local arrays, global arrays and the arrays its pointer parameters
+// point to, and through an unsigned char view of its int array. It
+// then passes the local and global arrays to seen.
+func elemStores() string {
+	var sb strings.Builder
+	stores := func(x string) {
+		for _, s := range []string{
+			"@[0] = n * 1000;", "@[1] = fl;", "@[2] = 'z';", "@[3] = q == 0;",
+			"@[0] += n;", "@[1] -= fl;", "@[2] *= b0[1];", "@[3] /= 2;", "@[0] %= 5;",
+			"@[1] &= 29;", "@[2] |= e0[1];", "@[3] ^= 'a';", "@[0] <<= 3;", "@[1] >>= 1;",
+			"@[2] += (bool)n;", "@[3] -= fl * 3;",
+			"@[0]++;", "@[1]--;", "++@[2];", "--@[3];",
+			"@[(n + 1) & 3] = @[n & 3] + 1;",
+		} {
+			sb.WriteString("    " + strings.ReplaceAll(s, "@", x) + "\n")
+		}
+	}
+	var params, locals, globals []string
+	for i, t := range elemTypes {
+		fmt.Fprintf(&sb, "%s g%d[4];\n", t, i)
+		params = append(params, fmt.Sprintf("%s *p%d", t, i))
+		locals = append(locals, fmt.Sprintf("l%d", i))
+		globals = append(globals, fmt.Sprintf("g%d", i))
+	}
+	var seen []string
+	for i, t := range elemTypes {
+		seen = append(seen, fmt.Sprintf("%s *l%d", t, i), fmt.Sprintf("%s *g%d", t, i))
+	}
+	fmt.Fprintf(&sb, "void seen(%s) { }\n", strings.Join(seen, ", "))
+	fmt.Fprintf(&sb, "int f(int n, %s) {\n", strings.Join(params, ", "))
+	for i, t := range elemTypes {
+		fmt.Fprintf(&sb, "    %s l%d[4];\n", t, i)
+	}
+	sb.WriteString("    unsigned char b0[4];\n    bool e0[4];\n    double fl = 7.75;\n    int *q = p0;\n")
+	sb.WriteString("    b0[1] = 300;\n    e0[1] = 5;\n")
+	for i := range elemTypes {
+		stores(fmt.Sprintf("l%d", i))
+		stores(fmt.Sprintf("g%d", i))
+		stores(fmt.Sprintf("p%d", i))
+	}
+	sb.WriteString("    unsigned char *v = (unsigned char *)l0;\n    v[1] = 700;\n    v[2] += 1;\n    v[3]++;\n")
+	var args []string
+	for i := range elemTypes {
+		args = append(args, locals[i], globals[i])
+	}
+	fmt.Fprintf(&sb, "    seen(%s);\n    return l0[0];\n}\n", strings.Join(args, ", "))
+	return sb.String()
+}
+
+// TestIntElemsKeepCarrier guards what typed element loads rest on: an
+// array of integer storage type holds VInts of its element type's width
+// and signedness, whatever store wrote them last, including a store
+// through a pointer to another integer type.
+func TestIntElemsKeepCarrier(t *testing.T) {
+	u := cparser.MustParse(elemStores())
+	for _, mode := range []interp.Mode{interp.CPU, interp.FPGA} {
+		var arrays []interp.Value
+		opts := interp.Options{Mode: mode, Profile: true, CaptureName: "seen", CaptureCall: func(args []interp.Value) { arrays = args }}
+		in, err := interp.New(u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []interp.Value{interp.IntValue(-3)}
+		for _, p := range u.Func("f").Params[1:] {
+			elem := ctypes.Resolve(p.Type).(ctypes.Pointer).Elem
+			vals := make([]interp.Value, 4)
+			for i := range vals {
+				vals[i] = interp.ZeroValue(elem)
+			}
+			args = append(args, interp.NewArrayObject(p.Name, elem, vals))
+		}
+		if _, err := in.CallKernel("f", args); err != nil {
+			t.Fatal(err)
+		}
+		if len(arrays) != 2*len(elemTypes) {
+			t.Fatalf("%s: seen received %d arrays, want %d", modeName(mode), len(arrays), 2*len(elemTypes))
+		}
+		for _, a := range append(arrays, args[1:]...) {
+			want := interp.ZeroValue(a.Obj.Elem)
+			for i, v := range a.Obj.Elems {
+				if v.Kind != want.Kind || v.Width != want.Width || v.Unsigned != want.Unsigned {
+					t.Errorf("%s: %s[%d] holds %s of kind %d, width %d, unsigned %v; declared kind %d, width %d, unsigned %v",
+						modeName(mode), a.Obj.Name, i, v, v.Kind, v.Width, v.Unsigned, want.Kind, want.Width, want.Unsigned)
+				}
 			}
 		}
 	}

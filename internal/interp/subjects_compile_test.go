@@ -54,23 +54,23 @@ int kernel(int n) {
     return total;
 }`
 
-// typedSites pins, per subject, how many binary operators, conditions
-// and index expressions its functions hold and how many of each compile
-// typed (interp.SiteCounts). A change that moves sites off the typed
-// path, or onto it, shows here; only a deliberate change to the typing
-// rule may update the table.
+// typedSites pins, per subject, how many binary operators, conditions,
+// index expressions and array element loads and stores its functions
+// hold and how many of each compile typed (interp.SiteCounts). A change
+// that moves sites off the typed path, or onto it, shows here; only a
+// deliberate change to the typing rule may update the table.
 var typedSites = map[string]interp.SiteCounts{
-	"P1":   {Binary: 15, BinaryTyped: 0, Cond: 0, CondTyped: 0, Index: 3, IndexTyped: 3},
-	"P2":   {Binary: 17, BinaryTyped: 1, Cond: 1, CondTyped: 1, Index: 2, IndexTyped: 2},
-	"P3":   {Binary: 35, BinaryTyped: 32, Cond: 15, CondTyped: 15, Index: 19, IndexTyped: 19},
-	"P4":   {Binary: 29, BinaryTyped: 29, Cond: 10, CondTyped: 10, Index: 6, IndexTyped: 6},
-	"P5":   {Binary: 22, BinaryTyped: 11, Cond: 13, CondTyped: 13, Index: 2, IndexTyped: 1},
-	"P6":   {Binary: 12, BinaryTyped: 11, Cond: 5, CondTyped: 5, Index: 3, IndexTyped: 3},
-	"P7":   {Binary: 4, BinaryTyped: 3, Cond: 3, CondTyped: 3, Index: 7, IndexTyped: 7},
-	"P8":   {Binary: 21, BinaryTyped: 11, Cond: 10, CondTyped: 10, Index: 4, IndexTyped: 2},
-	"P9":   {Binary: 82, BinaryTyped: 67, Cond: 15, CondTyped: 15, Index: 20, IndexTyped: 20},
-	"P10":  {Binary: 18, BinaryTyped: 18, Cond: 8, CondTyped: 8, Index: 2, IndexTyped: 2},
-	"fig2": {Binary: 11, BinaryTyped: 5, Cond: 9, CondTyped: 9, Index: 0, IndexTyped: 0},
+	"P1":   {Binary: 15, BinaryTyped: 0, Cond: 0, CondTyped: 0, Index: 3, IndexTyped: 3, Load: 0, LoadTyped: 0, Store: 3, StoreTyped: 3},
+	"P2":   {Binary: 17, BinaryTyped: 1, Cond: 1, CondTyped: 1, Index: 2, IndexTyped: 2, Load: 1, LoadTyped: 0, Store: 1, StoreTyped: 0},
+	"P3":   {Binary: 35, BinaryTyped: 35, Cond: 15, CondTyped: 15, Index: 19, IndexTyped: 19, Load: 10, LoadTyped: 10, Store: 9, StoreTyped: 9},
+	"P4":   {Binary: 29, BinaryTyped: 29, Cond: 10, CondTyped: 10, Index: 6, IndexTyped: 6, Load: 3, LoadTyped: 3, Store: 3, StoreTyped: 3},
+	"P5":   {Binary: 22, BinaryTyped: 13, Cond: 13, CondTyped: 13, Index: 2, IndexTyped: 1, Load: 1, LoadTyped: 1, Store: 1, StoreTyped: 1},
+	"P6":   {Binary: 12, BinaryTyped: 12, Cond: 5, CondTyped: 5, Index: 3, IndexTyped: 3, Load: 2, LoadTyped: 2, Store: 1, StoreTyped: 1},
+	"P7":   {Binary: 4, BinaryTyped: 4, Cond: 3, CondTyped: 3, Index: 7, IndexTyped: 7, Load: 4, LoadTyped: 4, Store: 2, StoreTyped: 2},
+	"P8":   {Binary: 21, BinaryTyped: 14, Cond: 10, CondTyped: 10, Index: 4, IndexTyped: 2, Load: 2, LoadTyped: 2, Store: 2, StoreTyped: 2},
+	"P9":   {Binary: 82, BinaryTyped: 79, Cond: 15, CondTyped: 15, Index: 20, IndexTyped: 20, Load: 14, LoadTyped: 14, Store: 6, StoreTyped: 6},
+	"P10":  {Binary: 18, BinaryTyped: 18, Cond: 8, CondTyped: 8, Index: 2, IndexTyped: 2, Load: 1, LoadTyped: 1, Store: 1, StoreTyped: 1},
+	"fig2": {Binary: 11, BinaryTyped: 5, Cond: 9, CondTyped: 9, Index: 0, IndexTyped: 0, Load: 0, LoadTyped: 0, Store: 0, StoreTyped: 0},
 }
 
 // TestSubjectsCompile checks that every function defined by the
