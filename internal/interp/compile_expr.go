@@ -416,12 +416,8 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 				return fr.vals[slot]
 			})
 		}
-		if ix, ok := u.X.(*cast.Index); ok {
-			c.sites.Store++
-			if s, ok := c.intElem(ix); ok {
-				c.sites.StoreTyped++
-				return c.elemBump(pos, ix, s, delta, false)
-			}
+		if ix, s, ok := c.elemTarget(u.X); ok {
+			return c.elemBump(pos, ix, s, delta, false)
 		}
 		lvO := c.lv(u.X)
 		return generic(func(in *Interp, fr *frame) Value {
@@ -467,12 +463,8 @@ func (c *compiler) postfixExpr(x *cast.Postfix) expr {
 			return old
 		})
 	}
-	if ix, ok := x.X.(*cast.Index); ok {
-		c.sites.Store++
-		if s, ok := c.intElem(ix); ok {
-			c.sites.StoreTyped++
-			return c.elemBump(pos, ix, s, delta, true)
-		}
+	if ix, s, ok := c.elemTarget(x.X); ok {
+		return c.elemBump(pos, ix, s, delta, true)
 	}
 	lvO := c.lv(x.X)
 	return generic(func(in *Interp, fr *frame) Value {
@@ -586,12 +578,8 @@ func (c *compiler) assignExpr(a *cast.Assign) expr {
 	if r := c.valRef(a.L); r != nil {
 		return c.valAssign(a, r)
 	}
-	if ix, ok := a.L.(*cast.Index); ok {
-		c.sites.Store++
-		if s, ok := c.intElem(ix); ok {
-			c.sites.StoreTyped++
-			return c.elemAssign(a, ix, s)
-		}
+	if ix, s, ok := c.elemTarget(a.L); ok {
+		return c.elemAssign(a, ix, s)
 	}
 	pos, p := a.Pos(), a.P
 	lvO := c.lv(a.L)
@@ -1021,6 +1009,22 @@ func (in *Interp) element(obj *Object, off int, idx int64, stride int, p ctoken.
 	off += int(idx) * stride
 	in.checkBounds(obj, off, p)
 	return obj, off
+}
+
+// elemTarget counts a store to e in the typed-path inventory when e is
+// an array element, and returns the element and its storage when the
+// store compiles typed (intElem).
+func (c *compiler) elemTarget(e cast.Expr) (*cast.Index, intStore, bool) {
+	ix, ok := e.(*cast.Index)
+	if !ok {
+		return nil, intStore{}, false
+	}
+	c.sites.Store++
+	s, ok := c.intElem(ix)
+	if ok {
+		c.sites.StoreTyped++
+	}
+	return ix, s, ok
 }
 
 // intElem is the integer storage of ix's element when ix compiles
