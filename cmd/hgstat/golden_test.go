@@ -156,7 +156,8 @@ func traceViews(t *testing.T, data []byte) []byte {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	rep := obs.BuildReport(events)
+	runs := span.Build(events)
+	rep := span.NewReport(runs)
 	sb.WriteString("### report\n" + rep.Text())
 	sb.WriteString("### report -json\n" + indentJSON(t, rep))
 	sb.WriteString("### check\n")
@@ -164,7 +165,7 @@ func traceViews(t *testing.T, data []byte) []byte {
 		sb.WriteString(p + "\n")
 	}
 	sb.WriteString("### span -top 8\n")
-	for i, r := range span.Build(events) {
+	for i, r := range runs {
 		if i > 0 {
 			sb.WriteString("\n")
 		}

@@ -132,10 +132,11 @@ func main() {
 	fmt.Print(fleet.Text())
 }
 
-// runReport renders one trace file as obs.BuildReport's single-run
-// report, followed by the cache section when cacheDir is set. An empty
-// path reports only the cache. With check, any mismatch between the
-// events and the run's summary exits 1.
+// runReport renders one trace file as the single-run report
+// (span.NewReport over the trace's span runs, the same fold the -span
+// view and the fleet warehouse read), followed by the cache section
+// when cacheDir is set. An empty path reports only the cache. With
+// check, any mismatch between the events and the run's summary exits 1.
 func runReport(path, cacheDir string, filter []hls.Target, asJSON, check bool) {
 	var cache *evalcache.DirSummary
 	if cacheDir != "" {
@@ -175,7 +176,7 @@ func runReport(path, cacheDir string, filter []hls.Target, asJSON, check bool) {
 	if len(events) == 0 {
 		fail(fmt.Errorf("trace is empty"))
 	}
-	rep := obs.BuildReport(events)
+	rep := span.NewReport(span.Build(events))
 	emit(rep, cache, asJSON)
 
 	if check {
@@ -192,12 +193,12 @@ func runReport(path, cacheDir string, filter []hls.Target, asJSON, check bool) {
 // emit renders the run report and/or the cache summary. In JSON mode
 // the bare report keeps its historical shape; the cache, when
 // requested, rides alongside it in a wrapper object.
-func emit(rep *obs.Report, cache *evalcache.DirSummary, asJSON bool) {
+func emit(rep *span.Report, cache *evalcache.DirSummary, asJSON bool) {
 	if asJSON {
 		switch {
 		case rep != nil && cache != nil:
 			writeJSON(struct {
-				Report *obs.Report           `json:"report"`
+				Report *span.Report          `json:"report"`
 				Cache  *evalcache.DirSummary `json:"cache"`
 			}{rep, cache})
 		case cache != nil:

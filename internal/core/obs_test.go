@@ -6,6 +6,7 @@ import (
 
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/obs/span"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -57,7 +58,7 @@ func TestPipelineTraceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := obs.BuildReport(events)
+			rep := span.NewReport(span.Build(events))
 			if problems := rep.Check(); len(problems) > 0 {
 				t.Fatalf("trace fails its own consistency check:\n%v", problems)
 			}

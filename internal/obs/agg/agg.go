@@ -16,6 +16,7 @@
 package agg
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -40,7 +41,7 @@ func NewIngestor() *Ingestor {
 }
 
 // traceFacts is the per-trace slice of the index: everything Snapshot
-// needs, already mined from the events.
+// needs, already mined from the trace's span runs.
 type traceFacts struct {
 	hash   string
 	name   string // first file name seen (informational only)
@@ -64,7 +65,7 @@ type traceFacts struct {
 	metas []*span.RunMeta
 }
 
-type counts struct{ tried, accepted, rejected int64 }
+type counts struct{ tried, accepted int64 }
 
 // targetCounts is one target-set stamp's activity within a trace.
 type targetCounts struct {
@@ -159,11 +160,11 @@ func (in *Ingestor) Add(name string, data []byte, meta *span.RunMeta) error {
 		}
 		return nil
 	}
-	events, err := obs.ParseTrace(strings.NewReader(string(data)))
+	events, err := obs.ParseTrace(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
-	tf := mine(events)
+	tf := mine(span.Build(events))
 	tf.hash = hash
 	tf.name = name
 	if meta != nil {
@@ -173,101 +174,92 @@ func (in *Ingestor) Add(name string, data []byte, meta *span.RunMeta) error {
 	return nil
 }
 
-// mine derives one trace's facts from its event stream.
-func mine(events []obs.Event) *traceFacts {
+// mine derives one trace's facts from its span runs.
+func mine(runs []*span.Run) *traceFacts {
 	tf := &traceFacts{
+		runs:         len(runs),
+		funnel:       Funnel{Runs: int64(len(runs))},
 		phaseVirtual: map[string][]float64{},
 		phaseWall:    map[string][]float64{},
 		stageVirtual: map[string][]float64{},
 		classes:      map[string]*counts{},
 		targets:      map[string]*targetCounts{},
 	}
-	tf.events = len(events)
-	subjects := map[string]bool{}
-	prevFuzz := map[string]float64{}
-	for _, e := range events {
-		if !subjects[e.Subject] {
-			subjects[e.Subject] = true
-			tf.runs++
-			tf.funnel.Runs++
+	for _, r := range runs {
+		for stamp, n := range r.Stamps {
+			tf.events += n
+			if stamp != "" {
+				entry(tf.targets, stamp).events += int64(n)
+			}
 		}
-		var tc *targetCounts
-		if e.Target != "" {
-			tc = tf.targets[e.Target]
-			if tc == nil {
-				tc = &targetCounts{}
-				tf.targets[e.Target] = tc
+		for _, p := range r.Phases() {
+			ph := p.Event.Phase
+			tf.phaseVirtual[ph.Name] = append(tf.phaseVirtual[ph.Name], ph.VirtualDelta)
+			if ph.WallNS > 0 {
+				tf.phaseWall[ph.Name] = append(tf.phaseWall[ph.Name], float64(ph.WallNS)/1e6)
 			}
-			tc.events++
 		}
-		switch e.Type {
-		case obs.EvPhaseEnd:
-			if e.Phase == nil {
-				continue
+		for _, l := range r.Leaves {
+			switch {
+			case l.Kind == span.KindExec:
+				tf.stageVirtual["fuzz.exec"] = append(tf.stageVirtual["fuzz.exec"], l.Self)
+			case l.Kind != span.KindCandidate:
+			case l.Initial():
+				tf.funnel.Repairs++
+				tf.stageVirtual["repair.init"] = append(tf.stageVirtual["repair.init"], l.Event.Repair.VirtualDelta)
+			default:
+				tf.candidate(l.Event)
 			}
-			tf.phaseVirtual[e.Phase.Name] = append(tf.phaseVirtual[e.Phase.Name], e.Phase.VirtualDelta)
-			if e.Phase.WallNS > 0 {
-				tf.phaseWall[e.Phase.Name] = append(tf.phaseWall[e.Phase.Name], float64(e.Phase.WallNS)/1e6)
-			}
-		case obs.EvFuzzExec:
-			d := e.Virtual - prevFuzz[e.Subject]
-			if d < 0 {
-				d = 0
-			}
-			prevFuzz[e.Subject] = e.Virtual
-			tf.stageVirtual["fuzz.exec"] = append(tf.stageVirtual["fuzz.exec"], d)
-		case obs.EvFuzzDone:
-			tf.funnel.FuzzRuns++
-			prevFuzz[e.Subject] = 0
-		case obs.EvRepairInit:
-			tf.funnel.Repairs++
-			if e.Repair != nil {
-				tf.stageVirtual["repair.init"] = append(tf.stageVirtual["repair.init"], e.Repair.VirtualDelta)
-			}
-		case obs.EvCandidate:
-			if e.Repair == nil {
-				continue
-			}
-			r := e.Repair
-			tf.stageVirtual["repair."+r.Step] = append(tf.stageVirtual["repair."+r.Step], r.VirtualDelta)
-			tf.funnel.Attempts++
-			if tc != nil {
-				tc.attempts++
-				tc.virtual = append(tc.virtual, r.VirtualDelta)
-				if r.Accepted {
-					tc.accepted++
-				}
-			}
-			if r.Evaluated {
-				tf.funnel.Evaluated++
-			}
-			if r.Accepted {
-				tf.funnel.Accepted++
-			}
-			if r.Failure != "" {
-				tf.funnel.StageFails++
-			}
-			cc := tf.classes[r.Class]
-			if cc == nil {
-				cc = &counts{}
-				tf.classes[r.Class] = cc
-			}
-			cc.tried++
-			if r.Accepted {
-				cc.accepted++
-			} else {
-				cc.rejected++
-			}
-		case obs.EvRepairDone:
-			if e.Done != nil && e.Done.Compatible && e.Done.BehaviorOK {
+		}
+		tf.funnel.FuzzRuns += int64(len(r.FuzzDone))
+		for _, e := range r.RepairDone {
+			if e.Done.Compatible && e.Done.BehaviorOK {
 				tf.funnel.Converged++
-				if tc != nil {
-					tc.converged++
+				if e.Target != "" {
+					entry(tf.targets, e.Target).converged++
 				}
 			}
 		}
 	}
 	return tf
+}
+
+// entry returns m[k], creating it on demand.
+func entry[V any](m map[string]*V, k string) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
+	}
+	return v
+}
+
+// candidate folds one tried candidate into the funnel, its stage and
+// error class, and its target-set stamp.
+func (tf *traceFacts) candidate(e *obs.Event) {
+	r := e.Repair
+	tf.stageVirtual["repair."+r.Step] = append(tf.stageVirtual["repair."+r.Step], r.VirtualDelta)
+	tf.funnel.Attempts++
+	if e.Target != "" {
+		tc := entry(tf.targets, e.Target)
+		tc.attempts++
+		tc.virtual = append(tc.virtual, r.VirtualDelta)
+		if r.Accepted {
+			tc.accepted++
+		}
+	}
+	if r.Evaluated {
+		tf.funnel.Evaluated++
+	}
+	if r.Failure != "" {
+		tf.funnel.StageFails++
+	}
+	cc := entry(tf.classes, r.Class)
+	cc.tried++
+	if r.Accepted {
+		tf.funnel.Accepted++
+		cc.accepted++
+	}
 }
 
 // TraceInfo is one ingested trace's identity in the snapshot.
@@ -380,22 +372,12 @@ func (in *Ingestor) Snapshot() *Fleet {
 			stageV[k] = append(stageV[k], v...)
 		}
 		for k, c := range tf.classes {
-			dst := classes[k]
-			if dst == nil {
-				dst = &counts{}
-				classes[k] = dst
-			}
+			dst := entry(classes, k)
 			dst.tried += c.tried
 			dst.accepted += c.accepted
-			dst.rejected += c.rejected
 		}
 		for k, c := range tf.targets {
-			dst := targets[k]
-			if dst == nil {
-				dst = &targetCounts{}
-				targets[k] = dst
-			}
-			dst.add(c)
+			entry(targets, k).add(c)
 		}
 		for _, m := range tf.metas {
 			if m.QueueWaitMS > 0 {
@@ -406,11 +388,8 @@ func (in *Ingestor) Snapshot() *Fleet {
 			}
 			if m.Cache != nil {
 				for stage, st := range m.Cache.Stages {
-					cs := cache[string(stage)]
-					if cs == nil {
-						cs = &CacheStat{Stage: string(stage)}
-						cache[string(stage)] = cs
-					}
+					cs := entry(cache, string(stage))
+					cs.Stage = string(stage)
 					cs.Hits += st.Hits
 					cs.Misses += st.Misses
 				}
@@ -423,7 +402,7 @@ func (in *Ingestor) Snapshot() *Fleet {
 	f.StageVirtual = distTable(stageV)
 	for _, k := range sortedKeys(classes) {
 		c := classes[k]
-		f.Classes = append(f.Classes, ClassStat{Class: k, Tried: c.tried, Accepted: c.accepted, Rejected: c.rejected})
+		f.Classes = append(f.Classes, ClassStat{Class: k, Tried: c.tried, Accepted: c.accepted, Rejected: c.tried - c.accepted})
 	}
 	for _, k := range sortedKeys(targets) {
 		t := targets[k]

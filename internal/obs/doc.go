@@ -7,8 +7,10 @@
 // The layer is zero-dependency (standard library only) and designed so a
 // trace is a faithful, replayable record of the paper's evaluation data:
 // Figure 2's repair trajectory, Table 3's attempts and virtual minutes,
-// and §6's coverage curves all reconstruct from one trace file (see
-// cmd/hgstat and this package's report.go).
+// and §6's coverage curves all reconstruct from one trace file. This
+// package is the emitting side only; every read-side view of a trace
+// (the single-run report, the span tree, the fleet warehouse) is folded
+// by internal/obs/span and rendered by cmd/hgstat.
 //
 // Determinism contract: the instrumented subsystems emit every event on
 // their commit goroutine, in candidate/mutation enumeration order — the

@@ -1,16 +1,20 @@
-package obs
+package span
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+
+	"github.com/hetero/heterogen/internal/obs"
 )
 
 // Report is the single-run view cmd/hgstat renders for one JSONL trace
 // file: per-subject repair trajectories (Figure 2), coverage curves (§6
 // / Table 4), fix-pattern frequencies, and the virtual-budget breakdown.
-// A trace without subject tags (a plain `heterogen -trace` run) yields
+// It is read off the runs Build derives, one SubjectReport per run. A
+// trace without subject tags (a plain `heterogen -trace` run) yields
 // one SubjectReport with an empty Subject.
 type Report struct {
 	Subjects []*SubjectReport
@@ -31,13 +35,13 @@ type SubjectReport struct {
 	Patterns []PatternCount
 	// Phases is the virtual-budget breakdown from phase_end events.
 	Phases []PhaseCost
-	// Budget is the repair-search cost split summed over candidate
-	// events (style / compile / simulate).
+	// Budget is the repair-search cost split summed over the candidates'
+	// cost spans (style / compile / simulate).
 	Budget BudgetSplit
 
-	// FuzzDone / RepairDone are the summary events, when present.
-	FuzzDone   *FuzzEvent
-	RepairDone *DoneEvent
+	// FuzzDone / RepairDone are the last summary events, when present.
+	FuzzDone   *obs.FuzzEvent
+	RepairDone *obs.DoneEvent
 	Warnings   []string
 
 	// Recomputed totals, for cross-checking against RepairDone.
@@ -86,93 +90,71 @@ type BudgetSplit struct {
 	SimSeconds     float64
 }
 
-// BuildReport reconstructs per-subject reports from a trace, preserving
-// first-seen subject order.
-func BuildReport(events []Event) *Report {
+// NewReport reads the single-run report off runs, in their order.
+func NewReport(runs []*Run) *Report {
 	rep := &Report{}
-	byID := map[string]*SubjectReport{}
-	get := func(id string) *SubjectReport {
-		if s, ok := byID[id]; ok {
-			return s
-		}
-		s := &SubjectReport{Subject: id}
-		byID[id] = s
-		rep.Subjects = append(rep.Subjects, s)
-		return s
-	}
-	for _, e := range events {
-		s := get(e.Subject)
-		switch e.Type {
-		case EvFuzzExec:
-			if e.Fuzz != nil {
-				s.Coverage = append(s.Coverage, CovPoint{
-					Exec: e.Fuzz.Exec, Covered: e.Fuzz.Covered,
-					Total: e.Fuzz.TotalOutcomes, Corpus: e.Fuzz.Corpus,
-				})
-			}
-		case EvFuzzDone:
-			if e.Fuzz != nil {
-				f := *e.Fuzz
-				s.FuzzDone = &f
-			}
-		case EvRepairInit:
-			if e.Repair != nil {
-				s.LastVirtual = e.Virtual
-				s.SumDeltas += e.Repair.VirtualDelta
-				s.Budget.add(e.Repair)
-				s.Trajectory = append(s.Trajectory, TrajPoint{
-					VirtualMin: e.Virtual / 60, Errors: e.Repair.Errors,
-					PassRatio: e.Repair.PassRatio, LatencyMS: e.Repair.LatencyMS,
-					Label: "initial version",
-				})
-			}
-		case EvCandidate:
-			if e.Repair != nil {
-				s.CandidateEvents++
-				s.LastVirtual = e.Virtual
-				s.SumDeltas += e.Repair.VirtualDelta
-				s.Budget.add(e.Repair)
-				s.countPatterns(e.Repair)
-				if e.Repair.Accepted {
-					s.AcceptedEvents++
-					s.AcceptedEdits = append(s.AcceptedEdits, e.Repair.Edits...)
-					s.Trajectory = append(s.Trajectory, TrajPoint{
-						VirtualMin: e.Virtual / 60, Errors: e.Repair.Errors,
-						PassRatio: e.Repair.PassRatio, LatencyMS: e.Repair.LatencyMS,
-						Label: strings.Join(e.Repair.Edits, " ; "),
-					})
-				}
-			}
-		case EvRepairDone:
-			if e.Done != nil {
-				d := *e.Done
-				s.RepairDone = &d
-			}
-		case EvPhaseEnd:
-			if e.Phase != nil {
-				s.Phases = append(s.Phases, PhaseCost{
-					Name: e.Phase.Name, VirtualSeconds: e.Phase.VirtualDelta,
-				})
-			}
-		case EvWarning:
-			s.Warnings = append(s.Warnings, e.Warn)
-		}
-	}
-	for _, s := range rep.Subjects {
-		sort.Slice(s.Patterns, func(i, j int) bool {
-			if s.Patterns[i].Tried != s.Patterns[j].Tried {
-				return s.Patterns[i].Tried > s.Patterns[j].Tried
-			}
-			return s.Patterns[i].Template < s.Patterns[j].Template
-		})
+	for _, r := range runs {
+		rep.Subjects = append(rep.Subjects, newSubjectReport(r))
 	}
 	return rep
 }
 
-func (b *BudgetSplit) add(r *RepairEvent) {
-	b.StyleSeconds += r.CostStyle
-	b.CompileSeconds += r.CostCompile
-	b.SimSeconds += r.CostSim
+func newSubjectReport(r *Run) *SubjectReport {
+	s := &SubjectReport{Subject: r.Subject, Warnings: r.Warnings}
+	for _, l := range r.Leaves {
+		switch l.Kind {
+		case KindExec:
+			f := l.Event.Fuzz
+			s.Coverage = append(s.Coverage, CovPoint{
+				Exec: f.Exec, Covered: f.Covered, Total: f.TotalOutcomes, Corpus: f.Corpus,
+			})
+		case KindCandidate:
+			e := l.Event
+			s.LastVirtual = e.Virtual
+			s.SumDeltas += e.Repair.VirtualDelta
+			for _, c := range l.Children {
+				switch c.Name {
+				case "style":
+					s.Budget.StyleSeconds += c.Self
+				case "compile":
+					s.Budget.CompileSeconds += c.Self
+				case "sim":
+					s.Budget.SimSeconds += c.Self
+				}
+			}
+			if !l.Initial() {
+				s.CandidateEvents++
+				s.countPatterns(e.Repair)
+				if e.Repair.Accepted {
+					s.AcceptedEvents++
+					s.AcceptedEdits = append(s.AcceptedEdits, e.Repair.Edits...)
+				}
+			}
+			if l.Initial() || e.Repair.Accepted {
+				s.Trajectory = append(s.Trajectory, TrajPoint{
+					VirtualMin: e.Virtual / 60, Errors: e.Repair.Errors,
+					PassRatio: e.Repair.PassRatio, LatencyMS: e.Repair.LatencyMS,
+					Label: l.Name,
+				})
+			}
+		}
+	}
+	for _, p := range r.Phases() {
+		s.Phases = append(s.Phases, PhaseCost{Name: p.Name, VirtualSeconds: p.Event.Phase.VirtualDelta})
+	}
+	if n := len(r.FuzzDone); n > 0 {
+		s.FuzzDone = r.FuzzDone[n-1].Fuzz
+	}
+	if n := len(r.RepairDone); n > 0 {
+		s.RepairDone = r.RepairDone[n-1].Done
+	}
+	sort.Slice(s.Patterns, func(i, j int) bool {
+		if s.Patterns[i].Tried != s.Patterns[j].Tried {
+			return s.Patterns[i].Tried > s.Patterns[j].Tried
+		}
+		return s.Patterns[i].Template < s.Patterns[j].Template
+	})
+	return s
 }
 
 // templateOf reduces an edit rendering ("resize(buf, 2048)") to its
@@ -186,26 +168,17 @@ func templateOf(edit string) string {
 
 // countPatterns tallies each edit's template name into the pattern
 // table.
-func (s *SubjectReport) countPatterns(r *RepairEvent) {
+func (s *SubjectReport) countPatterns(r *obs.RepairEvent) {
 	for _, edit := range r.Edits {
 		name := templateOf(edit)
-		found := false
-		for i := range s.Patterns {
-			if s.Patterns[i].Template == name {
-				s.Patterns[i].Tried++
-				if r.Accepted {
-					s.Patterns[i].Accepted++
-				}
-				found = true
-				break
-			}
+		i := slices.IndexFunc(s.Patterns, func(p PatternCount) bool { return p.Template == name })
+		if i < 0 {
+			i = len(s.Patterns)
+			s.Patterns = append(s.Patterns, PatternCount{Template: name})
 		}
-		if !found {
-			p := PatternCount{Template: name, Tried: 1}
-			if r.Accepted {
-				p.Accepted = 1
-			}
-			s.Patterns = append(s.Patterns, p)
+		s.Patterns[i].Tried++
+		if r.Accepted {
+			s.Patterns[i].Accepted++
 		}
 	}
 }
@@ -231,7 +204,7 @@ func (r *Report) Check() []string {
 				problems = append(problems, fmt.Sprintf(
 					"%saccepted events (%d) != reported accepted (%d)", tag, s.AcceptedEvents, d.Accepted))
 			}
-			if !equalStrings(s.AcceptedEdits, d.EditLog) {
+			if !slices.Equal(s.AcceptedEdits, d.EditLog) {
 				problems = append(problems, fmt.Sprintf(
 					"%saccepted-edit chain diverges from reported edit log:\n  events: %v\n  stats:  %v",
 					tag, s.AcceptedEdits, d.EditLog))
@@ -261,18 +234,6 @@ func (r *Report) Check() []string {
 		}
 	}
 	return problems
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Text renders the full report.

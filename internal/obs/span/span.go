@@ -13,13 +13,24 @@
 //	            committed fuzz execution)
 //	            └── cost ("style" | "compile" | "sim" components)
 //
+// Build is the one read-side fold over the event stream: the
+// single-run report (NewReport) and the fleet warehouse
+// (internal/obs/agg) read the runs it returns, never the events. Leaf
+// and phase spans keep their source event, and each run keeps its
+// leaves in event order and its fuzz_done and repair_done summaries,
+// so every view reads the payload fields it needs off the tree.
+//
 // Virtual cost attributes bottom-up: a span's Total is its Self cost
-// plus its children's Totals. Wall time attaches only where the event
-// stream carries it (phase_end events traced with IncludeWall); the
-// default deterministic trace has none, and the span layer never
-// invents it. Cache activity is likewise invisible in a deterministic
-// trace (the cache-parity contract requires byte-identical traces with
-// and without a cache), so cache hits attach at the run level from an
+// plus its children's Totals. A fuzz execution's Self is its campaign
+// clock's advance since the previous execution (fuzz events carry only
+// the cumulative clock); the clock restarts at a "fuzz" phase start and
+// after each fuzz_done, so back-to-back campaigns never charge a
+// negative delta. Wall time attaches only where the event stream
+// carries it (phase_end events traced with IncludeWall); the default
+// deterministic trace has none, and the span layer never invents it.
+// Cache activity is likewise invisible in a deterministic trace (the
+// cache-parity contract requires byte-identical traces with and
+// without a cache), so cache hits attach at the run level from an
 // optional metadata sidecar (RunMeta) written by the serving layer.
 package span
 
@@ -28,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"github.com/hetero/heterogen/internal/evalcache"
@@ -71,6 +83,15 @@ type Span struct {
 	// Events counts the events folded into this span (self only).
 	Events   int     `json:"events"`
 	Children []*Span `json:"children,omitempty"`
+	// Event is the source event of a leaf (exec, candidate or check
+	// span) and the phase_end of a closed phase span; nil elsewhere.
+	Event *obs.Event `json:"-"`
+}
+
+// Initial reports whether s is a repair search's initial evaluation (a
+// repair_init leaf) rather than a tried candidate.
+func (s *Span) Initial() bool {
+	return s.Event != nil && s.Event.Type == obs.EvRepairInit
 }
 
 // Run is the derived tree for one subject.
@@ -84,6 +105,30 @@ type Run struct {
 	// traces cannot carry cache activity by contract).
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
+
+	// Leaves are the run's exec, candidate and check spans in event
+	// order; stages group candidates by step and so lose that order.
+	Leaves []*Span `json:"-"`
+	// FuzzDone / RepairDone are the run's campaign and search summary
+	// events in order; the last of each is the run's final summary.
+	FuzzDone   []*obs.Event `json:"-"`
+	RepairDone []*obs.Event `json:"-"`
+	// Stamps counts the run's events per target-set stamp
+	// (obs.Event.Target); unstamped events count under "", so the
+	// counts sum to the run's events.
+	Stamps map[string]int `json:"-"`
+}
+
+// Phases returns the run's closed phase spans (those that saw their
+// phase_end) in phase_end order.
+func (r *Run) Phases() []*Span {
+	var out []*Span
+	for _, c := range r.Root.Children {
+		if c.Kind == KindPhase && c.Event != nil {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // RunMeta is the nondeterministic operational sidecar a serving layer
@@ -134,21 +179,18 @@ func ReadMeta(tracePath string) *RunMeta {
 func Build(events []obs.Event) []*Run {
 	var runs []*Run
 	byID := map[string]*runBuilder{}
-	order := []string{}
-	get := func(id string) *runBuilder {
-		if b, ok := byID[id]; ok {
-			return b
+	for i := range events {
+		e := &events[i]
+		b := byID[e.Subject]
+		if b == nil {
+			b = newRunBuilder(e.Subject)
+			byID[e.Subject] = b
+			runs = append(runs, b.run)
 		}
-		b := newRunBuilder(id)
-		byID[id] = b
-		order = append(order, id)
-		return b
+		b.add(e)
 	}
-	for _, e := range events {
-		get(e.Subject).add(e)
-	}
-	for _, id := range order {
-		runs = append(runs, byID[id].finish())
+	for _, r := range runs {
+		settle(r.Root)
 	}
 	return runs
 }
@@ -177,8 +219,8 @@ type runBuilder struct {
 	// stage is the current stage span under the open phase, keyed by
 	// its name so consecutive same-step candidates share one stage.
 	stage *Span
-	// prevFuzzVirtual tracks the fuzz campaign clock for per-exec
-	// deltas (fuzz events carry cumulative virtual only).
+	// prevFuzzVirtual is the campaign clock at the previous fuzz
+	// execution, for per-exec deltas.
 	prevFuzzVirtual float64
 }
 
@@ -190,6 +232,7 @@ func newRunBuilder(subject string) *runBuilder {
 	return &runBuilder{run: &Run{
 		Subject: subject,
 		Root:    &Span{Kind: KindRun, Name: name},
+		Stamps:  map[string]int{},
 	}}
 }
 
@@ -198,10 +241,7 @@ func (b *runBuilder) parent() *Span {
 	if b.stage != nil {
 		return b.stage
 	}
-	if b.open != nil {
-		return b.open
-	}
-	return b.run.Root
+	return b.container()
 }
 
 // container returns the span new stages hang from.
@@ -231,7 +271,14 @@ func (b *runBuilder) stageFor(name string) *Span {
 	return s
 }
 
-func (b *runBuilder) add(e obs.Event) {
+// leaf records a leaf span under its parent and in event order.
+func (b *runBuilder) leaf(parent, s *Span) {
+	parent.Children = append(parent.Children, s)
+	b.run.Leaves = append(b.run.Leaves, s)
+}
+
+func (b *runBuilder) add(e *obs.Event) {
+	b.run.Stamps[e.Target]++
 	switch e.Type {
 	case obs.EvPhaseStart:
 		if e.Phase == nil {
@@ -257,8 +304,9 @@ func (b *runBuilder) add(e obs.Event) {
 		p.End = e.Virtual
 		p.Events++
 		p.WallNS = e.Phase.WallNS
+		p.Event = e
 		// The phase's Self is whatever its children do not explain;
-		// settle it in finish once the children are final.
+		// settle it once the children are final.
 		p.Total = e.Phase.VirtualDelta
 		b.open = nil
 		b.stage = nil
@@ -275,22 +323,22 @@ func (b *runBuilder) add(e obs.Event) {
 		leaf := &Span{
 			Kind: KindExec, Name: fmt.Sprintf("exec %d", e.Fuzz.Exec),
 			Start: e.Virtual - delta, End: e.Virtual,
-			Self: delta, Events: 1,
+			Self: delta, Events: 1, Reason: e.Fuzz.Failure, Event: e,
 		}
-		if e.Fuzz.Failure != "" {
-			leaf.Reason = e.Fuzz.Failure
-		}
-		st.Children = append(st.Children, leaf)
+		b.leaf(st, leaf)
 		if st.Start == 0 && len(st.Children) == 1 {
 			st.Start = leaf.Start
 		}
 		st.End = e.Virtual
 	case obs.EvFuzzDone:
-		if st := b.stageFor("execs"); st != nil {
-			st.End = e.Virtual
-			st.Events++
-		}
+		st := b.stageFor("execs")
+		st.End = e.Virtual
+		st.Events++
 		b.stage = nil
+		b.prevFuzzVirtual = 0
+		if e.Fuzz != nil {
+			b.run.FuzzDone = append(b.run.FuzzDone, e)
+		}
 	case obs.EvRepairInit, obs.EvCandidate:
 		if e.Repair == nil {
 			return
@@ -302,7 +350,7 @@ func (b *runBuilder) add(e obs.Event) {
 			Class: e.Repair.Class,
 			Start: e.Virtual - e.Repair.VirtualDelta, End: e.Virtual,
 			Accepted: e.Repair.Accepted, Reason: e.Repair.Reason,
-			Events: 1,
+			Events: 1, Event: e,
 		}
 		if e.Type == obs.EvRepairInit {
 			leaf.Name = "initial version"
@@ -326,31 +374,27 @@ func (b *runBuilder) add(e obs.Event) {
 		if leaf.Self < 0 {
 			leaf.Self = 0
 		}
-		st.Children = append(st.Children, leaf)
+		b.leaf(st, leaf)
 		if len(st.Children) == 1 {
 			st.Start = leaf.Start
 		}
 		st.End = e.Virtual
 	case obs.EvRepairDone:
 		b.stage = nil
+		if e.Done != nil {
+			b.run.RepairDone = append(b.run.RepairDone, e)
+		}
 	case obs.EvCheck:
-		p := b.parent()
 		name := "check"
 		if e.Check != nil {
 			name = "check " + e.Check.Top
 		}
-		p.Children = append(p.Children, &Span{
-			Kind: KindCheck, Name: name, Start: e.Virtual, End: e.Virtual, Events: 1,
+		b.leaf(b.parent(), &Span{
+			Kind: KindCheck, Name: name, Start: e.Virtual, End: e.Virtual, Events: 1, Event: e,
 		})
 	case obs.EvWarning:
 		b.run.Warnings = append(b.run.Warnings, e.Warn)
 	}
-}
-
-// finish settles totals bottom-up and returns the run.
-func (b *runBuilder) finish() *Run {
-	settle(b.run.Root)
-	return b.run
 }
 
 // settle computes Total = Self + sum(children Total), except where an
@@ -439,59 +483,33 @@ func writeSpan(sb *strings.Builder, s *Span, depth, maxChildren int) {
 	}
 	sb.WriteString("\n")
 	kids := s.Children
-	if maxChildren > 0 && len(kids) > maxChildren {
-		// Show the costliest children, keep original order among them.
-		rs := make([]ranked, len(kids))
-		for i, c := range kids {
-			rs[i] = ranked{i, c}
-		}
-		// Selection by cost: simple partial sort is overkill here; a
-		// full sort on a copy keeps the code obvious.
-		sortRanked(rs)
-		keep := map[int]bool{}
-		for _, r := range rs[:maxChildren] {
-			keep[r.idx] = true
-		}
-		var shown []*Span
-		var elided int
-		var elidedCost float64
-		for i, c := range kids {
-			if keep[i] {
-				shown = append(shown, c)
-			} else {
-				elided++
-				elidedCost += c.Total
-			}
-		}
-		for _, c := range shown {
+	if maxChildren <= 0 || len(kids) <= maxChildren {
+		for _, c := range kids {
 			writeSpan(sb, c, depth+1, maxChildren)
 		}
-		fmt.Fprintf(sb, "%s… %d more spans (total=%.3fs)\n",
-			strings.Repeat("  ", depth+1), elided, elidedCost)
 		return
 	}
-	for _, c := range kids {
-		writeSpan(sb, c, depth+1, maxChildren)
+	// Show the costliest children (ties to the earlier one) in their
+	// original order, and summarize the rest.
+	rank := make([]int, len(kids))
+	for i := range rank {
+		rank[i] = i
 	}
-}
-
-// sortRanked orders by descending Total, index ascending on ties
-// (insertion sort: child lists are small once elision applies).
-func sortRanked(rs []ranked) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := rs[j-1], rs[j]
-			if a.sp.Total > b.sp.Total || (a.sp.Total == b.sp.Total && a.idx < b.idx) {
-				break
-			}
-			rs[j-1], rs[j] = b, a
+	sort.SliceStable(rank, func(a, b int) bool { return kids[rank[a]].Total > kids[rank[b]].Total })
+	keep := make([]bool, len(kids))
+	for _, i := range rank[:maxChildren] {
+		keep[i] = true
+	}
+	var elidedCost float64
+	for i, c := range kids {
+		if keep[i] {
+			writeSpan(sb, c, depth+1, maxChildren)
+		} else {
+			elidedCost += c.Total
 		}
 	}
-}
-
-type ranked struct {
-	idx int
-	sp  *Span
+	fmt.Fprintf(sb, "%s… %d more spans (total=%.3fs)\n",
+		strings.Repeat("  ", depth+1), len(kids)-maxChildren, elidedCost)
 }
 
 func clip(s string, n int) string {

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -188,5 +189,31 @@ func TestTextElidesLargeChildLists(t *testing.T) {
 	full := r.Text(0)
 	if strings.Contains(full, "more spans") {
 		t.Fatal("maxChildren=0 must not elide")
+	}
+}
+
+// TestFuzzClockRestartsAfterCampaign: two phase-less campaigns of one
+// subject each charge their executions from a fresh clock, so the
+// second campaign's first execution costs its own 0.4 s, not a clamped
+// zero against the first campaign's clock.
+func TestFuzzClockRestartsAfterCampaign(t *testing.T) {
+	var events []obs.Event
+	for _, v := range []float64{0.5, 1.0, -1, 0.4, 0.9, -1} {
+		if v < 0 {
+			events = append(events, obs.Event{Type: obs.EvFuzzDone, Fuzz: &obs.FuzzEvent{}})
+			continue
+		}
+		events = append(events, obs.Event{Type: obs.EvFuzzExec, Virtual: v, Fuzz: &obs.FuzzEvent{}})
+	}
+	r := Build(events)[0]
+	var selfs []float64
+	for _, l := range r.Leaves {
+		selfs = append(selfs, l.Self)
+	}
+	if len(selfs) != 4 || selfs[2] != 0.4 || math.Abs(r.Root.Total-1.9) > 1e-9 {
+		t.Fatalf("exec costs %v, total %.3f; want [0.5 0.5 0.4 0.5], total 1.9", selfs, r.Root.Total)
+	}
+	if len(r.FuzzDone) != 2 {
+		t.Errorf("kept %d campaign summaries, want 2", len(r.FuzzDone))
 	}
 }
