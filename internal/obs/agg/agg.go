@@ -203,11 +203,10 @@ func mine(runs []*span.Run) *traceFacts {
 			switch {
 			case l.Kind == span.KindExec:
 				tf.stageVirtual["fuzz.exec"] = append(tf.stageVirtual["fuzz.exec"], l.Self)
-			case l.Kind != span.KindCandidate:
 			case l.Initial():
 				tf.funnel.Repairs++
 				tf.stageVirtual["repair.init"] = append(tf.stageVirtual["repair.init"], l.Event.Repair.VirtualDelta)
-			default:
+			case l.Kind == span.KindCandidate:
 				tf.candidate(l.Event)
 			}
 		}

@@ -171,14 +171,23 @@ func templateOf(edit string) string {
 func (s *SubjectReport) countPatterns(r *obs.RepairEvent) {
 	for _, edit := range r.Edits {
 		name := templateOf(edit)
-		i := slices.IndexFunc(s.Patterns, func(p PatternCount) bool { return p.Template == name })
-		if i < 0 {
-			i = len(s.Patterns)
-			s.Patterns = append(s.Patterns, PatternCount{Template: name})
+		found := false
+		for i := range s.Patterns {
+			if s.Patterns[i].Template == name {
+				s.Patterns[i].Tried++
+				if r.Accepted {
+					s.Patterns[i].Accepted++
+				}
+				found = true
+				break
+			}
 		}
-		s.Patterns[i].Tried++
-		if r.Accepted {
-			s.Patterns[i].Accepted++
+		if !found {
+			p := PatternCount{Template: name, Tried: 1}
+			if r.Accepted {
+				p.Accepted = 1
+			}
+			s.Patterns = append(s.Patterns, p)
 		}
 	}
 }

@@ -24,14 +24,15 @@
 // plus its children's Totals. A fuzz execution's Self is its campaign
 // clock's advance since the previous execution (fuzz events carry only
 // the cumulative clock); the clock restarts at a "fuzz" phase start and
-// after each fuzz_done, so back-to-back campaigns never charge a
-// negative delta. Wall time attaches only where the event stream
-// carries it (phase_end events traced with IncludeWall); the default
-// deterministic trace has none, and the span layer never invents it.
-// Cache activity is likewise invisible in a deterministic trace (the
-// cache-parity contract requires byte-identical traces with and
-// without a cache), so cache hits attach at the run level from an
-// optional metadata sidecar (RunMeta) written by the serving layer.
+// after each fuzz_done, so a campaign that follows another is charged
+// from zero, not against the earlier campaign's clock. Wall time
+// attaches only where the event stream carries it (phase_end events
+// traced with IncludeWall); the default deterministic trace has none,
+// and the span layer never invents it. Cache activity is likewise
+// invisible in a deterministic trace (the cache-parity contract
+// requires byte-identical traces with and without a cache), so cache
+// hits attach at the run level from an optional metadata sidecar
+// (RunMeta) written by the serving layer.
 package span
 
 import (
@@ -219,8 +220,8 @@ type runBuilder struct {
 	// stage is the current stage span under the open phase, keyed by
 	// its name so consecutive same-step candidates share one stage.
 	stage *Span
-	// prevFuzzVirtual is the campaign clock at the previous fuzz
-	// execution, for per-exec deltas.
+	// prevFuzzVirtual tracks the fuzz campaign clock for per-exec
+	// deltas (fuzz events carry cumulative virtual only).
 	prevFuzzVirtual float64
 }
 
@@ -241,7 +242,10 @@ func (b *runBuilder) parent() *Span {
 	if b.stage != nil {
 		return b.stage
 	}
-	return b.container()
+	if b.open != nil {
+		return b.open
+	}
+	return b.run.Root
 }
 
 // container returns the span new stages hang from.
