@@ -901,6 +901,222 @@ long f(int n) {
     r = r * 10 + a[0] + a[1] + a[3] + c[0] + q[3];
     return r;
 }`},
+	{name: "writes into a global struct array", args: [][]int64{{0}, {3}, {-6}}, src: `
+struct S { int x; int y; };
+struct S g[8];
+int f(int n) {
+    g[n & 7].x = n;
+    g[(n + 1) & 7].y = n * 2;
+    g[2].x += 5;
+    g[2].y++;
+    return g[n & 7].x * 1000 + g[(n + 1) & 7].y * 100 + g[2].x * 10 + g[2].y + g[5].x + g[6].y;
+}`},
+	{name: "writes into a local struct array", args: [][]int64{{0}, {4}, {7}}, src: `
+struct S { int x; int y; };
+int f(int n) {
+    struct S a[6];
+    for (int i = 0; i < n && i < 6; i += 2) { a[i].x = i + n; }
+    a[1].y = -n;
+    int s = 0;
+    for (int i = 0; i < 6; i++) { s = s * 3 + a[i].x + a[i].y; }
+    return s;
+}`},
+	{name: "writes into a malloc'd struct block", args: [][]int64{{2}, {-5}}, src: `
+struct S { int x; int y; };
+int f(int n) {
+    struct S *p = (struct S *)malloc(4 * sizeof(struct S));
+    p[1].x = n;
+    (p + 2)->y = n + 1;
+    p->x = 7;
+    int s = p[0].x + p[1].x * 10 + p[2].y * 100 + p[3].x + p[3].y + p[1].y + p[2].x;
+    free(p);
+    return s;
+}`},
+	{name: "nested struct field write", args: [][]int64{{3}, {-1}}, src: `
+struct In { int a; int b; };
+struct Out { struct In in; int k; };
+struct Out g[4];
+int f(int n) {
+    struct Out l[3];
+    g[1].in.b = n;
+    l[2].in.a = n + 1;
+    l[0].k = 3;
+    struct In t = g[2].in;
+    t.a = 9;
+    return g[1].in.b * 1000 + g[0].in.b * 100 + g[2].in.a + l[2].in.a * 10 + l[1].in.a + l[0].k + l[2].k + t.a + g[1].in.a;
+}`},
+	{name: "read of an untouched element", args: [][]int64{{1}, {6}}, src: `
+struct S { int x; int y; };
+struct S g[4];
+int f(int n) {
+    struct S l[4];
+    g[0].x = n;
+    struct S w = g[3];
+    return g[3].x + g[3].y + l[n & 3].x + l[1].y + w.x + w.y + g[0].x * 10;
+}`},
+	{name: "copy of an untouched element written", args: [][]int64{{5}}, src: `
+struct S { int x; int y; };
+int f(int n) {
+    struct S a[4];
+    struct S t = a[3];
+    t.x = n;
+    struct S u;
+    u = a[2];
+    u.y = n + 1;
+    a[1] = t;
+    a[1].y = 9;
+    return a[3].x * 10000 + t.x * 1000 + u.y * 100 + a[2].y * 10 + a[1].x + t.y + a[1].y;
+}`},
+	{name: "untouched element by value and by reference", args: [][]int64{{4}}, src: `
+struct S { int x; int y; };
+struct S g[4];
+int byval(struct S s) { s.x = 11; return s.x + s.y; }
+void byref(struct S &s, int v) { s.y = v; }
+int f(int n) {
+    int r = byval(g[2]);
+    byref(g[3], n);
+    struct S l[2];
+    byref(l[1], n + 1);
+    return r * 1000 + g[2].x * 100 + g[3].y * 10 + l[1].y + l[0].y;
+}`},
+	{name: "method writes an untouched element", args: [][]int64{{2}}, src: `
+struct C {
+    int v;
+    int w;
+    void set(int a) { v = a; }
+    int get() { return v + w; }
+};
+struct C g[4];
+int f(int n) {
+    struct C l[3];
+    g[2].set(n);
+    l[1].set(n + 1);
+    return g[2].get() * 1000 + g[1].get() * 100 + l[1].get() * 10 + l[2].get();
+}`},
+	{name: "dereference of an untouched element", args: [][]int64{{3}}, src: `
+struct S { int x; int y; };
+struct S g[4];
+int f(int n) {
+    struct S *p = &g[2];
+    struct S t = *p;
+    g[0] = *p;
+    g[0].x = n;
+    t.y = n + 1;
+    struct S *q = &g[3];
+    q->y = n * 2;
+    return g[2].x * 10000 + g[2].y * 1000 + g[0].x * 100 + t.y * 10 + g[3].y + (*p).x + (*q).y;
+}`},
+	{name: "repaired pool kernel", args: [][]int64{{0}, {5}, {30}}, src: `
+typedef int Node_ptr;
+struct Node {
+    int val;
+    Node_ptr left;
+    Node_ptr right;
+};
+struct Node Node_arr[256];
+int Node_next = 1;
+Node_ptr Node_malloc(int sz) {
+    Node_ptr p = Node_next;
+    Node_next = Node_next + 1;
+    return p;
+}
+int total;
+struct traverse_ctx {
+    Node_ptr curr;
+    int loc;
+};
+struct traverse_ctx traverse_stack[32];
+int traverse_top;
+void traverse(Node_ptr curr) {
+    traverse_top = 0;
+    traverse_stack[traverse_top].curr = curr;
+    traverse_stack[traverse_top].loc = 0;
+    traverse_top = traverse_top + 1;
+    while (traverse_top > 0) {
+        traverse_top = traverse_top - 1;
+        Node_ptr curr = traverse_stack[traverse_top].curr;
+        switch (traverse_stack[traverse_top].loc) {
+        case 0:
+            if (curr == 0) {
+                break;
+            }
+            total = total + Node_arr[curr].val;
+            traverse_stack[traverse_top].curr = curr;
+            traverse_stack[traverse_top].loc = 1;
+            traverse_top = traverse_top + 1;
+            traverse_stack[traverse_top].curr = Node_arr[curr].left;
+            traverse_stack[traverse_top].loc = 0;
+            traverse_top = traverse_top + 1;
+            break;
+        case 1:
+            traverse_stack[traverse_top].curr = curr;
+            traverse_stack[traverse_top].loc = 2;
+            traverse_top = traverse_top + 1;
+            traverse_stack[traverse_top].curr = Node_arr[curr].right;
+            traverse_stack[traverse_top].loc = 0;
+            traverse_top = traverse_top + 1;
+            break;
+        case 2:
+            break;
+        }
+    }
+}
+int f(int n) {
+    if (n < 0) {
+        n = -n;
+    }
+    if (n > 24) {
+        n = 24;
+    }
+    Node_ptr root = 0;
+    for (fpga_uint<6> i = 0; i < n; i++) {
+        #pragma HLS pipeline II=1
+        fpga_uint<8> v = i * 37 % 101;
+        Node_ptr nn = Node_malloc(sizeof(struct Node));
+        Node_arr[nn].val = v;
+        Node_arr[nn].left = 0;
+        Node_arr[nn].right = 0;
+        if (root == 0) {
+            root = nn;
+        } else {
+            Node_ptr p = root;
+            while (1) {
+                if (v < Node_arr[p].val) {
+                    if (Node_arr[p].left == 0) {
+                        Node_arr[p].left = nn;
+                        break;
+                    }
+                    p = Node_arr[p].left;
+                } else {
+                    if (Node_arr[p].right == 0) {
+                        Node_arr[p].right = nn;
+                        break;
+                    }
+                    p = Node_arr[p].right;
+                }
+            }
+        }
+    }
+    total = 0;
+    traverse(root);
+    return total;
+}`},
+	{name: "stream array FIFOs", args: [][]int64{{7}}, src: `
+unsigned f(unsigned v) {
+    hls::stream<unsigned> s[2];
+    s[0].write(v);
+    s[1].write(v + 10);
+    return s[1].read() * 1000 + s[0].read();
+}`},
+	{name: "struct array with a stream field", args: [][]int64{{3}}, src: `
+struct Ch { hls::stream<int> q; int n; };
+int f(int v) {
+    struct Ch c[3];
+    c[0].q.write(v);
+    c[2].q.write(v * 2);
+    c[2].n = 1;
+    return c[2].q.read() * 100 + c[0].q.read() * 10 + c[2].n + c[1].n;
+}`},
 }
 
 // edgeTightSteps is a budget that cuts most edge cases off mid-run.
