@@ -1050,17 +1050,23 @@ func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []e
 }
 
 // fillZero sets every element to the zero value of elem, each with a
-// struct value of its own.
+// struct value of its own. A zero holding a stream is built afresh for
+// every element, since a copy shares its FIFO.
 func fillZero(elems []Value, elem ctypes.Type) {
 	zero := ZeroValue(elem)
-	if zero.Aggregate == nil {
+	switch {
+	case zero.Aggregate == nil:
 		for i := range elems {
 			elems[i] = zero
 		}
-		return
-	}
-	for i := range elems {
-		elems[i] = zero.DeepCopy()
+	case holdsStream(zero):
+		for i := range elems {
+			elems[i] = ZeroValue(elem)
+		}
+	default:
+		for i := range elems {
+			elems[i] = zero.DeepCopy()
+		}
 	}
 }
 

@@ -211,6 +211,21 @@ func (v Value) DeepCopy() Value {
 	return v
 }
 
+// holdsStream reports whether v is a stream or a struct holding one.
+func holdsStream(v Value) bool {
+	switch v.Kind {
+	case VStream:
+		return true
+	case VStruct:
+		for _, f := range v.fields() {
+			if holdsStream(f) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // fields is v's struct fields, nil when it has no aggregate.
 func (v Value) fields() []Value {
 	if v.Aggregate == nil {
