@@ -1006,6 +1006,18 @@ int f(int n) {
     q->y = n * 2;
     return g[2].x * 10000 + g[2].y * 1000 + g[0].x * 100 + t.y * 10 + g[3].y + (*p).x + (*q).y;
 }`},
+	{name: "untouched element dereferenced by reference", args: [][]int64{{4}}, src: `
+struct S { int x; int y; };
+struct S g[4];
+void byref(struct S &s, int v) { s.y = v; }
+int f(int n) {
+    struct S l[3];
+    struct S *p = &g[1];
+    byref(*p, n);
+    struct S *q = l + 2;
+    byref(*q, n + 1);
+    return g[1].y * 100 + l[2].y * 10 + g[2].y + l[1].y;
+}`},
 	{name: "repaired pool kernel", args: [][]int64{{0}, {5}, {30}}, src: `
 typedef int Node_ptr;
 struct Node {
