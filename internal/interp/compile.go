@@ -1049,24 +1049,21 @@ func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []e
 	return obj
 }
 
-// fillZero sets every element to the zero value of elem, each with a
-// struct value of its own. A zero holding a stream is built afresh for
-// every element, since a copy shares its FIFO.
+// fillZero sets every element to the zero value of elem. Every element
+// holds the same zero, marked shared, until it gets a copy of its own
+// (Aggregate.shared). A zero holding a stream is built afresh for every
+// element instead, since a copy shares its FIFO.
 func fillZero(elems []Value, elem ctypes.Type) {
 	zero := ZeroValue(elem)
-	switch {
-	case zero.Aggregate == nil:
-		for i := range elems {
-			elems[i] = zero
-		}
-	case holdsStream(zero):
+	if holdsStream(zero) {
 		for i := range elems {
 			elems[i] = ZeroValue(elem)
 		}
-	default:
-		for i := range elems {
-			elems[i] = zero.DeepCopy()
-		}
+		return
+	}
+	zero.share()
+	for i := range elems {
+		elems[i] = zero
 	}
 }
 

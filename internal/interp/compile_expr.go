@@ -381,7 +381,11 @@ func (c *compiler) unaryExpr(u *cast.Unary) expr {
 			if toInt {
 				return in.pointee(s, pv.Obj.Elems[pv.Off])
 			}
-			return pv.Obj.Elems[pv.Off]
+			// A struct read: the element gets a copy of its own first,
+			// as in lvalue.load.
+			e := &pv.Obj.Elems[pv.Off]
+			e.own()
+			return *e
 		})
 	case ctoken.AND:
 		lvO := c.lv(u.X)

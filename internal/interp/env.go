@@ -15,19 +15,33 @@ type lvalue struct {
 	declared ctypes.Type
 }
 
-// load reads the current value at the location.
+// load reads the current value at the location. A struct read first
+// gives the element, and each struct on the path, a copy of its own
+// where it holds a shared zero (Aggregate.shared), so a shared zero
+// never leaves storage and the struct read aliases the storage, as
+// reference parameters do.
 func (lv lvalue) load() Value {
-	v := lv.obj.Elems[lv.off]
+	v := &lv.obj.Elems[lv.off]
 	for _, p := range lv.path {
-		v = v.Fields[p]
+		v = &v.Fields[p]
 	}
-	return v
+	if v.Kind == VStruct && v.Aggregate != nil && v.shared {
+		v = &lv.obj.Elems[lv.off]
+		v.own()
+		for _, p := range lv.path {
+			v = &v.Fields[p]
+			v.own()
+		}
+	}
+	return *v
 }
 
-// store writes v into the location.
+// store writes v into the location, first giving the element, and each
+// struct on the path, a copy of its own where it holds a shared zero.
 func (lv lvalue) store(v Value) {
 	target := &lv.obj.Elems[lv.off]
 	for _, p := range lv.path {
+		target.own()
 		target = &target.Fields[p]
 	}
 	*target = v

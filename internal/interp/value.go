@@ -65,6 +65,11 @@ type Aggregate struct {
 	Struct *ctypes.Struct // struct type for VStruct
 	Fields []Value        // struct field values
 	Stream *StreamObj     // the FIFO for VStream
+	// shared marks the one zero every element of a zero-filled array
+	// starts with (fillZero). It is never written: an element gets a
+	// copy of its own (own) before a field of it is written or it is
+	// read as a whole struct.
+	shared bool
 }
 
 // newAggregate allocates the aggregate of a struct with n fields. Up to
@@ -209,6 +214,24 @@ func (v Value) DeepCopy() Value {
 		v.Aggregate = a
 	}
 	return v
+}
+
+// share marks v's aggregate, and those of its struct fields, shared.
+func (v Value) share() {
+	if v.Aggregate == nil {
+		return
+	}
+	v.shared = true
+	for _, f := range v.Fields {
+		f.share()
+	}
+}
+
+// own gives *v a copy of its own when it holds a shared aggregate.
+func (v *Value) own() {
+	if v.Aggregate != nil && v.shared {
+		*v = v.DeepCopy()
+	}
 }
 
 // holdsStream reports whether v is a stream or a struct holding one.
