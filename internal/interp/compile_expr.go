@@ -1123,13 +1123,23 @@ func (c *compiler) memberEval(m *cast.Member) evalOp {
 	switch m.X.(type) {
 	case *cast.Ident, *cast.Index, *cast.Member:
 		xLv := c.lv(m.X)
-		xEv := c.eval(m.X)
+		// The rvalue fallback below is compiled only for a base whose
+		// static type is not a struct; a struct base that turns out not
+		// to be struct storage faults as the fallback's member of a
+		// non-struct would.
+		var xEv evalOp
+		if _, st := ctypes.Resolve(c.ctTypeOf(m.X)).(*ctypes.Struct); !st || c.ambiguous(m.X) {
+			xEv = c.eval(m.X)
+		}
 		mm := m
 		return func(in *Interp, fr *frame) Value {
 			in.step(pos)
 			base := xLv(in, fr)
 			st, ok := ctypes.Resolve(in.declaredOf(base)).(*ctypes.Struct)
 			if !ok {
+				if xEv == nil {
+					in.fail(pos, "no field %q on value", field)
+				}
 				// Not struct storage: re-evaluate the base as an rvalue,
 				// a member of a temporary (the lvalue resolution's side
 				// effects stand).

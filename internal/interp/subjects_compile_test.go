@@ -116,3 +116,25 @@ func TestSubjectsCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestMemberBaseCompiledOnce checks that the base of a member of struct
+// type is compiled once: each index and binary operator under a[i].x
+// counts one site, and the element reads the member loads are not
+// element load sites.
+func TestMemberBaseCompiledOnce(t *testing.T) {
+	u := cparser.MustParse(`
+struct S { int x; int y; };
+int f(int n) {
+    struct S a[4];
+    a[1].x = n;
+    return a[1].y + a[n & 3].x;
+}`)
+	sites, err := interp.CompileInto(interp.NewCodebase(), u, u.Func("f"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := interp.SiteCounts{Binary: 2, BinaryTyped: 1, Index: 3, IndexTyped: 3}
+	if sites != want {
+		t.Errorf("typed-path inventory %+v, want %+v", sites, want)
+	}
+}
