@@ -275,6 +275,26 @@ func (b *runBuilder) stageFor(name string) *Span {
 	return s
 }
 
+// takeRootStages removes from the root, and returns, the stages hung
+// there since its last phase span.
+func (b *runBuilder) takeRootStages() []*Span {
+	kids := b.run.Root.Children
+	i := len(kids)
+	for i > 0 && kids[i-1].Kind != KindPhase {
+		i--
+	}
+	var stages, rest []*Span
+	for _, c := range kids[i:] {
+		if c.Kind == KindStage {
+			stages = append(stages, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	b.run.Root.Children = append(kids[:i:i], rest...)
+	return stages
+}
+
 // leaf records a leaf span under its parent and in event order.
 func (b *runBuilder) leaf(parent, s *Span) {
 	parent.Children = append(parent.Children, s)
@@ -302,7 +322,11 @@ func (b *runBuilder) add(e *obs.Event) {
 		p := b.open
 		if p == nil || p.Name != e.Phase.Name {
 			// Unpaired end: synthesize the phase so the event is kept.
+			// Its reported delta covers the stages hung at the root
+			// since the last phase, so they move under it rather than
+			// count twice.
 			p = &Span{Kind: KindPhase, Name: e.Phase.Name, Start: e.Virtual - e.Phase.VirtualDelta}
+			p.Children = b.takeRootStages()
 			b.run.Root.Children = append(b.run.Root.Children, p)
 		}
 		p.End = e.Virtual

@@ -171,6 +171,30 @@ func TestUnpairedPhaseEndIsKept(t *testing.T) {
 	}
 }
 
+// TestUnpairedPhaseEndCountsOnce: a phase_end whose start was lost
+// takes in the stages hung at the root since the last phase, which its
+// reported delta covers, so the run's total counts that time once.
+func TestUnpairedPhaseEndCountsOnce(t *testing.T) {
+	r := Build([]obs.Event{
+		{Type: obs.EvPhaseStart, Virtual: 0, Phase: &obs.PhaseEvent{Name: "profile"}},
+		{Type: obs.EvPhaseEnd, Virtual: 1, Phase: &obs.PhaseEvent{Name: "profile", VirtualDelta: 1}},
+		{Type: obs.EvFuzzExec, Virtual: 1.5, Fuzz: &obs.FuzzEvent{Exec: 1}},
+		{Type: obs.EvFuzzExec, Virtual: 2.5, Fuzz: &obs.FuzzEvent{Exec: 2}},
+		{Type: obs.EvPhaseEnd, Virtual: 3, Phase: &obs.PhaseEvent{Name: "fuzz", VirtualDelta: 2}},
+	})[0]
+	kids := r.Root.Children
+	if len(kids) != 2 || kids[0].Name != "profile" || kids[1].Name != "fuzz" {
+		t.Fatalf("root has %d children, want the phases profile and fuzz", len(kids))
+	}
+	fuzz := kids[1]
+	if len(fuzz.Children) != 1 || fuzz.Children[0].Name != "execs" {
+		t.Fatalf("synthesized phase children %v, want the execs stage", fuzz.Children)
+	}
+	if fuzz.Total != 2 || fuzz.Self != 0 || r.Root.Total != 3 {
+		t.Errorf("fuzz total %.2f self %.2f, run total %.2f; want 2, 0, 3", fuzz.Total, fuzz.Self, r.Root.Total)
+	}
+}
+
 func TestTextElidesLargeChildLists(t *testing.T) {
 	var events []obs.Event
 	events = append(events, obs.Event{Type: obs.EvPhaseStart, Phase: &obs.PhaseEvent{Name: "fuzz"}})
