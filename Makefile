@@ -37,17 +37,20 @@ vet:
 # interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
 # hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
 # case outcomes) and the whole pipeline's (internal/core/testdata/golden:
-# one end-to-end Result per subject and for Figure 2) and hgstat's
-# views (cmd/hgstat/testdata: the pipeline fixture trace, and per trace
-# the report, its check problems and the span tree, plus the fleet
-# report over all of them). Only for an intended behaviour change whose
-# fixture diff gets reviewed — see CONTRIBUTING.md.
+# one end-to-end Result per subject and for Figure 2), hgstat's views
+# (cmd/hgstat/testdata: the pipeline fixture trace, and per trace the
+# report, its check problems and the span tree, plus the fleet report
+# over all of them) and the heterogen fuzz and check subcommands'
+# output (cmd/heterogen/testdata/cli: exit status, stdout and stderr per
+# run, plus one -trace file). Only for an intended behaviour change
+# whose fixture diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
 	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 	$(GO) test -count=1 -run 'TestPipelineGolden' ./internal/core/ -update
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
+	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -143,10 +146,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 10s -parallel 2 ./internal/repair/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -parallel 2 ./internal/evalcache/
 
-# Docs gate: every flag registered by any cmd/ binary (including the
-# shared internal/cliflag families) must appear in the README's
-# consolidated CLI reference table, and every row of that table must
-# name a flag its binary (or, for shared rows, some binary) registers.
+# Docs gate: every flag that any cmd/ binary or heterogen subcommand
+# lists in its -h output (including the shared internal/cliflag
+# families) must appear in the README's consolidated CLI reference
+# table, and every row of that table must name a flag its command (or,
+# for shared rows, some command) registers.
 docs-check:
 	$(GO) test -run TestDocsFlagReference -v .
 

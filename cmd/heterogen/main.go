@@ -1,10 +1,14 @@
 // Command heterogen transpiles a C program to HLS-C: it generates tests,
 // profiles bitwidths, and runs the dependence-guided repair search,
-// writing the repaired HLS-C source and a report.
+// writing the repaired HLS-C source and a report. Two subcommands run
+// one stage of that pipeline on its own: fuzz, the test generator, and
+// check, the synthesizability checker.
 //
 // Usage:
 //
 //	heterogen -kernel <top-function> [-host <fn>] [-out out.c] [-quick] [-workers n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c
+//	heterogen fuzz -kernel <fn> [-host <fn>] [-execs N] [-seed n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] input.c
+//	heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c
 //
 // -backend/-device (or one fully-spelled -target backend:device) pick
 // the HLS toolchain dialect and device profile the repair targets;
@@ -12,7 +16,10 @@
 // where the search returns a latency/resource Pareto set with a
 // per-device verdict table (see internal/hls's backend registry for
 // the shipped profiles). No target flags keep the classic
-// single-default-target behavior.
+// single-default-target behavior. check prints its diagnostics once
+// per target, grouped by the six error classes of the paper's §5.1,
+// and exits 1 if any target reports one. fuzz accepts the target flags
+// and stamps them on the trace; test generation is target-independent.
 //
 // -workers bounds how many repair candidates are evaluated concurrently;
 // the transpilation result is bit-identical for any value (see
@@ -24,12 +31,16 @@
 // for any -workers value. Feed it to hgstat for Figure 2-style repair
 // trajectories, coverage curves, and the virtual-budget breakdown.
 // -metrics prints aggregated counters and duration histograms to stderr.
+// fuzz reports the campaign: tests retained, branch coverage, a sample
+// of the generated inputs, and whether it plateaued (no new coverage
+// for a fifth of -execs) before spending its budget.
 //
 // Toolchain verdicts (synthesizability checks, resource estimates,
 // differential tests, fuzz campaigns) are memoized in an in-process
 // evaluation cache by default; -cache-dir persists it across runs so a
-// repeated transpilation is near-instant, and -no-cache disables it.
-// The result and trace are byte-identical either way.
+// repeated transpilation, campaign or check is near-instant, and
+// -no-cache disables it. The output and trace are byte-identical
+// either way.
 //
 // Stage calls run inside a failure-containment guard. -stage-deadline
 // bounds each call's wall time, -interp-steps bounds interpreter
@@ -49,50 +60,95 @@ import (
 )
 
 func main() {
-	kernel := flag.String("kernel", "", "top/kernel function to transpile (required)")
-	host := flag.String("host", "", "optional host entry point for seed capture")
-	out := flag.String("out", "", "output file for the HLS-C source (default stdout)")
-	report := flag.String("report", "", "write a markdown transpilation report to this file")
-	quick := flag.Bool("quick", false, "small fuzzing budget (fast, lower coverage)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"concurrent candidate evaluations in the repair search (results are identical for any value)")
-	verbose := flag.Bool("v", false, "print the edit log and diagnostics")
-	var run cliflag.Run
-	run.Register(flag.CommandLine)
-	var gf cliflag.Guard
-	gf.Register(flag.CommandLine)
-	var tf cliflag.Target
-	tf.Register(flag.CommandLine)
-	flag.Parse()
+	mode, args := "", os.Args[1:]
+	if len(args) > 0 && (args[0] == "fuzz" || args[0] == "check") {
+		mode, args = args[0], args[1:]
+	}
+	c := newCommand(mode)
+	switch mode {
+	case "fuzz":
+		fuzz(c, args)
+	case "check":
+		check(c, args)
+	default:
+		transpile(c, args)
+	}
+}
 
-	if *kernel == "" || flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: heterogen -kernel <fn> [-host <fn>] [-out file] [-quick] [-workers n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c")
+// command holds the flags every mode shares.
+type command struct {
+	fs     *flag.FlagSet
+	kernel string
+	host   string
+	run    cliflag.Run
+	guard  cliflag.Guard
+	target cliflag.Target
+}
+
+// newCommand registers the shared flags on the mode's flag set: -kernel
+// and the guard and target families for every mode; -host and the run
+// family for the modes that fuzz; only the run family's cache flags for
+// check, which emits no events.
+func newCommand(mode string) *command {
+	name := os.Args[0]
+	if mode != "" {
+		name += " " + mode
+	}
+	c := &command{fs: flag.NewFlagSet(name, flag.ExitOnError)}
+	c.fs.StringVar(&c.kernel, "kernel", "", "top/kernel function (required)")
+	if mode == "check" {
+		c.run.RegisterCache(c.fs)
+	} else {
+		c.fs.StringVar(&c.host, "host", "", "optional host entry point for fuzzer seed capture")
+		c.run.Register(c.fs)
+	}
+	c.guard.Register(c.fs)
+	c.target.Register(c.fs)
+	return c
+}
+
+// open parses args, reads the one input file, resolves the targets and
+// opens the session. A missing -kernel or input prints usage and exits
+// 2; any other error exits 1.
+func (c *command) open(args []string, usage string) (string, []heterogen.Target, *cliflag.Session) {
+	c.fs.Parse(args)
+	if c.kernel == "" || c.fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: "+usage)
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	src, err := os.ReadFile(c.fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-
-	targets, err := tf.Targets()
+	targets, err := c.target.Targets()
 	if err != nil {
 		fatal(err)
 	}
+	sess, err := cliflag.Open("heterogen", &c.run, &c.guard, targets)
+	if err != nil {
+		fatal(err)
+	}
+	return string(src), targets, sess
+}
 
-	opts := heterogen.Options{Kernel: *kernel, HostMain: *host, Workers: *workers, Targets: targets}
+func transpile(c *command, args []string) {
+	out := c.fs.String("out", "", "output file for the HLS-C source (default stdout)")
+	report := c.fs.String("report", "", "write a markdown transpilation report to this file")
+	quick := c.fs.Bool("quick", false, "small fuzzing budget (fast, lower coverage)")
+	workers := c.fs.Int("workers", runtime.GOMAXPROCS(0),
+		"concurrent candidate evaluations in the repair search (results are identical for any value)")
+	verbose := c.fs.Bool("v", false, "print the edit log and diagnostics")
+	src, targets, sess := c.open(args, "heterogen -kernel <fn> [-host <fn>] [-out file] [-quick] [-workers n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c")
+
+	opts := heterogen.Options{Kernel: c.kernel, HostMain: c.host, Workers: *workers, Targets: targets,
+		Obs: sess.Obs, Guard: sess.Guard, Cache: sess.Cache}
 	if *quick {
 		opts.Fuzz.Seed = 1
 		opts.Fuzz.MaxExecs = 250
 		opts.Fuzz.Plateau = 100
 		opts.Fuzz.TypedMutation = true
 	}
-	sess, err := cliflag.Open("heterogen", &run, &gf, targets)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Obs, opts.Guard, opts.Cache = sess.Obs, sess.Guard, sess.Cache
-
-	res, err := heterogen.Transpile(string(src), opts)
+	res, err := heterogen.Transpile(src, opts)
 	if err != nil {
 		sess.Fatal(err)
 	}
@@ -130,7 +186,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "heterogen: repair incomplete; emitting best-effort version")
 	}
 	if *report != "" {
-		if err := os.WriteFile(*report, []byte(res.Markdown(*kernel)), 0o644); err != nil {
+		if err := os.WriteFile(*report, []byte(res.Markdown(c.kernel)), 0o644); err != nil {
 			sess.Fatal(err)
 		}
 	}
@@ -141,6 +197,88 @@ func main() {
 	}
 	if err := os.WriteFile(*out, []byte(res.Source), 0o644); err != nil {
 		sess.Fatal(err)
+	}
+}
+
+func fuzz(c *command, args []string) {
+	execs := c.fs.Int("execs", 2000, "maximum kernel executions")
+	seed := c.fs.Int64("seed", 1, "mutation RNG seed")
+	src, _, sess := c.open(args, "heterogen fuzz -kernel <fn> [-execs N] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] file.c")
+
+	opts := heterogen.FuzzOptions{
+		Seed:          *seed,
+		MaxExecs:      *execs,
+		Plateau:       *execs / 5,
+		TypedMutation: true,
+		HostMain:      c.host,
+		Obs:           sess.Obs,
+		Guard:         sess.Guard,
+		Cache:         sess.Cache,
+	}
+	camp, err := heterogen.GenerateTests(src, c.kernel, opts)
+	if err != nil {
+		sess.Fatal(err)
+	}
+	fmt.Printf("campaign: %s\n", camp.Summary())
+	fmt.Printf("executions: %d, retained corpus: %d, outcomes: %d/%d\n",
+		camp.Execs, len(camp.Tests), camp.CoveredOutcomes, camp.TotalOutcomes)
+	if camp.Plateaued {
+		fmt.Printf("warning: campaign plateaued — no new coverage for %d consecutive executions, stopped at %d/%d execs\n",
+			opts.Plateau, camp.Execs, opts.MaxExecs)
+	}
+	if camp.SeededFromHost {
+		fmt.Println("seeded from host-program kernel-entry capture")
+	}
+	for i := 0; i < len(camp.Tests) && i < 8; i++ {
+		fmt.Printf("test[%d] = %s\n", i, camp.Tests[i])
+	}
+	sess.Close()
+}
+
+func check(c *command, args []string) {
+	src, targets, sess := c.open(args, "heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] file.c")
+
+	reps, err := heterogen.CheckTargets(src, heterogen.Options{Kernel: c.kernel, Targets: targets, Guard: sess.Guard, Cache: sess.Cache})
+	if err != nil {
+		sess.Fatal(err)
+	}
+	sess.Close()
+	code := 0
+	for _, tr := range reps {
+		// A single target's report carries no target prefix.
+		prefix := ""
+		if len(reps) > 1 {
+			prefix = "[" + tr.Target + "] "
+		}
+		if tr.Report.OK {
+			fmt.Println(prefix + "Synthesizability check passed.")
+			continue
+		}
+		code = 1
+		if prefix != "" {
+			fmt.Printf("%s%d diagnostic(s)\n", prefix, len(tr.Report.Diags))
+		}
+		printDiags(tr.Report)
+	}
+	os.Exit(code)
+}
+
+// printDiags renders one report's diagnostics grouped by error class.
+func printDiags(rep heterogen.Report) {
+	by := rep.ByClass()
+	for _, class := range []heterogen.ErrorClass{
+		heterogen.ClassDynamicData, heterogen.ClassUnsupportedType,
+		heterogen.ClassDataflow, heterogen.ClassLoopParallel,
+		heterogen.ClassStructUnion, heterogen.ClassTopFunction,
+	} {
+		diags := by[class]
+		if len(diags) == 0 {
+			continue
+		}
+		fmt.Printf("-- %s (%d)\n", class, len(diags))
+		for _, d := range diags {
+			fmt.Println("  " + d.Error())
+		}
 	}
 }
 

@@ -1,16 +1,24 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
+
+// goldenDir holds the CLI goldens and the C inputs they run on.
+const goldenDir = "testdata/cli"
+
 // TestMain lets a test re-run this binary as the heterogen command: with
 // HETEROGEN_RUN_MAIN set, the test binary executes main instead of the
-// tests, so exit paths (os.Exit skips deferred calls) are exercised for
-// real.
+// tests, so exit paths (os.Exit skips deferred calls) and the output
+// are those of the real command.
 func TestMain(m *testing.M) {
 	if os.Getenv("HETEROGEN_RUN_MAIN") != "" {
 		main()
@@ -55,5 +63,79 @@ func TestErrorExitFlushesCache(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(cacheDir, "stats.json")); err != nil {
 		t.Errorf("stats.json after an error exit: %v", err)
+	}
+}
+
+// TestCLIGolden runs the fuzz and check subcommands on recorded inputs
+// and compares each run's exit status, stdout, stderr and -trace file
+// with the goldens in testdata/cli. fig2_repaired.c is the output of
+// `heterogen -kernel kernel -quick fig2.c`.
+func TestCLIGolden(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		trace bool
+		args  []string
+	}{
+		{"fuzz_p3", true, []string{"fuzz", "-kernel", "kernel", "p3.c"}},
+		{"fuzz_fig2", false, []string{"fuzz", "-kernel", "kernel", "fig2.c"}},
+		{"fuzz_usage", false, []string{"fuzz", "p3.c"}},
+		{"fuzz_bad_target", false, []string{"fuzz", "-kernel", "kernel", "-target", "bogus", "p3.c"}},
+		{"check_p3", false, []string{"check", "-kernel", "kernel", "p3.c"}},
+		{"check_fig2_repaired", false, []string{"check", "-kernel", "kernel", "fig2_repaired.c"}},
+		{"check_p3_targets", false, []string{"check", "-kernel", "kernel", "-target", "vivado_hls:xcvu9p", "-target", "vitis:aws_f1", "p3.c"}},
+		{"check_usage", false, []string{"check", "p3.c"}},
+		{"check_bad_target", false, []string{"check", "-kernel", "kernel", "-target", "bogus", "p3.c"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			args := c.args
+			trace := filepath.Join(t.TempDir(), "t.jsonl")
+			if c.trace {
+				args = append([]string{args[0], "-trace", trace}, args[1:]...)
+			}
+			exe, err := os.Executable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(exe, args...)
+			cmd.Dir = goldenDir
+			cmd.Env = append(os.Environ(), "HETEROGEN_RUN_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			code := 0
+			if err := cmd.Run(); err != nil {
+				ee, ok := err.(*exec.ExitError)
+				if !ok {
+					t.Fatal(err)
+				}
+				code = ee.ExitCode()
+			}
+			got := fmt.Sprintf("exit %d\n-- stdout --\n%s-- stderr --\n%s", code, stdout.Bytes(), stderr.Bytes())
+			checkGolden(t, c.name+".golden", []byte(got))
+			if c.trace {
+				b, err := os.ReadFile(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, c.name+".trace.jsonl", b)
+			}
+		})
+	}
+}
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join(goldenDir, name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden (run with -update to rewrite):\n--- got ---\n%s", name, got)
 	}
 }

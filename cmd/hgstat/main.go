@@ -1,12 +1,12 @@
 // Command hgstat reads HeteroGen traces, one run or a whole fleet.
 //
-// Given a trace file (written by heterogen/hgfuzz/hgeval with -trace)
-// it renders the paper's run artifacts: the Figure 2-style repair
-// trajectory, the coverage-over-iterations curve, a fix-pattern
-// frequency table, and the virtual-budget breakdown by pipeline phase
-// and cost component. Given directories of trace files (hgconform
-// sweeps, hgserve job retention dirs) it ingests them into a
-// content-addressed warehouse and reports per-stage latency and
+// Given a trace file (written by heterogen, heterogen fuzz or hgeval
+// with -trace) it renders the paper's run artifacts: the Figure
+// 2-style repair trajectory, the coverage-over-iterations curve, a
+// fix-pattern frequency table, and the virtual-budget breakdown by
+// pipeline phase and cost component. Given directories of trace files
+// (hgconform sweeps, hgserve job retention dirs) it ingests them into
+// a content-addressed warehouse and reports per-stage latency and
 // virtual-cost percentiles, repair convergence funnels, candidate
 // outcomes by error class, and cache-hit attribution. The operand's
 // file type picks the mode.

@@ -2,6 +2,7 @@ package heterogen
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -10,14 +11,15 @@ import (
 
 // TestDocsFlagReference is the docs gate behind `make docs-check`: the
 // README's consolidated CLI reference table (the region between the
-// flag-reference markers) and the flags the binaries register must
-// agree in both directions. Flags are read from the source — flag.X(...)
-// registrations in cmd/*/main.go plus every flag of each
-// internal/cliflag family a binary names. Every registered flag must
-// have a row; every per-binary row must name flags its binary
-// registers; every shared row must name flags of a cliflag family or
-// some main.go. Adding a flag without documenting it, or removing one
-// without deleting its row, fails the build.
+// flag-reference markers) and the flags the commands register must
+// agree in both directions. The test builds every cmd/ binary and reads
+// each command's flags from its -h listing: every binary, and each of
+// heterogen's subcommands as "heterogen fuzz" and "heterogen check".
+// Every flag a command registers must have a shared row or a row keyed
+// by the command (a subcommand's also by its binary); every per-binary
+// row must name flags its command registers; every shared row must
+// name flags some command registers. Adding a flag without documenting
+// it, or removing one without deleting its row, fails the build.
 func TestDocsFlagReference(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -32,14 +34,6 @@ func TestDocsFlagReference(t *testing.T) {
 	}
 	table := string(readme[start:end])
 
-	// The shared flag families, one file each in internal/cliflag: a
-	// binary that names a family is held to all of its flags.
-	shared := map[string][]string{
-		"cliflag.Target": sharedFlagNames(t, filepath.Join("internal", "cliflag", "target.go")),
-		"cliflag.Guard":  sharedFlagNames(t, filepath.Join("internal", "cliflag", "guard.go")),
-		"cliflag.Run":    sharedFlagNames(t, filepath.Join("internal", "cliflag", "run.go")),
-	}
-
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -47,51 +41,43 @@ func TestDocsFlagReference(t *testing.T) {
 	if len(mains) == 0 {
 		t.Fatal("no cmd/*/main.go files found")
 	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	}
+	commands := [][]string{{"heterogen", "fuzz"}, {"heterogen", "check"}}
+	for _, main := range mains {
+		commands = append(commands, []string{filepath.Base(filepath.Dir(main))})
+	}
 
-	// registered maps each binary to the flags it registers; known is
-	// every flag of any family or main.go.
+	// registered maps each command to the flags it registers; known is
+	// every flag of any command.
 	registered := map[string]map[string]bool{}
 	known := map[string]bool{}
-	for _, flags := range shared {
-		for _, name := range flags {
-			known[name] = true
-		}
-	}
-	// \b keeps calls like cliflag.Open("name", ...) out of the match.
-	flagRe := regexp.MustCompile(`\bflag\.[A-Za-z0-9]+\("([^"]+)"`)
-	for _, main := range mains {
-		src, err := os.ReadFile(main)
+	// PrintDefaults lists each flag on a line of its own as "  -name".
+	listed := regexp.MustCompile(`(?m)^  -([a-z0-9][a-z0-9-]*)`)
+	for _, argv := range commands {
+		command := strings.Join(argv, " ")
+		out, err := exec.Command(filepath.Join(bin, argv[0]), append(argv[1:], "-h")...).CombinedOutput()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s -h: %v\n%s", command, err, out)
 		}
-		names := []string{}
-		for _, m := range flagRe.FindAllStringSubmatch(string(src), -1) {
-			names = append(names, m[1])
-			known[m[1]] = true
-		}
-		for ident, flags := range shared {
-			if strings.Contains(string(src), ident) {
-				names = append(names, flags...)
-			}
-		}
+		names := listed.FindAllStringSubmatch(string(out), -1)
 		if len(names) == 0 {
-			t.Errorf("%s: registers no flags; the extraction regexp is stale", main)
+			t.Errorf("%s -h lists no flags; the listing regexp is stale", command)
 		}
-		binary := filepath.Base(filepath.Dir(main))
-		registered[binary] = map[string]bool{}
-		for _, name := range names {
-			registered[binary][name] = true
-			// Documented as `-name` or `-name <operand>`; require a
-			// boundary after the name so -n can't hide behind -no-cache.
-			entry := regexp.MustCompile("`-" + regexp.QuoteMeta(name) + "(`|[^a-z0-9-])")
-			if !entry.MatchString(table) {
-				t.Errorf("%s: flag -%s is not in the README CLI reference table", binary, name)
-			}
+		registered[command] = map[string]bool{}
+		for _, m := range names {
+			registered[command][m[1]] = true
+			known[m[1]] = true
 		}
 	}
 
 	// The reverse direction: every row names flags that exist. A shared
-	// row starts with its flag; a per-binary row with its binary.
+	// row starts with its flag; a per-binary row with its command.
+	// shared and documented collect the rows for the forward direction.
+	shared := map[string]bool{}
+	documented := map[string]map[string]bool{}
 	nameRe := regexp.MustCompile("`-([a-z0-9][a-z0-9-]*)")
 	rows := 0
 	for _, line := range strings.Split(table, "\n") {
@@ -108,18 +94,23 @@ func TestDocsFlagReference(t *testing.T) {
 		case strings.HasPrefix(first, "`-"):
 			for _, m := range nameRe.FindAllStringSubmatch(first, -1) {
 				rows++
+				shared[m[1]] = true
 				if !known[m[1]] {
-					t.Errorf("README shared row -%s: no cliflag family or cmd/*/main.go registers it", m[1])
+					t.Errorf("README shared row -%s: no command registers it", m[1])
 				}
 			}
 		case strings.HasPrefix(second, "`-"):
 			flags, ok := registered[first]
 			if !ok {
-				t.Errorf("README row for binary %q: there is no cmd/%s/main.go", first, first)
+				t.Errorf("README row for %q: there is no such command", first)
 				continue
+			}
+			if documented[first] == nil {
+				documented[first] = map[string]bool{}
 			}
 			for _, m := range nameRe.FindAllStringSubmatch(second, -1) {
 				rows++
+				documented[first][m[1]] = true
 				if !flags[m[1]] {
 					t.Errorf("README row %s -%s: %s registers no such flag", first, m[1], first)
 				}
@@ -129,23 +120,14 @@ func TestDocsFlagReference(t *testing.T) {
 	if rows == 0 {
 		t.Error("found no flag rows in the README CLI reference table; the row parser is stale")
 	}
-}
 
-// sharedFlagNames extracts the flag names a shared flag family
-// registers on a FlagSet (fs.StringVar/fs.Var/... calls).
-func sharedFlagNames(t *testing.T, path string) []string {
-	t.Helper()
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// The forward direction: every registered flag has a row.
+	for _, argv := range commands {
+		command := strings.Join(argv, " ")
+		for name := range registered[command] {
+			if !shared[name] && !documented[command][name] && !documented[argv[0]][name] {
+				t.Errorf("%s: flag -%s has neither a shared row nor a %s row in the README CLI reference table", command, name, command)
+			}
+		}
 	}
-	re := regexp.MustCompile(`fs\.[A-Za-z0-9]*\([^,]+, "([^"]+)"`)
-	var names []string
-	for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-		names = append(names, m[1])
-	}
-	if len(names) == 0 {
-		t.Fatalf("found no shared flags in %s; the extraction regexp is stale", path)
-	}
-	return names
 }
