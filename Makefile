@@ -149,8 +149,8 @@ fuzz-smoke:
 # Docs gate: every flag that any cmd/ binary or heterogen subcommand
 # lists in its -h output (including the shared internal/cliflag
 # families) must appear in the README's consolidated CLI reference
-# table, and every row of that table must name a flag its command (or,
-# for shared rows, some command) registers.
+# table, every per-binary row must name a flag its command registers,
+# and every shared row must list exactly the binaries that register it.
 docs-check:
 	$(GO) test -run TestDocsFlagReference -v .
 

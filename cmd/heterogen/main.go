@@ -203,7 +203,7 @@ func transpile(c *command, args []string) {
 func fuzz(c *command, args []string) {
 	execs := c.fs.Int("execs", 2000, "maximum kernel executions")
 	seed := c.fs.Int64("seed", 1, "mutation RNG seed")
-	src, _, sess := c.open(args, "heterogen fuzz -kernel <fn> [-execs N] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] file.c")
+	src, _, sess := c.open(args, "heterogen fuzz -kernel <fn> [-host <fn>] [-execs N] [-seed n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] input.c")
 
 	opts := heterogen.FuzzOptions{
 		Seed:          *seed,
@@ -236,7 +236,7 @@ func fuzz(c *command, args []string) {
 }
 
 func check(c *command, args []string) {
-	src, targets, sess := c.open(args, "heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] file.c")
+	src, targets, sess := c.open(args, "heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c")
 
 	reps, err := heterogen.CheckTargets(src, heterogen.Options{Kernel: c.kernel, Targets: targets, Guard: sess.Guard, Cache: sess.Cache})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,8 +19,9 @@ import (
 // Every flag a command registers must have a shared row or a row keyed
 // by the command (a subcommand's also by its binary); every per-binary
 // row must name flags its command registers; every shared row must
-// name flags some command registers. Adding a flag without documenting
-// it, or removing one without deleting its row, fails the build.
+// list exactly the binaries that register its flag ("all binaries"
+// when every one does). Adding a flag without documenting it, or
+// removing one without deleting its row, fails the build.
 func TestDocsFlagReference(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -50,10 +52,10 @@ func TestDocsFlagReference(t *testing.T) {
 		commands = append(commands, []string{filepath.Base(filepath.Dir(main))})
 	}
 
-	// registered maps each command to the flags it registers; known is
-	// every flag of any command.
+	// registered maps each command to the flags it registers, and
+	// byBinary each binary to the flags any of its commands registers.
 	registered := map[string]map[string]bool{}
-	known := map[string]bool{}
+	byBinary := map[string]map[string]bool{}
 	// PrintDefaults lists each flag on a line of its own as "  -name".
 	listed := regexp.MustCompile(`(?m)^  -([a-z0-9][a-z0-9-]*)`)
 	for _, argv := range commands {
@@ -67,9 +69,12 @@ func TestDocsFlagReference(t *testing.T) {
 			t.Errorf("%s -h lists no flags; the listing regexp is stale", command)
 		}
 		registered[command] = map[string]bool{}
+		if byBinary[argv[0]] == nil {
+			byBinary[argv[0]] = map[string]bool{}
+		}
 		for _, m := range names {
 			registered[command][m[1]] = true
-			known[m[1]] = true
+			byBinary[argv[0]][m[1]] = true
 		}
 	}
 
@@ -92,11 +97,26 @@ func TestDocsFlagReference(t *testing.T) {
 		first, second := strings.TrimSpace(cells[0]), strings.TrimSpace(cells[1])
 		switch {
 		case strings.HasPrefix(first, "`-"):
+			binaries := strings.Split(second, ", ")
+			if second == "all binaries" {
+				binaries = binaries[:0]
+				for b := range byBinary {
+					binaries = append(binaries, b)
+				}
+			}
+			slices.Sort(binaries)
 			for _, m := range nameRe.FindAllStringSubmatch(first, -1) {
 				rows++
 				shared[m[1]] = true
-				if !known[m[1]] {
-					t.Errorf("README shared row -%s: no command registers it", m[1])
+				var want []string
+				for b, flags := range byBinary {
+					if flags[m[1]] {
+						want = append(want, b)
+					}
+				}
+				slices.Sort(want)
+				if !slices.Equal(binaries, want) {
+					t.Errorf("README shared row -%s lists %v; the binaries that register it are %v", m[1], binaries, want)
 				}
 			}
 		case strings.HasPrefix(second, "`-"):
