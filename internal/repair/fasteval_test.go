@@ -55,17 +55,15 @@ func sharesFuncDecl(a, b *cast.Unit) bool {
 }
 
 // TestScopedCloneAliasing is the aliasing-safety contract of
-// structure-sharing candidate construction: generating candidates with
-// FastClone never mutates the parent unit, and generating a second
-// generation of candidates from each candidate never mutates the parent
-// or any sibling — even though all of them share unedited FuncDecl
-// pointers.
+// structure-sharing candidate construction: generating candidates
+// never mutates the parent unit, and generating a second generation of
+// candidates from each candidate never mutates the parent or any
+// sibling — even though all of them share unedited FuncDecl pointers.
 func TestScopedCloneAliasing(t *testing.T) {
 	u := cparser.MustParse(aliasSrc)
 	parentBefore := cast.Print(u)
 
 	st := NewState()
-	st.FastClone = true
 	cands := append(RandomCandidates(u, nil, st), PerfCandidates(u, st)...)
 	if len(cands) == 0 {
 		t.Fatal("no candidates generated")
@@ -95,7 +93,6 @@ func TestScopedCloneAliasing(t *testing.T) {
 	// shared decls into the parent or a sibling.
 	for _, c := range cands {
 		st2 := NewState()
-		st2.FastClone = true
 		for _, e := range c.Edits {
 			st2.MarkApplied(e)
 		}
@@ -127,7 +124,6 @@ func TestLineCounterPinsReport(t *testing.T) {
 	}
 
 	st := NewState()
-	st.FastClone = true
 	cands := RandomCandidates(orig, nil, st)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
@@ -172,7 +168,6 @@ func TestRunnerMatchesOneShotRun(t *testing.T) {
 	runner := difftest.NewRunner(orig, "kernel", cfg, tests, interp.NewCodebase(), cast.NewFingerprints())
 	for round := 0; round < 2; round++ {
 		st := NewState()
-		st.FastClone = true
 		cands := append(RandomCandidates(orig, nil, st), PerfCandidates(orig, st)...)
 		if len(cands) == 0 {
 			t.Fatal("no candidates for the Figure 2 kernel")
@@ -213,7 +208,6 @@ func TestFingerprintLinesMatchCountLines(t *testing.T) {
 		}
 		check("unit", u)
 		st := NewState()
-		st.FastClone = true
 		cands := append(RandomCandidates(u, nil, st), PerfCandidates(u, st)...)
 		if len(cands) == 0 {
 			t.Errorf("%s: no candidates", id)
@@ -224,7 +218,6 @@ func TestFingerprintLinesMatchCountLines(t *testing.T) {
 				continue
 			}
 			st2 := NewState()
-			st2.FastClone = true
 			for _, e := range c.Edits {
 				st2.MarkApplied(e)
 			}

@@ -67,13 +67,12 @@ func (c Candidate) Describe() string {
 const maxChainDepth = 3
 
 // cloneFor builds the candidate unit an edit will be applied to: a
-// structure-sharing scoped clone when fast cloning is on and the edit
-// declares its mutation scope, the full deep clone otherwise. Sharing
-// unedited declarations by pointer is what makes candidate construction
-// O(edit) and lets the compiled-code and fingerprint caches reuse work
-// across candidates.
-func cloneFor(u *cast.Unit, e Edit, st *State) *cast.Unit {
-	if st != nil && st.FastClone && len(e.Scope) > 0 {
+// structure-sharing scoped clone when the edit declares its mutation
+// scope, the full deep clone otherwise. Sharing unedited declarations
+// by pointer is what makes candidate construction O(edit) and lets the
+// compiled-code and fingerprint caches reuse work across candidates.
+func cloneFor(u *cast.Unit, e Edit) *cast.Unit {
+	if len(e.Scope) > 0 {
 		return cast.CloneUnitScoped(u, e.Scope)
 	}
 	return cast.CloneUnit(u)
@@ -113,7 +112,7 @@ func CandidatesFor(u *cast.Unit, d hls.Diagnostic, st *State) []Candidate {
 func expandChains(u *cast.Unit, d hls.Diagnostic, st *State, t Template, prefix []Edit, depth int) []Candidate {
 	var out []Candidate
 	for _, e := range t.Instantiate(u, d, st) {
-		clone := cloneFor(u, e, st)
+		clone := cloneFor(u, e)
 		if err := e.Apply(clone); err != nil {
 			continue
 		}
@@ -153,7 +152,6 @@ func (s *State) childWith(e Edit) *State {
 		Applied:   make(map[string]bool, len(s.Applied)+1),
 		Sizes:     make(map[string]int, len(s.Sizes)),
 		TestCount: s.TestCount,
-		FastClone: s.FastClone,
 	}
 	for k, v := range s.Applied {
 		out.Applied[k] = v
@@ -180,7 +178,7 @@ func RandomCandidates(u *cast.Unit, diags []hls.Diagnostic, st *State) []Candida
 	for _, t := range Registry() {
 		for _, d := range all {
 			for _, e := range t.Instantiate(u, d, st) {
-				clone := cloneFor(u, e, st)
+				clone := cloneFor(u, e)
 				if err := e.Apply(clone); err != nil {
 					continue
 				}
@@ -256,7 +254,7 @@ func PerfCandidates(u *cast.Unit, st *State) []Candidate {
 		switch t.ID {
 		case "explore_all", "explore", "insert_pragma":
 			for _, e := range t.Instantiate(u, synthetic, st) {
-				clone := cloneFor(u, e, st)
+				clone := cloneFor(u, e)
 				if err := e.Apply(clone); err != nil {
 					continue
 				}

@@ -362,7 +362,6 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	if named {
 		s.paretoSeen = map[string]bool{}
 	}
-	s.state.FastClone = true
 	if s.cache != nil {
 		// The primary backend name joins the salts so verdicts for
 		// different toolchains (dialect translation included) never

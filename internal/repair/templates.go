@@ -83,9 +83,10 @@ type State struct {
 	Sizes map[string]int
 	// TestCount scales simulated validation cost.
 	TestCount int
-	// FastClone enables structure-sharing candidate construction for
-	// edits that declare a Scope (the repair search always sets it;
-	// candidate generators consult it at their clone sites).
+	// Deprecated: FastClone has no effect; every edit that declares a
+	// Scope gets a structure-sharing clone. It stays only because the
+	// benchmark's replay (bench/replay.go) still sets it; delete both
+	// together.
 	FastClone bool
 }
 
