@@ -317,6 +317,15 @@ func TestDrainFinishesQuickJobs(t *testing.T) {
 	st, _ := postJob(t, ts, Request{
 		Kind: KindCheck, Source: sub.Source, Kernel: sub.Kernel,
 	}, "")
+	// Drain leaves a job no worker has started queued (journaled
+	// "accepted", to run after restart), so wait until one has.
+	deadline := time.Now().Add(60 * time.Second)
+	for getStatus(t, ts, st.ID).State == StateQueued {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never left the queue", st.ID)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	if stopped := s.Drain(60 * time.Second); stopped != 0 {
 		t.Fatalf("Drain checkpoint-stopped %d jobs, want 0", stopped)
 	}
