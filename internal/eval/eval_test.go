@@ -39,6 +39,12 @@ func TestTable3Shape(t *testing.T) {
 			if run.Coverage < 0.6 {
 				t.Errorf("%s: coverage %.0f%% too low", s.ID, 100*run.Coverage)
 			}
+			// Table 4: exactly these subjects ship with tests, so the
+			// coverage comparison below cannot pass vacuously.
+			shipsTests := map[string]bool{"P3": true, "P5": true, "P6": true, "P9": true, "P10": true}[s.ID]
+			if (run.ExistingCoverage >= 0) != shipsTests {
+				t.Errorf("%s: existing coverage %.2f, want existing tests: %v", s.ID, run.ExistingCoverage, shipsTests)
+			}
 			if run.ExistingCoverage >= 0 && run.Coverage <= run.ExistingCoverage {
 				t.Errorf("%s: generated coverage %.2f not above existing %.2f",
 					s.ID, run.Coverage, run.ExistingCoverage)
