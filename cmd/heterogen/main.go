@@ -111,7 +111,7 @@ func newCommand(mode string) *command {
 // opens the session. A missing -kernel or input prints usage and exits
 // 2; any other error exits 1.
 func (c *command) open(args []string, usage string) (string, []heterogen.Target, *cliflag.Session) {
-	c.fs.Parse(args)
+	_ = c.fs.Parse(args) // ExitOnError: a bad flag has already exited 2
 	if c.kernel == "" || c.fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: "+usage)
 		os.Exit(2)
@@ -245,7 +245,7 @@ func check(c *command, args []string) {
 	sess.Close()
 	code := 0
 	for _, tr := range reps {
-		// A single target's report carries no target prefix.
+		// Only a multi-target run names the target of each report.
 		prefix := ""
 		if len(reps) > 1 {
 			prefix = "[" + tr.Target + "] "

@@ -45,10 +45,10 @@ func Run(u *cast.Unit, cfg hls.Config) hls.Report {
 // RunObserved is Run plus one structured hls_check event carrying the
 // diagnostic counts by error class — the standalone checker's event
 // (core.Check, behind `heterogen check`, emits it through Observe so a
-// cache hit emits it too). The repair search
-// does not use it: its checker runs happen on worker goroutines, whose
-// verdicts are buffered in the candidate outcome and emitted as
-// repair_candidate events at commit time instead (see internal/obs).
+// cache hit emits it too). The repair search does not use it: its
+// checker runs happen on worker goroutines, whose verdicts are
+// buffered in the candidate outcome and emitted as repair_candidate
+// events at commit time instead (see internal/obs).
 func RunObserved(u *cast.Unit, cfg hls.Config, o obs.Observer) hls.Report {
 	rep := Run(u, cfg)
 	Observe(o, cfg, rep)
