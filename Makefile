@@ -37,7 +37,9 @@ vet:
 # interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
 # hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
 # case outcomes) and the whole pipeline's (internal/core/testdata/golden:
-# one end-to-end Result per subject and for Figure 2), hgstat's views
+# one end-to-end Result per subject and for Figure 2, plus stages.json,
+# the standalone check and simulate stages' answers), hgserve's check job
+# results (internal/serve/testdata/golden), hgstat's views
 # (cmd/hgstat/testdata: the pipeline fixture trace, and per trace the
 # report, its check problems and the span tree, plus the fleet report
 # over all of them) and the heterogen fuzz and check subcommands'
@@ -48,7 +50,8 @@ golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
 	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
-	$(GO) test -count=1 -run 'TestPipelineGolden' ./internal/core/ -update
+	$(GO) test -count=1 -run 'TestPipelineGolden|TestStageGolden' ./internal/core/ -update
+	$(GO) test -count=1 -run 'TestCheckJobGolden' ./internal/serve/ -update
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
 	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
 

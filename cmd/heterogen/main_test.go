@@ -67,6 +67,7 @@ func TestErrorExitFlushesCache(t *testing.T) {
 }
 
 // TestCLIGolden runs the fuzz and check subcommands on recorded inputs
+// (and the transpiler's usage path)
 // and compares each run's exit status, stdout, stderr and -trace file
 // with the goldens in testdata/cli. fig2_repaired.c is the output of
 // `heterogen -kernel kernel -quick fig2.c`.
@@ -76,6 +77,7 @@ func TestCLIGolden(t *testing.T) {
 		trace bool
 		args  []string
 	}{
+		{"transpile_usage", false, []string{"p3.c"}},
 		{"fuzz_p3", true, []string{"fuzz", "-kernel", "kernel", "p3.c"}},
 		{"fuzz_fig2", false, []string{"fuzz", "-kernel", "kernel", "fig2.c"}},
 		{"fuzz_usage", false, []string{"fuzz", "p3.c"}},
