@@ -32,10 +32,11 @@ int top(int in) {
 }
 
 func TestPublicCheck(t *testing.T) {
-	rep, err := heterogen.Check(`void k(int n) { int a[n]; a[0] = 1; }`, heterogen.Options{Kernel: "k"})
+	reps, err := heterogen.Check(`void k(int n) { int a[n]; a[0] = 1; }`, heterogen.Options{Kernel: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0].Report
 	if rep.OK {
 		t.Fatal("VLA must be diagnosed")
 	}
@@ -75,15 +76,21 @@ int top(int in) {
 }
 
 func TestPublicSimulate(t *testing.T) {
-	rep, err := heterogen.Simulate(`int top(int a) { return a * 2 + 1; }`, "top")
+	src := `int top(int a) { return a * 2 + 1; }`
+	opts := heterogen.Options{Kernel: "top"}
+	reps, err := heterogen.Check(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Report.OK {
-		t.Fatalf("checker diagnostics: %v", rep.Report.Diags)
+	if !reps[0].Report.OK {
+		t.Fatalf("checker diagnostics: %v", reps[0].Report.Diags)
 	}
-	if !rep.Fits || len(rep.Over) != 0 {
-		t.Errorf("trivial kernel must fit the device: over=%v", rep.Over)
+	rep, err := heterogen.Simulate(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit := rep.PerTarget[0]; !fit.Fits || len(fit.Over) != 0 {
+		t.Errorf("trivial kernel must fit the device: over=%v", fit.Over)
 	}
 	if r := rep.Resources; r.LUT+r.FF+r.DSP+r.BRAM <= 0 {
 		t.Errorf("resource estimate missing: %+v", r)

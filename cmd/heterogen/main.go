@@ -75,6 +75,14 @@ func main() {
 	}
 }
 
+// The usage line of each mode; a transpile without -kernel prints all
+// three.
+const (
+	transpileUsage = "heterogen -kernel <fn> [-host <fn>] [-out file] [-quick] [-workers n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c"
+	fuzzUsage      = "heterogen fuzz -kernel <fn> [-host <fn>] [-execs N] [-seed n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] input.c"
+	checkUsage     = "heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c"
+)
+
 // command holds the flags every mode shares.
 type command struct {
 	fs     *flag.FlagSet
@@ -138,7 +146,7 @@ func transpile(c *command, args []string) {
 	workers := c.fs.Int("workers", runtime.GOMAXPROCS(0),
 		"concurrent candidate evaluations in the repair search (results are identical for any value)")
 	verbose := c.fs.Bool("v", false, "print the edit log and diagnostics")
-	src, targets, sess := c.open(args, "heterogen -kernel <fn> [-host <fn>] [-out file] [-quick] [-workers n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c")
+	src, targets, sess := c.open(args, transpileUsage+"\n       "+fuzzUsage+"\n       "+checkUsage)
 
 	opts := heterogen.Options{Kernel: c.kernel, HostMain: c.host, Workers: *workers, Targets: targets,
 		Obs: sess.Obs, Guard: sess.Guard, Cache: sess.Cache}
@@ -203,7 +211,7 @@ func transpile(c *command, args []string) {
 func fuzz(c *command, args []string) {
 	execs := c.fs.Int("execs", 2000, "maximum kernel executions")
 	seed := c.fs.Int64("seed", 1, "mutation RNG seed")
-	src, _, sess := c.open(args, "heterogen fuzz -kernel <fn> [-host <fn>] [-execs N] [-seed n] [-trace t.jsonl] [-metrics] [-cache-dir d] [-no-cache] input.c")
+	src, _, sess := c.open(args, fuzzUsage)
 
 	opts := heterogen.FuzzOptions{
 		Seed:          *seed,
@@ -236,9 +244,9 @@ func fuzz(c *command, args []string) {
 }
 
 func check(c *command, args []string) {
-	src, targets, sess := c.open(args, "heterogen check -kernel <fn> [-cache-dir d] [-no-cache] [-backend b] [-device d] [-target b:d ...] input.c")
+	src, targets, sess := c.open(args, checkUsage)
 
-	reps, err := heterogen.CheckTargets(src, heterogen.Options{Kernel: c.kernel, Targets: targets, Guard: sess.Guard, Cache: sess.Cache})
+	reps, err := heterogen.Check(src, heterogen.Options{Kernel: c.kernel, Targets: targets, Guard: sess.Guard, Cache: sess.Cache})
 	if err != nil {
 		sess.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func writePipelineFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.CheckObserved(p2.Source, p2.Kernel, tw); err != nil {
+	if _, err := core.Check(p2.Source, core.Options{Kernel: p2.Kernel, Obs: tw}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {

@@ -9,7 +9,7 @@ import (
 // ExampleCheck runs only the synthesizability checker, the way a CI gate
 // would.
 func ExampleCheck() {
-	rep, err := heterogen.Check(`
+	reps, err := heterogen.Check(`
 void kernel(int n) {
     int *p = (int *)malloc(n * sizeof(int));
     free(p);
@@ -17,7 +17,7 @@ void kernel(int n) {
 	if err != nil {
 		panic(err)
 	}
-	for _, d := range rep.Diags {
+	for _, d := range reps[0].Report.Diags {
 		fmt.Println(d.Error())
 	}
 	// Output:

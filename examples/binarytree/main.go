@@ -59,13 +59,18 @@ int kernel(int n) {
 }`
 
 func main() {
-	rep, err := heterogen.Check(src, heterogen.Options{Kernel: "kernel"})
+	reps, err := heterogen.Check(src, heterogen.Options{Kernel: "kernel"})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := reps[0].Report
 	fmt.Printf("== %d diagnostics before repair ==\n", len(rep.Diags))
-	for class, diags := range rep.ByClass() {
-		fmt.Printf("  %s: %d\n", class, len(diags))
+	// Classes in the paper's Table 1 order: a map's order would vary.
+	by := rep.ByClass()
+	for class := heterogen.ClassDynamicData; class <= heterogen.ClassTopFunction; class++ {
+		if diags := by[class]; len(diags) > 0 {
+			fmt.Printf("  %s: %d\n", class, len(diags))
+		}
 	}
 
 	res, err := heterogen.Transpile(src, heterogen.Options{

@@ -31,12 +31,12 @@ void matmul(int a[1024], int b[1024], int c[1024]) {
 }`
 
 func main() {
-	rep, err := heterogen.Check(src, heterogen.Options{Kernel: "matmul"})
+	reps, err := heterogen.Check(src, heterogen.Options{Kernel: "matmul"})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== before ==")
-	for _, d := range rep.Diags {
+	for _, d := range reps[0].Report.Diags {
 		fmt.Println(" ", d.Error())
 	}
 

@@ -23,12 +23,12 @@ int top(int in) {
 
 func main() {
 	// Before: show what the HLS toolchain rejects.
-	rep, err := heterogen.Check(src, heterogen.Options{Kernel: "top"})
+	reps, err := heterogen.Check(src, heterogen.Options{Kernel: "top"})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== diagnostics before repair ==")
-	for _, d := range rep.Diags {
+	for _, d := range reps[0].Report.Diags {
 		fmt.Println(" ", d.Error())
 	}
 

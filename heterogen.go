@@ -121,7 +121,7 @@ type RepairResult = repair.Result
 type RepairOptions = repair.Options
 
 // SimReport is the outcome of the standalone simulation stage
-// (Simulate): resource estimate, device fit, and checker verdict.
+// (Simulate): resource estimate and per-target device fit.
 type SimReport = core.SimReport
 
 // Resources is a fabric utilization estimate (LUT/FF/DSP/BRAM).
@@ -172,41 +172,28 @@ func TranspileContext(ctx context.Context, src string, opts Options) (Result, er
 	return core.RunContext(ctx, src, opts)
 }
 
-// Check runs only the synthesizability-checker stage over a source
-// text, reporting the HLS compatibility errors the target's toolchain
-// would (the reference Vivado-style dialect when Options.Targets is
-// empty; Targets[0]'s dialect otherwise). It takes the same option
-// struct as the other entry points: Options.Kernel names the top
-// function; Targets, Obs, and Cache are honoured; the remaining fields
-// are ignored. Use CheckTargets for the per-target report vector.
-func Check(src string, opts Options) (Report, error) {
-	return core.CheckWith(src, opts)
-}
-
 // TargetReport pairs one target with its checker verdict.
 type TargetReport = core.TargetReport
 
-// CheckTargets runs the synthesizability checker once per target in
-// opts.Targets (the default target when empty), each under its own
-// config, diagnostic dialect, and cache key.
-func CheckTargets(src string, opts Options) ([]TargetReport, error) {
-	return core.CheckSet(src, opts)
+// Check runs only the synthesizability-checker stage over a source
+// text, once per target in Options.Targets (the default target, with
+// the reference Vivado-style dialect, when empty), reporting the HLS
+// compatibility errors each target's toolchain would. It takes the same
+// option struct as the other entry points: Options.Kernel names the top
+// function; Targets, Obs, Guard, and Cache are honoured; the remaining
+// fields are ignored.
+func Check(src string, opts Options) ([]TargetReport, error) {
+	return core.Check(src, opts)
 }
 
 // Simulate runs only the FPGA-simulator stage: estimate the design's
-// fabric resources and gate them against the evaluation device (the
-// paper's XCVU9P part). Latency is not reported here — it requires a
-// test suite; use Transpile or Repair with tests for that.
-func Simulate(src, top string) (SimReport, error) {
-	return core.Simulate(src, Options{Kernel: top})
-}
-
-// SimulateWith is Simulate taking the full option struct: Targets
-// selects the device profiles the estimate is gated against (the
-// per-target verdicts land in SimReport.PerTarget), and unknown
-// profile names fail with an explicit error instead of silently
-// falling back to the default part.
-func SimulateWith(src string, opts Options) (SimReport, error) {
+// fabric resources and gate them against every target's device profile
+// in Options.Targets (the paper's XCVU9P evaluation part when empty).
+// Unknown profile names fail with an explicit error instead of silently
+// falling back to the default part. Latency is not reported here — it
+// requires a test suite; use Transpile or Repair with tests for that —
+// and neither is the checker verdict: call Check for it.
+func Simulate(src string, opts Options) (SimReport, error) {
 	return core.Simulate(src, opts)
 }
 

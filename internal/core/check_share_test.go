@@ -58,7 +58,7 @@ func TestCheckReusesRepairVerdict(t *testing.T) {
 				final := cast.Print(rr.Unit)
 
 				before := cached.Cache.Stats().Stages[evalcache.StageCheck]
-				got, err := CheckWith(final, cached)
+				got, err := Check(final, cached)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func TestCheckReusesRepairVerdict(t *testing.T) {
 					t.Errorf("%s: check of the repaired design was not a cache hit (hits %d->%d, misses %d->%d)",
 						name, before.Hits, after.Hits, before.Misses, after.Misses)
 				}
-				want, err := CheckWith(final, opts)
+				want, err := Check(final, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,6 @@ import (
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
-	"github.com/hetero/heterogen/internal/difftest"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/guard"
@@ -342,38 +341,38 @@ func estimateResources(c *evalcache.Cache, g *guard.Guard, u *cast.Unit) (sim.Re
 	return r, nil
 }
 
-// Check exposes the full synthesizability checker for a source text.
-func Check(src, top string) (hls.Report, error) {
-	return CheckWith(src, Options{Kernel: top})
+// TargetReport pairs one target with its checker verdict.
+type TargetReport struct {
+	Target string
+	Report hls.Report
 }
 
-// CheckObserved is Check with a structured hls_check event emitted to o
-// (nil disables observation).
-func CheckObserved(src, top string, o obs.Observer) (hls.Report, error) {
-	return CheckWith(src, Options{Kernel: top, Obs: o})
-}
-
-// CheckWith runs only the synthesizability-checker stage, taking the
-// same option struct as the other entry points: Kernel names the top
-// function, Obs receives the hls_check event, Cache memoizes the
-// verdict, Guard contains checker failures; the remaining fields are
-// ignored. A cache hit emits the identical event a fresh check would.
-// The primary target (Targets[0], or the default target when Targets
-// is empty) provides the config and the diagnostic dialect, and the
-// verdict is cached under a target-aware key; unknown target names
-// fail with an explicit error. Use CheckSet for the full per-target
-// report vector.
-func CheckWith(src string, opts Options) (hls.Report, error) {
+// Check runs only the synthesizability-checker stage, once per target in
+// opts.Targets (the default target when empty), each under its own
+// config, diagnostic dialect, and cache key. It takes the same option
+// struct as the other entry points: Kernel names the top function, Obs
+// receives one hls_check event per target, Cache memoizes the verdicts,
+// Guard contains checker failures; the remaining fields are ignored. A
+// cache hit emits the identical event a fresh check would. Unknown
+// target names fail with an explicit error.
+func Check(src string, opts Options) ([]TargetReport, error) {
+	targets := opts.Targets
+	if len(targets) == 0 {
+		targets = []hls.Target{hls.DefaultTarget()}
+	}
 	u, err := cparser.Parse(src)
 	if err != nil {
-		return hls.Report{}, err
+		return nil, err
 	}
-	t := hls.DefaultTarget()
-	if len(opts.Targets) > 0 {
-		t = opts.Targets[0]
+	out := make([]TargetReport, len(targets))
+	for i, t := range targets {
+		rep, canon, err := checkOne(u, t, opts)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = TargetReport{Target: canon.String(), Report: rep}
 	}
-	rep, _, err := checkOne(u, t, opts)
-	return rep, err
+	return out, nil
 }
 
 // checkOne is the cached, guarded, observed checker stage for one
@@ -417,54 +416,15 @@ func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target,
 	return rep, t, nil
 }
 
-// TargetReport pairs one target with its checker verdict.
-type TargetReport struct {
-	Target string
-	Report hls.Report
-}
-
-// CheckSet runs the synthesizability checker once per target in
-// opts.Targets (the full set when empty resolves to the default
-// target), each under its own config, dialect, and cache key.
-func CheckSet(src string, opts Options) ([]TargetReport, error) {
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []hls.Target{hls.DefaultTarget()}
-	}
-	u, err := cparser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TargetReport, len(targets))
-	for i, t := range targets {
-		rep, canon, err := checkOne(u, t, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = TargetReport{Target: canon.String(), Report: rep}
-	}
-	return out, nil
-}
-
 // SimReport is the outcome of the standalone simulation stage: the
-// design's resource estimate and whether it fits the evaluation
-// device, alongside the checker verdict for context (estimates are
-// meaningful even for non-synthesizable designs; latency is not
-// reported here because simulating it requires a test suite — use the
-// differential-test stage or the full pipeline for that).
+// design's resource estimate and its fit on every requested target's
+// device. Estimates are meaningful even for non-synthesizable designs;
+// Check gives the verdict. Latency is not reported here because
+// simulating it requires a test suite — use the differential-test stage
+// or the full pipeline for that.
 type SimReport struct {
-	// Report is the synthesizability verdict of the same design.
-	Report hls.Report
 	// Resources estimates fabric utilization.
 	Resources sim.Resources
-	// Device is the capacity profile the estimate was gated against:
-	// the primary target's part (the paper's evaluation part when no
-	// targets were set).
-	Device sim.Device
-	// Fits reports the estimate within device capacity; Over lists the
-	// over-utilized resources otherwise. Both mirror PerTarget[0].
-	Fits bool
-	Over []string
 	// PerTarget is the capacity verdict for every requested target.
 	PerTarget []TargetFit
 }
@@ -473,8 +433,8 @@ type SimReport struct {
 type TargetFit struct {
 	// Target is the canonical "backend:device" name.
 	Target string
-	// Device is the profile's capacity table.
-	Device sim.Device
+	// Device is the target's registered profile.
+	Device hls.DeviceProfile
 	// Fits / Over is the gate outcome; Utilization renders the estimate
 	// against this device.
 	Fits        bool
@@ -487,8 +447,8 @@ type TargetFit struct {
 // device profile (the default evaluation part when opts.Targets is
 // empty). The capacity table comes from the named profile — an unknown
 // backend or device name is an explicit error, never a silent fall-back
-// to the default part. Kernel, Targets, Obs, and Cache are honoured
-// from opts; the remaining fields are ignored.
+// to the default part. Targets, Cache, and Guard are honoured from
+// opts; the remaining fields are ignored.
 func Simulate(src string, opts Options) (SimReport, error) {
 	targets := opts.Targets
 	if len(targets) == 0 {
@@ -498,33 +458,25 @@ func Simulate(src string, opts Options) (SimReport, error) {
 	if err != nil {
 		return SimReport{}, err
 	}
-	rep, err := CheckWith(src, opts)
+	res, err := estimateResources(opts.Cache, opts.Guard, u)
 	if err != nil {
 		return SimReport{}, err
 	}
-	out := SimReport{Report: rep}
-	out.Resources, err = estimateResources(opts.Cache, opts.Guard, u)
-	if err != nil {
-		return SimReport{}, err
-	}
+	out := SimReport{Resources: res}
 	for _, t := range targets {
-		backend, profile, rerr := hls.ResolveTarget(t)
-		if rerr != nil {
-			return SimReport{}, fmt.Errorf("heterogen: %w", rerr)
+		backend, profile, err := hls.ResolveTarget(t)
+		if err != nil {
+			return SimReport{}, fmt.Errorf("heterogen: %w", err)
 		}
-		dev := sim.DeviceFor(profile)
-		fits, over := sim.CheckCapacity(out.Resources, dev)
+		fits, over := sim.CheckCapacity(res, profile.Cap)
 		out.PerTarget = append(out.PerTarget, TargetFit{
 			Target:      hls.Target{Backend: backend.Name(), Device: profile.Name}.String(),
-			Device:      dev,
+			Device:      profile,
 			Fits:        fits,
 			Over:        over,
-			Utilization: sim.Utilization(out.Resources, dev),
+			Utilization: sim.Utilization(res, profile.Cap),
 		})
 	}
-	out.Device = out.PerTarget[0].Device
-	out.Fits = out.PerTarget[0].Fits
-	out.Over = out.PerTarget[0].Over
 	return out, nil
 }
 
@@ -595,12 +547,6 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 		return rr, fmt.Errorf("heterogen: cancelled during repair: %w", err)
 	}
 	return rr, nil
-}
-
-// Validate differential-tests an already-produced HLS version against the
-// original over a test suite.
-func Validate(original, candidate *cast.Unit, kernel string, tests []fuzz.TestCase) difftest.Report {
-	return difftest.Run(original, candidate, kernel, hls.DefaultConfig(kernel), tests)
 }
 
 // Summary renders the §6.1-style one-line verdict.

@@ -120,11 +120,11 @@ func TestPipelineExtraTests(t *testing.T) {
 }
 
 func TestCheckHelper(t *testing.T) {
-	rep, err := Check(longDoubleKernel, "top")
+	reps, err := Check(longDoubleKernel, Options{Kernel: "top"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK || !rep.HasClass(hls.ClassUnsupportedType) {
+	if rep := reps[0].Report; rep.OK || !rep.HasClass(hls.ClassUnsupportedType) {
 		t.Errorf("check helper: %v", rep.Diags)
 	}
 }

@@ -95,7 +95,7 @@ func stageRecordFor(t *testing.T) stageRecord {
 				opts.Targets = ts
 			}
 			run := stageRun{Subject: s.id, Targets: spec}
-			reps, err := CheckSet(s.src, opts)
+			reps, err := Check(s.src, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func stageRecordFor(t *testing.T) stageRecord {
 			for _, f := range sr.PerTarget {
 				run.Simulate = append(run.Simulate, stageFit{
 					Target: f.Target, Fits: f.Fits, Over: f.Over, Utilization: f.Utilization,
-					Part: f.Device.Name,
+					Part: f.Device.Part,
 					Capacity: stageCap{LUT: f.Device.Cap.LUT, FF: f.Device.Cap.FF,
 						DSP: f.Device.Cap.DSP, BRAM: f.Device.Cap.BRAM},
 				})
@@ -125,7 +125,7 @@ func stageRecordFor(t *testing.T) stageRecord {
 	for _, bad := range []hls.Target{{Backend: "quartus", Device: "xcvu9p"}, {Backend: "vivado_hls", Device: "nope"}} {
 		opts := Options{Kernel: "kernel", Targets: []hls.Target{bad}}
 		e := stageError{Target: bad.String()}
-		if _, err := CheckSet(bramHeavy, opts); err != nil {
+		if _, err := Check(bramHeavy, opts); err != nil {
 			e.Check = err.Error()
 		}
 		if _, err := Simulate(bramHeavy, opts); err != nil {

@@ -108,9 +108,9 @@ func TargetSetString(ts []Target) string {
 	return strings.Join(parts, "+")
 }
 
-// Capacity is a device's fabric resource envelope. It mirrors the
-// simulator's Resources axes (hls cannot import hls/sim; sim.DeviceFor
-// converts).
+// Capacity is a device's fabric resource envelope, on the simulator's
+// Resources axes (hls cannot import hls/sim); sim.CheckCapacity and
+// sim.Utilization gate and render an estimate against it.
 type Capacity struct {
 	LUT  int
 	FF   int
@@ -231,15 +231,6 @@ func ResolveTargets(ts []Target) error {
 		}
 	}
 	return nil
-}
-
-// DeviceProfileByName resolves a device by short name or full part name
-// across all backends (default backend first, then sorted order), with
-// an explicit error for unknown names. This is how legacy
-// "-device xcvu9p-flgb2104-2-i"-style usage maps onto a profile.
-func DeviceProfileByName(name string) (DeviceProfile, error) {
-	_, p, err := findDevice(name)
-	return p, err
 }
 
 // AllTargets enumerates every shipped (backend, device) pair, default
@@ -379,7 +370,7 @@ func (vitisBackend) CompileCost(lines int) VirtualCost {
 }
 
 // xcvu9pCap is the Virtex UltraScale+ VU9P envelope (the paper's
-// evaluation part on the VCU1525 board); sim.XCVU9P mirrors it.
+// evaluation part on the VCU1525 board).
 var xcvu9pCap = Capacity{LUT: 1182240, FF: 2364480, DSP: 6840, BRAM: 4320}
 
 func init() {

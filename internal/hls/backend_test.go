@@ -38,6 +38,7 @@ func TestParseTarget(t *testing.T) {
 		{"aws_f1", Target{"vitis", "aws_f1"}},
 		// Legacy full part name.
 		{"xcvu9p-flgb2104-2-i", Target{"vivado_hls", "xcvu9p"}},
+		{"xc7z045-ffg900-2", Target{"vivado_hls", "zc706"}},
 		// Bare backend name: its default device.
 		{"vitis", Target{"vitis", "aws_f1"}},
 	}
@@ -54,6 +55,11 @@ func TestParseTarget(t *testing.T) {
 		if _, err := ParseTarget(bad); err == nil {
 			t.Errorf("ParseTarget(%q) succeeded, want error", bad)
 		}
+	}
+	if _, err := ParseTarget("u250"); err == nil {
+		t.Error("unknown device resolved")
+	} else if !strings.Contains(err.Error(), "zc706") {
+		t.Errorf("unknown-device error does not list profiles: %v", err)
 	}
 }
 
@@ -87,14 +93,6 @@ func TestResolveTarget(t *testing.T) {
 	}
 	if _, _, err := ResolveTarget(Target{Backend: "vivado_hls", Device: "aws_f1"}); err == nil {
 		t.Error("vivado_hls:aws_f1 resolved, want unknown-device error")
-	}
-	if _, err := DeviceProfileByName("xc7z045-ffg900-2"); err != nil {
-		t.Errorf("part-name lookup failed: %v", err)
-	}
-	if _, err := DeviceProfileByName("u250"); err == nil {
-		t.Error("unknown device resolved")
-	} else if !strings.Contains(err.Error(), "zc706") {
-		t.Errorf("unknown-device error does not list profiles: %v", err)
 	}
 }
 

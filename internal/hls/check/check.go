@@ -42,23 +42,15 @@ func Run(u *cast.Unit, cfg hls.Config) hls.Report {
 	return hls.Report{Diags: c.diags, OK: len(c.diags) == 0}
 }
 
-// RunObserved is Run plus one structured hls_check event carrying the
-// diagnostic counts by error class — the standalone checker's event
-// (core.Check, behind `heterogen check`, emits it through Observe so a
-// cache hit emits it too). The repair search does not use it: its
-// checker runs happen on worker goroutines, whose verdicts are
-// buffered in the candidate outcome and emitted as repair_candidate
-// events at commit time instead (see internal/obs).
-func RunObserved(u *cast.Unit, cfg hls.Config, o obs.Observer) hls.Report {
-	rep := Run(u, cfg)
-	Observe(o, cfg, rep)
-	return rep
-}
-
 // Observe emits the structured hls_check event for an already-computed
-// report. The evaluation cache's hit path goes through it (core), so a
-// memoized verdict produces the identical event a fresh check would —
-// the trace cannot tell the difference.
+// report: the diagnostic counts by error class. It is the standalone
+// checker's event (core.Check, behind `heterogen check`, emits it once
+// per target, cache hit or not), so a memoized verdict produces the
+// identical event a fresh check would — the trace cannot tell the
+// difference. The repair search does not use it: its checker runs happen
+// on worker goroutines, whose verdicts are buffered in the candidate
+// outcome and emitted as repair_candidate events at commit time instead
+// (see internal/obs).
 func Observe(o obs.Observer, cfg hls.Config, rep hls.Report) {
 	if !obs.Enabled(o) {
 		return

@@ -5,16 +5,6 @@ import (
 	"github.com/hetero/heterogen/internal/interp"
 )
 
-// DeviceFor converts a registered device profile into the simulator's
-// capacity form, so the resource-fit gate runs against the profile the
-// target named instead of a hard-coded part.
-func DeviceFor(p hls.DeviceProfile) Device {
-	return Device{
-		Name: p.Part,
-		Cap:  Resources{LUT: p.Cap.LUT, FF: p.Cap.FF, DSP: p.Cap.DSP, BRAM: p.Cap.BRAM},
-	}
-}
-
 // ScaleLatencyMS retargets a simulated kernel latency from the 250 MHz
 // reference clock (interp.FPGATimeMS) to the profile's clock: the cycle
 // count is clock-invariant, so the fabric portion scales inversely with

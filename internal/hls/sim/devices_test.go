@@ -8,18 +8,6 @@ import (
 	"github.com/hetero/heterogen/internal/interp"
 )
 
-// The default profile must mirror XCVU9P exactly: legacy single-target
-// runs gate against the identical capacity table.
-func TestDefaultProfileMirrorsXCVU9P(t *testing.T) {
-	_, p, err := hls.ResolveTarget(hls.DefaultTarget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := DeviceFor(p); d != XCVU9P {
-		t.Errorf("DeviceFor(default) = %+v, want XCVU9P %+v", d, XCVU9P)
-	}
-}
-
 func TestScaleLatencyMS(t *testing.T) {
 	base := interp.FPGATimeMS(250_000) // 1ms fabric + invoke overhead
 	_, def, _ := hls.ResolveTarget(hls.DefaultTarget())

@@ -91,40 +91,27 @@ func (r Resources) String() string {
 	return fmt.Sprintf("LUT=%d FF=%d DSP=%d BRAM=%d", r.LUT, r.FF, r.DSP, r.BRAM)
 }
 
-// Device is a fabric capacity profile.
-type Device struct {
-	Name string
-	Cap  Resources
-}
-
-// XCVU9P is the evaluation platform's part (Virtex UltraScale+ on the
-// VCU1525 board).
-var XCVU9P = Device{
-	Name: "xcvu9p-flgb2104-2-i",
-	Cap:  Resources{LUT: 1182240, FF: 2364480, DSP: 6840, BRAM: 4320},
-}
-
-// CheckCapacity reports whether the design's estimate fits the device,
-// returning the over-utilized resource names.
-func CheckCapacity(r Resources, d Device) (bool, []string) {
+// CheckCapacity reports whether the design's estimate fits a device's
+// capacity, returning the over-utilized resource names.
+func CheckCapacity(r Resources, c hls.Capacity) (bool, []string) {
 	var over []string
-	if r.LUT > d.Cap.LUT {
+	if r.LUT > c.LUT {
 		over = append(over, "LUT")
 	}
-	if r.FF > d.Cap.FF {
+	if r.FF > c.FF {
 		over = append(over, "FF")
 	}
-	if r.DSP > d.Cap.DSP {
+	if r.DSP > c.DSP {
 		over = append(over, "DSP")
 	}
-	if r.BRAM > d.Cap.BRAM {
+	if r.BRAM > c.BRAM {
 		over = append(over, "BRAM")
 	}
 	return len(over) == 0, over
 }
 
-// Utilization renders the estimate as percentages of the device.
-func Utilization(r Resources, d Device) string {
+// Utilization renders the estimate as percentages of a device's capacity.
+func Utilization(r Resources, c hls.Capacity) string {
 	pct := func(used, cap int) float64 {
 		if cap == 0 {
 			return 0
@@ -132,8 +119,8 @@ func Utilization(r Resources, d Device) string {
 		return 100 * float64(used) / float64(cap)
 	}
 	return fmt.Sprintf("LUT %.1f%% FF %.1f%% DSP %.1f%% BRAM %.1f%%",
-		pct(r.LUT, d.Cap.LUT), pct(r.FF, d.Cap.FF),
-		pct(r.DSP, d.Cap.DSP), pct(r.BRAM, d.Cap.BRAM))
+		pct(r.LUT, c.LUT), pct(r.FF, c.FF),
+		pct(r.DSP, c.DSP), pct(r.BRAM, c.BRAM))
 }
 
 // Estimate walks the design and derives a resource estimate:

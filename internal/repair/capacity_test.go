@@ -68,7 +68,7 @@ void kernel(int a[64], int b[64]) {
 		t.Fatalf("gated search failed: %v / %v", gated.Remaining, gated.Stats.EditLog)
 	}
 	gatedRes := sim.Estimate(gated.Unit)
-	if ok, over := sim.CheckCapacity(gatedRes, sim.DeviceFor(tinyProfile)); !ok {
+	if ok, over := sim.CheckCapacity(gatedRes, tinyProfile.Cap); !ok {
 		t.Errorf("accepted design over-utilizes the device: %v (%s)", over, gatedRes)
 	}
 	if gatedRes.BRAM > freeRes.BRAM {
@@ -119,7 +119,11 @@ int kernel(int x) {
     huge[0] = x;
     return huge[0];
 }`
-	if ok, _ := sim.CheckCapacity(sim.Estimate(cparser.MustParse(src)), sim.XCVU9P); ok {
+	_, def, err := hls.ResolveTarget(hls.DefaultTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := sim.CheckCapacity(sim.Estimate(cparser.MustParse(src)), def.Cap); ok {
 		t.Fatal("test design must over-utilize xcvu9p")
 	}
 	opts := DefaultOptions()

@@ -35,8 +35,6 @@ type resolvedTarget struct {
 	t       hls.Target
 	backend hls.Backend
 	profile hls.DeviceProfile
-	// device is the profile in the simulator's capacity form.
-	device sim.Device
 }
 
 // resolveAll resolves the option set, failing on the first unknown name.
@@ -48,7 +46,7 @@ func resolveAll(ts []hls.Target) ([]resolvedTarget, error) {
 			return nil, err
 		}
 		out[i] = resolvedTarget{t: hls.Target{Backend: b.Name(), Device: p.Name},
-			backend: b, profile: p, device: sim.DeviceFor(p)}
+			backend: b, profile: p}
 	}
 	return out, nil
 }
@@ -120,7 +118,7 @@ func (s *searcher) scoreTargets(u *cast.Unit, fp string, sc *score) (runDifftest
 	sc.resOK = true
 	var diags []hls.Diagnostic
 	for i, rt := range s.targets {
-		ok, over := sim.CheckCapacity(est, rt.device)
+		ok, over := sim.CheckCapacity(est, rt.profile.Cap)
 		sc.perTarget[i].fits = ok
 		sc.perTarget[i].over = over
 		if !ok {
@@ -173,7 +171,7 @@ func (s *searcher) verdicts(sc score) []TargetVerdict {
 			v.Compatible = f.errors == 0
 		}
 		if sc.resOK {
-			v.Utilization = sim.Utilization(sc.res, rt.device)
+			v.Utilization = sim.Utilization(sc.res, rt.profile.Cap)
 		}
 		out[i] = v
 	}

@@ -21,7 +21,8 @@ const (
 	// KindTranspile runs the full pipeline (core.RunContext): test
 	// generation, bitwidth profiling, repair, final HLS source.
 	KindTranspile Kind = "transpile"
-	// KindCheck runs only the synthesizability checker (core.CheckWith).
+	// KindCheck runs only the synthesizability checker (core.Check),
+	// once per target of the job's target set.
 	KindCheck Kind = "check"
 	// KindRepair runs profiling plus the repair search with no test
 	// generation (core.RepairStageContext).
@@ -372,22 +373,11 @@ func paretoPoints(ps []repair.ParetoPoint) []ParetoPoint {
 	return out
 }
 
-func checkResult(rep hls.Report) *CheckResult {
-	out := &CheckResult{OK: rep.OK, Errors: len(rep.Diags)}
-	for _, d := range rep.Diags {
-		out.Diagnostics = append(out.Diagnostics, Diagnostic{
-			Code:    d.Code,
-			Class:   d.Class.String(),
-			Message: d.Message,
-			Subject: d.Subject,
-		})
-	}
-	return out
-}
-
-// checkSetResult renders a per-target check run; the top-level verdict
-// aggregates across targets (OK iff every target is clean).
-func checkSetResult(reps []core.TargetReport) *CheckResult {
+// checkResult renders a check run. A targeted job (one with a target
+// set) gets one verdict per target and an aggregate top-level verdict
+// (OK iff every target is clean); an untargeted job's one report is the
+// top-level verdict, without per_target.
+func checkResult(reps []core.TargetReport, targeted bool) *CheckResult {
 	out := &CheckResult{OK: true}
 	for _, tr := range reps {
 		tc := TargetCheck{Target: tr.Target, OK: tr.Report.OK, Errors: len(tr.Report.Diags)}
@@ -399,11 +389,13 @@ func checkSetResult(reps []core.TargetReport) *CheckResult {
 				Subject: d.Subject,
 			})
 		}
-		if !tc.OK {
-			out.OK = false
-		}
+		out.OK = out.OK && tc.OK
 		out.Errors += tc.Errors
-		out.PerTarget = append(out.PerTarget, tc)
+		if targeted {
+			out.PerTarget = append(out.PerTarget, tc)
+		} else {
+			out.Diagnostics = tc.Diagnostics
+		}
 	}
 	return out
 }

@@ -761,18 +761,11 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 		}
 		return &Result{Transpile: transpileResult(r)}, nil
 	case KindCheck:
-		if len(j.targets) > 0 {
-			reps, cerr := core.CheckSet(j.req.Source, copts)
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &Result{Check: checkSetResult(reps)}, nil
-		}
-		rep, cerr := core.CheckWith(j.req.Source, copts)
+		reps, cerr := core.Check(j.req.Source, copts)
 		if cerr != nil {
 			return nil, cerr
 		}
-		return &Result{Check: checkResult(rep)}, nil
+		return &Result{Check: checkResult(reps, len(j.targets) > 0)}, nil
 	case KindRepair:
 		rr, rerr := core.RepairStageContext(j.ctx, j.req.Source, copts)
 		if rerr != nil {

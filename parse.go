@@ -13,8 +13,8 @@ func parse(src string) (*Unit, error) {
 	return cparser.Parse(src)
 }
 
-// Parse parses C/HLS-C source into a Unit (useful with Validate and for
-// inspecting programs programmatically).
+// Parse parses C/HLS-C source into a Unit (useful for inspecting
+// programs programmatically).
 func Parse(src string) (*Unit, error) { return parse(src) }
 
 // PrintUnit renders a unit back to C/HLS-C source.
