@@ -38,8 +38,10 @@ vet:
 # hash per belt seed, mode and budget; vla.txt and edge.txt, full edge
 # case outcomes) and the whole pipeline's (internal/core/testdata/golden:
 # one end-to-end Result per subject and for Figure 2, plus stages.json,
-# the standalone check and simulate stages' answers), hgserve's check job
-# results (internal/serve/testdata/golden), hgstat's views
+# the standalone stages' answers and every entry point's parse and
+# unknown-kernel error texts), hgserve's check job results and one fuzz
+# job's result and event stream (internal/serve/testdata/golden), the
+# examples' output (testdata/examples), hgstat's views
 # (cmd/hgstat/testdata: the pipeline fixture trace, and per trace the
 # report, its check problems and the span tree, plus the fleet report
 # over all of them) and the heterogen fuzz and check subcommands'
@@ -51,7 +53,8 @@ golden:
 	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 	$(GO) test -count=1 -run 'TestPipelineGolden|TestStageGolden' ./internal/core/ -update
-	$(GO) test -count=1 -run 'TestCheckJobGolden' ./internal/serve/ -update
+	$(GO) test -count=1 -run 'TestCheckJobGolden|TestFuzzJobGolden' ./internal/serve/ -update
+	$(GO) test -count=1 -run 'TestExamplesOutput' . -update
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
 	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
 

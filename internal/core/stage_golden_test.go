@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/cparser"
+	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/hls/sim"
 	"github.com/hetero/heterogen/internal/subjects"
@@ -20,7 +22,9 @@ import (
 // them): every per-target check report and every simulate field
 // (resources; per target its name, fit, overflow axes, utilization,
 // part and capacity), plus the error texts for an unknown backend and
-// an unknown device. Regenerate with `make golden` only for an intended
+// an unknown device, and every entry point's error text for a source
+// that does not parse and, where the stage checks the kernel, for an
+// unknown kernel. Regenerate with `make golden` only for an intended
 // behaviour change.
 
 type stageDiag struct {
@@ -66,9 +70,19 @@ type stageError struct {
 	Simulate string `json:"simulate"`
 }
 
+// entryError is one entry point's error texts for a source that does
+// not parse and for an unknown kernel (empty when the stage does not
+// check the kernel).
+type entryError struct {
+	Stage  string `json:"stage"`
+	Parse  string `json:"parse"`
+	Kernel string `json:"kernel,omitempty"`
+}
+
 type stageRecord struct {
-	Runs   []stageRun   `json:"runs"`
-	Errors []stageError `json:"errors"`
+	Runs        []stageRun   `json:"runs"`
+	Errors      []stageError `json:"errors"`
+	EntryErrors []entryError `json:"entry_errors"`
 }
 
 func stageRecordFor(t *testing.T) stageRecord {
@@ -133,7 +147,50 @@ func stageRecordFor(t *testing.T) stageRecord {
 		}
 		rec.Errors = append(rec.Errors, e)
 	}
+	rec.EntryErrors = entryErrorsFor(t)
 	return rec
+}
+
+// entryErrorsFor records what every entry point says for an unparsable
+// source and an unknown kernel. The stage under test only fails, so
+// none of them runs a fuzz campaign or a repair search.
+func entryErrorsFor(t *testing.T) []entryError {
+	stages := []struct {
+		name        string
+		checkKernel bool
+		run         func(src string, opts Options) error
+	}{
+		{"transpile", true, func(src string, opts Options) error { _, err := Run(src, opts); return err }},
+		{"repair", true, func(src string, opts Options) error { _, err := RepairStage(src, opts); return err }},
+		{"check", false, func(src string, opts Options) error { _, err := Check(src, opts); return err }},
+		{"simulate", false, func(src string, opts Options) error { _, err := Simulate(src, opts); return err }},
+		{"fuzz", true, func(src string, opts Options) error {
+			u, err := cparser.Parse(src)
+			if err != nil {
+				return err
+			}
+			_, err = fuzz.Run(u, opts.Kernel, fuzz.DefaultOptions())
+			return err
+		}},
+	}
+	var out []entryError
+	for _, s := range stages {
+		e := entryError{Stage: s.name}
+		if err := s.run("int f(", Options{Kernel: "f"}); err != nil {
+			e.Parse = err.Error()
+		} else {
+			t.Errorf("%s: an unparsable source gave no error", s.name)
+		}
+		if s.checkKernel {
+			if err := s.run(bramHeavy, Options{Kernel: "nope"}); err != nil {
+				e.Kernel = err.Error()
+			} else {
+				t.Errorf("%s: an unknown kernel gave no error", s.name)
+			}
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // TestStageGolden compares the standalone stages' answers with
