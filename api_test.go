@@ -133,7 +133,8 @@ func TestPublicGenerateTests(t *testing.T) {
 int kernel(int x) {
     if (x > 10) { return 1; }
     return 0;
-}`, "kernel", heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true})
+}`, heterogen.Options{Kernel: "kernel",
+		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +149,9 @@ int kernel(int x) {
     if (x > 10) { return 1; }
     return 0;
 }`
-	opts := heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true}
-	camp, err := heterogen.GenerateTestsContext(context.Background(), src, "kernel", opts)
+	opts := heterogen.Options{Kernel: "kernel",
+		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true}}
+	camp, err := heterogen.GenerateTestsContext(context.Background(), src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ int kernel(int x) {
 	// corpus is a usable suite, so the error stays nil.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := heterogen.GenerateTestsContext(ctx, src, "kernel", opts)
+	partial, err := heterogen.GenerateTestsContext(ctx, src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,8 @@ int kernel(int x) {
 		t.Errorf("cancelled campaign ran %d execs, complete one %d", partial.Execs, camp.Execs)
 	}
 
-	if _, err := heterogen.GenerateTestsContext(context.Background(), "int f(", "f", opts); err == nil {
+	opts.Kernel = "f"
+	if _, err := heterogen.GenerateTestsContext(context.Background(), "int f(", opts); err == nil {
 		t.Error("parse error must surface")
 	}
 }

@@ -8,6 +8,7 @@
 package heterogen_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func runObsSearch(tb testing.TB, traced bool) time.Duration {
 	orig, tests := overlapInputs()
 	opts, flush := obsBenchOptions(traced)
 	start := time.Now()
-	res := repair.Search(orig, cast.CloneUnit(orig), "kernel", tests, opts)
+	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), "kernel", tests, opts)
 	wall := time.Since(start)
 	if !res.Compatible {
 		tb.Fatal("overlap subject must repair")

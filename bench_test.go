@@ -9,6 +9,7 @@
 package heterogen_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/baselines"
@@ -150,7 +151,7 @@ func BenchmarkTable4TestGen(b *testing.B) {
 				opts := fuzz.DefaultOptions()
 				opts.MaxExecs = 400
 				opts.Plateau = 150
-				camp, err := fuzz.Run(s.MustParse(), s.Kernel, opts)
+				camp, err := fuzz.RunContext(context.Background(), s.MustParse(), s.Kernel, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -245,13 +246,13 @@ int kernel(fpga_uint<7> x, fpga_uint<7> y) {
 	for i := 0; i < b.N; i++ {
 		typed := fuzz.DefaultOptions()
 		typed.MaxExecs = 500
-		campT, err := fuzz.Run(u, "kernel", typed)
+		campT, err := fuzz.RunContext(context.Background(), u, "kernel", typed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		untyped := typed
 		untyped.TypedMutation = false
-		campU, err := fuzz.Run(u, "kernel", untyped)
+		campU, err := fuzz.RunContext(context.Background(), u, "kernel", untyped)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,13 +275,13 @@ int host() { return kernel(gate(31, 337)); }`
 	for i := 0; i < b.N; i++ {
 		blind := fuzz.DefaultOptions()
 		blind.MaxExecs = 600
-		campB, err := fuzz.Run(u, "kernel", blind)
+		campB, err := fuzz.RunContext(context.Background(), u, "kernel", blind)
 		if err != nil {
 			b.Fatal(err)
 		}
 		seeded := blind
 		seeded.HostMain = "host"
-		campS, err := fuzz.Run(u, "kernel", seeded)
+		campS, err := fuzz.RunContext(context.Background(), u, "kernel", seeded)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func BenchmarkAblationBitwidth(b *testing.B) {
 	}
 	opts := fuzz.DefaultOptions()
 	opts.MaxExecs = 300
-	camp, err := fuzz.Run(s.MustParse(), s.Kernel, opts)
+	camp, err := fuzz.RunContext(context.Background(), s.MustParse(), s.Kernel, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

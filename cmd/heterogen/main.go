@@ -218,12 +218,11 @@ func fuzz(c *command, args []string) {
 		MaxExecs:      *execs,
 		Plateau:       *execs / 5,
 		TypedMutation: true,
-		HostMain:      c.host,
-		Obs:           sess.Obs,
-		Guard:         sess.Guard,
-		Cache:         sess.Cache,
 	}
-	camp, err := heterogen.GenerateTests(src, c.kernel, opts)
+	camp, err := heterogen.GenerateTests(src, heterogen.Options{
+		Kernel: c.kernel, HostMain: c.host, Fuzz: opts,
+		Obs: sess.Obs, Guard: sess.Guard, Cache: sess.Cache,
+	})
 	if err != nil {
 		sess.Fatal(err)
 	}

@@ -57,7 +57,8 @@ func ExampleGenerateTests() {
 int kernel(int x) {
     if (x == 42) { return 1; }
     return 0;
-}`, "kernel", heterogen.FuzzOptions{Seed: 1, MaxExecs: 400, Plateau: 200, TypedMutation: true})
+}`, heterogen.Options{Kernel: "kernel",
+		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 400, Plateau: 200, TypedMutation: true}})
 	if err != nil {
 		panic(err)
 	}

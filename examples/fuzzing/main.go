@@ -35,9 +35,8 @@ int host() {
 
 func main() {
 	// Without host seeding: the computed secret is out of reach.
-	blind, err := heterogen.GenerateTests(src, "kernel", heterogen.FuzzOptions{
-		Seed: 1, MaxExecs: 1500, Plateau: 500, TypedMutation: true,
-	})
+	fuzz := heterogen.FuzzOptions{Seed: 1, MaxExecs: 1500, Plateau: 500, TypedMutation: true}
+	blind, err := heterogen.GenerateTests(src, heterogen.Options{Kernel: "kernel", Fuzz: fuzz})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +44,7 @@ func main() {
 
 	// With host seeding (Algorithm 1's getKernelSeed): the staged value
 	// arrives as the seed and the branch is covered immediately.
-	seeded, err := heterogen.GenerateTests(src, "kernel", heterogen.FuzzOptions{
-		Seed: 1, MaxExecs: 1500, Plateau: 500, TypedMutation: true, HostMain: "host",
-	})
+	seeded, err := heterogen.GenerateTests(src, heterogen.Options{Kernel: "kernel", HostMain: "host", Fuzz: fuzz})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,14 +18,17 @@
 // (internal/profile), and the dependence-guided repair search
 // (internal/repair).
 //
-// Every entry point has a Context variant (TranspileContext,
-// RepairContext, GenerateTestsContext, ConformContext) with cooperative
-// cancellation at commit points and best-so-far partial results, and
-// every run can share an evaluation Cache (Options.Cache) and a
-// failure-containment Guard (Options.Guard). For a long-running
-// multi-client deployment, NewServer wraps the same pipeline in an
-// HTTP+JSON job service with admission control — the cmd/hgserve
-// daemon; see docs/OPERATIONS.md.
+// Each stage of the pipeline is also callable on its own — Check,
+// Simulate, Repair and GenerateTests — and every one takes the same
+// Options, parses under Options.Guard, and reports errors in the same
+// words as Transpile. The long-running entry points have a Context
+// variant (TranspileContext, RepairContext, GenerateTestsContext,
+// ConformContext) with cooperative cancellation at commit points and
+// best-so-far partial results, and every run can share an evaluation
+// Cache (Options.Cache) and a failure-containment Guard
+// (Options.Guard). For a long-running multi-client deployment,
+// NewServer wraps the same pipeline in an HTTP+JSON job service with
+// admission control — the cmd/hgserve daemon; see docs/OPERATIONS.md.
 package heterogen
 
 import (
@@ -214,14 +217,15 @@ func RepairContext(ctx context.Context, src string, opts Options) (RepairResult,
 	return core.RepairStageContext(ctx, src, opts)
 }
 
-// GenerateTests runs only the coverage-guided test generator against the
-// kernel of the given source.
-func GenerateTests(src, kernel string, opts FuzzOptions) (fuzz.Campaign, error) {
-	u, err := parse(src)
-	if err != nil {
-		return fuzz.Campaign{}, err
-	}
-	return fuzz.Run(u, kernel, opts)
+// GenerateTests runs only the coverage-guided test generator (the
+// paper's Algorithm 1) against Options.Kernel. It takes the same option
+// struct as the other entry points: Options.Fuzz configures the
+// campaign (the defaults when its MaxExecs is zero), HostMain names the
+// host entry point whose kernel-entry state seeds it, and Obs, Guard
+// and Cache are honoured; unknown target names fail as everywhere else,
+// and the remaining fields are ignored.
+func GenerateTests(src string, opts Options) (fuzz.Campaign, error) {
+	return core.FuzzStage(context.Background(), src, opts)
 }
 
 // GenerateTestsContext is GenerateTests with cooperative cancellation.
@@ -229,12 +233,8 @@ func GenerateTests(src, kernel string, opts FuzzOptions) (fuzz.Campaign, error) 
 // cancellation returns promptly with the corpus gathered so far — a
 // partial campaign is still a usable test suite, so the error stays nil
 // for cancellation; callers that must distinguish inspect ctx.Err.
-func GenerateTestsContext(ctx context.Context, src, kernel string, opts FuzzOptions) (fuzz.Campaign, error) {
-	u, err := parse(src)
-	if err != nil {
-		return fuzz.Campaign{}, err
-	}
-	return fuzz.RunContext(ctx, u, kernel, opts)
+func GenerateTestsContext(ctx context.Context, src string, opts Options) (fuzz.Campaign, error) {
+	return core.FuzzStage(ctx, src, opts)
 }
 
 // Guard is the failure-containment layer: it wraps every expensive
@@ -285,7 +285,7 @@ type ConformFailure = conform.Failure
 // commit as regression reproducers. The error reports harness-level
 // problems only; assertion failures live in ConformReport.Failures.
 func Conform(opts ConformOptions) (ConformReport, error) {
-	return conform.Run(opts)
+	return conform.RunContext(context.Background(), opts)
 }
 
 // ConformContext is Conform with cooperative cancellation between

@@ -11,6 +11,7 @@
 package baselines
 
 import (
+	"context"
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
@@ -51,5 +52,5 @@ func WithoutDependenceOptions() repair.Options {
 // on the supplied tests.
 func HeteroRefactor(original *cast.Unit, kernel string, existingTests []fuzz.TestCase) repair.Result {
 	initial := cast.CloneUnit(original)
-	return repair.Search(original, initial, kernel, existingTests, HeteroRefactorOptions())
+	return repair.SearchContext(context.Background(), original, initial, kernel, existingTests, HeteroRefactorOptions())
 }

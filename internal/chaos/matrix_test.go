@@ -8,6 +8,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -133,21 +134,46 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosMatrixParseAndPrint covers the two stages whose failures are
 // hard errors: without a parse there is no unit, without a print there
 // is no HLS source. Both must surface as typed *guard.StageFailure
-// errors, never as a process panic.
+// errors, never as a process panic. Every entry point parses, so the
+// parse row runs each of them; only the full pipeline prints.
 func TestChaosMatrixParseAndPrint(t *testing.T) {
-	for _, stage := range []guard.Stage{guard.StageParse, guard.StagePrint} {
-		for _, class := range []guard.Class{guard.ClassPanic, guard.ClassDeadline, guard.ClassCorrupt} {
-			g := guard.New(guard.Options{Injector: chaos.Always(stage, class)})
-			_, err := core.Run(matrixKernel, matrixOptions(g, nil))
-			if err == nil {
-				t.Fatalf("%s/%s: want a hard error", stage, class)
-			}
-			var sf *guard.StageFailure
-			if !errors.As(err, &sf) {
-				t.Fatalf("%s/%s: error is not a StageFailure: %v", stage, class, err)
-			}
-			if sf.Stage != stage || sf.Class != class || !sf.Injected {
-				t.Errorf("%s/%s: classified as %+v", stage, class, sf)
+	type entry struct {
+		name string
+		run  func(core.Options) error
+	}
+	pipeline := entry{"run", func(o core.Options) error { _, err := core.Run(matrixKernel, o); return err }}
+	rows := []struct {
+		stage   guard.Stage
+		entries []entry
+	}{
+		{guard.StageParse, []entry{
+			pipeline,
+			{"repair", func(o core.Options) error { _, err := core.RepairStage(matrixKernel, o); return err }},
+			{"check", func(o core.Options) error { _, err := core.Check(matrixKernel, o); return err }},
+			{"simulate", func(o core.Options) error { _, err := core.Simulate(matrixKernel, o); return err }},
+			{"fuzz", func(o core.Options) error {
+				_, err := core.FuzzStage(context.Background(), matrixKernel, o)
+				return err
+			}},
+		}},
+		{guard.StagePrint, []entry{pipeline}},
+	}
+	for _, row := range rows {
+		for _, e := range row.entries {
+			for _, class := range []guard.Class{guard.ClassPanic, guard.ClassDeadline, guard.ClassCorrupt} {
+				g := guard.New(guard.Options{Injector: chaos.Always(row.stage, class)})
+				err := e.run(matrixOptions(g, nil))
+				label := fmt.Sprintf("%s/%s/%s", row.stage, class, e.name)
+				if err == nil {
+					t.Fatalf("%s: want a hard error", label)
+				}
+				var sf *guard.StageFailure
+				if !errors.As(err, &sf) {
+					t.Fatalf("%s: error is not a StageFailure: %v", label, err)
+				}
+				if sf.Stage != row.stage || sf.Class != class || !sf.Injected {
+					t.Errorf("%s: classified as %+v", label, sf)
+				}
 			}
 		}
 	}

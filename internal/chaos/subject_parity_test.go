@@ -6,6 +6,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/core"
@@ -34,7 +35,7 @@ func TestGuardedSubjectsByteIdentical(t *testing.T) {
 				tw := obs.NewTraceWriter(&buf)
 				ro := repair.DefaultOptions()
 				ro.MaxIterations = 12
-				res, err := core.RunUnit(s.MustParse(), core.Options{
+				res, err := core.RunUnitContext(context.Background(), s.MustParse(), core.Options{
 					Kernel: s.Kernel,
 					Fuzz:   fuzz.Options{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
 					Repair: ro,

@@ -137,13 +137,9 @@ func (r Report) Summary() string {
 		r.Violations, r.Flagged, r.Converged, r.ParityOK, len(r.Failures))
 }
 
-// Run executes the conformance harness.
-func Run(opts Options) (Report, error) {
-	return RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with cooperative cancellation between seeds; the
-// partial Report is valid alongside the ctx error.
+// RunContext executes the conformance harness with cooperative
+// cancellation between seeds; the partial Report is valid alongside the
+// ctx error.
 func RunContext(ctx context.Context, opts Options) (Report, error) {
 	o := opts.withDefaults()
 	rep := Report{Seed: o.Seed, Count: o.Count}

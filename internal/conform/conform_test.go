@@ -26,7 +26,7 @@ func smallCount(t *testing.T, full, short int) int {
 // and parity holds on the sampled seeds.
 func TestRunPasses(t *testing.T) {
 	n := smallCount(t, 15, 5)
-	rep, err := Run(Options{Seed: 1, Count: n, ParityEvery: 5})
+	rep, err := RunContext(context.Background(), Options{Seed: 1, Count: n, ParityEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestRunPasses(t *testing.T) {
 // criterion behind `hgconform -seed 1 -n 100` determinism.
 func TestRunDeterministic(t *testing.T) {
 	opts := Options{Seed: 40, Count: smallCount(t, 10, 4), ParityEvery: 5}
-	a, err := Run(opts)
+	a, err := RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(opts)
+	b, err := RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunDeterministic(t *testing.T) {
 // CheckOnly stops after the oracle stage: no convergence or parity
 // counts, much faster.
 func TestCheckOnly(t *testing.T) {
-	rep, err := Run(Options{Seed: 1, Count: 25, CheckOnly: true})
+	rep, err := RunContext(context.Background(), Options{Seed: 1, Count: 25, CheckOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,7 @@ func cachedRun(t *testing.T, id string, workers int, cache *evalcache.Cache) (Re
 	opts.Fuzz = fuzz.DefaultOptions()
 	opts.Fuzz.MaxExecs = 150
 	opts.Fuzz.Plateau = 60
-	res, err := RunUnit(s.MustParse(), opts)
+	res, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestFinalEstimateSharesSearchKey(t *testing.T) {
 	opts := repair.DefaultOptions()
 	opts.Cache = cache
 	orig := s.MustParse()
-	res := repair.Search(orig, cast.CloneUnit(orig), s.Kernel, s.ExistingTests(), opts)
+	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), s.Kernel, s.ExistingTests(), opts)
 	if !res.Compatible {
 		t.Fatalf("P3 must repair: %v", res.Remaining)
 	}

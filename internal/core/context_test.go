@@ -142,7 +142,7 @@ func TestRunUnitContextMidSearchCancel(t *testing.T) {
 	obsCancel := &cancelAfter{n: 3, typ: obs.EvCandidate, cancel: cancel}
 	opts.Obs = obsCancel
 
-	full, err := RunUnit(cparser.MustParse(midSearchKernel), Options{Kernel: opts.Kernel, Fuzz: opts.Fuzz, Repair: opts.Repair})
+	full, err := RunUnitContext(context.Background(), cparser.MustParse(midSearchKernel), Options{Kernel: opts.Kernel, Fuzz: opts.Fuzz, Repair: opts.Repair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,20 +163,21 @@ func TestRunUnitContextMidSearchCancel(t *testing.T) {
 	}
 }
 
-// TestRunUnitContextBackground: RunUnitContext with a background
-// context must behave exactly like RunUnit.
+// TestRunUnitContextBackground: RunUnitContext over a parsed unit with
+// a background context must behave exactly like RunContext over the
+// source text.
 func TestRunUnitContextBackground(t *testing.T) {
 	opts, _ := smallOptions(t, "P2")
 	s, _ := subjects.ByID("P2")
-	plain, err := RunUnit(s.MustParse(), opts)
+	viaSrc, err := RunContext(context.Background(), s.Source, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunUnitContext(context.Background(), s.MustParse(), opts)
+	viaUnit, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Source != viaCtx.Source || plain.Summary() != viaCtx.Summary() {
-		t.Error("RunUnitContext(Background) diverges from RunUnit")
+	if viaSrc.Source != viaUnit.Source || viaSrc.Summary() != viaUnit.Summary() {
+		t.Error("RunUnitContext(Background) diverges from RunContext")
 	}
 }

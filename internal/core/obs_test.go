@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/fuzz"
@@ -24,7 +25,7 @@ func tracedRun(t *testing.T, id string, workers int) (Result, []byte) {
 	opts.Fuzz = fuzz.DefaultOptions()
 	opts.Fuzz.MaxExecs = 150
 	opts.Fuzz.Plateau = 60
-	res, err := RunUnit(s.MustParse(), opts)
+	res, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestPipelineTraceDisabledByDefault(t *testing.T) {
 	opts.Fuzz = fuzz.DefaultOptions()
 	opts.Fuzz.MaxExecs = 120
 	opts.Fuzz.Plateau = 50
-	plain, err := RunUnit(s.MustParse(), opts)
+	plain, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Obs = obs.Nop()
-	nop, err := RunUnit(s.MustParse(), opts)
+	nop, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

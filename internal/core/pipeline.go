@@ -139,41 +139,25 @@ func Run(src string, opts Options) (Result, error) {
 // RunContext is Run with cooperative cancellation — see RunUnitContext
 // for the partial-result semantics.
 func RunContext(ctx context.Context, src string, opts Options) (Result, error) {
-	// The parser is guarded on the source text itself (there is no unit
-	// yet to quarantine; a contained parser panic surfaces as a typed
-	// *guard.StageFailure error instead of killing the process).
-	orig, err := guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageParse, Key: src},
-		func(*cast.Unit) (*cast.Unit, error) {
-			return cparser.Parse(src)
-		})
+	orig, err := parse(src, opts.Guard)
 	if err != nil {
-		return Result{}, fmt.Errorf("heterogen: parse: %w", err)
+		return Result{}, err
 	}
 	return RunUnitContext(ctx, orig, opts)
 }
 
-// RunUnit executes the pipeline over a parsed unit.
-func RunUnit(orig *cast.Unit, opts Options) (Result, error) {
-	return RunUnitContext(context.Background(), orig, opts)
-}
-
-// RunUnitContext is RunUnit with cooperative cancellation. The context
-// is checked at phase boundaries here and at commit points inside the
-// fuzzer and the repair search (between executions and candidate
-// evaluations, never mid-verdict). On cancellation the returned Result
-// is the best-so-far partial outcome — the corpus gathered, the most
-// advanced program version reached, its repair log — alongside an
-// error wrapping ctx.Err(), so errors.Is(err, context.Canceled)
-// distinguishes cancellation from real failures.
+// RunUnitContext executes the pipeline over a parsed unit with
+// cooperative cancellation. The context is checked at phase boundaries
+// here and at commit points inside the fuzzer and the repair search
+// (between executions and candidate evaluations, never mid-verdict). On
+// cancellation the returned Result is the best-so-far partial outcome —
+// the corpus gathered, the most advanced program version reached, its
+// repair log — alongside an error wrapping ctx.Err(), so
+// errors.Is(err, context.Canceled) distinguishes cancellation from real
+// failures.
 func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result, error) {
-	if opts.Kernel == "" {
-		return Result{}, fmt.Errorf("heterogen: no kernel specified")
-	}
-	if orig.Func(opts.Kernel) == nil {
-		return Result{}, fmt.Errorf("heterogen: kernel %q not found", opts.Kernel)
-	}
-	if err := hls.ResolveTargets(opts.Targets); err != nil {
-		return Result{}, fmt.Errorf("heterogen: %w", err)
+	if err := validate(orig, opts); err != nil {
+		return Result{}, err
 	}
 	res := Result{Original: orig, OriginalLOC: cast.CountLines(orig)}
 	cacheStart := opts.Cache.Stats()
@@ -197,24 +181,8 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 
 	// Stage 1: test input generation.
-	fopts := opts.Fuzz
-	if fopts.MaxExecs == 0 {
-		fopts = fuzz.DefaultOptions()
-	}
-	if opts.HostMain != "" {
-		fopts.HostMain = opts.HostMain
-	}
-	if fopts.Obs == nil {
-		fopts.Obs = opts.Obs
-	}
-	if fopts.Cache == nil {
-		fopts.Cache = opts.Cache
-	}
-	if fopts.Guard == nil {
-		fopts.Guard = opts.Guard
-	}
 	endFuzz := phase("fuzz")
-	camp, err := fuzz.RunContext(ctx, orig, opts.Kernel, fopts)
+	camp, err := fuzz.RunContext(ctx, orig, opts.Kernel, fuzzOptions(opts))
 	if err != nil {
 		finish()
 		return res, fmt.Errorf("heterogen: test generation: %w", err)
@@ -250,30 +218,8 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 
 	// Stages 3-5: iterative repair.
-	ropts := opts.Repair
-	if ropts.Budget == 0 && ropts.MaxIterations == 0 {
-		ropts = repair.DefaultOptions()
-	}
-	if opts.Workers != 0 {
-		ropts.Workers = opts.Workers
-	}
-	if ropts.Obs == nil {
-		ropts.Obs = opts.Obs
-	}
-	if ropts.Cache == nil {
-		ropts.Cache = opts.Cache
-	}
-	if ropts.Guard == nil {
-		ropts.Guard = opts.Guard
-	}
-	if ropts.Targets == nil {
-		ropts.Targets = opts.Targets
-	}
-	if ropts.CheckpointPath == "" {
-		ropts.CheckpointPath = opts.RepairCheckpoint
-	}
 	endRepair := phase("repair")
-	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, ropts)
+	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, repairOptions(opts))
 	endRepair(rr.Stats.VirtualSeconds)
 	res.Repair = rr
 	res.Final = rr.Unit
@@ -313,6 +259,120 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 		return res, fmt.Errorf("heterogen: cancelled during repair: %w", err)
 	}
 	return res, nil
+}
+
+// parse is the guarded parse every entry point starts with. The parser
+// is guarded on the source text itself (there is no unit yet to
+// quarantine): a contained parser panic or an injected fault surfaces
+// as a typed *guard.StageFailure error instead of killing the process.
+func parse(src string, g *guard.Guard) (*cast.Unit, error) {
+	u, err := guard.Do(g, guard.Invocation{Stage: guard.StageParse, Key: src},
+		func(*cast.Unit) (*cast.Unit, error) {
+			return cparser.Parse(src)
+		})
+	if err != nil {
+		return nil, fmt.Errorf("heterogen: parse: %w", err)
+	}
+	return u, nil
+}
+
+// validate checks what every kernel-driven entry point needs before it
+// runs: a kernel that u defines and targets that all resolve. The
+// default target always resolves, so an untargeted call resolves none.
+func validate(u *cast.Unit, opts Options) error {
+	if opts.Kernel == "" {
+		return fmt.Errorf("heterogen: no kernel specified")
+	}
+	if u.Func(opts.Kernel) == nil {
+		return fmt.Errorf("heterogen: kernel %q not found", opts.Kernel)
+	}
+	if len(opts.Targets) == 0 {
+		return nil
+	}
+	_, err := resolveTargets(opts.Targets)
+	return err
+}
+
+// resolvedTarget is one target's backend and device profile.
+type resolvedTarget struct {
+	backend hls.Backend
+	profile hls.DeviceProfile
+}
+
+// name is the target's canonical "backend:device" form.
+func (r resolvedTarget) name() string {
+	return hls.Target{Backend: r.backend.Name(), Device: r.profile.Name}.String()
+}
+
+// resolveTargets resolves every target of ts, or the default target
+// when ts is empty; an unknown backend or device name is an explicit
+// error, never a silent fall-back to the default part.
+func resolveTargets(ts []hls.Target) ([]resolvedTarget, error) {
+	if len(ts) == 0 {
+		ts = []hls.Target{hls.DefaultTarget()}
+	}
+	out := make([]resolvedTarget, len(ts))
+	for i, t := range ts {
+		b, p, err := hls.ResolveTarget(t)
+		if err != nil {
+			return nil, fmt.Errorf("heterogen: %w", err)
+		}
+		out[i] = resolvedTarget{backend: b, profile: p}
+	}
+	return out, nil
+}
+
+// fuzzOptions derives the test generator's options from opts: opts.Fuzz
+// (fuzz.DefaultOptions when its MaxExecs is zero), with HostMain, Obs,
+// Cache and Guard passed down unless already set.
+func fuzzOptions(opts Options) fuzz.Options {
+	fopts := opts.Fuzz
+	if fopts.MaxExecs == 0 {
+		fopts = fuzz.DefaultOptions()
+	}
+	if opts.HostMain != "" {
+		fopts.HostMain = opts.HostMain
+	}
+	if fopts.Obs == nil {
+		fopts.Obs = opts.Obs
+	}
+	if fopts.Cache == nil {
+		fopts.Cache = opts.Cache
+	}
+	if fopts.Guard == nil {
+		fopts.Guard = opts.Guard
+	}
+	return fopts
+}
+
+// repairOptions derives the repair search's options from opts:
+// opts.Repair (repair.DefaultOptions when it sets neither Budget nor
+// MaxIterations), with Workers, Obs, Cache, Guard, Targets and
+// RepairCheckpoint passed down unless already set.
+func repairOptions(opts Options) repair.Options {
+	ropts := opts.Repair
+	if ropts.Budget == 0 && ropts.MaxIterations == 0 {
+		ropts = repair.DefaultOptions()
+	}
+	if opts.Workers != 0 {
+		ropts.Workers = opts.Workers
+	}
+	if ropts.Obs == nil {
+		ropts.Obs = opts.Obs
+	}
+	if ropts.Cache == nil {
+		ropts.Cache = opts.Cache
+	}
+	if ropts.Guard == nil {
+		ropts.Guard = opts.Guard
+	}
+	if ropts.Targets == nil {
+		ropts.Targets = opts.Targets
+	}
+	if ropts.CheckpointPath == "" {
+		ropts.CheckpointPath = opts.RepairCheckpoint
+	}
+	return ropts
 }
 
 // estimateResources is sim.Estimate through the cache and the guard.
@@ -356,21 +416,21 @@ type TargetReport struct {
 // cache hit emits the identical event a fresh check would. Unknown
 // target names fail with an explicit error.
 func Check(src string, opts Options) ([]TargetReport, error) {
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []hls.Target{hls.DefaultTarget()}
+	u, err := parse(src, opts.Guard)
+	if err != nil {
+		return nil, err
 	}
-	u, err := cparser.Parse(src)
+	targets, err := resolveTargets(opts.Targets)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]TargetReport, len(targets))
 	for i, t := range targets {
-		rep, canon, err := checkOne(u, t, opts)
+		rep, err := checkOne(u, t, opts)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = TargetReport{Target: canon.String(), Report: rep}
+		out[i] = TargetReport{Target: t.name(), Report: rep}
 	}
 	return out, nil
 }
@@ -381,39 +441,35 @@ func Check(src string, opts Options) ([]TargetReport, error) {
 // untranslated report under the repair search's key, so a check finds
 // the verdicts a repair already paid for; source positions are not
 // content, so a hit reports those of the unit that first produced the
-// verdict. It also returns the target's canonical form.
-func checkOne(u *cast.Unit, t hls.Target, opts Options) (hls.Report, hls.Target, error) {
-	backend, profile, err := hls.ResolveTarget(t)
-	if err != nil {
-		return hls.Report{}, t, fmt.Errorf("heterogen: %w", err)
-	}
-	t = hls.Target{Backend: backend.Name(), Device: profile.Name}
-	cfg := hls.ConfigFor(opts.Kernel, profile)
+// verdict.
+func checkOne(u *cast.Unit, t resolvedTarget, opts Options) (hls.Report, error) {
+	cfg := hls.ConfigFor(opts.Kernel, t.profile)
 	var key string
 	var rep hls.Report
 	cached := false
 	if opts.Cache != nil {
-		salt := evalcache.CheckSalt(backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
+		salt := evalcache.CheckSalt(t.backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
 		key = evalcache.CheckKey(salt, cast.FingerprintUnit(u))
 		cached = opts.Cache.Get(evalcache.StageCheck, key, &rep)
 	}
 	if !cached {
+		var err error
 		rep, err = guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageCheck, Unit: u},
 			func(cu *cast.Unit) (hls.Report, error) {
 				return check.Run(cu, cfg), nil
 			})
 		if err != nil {
-			return hls.Report{}, t, err
+			return hls.Report{}, err
 		}
 		if opts.Cache != nil {
 			opts.Cache.Put(evalcache.StageCheck, key, rep)
 		}
 	}
 	for i := range rep.Diags {
-		rep.Diags[i] = backend.Translate(rep.Diags[i])
+		rep.Diags[i] = t.backend.Translate(rep.Diags[i])
 	}
 	check.Observe(opts.Obs, cfg, rep)
-	return rep, t, nil
+	return rep, nil
 }
 
 // SimReport is the outcome of the standalone simulation stage: the
@@ -450,11 +506,11 @@ type TargetFit struct {
 // to the default part. Targets, Cache, and Guard are honoured from
 // opts; the remaining fields are ignored.
 func Simulate(src string, opts Options) (SimReport, error) {
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []hls.Target{hls.DefaultTarget()}
+	u, err := parse(src, opts.Guard)
+	if err != nil {
+		return SimReport{}, err
 	}
-	u, err := cparser.Parse(src)
+	targets, err := resolveTargets(opts.Targets)
 	if err != nil {
 		return SimReport{}, err
 	}
@@ -464,17 +520,13 @@ func Simulate(src string, opts Options) (SimReport, error) {
 	}
 	out := SimReport{Resources: res}
 	for _, t := range targets {
-		backend, profile, err := hls.ResolveTarget(t)
-		if err != nil {
-			return SimReport{}, fmt.Errorf("heterogen: %w", err)
-		}
-		fits, over := sim.CheckCapacity(res, profile.Cap)
+		fits, over := sim.CheckCapacity(res, t.profile.Cap)
 		out.PerTarget = append(out.PerTarget, TargetFit{
-			Target:      hls.Target{Backend: backend.Name(), Device: profile.Name}.String(),
-			Device:      profile,
+			Target:      t.name(),
+			Device:      t.profile,
 			Fits:        fits,
 			Over:        over,
-			Utilization: sim.Utilization(res, profile.Cap),
+			Utilization: sim.Utilization(res, t.profile.Cap),
 		})
 	}
 	return out, nil
@@ -497,21 +549,12 @@ func RepairStage(src string, opts Options) (repair.Result, error) {
 // a cancelled search returns the best version reached so far (the
 // repair.Result is always valid) alongside an error wrapping ctx.Err().
 func RepairStageContext(ctx context.Context, src string, opts Options) (repair.Result, error) {
-	orig, err := guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageParse, Key: src},
-		func(*cast.Unit) (*cast.Unit, error) {
-			return cparser.Parse(src)
-		})
+	orig, err := parse(src, opts.Guard)
 	if err != nil {
-		return repair.Result{}, fmt.Errorf("heterogen: parse: %w", err)
+		return repair.Result{}, err
 	}
-	if opts.Kernel == "" {
-		return repair.Result{}, fmt.Errorf("heterogen: no kernel specified")
-	}
-	if orig.Func(opts.Kernel) == nil {
-		return repair.Result{}, fmt.Errorf("heterogen: kernel %q not found", opts.Kernel)
-	}
-	if err := hls.ResolveTargets(opts.Targets); err != nil {
-		return repair.Result{}, fmt.Errorf("heterogen: %w", err)
+	if err := validate(orig, opts); err != nil {
+		return repair.Result{}, err
 	}
 	tests := opts.ExtraTests
 	initial := cast.CloneUnit(orig)
@@ -520,33 +563,36 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 			initial = prof.Unit
 		}
 	}
-	ropts := opts.Repair
-	if ropts.Budget == 0 && ropts.MaxIterations == 0 {
-		ropts = repair.DefaultOptions()
-	}
-	if opts.Workers != 0 {
-		ropts.Workers = opts.Workers
-	}
-	if ropts.Obs == nil {
-		ropts.Obs = opts.Obs
-	}
-	if ropts.Cache == nil {
-		ropts.Cache = opts.Cache
-	}
-	if ropts.Guard == nil {
-		ropts.Guard = opts.Guard
-	}
-	if ropts.Targets == nil {
-		ropts.Targets = opts.Targets
-	}
-	if ropts.CheckpointPath == "" {
-		ropts.CheckpointPath = opts.RepairCheckpoint
-	}
-	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, ropts)
+	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, repairOptions(opts))
 	if err := ctx.Err(); err != nil {
 		return rr, fmt.Errorf("heterogen: cancelled during repair: %w", err)
 	}
 	return rr, nil
+}
+
+// FuzzStage runs only the test-generation stage (Algorithm 1): a
+// coverage-guided campaign against opts.Kernel, configured by
+// opts.Fuzz (fuzz.DefaultOptions when its MaxExecs is zero), with
+// HostMain, Obs, Cache and Guard honoured; the remaining fields are
+// ignored bar the target names, which are validated as everywhere
+// else. It emits no phase events. The context is checked between
+// executions, never mid-run; a cancelled campaign returns the corpus
+// gathered so far with a nil error (a partial campaign is still a
+// usable test suite), so callers that must distinguish inspect
+// ctx.Err.
+func FuzzStage(ctx context.Context, src string, opts Options) (fuzz.Campaign, error) {
+	u, err := parse(src, opts.Guard)
+	if err != nil {
+		return fuzz.Campaign{}, err
+	}
+	if err := validate(u, opts); err != nil {
+		return fuzz.Campaign{}, err
+	}
+	camp, err := fuzz.RunContext(ctx, u, opts.Kernel, fuzzOptions(opts))
+	if err != nil {
+		return camp, fmt.Errorf("heterogen: test generation: %w", err)
+	}
+	return camp, nil
 }
 
 // Summary renders the §6.1-style one-line verdict.

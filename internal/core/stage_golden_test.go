@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/hetero/heterogen/internal/cparser"
-	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/hls/sim"
 	"github.com/hetero/heterogen/internal/subjects"
@@ -165,11 +164,7 @@ func entryErrorsFor(t *testing.T) []entryError {
 		{"check", false, func(src string, opts Options) error { _, err := Check(src, opts); return err }},
 		{"simulate", false, func(src string, opts Options) error { _, err := Simulate(src, opts); return err }},
 		{"fuzz", true, func(src string, opts Options) error {
-			u, err := cparser.Parse(src)
-			if err != nil {
-				return err
-			}
-			_, err = fuzz.Run(u, opts.Kernel, fuzz.DefaultOptions())
+			_, err := FuzzStage(context.Background(), src, opts)
 			return err
 		}},
 	}

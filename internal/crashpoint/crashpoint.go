@@ -89,12 +89,3 @@ func Kill() {
 	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	os.Exit(137)
 }
-
-// Armed reports whether any crash site is armed in this process —
-// used by tests to guard helper processes.
-func Armed() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	loadLocked()
-	return armedSite != ""
-}

@@ -201,14 +201,3 @@ func (k Kind) IsAssignOp() bool {
 	}
 	return false
 }
-
-// IsTypeStarter reports whether the kind can begin a type specifier.
-func (k Kind) IsTypeStarter() bool {
-	switch k {
-	case KwVoid, KwChar, KwShort, KwInt, KwLong, KwFloat, KwDouble,
-		KwSigned, KwUnsigned, KwBool, KwStruct, KwUnion, KwEnum, KwConst,
-		KwStatic, KwExtern, KwInline, KwTypedef:
-		return true
-	}
-	return false
-}

@@ -10,6 +10,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -137,7 +138,7 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	fopts.Obs = o
 	fopts.Cache = cfg.Cache
 	fopts.Guard = cfg.Guard
-	camp, err := fuzz.Run(orig, s.Kernel, fopts)
+	camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
 	if err != nil {
 		return run, fmt.Errorf("%s: fuzz: %w", s.ID, err)
 	}
@@ -168,7 +169,7 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	ropts.Cache = cfg.Cache
 	ropts.Guard = cfg.Guard
 	ropts.Targets = cfg.Targets
-	rr := repair.Search(orig, initial, s.Kernel, valSuite, ropts)
+	rr := repair.SearchContext(context.Background(), orig, initial, s.Kernel, valSuite, ropts)
 	// One counter serves every ΔLOC render of this run: the original is
 	// printed and line-indexed once instead of per metric.
 	origLines := repair.NewLineCounter(orig)
@@ -190,7 +191,7 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	// --- Manual version (Table 5) --------------------------------------
 	manual := s.MustParseManual()
 	mrep := difftest.Run(orig, manual, s.Kernel, cfgHLS, valSuite)
-	run.ManualDeltaLOC = manualDelta(orig, manual)
+	run.ManualDeltaLOC = origLines.EditedLines(manual)
 	if mrep.Total > 0 && mrep.AllPass() {
 		run.RuntimeManualMS = mrep.FPGAMeanMS()
 		if run.RuntimeOriginMS == 0 {
@@ -217,32 +218,6 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 		}
 	}
 	return run, nil
-}
-
-// manualDelta counts lines changed between original and manual versions:
-// the symmetric difference of their line multisets (a coarse but honest
-// stand-in for the paper's added-line count).
-func manualDelta(orig, manual *cast.Unit) int {
-	a := lineSet(cast.Print(orig))
-	b := lineSet(cast.Print(manual))
-	delta := 0
-	for line, n := range b {
-		if m := a[line]; n > m {
-			delta += n - m
-		}
-	}
-	return delta
-}
-
-func lineSet(src string) map[string]int {
-	out := map[string]int{}
-	for _, l := range strings.Split(src, "\n") {
-		l = strings.TrimSpace(l)
-		if l != "" {
-			out[l]++
-		}
-	}
-	return out
 }
 
 // validationSuite builds the repair-fitness suite: the corpus minimized

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -127,7 +128,7 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 	fopts := cfg.fuzzOptions()
 	fopts.Cache = cfg.Cache
 	fopts.Guard = cfg.Guard
-	camp, err := fuzz.Run(orig, s.Kernel, fopts)
+	camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
 	if err != nil {
 		return out, err
 	}
@@ -146,7 +147,7 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 		o.Guard = cfg.Guard
 		return o
 	}
-	hg := repair.Search(orig, initialOf(), s.Kernel, valSuite, withWorkers(repair.DefaultOptions()))
+	hg := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(repair.DefaultOptions()))
 	out.HGMinutes = hg.Stats.SecondsToCompatible / 60
 	out.HGCompatible = hg.Compatible && hg.BehaviorOK
 	if !out.HGCompatible {
@@ -156,14 +157,14 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 		out.HGInvokePct = 100 * float64(hg.Stats.HLSInvocations-1) / float64(hg.Stats.CandidatesTried)
 	}
 
-	wd := repair.Search(orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutDependenceOptions()))
+	wd := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutDependenceOptions()))
 	out.WithoutDepOK = wd.Compatible && wd.BehaviorOK
 	out.WithoutDepMinutes = wd.Stats.SecondsToCompatible / 60
 	if !out.WithoutDepOK {
 		out.WithoutDepMinutes = wd.Stats.VirtualMinutes()
 	}
 
-	wc := repair.Search(orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutCheckerOptions()))
+	wc := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutCheckerOptions()))
 	out.WithoutCheckerCompat = wc.Compatible && wc.BehaviorOK
 	out.WithoutCheckerMin = wc.Stats.VirtualMinutes()
 	if wc.Stats.CandidatesTried > 0 {

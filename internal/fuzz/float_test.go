@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cparser"
@@ -20,7 +21,7 @@ float kernel(float in[16], float out[16], float gain) {
     if (gain < 0.0) { return 0.0 - acc; }
     return acc;
 }`)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestCampaignStopsOnPlateau(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxExecs = 100000
 	opts.Plateau = 50
-	camp, err := Run(u, "kernel", opts)
+	camp, err := RunContext(context.Background(), u, "kernel", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCampaignStopsOnPlateau(t *testing.T) {
 
 func TestMinimizeKeepsCoverage(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

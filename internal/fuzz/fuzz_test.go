@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -75,7 +76,7 @@ void kernel(int m[4][8]) {
 
 func TestCampaignCoversBranches(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestCampaignCoversBranches(t *testing.T) {
 
 func TestCampaignDeterministic(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	a, err := Run(u, "kernel", DefaultOptions())
+	a, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(u, "kernel", DefaultOptions())
+	b, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ int host() {
 }`)
 	opts := DefaultOptions()
 	opts.HostMain = "host"
-	camp, err := Run(u, "kernel", opts)
+	camp, err := RunContext(context.Background(), u, "kernel", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ int kernel(fpga_uint<7> x) {
     if (x > 100) { return 1; }
     return 0;
 }`)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ int kernel(int x) {
     if (x > 0 && x < 100) { return a[x % 8]; }
     return 10 / x;
 }`)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestMutationPreservesShape(t *testing.T) {
 void kernel(float in[8], float out[8]) {
     for (int i = 0; i < 8; i++) { out[i] = in[i]; }
 }`)
-	camp, err := Run(u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func traceCampaign(u *cast.Unit, kernel string, opts Options) (Campaign, []byte,
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts.Obs = tw
-	camp, err := Run(u, kernel, opts)
+	camp, err := RunContext(context.Background(), u, kernel, opts)
 	if err != nil {
 		return Campaign{}, nil, err
 	}

@@ -99,13 +99,9 @@ type Campaign struct {
 // calibrated so campaigns land in the tens-of-minutes range of Table 4.
 const execVirtualSeconds = 0.9
 
-// Run executes a fuzzing campaign against the kernel of u.
-func Run(u *cast.Unit, kernel string, opts Options) (Campaign, error) {
-	return RunContext(context.Background(), u, kernel, opts)
-}
-
-// RunContext is Run with cooperative cancellation. The context is
-// checked at execution commit points: when it is cancelled the
+// RunContext executes a fuzzing campaign against the kernel of u, with
+// cooperative cancellation. The context is checked at execution commit
+// points: when it is cancelled the
 // campaign stops where it is and returns the corpus gathered so far
 // with a nil error (a partial campaign is still a usable test suite —
 // callers that must distinguish inspect ctx.Err themselves). Cancelled

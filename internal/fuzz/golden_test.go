@@ -2,6 +2,7 @@ package fuzz_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -167,7 +168,7 @@ func runGoldenCase(t *testing.T, c goldenCase) (fuzz.Campaign, []byte, []byte) {
 	tw := obs.NewTraceWriter(&trace)
 	opts := c.opts
 	opts.Obs = tw
-	camp, err := fuzz.Run(u, c.kernel, opts)
+	camp, err := fuzz.RunContext(context.Background(), u, c.kernel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ int kernel(int a[16]) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		camp, err := fuzz.Run(u, "kernel", fuzz.Options{
+		camp, err := fuzz.RunContext(context.Background(), u, "kernel", fuzz.Options{
 			Seed: 1, MaxExecs: 60, Plateau: 60, TypedMutation: true,
 			Guard: guard.New(guard.Options{
 				Injector: chaos.New(chaos.Options{Seed: seed, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),

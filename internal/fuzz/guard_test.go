@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/chaos"
@@ -16,7 +17,7 @@ func TestCampaignAllExecsCrashingStillReturns(t *testing.T) {
 		Seed: 1, MaxExecs: 60, Plateau: 30, TypedMutation: true,
 		Guard: guard.New(guard.Options{Injector: chaos.Always(guard.StageInterp, guard.ClassPanic)}),
 	}
-	camp, err := Run(cparser.MustParse(branchy), "kernel", opts)
+	camp, err := RunContext(context.Background(), cparser.MustParse(branchy), "kernel", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ void kernel(int a[64], int b[64]) {
 	tests := []fuzz.TestCase{mk()}
 
 	// Default target: the large part leaves room to partition freely.
-	free := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, DefaultOptions())
+	free := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, DefaultOptions())
 	if !free.Compatible || !free.BehaviorOK {
 		t.Fatalf("unconstrained search failed: %v", free.Remaining)
 	}
@@ -63,7 +64,7 @@ void kernel(int a[64], int b[64]) {
 	// Tiny device: whatever the search accepts must fit.
 	opts := DefaultOptions()
 	opts.Targets = tinyTarget
-	gated := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, opts)
+	gated := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, opts)
 	if !gated.Compatible || !gated.BehaviorOK {
 		t.Fatalf("gated search failed: %v / %v", gated.Remaining, gated.Stats.EditLog)
 	}
@@ -104,7 +105,7 @@ int kernel(int x) {
 	opts := DefaultOptions()
 	opts.Targets = tinyTarget
 	opts.MaxIterations = 4
-	res := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel",
+	res := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
 		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
 	assertOverUtilized(t, res)
 }
@@ -128,7 +129,7 @@ int kernel(int x) {
 	}
 	opts := DefaultOptions()
 	opts.MaxIterations = 4
-	res := Search(cparser.MustParse(src), cparser.MustParse(src), "kernel",
+	res := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
 		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
 	assertOverUtilized(t, res)
 	if len(res.PerTarget) != 0 {

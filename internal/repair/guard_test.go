@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -62,7 +63,7 @@ func TestSearchAllCandidatesCrashingStillReturns(t *testing.T) {
 	opts.Guard = guard.New(guard.Options{Injector: chaos.Always(guard.StageCheck, guard.ClassPanic)})
 	orig := cparser.MustParse(treeKernel)
 	initial := cparser.MustParse(treeKernel)
-	res := Search(orig, initial, "kernel", treeTests(), opts)
+	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), opts)
 	if res.Compatible {
 		t.Error("nothing can pass a crashing checker")
 	}

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,13 +15,13 @@ import (
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
-// tracedSearch runs Search with a JSONL trace writer attached and
+// tracedSearch runs SearchContext with a JSONL trace writer attached and
 // returns the result plus the raw trace bytes.
 func tracedSearch(orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts Options) (Result, []byte) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts.Obs = tw
-	res := Search(orig, initial, kernel, tests, opts)
+	res := SearchContext(context.Background(), orig, initial, kernel, tests, opts)
 	if err := tw.Flush(); err != nil {
 		panic(err)
 	}
@@ -68,7 +69,7 @@ func subjectInputs(t *testing.T, id string) (orig, initial *cast.Unit, kernel st
 		fopts := fuzz.DefaultOptions()
 		fopts.MaxExecs = 150
 		fopts.Plateau = 60
-		camp, err := fuzz.Run(orig, s.Kernel, fopts)
+		camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +147,9 @@ func TestParallelSearchDeterminismWithoutDependence(t *testing.T) {
 	opts.Budget = 12 * 3600
 	opts.MaxIterations = 96
 	opts.Workers = 1
-	seq := Search(orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+	seq := SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 	opts.Workers = 4
-	par := Search(orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+	par := SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 	assertIdentical(t, "tree/WithoutDependence", seq, par)
 }
 
@@ -184,7 +185,7 @@ func TestParallelPoolContention(t *testing.T) {
 			defer wg.Done()
 			opts := DefaultOptions()
 			opts.Workers = 8
-			results[i] = Search(orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+			results[i] = SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 		}(i)
 	}
 	wg.Wait()

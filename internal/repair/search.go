@@ -299,15 +299,10 @@ type searcher struct {
 	commitIdx int
 }
 
-// Search runs HeteroGen's iterative repair from the initial version
-// (normally the bitwidth-profiled P_broken) against the original program
-// as behaviour oracle.
-func Search(original, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts Options) Result {
-	return SearchContext(context.Background(), original, initial, kernel, tests, opts)
-}
-
-// SearchContext is Search with cooperative cancellation. The context
-// is checked at commit points — between candidate evaluations and
+// SearchContext runs HeteroGen's iterative repair from the initial
+// version (normally the bitwidth-profiled P_broken) against the
+// original program as behaviour oracle, with cooperative cancellation.
+// The context is checked at commit points — between candidate evaluations and
 // between iterations, never mid-verdict — so cancellation stops the
 // search promptly and returns the best version found so far, exactly
 // as a budget exhaustion would (nil error semantics: a partial repair

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestSearchRepairsTreeKernel(t *testing.T) {
 		t.Fatal("tree kernel should start broken")
 	}
 
-	res := Search(orig, initial, "kernel", treeTests(), DefaultOptions())
+	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), DefaultOptions())
 	if !res.Compatible {
 		t.Fatalf("search did not reach compatibility; remaining: %v\nlog: %v",
 			res.Remaining, res.Stats.EditLog)
@@ -113,7 +114,7 @@ func TestSearchWithoutDependenceIsSlower(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
 	mkInitial := func() *cast.Unit { return cparser.MustParse(treeKernel) }
 
-	fast := Search(orig, mkInitial(), "kernel", treeTests(), DefaultOptions())
+	fast := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), DefaultOptions())
 	if !fast.Compatible || !fast.BehaviorOK {
 		t.Fatalf("dependence-guided search must succeed: %v", fast.Stats.EditLog)
 	}
@@ -122,7 +123,7 @@ func TestSearchWithoutDependenceIsSlower(t *testing.T) {
 	slowOpts.UseDependence = false
 	slowOpts.Budget = 12 * 3600
 	slowOpts.MaxIterations = 256
-	slow := Search(orig, mkInitial(), "kernel", treeTests(), slowOpts)
+	slow := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), slowOpts)
 
 	if slow.Compatible && slow.Stats.VirtualSeconds <= fast.Stats.VirtualSeconds {
 		t.Errorf("random order should cost more virtual time: dep=%.0fs random=%.0fs",
@@ -139,11 +140,11 @@ func TestSearchWithoutCheckerCompilesMore(t *testing.T) {
 	mkInitial := func() *cast.Unit { return cparser.MustParse(treeKernel) }
 
 	withOpts := DefaultOptions()
-	with := Search(orig, mkInitial(), "kernel", treeTests(), withOpts)
+	with := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), withOpts)
 
 	withoutOpts := DefaultOptions()
 	withoutOpts.UseStyleChecker = false
-	without := Search(orig, mkInitial(), "kernel", treeTests(), withoutOpts)
+	without := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), withoutOpts)
 
 	if !with.Compatible || !without.Compatible {
 		t.Fatal("both configurations must succeed on the tree kernel")
@@ -160,7 +161,7 @@ func TestSearchBudgetExhaustion(t *testing.T) {
 	initial := cparser.MustParse(treeKernel)
 	opts := DefaultOptions()
 	opts.Budget = 1 // one virtual second: cannot even compile once more
-	res := Search(orig, initial, "kernel", treeTests(), opts)
+	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), opts)
 	if res.Compatible && res.BehaviorOK {
 		t.Error("a one-second budget cannot finish the repair")
 	}
@@ -185,7 +186,7 @@ void kernel(int a[64], int b[64]) {
 		}
 		return fuzz.TestCase{Args: []fuzz.Arg{in, {Ints: make([]int64, 64), Width: 32}}}
 	}
-	res := Search(orig, initial, "kernel", []fuzz.TestCase{mk()}, DefaultOptions())
+	res := SearchContext(context.Background(), orig, initial, "kernel", []fuzz.TestCase{mk()}, DefaultOptions())
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("clean program must stay correct: %v", res.Report.FirstDiff)
 	}
@@ -216,7 +217,7 @@ int kernel(int n) {
 	orig := cparser.MustParse(src)
 	initial := cparser.MustParse(src)
 	tests := []fuzz.TestCase{intTC(0), intTC(5), intTC(60)}
-	res := Search(orig, initial, "kernel", tests, DefaultOptions())
+	res := SearchContext(context.Background(), orig, initial, "kernel", tests, DefaultOptions())
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("resize loop did not converge: %v / %v", res.Remaining, res.Stats.EditLog)
 	}
@@ -257,7 +258,7 @@ int kernel(int n) {
 	orig := cparser.MustParse(src)
 	initial := cparser.MustParse(src)
 	tests := []fuzz.TestCase{intTC(0), intTC(5), intTC(20)}
-	res := Search(orig, initial, "kernel", tests, DefaultOptions())
+	res := SearchContext(context.Background(), orig, initial, "kernel", tests, DefaultOptions())
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("two-struct repair failed: %v\nlog: %v", res.Remaining, res.Stats.EditLog)
 	}
@@ -319,7 +320,7 @@ func TestPerfStepSkipsRejectedConfiguration(t *testing.T) {
 		opts.Workers = workers
 		var trials perfTrials
 		opts.Obs = &trials
-		res := Search(u, cast.CloneUnit(u), "kernel", tests, opts)
+		res := SearchContext(context.Background(), u, cast.CloneUnit(u), "kernel", tests, opts)
 		if got := strings.Join(res.Stats.EditLog, " ; "); got != "explore_all(program, pragma sweep over all loops)" {
 			t.Fatalf("workers=%d: edit log %q, want the explore_all sweep alone", workers, got)
 		}

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -150,11 +151,11 @@ func TestCrossDeviceCacheKeying(t *testing.T) {
 		opts.Cache = cache
 		if warm {
 			opts.Targets = warmup
-			Search(orig, cast.CloneUnit(initial), kernel, tests, opts)
+			SearchContext(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
 		}
 		opts.Targets = target
 		before := cache.Stats()
-		Search(orig, cast.CloneUnit(initial), kernel, tests, opts)
+		SearchContext(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
 		return cache.Stats().Sub(before)
 	}
 	solo, crossed := search(false), search(true)

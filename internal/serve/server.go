@@ -13,7 +13,6 @@ import (
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/core"
-	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/crashpoint"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/fuzz"
@@ -776,19 +775,7 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 		}
 		return &Result{Repair: repairResult(rr, cast.Print(rr.Unit))}, nil
 	case KindFuzz:
-		u, perr := guard.Do(g, guard.Invocation{Stage: guard.StageParse, Key: j.req.Source},
-			func(*cast.Unit) (*cast.Unit, error) {
-				return cparser.Parse(j.req.Source)
-			})
-		if perr != nil {
-			return nil, fmt.Errorf("heterogen: parse: %w", perr)
-		}
-		fopts := copts.Fuzz
-		fopts.HostMain = j.req.Host
-		fopts.Obs = sink
-		fopts.Cache = s.opts.Cache
-		fopts.Guard = g
-		camp, ferr := fuzz.RunContext(j.ctx, u, j.req.Kernel, fopts)
+		camp, ferr := core.FuzzStage(j.ctx, j.req.Source, copts)
 		if ferr != nil {
 			return nil, ferr
 		}

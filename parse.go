@@ -8,14 +8,9 @@ import (
 // Unit is a parsed C/HLS-C translation unit.
 type Unit = cast.Unit
 
-// parse wraps the internal parser.
-func parse(src string) (*Unit, error) {
-	return cparser.Parse(src)
-}
-
 // Parse parses C/HLS-C source into a Unit (useful for inspecting
 // programs programmatically).
-func Parse(src string) (*Unit, error) { return parse(src) }
+func Parse(src string) (*Unit, error) { return cparser.Parse(src) }
 
 // PrintUnit renders a unit back to C/HLS-C source.
 func PrintUnit(u *Unit) string { return cast.Print(u) }

@@ -8,6 +8,7 @@
 package heterogen_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -24,7 +25,7 @@ func TestFigure2MultiTargetPareto(t *testing.T) {
 	opts := overlapOptions(4)
 	opts.Targets = targets
 
-	res := repair.Search(orig, cast.CloneUnit(orig), "kernel", tests, opts)
+	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), "kernel", tests, opts)
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("Figure 2 subject must repair on both profiles: %v", res.Remaining)
 	}
