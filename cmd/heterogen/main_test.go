@@ -80,6 +80,7 @@ func TestCLIGolden(t *testing.T) {
 		{"transpile_usage", false, []string{"p3.c"}},
 		{"fuzz_p3", true, []string{"fuzz", "-kernel", "kernel", "p3.c"}},
 		{"fuzz_fig2", false, []string{"fuzz", "-kernel", "kernel", "fig2.c"}},
+		{"fuzz_fig2_seed7_execs0", false, []string{"fuzz", "-kernel", "kernel", "-execs", "0", "-seed", "7", "fig2.c"}},
 		{"fuzz_usage", false, []string{"fuzz", "p3.c"}},
 		{"fuzz_bad_target", false, []string{"fuzz", "-kernel", "kernel", "-target", "bogus", "p3.c"}},
 		{"check_p3", false, []string{"check", "-kernel", "kernel", "p3.c"}},

@@ -289,45 +289,19 @@ func validate(u *cast.Unit, opts Options) error {
 	if len(opts.Targets) == 0 {
 		return nil
 	}
-	_, err := resolveTargets(opts.Targets)
-	return err
-}
-
-// resolvedTarget is one target's backend and device profile.
-type resolvedTarget struct {
-	backend hls.Backend
-	profile hls.DeviceProfile
-}
-
-// name is the target's canonical "backend:device" form.
-func (r resolvedTarget) name() string {
-	return hls.Target{Backend: r.backend.Name(), Device: r.profile.Name}.String()
-}
-
-// resolveTargets resolves every target of ts, or the default target
-// when ts is empty; an unknown backend or device name is an explicit
-// error, never a silent fall-back to the default part.
-func resolveTargets(ts []hls.Target) ([]resolvedTarget, error) {
-	if len(ts) == 0 {
-		ts = []hls.Target{hls.DefaultTarget()}
+	if _, err := hls.ResolveTargets(opts.Targets); err != nil {
+		return fmt.Errorf("heterogen: %w", err)
 	}
-	out := make([]resolvedTarget, len(ts))
-	for i, t := range ts {
-		b, p, err := hls.ResolveTarget(t)
-		if err != nil {
-			return nil, fmt.Errorf("heterogen: %w", err)
-		}
-		out[i] = resolvedTarget{backend: b, profile: p}
-	}
-	return out, nil
+	return nil
 }
 
 // fuzzOptions derives the test generator's options from opts: opts.Fuzz
-// (fuzz.DefaultOptions when its MaxExecs is zero), with HostMain, Obs,
+// (fuzz.DefaultOptions when it is wholly zero; fuzz.RunContext defaults
+// any other zero budget field and keeps the rest), with HostMain, Obs,
 // Cache and Guard passed down unless already set.
 func fuzzOptions(opts Options) fuzz.Options {
 	fopts := opts.Fuzz
-	if fopts.MaxExecs == 0 {
+	if fopts == (fuzz.Options{}) {
 		fopts = fuzz.DefaultOptions()
 	}
 	if opts.HostMain != "" {
@@ -420,9 +394,9 @@ func Check(src string, opts Options) ([]TargetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets, err := resolveTargets(opts.Targets)
+	targets, err := hls.ResolveTargets(opts.Targets)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("heterogen: %w", err)
 	}
 	out := make([]TargetReport, len(targets))
 	for i, t := range targets {
@@ -430,7 +404,7 @@ func Check(src string, opts Options) ([]TargetReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = TargetReport{Target: t.name(), Report: rep}
+		out[i] = TargetReport{Target: t.Name(), Report: rep}
 	}
 	return out, nil
 }
@@ -442,13 +416,13 @@ func Check(src string, opts Options) ([]TargetReport, error) {
 // the verdicts a repair already paid for; source positions are not
 // content, so a hit reports those of the unit that first produced the
 // verdict.
-func checkOne(u *cast.Unit, t resolvedTarget, opts Options) (hls.Report, error) {
-	cfg := hls.ConfigFor(opts.Kernel, t.profile)
+func checkOne(u *cast.Unit, t hls.ResolvedTarget, opts Options) (hls.Report, error) {
+	cfg := hls.ConfigFor(opts.Kernel, t.Profile)
 	var key string
 	var rep hls.Report
 	cached := false
 	if opts.Cache != nil {
-		salt := evalcache.CheckSalt(t.backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
+		salt := evalcache.CheckSalt(t.Backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
 		key = evalcache.CheckKey(salt, cast.FingerprintUnit(u))
 		cached = opts.Cache.Get(evalcache.StageCheck, key, &rep)
 	}
@@ -466,7 +440,7 @@ func checkOne(u *cast.Unit, t resolvedTarget, opts Options) (hls.Report, error) 
 		}
 	}
 	for i := range rep.Diags {
-		rep.Diags[i] = t.backend.Translate(rep.Diags[i])
+		rep.Diags[i] = t.Backend.Translate(rep.Diags[i])
 	}
 	check.Observe(opts.Obs, cfg, rep)
 	return rep, nil
@@ -510,9 +484,9 @@ func Simulate(src string, opts Options) (SimReport, error) {
 	if err != nil {
 		return SimReport{}, err
 	}
-	targets, err := resolveTargets(opts.Targets)
+	targets, err := hls.ResolveTargets(opts.Targets)
 	if err != nil {
-		return SimReport{}, err
+		return SimReport{}, fmt.Errorf("heterogen: %w", err)
 	}
 	res, err := estimateResources(opts.Cache, opts.Guard, u)
 	if err != nil {
@@ -520,13 +494,13 @@ func Simulate(src string, opts Options) (SimReport, error) {
 	}
 	out := SimReport{Resources: res}
 	for _, t := range targets {
-		fits, over := sim.CheckCapacity(res, t.profile.Cap)
+		fits, over := sim.CheckCapacity(res, t.Profile.Cap)
 		out.PerTarget = append(out.PerTarget, TargetFit{
-			Target:      t.name(),
-			Device:      t.profile,
+			Target:      t.Name(),
+			Device:      t.Profile,
 			Fits:        fits,
 			Over:        over,
-			Utilization: sim.Utilization(res, t.profile.Cap),
+			Utilization: sim.Utilization(res, t.Profile.Cap),
 		})
 	}
 	return out, nil

@@ -222,15 +222,33 @@ func ResolveTarget(t Target) (Backend, DeviceProfile, error) {
 	return b, p, nil
 }
 
-// ResolveTargets resolves every target in the set, failing on the first
-// unknown name.
-func ResolveTargets(ts []Target) error {
-	for _, t := range ts {
-		if _, _, err := ResolveTarget(t); err != nil {
-			return err
-		}
+// ResolvedTarget is one target's registry lookups: its backend and
+// device profile.
+type ResolvedTarget struct {
+	Backend Backend
+	Profile DeviceProfile
+}
+
+// Name is the target's canonical "backend:device" form.
+func (r ResolvedTarget) Name() string {
+	return Target{Backend: r.Backend.Name(), Device: r.Profile.Name}.String()
+}
+
+// ResolveTargets resolves every target in the set, or DefaultTarget
+// alone when the set is empty, failing on the first unknown name.
+func ResolveTargets(ts []Target) ([]ResolvedTarget, error) {
+	if len(ts) == 0 {
+		ts = []Target{DefaultTarget()}
 	}
-	return nil
+	out := make([]ResolvedTarget, len(ts))
+	for i, t := range ts {
+		b, p, err := ResolveTarget(t)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ResolvedTarget{Backend: b, Profile: p}
+	}
+	return out, nil
 }
 
 // AllTargets enumerates every shipped (backend, device) pair, default

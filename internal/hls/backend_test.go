@@ -134,7 +134,13 @@ func TestAllTargets(t *testing.T) {
 	if ts[0] != DefaultTarget() {
 		t.Errorf("AllTargets[0] = %v, want default target first", ts[0])
 	}
-	if err := ResolveTargets(ts); err != nil {
+	rs, err := ResolveTargets(ts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.Name() != ts[i].String() {
+			t.Errorf("ResolveTargets[%d].Name() = %q, want %q", i, r.Name(), ts[i])
+		}
 	}
 }

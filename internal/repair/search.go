@@ -282,7 +282,7 @@ type searcher struct {
 	// that the caller spelled it out, which alone decides whether the
 	// Pareto archive (and its dedupe set, both on the search goroutine)
 	// and the verdict table are produced.
-	targets    []resolvedTarget
+	targets    []hls.ResolvedTarget
 	named      bool
 	pareto     []paretoEntry
 	paretoSeen map[string]bool
@@ -318,11 +318,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		opts.InterpSteps = steps
 	}
 	named := len(opts.Targets) > 0
-	ts := opts.Targets
-	if !named {
-		ts = []hls.Target{hls.DefaultTarget()}
-	}
-	targets, err := resolveAll(ts)
+	targets, err := hls.ResolveTargets(opts.Targets)
 	if err != nil {
 		// SearchContext has no error return; an unresolvable target set
 		// surfaces as a configuration diagnostic (core validates targets
@@ -335,7 +331,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 			}},
 		}
 	}
-	cfg := hls.ConfigFor(kernel, targets[0].profile)
+	cfg := hls.ConfigFor(kernel, targets[0].Profile)
 	cfg.InterpSteps = opts.InterpSteps
 	fps := cast.NewFingerprints()
 	s := &searcher{
@@ -361,7 +357,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		// The primary backend name joins the salts so verdicts for
 		// different toolchains (dialect translation included) never
 		// collide across devices.
-		be := targets[0].backend.Name()
+		be := targets[0].Backend.Name()
 		s.checkSalt = evalcache.CheckSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
 		s.diffSalt = evalcache.DifftestSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
 			s.cfg.InterpSteps, kernel, cast.FingerprintUnit(original), fuzz.CorpusFingerprint(tests))
@@ -668,7 +664,7 @@ func (c costBreakdown) total() float64 { return c.style + c.compile + c.sim }
 func (s *searcher) compileCost(lines int) float64 {
 	total := 0.0
 	for _, rt := range s.targets {
-		total += float64(rt.backend.CompileCost(lines))
+		total += float64(rt.Backend.CompileCost(lines))
 	}
 	return total
 }

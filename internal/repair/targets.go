@@ -30,27 +30,6 @@ import (
 	"github.com/hetero/heterogen/internal/hls/sim"
 )
 
-// resolvedTarget caches one target's registry lookups for the search.
-type resolvedTarget struct {
-	t       hls.Target
-	backend hls.Backend
-	profile hls.DeviceProfile
-}
-
-// resolveAll resolves the option set, failing on the first unknown name.
-func resolveAll(ts []hls.Target) ([]resolvedTarget, error) {
-	out := make([]resolvedTarget, len(ts))
-	for i, t := range ts {
-		b, p, err := hls.ResolveTarget(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = resolvedTarget{t: hls.Target{Backend: b.Name(), Device: p.Name},
-			backend: b, profile: p}
-	}
-	return out, nil
-}
-
 // targetFit is one target's slice of a candidate's fitness vector.
 type targetFit struct {
 	errors    int
@@ -107,7 +86,7 @@ func (s *searcher) scoreTargets(u *cast.Unit, fp string, sc *score) (runDifftest
 		for i := range sc.perTarget {
 			sc.perTarget[i].errors = sc.errors
 		}
-		sc.diags = translateDiags(s.targets[0].backend, sc.diags)
+		sc.diags = translateDiags(s.targets[0].Backend, sc.diags)
 		return false, nil
 	}
 	est, err := s.estimate(u, fp)
@@ -118,16 +97,16 @@ func (s *searcher) scoreTargets(u *cast.Unit, fp string, sc *score) (runDifftest
 	sc.resOK = true
 	var diags []hls.Diagnostic
 	for i, rt := range s.targets {
-		ok, over := sim.CheckCapacity(est, rt.profile.Cap)
+		ok, over := sim.CheckCapacity(est, rt.Profile.Cap)
 		sc.perTarget[i].fits = ok
 		sc.perTarget[i].over = over
 		if !ok {
 			sc.perTarget[i].errors = 1
-			diags = append(diags, rt.backend.Translate(hls.Diagnostic{
+			diags = append(diags, rt.Backend.Translate(hls.Diagnostic{
 				Code: "IMPL 200-1",
 				Message: fmt.Sprintf(
 					"implementation failed: design over-utilizes %s on %s (%s)",
-					strings.Join(over, ", "), rt.profile.Part, rt.t),
+					strings.Join(over, ", "), rt.Profile.Part, rt.Name()),
 				Class: hls.ClassLoopParallel,
 			}))
 		}
@@ -147,7 +126,7 @@ func (s *searcher) finishTargets(sc *score) {
 	base := sc.report.FPGAMeanMS()
 	worst := 0.0
 	for i, rt := range s.targets {
-		l := sim.ScaleLatencyMS(base, rt.profile)
+		l := sim.ScaleLatencyMS(base, rt.Profile)
 		sc.perTarget[i].latencyMS = l
 		if l > worst {
 			worst = l
@@ -161,7 +140,7 @@ func (s *searcher) finishTargets(sc *score) {
 func (s *searcher) verdicts(sc score) []TargetVerdict {
 	out := make([]TargetVerdict, len(s.targets))
 	for i, rt := range s.targets {
-		v := TargetVerdict{Target: rt.t.String(), BehaviorOK: sc.behaviorOK}
+		v := TargetVerdict{Target: rt.Name(), BehaviorOK: sc.behaviorOK}
 		if i < len(sc.perTarget) {
 			f := sc.perTarget[i]
 			v.Errors = f.errors
@@ -171,7 +150,7 @@ func (s *searcher) verdicts(sc score) []TargetVerdict {
 			v.Compatible = f.errors == 0
 		}
 		if sc.resOK {
-			v.Utilization = sim.Utilization(sc.res, rt.profile.Cap)
+			v.Utilization = sim.Utilization(sc.res, rt.Profile.Cap)
 		}
 		out[i] = v
 	}
@@ -278,7 +257,7 @@ func (s *searcher) paretoPoints() []ParetoPoint {
 func (s *searcher) targetNames() []string {
 	out := make([]string, len(s.targets))
 	for i, rt := range s.targets {
-		out[i] = rt.t.String()
+		out[i] = rt.Name()
 	}
 	return out
 }
