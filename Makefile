@@ -44,9 +44,12 @@ vet:
 # examples' output (testdata/examples), hgstat's views
 # (cmd/hgstat/testdata: the pipeline fixture trace, and per trace the
 # report, its check problems and the span tree, plus the fleet report
-# over all of them) and the heterogen fuzz and check subcommands'
-# output (cmd/heterogen/testdata/cli: exit status, stdout and stderr per
-# run, plus one -trace file). Only for an intended behaviour change
+# over all of them), the heterogen fuzz and check subcommands' and
+# the transpiler's error output (cmd/heterogen/testdata/cli: exit
+# status, stdout and stderr per run, plus one -trace file) and hgeval's
+# (cmd/hgeval/testdata/golden: the whole -quick evaluation, and one
+# subject's tables, figure and -trace file, untargeted and against two
+# targets). Only for an intended behaviour change
 # whose fixture diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
@@ -57,6 +60,7 @@ golden:
 	$(GO) test -count=1 -run 'TestExamplesOutput' . -update
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
 	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
+	$(GO) test -count=1 -run 'TestEvalGolden' ./cmd/hgeval/ -update
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

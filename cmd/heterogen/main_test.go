@@ -67,7 +67,7 @@ func TestErrorExitFlushesCache(t *testing.T) {
 }
 
 // TestCLIGolden runs the fuzz and check subcommands on recorded inputs
-// (and the transpiler's usage path)
+// (and the transpiler's usage, parse-error and unknown-kernel paths)
 // and compares each run's exit status, stdout, stderr and -trace file
 // with the goldens in testdata/cli. fig2_repaired.c is the output of
 // `heterogen -kernel kernel -quick fig2.c`.
@@ -78,6 +78,8 @@ func TestCLIGolden(t *testing.T) {
 		args  []string
 	}{
 		{"transpile_usage", false, []string{"p3.c"}},
+		{"transpile_unparsable", false, []string{"-kernel", "f", "unparsable.c"}},
+		{"transpile_unknown_kernel", false, []string{"-kernel", "nope", "p3.c"}},
 		{"fuzz_p3", true, []string{"fuzz", "-kernel", "kernel", "p3.c"}},
 		{"fuzz_fig2", false, []string{"fuzz", "-kernel", "kernel", "fig2.c"}},
 		{"fuzz_fig2_seed7_execs0", false, []string{"fuzz", "-kernel", "kernel", "-execs", "0", "-seed", "7", "fig2.c"}},

@@ -301,7 +301,14 @@ func FormatFigure3(res forum.StudyResult) string {
 	for c, p := range res.Percent {
 		rows = append(rows, row{c, p})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].pct > rows[j].pct })
+	// Equal shares keep Table 1's class order, so the text is the same
+	// on every run whatever the map's iteration order.
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].pct != rows[j].pct {
+			return rows[i].pct > rows[j].pct
+		}
+		return rows[i].c < rows[j].c
+	})
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "  %-26s %5.1f%%  %s\n", r.c, r.pct, bar(r.pct))
 	}
