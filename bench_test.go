@@ -381,7 +381,10 @@ func BenchmarkCloneUnit(b *testing.B) {
 func BenchmarkHeteroRefactorBaseline(b *testing.B) {
 	s, _ := subjects.ByID("P3")
 	for i := 0; i < b.N; i++ {
-		res := baselines.HeteroRefactor(s.MustParse(), s.Kernel, s.ExistingTests())
+		res, err := baselines.HeteroRefactor(s.Source, s.Kernel, s.ExistingTests())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !res.Compatible {
 			b.Fatal("HR must repair P3")
 		}

@@ -88,25 +88,20 @@ func main() {
 		fmt.Println()
 	}
 
+	subs := subjects.All()
+	if *subject != "" {
+		s, err := subjects.ByID(*subject)
+		if err != nil {
+			sess.Fatal(err)
+		}
+		subs = []subjects.Subject{s}
+	}
+
 	var runs []eval.SubjectRun
-	needRuns := *t3 || *t4 || *t5 || *summary || all
-	if needRuns {
-		if *subject != "" {
-			s, err := subjects.ByID(*subject)
-			if err != nil {
-				sess.Fatal(err)
-			}
-			r, err := eval.RunSubject(s, cfg)
-			if err != nil {
-				sess.Fatal(err)
-			}
-			runs = []eval.SubjectRun{r}
-		} else {
-			var err error
-			runs, err = eval.RunAll(cfg)
-			if err != nil {
-				sess.Fatal(err)
-			}
+	if *t3 || *t4 || *t5 || *summary || all {
+		runs, err = eval.Each(subs, cfg, eval.RunSubject)
+		if err != nil {
+			sess.Fatal(err)
 		}
 	}
 	if *t3 || all {
@@ -126,23 +121,9 @@ func main() {
 		fmt.Println()
 	}
 	if *f9 || all {
-		var abls []eval.AblationRun
-		if *subject != "" {
-			s, err := subjects.ByID(*subject)
-			if err != nil {
-				sess.Fatal(err)
-			}
-			a, err := eval.RunAblation(s, cfg)
-			if err != nil {
-				sess.Fatal(err)
-			}
-			abls = []eval.AblationRun{a}
-		} else {
-			var err error
-			abls, err = eval.RunAllAblations(cfg)
-			if err != nil {
-				sess.Fatal(err)
-			}
+		abls, err := eval.Each(subs, cfg, eval.RunAblation)
+		if err != nil {
+			sess.Fatal(err)
 		}
 		fmt.Print(eval.FormatFigure9(abls))
 	}

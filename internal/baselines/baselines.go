@@ -11,8 +11,7 @@
 package baselines
 
 import (
-	"context"
-	"github.com/hetero/heterogen/internal/cast"
+	"github.com/hetero/heterogen/internal/core"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/repair"
@@ -46,11 +45,17 @@ func WithoutDependenceOptions() repair.Options {
 	return o
 }
 
-// HeteroRefactor runs the HR baseline: repair limited to dynamic-data
-// edits, validated only against the provided (pre-existing) tests.
-// Success mirrors Table 5: the output must compile error-free and agree
-// on the supplied tests.
-func HeteroRefactor(original *cast.Unit, kernel string, existingTests []fuzz.TestCase) repair.Result {
-	initial := cast.CloneUnit(original)
-	return repair.SearchContext(context.Background(), original, initial, kernel, existingTests, HeteroRefactorOptions())
+// HeteroRefactor runs the HR baseline over the C source src: the
+// repair stage with dynamic-data edits only and no bitwidth profiling,
+// validated only against the provided (pre-existing) tests. Success
+// mirrors Table 5: the output must compile error-free and agree on the
+// supplied tests. The error is the stage's (a source that does not
+// parse or lacks the kernel).
+func HeteroRefactor(src, kernel string, existingTests []fuzz.TestCase) (repair.Result, error) {
+	return core.RepairStage(src, core.Options{
+		Kernel:      kernel,
+		Repair:      HeteroRefactorOptions(),
+		SkipProfile: true,
+		ExtraTests:  existingTests,
+	})
 }

@@ -4,9 +4,34 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
+	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
+
+// heteroRefactor runs the HR baseline on a subject, failing the test on
+// a stage error.
+func heteroRefactor(t *testing.T, s subjects.Subject, tests []fuzz.TestCase) repair.Result {
+	t.Helper()
+	res, err := HeteroRefactor(s.Source, s.Kernel, tests)
+	if err != nil {
+		t.Fatalf("%s: %v", s.ID, err)
+	}
+	return res
+}
+
+// TestHeteroRefactorStageErrors checks that the baseline reports the
+// repair stage's errors instead of searching: a source that does not
+// parse and a kernel the source does not define.
+func TestHeteroRefactorStageErrors(t *testing.T) {
+	if _, err := HeteroRefactor("int f(", "f", nil); err == nil || !strings.Contains(err.Error(), "parse") {
+		t.Errorf("unparsable source: err = %v, want a parse error", err)
+	}
+	if _, err := HeteroRefactor("int f(int x) { return x; }", "nope", nil); err == nil || !strings.Contains(err.Error(), `kernel "nope" not found`) {
+		t.Errorf("unknown kernel: err = %v, want kernel not found", err)
+	}
+}
 
 func TestHeteroRefactorSucceedsOnDynamicDataSubjects(t *testing.T) {
 	for _, id := range []string{"P3", "P8"} {
@@ -14,7 +39,7 @@ func TestHeteroRefactorSucceedsOnDynamicDataSubjects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := HeteroRefactor(s.MustParse(), s.Kernel, s.ExistingTestsOrNil())
+		res := heteroRefactor(t, s, s.ExistingTestsOrNil())
 		if !res.Compatible || !res.BehaviorOK {
 			t.Errorf("%s: HR should succeed (dynamic-data subject): remaining %v, log %v",
 				id, res.Remaining, res.Stats.EditLog)
@@ -28,7 +53,7 @@ func TestHeteroRefactorFailsOutsideItsScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := HeteroRefactor(s.MustParse(), s.Kernel, nil)
+	res := heteroRefactor(t, s, nil)
 	if res.Compatible {
 		t.Errorf("HR must not fix a type error; log %v", res.Stats.EditLog)
 	}
@@ -49,7 +74,7 @@ func TestHeteroRefactorAppliesNoForeignEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := HeteroRefactor(s.MustParse(), s.Kernel, s.ExistingTestsOrNil())
+	res := heteroRefactor(t, s, s.ExistingTestsOrNil())
 	if res.Compatible {
 		t.Error("P5 carries a type error HR cannot fix")
 	}

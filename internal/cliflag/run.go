@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/guard"
@@ -120,9 +121,11 @@ func (s *Session) Close() {
 	}
 }
 
-// Fatal closes the session, prints err and exits with status 1.
+// Fatal closes the session, prints err and exits with status 1. An
+// error that already names the program (the pipeline's errors start
+// with "heterogen: ") is printed without a second prefix.
 func (s *Session) Fatal(err error) {
 	s.Close()
-	s.warn(err.Error())
+	s.warn(strings.TrimPrefix(err.Error(), s.name+": "))
 	os.Exit(1)
 }

@@ -199,16 +199,10 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 	}
 
 	// Stage 2: initial HLS version with estimated types.
-	initial := cast.CloneUnit(orig)
 	endProfile := phase("profile")
-	if !opts.SkipProfile {
-		prof, err := profile.Generate(orig, opts.Kernel, tests)
-		if err == nil {
-			res.Profiled = prof
-			initial = prof.Unit
-		}
-	}
+	initial, prof := initialVersion(orig, tests, opts)
 	endProfile(0) // bitwidth profiling is free in the virtual-cost model
+	res.Profiled = prof
 	res.Initial = initial
 	if err := ctx.Err(); err != nil {
 		res.Final = initial
@@ -259,6 +253,19 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 		return res, fmt.Errorf("heterogen: cancelled during repair: %w", err)
 	}
 	return res, nil
+}
+
+// initialVersion is stage 2, the repair search's starting version:
+// orig bitwidth-profiled on tests, with the profile that produced it,
+// or a plain clone of orig (and a zero profile) under SkipProfile or
+// when profiling fails.
+func initialVersion(orig *cast.Unit, tests []fuzz.TestCase, opts Options) (*cast.Unit, profile.Result) {
+	if !opts.SkipProfile {
+		if prof, err := profile.Generate(orig, opts.Kernel, tests); err == nil {
+			return prof.Unit, prof
+		}
+	}
+	return cast.CloneUnit(orig), profile.Result{}
 }
 
 // parse is the guarded parse every entry point starts with. The parser
@@ -354,25 +361,14 @@ func repairOptions(opts Options) repair.Options {
 // gate does, so the final design's estimate is usually already present.
 // The only possible error is a contained *guard.StageFailure.
 func estimateResources(c *evalcache.Cache, g *guard.Guard, u *cast.Unit) (sim.Resources, error) {
-	var key string
-	if c != nil {
-		key = evalcache.ResourceKey(cast.FingerprintUnit(u))
-		var r sim.Resources
-		if c.Get(evalcache.StageSim, key, &r) {
-			return r, nil
-		}
-	}
-	r, err := guard.Do(g, guard.Invocation{Stage: guard.StageEstimate, Key: key, Unit: u},
-		func(cu *cast.Unit) (sim.Resources, error) {
-			return sim.Estimate(cu), nil
+	return evalcache.Memo(c, evalcache.StageSim,
+		func() string { return evalcache.ResourceKey(cast.FingerprintUnit(u)) },
+		func(key string) (sim.Resources, error) {
+			return guard.Do(g, guard.Invocation{Stage: guard.StageEstimate, Key: key, Unit: u},
+				func(cu *cast.Unit) (sim.Resources, error) {
+					return sim.Estimate(cu), nil
+				})
 		})
-	if err != nil {
-		return sim.Resources{}, err
-	}
-	if c != nil {
-		c.Put(evalcache.StageSim, key, r)
-	}
-	return r, nil
 }
 
 // TargetReport pairs one target with its checker verdict.
@@ -418,26 +414,19 @@ func Check(src string, opts Options) ([]TargetReport, error) {
 // verdict.
 func checkOne(u *cast.Unit, t hls.ResolvedTarget, opts Options) (hls.Report, error) {
 	cfg := hls.ConfigFor(opts.Kernel, t.Profile)
-	var key string
-	var rep hls.Report
-	cached := false
-	if opts.Cache != nil {
-		salt := evalcache.CheckSalt(t.Backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
-		key = evalcache.CheckKey(salt, cast.FingerprintUnit(u))
-		cached = opts.Cache.Get(evalcache.StageCheck, key, &rep)
-	}
-	if !cached {
-		var err error
-		rep, err = guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageCheck, Unit: u},
-			func(cu *cast.Unit) (hls.Report, error) {
-				return check.Run(cu, cfg), nil
-			})
-		if err != nil {
-			return hls.Report{}, err
-		}
-		if opts.Cache != nil {
-			opts.Cache.Put(evalcache.StageCheck, key, rep)
-		}
+	rep, err := evalcache.Memo(opts.Cache, evalcache.StageCheck,
+		func() string {
+			salt := evalcache.CheckSalt(t.Backend.Name(), cfg.Top, cfg.Device, cfg.ClockMHz)
+			return evalcache.CheckKey(salt, cast.FingerprintUnit(u))
+		},
+		func(string) (hls.Report, error) {
+			return guard.Do(opts.Guard, guard.Invocation{Stage: guard.StageCheck, Unit: u},
+				func(cu *cast.Unit) (hls.Report, error) {
+					return check.Run(cu, cfg), nil
+				})
+		})
+	if err != nil {
+		return hls.Report{}, err
 	}
 	for i := range rep.Diags {
 		rep.Diags[i] = t.Backend.Translate(rep.Diags[i])
@@ -531,12 +520,7 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 		return repair.Result{}, err
 	}
 	tests := opts.ExtraTests
-	initial := cast.CloneUnit(orig)
-	if !opts.SkipProfile {
-		if prof, err := profile.Generate(orig, opts.Kernel, tests); err == nil {
-			initial = prof.Unit
-		}
-	}
+	initial, _ := initialVersion(orig, tests, opts)
 	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, repairOptions(opts))
 	if err := ctx.Err(); err != nil {
 		return rr, fmt.Errorf("heterogen: cancelled during repair: %w", err)

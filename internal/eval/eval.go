@@ -19,6 +19,7 @@ import (
 
 	"github.com/hetero/heterogen/internal/baselines"
 	"github.com/hetero/heterogen/internal/cast"
+	"github.com/hetero/heterogen/internal/core"
 	"github.com/hetero/heterogen/internal/difftest"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/forum"
@@ -26,7 +27,6 @@ import (
 	"github.com/hetero/heterogen/internal/guard"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/obs"
-	"github.com/hetero/heterogen/internal/profile"
 	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
@@ -37,10 +37,6 @@ type Config struct {
 	// configuration approximates the paper's campaign sizes.
 	Quick bool
 	Seed  int64
-	// ValidationCap bounds the number of tests used for repair fitness
-	// evaluation (the virtual-time accounting still reflects the full
-	// suite; this bounds real execution).
-	ValidationCap int
 	// Workers bounds concurrent candidate evaluation inside each repair
 	// search (repair.Options.Workers). All reported numbers are
 	// bit-identical for any value — it only changes real wall-clock.
@@ -71,10 +67,20 @@ type Config struct {
 }
 
 // DefaultConfig is the full-effort harness configuration.
-func DefaultConfig() Config { return Config{Seed: 1, ValidationCap: 24} }
+func DefaultConfig() Config { return Config{Seed: 1} }
 
 // QuickConfig is the CI-sized configuration.
-func QuickConfig() Config { return Config{Quick: true, Seed: 1, ValidationCap: 12} }
+func QuickConfig() Config { return Config{Quick: true, Seed: 1} }
+
+// validationCap bounds the number of tests used for repair fitness
+// evaluation (the virtual-time accounting still reflects the full
+// suite; this bounds real execution).
+func (c Config) validationCap() int {
+	if c.Quick {
+		return 12
+	}
+	return 24
+}
 
 func (c Config) fuzzOptions() fuzz.Options {
 	o := fuzz.DefaultOptions()
@@ -87,6 +93,26 @@ func (c Config) fuzzOptions() fuzz.Options {
 		o.Plateau = 450
 	}
 	return o
+}
+
+// options is the one core.Options a subject's stages run under: the
+// harness's fuzzing budget, the default repair search under its seed,
+// and the shared workers, cache and guard. o observes the run and
+// targets are the repair search's target set; the ablations pass
+// neither.
+func (c Config) options(s subjects.Subject, o obs.Observer, targets []hls.Target) core.Options {
+	r := repair.DefaultOptions()
+	r.Seed = c.Seed
+	return core.Options{
+		Kernel:  s.Kernel,
+		Fuzz:    c.fuzzOptions(),
+		Repair:  r,
+		Workers: c.Workers,
+		Obs:     o,
+		Cache:   c.Cache,
+		Guard:   c.Guard,
+		Targets: targets,
+	}
 }
 
 // SubjectRun aggregates everything the per-subject tables need.
@@ -125,22 +151,18 @@ type SubjectRun struct {
 	ValidationsTotal int
 }
 
-// RunSubject executes the full HeteroGen pipeline plus the Table 5
-// comparisons for one subject.
+// RunSubject executes the full HeteroGen pipeline through core's stage
+// entry points, plus the Table 5 comparisons, for one subject.
 func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	run := SubjectRun{ID: s.ID, Name: s.Name}
 	orig := s.MustParse()
 	run.OriginalLOC = cast.CountLines(orig)
-	o := obs.Tag(cfg.Obs, s.ID)
+	opts := cfg.options(s, obs.Tag(cfg.Obs, s.ID), cfg.Targets)
 
 	// --- Test generation (Table 4) -------------------------------------
-	fopts := cfg.fuzzOptions()
-	fopts.Obs = o
-	fopts.Cache = cfg.Cache
-	fopts.Guard = cfg.Guard
-	camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
+	camp, err := core.FuzzStage(context.Background(), s.Source, opts)
 	if err != nil {
-		return run, fmt.Errorf("%s: fuzz: %w", s.ID, err)
+		return run, fmt.Errorf("%s: %w", s.ID, err)
 	}
 	run.TestsGenerated = camp.Execs
 	run.GenMinutes = camp.VirtualMinutes()
@@ -155,21 +177,14 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 		}
 	}
 
-	valSuite := validationSuite(orig, s.Kernel, camp.Tests, cfg)
+	valSuite := validationSuite(orig, s.Kernel, camp.Tests, cfg.validationCap())
 
 	// --- Initial version + repair (Table 3) ----------------------------
-	initial := cast.CloneUnit(orig)
-	if prof, err := profile.Generate(orig, s.Kernel, valSuite); err == nil {
-		initial = prof.Unit
+	opts.ExtraTests = valSuite
+	rr, err := core.RepairStage(s.Source, opts)
+	if err != nil {
+		return run, fmt.Errorf("%s: %w", s.ID, err)
 	}
-	ropts := repair.DefaultOptions()
-	ropts.Seed = cfg.Seed
-	ropts.Workers = cfg.Workers
-	ropts.Obs = o
-	ropts.Cache = cfg.Cache
-	ropts.Guard = cfg.Guard
-	ropts.Targets = cfg.Targets
-	rr := repair.SearchContext(context.Background(), orig, initial, s.Kernel, valSuite, ropts)
 	// One counter serves every ΔLOC render of this run: the original is
 	// printed and line-indexed once instead of per metric.
 	origLines := repair.NewLineCounter(orig)
@@ -204,7 +219,10 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 	if s.ExistingTests != nil {
 		hrTests = s.ExistingTests()
 	}
-	hrRes := baselines.HeteroRefactor(orig, s.Kernel, capSuite(hrTests, cfg.ValidationCap))
+	hrRes, err := baselines.HeteroRefactor(s.Source, s.Kernel, capSuite(hrTests, cfg.validationCap()))
+	if err != nil {
+		return run, fmt.Errorf("%s: HeteroRefactor: %w", s.ID, err)
+	}
 	run.HRSucceeded = hrRes.Compatible && hrRes.BehaviorOK && s.HRSupported
 	run.RuntimeHRMS = -1
 	run.HRDeltaLOC = -1
@@ -222,17 +240,17 @@ func RunSubject(s subjects.Subject, cfg Config) (SubjectRun, error) {
 
 // validationSuite builds the repair-fitness suite: the corpus minimized
 // to a coverage set cover (so every behaviour class keeps a witness),
-// topped up with an even spread of the remainder to the cap.
-func validationSuite(orig *cast.Unit, kernel string, tests []fuzz.TestCase, cfg Config) []fuzz.TestCase {
+// topped up with an even spread of the remainder to cap.
+func validationSuite(orig *cast.Unit, kernel string, tests []fuzz.TestCase, cap int) []fuzz.TestCase {
 	min, err := fuzz.Minimize(orig, kernel, tests)
 	if err != nil || len(min) == 0 {
-		return capSuite(tests, cfg.ValidationCap)
+		return capSuite(tests, cap)
 	}
-	if len(min) >= cfg.ValidationCap && cfg.ValidationCap > 0 {
-		return capSuite(min, cfg.ValidationCap)
+	if len(min) >= cap && cap > 0 {
+		return capSuite(min, cap)
 	}
 	// Top up with spread extras for value diversity beyond pure coverage.
-	extra := capSuite(tests, cfg.ValidationCap-len(min))
+	extra := capSuite(tests, cap-len(min))
 	return append(min, extra...)
 }
 
@@ -249,11 +267,13 @@ func capSuite(tests []fuzz.TestCase, cap int) []fuzz.TestCase {
 	return out
 }
 
-// RunAll executes all ten subjects, fanning out across CPUs (each
-// subject's pipeline is independent and deterministic for a given seed).
-func RunAll(cfg Config) ([]SubjectRun, error) {
-	subs := subjects.All()
-	runs := make([]SubjectRun, len(subs))
+// Each runs run over subs, fanning out across CPUs (each subject's
+// stages are independent and deterministic for a given seed), and
+// returns the results in subs' order with the first subject's error,
+// if any. RunSubject and RunAblation are its two runs: the tables and
+// Figure 9.
+func Each[T any](subs []subjects.Subject, cfg Config, run func(subjects.Subject, Config) (T, error)) ([]T, error) {
+	out := make([]T, len(subs))
 	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -263,16 +283,16 @@ func RunAll(cfg Config) ([]SubjectRun, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			runs[i], errs[i] = RunSubject(s, cfg)
+			out[i], errs[i] = run(s, cfg)
 		}(i, s)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return runs, err
+			return out, err
 		}
 	}
-	return runs, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

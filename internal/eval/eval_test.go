@@ -163,7 +163,7 @@ func TestFigure9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation integration test")
 	}
-	runs, err := RunAllAblations(QuickConfig())
+	runs, err := Each(subjects.All(), QuickConfig(), RunAblation)
 	if err != nil {
 		t.Fatal(err)
 	}

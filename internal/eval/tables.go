@@ -3,14 +3,10 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/hetero/heterogen/internal/baselines"
-	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/fuzz"
-	"github.com/hetero/heterogen/internal/profile"
+	"github.com/hetero/heterogen/internal/core"
 	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
@@ -121,33 +117,28 @@ type AblationRun struct {
 	WithoutCheckerCompat bool
 }
 
-// RunAblation executes the Figure 9 comparison for one subject.
+// RunAblation executes the Figure 9 comparison for one subject: one
+// fuzzing campaign, then the repair stage under HeteroGen's default
+// search and under each downgraded configuration, all on the same
+// suite.
 func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 	out := AblationRun{ID: s.ID}
-	orig := s.MustParse()
-	fopts := cfg.fuzzOptions()
-	fopts.Cache = cfg.Cache
-	fopts.Guard = cfg.Guard
-	camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
+	opts := cfg.options(s, nil, nil)
+	camp, err := core.FuzzStage(context.Background(), s.Source, opts)
 	if err != nil {
-		return out, err
+		return out, fmt.Errorf("%s: %w", s.ID, err)
 	}
-	valSuite := capSuite(camp.Tests, cfg.ValidationCap)
-	initialOf := func() *cast.Unit {
-		u := cast.CloneUnit(orig)
-		if prof, err := profile.Generate(orig, s.Kernel, valSuite); err == nil {
-			u = prof.Unit
+	opts.ExtraTests = capSuite(camp.Tests, cfg.validationCap())
+	var rr [3]repair.Result
+	for i, r := range []repair.Options{repair.DefaultOptions(),
+		baselines.WithoutDependenceOptions(), baselines.WithoutCheckerOptions()} {
+		opts.Repair = r
+		if rr[i], err = core.RepairStage(s.Source, opts); err != nil {
+			return out, fmt.Errorf("%s: %w", s.ID, err)
 		}
-		return u
 	}
+	hg, wd, wc := rr[0], rr[1], rr[2]
 
-	withWorkers := func(o repair.Options) repair.Options {
-		o.Workers = cfg.Workers
-		o.Cache = cfg.Cache
-		o.Guard = cfg.Guard
-		return o
-	}
-	hg := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(repair.DefaultOptions()))
 	out.HGMinutes = hg.Stats.SecondsToCompatible / 60
 	out.HGCompatible = hg.Compatible && hg.BehaviorOK
 	if !out.HGCompatible {
@@ -157,45 +148,18 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 		out.HGInvokePct = 100 * float64(hg.Stats.HLSInvocations-1) / float64(hg.Stats.CandidatesTried)
 	}
 
-	wd := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutDependenceOptions()))
 	out.WithoutDepOK = wd.Compatible && wd.BehaviorOK
 	out.WithoutDepMinutes = wd.Stats.SecondsToCompatible / 60
 	if !out.WithoutDepOK {
 		out.WithoutDepMinutes = wd.Stats.VirtualMinutes()
 	}
 
-	wc := repair.SearchContext(context.Background(), orig, initialOf(), s.Kernel, valSuite, withWorkers(baselines.WithoutCheckerOptions()))
 	out.WithoutCheckerCompat = wc.Compatible && wc.BehaviorOK
 	out.WithoutCheckerMin = wc.Stats.VirtualMinutes()
 	if wc.Stats.CandidatesTried > 0 {
 		out.WithoutCheckerPct = 100 * float64(wc.Stats.HLSInvocations-1) / float64(wc.Stats.CandidatesTried)
 	}
 	return out, nil
-}
-
-// RunAllAblations covers all ten subjects, in parallel.
-func RunAllAblations(cfg Config) ([]AblationRun, error) {
-	subs := subjects.All()
-	runs := make([]AblationRun, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, s := range subs {
-		wg.Add(1)
-		go func(i int, s subjects.Subject) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			runs[i], errs[i] = RunAblation(s, cfg)
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return runs, err
-		}
-	}
-	return runs, nil
 }
 
 // FormatFigure9 renders the ablation data.

@@ -561,6 +561,30 @@ func (c *Cache) Put(stage Stage, hash string, val any) {
 	}
 }
 
+// Memo is the one memoized stage call: the verdict stored for stage
+// under key(), else compute's, stored only when compute succeeds. The
+// lookup comes before compute on purpose: only successful verdicts are
+// stored, so a hit never replays a failure, and a hit skips whatever
+// compute would have run. compute receives the key. A nil cache calls
+// neither key nor Get/Put and hands compute an empty key, so uncached
+// runs pay for no fingerprint or key.
+func Memo[T any](c *Cache, stage Stage, key func() string, compute func(key string) (T, error)) (T, error) {
+	if c == nil {
+		return compute("")
+	}
+	k := key()
+	var v T
+	if c.Get(stage, k, &v) {
+		return v, nil
+	}
+	v, err := compute(k)
+	if err != nil {
+		return v, err
+	}
+	c.Put(stage, k, v)
+	return v, nil
+}
+
 // insert adds a fresh LRU entry at the front. Caller holds sh.mu.
 func (sh *shard) insert(k key, raw json.RawMessage) {
 	sh.mem[k] = sh.ll.PushFront(&entry{k: k, val: raw})

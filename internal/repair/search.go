@@ -565,25 +565,16 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	// successful verdicts are ever stored, so a hit can never replay a
 	// contained failure, and a hit legitimately skips injection — the
 	// stage it would have faulted never runs.
-	var rep hls.Report
-	cached := false
-	var checkKey string
-	if s.cache != nil {
-		checkKey = evalcache.CheckKey(s.checkSalt, fp)
-		cached = s.cache.Get(evalcache.StageCheck, checkKey, &rep)
-	}
-	if !cached {
-		var err error
-		rep, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageCheck, Key: fp, Unit: u},
-			func(cu *cast.Unit) (hls.Report, error) {
-				return check.Run(cu, s.cfg), nil
-			})
-		if sf := guard.AsFailure(err); sf != nil {
-			return lines, false, sc, sf
-		}
-		if s.cache != nil {
-			s.cache.Put(evalcache.StageCheck, checkKey, rep)
-		}
+	rep, err := evalcache.Memo(s.cache, evalcache.StageCheck,
+		func() string { return evalcache.CheckKey(s.checkSalt, fp) },
+		func(string) (hls.Report, error) {
+			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageCheck, Key: fp, Unit: u},
+				func(cu *cast.Unit) (hls.Report, error) {
+					return check.Run(cu, s.cfg), nil
+				})
+		})
+	if sf := guard.AsFailure(err); sf != nil {
+		return lines, false, sc, sf
 	}
 	sc = score{errors: len(rep.Diags), diags: rep.Diags, latencyMS: 1e18}
 	// The capacity gate runs per device and the latency model per clock;
@@ -596,25 +587,16 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	if !runDT {
 		return lines, false, sc, nil
 	}
-	var dt difftest.Report
-	cached = false
-	var diffKey string
-	if s.cache != nil {
-		diffKey = evalcache.DifftestKey(s.diffSalt, fp)
-		cached = s.cache.Get(evalcache.StageDifftest, diffKey, &dt)
-	}
-	if !cached {
-		var err error
-		dt, err = guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: fp, Unit: u},
-			func(cu *cast.Unit) (difftest.Report, error) {
-				return s.runner.Run(cu), nil
-			})
-		if sf := guard.AsFailure(err); sf != nil {
-			return lines, false, sc, sf
-		}
-		if s.cache != nil {
-			s.cache.Put(evalcache.StageDifftest, diffKey, dt)
-		}
+	dt, err := evalcache.Memo(s.cache, evalcache.StageDifftest,
+		func() string { return evalcache.DifftestKey(s.diffSalt, fp) },
+		func(string) (difftest.Report, error) {
+			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: fp, Unit: u},
+				func(cu *cast.Unit) (difftest.Report, error) {
+					return s.runner.Run(cu), nil
+				})
+		})
+	if sf := guard.AsFailure(err); sf != nil {
+		return lines, false, sc, sf
 	}
 	sc.report = dt
 	sc.passRatio = dt.PassRatio()
@@ -628,25 +610,14 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 // the candidate's fingerprint (empty when the cache is off). The only
 // possible error is a contained *guard.StageFailure.
 func (s *searcher) estimate(u *cast.Unit, fp string) (sim.Resources, error) {
-	var r sim.Resources
-	var key string
-	if s.cache != nil {
-		key = evalcache.ResourceKey(fp)
-		if s.cache.Get(evalcache.StageSim, key, &r) {
-			return r, nil
-		}
-	}
-	r, err := guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageEstimate, Key: fp, Unit: u},
-		func(cu *cast.Unit) (sim.Resources, error) {
-			return sim.Estimate(cu), nil
+	return evalcache.Memo(s.cache, evalcache.StageSim,
+		func() string { return evalcache.ResourceKey(fp) },
+		func(string) (sim.Resources, error) {
+			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageEstimate, Key: fp, Unit: u},
+				func(cu *cast.Unit) (sim.Resources, error) {
+					return sim.Estimate(cu), nil
+				})
 		})
-	if err != nil {
-		return sim.Resources{}, err
-	}
-	if s.cache != nil {
-		s.cache.Put(evalcache.StageSim, key, r)
-	}
-	return r, nil
 }
 
 // costBreakdown itemizes the virtual seconds charged for one trial, so
