@@ -1,6 +1,7 @@
 package evalcache
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,6 +248,61 @@ func TestEncodeFailureSkipsCaching(t *testing.T) {
 	}
 	if c.Stats().EncodeFailures != 1 {
 		t.Errorf("EncodeFailures = %d, want 1", c.Stats().EncodeFailures)
+	}
+}
+
+// TestMemo checks the memoized stage call: a failed compute is not
+// stored (the next call computes again), a success is stored under the
+// key compute was handed and served without computing, and a nil cache
+// computes every time without asking for a key.
+func TestMemo(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	key := func() string { return "k" }
+	compute := func(fail bool) func(string) (verdict, error) {
+		return func(k string) (verdict, error) {
+			calls++
+			if k != "k" {
+				t.Errorf("compute got key %q, want k", k)
+			}
+			if fail {
+				return verdict{}, errors.New("stage failed")
+			}
+			return verdict{OK: true, Score: 2}, nil
+		}
+	}
+	if _, err := Memo(c, StageCheck, key, compute(true)); err == nil {
+		t.Fatal("Memo dropped compute's error")
+	}
+	for i := 0; i < 2; i++ {
+		v, err := Memo(c, StageCheck, key, compute(false))
+		if err != nil || !v.OK || v.Score != 2 {
+			t.Fatalf("call %d: Memo = %+v, %v", i, v, err)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("compute ran %d times, want 2 (the failure, then one miss before the hit)", calls)
+	}
+	if st := c.Stats().Stages[StageCheck]; st.Hits != 1 || st.Misses != 2 || st.Stores != 1 {
+		t.Errorf("stats = %+v, want 1 hit, 2 misses, 1 store", st)
+	}
+
+	var nilCache *Cache
+	for i := 0; i < 2; i++ {
+		v, err := Memo(nilCache, StageCheck,
+			func() string { t.Error("nil cache computed a key"); return "" },
+			func(k string) (verdict, error) {
+				if k != "" {
+					t.Errorf("nil cache handed compute key %q", k)
+				}
+				return verdict{OK: true}, nil
+			})
+		if err != nil || !v.OK {
+			t.Fatalf("nil cache: Memo = %+v, %v", v, err)
+		}
 	}
 }
 

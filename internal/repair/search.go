@@ -561,10 +561,9 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	}
 
 	sc = score{latencyMS: 1e18}
-	// Cache lookups happen outside the guard on purpose: only complete,
-	// successful verdicts are ever stored, so a hit can never replay a
-	// contained failure, and a hit legitimately skips injection — the
-	// stage it would have faulted never runs.
+	// Cache lookups happen outside the guard (see evalcache.Memo): a hit
+	// legitimately skips injection — the stage it would have faulted
+	// never runs.
 	rep, err := evalcache.Memo(s.cache, evalcache.StageCheck,
 		func() string { return evalcache.CheckKey(s.checkSalt, fp) },
 		func(string) (hls.Report, error) {
