@@ -49,7 +49,9 @@ vet:
 # status, stdout and stderr per run, plus one -trace file) and hgeval's
 # (cmd/hgeval/testdata/golden: the whole -quick evaluation, and one
 # subject's tables, figure and -trace file, untargeted and against two
-# targets). Only for an intended behaviour change
+# targets) and the keys that options feed (testdata/keys.json: per
+# named configuration, the fuzz campaign's cache key and the repair
+# checkpoint's header key). Only for an intended behaviour change
 # whose fixture diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
@@ -57,7 +59,7 @@ golden:
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 	$(GO) test -count=1 -run 'TestPipelineGolden|TestStageGolden' ./internal/core/ -update
 	$(GO) test -count=1 -run 'TestCheckJobGolden|TestFuzzJobGolden' ./internal/serve/ -update
-	$(GO) test -count=1 -run 'TestExamplesOutput' . -update
+	$(GO) test -count=1 -run 'TestExamplesOutput|TestOptionKeysGolden' . -update
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
 	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
 	$(GO) test -count=1 -run 'TestEvalGolden' ./cmd/hgeval/ -update
