@@ -26,8 +26,12 @@ race:
 	$(GO) test -race -short ./internal/repair/...
 	$(GO) test -race ./internal/fuzz/ ./internal/profile/
 
+# go vet, plus gofmt: any file gofmt would rewrite fails the target.
+# `gofmt -l .` walks bench/ too (a separate module, not covered by
+# `go vet ./...`).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 # Regenerates the golden fixtures: the repair search's
 # (internal/repair/testdata/golden: one Result JSON and one JSONL trace

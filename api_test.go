@@ -18,7 +18,7 @@ int top(int in) {
 }`
 	res, err := heterogen.Transpile(src, heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ int top(int in) {
 }`
 	opts := heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
 	}
 	res, err := heterogen.TranspileContext(context.Background(), src, opts)
 	if err != nil {
@@ -134,7 +134,7 @@ int kernel(int x) {
     if (x > 10) { return 1; }
     return 0;
 }`, heterogen.Options{Kernel: "kernel",
-		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true}})
+		Fuzz: heterogen.FuzzOptions{MaxExecs: 200, Plateau: 80}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ int kernel(int x) {
     return 0;
 }`
 	opts := heterogen.Options{Kernel: "kernel",
-		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true}}
+		Fuzz: heterogen.FuzzOptions{MaxExecs: 200, Plateau: 80}}
 	camp, err := heterogen.GenerateTestsContext(context.Background(), src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ int top(int in) {
 	g := heterogen.NewGuard(heterogen.GuardOptions{})
 	opts := heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
 		Guard:  g,
 	}
 	res, err := heterogen.Transpile(src, opts)
@@ -196,7 +196,7 @@ int top(int in) {
 	}
 	plain, err := heterogen.Transpile(src, heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
 	})
 	if err != nil {
 		t.Fatal(err)

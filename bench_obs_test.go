@@ -8,7 +8,6 @@
 package heterogen_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,14 +17,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hetero/heterogen/internal/cast"
+	"github.com/hetero/heterogen"
 	"github.com/hetero/heterogen/internal/obs"
-	"github.com/hetero/heterogen/internal/repair"
 )
 
 // obsBenchOptions is overlapOptions on one worker, with the hgserve
 // sink attached when traced.
-func obsBenchOptions(traced bool) (repair.Options, func() error) {
+func obsBenchOptions(traced bool) (heterogen.Options, func() error) {
 	opts := overlapOptions(1)
 	if !traced {
 		return opts, func() error { return nil }
@@ -37,11 +35,13 @@ func obsBenchOptions(traced bool) (repair.Options, func() error) {
 
 func runObsSearch(tb testing.TB, traced bool) time.Duration {
 	tb.Helper()
-	orig, tests := overlapInputs()
 	opts, flush := obsBenchOptions(traced)
 	start := time.Now()
-	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), "kernel", tests, opts)
+	res, err := heterogen.Repair(overlapKernel, opts)
 	wall := time.Since(start)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if !res.Compatible {
 		tb.Fatal("overlap subject must repair")
 	}

@@ -9,9 +9,9 @@
 package heterogen_test
 
 import (
-	"context"
 	"testing"
 
+	"github.com/hetero/heterogen"
 	"github.com/hetero/heterogen/internal/baselines"
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
@@ -148,10 +148,8 @@ func BenchmarkTable4TestGen(b *testing.B) {
 		s := s
 		b.Run(s.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := fuzz.DefaultOptions()
-				opts.MaxExecs = 400
-				opts.Plateau = 150
-				camp, err := fuzz.RunContext(context.Background(), s.MustParse(), s.Kernel, opts)
+				camp, err := heterogen.GenerateTests(s.Source, heterogen.Options{Kernel: s.Kernel,
+					Fuzz: fuzz.Options{MaxExecs: 400, Plateau: 150}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -242,17 +240,15 @@ int kernel(fpga_uint<7> x, fpga_uint<7> y) {
     if (x + y == 200) { r += 4; }
     return r;
 }`
-	u := cparser.MustParse(src)
 	for i := 0; i < b.N; i++ {
-		typed := fuzz.DefaultOptions()
-		typed.MaxExecs = 500
-		campT, err := fuzz.RunContext(context.Background(), u, "kernel", typed)
+		typed := heterogen.Options{Kernel: "kernel", Fuzz: fuzz.Options{MaxExecs: 500}}
+		campT, err := heterogen.GenerateTests(src, typed)
 		if err != nil {
 			b.Fatal(err)
 		}
 		untyped := typed
-		untyped.TypedMutation = false
-		campU, err := fuzz.RunContext(context.Background(), u, "kernel", untyped)
+		untyped.Fuzz.UntypedMutation = true
+		campU, err := heterogen.GenerateTests(src, untyped)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,17 +267,15 @@ int kernel(int secret) {
     return 0;
 }
 int host() { return kernel(gate(31, 337)); }`
-	u := cparser.MustParse(src)
 	for i := 0; i < b.N; i++ {
-		blind := fuzz.DefaultOptions()
-		blind.MaxExecs = 600
-		campB, err := fuzz.RunContext(context.Background(), u, "kernel", blind)
+		blind := heterogen.Options{Kernel: "kernel", Fuzz: fuzz.Options{MaxExecs: 600}}
+		campB, err := heterogen.GenerateTests(src, blind)
 		if err != nil {
 			b.Fatal(err)
 		}
 		seeded := blind
 		seeded.HostMain = "host"
-		campS, err := fuzz.RunContext(context.Background(), u, "kernel", seeded)
+		campS, err := heterogen.GenerateTests(src, seeded)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,9 +295,8 @@ func BenchmarkAblationBitwidth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := fuzz.DefaultOptions()
-	opts.MaxExecs = 300
-	camp, err := fuzz.RunContext(context.Background(), s.MustParse(), s.Kernel, opts)
+	camp, err := heterogen.GenerateTests(s.Source, heterogen.Options{Kernel: s.Kernel,
+		Fuzz: fuzz.Options{MaxExecs: 300}})
 	if err != nil {
 		b.Fatal(err)
 	}

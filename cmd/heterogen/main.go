@@ -151,10 +151,7 @@ func transpile(c *command, args []string) {
 	opts := heterogen.Options{Kernel: c.kernel, HostMain: c.host, Workers: *workers, Targets: targets,
 		Obs: sess.Obs, Guard: sess.Guard, Cache: sess.Cache}
 	if *quick {
-		opts.Fuzz.Seed = 1
-		opts.Fuzz.MaxExecs = 250
-		opts.Fuzz.Plateau = 100
-		opts.Fuzz.TypedMutation = true
+		opts.Fuzz = heterogen.FuzzOptions{MaxExecs: 250, Plateau: 100}
 	}
 	res, err := heterogen.Transpile(src, opts)
 	if err != nil {
@@ -213,12 +210,7 @@ func fuzz(c *command, args []string) {
 	seed := c.fs.Int64("seed", 1, "mutation RNG seed")
 	src, _, sess := c.open(args, fuzzUsage)
 
-	opts := heterogen.FuzzOptions{
-		Seed:          *seed,
-		MaxExecs:      *execs,
-		Plateau:       *execs / 5,
-		TypedMutation: true,
-	}
+	opts := heterogen.FuzzOptions{Seed: *seed, MaxExecs: *execs, Plateau: *execs / 5}
 	camp, err := heterogen.GenerateTests(src, heterogen.Options{
 		Kernel: c.kernel, HostMain: c.host, Fuzz: opts,
 		Obs: sess.Obs, Guard: sess.Guard, Cache: sess.Cache,

@@ -60,9 +60,7 @@ func writePipelineFixture(t *testing.T) {
 			o = obs.TagTarget(o, hls.TargetSetString([]hls.Target{hls.DefaultTarget()}))
 		}
 		opts := core.Options{Kernel: s.Kernel, Workers: 1, Obs: o}
-		opts.Fuzz = fuzz.DefaultOptions()
-		opts.Fuzz.MaxExecs = 150
-		opts.Fuzz.Plateau = 60
+		opts.Fuzz = fuzz.Options{MaxExecs: 150, Plateau: 60}
 		if _, err := core.Run(s.Source, opts); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ int top(int in) {
     return (int)in_ld;
 }`, heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 100, Plateau: 40, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 100, Plateau: 40},
 	})
 	if err != nil {
 		panic(err)
@@ -58,7 +58,7 @@ int kernel(int x) {
     if (x == 42) { return 1; }
     return 0;
 }`, heterogen.Options{Kernel: "kernel",
-		Fuzz: heterogen.FuzzOptions{Seed: 1, MaxExecs: 400, Plateau: 200, TypedMutation: true}})
+		Fuzz: heterogen.FuzzOptions{MaxExecs: 400, Plateau: 200}})
 	if err != nil {
 		panic(err)
 	}

@@ -75,7 +75,7 @@ func main() {
 
 	res, err := heterogen.Transpile(src, heterogen.Options{
 		Kernel: "kernel",
-		Fuzz:   heterogen.FuzzOptions{Seed: 7, MaxExecs: 600, Plateau: 200, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{Seed: 7, MaxExecs: 600, Plateau: 200},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,7 @@ int host() {
 
 func main() {
 	// Without host seeding: the computed secret is out of reach.
-	fuzz := heterogen.FuzzOptions{Seed: 1, MaxExecs: 1500, Plateau: 500, TypedMutation: true}
+	fuzz := heterogen.FuzzOptions{MaxExecs: 1500, Plateau: 500}
 	blind, err := heterogen.GenerateTests(src, heterogen.Options{Kernel: "kernel", Fuzz: fuzz})
 	if err != nil {
 		log.Fatal(err)

@@ -42,7 +42,7 @@ func main() {
 
 	res, err := heterogen.Transpile(src, heterogen.Options{
 		Kernel: "matmul",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 200, Plateau: 80, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 200, Plateau: 80},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,7 @@ func main() {
 	// Transpile: test generation, bitwidth profiling, repair.
 	res, err := heterogen.Transpile(src, heterogen.Options{
 		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{Seed: 1, MaxExecs: 300, Plateau: 100, TypedMutation: true},
+		Fuzz:   heterogen.FuzzOptions{MaxExecs: 300, Plateau: 100},
 	})
 	if err != nil {
 		log.Fatal(err)

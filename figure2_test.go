@@ -1,6 +1,7 @@
 package heterogen_test
 
 import (
+	"github.com/hetero/heterogen"
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/fuzz"
@@ -66,14 +67,17 @@ func overlapInputs() (*cast.Unit, []fuzz.TestCase) {
 	return cparser.MustParse(overlapKernel), tests
 }
 
-// overlapOptions is the shared search configuration for overlapKernel:
-// random-mode search, so tens of candidates are evaluated per
-// acceptance.
-func overlapOptions(workers int) repair.Options {
-	opts := repair.DefaultOptions()
-	opts.UseDependence = false
-	opts.Budget = 12 * 3600
-	opts.MaxIterations = 96
-	opts.Workers = workers
-	return opts
+// overlapOptions is the shared repair-stage configuration for
+// overlapKernel: its fixed test suite, no bitwidth profiling (the
+// search starts from the parsed source), and a random-mode search, so
+// tens of candidates are evaluated per acceptance.
+func overlapOptions(workers int) heterogen.Options {
+	_, tests := overlapInputs()
+	return heterogen.Options{
+		Kernel:      "kernel",
+		Repair:      repair.Options{WithoutDependence: true, Budget: 12 * 3600, MaxIterations: 96},
+		SkipProfile: true,
+		Workers:     workers,
+		ExtraTests:  tests,
+	}
 }

@@ -54,7 +54,9 @@ type Options = core.Options
 // comparison.
 type Result = core.Result
 
-// FuzzOptions configures test generation (Options.Fuzz).
+// FuzzOptions configures test generation (Options.Fuzz). An unset
+// field means the paper's value: seed 1, 4000 executions, a plateau of
+// 600 and typed mutation.
 type FuzzOptions = fuzz.Options
 
 // TestCase is one generated kernel input vector.
@@ -120,7 +122,10 @@ func Targets() []Target { return hls.AllTargets() }
 // per-device verdict table and Pareto archive.
 type RepairResult = repair.Result
 
-// RepairOptions configures the repair search (Options.Repair).
+// RepairOptions configures the repair search (Options.Repair). An
+// unset field means the paper's value: seed 1, a three-hour virtual
+// budget, 64 iterations, and the style checker, dependence order and
+// performance exploration all on.
 type RepairOptions = repair.Options
 
 // SimReport is the outcome of the standalone simulation stage
@@ -220,7 +225,7 @@ func RepairContext(ctx context.Context, src string, opts Options) (RepairResult,
 // GenerateTests runs only the coverage-guided test generator (the
 // paper's Algorithm 1) against Options.Kernel. It takes the same option
 // struct as the other entry points: Options.Fuzz configures the
-// campaign (the defaults when its MaxExecs is zero), HostMain names the
+// campaign (an unset field means the paper's value), HostMain names the
 // host entry point whose kernel-entry state seeds it, and Obs, Guard
 // and Cache are honoured; unknown target names fail as everywhere else,
 // and the remaining fields are ignored.

@@ -21,28 +21,22 @@ import (
 // HeteroRefactor baseline: dynamic-data templates only, no performance
 // exploration, standard budget.
 func HeteroRefactorOptions() repair.Options {
-	o := repair.DefaultOptions()
-	o.PerfExploration = false
-	o.ClassFilter = map[hls.ErrorClass]bool{hls.ClassDynamicData: true}
-	return o
+	return repair.Options{
+		WithoutPerfExploration: true,
+		ClassFilter:            map[hls.ErrorClass]bool{hls.ClassDynamicData: true},
+	}
 }
 
 // WithoutCheckerOptions disables the style checker (every candidate pays
 // a full compile).
 func WithoutCheckerOptions() repair.Options {
-	o := repair.DefaultOptions()
-	o.UseStyleChecker = false
-	return o
+	return repair.Options{WithoutChecker: true}
 }
 
 // WithoutDependenceOptions disables dependence-guided enumeration and
 // extends the budget to the paper's twelve-hour failure threshold.
 func WithoutDependenceOptions() repair.Options {
-	o := repair.DefaultOptions()
-	o.UseDependence = false
-	o.Budget = 12 * 3600
-	o.MaxIterations = 512
-	return o
+	return repair.Options{WithoutDependence: true, Budget: 12 * 3600, MaxIterations: 512}
 }
 
 // HeteroRefactor runs the HR baseline over the C source src: the

@@ -88,24 +88,24 @@ func TestHeteroRefactorAppliesNoForeignEdits(t *testing.T) {
 
 func TestAblationOptionShapes(t *testing.T) {
 	wc := WithoutCheckerOptions()
-	if wc.UseStyleChecker {
+	if !wc.WithoutChecker {
 		t.Error("WithoutChecker must disable the style checker")
 	}
-	if !wc.UseDependence {
+	if wc.WithoutDependence {
 		t.Error("WithoutChecker keeps dependence guidance")
 	}
 	wd := WithoutDependenceOptions()
-	if wd.UseDependence {
+	if !wd.WithoutDependence {
 		t.Error("WithoutDependence must disable dependence guidance")
 	}
-	if !wd.UseStyleChecker {
+	if wd.WithoutChecker {
 		t.Error("WithoutDependence keeps the style checker (per the paper)")
 	}
 	if wd.Budget != 12*3600 {
 		t.Errorf("WithoutDependence budget %v, want 12h", wd.Budget)
 	}
 	hr := HeteroRefactorOptions()
-	if hr.PerfExploration {
+	if !hr.WithoutPerfExploration {
 		t.Error("HR performs no performance edits")
 	}
 	if !hr.ClassFilter[hls.ClassDynamicData] || len(hr.ClassFilter) != 1 {

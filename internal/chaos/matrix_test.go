@@ -35,11 +35,10 @@ int top(int in) {
 }`
 
 func matrixOptions(g *guard.Guard, sink obs.Observer) core.Options {
-	ro := repair.DefaultOptions()
-	ro.MaxIterations = 8
+	ro := repair.Options{MaxIterations: 8}
 	return core.Options{
 		Kernel: "top",
-		Fuzz:   fuzz.Options{Seed: 1, MaxExecs: 60, Plateau: 30, TypedMutation: true},
+		Fuzz:   fuzz.Options{MaxExecs: 60, Plateau: 30},
 		Repair: ro,
 		Obs:    sink,
 		Guard:  g,

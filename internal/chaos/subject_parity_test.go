@@ -33,11 +33,10 @@ func TestGuardedSubjectsByteIdentical(t *testing.T) {
 			run := func(g *guard.Guard) (core.Result, []byte) {
 				var buf bytes.Buffer
 				tw := obs.NewTraceWriter(&buf)
-				ro := repair.DefaultOptions()
-				ro.MaxIterations = 12
+				ro := repair.Options{MaxIterations: 12}
 				res, err := core.RunUnitContext(context.Background(), s.MustParse(), core.Options{
 					Kernel: s.Kernel,
-					Fuzz:   fuzz.Options{Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true},
+					Fuzz:   fuzz.Options{MaxExecs: 120, Plateau: 50},
 					Repair: ro,
 					Obs:    tw,
 					Guard:  g,

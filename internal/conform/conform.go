@@ -169,14 +169,11 @@ func (h *harness) cfg() hls.Config { return hls.DefaultConfig("kernel") }
 // pipeline runs the full five-stage pipeline with harness budgets.
 func (h *harness) pipeline(ctx context.Context, u *cast.Unit, kernel string,
 	o obs.Observer, c *evalcache.Cache) (core.Result, error) {
-	fo := fuzz.DefaultOptions()
-	fo.MaxExecs = h.opts.FuzzExecs
-	fo.Plateau = h.opts.FuzzExecs / 2
-	ro := repair.DefaultOptions()
-	ro.MaxIterations = h.opts.MaxIterations
 	return core.RunUnitContext(ctx, cast.CloneUnit(u), core.Options{
-		Kernel: kernel, Fuzz: fo, Repair: ro, Obs: o, Cache: c,
-		Guard: h.opts.Guard, Targets: h.opts.Targets,
+		Kernel: kernel,
+		Fuzz:   fuzz.Options{MaxExecs: h.opts.FuzzExecs, Plateau: h.opts.FuzzExecs / 2},
+		Repair: repair.Options{MaxIterations: h.opts.MaxIterations},
+		Obs:    o, Cache: c, Guard: h.opts.Guard, Targets: h.opts.Targets,
 	})
 }
 

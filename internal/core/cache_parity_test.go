@@ -11,6 +11,7 @@ import (
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/repair"
+	"github.com/hetero/heterogen/internal/stage"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -26,9 +27,7 @@ func cachedRun(t *testing.T, id string, workers int, cache *evalcache.Cache) (Re
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts := Options{Kernel: s.Kernel, Workers: workers, Obs: tw, Cache: cache}
-	opts.Fuzz = fuzz.DefaultOptions()
-	opts.Fuzz.MaxExecs = 150
-	opts.Fuzz.Plateau = 60
+	opts.Fuzz = fuzz.Options{MaxExecs: 150, Plateau: 60}
 	res, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +226,9 @@ func TestFinalEstimateSharesSearchKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := repair.DefaultOptions()
-	opts.Cache = cache
 	orig := s.MustParse()
-	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), s.Kernel, s.ExistingTests(), opts)
+	res := repair.SearchContext(context.Background(), stage.Env{Cache: cache}, orig, cast.CloneUnit(orig),
+		s.Kernel, s.ExistingTests(), nil, repair.Options{})
 	if !res.Compatible {
 		t.Fatalf("P3 must repair: %v", res.Remaining)
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -43,7 +42,6 @@ func TestCheckReusesRepairVerdict(t *testing.T) {
 				opts := Options{Kernel: s.Kernel, Targets: targets}
 				if iterations > 0 {
 					name += "/partial"
-					opts.Repair = repair.DefaultOptions()
 					opts.Repair.MaxIterations = iterations
 				}
 				cached := opts

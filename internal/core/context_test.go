@@ -9,7 +9,6 @@ import (
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/obs"
-	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -20,9 +19,7 @@ func smallOptions(t *testing.T, id string) (Options, string) {
 		t.Fatal(err)
 	}
 	opts := Options{Kernel: s.Kernel}
-	opts.Fuzz = fuzz.DefaultOptions()
-	opts.Fuzz.MaxExecs = 150
-	opts.Fuzz.Plateau = 60
+	opts.Fuzz = fuzz.Options{MaxExecs: 150, Plateau: 60}
 	return opts, id
 }
 
@@ -132,11 +129,8 @@ int kernel(int n) {
 func TestRunUnitContextMidSearchCancel(t *testing.T) {
 	u := cparser.MustParse(midSearchKernel)
 	opts := Options{Kernel: "kernel"}
-	opts.Fuzz = fuzz.DefaultOptions()
-	opts.Fuzz.MaxExecs = 150
-	opts.Fuzz.Plateau = 60
-	opts.Repair = repair.DefaultOptions()
-	opts.Repair.UseDependence = false
+	opts.Fuzz = fuzz.Options{MaxExecs: 150, Plateau: 60}
+	opts.Repair.WithoutDependence = true
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obsCancel := &cancelAfter{n: 3, typ: obs.EvCandidate, cancel: cancel}

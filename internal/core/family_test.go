@@ -76,7 +76,7 @@ int kernel(int seed, int n) {
     return total;
 }`, visit, v.order[0], v.order[1], v.value)
 			res, err := Run(src, Options{Kernel: "kernel",
-				Fuzz: fuzz.Options{Seed: 3, MaxExecs: 150, Plateau: 60, TypedMutation: true}})
+				Fuzz: fuzz.Options{Seed: 3, MaxExecs: 150, Plateau: 60}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,11 +93,8 @@ func goldenRuns() []goldenRun {
 
 // goldenOptions is the transpile_suite budget.
 func goldenOptions(r goldenRun) Options {
-	fo := fuzz.DefaultOptions()
-	fo.Seed, fo.MaxExecs, fo.Plateau = 1, 24, 90
-	ro := repair.DefaultOptions()
-	ro.Workers = 1
-	return Options{Kernel: r.kernel, HostMain: r.hostMain, Fuzz: fo, Repair: ro}
+	return Options{Kernel: r.kernel, HostMain: r.hostMain,
+		Fuzz: fuzz.Options{MaxExecs: 24, Plateau: 90}, Repair: repair.Options{Workers: 1}}
 }
 
 type goldenTest struct {

@@ -22,9 +22,7 @@ func tracedRun(t *testing.T, id string, workers int) (Result, []byte) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts := Options{Kernel: s.Kernel, Workers: workers, Obs: tw}
-	opts.Fuzz = fuzz.DefaultOptions()
-	opts.Fuzz.MaxExecs = 150
-	opts.Fuzz.Plateau = 60
+	opts.Fuzz = fuzz.Options{MaxExecs: 150, Plateau: 60}
 	res, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +130,7 @@ func TestPipelineTraceDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Kernel: s.Kernel}
-	opts.Fuzz = fuzz.DefaultOptions()
-	opts.Fuzz.MaxExecs = 120
-	opts.Fuzz.Plateau = 50
+	opts.Fuzz = fuzz.Options{MaxExecs: 120, Plateau: 50}
 	plain, err := RunUnitContext(context.Background(), s.MustParse(), opts)
 	if err != nil {
 		t.Fatal(err)

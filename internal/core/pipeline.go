@@ -25,18 +25,21 @@ import (
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/profile"
 	"github.com/hetero/heterogen/internal/repair"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
-// Options configures a pipeline run.
+// Options configures a pipeline run. A setting that more than one
+// stage reads lives here; a setting that one stage reads lives in that
+// stage's options, where an unset field means the paper's value.
 type Options struct {
 	// Kernel names the function to transpile (the design's top function).
 	Kernel string
 	// HostMain optionally names a host entry point used to capture
 	// kernel-entry seed inputs.
 	HostMain string
-	// Fuzz configures test generation; zero means fuzz.DefaultOptions.
+	// Fuzz configures test generation (see fuzz.Options).
 	Fuzz fuzz.Options
-	// Repair configures the search; zero means repair.DefaultOptions.
+	// Repair configures the search (see repair.Options).
 	Repair repair.Options
 	// SkipProfile disables bitwidth finitization (ablation).
 	SkipProfile bool
@@ -45,49 +48,41 @@ type Options struct {
 	// evaluation platform), capacity gate included. Check/Simulate
 	// resolve their config and capacity table from Targets[0]'s profile,
 	// and unknown backend or device names fail fast with an explicit
-	// error. It is passed down to Repair.Targets unless that is already
-	// set; naming targets adds the per-device verdict table and Pareto
-	// archive to the Result (see repair.Options.Targets), and traces of
-	// a single named target are byte-identical to untargeted ones.
+	// error. Naming targets adds the per-device verdict table and Pareto
+	// archive to the Result (see repair.SearchContext), and traces of a
+	// single named target are byte-identical to untargeted ones.
 	Targets []hls.Target
 	// Workers bounds concurrent candidate evaluation in the repair
 	// search (see repair.Options.Workers). Results are bit-identical
-	// for any value; 0 leaves the Repair configuration untouched.
+	// for any value; 0 leaves Repair.Workers untouched.
 	Workers int
 	// ExtraTests are appended to the generated suite (e.g. a subject's
 	// pre-existing tests).
 	ExtraTests []fuzz.TestCase
 	// Obs receives structured events for the whole run: pipeline phase
 	// brackets plus everything the fuzzer and the repair search emit
-	// (see internal/obs). It is passed down to Fuzz.Obs / Repair.Obs
-	// unless those are already set. Nil disables observation.
+	// (see internal/obs). Nil disables observation.
 	Obs obs.Observer
 	// Cache, when non-nil, memoizes the expensive toolchain verdicts —
 	// fuzz campaigns, synthesizability checks, resource estimates,
 	// differential tests — across candidates and across runs (see
-	// internal/evalcache). It is passed down to Fuzz.Cache /
-	// Repair.Cache unless those are already set. Hits skip real
-	// recomputation but charge identical virtual costs in identical
-	// order, so Result (bar CacheStats) and traces are byte-identical
-	// whether the cache is disabled, cold, or warm. Nil disables
-	// caching.
+	// internal/evalcache). Hits skip real recomputation but charge
+	// identical virtual costs in identical order, so Result (bar
+	// CacheStats) and traces are byte-identical whether the cache is
+	// disabled, cold, or warm. Nil disables caching.
 	Cache *evalcache.Cache
 	// Guard is the failure-containment layer wrapped around every
 	// expensive stage call (parse, final print, synthesizability checks,
-	// resource estimation, kernel executions, differential tests). It is
-	// passed down to Fuzz.Guard / Repair.Guard unless those are already
-	// set. Its InterpSteps budget, when set, bounds every fuzz and
-	// difftest execution (see fuzz.Options.MaxStepsPerExec and
-	// repair.Options.InterpSteps). Nil still contains panics (guard.Do
-	// is nil-safe) but has no deadlines, injection, or quarantine.
+	// resource estimation, kernel executions, differential tests). Its
+	// InterpSteps budget, when set, bounds every fuzz and difftest
+	// execution. Nil still contains panics (guard.Do is nil-safe) but
+	// has no deadlines, injection, or quarantine.
 	Guard *guard.Guard
-	// RepairCheckpoint, when non-empty, names the repair search's
-	// write-ahead outcome log (see repair.Options.CheckpointPath): an
-	// interrupted run resumed against the same file yields a Result and
-	// trace byte-identical to an uninterrupted run. It is passed down to
-	// Repair.CheckpointPath unless that is already set. Empty disables
-	// checkpointing.
-	RepairCheckpoint string
+}
+
+// env is the environment every stage of a run shares.
+func (o Options) env() stage.Env {
+	return stage.Env{Obs: o.Obs, Cache: o.Cache, Guard: o.Guard}
 }
 
 // Result is the full pipeline outcome.
@@ -156,7 +151,8 @@ func RunContext(ctx context.Context, src string, opts Options) (Result, error) {
 // errors.Is(err, context.Canceled) distinguishes cancellation from real
 // failures.
 func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result, error) {
-	if err := validate(orig, opts); err != nil {
+	targets, err := validate(orig, opts)
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Original: orig, OriginalLOC: cast.CountLines(orig)}
@@ -182,7 +178,7 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 
 	// Stage 1: test input generation.
 	endFuzz := phase("fuzz")
-	camp, err := fuzz.RunContext(ctx, orig, opts.Kernel, fuzzOptions(opts))
+	camp, err := fuzz.RunContext(ctx, opts.env(), orig, opts.Kernel, opts.HostMain, opts.Fuzz)
 	if err != nil {
 		finish()
 		return res, fmt.Errorf("heterogen: test generation: %w", err)
@@ -213,7 +209,7 @@ func RunUnitContext(ctx context.Context, orig *cast.Unit, opts Options) (Result,
 
 	// Stages 3-5: iterative repair.
 	endRepair := phase("repair")
-	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, repairOptions(opts))
+	rr := repair.SearchContext(ctx, opts.env(), orig, initial, opts.Kernel, tests, targets, repairOptions(opts))
 	endRepair(rr.Stats.VirtualSeconds)
 	res.Repair = rr
 	res.Final = rr.Unit
@@ -284,74 +280,30 @@ func parse(src string, g *guard.Guard) (*cast.Unit, error) {
 }
 
 // validate checks what every kernel-driven entry point needs before it
-// runs: a kernel that u defines and targets that all resolve. The
-// default target always resolves, so an untargeted call resolves none.
-func validate(u *cast.Unit, opts Options) error {
+// runs: a kernel that u defines and targets that all resolve. It
+// returns the resolved target set, nil for an untargeted call.
+func validate(u *cast.Unit, opts Options) ([]hls.ResolvedTarget, error) {
 	if opts.Kernel == "" {
-		return fmt.Errorf("heterogen: no kernel specified")
+		return nil, fmt.Errorf("heterogen: no kernel specified")
 	}
 	if u.Func(opts.Kernel) == nil {
-		return fmt.Errorf("heterogen: kernel %q not found", opts.Kernel)
+		return nil, fmt.Errorf("heterogen: kernel %q not found", opts.Kernel)
 	}
 	if len(opts.Targets) == 0 {
-		return nil
+		return nil, nil
 	}
-	if _, err := hls.ResolveTargets(opts.Targets); err != nil {
-		return fmt.Errorf("heterogen: %w", err)
+	targets, err := hls.ResolveTargets(opts.Targets)
+	if err != nil {
+		return nil, fmt.Errorf("heterogen: %w", err)
 	}
-	return nil
+	return targets, nil
 }
 
-// fuzzOptions derives the test generator's options from opts: opts.Fuzz
-// (fuzz.DefaultOptions when it is wholly zero; fuzz.RunContext defaults
-// any other zero budget field and keeps the rest), with HostMain, Obs,
-// Cache and Guard passed down unless already set.
-func fuzzOptions(opts Options) fuzz.Options {
-	fopts := opts.Fuzz
-	if fopts == (fuzz.Options{}) {
-		fopts = fuzz.DefaultOptions()
-	}
-	if opts.HostMain != "" {
-		fopts.HostMain = opts.HostMain
-	}
-	if fopts.Obs == nil {
-		fopts.Obs = opts.Obs
-	}
-	if fopts.Cache == nil {
-		fopts.Cache = opts.Cache
-	}
-	if fopts.Guard == nil {
-		fopts.Guard = opts.Guard
-	}
-	return fopts
-}
-
-// repairOptions derives the repair search's options from opts:
-// opts.Repair (repair.DefaultOptions when it sets neither Budget nor
-// MaxIterations), with Workers, Obs, Cache, Guard, Targets and
-// RepairCheckpoint passed down unless already set.
+// repairOptions is opts.Repair with Workers overridden when set.
 func repairOptions(opts Options) repair.Options {
 	ropts := opts.Repair
-	if ropts.Budget == 0 && ropts.MaxIterations == 0 {
-		ropts = repair.DefaultOptions()
-	}
 	if opts.Workers != 0 {
 		ropts.Workers = opts.Workers
-	}
-	if ropts.Obs == nil {
-		ropts.Obs = opts.Obs
-	}
-	if ropts.Cache == nil {
-		ropts.Cache = opts.Cache
-	}
-	if ropts.Guard == nil {
-		ropts.Guard = opts.Guard
-	}
-	if ropts.Targets == nil {
-		ropts.Targets = opts.Targets
-	}
-	if ropts.CheckpointPath == "" {
-		ropts.CheckpointPath = opts.RepairCheckpoint
 	}
 	return ropts
 }
@@ -501,8 +453,8 @@ func Simulate(src string, opts Options) (SimReport, error) {
 // the test suite — the pipeline minus test generation, for callers
 // that bring their own tests (an empty suite still repairs toward
 // synthesizability; there is just no behaviour signal). Kernel,
-// Repair, Workers, Obs, and Cache are honoured; Fuzz and HostMain are
-// ignored.
+// Repair, Workers, Targets, Obs, Cache and Guard are honoured; Fuzz
+// and HostMain are ignored.
 func RepairStage(src string, opts Options) (repair.Result, error) {
 	return RepairStageContext(context.Background(), src, opts)
 }
@@ -516,12 +468,13 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 	if err != nil {
 		return repair.Result{}, err
 	}
-	if err := validate(orig, opts); err != nil {
+	targets, err := validate(orig, opts)
+	if err != nil {
 		return repair.Result{}, err
 	}
 	tests := opts.ExtraTests
 	initial, _ := initialVersion(orig, tests, opts)
-	rr := repair.SearchContext(ctx, orig, initial, opts.Kernel, tests, repairOptions(opts))
+	rr := repair.SearchContext(ctx, opts.env(), orig, initial, opts.Kernel, tests, targets, repairOptions(opts))
 	if err := ctx.Err(); err != nil {
 		return rr, fmt.Errorf("heterogen: cancelled during repair: %w", err)
 	}
@@ -530,10 +483,9 @@ func RepairStageContext(ctx context.Context, src string, opts Options) (repair.R
 
 // FuzzStage runs only the test-generation stage (Algorithm 1): a
 // coverage-guided campaign against opts.Kernel, configured by
-// opts.Fuzz (fuzz.DefaultOptions when its MaxExecs is zero), with
-// HostMain, Obs, Cache and Guard honoured; the remaining fields are
-// ignored bar the target names, which are validated as everywhere
-// else. It emits no phase events. The context is checked between
+// opts.Fuzz, with HostMain, Obs, Cache and Guard honoured; the
+// remaining fields are ignored bar the target names, which are
+// validated as everywhere else. It emits no phase events. The context is checked between
 // executions, never mid-run; a cancelled campaign returns the corpus
 // gathered so far with a nil error (a partial campaign is still a
 // usable test suite), so callers that must distinguish inspect
@@ -543,10 +495,10 @@ func FuzzStage(ctx context.Context, src string, opts Options) (fuzz.Campaign, er
 	if err != nil {
 		return fuzz.Campaign{}, err
 	}
-	if err := validate(u, opts); err != nil {
+	if _, err := validate(u, opts); err != nil {
 		return fuzz.Campaign{}, err
 	}
-	camp, err := fuzz.RunContext(ctx, u, opts.Kernel, fuzzOptions(opts))
+	camp, err := fuzz.RunContext(ctx, opts.env(), u, opts.Kernel, opts.HostMain, opts.Fuzz)
 	if err != nil {
 		return camp, fmt.Errorf("heterogen: test generation: %w", err)
 	}

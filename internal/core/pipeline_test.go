@@ -17,7 +17,7 @@ int top(int in) {
 }`
 
 func quickFuzz() fuzz.Options {
-	return fuzz.Options{Seed: 1, MaxExecs: 150, Plateau: 60, TypedMutation: true}
+	return fuzz.Options{MaxExecs: 150, Plateau: 60}
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
@@ -75,7 +75,7 @@ out:
 }`
 	// goto faults the interpreter during fuzzing, so reduce budgets.
 	res, err := Run(src, Options{Kernel: "kernel",
-		Fuzz: fuzz.Options{Seed: 1, MaxExecs: 40, Plateau: 20, TypedMutation: true}})
+		Fuzz: fuzz.Options{MaxExecs: 40, Plateau: 20}})
 	if err != nil {
 		t.Fatalf("pipeline must not error on incomplete repair: %v", err)
 	}

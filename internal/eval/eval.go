@@ -45,22 +45,22 @@ type Config struct {
 	// campaign and repair search, tagged with the subject id so
 	// concurrently-run subjects stay separable in one trace (see
 	// internal/obs.Tag). Single-subject runs produce byte-deterministic
-	// traces; RunAll interleaves subjects in scheduler order.
+	// traces; Each interleaves subjects in scheduler order.
 	Obs obs.Observer
 	// Cache, when non-nil, memoizes toolchain verdicts across subjects
 	// and — with a persistent directory — across harness runs, so a
 	// repeated sweep over P1-P10 is near-instant. Reported numbers are
 	// bit-identical with or without it. Safe to share across the
-	// concurrent subjects of RunAll.
+	// concurrent subjects of Each.
 	Cache *evalcache.Cache
 	// Guard, when non-nil, contains stage failures (panics, deadline
 	// overruns) inside each subject's fuzzing campaign and repair
 	// search instead of crashing the harness. With injection disabled,
 	// reported numbers are bit-identical with or without it. Safe to
-	// share across the concurrent subjects of RunAll.
+	// share across the concurrent subjects of Each.
 	Guard *guard.Guard
 	// Targets, when set, runs every subject's repair search against this
-	// HLS target set (repair.Options.Targets): fitness becomes a
+	// HLS target set (core.Options.Targets): fitness becomes a
 	// per-device vector and the search keeps a latency/resource Pareto
 	// archive. Empty keeps the classic single-default-target numbers.
 	Targets []hls.Target
@@ -82,31 +82,20 @@ func (c Config) validationCap() int {
 	return 24
 }
 
-func (c Config) fuzzOptions() fuzz.Options {
-	o := fuzz.DefaultOptions()
-	o.Seed = c.Seed
-	if c.Quick {
-		o.MaxExecs = 220
-		o.Plateau = 90
-	} else {
-		o.MaxExecs = 2600
-		o.Plateau = 450
-	}
-	return o
-}
-
 // options is the one core.Options a subject's stages run under: the
 // harness's fuzzing budget, the default repair search under its seed,
 // and the shared workers, cache and guard. o observes the run and
 // targets are the repair search's target set; the ablations pass
 // neither.
 func (c Config) options(s subjects.Subject, o obs.Observer, targets []hls.Target) core.Options {
-	r := repair.DefaultOptions()
-	r.Seed = c.Seed
+	fuzzing := fuzz.Options{Seed: c.Seed, MaxExecs: 2600, Plateau: 450}
+	if c.Quick {
+		fuzzing.MaxExecs, fuzzing.Plateau = 220, 90
+	}
 	return core.Options{
 		Kernel:  s.Kernel,
-		Fuzz:    c.fuzzOptions(),
-		Repair:  r,
+		Fuzz:    fuzzing,
+		Repair:  repair.Options{Seed: c.Seed},
 		Workers: c.Workers,
 		Obs:     o,
 		Cache:   c.Cache,

@@ -130,7 +130,7 @@ func RunAblation(s subjects.Subject, cfg Config) (AblationRun, error) {
 	}
 	opts.ExtraTests = capSuite(camp.Tests, cfg.validationCap())
 	var rr [3]repair.Result
-	for i, r := range []repair.Options{repair.DefaultOptions(),
+	for i, r := range []repair.Options{{},
 		baselines.WithoutDependenceOptions(), baselines.WithoutCheckerOptions()} {
 		opts.Repair = r
 		if rr[i], err = core.RepairStage(s.Source, opts); err != nil {

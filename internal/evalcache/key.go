@@ -53,10 +53,11 @@ func DifftestKey(salt, candidateFingerprint string) string {
 }
 
 // FuzzKey addresses one StageFuzz campaign: the program, the kernel,
-// and every option that shapes the campaign's outcome. Observers never
-// change what a campaign computes.
-func FuzzKey(unitFingerprint, kernel string, seed int64, maxExecs, plateau int, hostMain string, typedMutation bool, maxStepsPerExec int64) string {
+// and every resolved option that shapes the campaign's outcome, with
+// typed true unless the mutation is untyped and steps the per-execution
+// step budget. Observers never change what a campaign computes.
+func FuzzKey(unitFingerprint, kernel string, seed int64, maxExecs, plateau int, hostMain string, typed bool, steps int64) string {
 	return Fingerprint("fuzz", unitFingerprint, kernel,
-		fmt.Sprintf("%d|%d|%d|%t|%d", seed, maxExecs, plateau, typedMutation, maxStepsPerExec),
+		fmt.Sprintf("%d|%d|%d|%t|%d", seed, maxExecs, plateau, typed, steps),
 		hostMain)
 }

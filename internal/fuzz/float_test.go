@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hetero/heterogen/internal/cparser"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
 func TestFloatKernelCampaign(t *testing.T) {
@@ -21,7 +22,7 @@ float kernel(float in[16], float out[16], float gain) {
     if (gain < 0.0) { return 0.0 - acc; }
     return acc;
 }`)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,8 @@ func TestCampaignStopsOnPlateau(t *testing.T) {
 	// A branchless kernel saturates immediately; the plateau rule must
 	// stop the campaign well before MaxExecs.
 	u := cparser.MustParse(`int kernel(int x) { return x * 3; }`)
-	opts := DefaultOptions()
-	opts.MaxExecs = 100000
-	opts.Plateau = 50
-	camp, err := RunContext(context.Background(), u, "kernel", opts)
+	opts := Options{MaxExecs: 100000, Plateau: 50}
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestCampaignStopsOnPlateau(t *testing.T) {
 
 func TestMinimizeKeepsCoverage(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

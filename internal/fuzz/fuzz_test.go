@@ -12,6 +12,7 @@ import (
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
 const branchy = `
@@ -76,7 +77,7 @@ void kernel(int m[4][8]) {
 
 func TestCampaignCoversBranches(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestCampaignCoversBranches(t *testing.T) {
 
 func TestCampaignDeterministic(t *testing.T) {
 	u := cparser.MustParse(branchy)
-	a, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	a, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	b, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,7 @@ int host() {
     int staged = 4242;
     return kernel(staged);
 }`)
-	opts := DefaultOptions()
-	opts.HostMain = "host"
-	camp, err := RunContext(context.Background(), u, "kernel", opts)
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "host", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ int kernel(fpga_uint<7> x) {
     if (x > 100) { return 1; }
     return 0;
 }`)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ int kernel(int x) {
     if (x > 0 && x < 100) { return a[x % 8]; }
     return 10 / x;
 }`)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +255,7 @@ func TestMutationPreservesShape(t *testing.T) {
 void kernel(float in[8], float out[8]) {
     for (int i = 0; i < 8; i++) { out[i] = in[i]; }
 }`)
-	camp, err := RunContext(context.Background(), u, "kernel", DefaultOptions())
+	camp, err := RunContext(context.Background(), stage.Env{}, u, "kernel", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +271,7 @@ void kernel(float in[8], float out[8]) {
 func traceCampaign(u *cast.Unit, kernel string, opts Options) (Campaign, []byte, error) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	opts.Obs = tw
-	camp, err := RunContext(context.Background(), u, kernel, opts)
+	camp, err := RunContext(context.Background(), stage.Env{Obs: tw}, u, kernel, "", opts)
 	if err != nil {
 		return Campaign{}, nil, err
 	}
@@ -339,9 +337,7 @@ int kernel(int x) {
 	}
 	for name, src := range kernels {
 		t.Run(name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.MaxExecs = 600
-			opts.Plateau = 200
+			opts := Options{MaxExecs: 600, Plateau: 200}
 			alone, aloneTrace := tracedRun(t, cparser.MustParse(src), "kernel", opts)
 			// One fuzz_exec event per execution.
 			if n := bytes.Count(aloneTrace, []byte(`"type":"fuzz_exec"`)); n != alone.Execs {
@@ -384,9 +380,7 @@ func TestCampaignPlateauFlag(t *testing.T) {
 int kernel(int x) {
     return x + 1;
 }`
-	opts := DefaultOptions()
-	opts.MaxExecs = 200
-	opts.Plateau = 40
+	opts := Options{MaxExecs: 200, Plateau: 40}
 	camp, trace := tracedRun(t, cparser.MustParse(src), "kernel", opts)
 	if !camp.Plateaued {
 		t.Fatalf("straight-line kernel should plateau: %d/%d execs", camp.Execs, opts.MaxExecs)

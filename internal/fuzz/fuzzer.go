@@ -7,65 +7,48 @@ import (
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/evalcache"
-	"github.com/hetero/heterogen/internal/guard"
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
-// Options configures a fuzzing campaign.
+// Options configures a fuzzing campaign. An unset field means the
+// paper's value, so the zero value is the standard campaign.
 type Options struct {
-	// Seed fixes the mutation RNG for reproducibility.
+	// Seed fixes the mutation RNG for reproducibility (0 means 1).
 	Seed int64
-	// MaxExecs bounds total kernel executions (default 4000).
+	// MaxExecs bounds total kernel executions (0 means 4000).
 	MaxExecs int
 	// Plateau stops the campaign after this many consecutive executions
-	// without new coverage (default 600) — the analog of the paper's
+	// without new coverage (0 means 600) — the analog of the paper's
 	// "30 minutes since the last new path" stopping rule.
 	Plateau int
-	// HostMain, when set, is executed first to capture kernel-entry seeds
-	// (Algorithm 1's getKernelSeed). When empty, seeding is random.
-	HostMain string
-	// TypedMutation disables the HLS-type-validity filter when false
-	// (used by the ablation benchmarks).
-	TypedMutation bool
-	// MaxStepsPerExec bounds one kernel execution. A guard step budget
-	// (guard.Options.InterpSteps), when set, replaces it.
-	MaxStepsPerExec int64
-	// Obs receives one structured event per execution plus a campaign
-	// summary (and a plateau warning when the campaign stalls before
-	// MaxExecs). Nil disables observation.
-	Obs obs.Observer
-	// Cache, when non-nil, memoizes whole campaigns on a fingerprint of
-	// (program fingerprint, kernel, Seed, MaxExecs, Plateau, HostMain,
-	// TypedMutation, MaxStepsPerExec) — everything that shapes the
-	// outcome; observers are excluded. A hit returns the stored
-	// campaign, replaying its recorded event stream when tracing, so
-	// results and traces are byte-identical to a cold run. An entry
-	// stored by an untraced run carries no events and cannot serve a
-	// traced run: that lookup misses and the recomputed campaign
-	// overwrites the entry. Nil disables memoization.
-	Cache *evalcache.Cache
-	// Guard contains kernel-execution failures: an input whose execution
-	// panics outside the interpreter's own fault model (or overruns the
-	// guard deadline) is dropped — it contributes no coverage and is
-	// never retained — instead of killing the campaign. A nil guard
-	// still contains panics; failure decisions are keyed on the test
-	// case's content, so a fault schedule is reproducible. When the guard
-	// injects faults, the campaign cache is bypassed entirely and
-	// campaigns that contained failures are never memoized.
-	Guard *guard.Guard
+	// UntypedMutation disables the HLS-type-validity filter (the
+	// ablation benchmarks).
+	UntypedMutation bool
 }
 
-// DefaultOptions returns the standard campaign configuration.
-func DefaultOptions() Options {
-	return Options{
-		Seed:            1,
-		MaxExecs:        4000,
-		Plateau:         600,
-		TypedMutation:   true,
-		MaxStepsPerExec: 2_000_000,
+// stepsPerExec bounds one kernel execution when the guard sets no
+// step budget (guard.Options.InterpSteps).
+const stepsPerExec = 2_000_000
+
+// withDefaults resolves every unset field to the paper's value.
+func (o Options) withDefaults() Options {
+	if o.Seed == 0 {
+		o.Seed = 1
 	}
+	if o.MaxExecs == 0 {
+		o.MaxExecs = 4000
+	}
+	if o.Plateau == 0 {
+		o.Plateau = 600
+	}
+	return o
 }
+
+// DefaultOptions returns the standard campaign configuration, equal in
+// effect to the zero value.
+func DefaultOptions() Options { return Options{}.withDefaults() }
 
 // Campaign is the result of a fuzzing run.
 type Campaign struct {
@@ -89,7 +72,7 @@ type Campaign struct {
 	// the last new path". Callers should surface this: the generated
 	// suite may under-cover the kernel.
 	Plateaued bool
-	// StageFailures counts executions contained by Options.Guard (they
+	// StageFailures counts executions contained by the guard (they
 	// consumed budget but contributed nothing). A campaign with
 	// StageFailures > 0 is never memoized.
 	StageFailures int
@@ -100,38 +83,54 @@ type Campaign struct {
 const execVirtualSeconds = 0.9
 
 // RunContext executes a fuzzing campaign against the kernel of u, with
-// cooperative cancellation. The context is checked at execution commit
-// points: when it is cancelled the
-// campaign stops where it is and returns the corpus gathered so far
-// with a nil error (a partial campaign is still a usable test suite —
-// callers that must distinguish inspect ctx.Err themselves). Cancelled
-// campaigns are never cached.
-func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) (Campaign, error) {
-	if opts.MaxExecs == 0 {
-		opts.MaxExecs = 4000
-	}
-	if opts.Plateau == 0 {
-		opts.Plateau = 600
-	}
-	if steps := opts.Guard.InterpSteps(); steps != 0 {
-		opts.MaxStepsPerExec = steps
-	} else if opts.MaxStepsPerExec == 0 {
-		opts.MaxStepsPerExec = 2_000_000
+// cooperative cancellation. hostMain, when set, names a host entry
+// point executed first to capture kernel-entry seeds (Algorithm 1's
+// getKernelSeed); when empty, seeding is random.
+//
+// env.Obs receives one structured event per execution plus a campaign
+// summary (and a plateau warning when the campaign stalls before
+// MaxExecs). env.Guard contains kernel-execution failures: an input
+// whose execution panics outside the interpreter's own fault model (or
+// overruns the guard deadline) is dropped — it contributes no coverage
+// and is never retained — instead of killing the campaign; failure
+// decisions are keyed on the test case's content, so a fault schedule
+// is reproducible. env.Cache memoizes whole campaigns on a fingerprint
+// of everything that shapes the outcome (program, kernel, resolved
+// options, hostMain, step budget); a hit returns the stored campaign,
+// replaying its recorded event stream when tracing, so results and
+// traces are byte-identical to a cold run. An entry stored by an
+// untraced run carries no events and cannot serve a traced run: that
+// lookup misses and the recomputed campaign overwrites the entry. When
+// the guard injects faults the cache is bypassed entirely, and
+// campaigns that contained failures are never memoized.
+//
+// The context is checked at execution commit points: when it is
+// cancelled the campaign stops where it is and returns the corpus
+// gathered so far with a nil error (a partial campaign is still a
+// usable test suite — callers that must distinguish inspect ctx.Err
+// themselves). Cancelled campaigns are never cached.
+func RunContext(ctx context.Context, env stage.Env, u *cast.Unit, kernel, hostMain string, opts Options) (Campaign, error) {
+	opts = opts.withDefaults()
+	typed := !opts.UntypedMutation
+	steps := env.Guard.InterpSteps()
+	if steps == 0 {
+		steps = stepsPerExec
 	}
 	sp, err := SpecOf(u, kernel)
 	if err != nil {
 		return Campaign{}, err
 	}
 
-	o := obs.OrNop(opts.Obs)
-	tracing := obs.Enabled(opts.Obs)
+	o := obs.OrNop(env.Obs)
+	tracing := obs.Enabled(env.Obs)
+	cache := env.Cache
 
 	// Fault injection bypasses the campaign cache in both directions: a
 	// memoized clean campaign would skip the very faults the injector
 	// plants, and an injected campaign must never be memoized as the
 	// verdict for this fingerprint.
-	if opts.Guard.Injecting() {
-		opts.Cache = nil
+	if env.Guard.Injecting() {
+		cache = nil
 	}
 
 	// Cache lookup: a memoized campaign short-circuits the whole run.
@@ -139,12 +138,12 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	// cannot serve this call — no event stream while tracing, or a
 	// shape that no longer decodes against the recomputed spec.
 	var cacheKey string
-	if opts.Cache != nil {
+	if cache != nil {
 		cacheKey = evalcache.FuzzKey(cast.FingerprintUnit(u), kernel, opts.Seed,
-			opts.MaxExecs, opts.Plateau, opts.HostMain, opts.TypedMutation, opts.MaxStepsPerExec)
+			opts.MaxExecs, opts.Plateau, hostMain, typed, steps)
 		var cc cachedCampaign
 		var restored Campaign
-		hit := opts.Cache.GetIf(evalcache.StageFuzz, cacheKey, &cc, func() bool {
+		hit := cache.GetIf(evalcache.StageFuzz, cacheKey, &cc, func() bool {
 			if tracing && !cc.HasEvents {
 				return false
 			}
@@ -166,7 +165,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	// Traced cold runs record their event stream into the cache entry
 	// so a warm replay can reproduce the trace byte-for-byte.
 	var rec *eventRecorder
-	if opts.Cache != nil && tracing {
+	if cache != nil && tracing {
 		rec = &eventRecorder{inner: o}
 		o = rec
 	}
@@ -185,7 +184,7 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	// contained failure dirtied, and the host run share one
 	// compiled-code cache.
 	code := interp.NewCodebase()
-	in, err := newCoverageInterp(u, code, opts.MaxStepsPerExec)
+	in, err := newCoverageInterp(u, code, steps)
 	if err != nil {
 		return Campaign{}, err
 	}
@@ -218,14 +217,14 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	commit := func(tc TestCase, seed bool) error {
 		camp.Execs++
 		camp.VirtualSeconds += execVirtualSeconds
-		res, discard, err := guardedRun(opts.Guard, u, in, kernel, opts.MaxStepsPerExec, tc)
+		res, discard, err := guardedRun(env.Guard, u, in, kernel, steps, tc)
 		if err != nil {
 			return err
 		}
 		if discard {
 			// A contained execution may have left the interpreter dirty,
 			// or a deadline-abandoned goroutine still writing to it.
-			if in, err = newCoverageInterp(u, code, opts.MaxStepsPerExec); err != nil {
+			if in, err = newCoverageInterp(u, code, steps); err != nil {
 				return err
 			}
 		}
@@ -254,8 +253,8 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	}
 
 	// Seed: host capture when available, else type-valid random.
-	if opts.HostMain != "" {
-		if seed, ok := captureHostSeed(u, kernel, opts.HostMain, sp, code); ok {
+	if hostMain != "" {
+		if seed, ok := captureHostSeed(u, kernel, hostMain, sp, code); ok {
 			queue = append(queue, seed)
 			camp.SeededFromHost = true
 		}
@@ -275,12 +274,12 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	for camp.Execs < opts.MaxExecs && sinceGain < opts.Plateau && ctx.Err() == nil {
 		// Pop a corpus entry (round-robin over the retained queue).
 		parent := queue[camp.Execs%len(queue)]
-		for _, child := range mutate(parent, sp, rng, opts.TypedMutation) {
+		for _, child := range mutate(parent, sp, rng, typed) {
 			if camp.Execs >= opts.MaxExecs || ctx.Err() != nil {
 				break
 			}
 			if !TypeValid(sp, child) {
-				if opts.TypedMutation {
+				if typed {
 					// The inserted type checker filters these for free.
 					continue
 				}
@@ -324,8 +323,8 @@ func RunContext(ctx context.Context, u *cast.Unit, kernel string, opts Options) 
 	// A cancelled campaign is partial, and one that contained failures
 	// reflects this run's environment, not the fingerprint's verdict:
 	// neither is memoized.
-	if opts.Cache != nil && ctx.Err() == nil && camp.StageFailures == 0 {
-		opts.Cache.Put(evalcache.StageFuzz, cacheKey, encodeCampaign(camp, rec))
+	if cache != nil && ctx.Err() == nil && camp.StageFailures == 0 {
+		cache.Put(evalcache.StageFuzz, cacheKey, encodeCampaign(camp, rec))
 	}
 	return camp, nil
 }

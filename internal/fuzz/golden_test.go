@@ -20,6 +20,7 @@ import (
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/obs"
 	"github.com/hetero/heterogen/internal/profile"
+	"github.com/hetero/heterogen/internal/stage"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
@@ -31,7 +32,7 @@ import (
 // over the campaign's tests. The budget is the repository benchmark's
 // transpile_suite budget. Three more fixtures pin campaign shapes no
 // subject reaches: crashy (crashing children gain coverage but are
-// never retained), untyped (the TypedMutation ablation, which executes
+// never retained), untyped (the UntypedMutation ablation, which executes
 // type-invalid children) and chaos (injected interpreter faults). A
 // change that moves any byte of any fixture changes what the pipeline
 // feeds the repair search. Regenerate with `make golden` (go test
@@ -41,30 +42,25 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current campaigns instead of comparing")
 
 // goldenOptions is the transpile_suite fuzz budget.
-func goldenOptions(s subjects.Subject) fuzz.Options {
-	opts := fuzz.DefaultOptions()
-	opts.Seed, opts.MaxExecs, opts.Plateau = 1, 24, 90
-	opts.HostMain = s.HostMain
-	return opts
-}
+var goldenOptions = fuzz.Options{MaxExecs: 24, Plateau: 90}
 
-// goldenCase is one recorded campaign: its fixture name, program and
-// options.
+// goldenCase is one recorded campaign: its fixture name, program, host
+// entry point, options and guard.
 type goldenCase struct {
-	id, kernel, src string
-	opts            fuzz.Options
+	id, kernel, src, hostMain string
+	opts                      fuzz.Options
+	guard                     *guard.Guard
 }
 
 func subjectCase(s subjects.Subject) goldenCase {
-	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, opts: goldenOptions(s)}
+	return goldenCase{id: s.ID, kernel: s.Kernel, src: s.Source, hostMain: s.HostMain, opts: goldenOptions}
 }
 
 // crashyCase's kernel crashes on some inputs: crashed children still
 // add coverage, but the repair oracle needs clean reference outputs, so
 // they are never retained.
 func crashyCase() goldenCase {
-	opts := fuzz.DefaultOptions()
-	opts.MaxExecs, opts.Plateau = 600, 200
+	opts := fuzz.Options{MaxExecs: 600, Plateau: 200}
 	return goldenCase{id: "crashy", kernel: "kernel", opts: opts, src: `
 int kernel(int x) {
     int a[8];
@@ -73,13 +69,11 @@ int kernel(int x) {
 }`}
 }
 
-// untypedCase is the TypedMutation ablation: type-invalid children
+// untypedCase is the UntypedMutation ablation: type-invalid children
 // are executed (and die at the kernel entry) instead of being filtered
 // for free, a different schedule shape.
 func untypedCase() goldenCase {
-	opts := fuzz.DefaultOptions()
-	opts.MaxExecs, opts.Plateau = 400, 150
-	opts.TypedMutation = false
+	opts := fuzz.Options{MaxExecs: 400, Plateau: 150, UntypedMutation: true}
 	return goldenCase{id: "untyped", kernel: "kernel", opts: opts, src: `
 int kernel(fpga_uint<7> x) {
     if (x > 100) { return 1; }
@@ -99,12 +93,11 @@ int kernel(int x, int y) {
     if (x == 7) { r += 1000; }
     for (int i = 0; i < y % 8; i++) { r += i; }
     return r;
-}`, opts: fuzz.Options{
-		Seed: 1, MaxExecs: 120, Plateau: 50, TypedMutation: true,
-		Guard: guard.New(guard.Options{
+}`, opts: fuzz.Options{MaxExecs: 120, Plateau: 50},
+		guard: guard.New(guard.Options{
 			Injector: chaos.New(chaos.Options{Seed: 11, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
 		}),
-	}}
+	}
 }
 
 // goldenTest records one test case: its diagnostic summary and a digest
@@ -166,9 +159,7 @@ func runGoldenCase(t *testing.T, c goldenCase) (fuzz.Campaign, []byte, []byte) {
 	u := cparser.MustParse(c.src)
 	var trace bytes.Buffer
 	tw := obs.NewTraceWriter(&trace)
-	opts := c.opts
-	opts.Obs = tw
-	camp, err := fuzz.RunContext(context.Background(), u, c.kernel, opts)
+	camp, err := fuzz.RunContext(context.Background(), stage.Env{Obs: tw, Guard: c.guard}, u, c.kernel, c.hostMain, c.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,12 +294,10 @@ int kernel(int a[16]) {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		camp, err := fuzz.RunContext(context.Background(), u, "kernel", fuzz.Options{
-			Seed: 1, MaxExecs: 60, Plateau: 60, TypedMutation: true,
-			Guard: guard.New(guard.Options{
-				Injector: chaos.New(chaos.Options{Seed: seed, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
-			}),
+		g := guard.New(guard.Options{
+			Injector: chaos.New(chaos.Options{Seed: seed, Rate: 0.3, Stages: []guard.Stage{guard.StageInterp}}),
 		})
+		camp, err := fuzz.RunContext(context.Background(), stage.Env{Guard: g}, u, "kernel", "", fuzz.Options{MaxExecs: 60, Plateau: 60})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,17 +7,16 @@ import (
 	"github.com/hetero/heterogen/internal/chaos"
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/guard"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
 // TestCampaignAllExecsCrashingStillReturns pins the worst case: every
 // execution panics, yet the campaign terminates with a structured
 // result (the seed corpus, zero coverage) instead of a process panic.
 func TestCampaignAllExecsCrashingStillReturns(t *testing.T) {
-	opts := Options{
-		Seed: 1, MaxExecs: 60, Plateau: 30, TypedMutation: true,
-		Guard: guard.New(guard.Options{Injector: chaos.Always(guard.StageInterp, guard.ClassPanic)}),
-	}
-	camp, err := RunContext(context.Background(), cparser.MustParse(branchy), "kernel", opts)
+	g := guard.New(guard.Options{Injector: chaos.Always(guard.StageInterp, guard.ClassPanic)})
+	camp, err := RunContext(context.Background(), stage.Env{Guard: g}, cparser.MustParse(branchy), "kernel", "",
+		Options{MaxExecs: 60, Plateau: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

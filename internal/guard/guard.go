@@ -140,12 +140,13 @@ type Options struct {
 	// finishes in the background) and classified ClassDeadline.
 	StageDeadline time.Duration
 	// InterpSteps is the interpreter step budget of execution-backed
-	// stages: when set, it bounds every fuzz execution and both sides of
-	// every differential test, replacing fuzz.Options.MaxStepsPerExec
-	// and repair.Options.InterpSteps. The guard itself does not enforce
-	// it — it is configuration transport, surfaced via the InterpSteps
-	// accessor and read by the fuzz and repair engines. 0 keeps the
-	// per-package defaults.
+	// stages, and the only one: when set, it bounds every fuzz
+	// execution and both sides of every differential test. The guard
+	// itself does not enforce it — it is configuration transport,
+	// surfaced via the InterpSteps accessor and read by the fuzz and
+	// repair engines. 0 keeps the stage defaults (2 M steps per fuzz
+	// execution, the interpreter's own default inside the differential
+	// test).
 	InterpSteps int64
 	// QuarantineDir, when non-empty, receives progen.Reduce-minimized
 	// reproducers of deterministic failures (see quarantine.go); ""

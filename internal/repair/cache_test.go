@@ -19,7 +19,7 @@ func TestSearchCacheParity(t *testing.T) {
 		orig, initial, kernel, tests := subjectInputs(t, id)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", id, workers), func(t *testing.T) {
-				opts := DefaultOptions()
+				var opts searchOpts
 				opts.Workers = workers
 				base, baseTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
 
@@ -27,7 +27,7 @@ func TestSearchCacheParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.Cache = cache
+				opts.env.Cache = cache
 				cold, coldTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
 				before := cache.Stats()
 				warm, warmTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)

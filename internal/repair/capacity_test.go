@@ -55,16 +55,16 @@ void kernel(int a[64], int b[64]) {
 	tests := []fuzz.TestCase{mk()}
 
 	// Default target: the large part leaves room to partition freely.
-	free := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, DefaultOptions())
+	free := search(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, searchOpts{})
 	if !free.Compatible || !free.BehaviorOK {
 		t.Fatalf("unconstrained search failed: %v", free.Remaining)
 	}
 	freeRes := sim.Estimate(free.Unit)
 
 	// Tiny device: whatever the search accepts must fit.
-	opts := DefaultOptions()
-	opts.Targets = tinyTarget
-	gated := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, opts)
+	var opts searchOpts
+	opts.targets = tinyTarget
+	gated := search(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel", tests, opts)
 	if !gated.Compatible || !gated.BehaviorOK {
 		t.Fatalf("gated search failed: %v / %v", gated.Remaining, gated.Stats.EditLog)
 	}
@@ -102,10 +102,10 @@ int kernel(int x) {
     huge[0] = x;
     return huge[0];
 }`
-	opts := DefaultOptions()
-	opts.Targets = tinyTarget
+	var opts searchOpts
+	opts.targets = tinyTarget
 	opts.MaxIterations = 4
-	res := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
+	res := search(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
 		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
 	assertOverUtilized(t, res)
 }
@@ -127,9 +127,9 @@ int kernel(int x) {
 	if ok, _ := sim.CheckCapacity(sim.Estimate(cparser.MustParse(src)), def.Cap); ok {
 		t.Fatal("test design must over-utilize xcvu9p")
 	}
-	opts := DefaultOptions()
+	var opts searchOpts
 	opts.MaxIterations = 4
-	res := SearchContext(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
+	res := search(context.Background(), cparser.MustParse(src), cparser.MustParse(src), "kernel",
 		[]fuzz.TestCase{{Args: []fuzz.Arg{{Scalar: true, Ints: []int64{1}, Width: 32}}}}, opts)
 	assertOverUtilized(t, res)
 	if len(res.PerTarget) != 0 {

@@ -175,9 +175,14 @@ func candSig(c Candidate) string {
 }
 
 // checkpointKey fingerprints every input the enumeration and the
-// outcomes depend on. Workers and Cache are excluded on purpose: both
-// are proven to leave results byte-identical.
-func checkpointKey(opts Options, original, initial *cast.Unit, kernel string, tests []fuzz.TestCase) string {
+// outcomes depend on: the resolved options (in the positive sense the
+// key has always used: style checker, dependence order and performance
+// exploration on unless disabled), the step budget, the named target
+// set (nil when untargeted), and the search's program and test inputs.
+// Workers and Cache are excluded on purpose: both are proven to leave
+// results byte-identical.
+func checkpointKey(opts Options, steps int64, targets []hls.ResolvedTarget,
+	original, initial *cast.Unit, kernel string, tests []fuzz.TestCase) string {
 	classes := make([]string, 0, len(opts.ClassFilter))
 	for c, ok := range opts.ClassFilter {
 		if ok {
@@ -185,17 +190,17 @@ func checkpointKey(opts Options, original, initial *cast.Unit, kernel string, te
 		}
 	}
 	sort.Strings(classes)
-	targets := make([]string, len(opts.Targets))
-	for i, t := range opts.Targets {
-		targets[i] = t.String()
+	names := make([]string, len(targets))
+	for i, t := range targets {
+		names[i] = t.Name()
 	}
 	return evalcache.Fingerprint(
 		fmt.Sprintf("repair-ckpt-v%d", ckptVersion),
 		fmt.Sprintf("budget=%v style=%t dep=%t perf=%t seed=%d maxiter=%d isteps=%d",
-			opts.Budget, opts.UseStyleChecker, opts.UseDependence, opts.PerfExploration,
-			opts.Seed, opts.MaxIterations, opts.InterpSteps),
+			opts.Budget, !opts.WithoutChecker, !opts.WithoutDependence, !opts.WithoutPerfExploration,
+			opts.Seed, opts.MaxIterations, steps),
 		strings.Join(classes, ","),
-		strings.Join(targets, ","),
+		strings.Join(names, ","),
 		kernel,
 		cast.Print(original),
 		cast.Print(initial),

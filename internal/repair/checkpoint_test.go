@@ -34,15 +34,15 @@ func (c *candCanceller) Emit(e obs.Event) {
 }
 
 // tracedSearchCtx is tracedSearch with a caller context.
-func tracedSearchCtx(ctx context.Context, orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts Options, extra obs.Observer) (Result, []byte) {
+func tracedSearchCtx(ctx context.Context, orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts searchOpts, extra obs.Observer) (Result, []byte) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	if extra != nil {
-		opts.Obs = obs.Multi(tw, extra)
+		opts.env.Obs = obs.Multi(tw, extra)
 	} else {
-		opts.Obs = tw
+		opts.env.Obs = tw
 	}
-	res := SearchContext(ctx, orig, initial, kernel, tests, opts)
+	res := search(ctx, orig, initial, kernel, tests, opts)
 	if err := tw.Flush(); err != nil {
 		panic(err)
 	}
@@ -74,10 +74,10 @@ func TestCheckpointColdParity(t *testing.T) {
 	for _, id := range paritySubjects() {
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
-			plain, plainTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, DefaultOptions())
+			plain, plainTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, searchOpts{})
 
 			for _, workers := range []int{1, 4} {
-				opts := DefaultOptions()
+				var opts searchOpts
 				opts.Workers = workers
 				opts.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 				ck, ckTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
@@ -100,12 +100,12 @@ func TestCheckpointResumeParity(t *testing.T) {
 	for _, id := range paritySubjects() {
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
-			control, controlTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, DefaultOptions())
+			control, controlTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, searchOpts{})
 
 			for _, workers := range []int{1, 4} {
 				for _, stop := range stops {
 					name := fmt.Sprintf("workers=%d/stop=%d", workers, stop)
-					opts := DefaultOptions()
+					var opts searchOpts
 					opts.Workers = workers
 					opts.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 
@@ -138,8 +138,8 @@ func TestCheckpointResumeCacheAndTargets(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
 
-			base := DefaultOptions()
-			base.Targets = targets
+			var base searchOpts
+			base.targets = targets
 			base.Workers = 4
 			control, controlTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, base)
 
@@ -148,7 +148,7 @@ func TestCheckpointResumeCacheAndTargets(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := base
-			opts.Cache = cache
+			opts.env.Cache = cache
 			opts.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -174,8 +174,8 @@ func TestCheckpointStaleKeyDiscarded(t *testing.T) {
 	orig, initial, kernel, tests := subjectInputs(t, "P2")
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 
-	optsA := DefaultOptions()
-	optsA.UseDependence = false // consults the rng, so Seed matters
+	var optsA searchOpts
+	optsA.WithoutDependence = true // consults the rng, so Seed matters
 	optsA.Seed = 1
 	optsA.CheckpointPath = path
 	tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, optsA)
@@ -196,9 +196,9 @@ func TestCheckpointStaleKeyDiscarded(t *testing.T) {
 // replays and the resumed run stays byte-identical.
 func TestCheckpointCorruptTail(t *testing.T) {
 	orig, initial, kernel, tests := subjectInputs(t, "P2")
-	control, controlTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, DefaultOptions())
+	control, controlTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, searchOpts{})
 
-	opts := DefaultOptions()
+	var opts searchOpts
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	tracedSearchCtx(ctx, orig, cast.CloneUnit(initial), kernel, tests, opts,
@@ -230,7 +230,7 @@ func TestCheckpointCorruptTail(t *testing.T) {
 // the whole point of persisting outcomes.
 func TestCheckpointResumeSkipsRecomputation(t *testing.T) {
 	orig, initial, kernel, tests := subjectInputs(t, "P2")
-	opts := DefaultOptions()
+	var opts searchOpts
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "search.ckpt")
 	first, firstTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
 
@@ -240,7 +240,7 @@ func TestCheckpointResumeSkipsRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Cache = cache
+	opts.env.Cache = cache
 	second, secondTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
 	assertIdentical(t, "full-replay", first, second)
 	assertTracesIdentical(t, "full-replay", firstTrace, secondTrace)

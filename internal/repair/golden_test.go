@@ -28,7 +28,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current search instead of comparing")
 
 // goldenCase is one recorded search: an evaluation subject (or "fig2",
-// the paper's Figure 2 tree kernel) under DefaultOptions, optionally
+// the paper's Figure 2 tree kernel) under the zero Options, optionally
 // with an explicit target set.
 type goldenCase struct {
 	subject string
@@ -51,10 +51,10 @@ func (c goldenCase) inputs(t *testing.T) (orig, initial *cast.Unit, kernel strin
 	return subjectInputs(t, c.subject)
 }
 
-func (c goldenCase) options(t *testing.T) Options {
-	opts := DefaultOptions()
+func (c goldenCase) options(t *testing.T) searchOpts {
+	var opts searchOpts
 	if len(c.targets) > 0 {
-		opts.Targets = mustTargets(t, c.targets...)
+		opts.targets = mustTargets(t, c.targets...)
 	}
 	return opts
 }
@@ -121,7 +121,7 @@ func goldenPath(c goldenCase, ext string) string {
 
 // runGolden runs the case's search, with mutate (when non-nil) applied
 // to its options, and returns the result and its trace.
-func runGolden(t *testing.T, c goldenCase, mutate func(*Options)) (Result, []byte) {
+func runGolden(t *testing.T, c goldenCase, mutate func(*searchOpts)) (Result, []byte) {
 	t.Helper()
 	orig, initial, kernel, tests := c.inputs(t)
 	opts := c.options(t)
@@ -177,7 +177,7 @@ func TestFastEvalParity(t *testing.T) {
 			recordGolden(t, c, seq, seqTrace)
 			assertGolden(t, c, "workers=1", seq, seqTrace)
 
-			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			par, parTrace := runGolden(t, c, func(o *searchOpts) { o.Workers = 4 })
 			assertGolden(t, c, "workers=4", par, parTrace)
 		})
 	}
@@ -192,7 +192,7 @@ func TestFastEvalTargetsParity(t *testing.T) {
 			recordGolden(t, c, seq, seqTrace)
 			assertGolden(t, c, "workers=1", seq, seqTrace)
 
-			par, parTrace := runGolden(t, c, func(o *Options) { o.Workers = 4 })
+			par, parTrace := runGolden(t, c, func(o *searchOpts) { o.Workers = 4 })
 			assertGolden(t, c, "workers=4", par, parTrace)
 		})
 	}
@@ -211,7 +211,7 @@ func TestFastEvalCacheParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				withCache := func(o *Options) { o.Workers, o.Cache = workers, cache }
+				withCache := func(o *searchOpts) { o.Workers, o.env.Cache = workers, cache }
 				cold, coldTrace := runGolden(t, c, withCache)
 				before := cache.Stats()
 				warm, warmTrace := runGolden(t, c, withCache)

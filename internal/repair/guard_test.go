@@ -29,12 +29,12 @@ func TestSearchSurvivesCrashingCandidates(t *testing.T) {
 	}
 	orig := cparser.MustParse(treeKernel)
 	run := func(workers int) (Result, []byte) {
-		opts := DefaultOptions()
+		var opts searchOpts
 		opts.Workers = workers
 		// One guard per run: its once-per-(stage,class) bookkeeping is
 		// instance state, and sharing it across runs would be fine but
 		// makes failure attribution in this test murkier.
-		opts.Guard = newGuard()
+		opts.env.Guard = newGuard()
 		return tracedSearch(orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 	}
 
@@ -58,12 +58,12 @@ func TestSearchSurvivesCrashingCandidates(t *testing.T) {
 // everything with a stage-failure reason, and hand back the initial
 // version rather than abort.
 func TestSearchAllCandidatesCrashingStillReturns(t *testing.T) {
-	opts := DefaultOptions()
+	var opts searchOpts
 	opts.MaxIterations = 6
-	opts.Guard = guard.New(guard.Options{Injector: chaos.Always(guard.StageCheck, guard.ClassPanic)})
+	opts.env.Guard = guard.New(guard.Options{Injector: chaos.Always(guard.StageCheck, guard.ClassPanic)})
 	orig := cparser.MustParse(treeKernel)
 	initial := cparser.MustParse(treeKernel)
-	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), opts)
+	res := search(context.Background(), orig, initial, "kernel", treeTests(), opts)
 	if res.Compatible {
 		t.Error("nothing can pass a crashing checker")
 	}

@@ -12,16 +12,38 @@ import (
 	"github.com/hetero/heterogen/internal/fuzz"
 	"github.com/hetero/heterogen/internal/hls"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/stage"
 	"github.com/hetero/heterogen/internal/subjects"
 )
 
-// tracedSearch runs SearchContext with a JSONL trace writer attached and
+// searchOpts is one search's options plus what core passes beside them:
+// the run's environment and its target set, resolved by search.
+type searchOpts struct {
+	Options
+	env     stage.Env
+	targets []hls.Target
+}
+
+// search runs SearchContext under o, resolving o.targets as core does
+// (an empty set stays untargeted).
+func search(ctx context.Context, orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, o searchOpts) Result {
+	var targets []hls.ResolvedTarget
+	if len(o.targets) > 0 {
+		var err error
+		if targets, err = hls.ResolveTargets(o.targets); err != nil {
+			panic(err)
+		}
+	}
+	return SearchContext(ctx, o.env, orig, initial, kernel, tests, targets, o.Options)
+}
+
+// tracedSearch runs a search with a JSONL trace writer attached and
 // returns the result plus the raw trace bytes.
-func tracedSearch(orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts Options) (Result, []byte) {
+func tracedSearch(orig, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts searchOpts) (Result, []byte) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	opts.Obs = tw
-	res := SearchContext(context.Background(), orig, initial, kernel, tests, opts)
+	opts.env.Obs = tw
+	res := search(context.Background(), orig, initial, kernel, tests, opts)
 	if err := tw.Flush(); err != nil {
 		panic(err)
 	}
@@ -66,10 +88,8 @@ func subjectInputs(t *testing.T, id string) (orig, initial *cast.Unit, kernel st
 	defer suitesMu.Unlock()
 	suite, ok := suites[id]
 	if !ok {
-		fopts := fuzz.DefaultOptions()
-		fopts.MaxExecs = 150
-		fopts.Plateau = 60
-		camp, err := fuzz.RunContext(context.Background(), orig, s.Kernel, fopts)
+		camp, err := fuzz.RunContext(context.Background(), stage.Env{}, orig, s.Kernel, "",
+			fuzz.Options{MaxExecs: 150, Plateau: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +145,7 @@ func TestParallelSearchDeterminism(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
-			opts := DefaultOptions()
+			var opts searchOpts
 			opts.Workers = 1
 			seq, seqTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, opts)
 			opts.Workers = 4
@@ -142,14 +162,14 @@ func TestParallelSearchDeterminism(t *testing.T) {
 // too.
 func TestParallelSearchDeterminismWithoutDependence(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
-	opts := DefaultOptions()
-	opts.UseDependence = false
+	var opts searchOpts
+	opts.WithoutDependence = true
 	opts.Budget = 12 * 3600
 	opts.MaxIterations = 96
 	opts.Workers = 1
-	seq := SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+	seq := search(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 	opts.Workers = 4
-	par := SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+	par := search(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 	assertIdentical(t, "tree/WithoutDependence", seq, par)
 }
 
@@ -160,7 +180,7 @@ func TestParallelSearchDeterminismWithoutDependence(t *testing.T) {
 func TestParallelSearchDeterminismTightBudget(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
 	for _, budget := range []hls.VirtualCost{120, 400, 900} {
-		opts := DefaultOptions()
+		var opts searchOpts
 		opts.Budget = budget
 		opts.Workers = 1
 		seq, seqTrace := tracedSearch(orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
@@ -183,9 +203,9 @@ func TestParallelPoolContention(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := DefaultOptions()
+			var opts searchOpts
 			opts.Workers = 8
-			results[i] = SearchContext(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
+			results[i] = search(context.Background(), orig, cparser.MustParse(treeKernel), "kernel", treeTests(), opts)
 		}(i)
 	}
 	wg.Wait()

@@ -17,25 +17,28 @@ import (
 	"github.com/hetero/heterogen/internal/hls/stylecheck"
 	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/obs"
+	"github.com/hetero/heterogen/internal/stage"
 )
 
-// Options configures the repair search.
+// Options configures the repair search. An unset field means the
+// paper's value, so the zero value is the full HeteroGen search.
 type Options struct {
-	// Budget is the virtual wall-clock limit in seconds (the paper uses a
-	// three-hour limit; WithoutDependence gets twelve before it is
+	// Budget is the virtual wall-clock limit in seconds (0 means the
+	// paper's three hours; WithoutDependence gets twelve before it is
 	// declared failed).
 	Budget hls.VirtualCost
-	// UseStyleChecker enables early rejection via the lightweight
-	// frontend (§5.3). Disabling it is the WithoutChecker ablation.
-	UseStyleChecker bool
-	// UseDependence enables dependence-ordered chain enumeration.
-	// Disabling it is the WithoutDependence ablation (random order).
-	UseDependence bool
-	// PerfExploration keeps searching for performance edits after all
-	// compatibility errors are fixed.
-	PerfExploration bool
-	// Seed seeds all randomness in the search, so a run is bit-for-bit
-	// reproducible for a given (options, program, tests) triple.
+	// WithoutChecker disables early rejection via the lightweight
+	// frontend (§5.3): the WithoutChecker ablation.
+	WithoutChecker bool
+	// WithoutDependence replaces dependence-ordered chain enumeration
+	// with a random order: the WithoutDependence ablation.
+	WithoutDependence bool
+	// WithoutPerfExploration stops the search once all compatibility
+	// errors are fixed instead of searching on for performance edits.
+	WithoutPerfExploration bool
+	// Seed seeds all randomness in the search (0 means 1), so a run is
+	// bit-for-bit reproducible for a given (options, program, tests)
+	// triple.
 	//
 	// The dependence-guided path consults no randomness at all: chains
 	// are enumerated in registry order, so its results depend only on
@@ -58,58 +61,12 @@ type Options struct {
 	// is committed in that same order, so accepted edits, final program,
 	// and Stats do not depend on Workers.
 	Workers int
-	// MaxIterations is a safety bound on accepted edits.
+	// MaxIterations is a safety bound on accepted edits (0 means 64).
 	MaxIterations int
 	// ClassFilter, when non-nil, restricts the search to templates of the
 	// allowed error classes — how the HeteroRefactor baseline's
 	// dynamic-data-only scope is modelled.
 	ClassFilter map[hls.ErrorClass]bool
-	// Targets is the (backend, device) set the design must fit; empty
-	// means [hls.DefaultTarget()]. Candidate fitness is a per-device
-	// vector over the resolved set (see targets.go): the capacity gate
-	// runs against every profile — a candidate whose resource estimate
-	// over-utilizes a device fails evaluation like any other diagnostic,
-	// so the search backs off to cheaper partition factors — and compile
-	// cost is charged per target. Targets[0] is the primary target: it
-	// provides the toolchain config, the diagnostic dialect of
-	// Remaining, and the cache salts. Naming targets explicitly adds the
-	// per-device verdict table and the latency/resource Pareto archive
-	// to the Result; apart from those two fields, an explicit single
-	// default target and an empty set give identical results and traces.
-	Targets []hls.Target
-	// Obs receives structured events — one per tried candidate, plus
-	// init/done snapshots. Events are emitted on the search goroutine in
-	// candidate enumeration order, so a trace is byte-identical for any
-	// Workers value. Nil disables observation.
-	Obs obs.Observer
-	// Cache, when non-nil, memoizes the expensive per-candidate
-	// verdicts on content-addressed fingerprints: the synthesizability
-	// Report (keyed on target config + candidate fingerprint), the
-	// resource estimate (candidate fingerprint), and the
-	// differential-test outcome (target config + kernel + oracle
-	// fingerprint + corpus hash + candidate fingerprint). It is the only
-	// verdict memo: without it a candidate revisited in a later
-	// iteration is re-evaluated. A hit skips the recomputation but is charged exactly
-	// the same virtual toolchain cost in the same commit order as a
-	// cold evaluation — the cost inputs (line count, whether simulation
-	// ran) are deterministic — so Result, Stats, and traces are
-	// byte-identical whether the cache is disabled, cold, or warm, for
-	// any Workers value. Nil disables memoization.
-	Cache *evalcache.Cache
-	// Guard contains stage failures: a candidate whose style check,
-	// compatibility check, resource estimate, or differential test
-	// panics (or overruns Guard's deadline) becomes a rejected candidate
-	// with a recorded reason instead of crashing the search. A nil guard
-	// still contains panics (guard.Do is nil-safe) but has no deadlines,
-	// injection, or quarantine. Failure decisions are content-keyed, so
-	// they are identical for any Workers value.
-	Guard *guard.Guard
-	// InterpSteps bounds each interpreter execution inside the
-	// differential test (both CPU reference and FPGA simulation); 0
-	// keeps package defaults. A guard step budget
-	// (guard.Options.InterpSteps), when set, replaces it. Exhaustion
-	// yields inconclusive(timeout) verdicts, never behaviour mismatches.
-	InterpSteps int64
 	// CheckpointPath, when non-empty, makes the search durable: every
 	// committed candidate outcome is appended to a crash-tolerant JSONL
 	// log at this path (see checkpoint.go), and a search started
@@ -126,23 +83,28 @@ type Options struct {
 	CheckpointPath string
 }
 
+// withDefaults resolves every unset field to the paper's value.
+func (o Options) withDefaults() Options {
+	if o.Budget == 0 {
+		o.Budget = 3 * 3600
+	}
+	if o.MaxIterations == 0 {
+		o.MaxIterations = 64
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
 // allows reports whether the options permit templates of class c.
 func (o Options) allows(c hls.ErrorClass) bool {
 	return o.ClassFilter == nil || o.ClassFilter[c]
 }
 
-// DefaultOptions is the full HeteroGen configuration.
-func DefaultOptions() Options {
-	return Options{
-		Budget:          3 * 3600,
-		UseStyleChecker: true,
-		UseDependence:   true,
-		PerfExploration: true,
-		Seed:            1,
-		MaxIterations:   64,
-		Workers:         1,
-	}
-}
+// DefaultOptions is the full HeteroGen configuration, equal in effect
+// to the zero value.
+func DefaultOptions() Options { return Options{}.withDefaults() }
 
 // Stats records search effort, in both attempts and virtual time.
 type Stats struct {
@@ -163,7 +125,7 @@ type Stats struct {
 	RejectedCandidates int
 	Iterations         int
 	// StageFailures counts candidates rejected because a toolchain stage
-	// crashed or overran its budget (contained by Options.Guard). They
+	// crashed or overran its budget (contained by the guard). They
 	// are included in RejectedCandidates.
 	StageFailures int
 	EditLog       []string
@@ -278,6 +240,8 @@ type searcher struct {
 	cache     *evalcache.Cache
 	checkSalt string
 	diffSalt  string
+	// guard contains the candidates' stage failures.
+	guard *guard.Guard
 	// targets is the resolved target set, never empty. named records
 	// that the caller spelled it out, which alone decides whether the
 	// Pareto archive (and its dedupe set, both on the search goroutine)
@@ -307,32 +271,52 @@ type searcher struct {
 // search promptly and returns the best version found so far, exactly
 // as a budget exhaustion would (nil error semantics: a partial repair
 // is still a result; callers that must distinguish inspect ctx.Err).
-func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel string, tests []fuzz.TestCase, opts Options) Result {
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 64
+//
+// targets is the resolved (backend, device) set the design must fit;
+// empty means the default target. Candidate fitness is a per-device
+// vector over the set (see targets.go): the capacity gate runs against
+// every profile — a candidate whose resource estimate over-utilizes a
+// device fails evaluation like any other diagnostic, so the search
+// backs off to cheaper partition factors — and compile cost is charged
+// per target. targets[0] is the primary target: it provides the
+// toolchain config, the diagnostic dialect of Remaining, and the cache
+// salts. A non-empty set adds the per-device verdict table and the
+// latency/resource Pareto archive to the Result; apart from those two
+// fields, a single default target and an empty set give identical
+// results and traces.
+//
+// env.Obs receives one event per tried candidate plus init/done
+// snapshots, emitted on the search goroutine in candidate enumeration
+// order, so a trace is byte-identical for any Workers value. env.Cache
+// memoizes the per-candidate verdicts on content-addressed
+// fingerprints: the synthesizability Report (target config + candidate
+// fingerprint), the resource estimate (candidate fingerprint), and the
+// differential-test outcome (target config + kernel + oracle
+// fingerprint + corpus hash + candidate fingerprint). It is the only
+// verdict memo: without it a candidate revisited in a later iteration
+// is re-evaluated. A hit skips the recomputation but is charged the
+// same virtual toolchain cost in the same commit order as a cold
+// evaluation, so Result, Stats, and traces are byte-identical whether
+// the cache is disabled, cold, or warm, for any Workers value.
+// env.Guard contains stage failures: a candidate whose style check,
+// compatibility check, resource estimate, or differential test panics
+// (or overruns the guard's deadline) becomes a rejected candidate with
+// a recorded reason instead of crashing the search; failure decisions
+// are content-keyed, so they are identical for any Workers value. The
+// guard's step budget, when set, bounds each interpreter execution
+// inside the differential test (exhaustion yields inconclusive(timeout)
+// verdicts, never behaviour mismatches).
+func SearchContext(ctx context.Context, env stage.Env, original, initial *cast.Unit, kernel string,
+	tests []fuzz.TestCase, targets []hls.ResolvedTarget, opts Options) Result {
+	opts = opts.withDefaults()
+	named := len(targets) > 0
+	resolved := targets
+	if !named {
+		// The default target always resolves.
+		resolved, _ = hls.ResolveTargets(nil)
 	}
-	if opts.Budget == 0 {
-		opts.Budget = 3 * 3600
-	}
-	if steps := opts.Guard.InterpSteps(); steps != 0 {
-		opts.InterpSteps = steps
-	}
-	named := len(opts.Targets) > 0
-	targets, err := hls.ResolveTargets(opts.Targets)
-	if err != nil {
-		// SearchContext has no error return; an unresolvable target set
-		// surfaces as a configuration diagnostic (core validates targets
-		// up front, so this path serves direct callers only).
-		return Result{
-			Unit: cast.CloneUnit(initial),
-			Remaining: []hls.Diagnostic{{
-				Code:    "CFG 100-1",
-				Message: fmt.Sprintf("target resolution failed: %v", err),
-			}},
-		}
-	}
-	cfg := hls.ConfigFor(kernel, targets[0].Profile)
-	cfg.InterpSteps = opts.InterpSteps
+	cfg := hls.ConfigFor(kernel, resolved[0].Profile)
+	cfg.InterpSteps = env.Guard.InterpSteps()
 	fps := cast.NewFingerprints()
 	s := &searcher{
 		cfg:       cfg,
@@ -340,12 +324,13 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		opts:      opts,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		state:     NewState(),
-		obs:       obs.OrNop(opts.Obs),
-		tracing:   obs.Enabled(opts.Obs),
+		obs:       obs.OrNop(env.Obs),
+		tracing:   obs.Enabled(env.Obs),
 		triedPerf: map[string]bool{},
 		ctx:       ctx,
-		cache:     opts.Cache,
-		targets:   targets,
+		cache:     env.Cache,
+		guard:     env.Guard,
+		targets:   resolved,
 		named:     named,
 		fps:       fps,
 		runner:    difftest.NewRunner(original, kernel, cfg, tests, interp.NewCodebase(), fps),
@@ -357,7 +342,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 		// The primary backend name joins the salts so verdicts for
 		// different toolchains (dialect translation included) never
 		// collide across devices.
-		be := targets[0].Backend.Name()
+		be := resolved[0].Backend.Name()
 		s.checkSalt = evalcache.CheckSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz)
 		s.diffSalt = evalcache.DifftestSalt(be, s.cfg.Top, s.cfg.Device, s.cfg.ClockMHz,
 			s.cfg.InterpSteps, kernel, cast.FingerprintUnit(original), fuzz.CorpusFingerprint(tests))
@@ -366,7 +351,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 	if opts.CheckpointPath != "" {
 		// An unopenable log degrades to checkpointing-off: durability is
 		// an overlay, never a reason a search cannot run.
-		if ck, err := openCheckpoint(opts.CheckpointPath, checkpointKey(opts, original, initial, kernel, tests)); err == nil {
+		if ck, err := openCheckpoint(opts.CheckpointPath, checkpointKey(opts, cfg.InterpSteps, targets, original, initial, kernel, tests)); err == nil {
 			s.ckpt = ck
 			defer ck.close()
 		}
@@ -389,7 +374,7 @@ func SearchContext(ctx context.Context, original, initial *cast.Unit, kernel str
 			if s.stats.SecondsToCompatible == 0 {
 				s.stats.SecondsToCompatible = s.stats.VirtualSeconds
 			}
-			if !opts.PerfExploration {
+			if opts.WithoutPerfExploration {
 				break
 			}
 			// Performance phase: accept only strict latency improvements.
@@ -501,7 +486,7 @@ type evalOutcome struct {
 	// reaches such a candidate, but recomputes inline if it somehow
 	// does.
 	computed bool
-	// styleRan reports the style checker was consulted (UseStyleChecker).
+	// styleRan reports the style checker was consulted.
 	styleRan bool
 	styleOK  bool
 	// evaluated reports the full compile+test evaluation ran.
@@ -525,9 +510,9 @@ type evalOutcome struct {
 // candidate's own clone.
 func (s *searcher) computeOutcome(u *cast.Unit) evalOutcome {
 	out := evalOutcome{computed: true}
-	if s.opts.UseStyleChecker {
+	if !s.opts.WithoutChecker {
 		out.styleRan = true
-		ok, err := guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageStyle, Unit: u},
+		ok, err := guard.Do(s.guard, guard.Invocation{Stage: guard.StageStyle, Unit: u},
 			func(cu *cast.Unit) (bool, error) {
 				return stylecheck.Run(cu, s.cfg).OK, nil
 			})
@@ -567,7 +552,7 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	rep, err := evalcache.Memo(s.cache, evalcache.StageCheck,
 		func() string { return evalcache.CheckKey(s.checkSalt, fp) },
 		func(string) (hls.Report, error) {
-			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageCheck, Key: fp, Unit: u},
+			return guard.Do(s.guard, guard.Invocation{Stage: guard.StageCheck, Key: fp, Unit: u},
 				func(cu *cast.Unit) (hls.Report, error) {
 					return check.Run(cu, s.cfg), nil
 				})
@@ -589,7 +574,7 @@ func (s *searcher) computeScore(u *cast.Unit) (lines int, simRan bool, sc score,
 	dt, err := evalcache.Memo(s.cache, evalcache.StageDifftest,
 		func() string { return evalcache.DifftestKey(s.diffSalt, fp) },
 		func(string) (difftest.Report, error) {
-			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageDifftest, Key: fp, Unit: u},
+			return guard.Do(s.guard, guard.Invocation{Stage: guard.StageDifftest, Key: fp, Unit: u},
 				func(cu *cast.Unit) (difftest.Report, error) {
 					return s.runner.Run(cu), nil
 				})
@@ -612,7 +597,7 @@ func (s *searcher) estimate(u *cast.Unit, fp string) (sim.Resources, error) {
 	return evalcache.Memo(s.cache, evalcache.StageSim,
 		func() string { return evalcache.ResourceKey(fp) },
 		func(string) (sim.Resources, error) {
-			return guard.Do(s.opts.Guard, guard.Invocation{Stage: guard.StageEstimate, Key: fp, Unit: u},
+			return guard.Do(s.guard, guard.Invocation{Stage: guard.StageEstimate, Key: fp, Unit: u},
 				func(cu *cast.Unit) (sim.Resources, error) {
 					return sim.Estimate(cu), nil
 				})
@@ -755,7 +740,7 @@ func (s *searcher) repairStep(cur **cast.Unit, curScore *score) bool {
 	}
 
 	var candidates []Candidate
-	if s.opts.UseDependence {
+	if !s.opts.WithoutDependence {
 		// Dependence-guided: chains per diagnostic, in diagnostic order.
 		for _, d := range diags {
 			candidates = append(candidates, CandidatesFor(*cur, d, s.state)...)

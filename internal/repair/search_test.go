@@ -75,7 +75,7 @@ func TestSearchRepairsTreeKernel(t *testing.T) {
 		t.Fatal("tree kernel should start broken")
 	}
 
-	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), DefaultOptions())
+	res := search(context.Background(), orig, initial, "kernel", treeTests(), searchOpts{})
 	if !res.Compatible {
 		t.Fatalf("search did not reach compatibility; remaining: %v\nlog: %v",
 			res.Remaining, res.Stats.EditLog)
@@ -114,16 +114,16 @@ func TestSearchWithoutDependenceIsSlower(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
 	mkInitial := func() *cast.Unit { return cparser.MustParse(treeKernel) }
 
-	fast := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), DefaultOptions())
+	fast := search(context.Background(), orig, mkInitial(), "kernel", treeTests(), searchOpts{})
 	if !fast.Compatible || !fast.BehaviorOK {
 		t.Fatalf("dependence-guided search must succeed: %v", fast.Stats.EditLog)
 	}
 
-	slowOpts := DefaultOptions()
-	slowOpts.UseDependence = false
+	var slowOpts searchOpts
+	slowOpts.WithoutDependence = true
 	slowOpts.Budget = 12 * 3600
 	slowOpts.MaxIterations = 256
-	slow := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), slowOpts)
+	slow := search(context.Background(), orig, mkInitial(), "kernel", treeTests(), slowOpts)
 
 	if slow.Compatible && slow.Stats.VirtualSeconds <= fast.Stats.VirtualSeconds {
 		t.Errorf("random order should cost more virtual time: dep=%.0fs random=%.0fs",
@@ -139,12 +139,12 @@ func TestSearchWithoutCheckerCompilesMore(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
 	mkInitial := func() *cast.Unit { return cparser.MustParse(treeKernel) }
 
-	withOpts := DefaultOptions()
-	with := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), withOpts)
+	var withOpts searchOpts
+	with := search(context.Background(), orig, mkInitial(), "kernel", treeTests(), withOpts)
 
-	withoutOpts := DefaultOptions()
-	withoutOpts.UseStyleChecker = false
-	without := SearchContext(context.Background(), orig, mkInitial(), "kernel", treeTests(), withoutOpts)
+	var withoutOpts searchOpts
+	withoutOpts.WithoutChecker = true
+	without := search(context.Background(), orig, mkInitial(), "kernel", treeTests(), withoutOpts)
 
 	if !with.Compatible || !without.Compatible {
 		t.Fatal("both configurations must succeed on the tree kernel")
@@ -159,9 +159,9 @@ func TestSearchWithoutCheckerCompilesMore(t *testing.T) {
 func TestSearchBudgetExhaustion(t *testing.T) {
 	orig := cparser.MustParse(treeKernel)
 	initial := cparser.MustParse(treeKernel)
-	opts := DefaultOptions()
+	var opts searchOpts
 	opts.Budget = 1 // one virtual second: cannot even compile once more
-	res := SearchContext(context.Background(), orig, initial, "kernel", treeTests(), opts)
+	res := search(context.Background(), orig, initial, "kernel", treeTests(), opts)
 	if res.Compatible && res.BehaviorOK {
 		t.Error("a one-second budget cannot finish the repair")
 	}
@@ -186,7 +186,7 @@ void kernel(int a[64], int b[64]) {
 		}
 		return fuzz.TestCase{Args: []fuzz.Arg{in, {Ints: make([]int64, 64), Width: 32}}}
 	}
-	res := SearchContext(context.Background(), orig, initial, "kernel", []fuzz.TestCase{mk()}, DefaultOptions())
+	res := search(context.Background(), orig, initial, "kernel", []fuzz.TestCase{mk()}, searchOpts{})
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("clean program must stay correct: %v", res.Report.FirstDiff)
 	}
@@ -217,7 +217,7 @@ int kernel(int n) {
 	orig := cparser.MustParse(src)
 	initial := cparser.MustParse(src)
 	tests := []fuzz.TestCase{intTC(0), intTC(5), intTC(60)}
-	res := SearchContext(context.Background(), orig, initial, "kernel", tests, DefaultOptions())
+	res := search(context.Background(), orig, initial, "kernel", tests, searchOpts{})
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("resize loop did not converge: %v / %v", res.Remaining, res.Stats.EditLog)
 	}
@@ -258,7 +258,7 @@ int kernel(int n) {
 	orig := cparser.MustParse(src)
 	initial := cparser.MustParse(src)
 	tests := []fuzz.TestCase{intTC(0), intTC(5), intTC(20)}
-	res := SearchContext(context.Background(), orig, initial, "kernel", tests, DefaultOptions())
+	res := search(context.Background(), orig, initial, "kernel", tests, searchOpts{})
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("two-struct repair failed: %v\nlog: %v", res.Remaining, res.Stats.EditLog)
 	}
@@ -316,11 +316,11 @@ func TestPerfStepSkipsRejectedConfiguration(t *testing.T) {
 		tests = append(tests, fuzz.TestCase{Args: []fuzz.Arg{arg}})
 	}
 	for _, workers := range []int{1, 4} {
-		opts := DefaultOptions()
+		var opts searchOpts
 		opts.Workers = workers
 		var trials perfTrials
-		opts.Obs = &trials
-		res := SearchContext(context.Background(), u, cast.CloneUnit(u), "kernel", tests, opts)
+		opts.env.Obs = &trials
+		res := search(context.Background(), u, cast.CloneUnit(u), "kernel", tests, opts)
 		if got := strings.Join(res.Stats.EditLog, " ; "); got != "explore_all(program, pragma sweep over all loops)" {
 			t.Fatalf("workers=%d: edit log %q, want the explore_all sweep alone", workers, got)
 		}

@@ -1,8 +1,8 @@
 // Multi-target fitness for the repair search.
 //
 // The search looks for one program that fits a *set* of (backend,
-// device) targets at once — Options.Targets, or the default target
-// alone: the synthesizability check and the differential test run once
+// device) targets at once — the set SearchContext is given, or the
+// default target alone: the synthesizability check and the differential test run once
 // per candidate (their verdicts are target-independent up to diagnostic
 // dialect), while the capacity gate and the latency model evaluate per
 // target, making candidate fitness a per-device vector. The scalar search objective

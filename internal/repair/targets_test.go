@@ -34,8 +34,8 @@ func paritySubjects() []string {
 	return []string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10"}
 }
 
-// TestSingleDefaultTargetParity: spelling out Options.Targets =
-// [default target] is the same search as leaving Targets empty — it
+// TestSingleDefaultTargetParity: spelling out the target set as
+// [default target] is the same search as leaving it empty — it
 // reproduces the untargeted golden's Result and trace byte for byte.
 // The only additions are the one-row verdict table and the Pareto
 // archive.
@@ -43,8 +43,8 @@ func TestSingleDefaultTargetParity(t *testing.T) {
 	for _, id := range paritySubjects() {
 		t.Run(id, func(t *testing.T) {
 			c := goldenCase{subject: id}
-			targeted, trace := runGolden(t, c, func(o *Options) {
-				o.Targets = []hls.Target{hls.DefaultTarget()}
+			targeted, trace := runGolden(t, c, func(o *searchOpts) {
+				o.targets = []hls.Target{hls.DefaultTarget()}
 			})
 			if len(targeted.PerTarget) != 1 {
 				t.Fatalf("targeted search has %d verdicts, want 1", len(targeted.PerTarget))
@@ -72,12 +72,12 @@ func TestMultiTargetWorkersParity(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
 
-			seqOpts := DefaultOptions()
-			seqOpts.Targets = targets
+			var seqOpts searchOpts
+			seqOpts.targets = targets
 			seq, seqTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, seqOpts)
 
-			parOpts := DefaultOptions()
-			parOpts.Targets = targets
+			var parOpts searchOpts
+			parOpts.targets = targets
 			parOpts.Workers = 4
 			par, parTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, parOpts)
 
@@ -102,8 +102,8 @@ func TestMultiTargetCacheParity(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			orig, initial, kernel, tests := subjectInputs(t, id)
 
-			base := DefaultOptions()
-			base.Targets = targets
+			var base searchOpts
+			base.targets = targets
 			plain, plainTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, base)
 
 			cache, err := evalcache.New(evalcache.Options{})
@@ -111,7 +111,7 @@ func TestMultiTargetCacheParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			cached := base
-			cached.Cache = cache
+			cached.env.Cache = cache
 			cold, coldTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, cached)
 			before := cache.Stats()
 			warm, warmTrace := tracedSearch(orig, cast.CloneUnit(initial), kernel, tests, cached)
@@ -147,15 +147,15 @@ func TestCrossDeviceCacheKeying(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := DefaultOptions()
-		opts.Cache = cache
+		var opts searchOpts
+		opts.env.Cache = cache
 		if warm {
-			opts.Targets = warmup
-			SearchContext(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
+			opts.targets = warmup
+			search(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
 		}
-		opts.Targets = target
+		opts.targets = target
 		before := cache.Stats()
-		SearchContext(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
+		search(context.Background(), orig, cast.CloneUnit(initial), kernel, tests, opts)
 		return cache.Stats().Sub(before)
 	}
 	solo, crossed := search(false), search(true)

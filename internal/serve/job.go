@@ -27,7 +27,7 @@ const (
 	// KindRepair runs profiling plus the repair search with no test
 	// generation (core.RepairStageContext).
 	KindRepair Kind = "repair"
-	// KindFuzz runs only test generation (fuzz.RunContext).
+	// KindFuzz runs only test generation (core.FuzzStage).
 	KindFuzz Kind = "fuzz"
 )
 

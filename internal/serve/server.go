@@ -728,25 +728,17 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 	copts := core.Options{
 		Kernel:   j.req.Kernel,
 		HostMain: j.req.Host,
-		Workers:  j.budget.Workers,
-		Targets:  j.targets,
-		Obs:      sink,
-		Cache:    s.opts.Cache,
-		Guard:    g,
-		// With a state dir, the repair search write-ahead-logs its
-		// outcomes per job id: a drained or crashed job re-runs to a
-		// byte-identical result and trace by replaying this file.
-		RepairCheckpoint: s.checkpointPath(j),
-	}
-	copts.Fuzz = fuzz.DefaultOptions()
-	copts.Fuzz.MaxExecs = j.budget.FuzzExecs
-	if j.req.Seed != 0 {
-		copts.Fuzz.Seed = j.req.Seed
-	}
-	copts.Repair = repair.DefaultOptions()
-	copts.Repair.MaxIterations = j.budget.MaxIterations
-	if j.req.Seed != 0 {
-		copts.Repair.Seed = j.req.Seed
+		Fuzz:     fuzz.Options{Seed: j.req.Seed, MaxExecs: j.budget.FuzzExecs},
+		Repair: repair.Options{Seed: j.req.Seed, MaxIterations: j.budget.MaxIterations,
+			// With a state dir, the repair search write-ahead-logs its
+			// outcomes per job id: a drained or crashed job re-runs to a
+			// byte-identical result and trace by replaying this file.
+			CheckpointPath: s.checkpointPath(j)},
+		Workers: j.budget.Workers,
+		Targets: j.targets,
+		Obs:     sink,
+		Cache:   s.opts.Cache,
+		Guard:   g,
 	}
 
 	switch j.kind {

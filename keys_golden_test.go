@@ -25,7 +25,7 @@ type keyRun struct {
 func keyRuns() []keyRun {
 	return []keyRun{
 		{"defaults", Options{}},
-		{"quick", Options{Fuzz: FuzzOptions{Seed: 1, MaxExecs: 250, Plateau: 100, TypedMutation: true}}},
+		{"quick", Options{Fuzz: FuzzOptions{MaxExecs: 250, Plateau: 100}}},
 		{"hr", Options{Repair: baselines.HeteroRefactorOptions()}},
 		{"without_checker", Options{Repair: baselines.WithoutCheckerOptions()}},
 		{"without_dependence", Options{Repair: baselines.WithoutDependenceOptions()}},
@@ -65,7 +65,7 @@ func TestOptionKeysGolden(t *testing.T) {
 		}
 		opts := r.opts
 		opts.Kernel, opts.HostMain, opts.Cache = s.Kernel, s.HostMain, cache
-		opts.RepairCheckpoint = filepath.Join(dir, "repair.ckpt")
+		opts.Repair.CheckpointPath = filepath.Join(dir, "repair.ckpt")
 		if _, err := Transpile(s.Source, opts); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -80,7 +80,7 @@ func TestOptionKeysGolden(t *testing.T) {
 			}
 		}
 		var hdr struct{ Key string }
-		if lines := jsonLines(t, opts.RepairCheckpoint); len(lines) > 0 {
+		if lines := jsonLines(t, opts.Repair.CheckpointPath); len(lines) > 0 {
 			_ = json.Unmarshal(lines[0], &hdr)
 		}
 		k.Checkpoint = hdr.Key

@@ -8,16 +8,13 @@
 package heterogen_test
 
 import (
-	"context"
 	"testing"
 
-	"github.com/hetero/heterogen/internal/cast"
+	"github.com/hetero/heterogen"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/repair"
 )
 
 func TestFigure2MultiTargetPareto(t *testing.T) {
-	orig, tests := overlapInputs()
 	targets, err := hls.ParseTargets([]string{"vivado_hls:xcvu9p", "vivado_hls:zc706"})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +22,10 @@ func TestFigure2MultiTargetPareto(t *testing.T) {
 	opts := overlapOptions(4)
 	opts.Targets = targets
 
-	res := repair.SearchContext(context.Background(), orig, cast.CloneUnit(orig), "kernel", tests, opts)
+	res, err := heterogen.Repair(overlapKernel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Compatible || !res.BehaviorOK {
 		t.Fatalf("Figure 2 subject must repair on both profiles: %v", res.Remaining)
 	}
