@@ -35,7 +35,8 @@ vet:
 
 # Regenerates the golden fixtures: the repair search's
 # (internal/repair/testdata/golden: one Result JSON and one JSONL trace
-# per recorded run), test generation's (internal/fuzz/testdata/golden:
+# per recorded run, and order.txt, the order in which its steps
+# enumerate candidates), test generation's (internal/fuzz/testdata/golden:
 # one campaign-and-profile JSON and one JSONL trace per subject and per
 # crashy, untyped and chaos campaign shape) and the
 # interpreter's (internal/interp/testdata/golden: belt.txt, one outcome
@@ -58,7 +59,7 @@ vet:
 # checkpoint's header key). Only for an intended behaviour change
 # whose fixture diff gets reviewed — see CONTRIBUTING.md.
 golden:
-	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity' ./internal/repair/ -update
+	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity|TestEnumerationOrderGolden' ./internal/repair/ -update
 	$(GO) test -count=1 -run 'TestCampaignGolden|TestCampaignSurvivesInterpFaults' ./internal/fuzz/ -update
 	$(GO) test -count=1 -run 'TestDiffVMAgainstTree|TestDiffVLAAgainstTree|TestEdgeOutcomes' ./internal/interp/ -update
 	$(GO) test -count=1 -run 'TestPipelineGolden|TestStageGolden' ./internal/core/ -update
