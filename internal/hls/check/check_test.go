@@ -178,6 +178,37 @@ void top_function(char data[128], char a[128], char b[128]) {
 	wantClass(t, r, hls.ClassDataflow, "failed dataflow checking")
 }
 
+// TestDataflowDiagnosticOrderIsStable: a region with six over-consumed
+// buffers reports them in one order on every run. The repair search
+// builds its candidates in diagnostic order, so any other order would
+// change which buffer it splits first.
+func TestDataflowDiagnosticOrderIsStable(t *testing.T) {
+	const src = `
+void f(int d[16], int o[16]) {
+    for (int i = 0; i < 16; i++) { o[i] = d[i] + 1; }
+}
+void kernel(int a[16], int b[16], int c[16], int e[16], int x[16], int y[16]) {
+#pragma HLS dataflow
+    f(a, x); f(a, y); f(b, c); f(b, e); f(c, e); f(x, y);
+}`
+	order := func() string {
+		var subjects []string
+		for _, d := range runCheck(t, src, "kernel").Diags {
+			subjects = append(subjects, d.Subject)
+		}
+		return strings.Join(subjects, ",")
+	}
+	first := order()
+	if strings.Count(first, ",") != 5 {
+		t.Fatalf("want six over-consumed buffers, got %q", first)
+	}
+	for i := 0; i < 50; i++ {
+		if got := order(); got != first {
+			t.Fatalf("diagnostic order moved between runs: %q then %q", first, got)
+		}
+	}
+}
+
 func TestDataflowSegmentedDataPasses(t *testing.T) {
 	r := runCheck(t, `
 void my_func(char data[64], char out[64]) {
