@@ -70,7 +70,10 @@ func TestErrorExitFlushesCache(t *testing.T) {
 // (and the transpiler's usage, parse-error and unknown-kernel paths)
 // and compares each run's exit status, stdout, stderr and -trace file
 // with the goldens in testdata/cli. fig2_repaired.c is the output of
-// `heterogen -kernel kernel -quick fig2.c`.
+// `heterogen -kernel kernel -quick fig2.c`. dataflow6.c has one dataflow
+// region with six over-consumed buffers: its transpile pins that the
+// checker's diagnostic order, which the repair search follows, does not
+// depend on map iteration.
 func TestCLIGolden(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -80,6 +83,7 @@ func TestCLIGolden(t *testing.T) {
 		{"transpile_usage", false, []string{"p3.c"}},
 		{"transpile_unparsable", false, []string{"-kernel", "f", "unparsable.c"}},
 		{"transpile_unknown_kernel", false, []string{"-kernel", "nope", "p3.c"}},
+		{"transpile_dataflow6", false, []string{"-kernel", "kernel", "-quick", "-workers", "1", "dataflow6.c"}},
 		{"fuzz_p3", true, []string{"fuzz", "-kernel", "kernel", "p3.c"}},
 		{"fuzz_fig2", false, []string{"fuzz", "-kernel", "kernel", "fig2.c"}},
 		{"fuzz_fig2_seed7_execs0", false, []string{"fuzz", "-kernel", "kernel", "-execs", "0", "-seed", "7", "fig2.c"}},

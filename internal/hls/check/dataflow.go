@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/ctypes"
@@ -37,8 +38,15 @@ func (c *checker) checkDataflow() {
 				}
 			}
 		}
-		for name, n := range consumers {
-			if n > 1 && c.isBufferName(fn, name) {
+		// Report buffers by name, never in map order: the repair search
+		// builds its candidates in diagnostic order.
+		names := make([]string, 0, len(consumers))
+		for name := range consumers {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if n := consumers[name]; n > 1 && c.isBufferName(fn, name) {
 				c.add(hls.Diagnostic{
 					Code: "XFORM 202-712",
 					Message: fmt.Sprintf(
