@@ -93,6 +93,10 @@ func applySegmentBuffer(u *cast.Unit, name string) error {
 		}
 		// Insert the copies at the head of the body (before the processes).
 		fn.Body.Stmts = append(newStmts, fn.Body.Stmts...)
+		// NumberBranches renumbers every branch site in the unit, so this
+		// edit declares no Scope and always runs on a full clone: every
+		// declaration it renumbers belongs to this candidate alone, never to
+		// a parent program that other candidates share and are evaluated on.
 		cast.NumberBranches(u)
 		return nil
 	}
@@ -590,6 +594,10 @@ func applyIndexStatic(u *cast.Unit, site loopSite, bound int) error {
 	loop.Body = body
 	loop.Cond = &cast.Binary{Op: ctoken.LSS, L: cast.CloneExpr(cond.L),
 		R: &cast.IntLit{Value: int64(bound), Text: fmt.Sprintf("%d", bound)}}
+	// NumberBranches renumbers every branch site in the unit, so this
+	// edit declares no Scope and always runs on a full clone: every
+	// declaration it renumbers belongs to this candidate alone, never to
+	// a parent program that other candidates share and are evaluated on.
 	cast.NumberBranches(u)
 	return nil
 }

@@ -265,6 +265,10 @@ func applyStackTrans(u *cast.Unit, name string, size int) error {
 	u.InsertDeclBefore(topVar, fn)
 	fn.Body = &cast.Block{Stmts: newBody}
 
+	// NumberBranches renumbers every branch site in the unit, so this
+	// edit declares no Scope and always runs on a full clone: every
+	// declaration it renumbers belongs to this candidate alone, never to
+	// a parent program that other candidates share and are evaluated on.
 	cast.NumberBranches(u)
 	return nil
 }

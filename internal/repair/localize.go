@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"sort"
 	"strings"
 
 	"github.com/hetero/heterogen/internal/cast"
@@ -47,16 +46,20 @@ func builtinClassify(msg string) hls.ErrorClass {
 }
 
 // Candidate is a repair candidate: a dependence-ordered edit sequence
-// already applied to its own clone of the program.
+// applied to its own clone of the program. The search builds a
+// candidate (clones the program and applies the edits) only when it
+// reaches it in enumeration order; see enumerator.
 type Candidate struct {
 	Edits []Edit
 	Unit  *cast.Unit
 }
 
 // Describe renders the candidate's edit chain.
-func (c Candidate) Describe() string {
-	parts := make([]string, len(c.Edits))
-	for i, e := range c.Edits {
+func (c Candidate) Describe() string { return describe(c.Edits) }
+
+func describe(edits []Edit) string {
+	parts := make([]string, len(edits))
+	for i, e := range edits {
 		parts[i] = e.String()
 	}
 	return strings.Join(parts, " ; ")
@@ -78,59 +81,193 @@ func cloneFor(u *cast.Unit, e Edit) *cast.Unit {
 	return cast.CloneUnit(u)
 }
 
+// pending is an enumerated candidate that may not be built yet: its
+// edit chain and the unit the chain's last edit applies to. The chain
+// fields let the dependence enumeration extend it by one more edit.
+type pending struct {
+	edits []Edit
+	base  *cast.Unit
+	unit  *cast.Unit // the built candidate; nil until built or when Apply failed
+	built bool
+	tmpl  Template       // template of the last edit
+	st    *State         // state the last edit was instantiated under
+	d     hls.Diagnostic // diagnostic the chain repairs
+}
+
+// build clones base and applies the last edit, once; it reports
+// whether the edit applied.
+func (p *pending) build() bool {
+	if !p.built {
+		p.built = true
+		e := p.edits[len(p.edits)-1]
+		u := cloneFor(p.base, e)
+		if e.Apply(u) == nil {
+			p.unit = u
+		}
+	}
+	return p.unit != nil
+}
+
+// enumerator yields candidates in enumeration order and builds each one
+// only when next reaches it, so a step that accepts an early candidate
+// never clones or edits the ones behind it. A candidate whose edit does
+// not apply is dropped. seen (nil: none) drops a candidate whose edit
+// chain an earlier built one already had, and skip (nil: none) one whose
+// chain is in the set, both before building; classes (nil: all) then
+// drops a built candidate with an edit of another class.
+type enumerator struct {
+	src     interface{ pull() *pending } // nil when exhausted
+	seen    map[string]bool
+	skip    map[string]bool
+	classes map[hls.ErrorClass]bool
+}
+
+func (en *enumerator) next() (Candidate, bool) {
+	for {
+		p := en.src.pull()
+		if p == nil {
+			return Candidate{}, false
+		}
+		var key string
+		if en.seen != nil || en.skip != nil {
+			key = describe(p.edits)
+			if en.seen[key] || en.skip[key] {
+				continue
+			}
+		}
+		if !p.build() {
+			continue
+		}
+		if en.seen != nil {
+			en.seen[key] = true
+		}
+		if en.allows(p.edits) {
+			return Candidate{Edits: p.edits, Unit: p.unit}, true
+		}
+	}
+}
+
+func (en *enumerator) allows(edits []Edit) bool {
+	if en.classes == nil {
+		return true
+	}
+	for _, e := range edits {
+		if !en.classes[e.Class] {
+			return false
+		}
+	}
+	return true
+}
+
+// drain builds every candidate, in order.
+func (en *enumerator) drain() []Candidate {
+	var out []Candidate
+	for c, ok := en.next(); ok; c, ok = en.next() {
+		out = append(out, c)
+	}
+	return out
+}
+
+// dependenceChains enumerates the dependence-guided candidates of one
+// repair step: each diagnostic's chains in turn, without duplicates,
+// restricted to classes (nil: all).
+func dependenceChains(u *cast.Unit, diags []hls.Diagnostic, st *State, classes map[hls.ErrorClass]bool) *enumerator {
+	return &enumerator{src: newChainSource(u, diags, st), seen: map[string]bool{}, classes: classes}
+}
+
 // CandidatesFor generates dependence-ordered candidate chains for one
 // diagnostic against the current program: for each entry template of the
-// diagnostic's class whose prerequisites are satisfiable, the chain
-// {A}, {A,B}, {A,B,D} ... following the Requires edges — the paper's
-// enumeration {➊, ➋, ➊➌, ➋➍, ...}.
+// diagnostic's class, the chain {A}, {A,B}, {A,B,D} ... following the
+// Requires edges — the paper's enumeration {➊, ➋, ➊➌, ➋➍, ...}, shorter
+// chains first and registry order within a length.
 func CandidatesFor(u *cast.Unit, d hls.Diagnostic, st *State) []Candidate {
+	return (&enumerator{src: newChainSource(u, []hls.Diagnostic{d}, st)}).drain()
+}
+
+// chainSource enumerates dependence chains diagnostic by diagnostic
+// and, within a diagnostic, level by level: every chain head, then
+// every two-edit chain in the order of its head, and so on. A level is
+// instantiated only when the one before it is used up, against its
+// parents' units, so a parent is built even when it is not tried
+// itself (a duplicate, or of a filtered class) as long as a template
+// depends on it.
+type chainSource struct {
+	u        *cast.Unit
+	diags    []hls.Diagnostic // not yet started
+	st       *State
+	registry []Template
+	level    []*pending // the current level, from pos on
+	pos      int
+	depth    int
+}
+
+func newChainSource(u *cast.Unit, diags []hls.Diagnostic, st *State) *chainSource {
+	return &chainSource{u: u, diags: diags, st: st, registry: Registry()}
+}
+
+func (c *chainSource) pull() *pending {
+	for {
+		if c.pos < len(c.level) {
+			c.pos++
+			return c.level[c.pos-1]
+		}
+		if len(c.level) > 0 && c.depth < maxChainDepth {
+			var next []*pending
+			for _, p := range c.level {
+				next = append(next, c.extend(p)...)
+			}
+			c.level, c.pos, c.depth = next, 0, c.depth+1
+			continue
+		}
+		if len(c.diags) == 0 {
+			return nil
+		}
+		c.level, c.pos, c.depth = c.heads(c.diags[0]), 0, 1
+		c.diags = c.diags[1:]
+	}
+}
+
+// heads instantiates the chain heads for d: the templates of its class
+// without prerequisites.
+func (c *chainSource) heads(d hls.Diagnostic) []*pending {
 	class := ClassifyMessage(d.Message)
 	if class == hls.ClassNone {
 		class = d.Class
 	}
-	var out []Candidate
-	for _, t := range TemplatesFor(class) {
-		if !st.DepsSatisfied(t, d.Subject) && len(t.Requires) > 0 {
-			// The prerequisite may be satisfied within a chain started by
-			// the entry template; skip as a chain head only.
+	var out []*pending
+	for _, t := range c.registry {
+		if t.Class != class || len(t.Requires) > 0 {
 			continue
 		}
-		if len(t.Requires) > 0 {
-			continue // chain heads have no prerequisites
+		for _, e := range t.Instantiate(c.u, d, c.st) {
+			out = append(out, &pending{edits: []Edit{e}, base: c.u, tmpl: t, st: c.st, d: d})
 		}
-		out = append(out, expandChains(u, d, st, t, nil, 1)...)
 	}
-	// Shorter chains first, preserving registry order within a length.
-	sort.SliceStable(out, func(i, j int) bool {
-		return len(out[i].Edits) < len(out[j].Edits)
-	})
 	return out
 }
 
-// expandChains instantiates t on u, then recursively extends each result
-// with templates that depend on t.
-func expandChains(u *cast.Unit, d hls.Diagnostic, st *State, t Template, prefix []Edit, depth int) []Candidate {
-	var out []Candidate
-	for _, e := range t.Instantiate(u, d, st) {
-		clone := cloneFor(u, e)
-		if err := e.Apply(clone); err != nil {
+// extend instantiates, on p's unit, the templates that depend on p's
+// last template and target the same entity.
+func (c *chainSource) extend(p *pending) []*pending {
+	e := p.edits[len(p.edits)-1]
+	var childState *State
+	var out []*pending
+	for _, t := range c.registry {
+		if !requires(t, p.tmpl.ID) {
 			continue
 		}
-		chain := append(append([]Edit{}, prefix...), e)
-		out = append(out, Candidate{Edits: chain, Unit: clone})
-		if depth >= maxChainDepth {
+		if !p.build() {
+			return nil
+		}
+		if childState == nil {
+			childState = p.st.childWith(e)
+		}
+		if !childState.DepsSatisfied(t, e.Target) {
 			continue
 		}
-		// Extend with dependents of t targeted at the same entity.
-		childState := st.childWith(e)
-		for _, t2 := range Registry() {
-			if !requires(t2, t.ID) {
-				continue
-			}
-			if !childState.DepsSatisfied(t2, e.Target) {
-				continue
-			}
-			out = append(out, expandChains(clone, d, childState, t2, chain, depth+1)...)
+		for _, e2 := range t.Instantiate(p.unit, p.d, childState) {
+			chain := append(append([]Edit{}, p.edits...), e2)
+			out = append(out, &pending{edits: chain, base: p.unit, tmpl: t, st: childState, d: p.d})
 		}
 	}
 	return out
@@ -166,6 +303,41 @@ func (s *State) childWith(e Edit) *State {
 	return out
 }
 
+// editSource enumerates single-edit candidates: every template in order,
+// instantiated against every diagnostic in order, each template and
+// diagnostic pair only when the one before it is used up.
+type editSource struct {
+	u      *cast.Unit
+	st     *State
+	tmpls  []Template
+	diags  []hls.Diagnostic
+	ti, di int
+	edits  []Edit // instantiated, not yet pulled
+}
+
+func (f *editSource) pull() *pending {
+	for len(f.edits) == 0 {
+		if f.ti == len(f.tmpls) || len(f.diags) == 0 {
+			return nil
+		}
+		f.edits = f.tmpls[f.ti].Instantiate(f.u, f.diags[f.di], f.st)
+		if f.di++; f.di == len(f.diags) {
+			f.ti, f.di = f.ti+1, 0
+		}
+	}
+	e := f.edits[0]
+	f.edits = f.edits[1:]
+	return &pending{edits: []Edit{e}, base: f.u}
+}
+
+// anyEdit enumerates RandomCandidates' space without duplicates,
+// restricted to classes (nil: all).
+func anyEdit(u *cast.Unit, diags []hls.Diagnostic, st *State, classes map[hls.ErrorClass]bool) *enumerator {
+	all := append(append([]hls.Diagnostic{}, diags...), syntheticDiags(u)...)
+	src := &editSource{u: u, st: st, tmpls: Registry(), diags: all}
+	return &enumerator{src: src, seen: map[string]bool{}, classes: classes}
+}
+
 // RandomCandidates generates single-edit candidates from the entire
 // registry over the entire edit space — every template instantiated
 // against every plausible subject in the program, not just the subjects
@@ -173,20 +345,7 @@ func (s *State) childWith(e Edit) *State {
 // wanders through: with no dependence knowledge, each iteration may pick
 // any of these, and most of them change nothing the checker cares about.
 func RandomCandidates(u *cast.Unit, diags []hls.Diagnostic, st *State) []Candidate {
-	all := append(append([]hls.Diagnostic{}, diags...), syntheticDiags(u)...)
-	var out []Candidate
-	for _, t := range Registry() {
-		for _, d := range all {
-			for _, e := range t.Instantiate(u, d, st) {
-				clone := cloneFor(u, e)
-				if err := e.Apply(clone); err != nil {
-					continue
-				}
-				out = append(out, Candidate{Edits: []Edit{e}, Unit: clone})
-			}
-		}
-	}
-	return dedupeCandidates(out)
+	return anyEdit(u, diags, st, nil).drain()
 }
 
 // syntheticDiags enumerates every (class, subject) pair a template could
@@ -227,40 +386,26 @@ func syntheticDiags(u *cast.Unit) []hls.Diagnostic {
 	return out
 }
 
-func dedupeCandidates(cands []Candidate) []Candidate {
-	seen := map[string]bool{}
-	var out []Candidate
-	for _, c := range cands {
-		k := c.Describe()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, c)
-	}
-	return out
-}
-
-// PerfCandidates generates performance-exploration candidates (PerfGain
+// perfSource enumerates the performance-exploration edits (PerfGain
 // templates) for an already error-free program: pragma exploration,
 // dataflow insertion.
-func PerfCandidates(u *cast.Unit, st *State) []Candidate {
-	synthetic := hls.Diagnostic{Message: "performance exploration", Class: hls.ClassLoopParallel}
-	var out []Candidate
+func perfSource(u *cast.Unit, st *State) *editSource {
+	var tmpls []Template
 	for _, t := range Registry() {
-		if !t.PerfGain {
-			continue
-		}
 		switch t.ID {
 		case "explore_all", "explore", "insert_pragma":
-			for _, e := range t.Instantiate(u, synthetic, st) {
-				clone := cloneFor(u, e)
-				if err := e.Apply(clone); err != nil {
-					continue
-				}
-				out = append(out, Candidate{Edits: []Edit{e}, Unit: clone})
+			if t.PerfGain {
+				tmpls = append(tmpls, t)
 			}
 		}
 	}
-	return out
+	synthetic := hls.Diagnostic{Message: "performance exploration", Class: hls.ClassLoopParallel}
+	return &editSource{u: u, st: st, tmpls: tmpls, diags: []hls.Diagnostic{synthetic}}
+}
+
+// PerfCandidates generates the performance-exploration candidates for an
+// already error-free program, in the order the performance step tries
+// them.
+func PerfCandidates(u *cast.Unit, st *State) []Candidate {
+	return (&enumerator{src: perfSource(u, st)}).drain()
 }

@@ -6,7 +6,10 @@
 // against the CPU execution. Those evaluations are independent across
 // candidates — each runs on its own clone of the program against the
 // immutable original and test suite — so this file fans them out over a
-// bounded worker pool.
+// bounded worker pool. A candidate is built (cloned and edited) when the
+// search reaches it: the search goroutine builds one batch, the workers
+// evaluate it, and only then is the next batch built, so no worker runs
+// while an edit is being applied.
 //
 // Determinism contract: results are bit-identical to the sequential
 // search for the same Options.Seed, whatever Workers is set to. The
@@ -112,41 +115,35 @@ func (p *evalPool) budgetExhausted() bool {
 	return p.committedVirtual >= p.budget
 }
 
-// chunkSize is how many of n candidates are speculatively evaluated
-// per batch; without a pool (nil) all n form one batch.
-func (p *evalPool) chunkSize(n int) int {
+// batchSize is how many candidates are built and speculatively
+// evaluated per batch; without a pool (nil) the search builds and
+// evaluates one candidate at a time.
+func (p *evalPool) batchSize() int {
 	if p == nil {
-		return n
+		return 1
 	}
 	return p.workers * speculationFactor
 }
 
-// evaluateBatch computes outcomes for a batch concurrently. predictSkip
-// (optional, called in order on the calling goroutine) previews commit-
-// time dedupe so known-skipped candidates are not scheduled. nextIdx is
-// the commit index the batch's first non-skipped candidate will get;
-// candidates whose predicted index the checkpoint log already covers
-// are not scheduled either — the commit loop will replay them. Both
-// predictions are only schedule hints: a misprediction wastes or saves
-// speculative work, never changes what the commit loop decides.
-// Outcomes of unscheduled candidates stay zero-valued (computed ==
-// false); without a pool (nil) none is scheduled.
-func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, predictSkip func(Candidate) bool, nextIdx int) []evalOutcome {
+// evaluateBatch computes outcomes for a batch concurrently. nextIdx is
+// the commit index the batch's first candidate will get; candidates
+// whose index the checkpoint log already covers are not scheduled — the
+// commit loop will replay them. That prediction is only a schedule hint:
+// a misprediction wastes or saves speculative work, never changes what
+// the commit loop decides. Outcomes of unscheduled candidates stay
+// zero-valued (computed == false); without a pool (nil) none is
+// scheduled. It returns only when every scheduled job is done, so no
+// worker runs while the search goroutine builds the next batch.
+func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, nextIdx int) []evalOutcome {
 	outcomes := make([]evalOutcome, len(batch))
 	if p == nil {
 		return outcomes
 	}
 	var wg sync.WaitGroup
-	idx := nextIdx
 	for i, cand := range batch {
-		if predictSkip != nil && predictSkip(cand) {
+		if s.ckpt.has(nextIdx+i, cand) {
 			continue
 		}
-		if s.ckpt.has(idx, cand) {
-			idx++
-			continue
-		}
-		idx++
 		wg.Add(1)
 		p.jobs <- evalJob{s: s, unit: cand.Unit, out: &outcomes[i], wg: &wg}
 	}
@@ -154,38 +151,49 @@ func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, predictSkip fun
 	return outcomes
 }
 
-// evalCandidates is the shared candidate-trial engine behind
-// tryCandidates, the WithoutDependence attempt loop, and perfStep. It
-// walks candidates in enumeration order and accepts the first one whose
-// score improves on *curScore, charging virtual costs as it goes.
+// stopped reports whether the search must stop between candidates: the
+// virtual budget is spent or the context is done.
+func (s *searcher) stopped() bool {
+	return s.stats.VirtualSeconds >= float64(s.opts.Budget) || s.ctx.Err() != nil
+}
+
+// evalCandidates is the shared candidate-trial engine behind repairStep,
+// its WithoutDependence attempt loop, and perfStep. It pulls candidates
+// from next in enumeration order — the enumerator builds each one only
+// when it is pulled — and accepts the first one whose score improves on
+// *curScore, charging virtual costs as it goes. tried, when non-nil, is
+// told of every candidate the commit loop reaches, on the search
+// goroutine, before it is charged.
 //
-// skip, when non-nil, is the commit-time dedupe: consulted in order on
-// the search goroutine, free to mutate searcher bookkeeping, and a
-// skipped candidate pays no cost. predictSkip, when non-nil, must
-// preview skip's decisions without side effects on searcher state (used
-// only to avoid scheduling doomed speculative work).
-//
-// With a pool, batches of chunkSize are computed concurrently and then
-// committed in order. With no pool (Workers <= 1) nothing is computed
-// ahead, so the commit loop computes each candidate inline, one at a
-// time — the classic sequential search. Either way every candidate
-// passes through the same budget check, chargeOutcome call, and
-// acceptance rule, in the same sequence.
-func (s *searcher) evalCandidates(cands []Candidate, skip, predictSkip func(Candidate) bool, cur **cast.Unit, curScore *score) bool {
-	chunk := s.pool.chunkSize(len(cands))
-	for start := 0; start < len(cands); start += chunk {
-		end := min(start+chunk, len(cands))
-		batch := cands[start:end]
-		if s.stats.VirtualSeconds >= float64(s.opts.Budget) || s.ctx.Err() != nil {
+// With a pool, batches of batchSize are built, computed concurrently and
+// then committed in order; building stays on the search goroutine
+// between batches. With no pool (Workers <= 1) each candidate is built
+// only after the one before it was committed and computed inline — the
+// classic sequential search. Either way every candidate passes through
+// the same budget check, chargeOutcome call, and acceptance rule, in the
+// same sequence.
+func (s *searcher) evalCandidates(next func() (Candidate, bool), tried func(Candidate), cur **cast.Unit, curScore *score) bool {
+	size := s.pool.batchSize()
+	batch := make([]Candidate, 0, size)
+	for !s.stopped() {
+		batch = batch[:0]
+		for len(batch) < size {
+			cand, ok := next()
+			if !ok {
+				break
+			}
+			batch = append(batch, cand)
+		}
+		if len(batch) == 0 {
 			return false
 		}
-		outcomes := s.pool.evaluateBatch(s, batch, predictSkip, s.commitIdx)
+		outcomes := s.pool.evaluateBatch(s, batch, s.commitIdx)
 		for i, cand := range batch {
-			if s.stats.VirtualSeconds >= float64(s.opts.Budget) || s.ctx.Err() != nil {
+			if s.stopped() {
 				return false
 			}
-			if skip != nil && skip(cand) {
-				continue
+			if tried != nil {
+				tried(cand)
 			}
 			o := outcomes[i]
 			// The checkpoint log is authoritative at the actual commit
@@ -194,9 +202,9 @@ func (s *searcher) evalCandidates(cands []Candidate, skip, predictSkip func(Cand
 			if ro, replayed := s.ckpt.replay(s.commitIdx, cand); replayed {
 				o = ro
 			} else if !o.computed {
-				// No pool, the worker declined the job (budget raced
-				// exhausted), or predictSkip mispredicted; compute it
-				// here so commit semantics never depend on speculation.
+				// No pool, or the worker declined the job (budget raced
+				// exhausted); compute it here so commit semantics never
+				// depend on speculation.
 				o = s.safeOutcome(cand.Unit)
 			}
 			if s.commitOutcome(cand, o, cur, curScore) {

@@ -97,11 +97,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// allows reports whether the options permit templates of class c.
-func (o Options) allows(c hls.ErrorClass) bool {
-	return o.ClassFilter == nil || o.ClassFilter[c]
-}
-
 // DefaultOptions is the full HeteroGen configuration, equal in effect
 // to the zero value.
 func DefaultOptions() Options { return Options{}.withDefaults() }
@@ -739,24 +734,18 @@ func (s *searcher) repairStep(cur **cast.Unit, curScore *score) bool {
 		}}
 	}
 
-	var candidates []Candidate
-	if !s.opts.WithoutDependence {
-		// Dependence-guided: chains per diagnostic, in diagnostic order.
-		for _, d := range diags {
-			candidates = append(candidates, CandidatesFor(*cur, d, s.state)...)
-		}
-		candidates = dedupeCandidates(candidates)
-	} else {
+	if s.opts.WithoutDependence {
 		// WithoutDependence: each attempt picks any applicable edit at
 		// random, with replacement — re-trying a configuration pays for
 		// its compilation again, which is exactly what the dependence
 		// structure exists to avoid (the paper's "naive probability of
 		// selecting ➌ given ➊ is 10%" argument). All picks are drawn up
 		// front so the rng stream consumed per step depends only on the
-		// pool size (see Options.Seed), then evaluated like any other
-		// ordered candidate list — budget checks still gate every
-		// attempt at commit time.
-		pool := s.filterByClass(RandomCandidates(*cur, diags, s.state))
+		// pool size (see Options.Seed), which is why the pool is built
+		// whole; the picks are then evaluated like any other ordered
+		// candidate list — budget checks still gate every attempt at
+		// commit time.
+		pool := anyEdit(*cur, diags, s.state, s.opts.ClassFilter).drain()
 		if len(pool) == 0 {
 			return false
 		}
@@ -764,82 +753,39 @@ func (s *searcher) repairStep(cur **cast.Unit, curScore *score) bool {
 		for a := range picks {
 			picks[a] = pool[s.rng.Intn(len(pool))]
 		}
-		return s.evalCandidates(picks, nil, nil, cur, curScore)
+		next := func() (Candidate, bool) {
+			if len(picks) == 0 {
+				return Candidate{}, false
+			}
+			c := picks[0]
+			picks = picks[1:]
+			return c, true
+		}
+		return s.evalCandidates(next, nil, cur, curScore)
 	}
 
-	if s.tryCandidates(s.filterByClass(candidates), cur, curScore) {
+	// Dependence-guided: chains per diagnostic, in diagnostic order.
+	if s.evalCandidates(dependenceChains(*cur, diags, s.state, s.opts.ClassFilter).next, nil, cur, curScore) {
 		return true
 	}
 	// Cross-class repairs (e.g. a recursion fix blocked until struct
 	// pointers become pool indices) are reached by widening to the
 	// whole registry once per-class chains are exhausted.
-	fallback := s.filterByClass(RandomCandidates(*cur, diags, s.state))
-	return s.tryCandidates(fallback, cur, curScore)
-}
-
-// filterByClass drops candidates containing edits outside the configured
-// class filter.
-func (s *searcher) filterByClass(cands []Candidate) []Candidate {
-	if s.opts.ClassFilter == nil {
-		return cands
-	}
-	var out []Candidate
-	for _, c := range cands {
-		ok := true
-		for _, e := range c.Edits {
-			if !s.opts.allows(e.Class) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// tryCandidates evaluates candidates in order, accepting the first
-// improvement.
-func (s *searcher) tryCandidates(candidates []Candidate, cur **cast.Unit, curScore *score) bool {
-	return s.evalCandidates(candidates, nil, nil, cur, curScore)
+	return s.evalCandidates(anyEdit(*cur, diags, s.state, s.opts.ClassFilter).next, nil, cur, curScore)
 }
 
 // perfStep explores performance edits on an already-correct program.
 // Rejected configurations are remembered so each costs one compilation
-// over the whole search.
+// over the whole search: the enumerator never builds a configuration
+// tried before or earlier in the step, and a configuration counts as
+// tried once the commit loop reaches it — exactly the candidates the
+// sequential loop evaluates, so triedPerf ends identical for any
+// Workers.
 func (s *searcher) perfStep(cur **cast.Unit, curScore *score) bool {
 	s.step = "perf"
-	cands := PerfCandidates(*cur, s.state)
-	// skip consults and updates the real dedupe set; it runs on the
-	// search goroutine at commit time, in enumeration order, and stops
-	// being called the moment the step accepts or exhausts its budget —
-	// exactly like the sequential loop, so triedPerf ends identical.
-	skip := func(c Candidate) bool {
-		key := c.Describe()
-		if s.triedPerf[key] {
-			return true
-		}
-		s.triedPerf[key] = true
-		return false
-	}
-	// predictSkip previews the same decisions against a scratch copy so
-	// the worker pool does not schedule duplicate configurations; a
-	// misprediction only wastes or saves speculative work, never
-	// changes what skip decides.
-	predicted := make(map[string]bool, len(s.triedPerf))
-	for k := range s.triedPerf {
-		predicted[k] = true
-	}
-	predictSkip := func(c Candidate) bool {
-		key := c.Describe()
-		if predicted[key] {
-			return true
-		}
-		predicted[key] = true
-		return false
-	}
-	return s.evalCandidates(cands, skip, predictSkip, cur, curScore)
+	cands := &enumerator{src: perfSource(*cur, s.state), seen: map[string]bool{}, skip: s.triedPerf}
+	tried := func(c Candidate) { s.triedPerf[c.Describe()] = true }
+	return s.evalCandidates(cands.next, tried, cur, curScore)
 }
 
 func (s *searcher) accept(cand Candidate) {

@@ -44,7 +44,11 @@ type Edit struct {
 	Note string
 	// Apply mutates the unit in place. It must return an error (leaving
 	// the unit possibly half-edited — callers apply to clones) when the
-	// shape it expects is absent.
+	// shape it expects is absent. It may write only into declarations
+	// its clone owns: the ones named in Scope, or any when Scope is
+	// empty and the clone is full. The search builds a candidate when it
+	// reaches it, between evaluations of earlier candidates that share
+	// declarations with the same parent program.
 	Apply func(u *cast.Unit) error
 	// Scope, when non-empty, declares that Apply mutates nothing outside
 	// the bodies and pragma lists of the named functions — no retyping,
