@@ -404,8 +404,7 @@ func perfSource(u *cast.Unit, st *State) *editSource {
 }
 
 // PerfCandidates generates the performance-exploration candidates for an
-// already error-free program, in the order the performance step tries
-// them.
+// already error-free program, in enumeration order.
 func PerfCandidates(u *cast.Unit, st *State) []Candidate {
 	return (&enumerator{src: perfSource(u, st)}).drain()
 }
