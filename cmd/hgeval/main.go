@@ -1,7 +1,9 @@
 // Command hgeval regenerates the paper's evaluation: Table 3 (conversion
 // effectiveness), Table 4 (test generation), Table 5 (manual /
-// HeteroRefactor comparison), Figure 9 (ablations), and Figure 3 (the
-// forum study), plus the §6 headline summary.
+// HeteroRefactor comparison), Figure 9 (ablations) followed by the
+// reproduction's extra ablations (typed mutation, seed capture and
+// bitwidth profiling, at fixed budgets whatever -quick or -subject), and
+// Figure 3 (the forum study), plus the §6 headline summary.
 //
 // Usage:
 //
@@ -126,6 +128,12 @@ func main() {
 			sess.Fatal(err)
 		}
 		fmt.Print(eval.FormatFigure9(abls))
+		extra, err := eval.RunExtraAblations()
+		if err != nil {
+			sess.Fatal(err)
+		}
+		fmt.Println()
+		fmt.Print(eval.FormatExtraAblations(extra))
 	}
 }
 

@@ -29,9 +29,10 @@ func TestMain(m *testing.M) {
 // TestEvalGolden runs the evaluation harness at its CI size and compares
 // each run's exit status, stdout and stderr (and -trace file, where
 // taken) with the goldens in testdata/golden: the whole quick
-// evaluation (Figure 3, Tables 3–5, the §6 summary and Figure 9), one
-// subject through every table and figure, and one subject's Table 3
-// against a named two-target set. Every number is independent of
+// evaluation (Figure 3, Tables 3–5, the §6 summary, Figure 9 and the
+// extra ablations), one subject through every table and figure (and
+// the extra ablations, which ignore -subject), and one subject's
+// Table 3 against a named two-target set. Every number is independent of
 // -workers and of scheduling, so the outputs are byte-deterministic.
 func TestEvalGolden(t *testing.T) {
 	for _, c := range []struct {

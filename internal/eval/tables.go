@@ -7,6 +7,9 @@ import (
 
 	"github.com/hetero/heterogen/internal/baselines"
 	"github.com/hetero/heterogen/internal/core"
+	"github.com/hetero/heterogen/internal/fuzz"
+	"github.com/hetero/heterogen/internal/hls/sim"
+	"github.com/hetero/heterogen/internal/profile"
 	"github.com/hetero/heterogen/internal/repair"
 	"github.com/hetero/heterogen/internal/subjects"
 )
@@ -180,4 +183,86 @@ func FormatFigure9(runs []AblationRun) string {
 			r.ID, r.HGMinutes, wd, sp, r.HGInvokePct, r.WithoutCheckerPct))
 	}
 	return sb.String()
+}
+
+// ---------------------------------------------------------------------------
+// Extra ablations — design choices beyond the paper's figures
+
+// ExtraAblations holds the three design ablations this reproduction adds
+// to Figure 9. Their budgets are fixed, whatever the Config.
+type ExtraAblations struct {
+	// Branch coverage with and without §4's type-validity filter on a
+	// kernel with fpga_uint<7> inputs.
+	TypedCoverage, UntypedCoverage float64
+	// Branch coverage without and with Algorithm 1's kernel-entry seed
+	// capture on a host-staged magic value.
+	BlindCoverage, SeededCoverage float64
+	// FFSavingPct is the flip-flop estimate that bitwidth profiling
+	// saves on P3, in percent of the declared C widths' estimate.
+	FFSavingPct float64
+}
+
+const typedKernel = `
+int kernel(fpga_uint<7> x, fpga_uint<7> y) {
+    int r = 0;
+    if (x > 100) { r += 1; }
+    if (y > 100) { r += 2; }
+    if (x + y == 200) { r += 4; }
+    return r;
+}`
+
+const seededKernel = `
+int gate(int a, int b) { return a * 1000 + b; }
+int kernel(int secret) {
+    if (secret == gate(31, 337)) { return 1; }
+    return 0;
+}
+int host() { return kernel(gate(31, 337)); }`
+
+// RunExtraAblations runs the five fuzzing campaigns behind the extra
+// ablations through core.FuzzStage, unobserved, and profiles P3 on the
+// last one's tests.
+func RunExtraAblations() (ExtraAblations, error) {
+	var out ExtraAblations
+	p3, err := subjects.ByID("P3")
+	if err != nil {
+		return out, err
+	}
+	var camp fuzz.Campaign
+	for _, c := range []struct {
+		cov  *float64
+		src  string
+		opts core.Options
+	}{
+		{&out.TypedCoverage, typedKernel, core.Options{Kernel: "kernel", Fuzz: fuzz.Options{MaxExecs: 500}}},
+		{&out.UntypedCoverage, typedKernel, core.Options{Kernel: "kernel", Fuzz: fuzz.Options{MaxExecs: 500, UntypedMutation: true}}},
+		{&out.BlindCoverage, seededKernel, core.Options{Kernel: "kernel", Fuzz: fuzz.Options{MaxExecs: 600}}},
+		{&out.SeededCoverage, seededKernel, core.Options{Kernel: "kernel", HostMain: "host", Fuzz: fuzz.Options{MaxExecs: 600}}},
+		{nil, p3.Source, core.Options{Kernel: p3.Kernel, Fuzz: fuzz.Options{MaxExecs: 300}}},
+	} {
+		if camp, err = core.FuzzStage(context.Background(), c.src, c.opts); err != nil {
+			return out, err
+		}
+		if c.cov != nil {
+			*c.cov = camp.Coverage
+		}
+	}
+	orig := p3.MustParse()
+	prof, err := profile.Generate(orig, p3.Kernel, camp.Tests)
+	if err != nil {
+		return out, err
+	}
+	if base := sim.Estimate(orig).FF; base > 0 {
+		out.FFSavingPct = 100 * float64(base-sim.Estimate(prof.Unit).FF) / float64(base)
+	}
+	return out, nil
+}
+
+// FormatExtraAblations renders the extra ablations.
+func FormatExtraAblations(a ExtraAblations) string {
+	return fmt.Sprintf("Extra ablations: fuzzing and bitwidth design choices\n"+
+		"  typed mutation (fpga_uint<7> kernel)  coverage typed %.2f%%, untyped %.2f%%\n"+
+		"  seed capture (host-staged value)      coverage blind %.2f%%, seeded %.2f%%\n"+
+		"  bitwidth profiling (P3)               FF saving %.2f%% over declared C widths\n",
+		100*a.TypedCoverage, 100*a.UntypedCoverage, 100*a.BlindCoverage, 100*a.SeededCoverage, a.FFSavingPct)
 }
