@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet golden bench bench-test bench-obs check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke fuzz-smoke docs-check
+.PHONY: all build test race vet golden bench-test bench-obs check trace-demo conform-smoke chaos-smoke serve-smoke crash-smoke obs-smoke target-smoke interp-diff-smoke fuzz-smoke docs-check
 
 all: build
 
@@ -68,9 +68,6 @@ golden:
 	$(GO) test -count=1 -run 'TestViewGolden' ./cmd/hgstat/ -update
 	$(GO) test -count=1 -run 'TestCLIGolden' ./cmd/heterogen/ -update
 	$(GO) test -count=1 -run 'TestEvalGolden' ./cmd/hgeval/ -update
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
 
 # The repository benchmark's own tests (bench/ is a separate module, so
 # `make test` does not build it): every workload at smoke-test size,
@@ -168,8 +165,9 @@ fuzz-smoke:
 # families) must appear in the README's consolidated CLI reference
 # table, every per-binary row must name a flag its command registers,
 # and every shared row must list exactly the binaries that register it.
+# Every make target the docs and the CI workflow name must exist here.
 docs-check:
-	$(GO) test -run TestDocsFlagReference -v .
+	$(GO) test -run 'TestDocsFlagReference|TestDocsMakeTargets' -v .
 
 # Traces one evaluation subject end-to-end and cross-validates the trace
 # with hgstat -check: the event stream must reproduce the run's

@@ -9,17 +9,26 @@ import (
 	"github.com/hetero/heterogen"
 )
 
-func TestPublicTranspile(t *testing.T) {
-	src := `
+// longDoubleTop carries one unsupported-type error; the transpiling
+// tests run it under quickTop, a small test-generation budget.
+const longDoubleTop = `
 int top(int in) {
     long double in_ld = in;
     in_ld = in_ld + 1;
     return (int)in_ld;
 }`
-	res, err := heterogen.Transpile(src, heterogen.Options{
-		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
-	})
+
+var quickTop = heterogen.Options{Kernel: "top", Fuzz: heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50}}
+
+// branchKernel has one branch, so a complete campaign covers it fully.
+const branchKernel = `
+int kernel(int x) {
+    if (x > 10) { return 1; }
+    return 0;
+}`
+
+func TestPublicTranspile(t *testing.T) {
+	res, err := heterogen.Transpile(longDoubleTop, quickTop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +55,7 @@ func TestPublicCheck(t *testing.T) {
 }
 
 func TestPublicTranspileContext(t *testing.T) {
-	src := `
-int top(int in) {
-    long double in_ld = in;
-    in_ld = in_ld + 1;
-    return (int)in_ld;
-}`
-	opts := heterogen.Options{
-		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
-	}
-	res, err := heterogen.TranspileContext(context.Background(), src, opts)
+	res, err := heterogen.TranspileContext(context.Background(), longDoubleTop, quickTop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ int top(int in) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := heterogen.TranspileContext(ctx, src, opts)
+	partial, err := heterogen.TranspileContext(ctx, longDoubleTop, quickTop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
 	}
@@ -98,25 +97,19 @@ func TestPublicSimulate(t *testing.T) {
 }
 
 func TestPublicRepairStage(t *testing.T) {
-	src := `
-int top(int in) {
-    long double in_ld = in;
-    in_ld = in_ld + 1;
-    return (int)in_ld;
-}`
 	cache, err := heterogen.NewCache(heterogen.CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := heterogen.Options{Kernel: "top", Cache: cache}
-	res, err := heterogen.Repair(src, opts)
+	res, err := heterogen.Repair(longDoubleTop, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Compatible {
 		t.Fatalf("repair failed: %v", res.Remaining)
 	}
-	again, err := heterogen.Repair(src, opts)
+	again, err := heterogen.Repair(longDoubleTop, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +122,7 @@ int top(int in) {
 }
 
 func TestPublicGenerateTests(t *testing.T) {
-	camp, err := heterogen.GenerateTests(`
-int kernel(int x) {
-    if (x > 10) { return 1; }
-    return 0;
-}`, heterogen.Options{Kernel: "kernel",
+	camp, err := heterogen.GenerateTests(branchKernel, heterogen.Options{Kernel: "kernel",
 		Fuzz: heterogen.FuzzOptions{MaxExecs: 200, Plateau: 80}})
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +133,9 @@ int kernel(int x) {
 }
 
 func TestPublicGenerateTestsContext(t *testing.T) {
-	src := `
-int kernel(int x) {
-    if (x > 10) { return 1; }
-    return 0;
-}`
 	opts := heterogen.Options{Kernel: "kernel",
 		Fuzz: heterogen.FuzzOptions{MaxExecs: 200, Plateau: 80}}
-	camp, err := heterogen.GenerateTestsContext(context.Background(), src, opts)
+	camp, err := heterogen.GenerateTestsContext(context.Background(), branchKernel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +147,7 @@ int kernel(int x) {
 	// corpus is a usable suite, so the error stays nil.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := heterogen.GenerateTestsContext(ctx, src, opts)
+	partial, err := heterogen.GenerateTestsContext(ctx, branchKernel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,26 +162,13 @@ int kernel(int x) {
 }
 
 func TestPublicGuard(t *testing.T) {
-	src := `
-int top(int in) {
-    long double in_ld = in;
-    in_ld = in_ld + 1;
-    return (int)in_ld;
-}`
-	g := heterogen.NewGuard(heterogen.GuardOptions{})
-	opts := heterogen.Options{
-		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
-		Guard:  g,
-	}
-	res, err := heterogen.Transpile(src, opts)
+	opts := quickTop
+	opts.Guard = heterogen.NewGuard(heterogen.GuardOptions{})
+	res, err := heterogen.Transpile(longDoubleTop, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := heterogen.Transpile(src, heterogen.Options{
-		Kernel: "top",
-		Fuzz:   heterogen.FuzzOptions{MaxExecs: 120, Plateau: 50},
-	})
+	plain, err := heterogen.Transpile(longDoubleTop, quickTop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func runObsSearch(tb testing.TB, traced bool) time.Duration {
 
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, traced := range []bool{false, true} {
-		traced := traced
 		name := "trace-off"
 		if traced {
 			name = "trace-on"
@@ -67,7 +66,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // TestWriteObsBenchReport regenerates bench_obs.json, the committed
-// record of the tracing overhead. Guarded like the other bench writers:
+// record of the tracing overhead. Runs only with WRITE_BENCH set:
 //
 //	WRITE_BENCH=1 go test -run TestWriteObsBenchReport -v
 func TestWriteObsBenchReport(t *testing.T) {

@@ -36,10 +36,7 @@ func TestDocsFlagReference(t *testing.T) {
 	}
 	table := string(readme[start:end])
 
-	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mains, _ := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if len(mains) == 0 {
 		t.Fatal("no cmd/*/main.go files found")
 	}
@@ -149,5 +146,41 @@ func TestDocsFlagReference(t *testing.T) {
 				t.Errorf("%s: flag -%s has neither a shared row nor a %s row in the README CLI reference table", command, name, command)
 			}
 		}
+	}
+}
+
+// TestDocsMakeTargets is the second docs gate behind `make docs-check`:
+// every make target that the docs or the CI workflow name must exist,
+// so a deleted target cannot linger. A mention is "make X" in backticks
+// (a line break, in YAML with a comment marker, may split it) or
+// opening a line or a CI step.
+func TestDocsMakeTargets(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	docs, _ := filepath.Glob(filepath.Join("docs", "*.md"))
+	docs = append(docs, "README.md", "CONTRIBUTING.md", "EXPERIMENTS.md", "DESIGN.md",
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"), filepath.Join(".github", "workflows", "ci.yml"))
+	mention := regexp.MustCompile("(?m)(?:`|^\\s*(?:- run: )?)make[\\s#]+([a-z][a-z0-9-]*)")
+	mentions := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mention.FindAllStringSubmatch(string(text), -1) {
+			mentions++
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which is not a Makefile target", doc, m[1])
+			}
+		}
+	}
+	if mentions == 0 {
+		t.Error("found no make mentions in the docs; the mention pattern is stale")
 	}
 }

@@ -17,10 +17,7 @@ var updateExamples = flag.Bool("update", false, "rewrite testdata/examples from 
 // the public API behaves differently. Regenerate with `make golden`
 // only for an intended behaviour change.
 func TestExamplesOutput(t *testing.T) {
-	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mains, _ := filepath.Glob(filepath.Join("examples", "*", "main.go"))
 	if len(mains) == 0 {
 		t.Fatal("no examples/*/main.go files found")
 	}

@@ -341,3 +341,53 @@ void kernel(int n) {
 		t.Errorf("expected two classes, got %v", by)
 	}
 }
+
+// TestTable1Catalog checks the paper's Table 1: each error class's
+// canonical snippet produces a diagnostic of that class.
+func TestTable1Catalog(t *testing.T) {
+	snippets := map[hls.ErrorClass]string{
+		hls.ClassDynamicData: `
+void kernel(int cols) { int line_buf_a[cols]; line_buf_a[0] = 1; }`,
+		hls.ClassUnsupportedType: `
+int kernel(int x) { long double d = x; return (int)d; }`,
+		hls.ClassDataflow: `
+void my_func(char d[128], char o[128]) { for (int i = 0; i < 128; i++) { o[i] = d[i]; } }
+void kernel(char data[128], char a[128], char b[128]) {
+#pragma HLS dataflow
+    my_func(data, a);
+    my_func(data, b);
+}`,
+		hls.ClassLoopParallel: `
+void kernel(int a[100]) {
+#pragma HLS dataflow
+    for (int i = 0; i < 100; i++) {
+#pragma HLS unroll factor=50
+        a[i] = i;
+    }
+}`,
+		hls.ClassStructUnion: `
+struct If2 {
+    hls::stream<unsigned> &in;
+    hls::stream<unsigned> &out;
+    void do1() { out.write(in.read()); }
+};
+void kernel(hls::stream<unsigned> &in, hls::stream<unsigned> &out) {
+#pragma HLS dataflow
+    hls::stream<unsigned> tmp;
+    If2{ in, tmp }.do1();
+    If2{ tmp, out }.do1();
+}`,
+		hls.ClassTopFunction: `
+void other() { }`,
+	}
+	for _, class := range hls.AllClasses() {
+		src, ok := snippets[class]
+		if !ok {
+			t.Errorf("class %s has no Table 1 snippet", class)
+			continue
+		}
+		if rep := runCheck(t, src, "kernel"); !rep.HasClass(class) {
+			t.Errorf("%s snippet not diagnosed as its class: %v", class, rep.Diags)
+		}
+	}
+}

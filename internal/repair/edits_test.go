@@ -562,6 +562,24 @@ func TestDependenceEnumerationOrder(t *testing.T) {
 	if len(ptr.Requires) != 1 || ptr.Requires[0] != "insert" {
 		t.Errorf("pointer must require insert: %v", ptr.Requires)
 	}
+	tc, _ := TemplateByID("type_casting")
+	if len(tc.Requires) != 1 || tc.Requires[0] != "type_trans" {
+		t.Errorf("type_casting must require type_trans: %v", tc.Requires)
+	}
+}
+
+// TestTable2Catalog checks the paper's Table 2: every error class has
+// at least one edit template.
+func TestTable2Catalog(t *testing.T) {
+	perClass := map[hls.ErrorClass]int{}
+	for _, tmpl := range Registry() {
+		perClass[tmpl.Class]++
+	}
+	for _, c := range hls.AllClasses() {
+		if perClass[c] == 0 {
+			t.Errorf("no templates for class %s", c)
+		}
+	}
 }
 
 func TestCandidatesForOrdersByChainLength(t *testing.T) {
