@@ -169,8 +169,9 @@ func New(u *cast.Unit, opts Options) (*Interp, error) {
 	return in, nil
 }
 
-// Reset reinitializes globals, coverage, cost, and output; profiles
-// persist across runs (they accumulate over a test suite).
+// Reset reinitializes globals, coverage, cost, output and heap
+// numbering (the next malloc is heap#1 again); profiles persist across
+// runs (they accumulate over a test suite).
 func (in *Interp) Reset() error {
 	in.globals = map[string]*binding{}
 	in.methods = map[string]map[string]*cast.FuncDecl{}
@@ -180,6 +181,7 @@ func (in *Interp) Reset() error {
 	in.steps = 0
 	in.cost = 0
 	in.rawCost = 0
+	in.mallocSeq = 0
 	in.out.Reset()
 	in.CoverageBits = make([]bool, 2*in.unit.NumBranches)
 	if in.Profiles == nil {
