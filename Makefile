@@ -22,9 +22,12 @@ test:
 # detector's ~10x slowdown. Fuzzing has no pool, but a guard deadline
 # runs each execution on its own goroutine, and an abandoned one may
 # still run while the campaign goes on; the fuzz package runs in full.
+# The differential tester (internal/difftest) runs in full too: its
+# TestRunnerConcurrentCandidates runs two candidates at once through
+# one Runner, sharing its compiled-code cache and fingerprint memo.
 race:
 	$(GO) test -race -short ./internal/repair/...
-	$(GO) test -race ./internal/fuzz/ ./internal/profile/
+	$(GO) test -race ./internal/fuzz/ ./internal/profile/ ./internal/difftest/
 
 # go vet, plus gofmt: any file gofmt would rewrite fails the target.
 # `gofmt -l .` walks bench/ too (a separate module, not covered by

@@ -30,31 +30,15 @@ type Outcome struct {
 	Cost   int64
 }
 
-// runCPU executes the kernel of u on the CPU interpreter for one test
-// with an explicit step budget (0 = interpreter default), compiling into
-// code.
-func runCPU(u *cast.Unit, kernel string, tc fuzz.TestCase, maxSteps int64, code *interp.Codebase) Outcome {
-	in, err := interp.New(u, interp.Options{MaxSteps: maxSteps, Code: code})
-	if err != nil {
-		return Outcome{Err: err}
-	}
-	return runWith(tc, func(args []interp.Value) (interp.Value, int64, string, error) {
-		res, err := in.CallKernel(kernel, args)
-		return res.Ret, res.Cost, res.Output, err
-	})
-}
-
-func runWith(tc fuzz.TestCase, call func([]interp.Value) (interp.Value, int64, string, error)) Outcome {
-	args := tc.Values()
+// outcome runs call on args and records what it observed. The outcome
+// keeps args' arrays as its Arrays: they hold the post-call contents
+// and belong to this run alone.
+func outcome(args []interp.Value, call func([]interp.Value) (interp.Value, int64, string, error)) Outcome {
 	ret, cost, text, err := call(args)
 	out := Outcome{Ret: ret, Err: err, Cost: cost, Output: text}
 	for _, a := range args {
 		if a.Kind == interp.VPtr && a.Obj != nil {
-			snap := make([]interp.Value, len(a.Obj.Elems))
-			for i, e := range a.Obj.Elems {
-				snap[i] = e.DeepCopy()
-			}
-			out.Arrays = append(out.Arrays, snap)
+			out.Arrays = append(out.Arrays, a.Obj.Elems)
 		}
 	}
 	return out

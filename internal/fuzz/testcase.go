@@ -32,23 +32,30 @@ func (a Arg) Clone() Arg {
 }
 
 // Value materializes the argument as a fresh interpreter value.
-func (a Arg) Value() interp.Value {
+func (a Arg) Value() interp.Value { return a.ValueIn(nil) }
+
+// ValueIn is Value with an array argument's elements written into buf
+// when buf has the capacity for them; the array storage then owns buf.
+// A scalar argument ignores buf.
+func (a Arg) ValueIn(buf []interp.Value) interp.Value {
 	if a.Scalar {
 		if a.IsFloat {
 			return interp.FloatValue(a.Floats[0])
 		}
 		return interp.Value{Kind: interp.VInt, Int: a.Ints[0], Width: int32(a.Width), Unsigned: a.Unsigned}
 	}
-	if a.IsFloat {
-		vals := make([]interp.Value, len(a.Floats))
-		for i, f := range a.Floats {
-			vals[i] = interp.FloatValue(f)
-		}
-		return interp.NewArrayObject("arg", a.Elem, vals)
+	vals := buf[:0]
+	if n := a.Len(); cap(vals) < n {
+		vals = make([]interp.Value, 0, n)
 	}
-	vals := make([]interp.Value, len(a.Ints))
-	for i, v := range a.Ints {
-		vals[i] = interp.Value{Kind: interp.VInt, Int: v, Width: int32(a.Width), Unsigned: a.Unsigned}
+	if a.IsFloat {
+		for _, f := range a.Floats {
+			vals = append(vals, interp.FloatValue(f))
+		}
+	} else {
+		for _, v := range a.Ints {
+			vals = append(vals, interp.Value{Kind: interp.VInt, Int: v, Width: int32(a.Width), Unsigned: a.Unsigned})
+		}
 	}
 	return interp.NewArrayObject("arg", a.Elem, vals)
 }

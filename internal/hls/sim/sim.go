@@ -64,7 +64,10 @@ func (s *Simulator) Run(args []interp.Value) (RunResult, error) {
 	}, nil
 }
 
-// Reset clears globals between independent test vectors.
+// Reset readies the simulator for an independent test vector: the next
+// Run starts from the state it would have on a fresh simulator (globals,
+// static locals, heap numbering, coverage, cost and output), with the
+// global arrays refilled in place rather than reallocated.
 func (s *Simulator) Reset() error { return s.in.Reset() }
 
 // ---------------------------------------------------------------------------

@@ -269,8 +269,10 @@ type unitCode struct {
 }
 
 type globalDecl struct {
-	name  string
-	alloc func(in *Interp, fr *frame) *binding
+	name string
+	// alloc binds the global, refilling prev, the array storage of the
+	// last Reset, when it fits (newArray).
+	alloc func(in *Interp, fr *frame, prev *Object) *binding
 	// tag and methods install a struct's method table.
 	tag     string
 	methods map[string]*cast.FuncDecl
@@ -300,16 +302,16 @@ func compileUnit(u *cast.Unit) *unitCode {
 	return uc
 }
 
-func (c *compiler) globalInit(d *cast.VarDecl) (alloc func(in *Interp, fr *frame) *binding) {
+func (c *compiler) globalInit(d *cast.VarDecl) (alloc func(in *Interp, fr *frame, prev *Object) *binding) {
 	defer func() {
 		if r := recover(); r != nil {
 			err := &RuntimeError{Msg: fmt.Sprintf("internal compiler error in the initializer of %q: %v", d.Name, r), Pos: d.P}
-			alloc = func(in *Interp, fr *frame) *binding { panic(err) }
+			alloc = func(in *Interp, fr *frame, prev *Object) *binding { panic(err) }
 		}
 	}()
 	name, t := d.Name, d.Type
 	leafOps, initOp := c.initOps(t, d.Init)
-	return func(in *Interp, fr *frame) *binding {
-		return in.allocate(name, t, leafOps, initOp, fr)
+	return func(in *Interp, fr *frame, prev *Object) *binding {
+		return in.allocate(name, t, leafOps, initOp, fr, prev)
 	}
 }

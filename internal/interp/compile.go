@@ -895,7 +895,7 @@ func (c *compiler) arrayDecl(pos ctoken.Pos, name string, t ctypes.Type, arr cty
 	total, elem := flattenArray(arr)
 	return func(in *Interp, fr *frame) control {
 		in.step(pos)
-		fr.slots[slot] = &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
+		fr.slots[slot] = &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr, nil)}
 		in.addCost(costStore)
 		return ctlNone
 	}
@@ -914,7 +914,7 @@ func (c *compiler) staticDecl(d *cast.DeclStmt, cond bool) execOp {
 		in.step(pos)
 		b, ok := in.globals[key]
 		if !ok {
-			b = in.allocate(name, t, leafOps, initOp, fr)
+			b = in.allocate(name, t, leafOps, initOp, fr, nil)
 			in.globals[key] = b
 		}
 		fr.slots[slot] = b
@@ -943,7 +943,7 @@ func (c *compiler) vlaDecl(d *cast.DeclStmt, cond bool) execOp {
 		if in.opts.Mode == CPU {
 			typ = in.concretize(t, dimOps, p, name, fr)
 		}
-		b := in.allocate(name, typ, leafOps, initOp, fr)
+		b := in.allocate(name, typ, leafOps, initOp, fr, nil)
 		fr.slots[slot] = b
 		if in.opts.Profile && b.isLV {
 			if v := b.lv.load(); v.Kind == VInt {
@@ -982,16 +982,16 @@ func (in *Interp) concretize(t ctypes.Type, dimOps []evalOp, p ctoken.Pos, name 
 
 // allocate creates the storage of a declaration of type t and runs its
 // compiled initializer: an array zero-fills and takes the
-// initializer-list leaves (an unknown length faults), anything else
-// stores the initializer's value.
-func (in *Interp) allocate(name string, t ctypes.Type, leafOps []evalOp, initOp evalOp, fr *frame) *binding {
+// initializer-list leaves (an unknown length faults), refilling prev
+// when it fits (newArray); anything else stores the initializer's value.
+func (in *Interp) allocate(name string, t ctypes.Type, leafOps []evalOp, initOp evalOp, fr *frame, prev *Object) *binding {
 	rt := ctypes.Resolve(t)
 	if arr, ok := rt.(ctypes.Array); ok {
 		if arr.Len < 0 {
 			in.fail(ctoken.Pos{}, "array %q has unknown size at allocation", name)
 		}
 		total, elem := flattenArray(arr)
-		return &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr)}
+		return &binding{typ: t, obj: in.newArray(name, elem, total, leafOps, fr, prev)}
 	}
 	v := ZeroValue(rt)
 	if initOp != nil {
@@ -1034,11 +1034,16 @@ func (c *compiler) initLeaves(init cast.Expr) []evalOp {
 	return leafOps
 }
 
-// newArray allocates zero-filled storage of total elements, then runs
-// the initializer leaves in order (leaves beyond the array's capacity
-// are never evaluated).
-func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []evalOp, fr *frame) *Object {
-	obj := &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
+// newArray zero-fills storage of total elements, then runs the
+// initializer leaves in order (leaves beyond the array's capacity are
+// never evaluated). The storage is prev when prev holds total elements
+// and was not freed, refilled slot by slot, and newly allocated
+// otherwise.
+func (in *Interp) newArray(name string, elem ctypes.Type, total int, leafOps []evalOp, fr *frame, prev *Object) *Object {
+	obj := prev
+	if obj == nil || obj.Freed || len(obj.Elems) != total {
+		obj = &Object{Name: name, Elem: elem, Elems: make([]Value, total)}
+	}
 	fillZero(obj.Elems, elem)
 	for i, leaf := range leafOps {
 		if i >= total {

@@ -112,6 +112,10 @@ type Interp struct {
 	opts Options
 
 	globals map[string]*binding
+	// arrays holds each global declaration's array storage from the
+	// last Reset (nil for a scalar), indexed like the unit's compiled
+	// declarations, for the next Reset to refill.
+	arrays  []*Object
 	methods map[string]map[string]*cast.FuncDecl
 	frames  []*frame
 
@@ -172,9 +176,19 @@ func New(u *cast.Unit, opts Options) (*Interp, error) {
 // Reset reinitializes globals, coverage, cost, output and heap
 // numbering (the next malloc is heap#1 again); profiles persist across
 // runs (they accumulate over a test suite).
+//
+// A global array whose previous storage has the same length and was not
+// freed keeps that storage: Reset refills its element slots in place
+// (fillZero, then the initializer) and never writes into an aggregate,
+// so a struct value an earlier run returned keeps its fields. Every
+// other global, and every static local, gets storage afresh.
 func (in *Interp) Reset() error {
-	in.globals = map[string]*binding{}
-	in.methods = map[string]map[string]*cast.FuncDecl{}
+	if in.globals == nil {
+		in.globals = map[string]*binding{}
+		in.methods = map[string]map[string]*cast.FuncDecl{}
+	}
+	clear(in.globals)
+	clear(in.methods)
 	// Popped frames above the stack's length are reused by later calls.
 	in.frames = in.frames[:0]
 	in.args = in.args[:0]
@@ -183,7 +197,11 @@ func (in *Interp) Reset() error {
 	in.rawCost = 0
 	in.mallocSeq = 0
 	in.out.Reset()
-	in.CoverageBits = make([]bool, 2*in.unit.NumBranches)
+	if n := 2 * in.unit.NumBranches; len(in.CoverageBits) == n {
+		clear(in.CoverageBits)
+	} else {
+		in.CoverageBits = make([]bool, n)
+	}
 	if in.Profiles == nil {
 		in.Profiles = map[string]*Range{}
 	}
@@ -202,12 +220,18 @@ func (in *Interp) Reset() error {
 			}
 		}()
 		fr := &frame{}
-		for _, g := range in.opts.Code.unit(in.unit).decls {
+		decls := in.opts.Code.unit(in.unit).decls
+		if len(in.arrays) != len(decls) {
+			in.arrays = make([]*Object, len(decls))
+		}
+		for i, g := range decls {
 			if g.alloc == nil {
 				in.methods[g.tag] = g.methods
 				continue
 			}
-			in.globals[g.name] = g.alloc(in, fr)
+			b := g.alloc(in, fr, in.arrays[i])
+			in.arrays[i] = b.obj
+			in.globals[g.name] = b
 		}
 	}()
 	return err
@@ -295,11 +319,10 @@ func (in *Interp) CallKernel(name string, args []Value) (res Result, err error) 
 
 // NewArrayObject creates array storage holding the given element values
 // and returns a pointer to it (the natural representation of an array
-// kernel argument).
+// kernel argument). The storage takes ownership of vals: its elements
+// are the slice's, so the caller must not use vals afterwards.
 func NewArrayObject(name string, elem ctypes.Type, vals []Value) Value {
-	obj := &Object{Name: name, Elem: ctypes.Resolve(elem), Elems: make([]Value, len(vals))}
-	copy(obj.Elems, vals)
-	return Value{Kind: VPtr, Obj: obj}
+	return Value{Kind: VPtr, Obj: &Object{Name: name, Elem: ctypes.Resolve(elem), Elems: vals}}
 }
 
 // callFunction executes fn with evaluated argument values.
