@@ -26,7 +26,6 @@ import (
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/interp"
 	"github.com/hetero/heterogen/internal/obs"
 )
 
@@ -97,8 +96,8 @@ func (c *checker) checkTopFunction() {
 	// configured top. Such pragmas may survive at file scope or attached
 	// to a function head.
 	checkTopDirective := func(text string) {
-		dir := interp.ParsePragma(text)
-		if dir.Kind == interp.PragmaTop && dir.Name != "" && dir.Name != c.cfg.Top {
+		dir := cast.ParsePragma(text)
+		if dir.Kind == cast.PragmaTop && dir.Name != "" && dir.Name != c.cfg.Top {
 			c.add(hls.Diagnostic{
 				Code: "HLS 200-1",
 				Message: fmt.Sprintf(
@@ -410,7 +409,7 @@ func (c *checker) checkStructs() {
 	// Streams connecting struct instances in a dataflow region must be
 	// declared static (Figure 5's second repair).
 	for _, fn := range c.unit.Funcs() {
-		if fn.Body == nil || !hasDataflowPragma(fn) {
+		if fn.Body == nil || !fn.HasDataflow() {
 			continue
 		}
 		usesStructInstances := false
@@ -442,13 +441,4 @@ func (c *checker) checkStructs() {
 			return true
 		})
 	}
-}
-
-func hasDataflowPragma(fn *cast.FuncDecl) bool {
-	for _, p := range fn.Pragmas {
-		if interp.ParsePragma(p.Text).Kind == interp.PragmaDataflow {
-			return true
-		}
-	}
-	return false
 }

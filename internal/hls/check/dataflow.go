@@ -7,7 +7,6 @@ import (
 	"github.com/hetero/heterogen/internal/cast"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/interp"
 )
 
 // ---------------------------------------------------------------------------
@@ -19,7 +18,7 @@ import (
 
 func (c *checker) checkDataflow() {
 	for _, fn := range c.unit.Funcs() {
-		if fn.Body == nil || !hasDataflowPragma(fn) {
+		if fn.Body == nil || !fn.HasDataflow() {
 			continue
 		}
 		consumers := map[string]int{}
@@ -97,12 +96,12 @@ func (c *checker) checkLoops() {
 		if fn.Body == nil {
 			continue
 		}
-		dataflow := hasDataflowPragma(fn)
-		sizes := c.arraySizes(fn)
+		dataflow := fn.HasDataflow()
+		sizes := c.unit.ArraySizes(fn)
 
 		for _, p := range fn.Pragmas {
-			d := interp.ParsePragma(p.Text)
-			if d.Kind == interp.PragmaArrayPartition {
+			d := cast.ParsePragma(p.Text)
+			if d.Kind == cast.PragmaArrayPartition {
 				c.checkPartition(d, sizes, p)
 			}
 		}
@@ -133,7 +132,7 @@ func (c *checker) checkLoops() {
 			switch l := n.(type) {
 			case *cast.For:
 				pragmas = l.Pragmas
-				trip = staticTripCount(l)
+				trip = l.TripCount()
 			case *cast.While:
 				pragmas = l.Pragmas
 				trip = -1
@@ -143,8 +142,8 @@ func (c *checker) checkLoops() {
 				if attached[l] {
 					return true
 				}
-				d := interp.ParsePragma(l.Text)
-				if d.Kind == interp.PragmaArrayPartition {
+				d := cast.ParsePragma(l.Text)
+				if d.Kind == cast.PragmaArrayPartition {
 					c.checkPartition(d, sizes, l)
 				}
 				return true
@@ -152,9 +151,9 @@ func (c *checker) checkLoops() {
 				return true
 			}
 			for _, p := range pragmas {
-				d := interp.ParsePragma(p.Text)
+				d := cast.ParsePragma(p.Text)
 				switch d.Kind {
-				case interp.PragmaUnroll:
+				case cast.PragmaUnroll:
 					if d.Factor >= 50 && dataflow {
 						c.add(hls.Diagnostic{
 							Code: "HLS 200-70",
@@ -182,7 +181,7 @@ func (c *checker) checkLoops() {
 							Subject: "unroll",
 						})
 					}
-				case interp.PragmaArrayPartition:
+				case cast.PragmaArrayPartition:
 					c.checkPartition(d, sizes, p)
 				}
 			}
@@ -191,7 +190,7 @@ func (c *checker) checkLoops() {
 	}
 }
 
-func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int, p *cast.Pragma) {
+func (c *checker) checkPartition(d cast.PragmaDirective, sizes map[string]int, p *cast.Pragma) {
 	switch d.PartitionType {
 	case "", "cyclic", "block":
 	case "complete":
@@ -248,67 +247,4 @@ func (c *checker) checkPartition(d interp.PragmaDirective, sizes map[string]int,
 			Subject: d.Variable,
 		})
 	}
-}
-
-// arraySizes maps array names visible in fn (params, locals, globals) to
-// their flattened outer dimension.
-func (c *checker) arraySizes(fn *cast.FuncDecl) map[string]int {
-	out := map[string]int{}
-	record := func(name string, t ctypes.Type) {
-		if arr, ok := ctypes.Resolve(t).(ctypes.Array); ok && arr.Len > 0 {
-			out[name] = arr.Len
-		}
-	}
-	for _, d := range c.unit.Decls {
-		if v, ok := d.(*cast.VarDecl); ok {
-			record(v.Name, v.Type)
-		}
-	}
-	for _, p := range fn.Params {
-		record(p.Name, p.Type)
-	}
-	cast.Inspect(fn, func(n cast.Node) bool {
-		if d, ok := n.(*cast.DeclStmt); ok {
-			record(d.Name, d.Type)
-		}
-		return true
-	})
-	return out
-}
-
-// staticTripCount extracts the trip count of the canonical counted loop
-// "for (i = 0; i < N; i++)", returning -1 when it cannot be determined.
-func staticTripCount(f *cast.For) int {
-	cond, ok := f.Cond.(*cast.Binary)
-	if !ok {
-		return -1
-	}
-	lit, ok := cond.R.(*cast.IntLit)
-	if !ok {
-		return -1
-	}
-	start := int64(0)
-	switch init := f.Init.(type) {
-	case *cast.DeclStmt:
-		if il, ok := init.Init.(*cast.IntLit); ok {
-			start = il.Value
-		} else if init.Init != nil {
-			return -1
-		}
-	case *cast.ExprStmt:
-		if as, ok := init.X.(*cast.Assign); ok {
-			if il, ok := as.R.(*cast.IntLit); ok {
-				start = il.Value
-			} else {
-				return -1
-			}
-		}
-	}
-	switch cond.Op.String() {
-	case "<":
-		return int(lit.Value - start)
-	case "<=":
-		return int(lit.Value - start + 1)
-	}
-	return -1
 }

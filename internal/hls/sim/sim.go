@@ -158,8 +158,8 @@ func Estimate(u *cast.Unit) Resources {
 	partitions := map[string]int{}
 	cast.Inspect(u, func(n cast.Node) bool {
 		if p, ok := n.(*cast.Pragma); ok {
-			d := interp.ParsePragma(p.Text)
-			if d.Kind == interp.PragmaArrayPartition && d.Variable != "" {
+			d := cast.ParsePragma(p.Text)
+			if d.Kind == cast.PragmaArrayPartition && d.Variable != "" {
 				f := d.Factor
 				if f <= 0 {
 					f = 4
@@ -172,8 +172,8 @@ func Estimate(u *cast.Unit) Resources {
 	for _, d := range u.Decls {
 		if f, ok := d.(*cast.FuncDecl); ok {
 			for _, p := range f.Pragmas {
-				dir := interp.ParsePragma(p.Text)
-				if dir.Kind == interp.PragmaArrayPartition && dir.Variable != "" {
+				dir := cast.ParsePragma(p.Text)
+				if dir.Kind == cast.PragmaArrayPartition && dir.Variable != "" {
 					fac := dir.Factor
 					if fac <= 0 {
 						fac = 4

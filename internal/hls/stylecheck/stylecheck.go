@@ -15,9 +15,7 @@ import (
 	"fmt"
 
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/interp"
 )
 
 // Run style-checks the unit and returns the violations found.
@@ -45,8 +43,8 @@ func (s *styler) checkUnit() {
 		case *cast.FuncDecl:
 			s.checkFunc(x)
 		case *cast.PragmaDecl:
-			dir := interp.ParsePragma(x.Text)
-			if dir.IsHLS && dir.Kind != interp.PragmaTop {
+			dir := cast.ParsePragma(x.Text)
+			if dir.IsHLS && dir.Kind != cast.PragmaTop {
 				s.add("STYLE-1", fmt.Sprintf(
 					"HLS pragma %q at file scope: directives must appear inside the function or loop they configure", x.Text),
 					hls.ClassLoopParallel, x.Text)
@@ -63,25 +61,25 @@ func (s *styler) checkFunc(fn *cast.FuncDecl) {
 	if fn.Body == nil {
 		return
 	}
-	sizes := s.arraySizes(fn)
+	sizes := s.unit.ArraySizes(fn)
 
 	// Function-head pragmas: dataflow, interface, array_partition are
 	// legal here; unroll and pipeline are loop-level directives.
 	for _, p := range fn.Pragmas {
-		d := interp.ParsePragma(p.Text)
+		d := cast.ParsePragma(p.Text)
 		if !d.IsHLS {
 			continue
 		}
 		switch d.Kind {
-		case interp.PragmaUnroll:
+		case cast.PragmaUnroll:
 			s.add("STYLE-2", fmt.Sprintf(
 				"'#pragma HLS unroll' must appear within a loop body, not at the head of function '%s'", fn.Name),
 				hls.ClassLoopParallel, fn.Name)
-		case interp.PragmaPipeline:
+		case cast.PragmaPipeline:
 			// Pipeline at function level is legal (function pipelining).
-		case interp.PragmaArrayPartition:
+		case cast.PragmaArrayPartition:
 			s.checkPartitionOperands(d, sizes, fn.Name)
-		case interp.PragmaUnknown:
+		case cast.PragmaUnknown:
 			s.add("STYLE-3", fmt.Sprintf(
 				"unknown HLS directive %q in function '%s'", d.Raw, fn.Name),
 				hls.ClassLoopParallel, fn.Name)
@@ -121,18 +119,18 @@ func (s *styler) checkFunc(fn *cast.FuncDecl) {
 			}
 			// A pragma surviving in plain statement position was not
 			// attached to any loop or function head: misplaced.
-			d := interp.ParsePragma(x.Text)
+			d := cast.ParsePragma(x.Text)
 			if d.IsHLS {
 				switch d.Kind {
-				case interp.PragmaUnroll, interp.PragmaPipeline:
+				case cast.PragmaUnroll, cast.PragmaPipeline:
 					s.add("STYLE-2", fmt.Sprintf(
 						"'#pragma HLS %s' must appear as the first directive of a loop body", kindName(d.Kind)),
 						hls.ClassLoopParallel, fn.Name)
-				case interp.PragmaDataflow:
+				case cast.PragmaDataflow:
 					s.add("STYLE-4",
 						"'#pragma HLS dataflow' must appear at the head of a function body",
 						hls.ClassDataflow, fn.Name)
-				case interp.PragmaArrayPartition:
+				case cast.PragmaArrayPartition:
 					s.checkPartitionOperands(d, sizes, fn.Name)
 				}
 			}
@@ -142,9 +140,9 @@ func (s *styler) checkFunc(fn *cast.FuncDecl) {
 }
 
 func (s *styler) checkLoopPragmas(pragmas []*cast.Pragma, sizes map[string]int, fnName string) {
-	seen := map[interp.PragmaKind]bool{}
+	seen := map[cast.PragmaKind]bool{}
 	for _, p := range pragmas {
-		d := interp.ParsePragma(p.Text)
+		d := cast.ParsePragma(p.Text)
 		if !d.IsHLS {
 			continue
 		}
@@ -155,27 +153,27 @@ func (s *styler) checkLoopPragmas(pragmas []*cast.Pragma, sizes map[string]int, 
 		}
 		seen[d.Kind] = true
 		switch d.Kind {
-		case interp.PragmaUnroll:
+		case cast.PragmaUnroll:
 			if d.Factor < 0 {
 				s.add("STYLE-6", "unroll factor must be positive",
 					hls.ClassLoopParallel, fnName)
 			}
-		case interp.PragmaPipeline:
+		case cast.PragmaPipeline:
 			if d.Factor < 0 {
 				s.add("STYLE-6", "pipeline II must be positive",
 					hls.ClassLoopParallel, fnName)
 			}
-		case interp.PragmaDataflow:
+		case cast.PragmaDataflow:
 			s.add("STYLE-4",
 				"'#pragma HLS dataflow' applies to function bodies, not loops",
 				hls.ClassDataflow, fnName)
-		case interp.PragmaArrayPartition:
+		case cast.PragmaArrayPartition:
 			s.checkPartitionOperands(d, sizes, fnName)
 		}
 	}
 }
 
-func (s *styler) checkPartitionOperands(d interp.PragmaDirective, sizes map[string]int, fnName string) {
+func (s *styler) checkPartitionOperands(d cast.PragmaDirective, sizes map[string]int, fnName string) {
 	switch d.PartitionType {
 	case "", "cyclic", "block", "complete":
 	default:
@@ -206,39 +204,15 @@ func (s *styler) checkPartitionOperands(d interp.PragmaDirective, sizes map[stri
 	}
 }
 
-func (s *styler) arraySizes(fn *cast.FuncDecl) map[string]int {
-	out := map[string]int{}
-	record := func(name string, t ctypes.Type) {
-		if arr, ok := ctypes.Resolve(t).(ctypes.Array); ok && arr.Len > 0 {
-			out[name] = arr.Len
-		}
-	}
-	for _, d := range s.unit.Decls {
-		if v, ok := d.(*cast.VarDecl); ok {
-			record(v.Name, v.Type)
-		}
-	}
-	for _, p := range fn.Params {
-		record(p.Name, p.Type)
-	}
-	cast.Inspect(fn.Body, func(n cast.Node) bool {
-		if d, ok := n.(*cast.DeclStmt); ok {
-			record(d.Name, d.Type)
-		}
-		return true
-	})
-	return out
-}
-
-func kindName(k interp.PragmaKind) string {
+func kindName(k cast.PragmaKind) string {
 	switch k {
-	case interp.PragmaUnroll:
+	case cast.PragmaUnroll:
 		return "unroll"
-	case interp.PragmaPipeline:
+	case cast.PragmaPipeline:
 		return "pipeline"
-	case interp.PragmaDataflow:
+	case cast.PragmaDataflow:
 		return "dataflow"
-	case interp.PragmaArrayPartition:
+	case cast.PragmaArrayPartition:
 		return "array_partition"
 	}
 	return "directive"

@@ -284,7 +284,7 @@ type globalDecl struct {
 // global's initialization.
 func compileUnit(u *cast.Unit) *unitCode {
 	c := &compiler{
-		typeEnv: typeEnv{unit: u, methods: map[string]map[string]*cast.FuncDecl{}},
+		TypeEnv: cast.TypeEnv{Unit: u, Methods: map[string]map[string]*cast.FuncDecl{}},
 		globals: map[string]ctypes.Type{},
 	}
 	uc := &unitCode{}
@@ -295,7 +295,7 @@ func compileUnit(u *cast.Unit) *unitCode {
 			c.globals[x.Name] = x.Type
 		case *cast.StructDecl:
 			m := methodTable(x)
-			c.methods[x.Type.Tag] = m
+			c.Methods[x.Type.Tag] = m
 			uc.decls = append(uc.decls, globalDecl{tag: x.Type.Tag, methods: m})
 		}
 	}

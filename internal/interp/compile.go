@@ -127,7 +127,7 @@ type ctScope struct {
 }
 
 type compiler struct {
-	typeEnv
+	cast.TypeEnv
 	fn *cast.FuncDecl
 	// recv is the receiver struct of a method body, nil otherwise.
 	recv *ctypes.Struct
@@ -147,12 +147,6 @@ type compiler struct {
 	globals map[string]ctypes.Type
 }
 
-// typeEnv is the unit-level context of static typing.
-type typeEnv struct {
-	unit    *cast.Unit
-	methods map[string]map[string]*cast.FuncDecl
-}
-
 // methodTable is the per-tag method map Reset installs for a struct.
 func methodTable(sd *cast.StructDecl) map[string]*cast.FuncDecl {
 	m := map[string]*cast.FuncDecl{}
@@ -164,7 +158,7 @@ func methodTable(sd *cast.StructDecl) map[string]*cast.FuncDecl {
 
 func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler {
 	c := &compiler{
-		typeEnv: typeEnv{unit: u, methods: map[string]map[string]*cast.FuncDecl{}},
+		TypeEnv: cast.TypeEnv{Unit: u, Methods: map[string]map[string]*cast.FuncDecl{}},
 		fn:      fn,
 		recv:    recv,
 		globals: map[string]ctypes.Type{},
@@ -178,7 +172,7 @@ func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler
 		case *cast.VarDecl:
 			c.globals[x.Name] = x.Type
 		case *cast.StructDecl:
-			c.methods[x.Type.Tag] = methodTable(x)
+			c.Methods[x.Type.Tag] = methodTable(x)
 		}
 	}
 	return c
@@ -343,7 +337,7 @@ func compileFunc(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) (cf *comp
 	cf.nslots, cf.nvals = c.nslots, c.nvals
 	cf.sites = c.sites
 	cf.parts = gatherPartitions(fn)
-	cf.dataflow = hasDataflow(fn)
+	cf.dataflow = fn.HasDataflow()
 	return
 }
 
@@ -576,8 +570,8 @@ func (c *compiler) stmt(s cast.Stmt) execOp {
 	case *cast.Switch:
 		return c.switchStmt(x)
 	case *cast.Pragma:
-		d := ParsePragma(x.Text)
-		if d.Kind == PragmaArrayPartition && d.Variable != "" {
+		d := cast.ParsePragma(x.Text)
+		if d.Kind == cast.PragmaArrayPartition && d.Variable != "" {
 			name, banks := d.Variable, partitionBanks(d)
 			return func(in *Interp, fr *frame) control {
 				in.step(pos)
@@ -1128,7 +1122,7 @@ func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
 // (ambiguous), and up to array lengths, which a variable-length array's
 // binding carries only at run time (unsized).
 func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
-	return c.typeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
+	return c.TypeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
 }
 
 // typer compiles e's type as a run-time read: the names in e are
@@ -1142,130 +1136,8 @@ func (c *compiler) typer(e cast.Expr) func(in *Interp, fr *frame) ctypes.Type {
 		}
 		return true
 	})
-	env := c.typeEnv
+	env := c.TypeEnv
 	return func(in *Interp, fr *frame) ctypes.Type {
-		return env.typeOf(e, func(id *cast.Ident) ctypes.Type { return refs[id].typeAt(in, fr) })
+		return env.TypeOf(e, func(id *cast.Ident) ctypes.Type { return refs[id].typeAt(in, fr) })
 	}
-}
-
-// typeOf is the best-effort static type of e (nil when unknown), typing
-// names with ident. It drives sizeof, strides, array decay and stream
-// dispatch.
-func (env typeEnv) typeOf(e cast.Expr, ident func(*cast.Ident) ctypes.Type) ctypes.Type {
-	switch x := e.(type) {
-	case *cast.IntLit:
-		return ctypes.IntT
-	case *cast.FloatLit:
-		return ctypes.DoubleT
-	case *cast.CharLit:
-		return ctypes.Char
-	case *cast.BoolLit:
-		return ctypes.Bool{}
-	case *cast.Ident:
-		return ident(x)
-	case *cast.Index:
-		bt := env.typeOf(x.X, ident)
-		switch u := ctypes.Resolve(bt).(type) {
-		case ctypes.Array:
-			return u.Elem
-		case ctypes.Pointer:
-			return u.Elem
-		}
-		return nil
-	case *cast.Member:
-		bt := env.typeOf(x.X, ident)
-		rt := ctypes.Resolve(bt)
-		if p, ok := rt.(ctypes.Pointer); ok && x.Arrow {
-			rt = ctypes.Resolve(p.Elem)
-		}
-		if st, ok := rt.(*ctypes.Struct); ok {
-			if i := st.FieldIndex(x.Field); i >= 0 {
-				return st.Fields[i].Type
-			}
-		}
-		return nil
-	case *cast.Unary:
-		switch x.Op {
-		case ctoken.MUL:
-			if p, ok := ctypes.Resolve(env.typeOf(x.X, ident)).(ctypes.Pointer); ok {
-				return p.Elem
-			}
-			return nil
-		case ctoken.AND:
-			bt := env.typeOf(x.X, ident)
-			if bt == nil {
-				return nil
-			}
-			return ctypes.Pointer{Elem: bt}
-		case ctoken.NOT:
-			return ctypes.IntT
-		}
-		return env.typeOf(x.X, ident)
-	case *cast.Postfix:
-		return env.typeOf(x.X, ident)
-	case *cast.Binary:
-		lt := env.typeOf(x.L, ident)
-		rt := env.typeOf(x.R, ident)
-		if lt == nil {
-			return rt
-		}
-		if rt == nil {
-			return lt
-		}
-		if ctypes.IsFloat(lt) {
-			return lt
-		}
-		if ctypes.IsFloat(rt) {
-			return rt
-		}
-		return lt
-	case *cast.Assign:
-		return env.typeOf(x.L, ident)
-	case *cast.Cond:
-		return env.typeOf(x.T, ident)
-	case *cast.Cast:
-		return x.To
-	case *cast.Call:
-		if id, ok := x.Fun.(*cast.Ident); ok {
-			if fn := env.unit.Func(id.Name); fn != nil {
-				return fn.Ret
-			}
-			switch id.Name {
-			case "malloc":
-				return ctypes.Pointer{Elem: ctypes.Char}
-			case "sqrt", "fabs", "pow", "sin", "cos", "exp", "log",
-				"floor", "ceil", "fmin", "fmax":
-				return ctypes.DoubleT
-			case "abs":
-				return ctypes.IntT
-			}
-		}
-		if m, ok := x.Fun.(*cast.Member); ok {
-			bt := env.typeOf(m.X, ident)
-			if st, ok := ctypes.Resolve(bt).(ctypes.Stream); ok {
-				switch m.Field {
-				case "read":
-					return st.Elem
-				case "empty", "full":
-					return ctypes.Bool{}
-				case "size":
-					return ctypes.IntT
-				}
-				return ctypes.Void{}
-			}
-			if st, ok := ctypes.Resolve(bt).(*ctypes.Struct); ok {
-				if ms, ok := env.methods[st.Tag]; ok {
-					if fn, ok := ms[m.Field]; ok {
-						return fn.Ret
-					}
-				}
-			}
-		}
-		return nil
-	case *cast.SizeofExpr, *cast.SizeofType:
-		return ctypes.UIntT
-	case *cast.InitList:
-		return x.Type
-	}
-	return nil
 }

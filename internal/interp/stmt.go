@@ -1,9 +1,6 @@
 package interp
 
 import (
-	"strconv"
-	"strings"
-
 	"github.com/hetero/heterogen/internal/cast"
 )
 
@@ -49,14 +46,14 @@ type loopScale struct {
 	// hasPragmas gates scaling on any pragma at all, unparsed and
 	// non-HLS ones included.
 	hasPragmas bool
-	dirs       []PragmaDirective
+	dirs       []cast.PragmaDirective
 	idxNames   []string
 }
 
 func newLoopScale(pragmas []*cast.Pragma, body cast.Stmt) *loopScale {
 	ls := &loopScale{hasPragmas: len(pragmas) > 0}
 	for _, p := range pragmas {
-		ls.dirs = append(ls.dirs, ParsePragma(p.Text))
+		ls.dirs = append(ls.dirs, cast.ParsePragma(p.Text))
 	}
 	seen := map[string]bool{}
 	cast.Inspect(body, func(n cast.Node) bool {
@@ -106,12 +103,12 @@ func (in *Interp) scaleLoopCost(ls *loopScale, startCost, iterations int64, minI
 	unroll := 1
 	for _, d := range ls.dirs {
 		switch d.Kind {
-		case PragmaPipeline:
+		case cast.PragmaPipeline:
 			pipelined = true
 			if d.Factor > ii {
 				ii = d.Factor
 			}
-		case PragmaUnroll:
+		case cast.PragmaUnroll:
 			f := d.Factor
 			if f <= 0 {
 				f = 8 // full unroll default benefit
@@ -147,7 +144,7 @@ func (in *Interp) scaleLoopCost(ls *loopScale, startCost, iterations int64, minI
 // partitionBanks derives the effective bank count of a partition
 // directive: the factor for cyclic/block partitions, or "fully
 // registered" for type=complete.
-func partitionBanks(d PragmaDirective) int {
+func partitionBanks(d cast.PragmaDirective) int {
 	if d.PartitionType == "complete" {
 		return 64 // every element independently addressable
 	}
@@ -177,106 +174,10 @@ func (in *Interp) setPartition(name string, banks int) {
 func gatherPartitions(fn *cast.FuncDecl) map[string]int {
 	out := map[string]int{}
 	for _, p := range fn.Pragmas {
-		d := ParsePragma(p.Text)
-		if d.Kind == PragmaArrayPartition && d.Variable != "" {
+		d := cast.ParsePragma(p.Text)
+		if d.Kind == cast.PragmaArrayPartition && d.Variable != "" {
 			out[d.Variable] = partitionBanks(d)
 		}
 	}
 	return out
-}
-
-// hasDataflow reports whether the function carries #pragma HLS dataflow.
-func hasDataflow(fn *cast.FuncDecl) bool {
-	for _, p := range fn.Pragmas {
-		if ParsePragma(p.Text).Kind == PragmaDataflow {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Pragma parsing (shared with the HLS checker via this package)
-
-// PragmaKind classifies an HLS pragma directive.
-type PragmaKind int
-
-// HLS pragma kinds.
-const (
-	PragmaUnknown PragmaKind = iota
-	PragmaUnroll
-	PragmaPipeline
-	PragmaDataflow
-	PragmaArrayPartition
-	PragmaInterface
-	PragmaInline
-	PragmaTop
-	PragmaStream
-)
-
-// PragmaDirective is a parsed "#pragma HLS ..." line.
-type PragmaDirective struct {
-	Kind     PragmaKind
-	Raw      string
-	Factor   int    // unroll/partition factor, II for pipeline
-	Variable string // variable= operand
-	IsHLS    bool
-	Name     string // interface/top name operands
-	// PartitionType is the array_partition type= operand: "cyclic"
-	// (default), "block", or "complete" (full registerization — every
-	// element gets its own ports).
-	PartitionType string
-}
-
-// ParsePragma parses the text after "#pragma".
-func ParsePragma(text string) PragmaDirective {
-	d := PragmaDirective{Raw: text}
-	fields := strings.Fields(text)
-	if len(fields) == 0 {
-		return d
-	}
-	if !strings.EqualFold(fields[0], "HLS") {
-		return d
-	}
-	d.IsHLS = true
-	if len(fields) < 2 {
-		return d
-	}
-	switch strings.ToLower(fields[1]) {
-	case "unroll":
-		d.Kind = PragmaUnroll
-	case "pipeline":
-		d.Kind = PragmaPipeline
-	case "dataflow":
-		d.Kind = PragmaDataflow
-	case "array_partition":
-		d.Kind = PragmaArrayPartition
-	case "interface":
-		d.Kind = PragmaInterface
-	case "inline":
-		d.Kind = PragmaInline
-	case "top":
-		d.Kind = PragmaTop
-	case "stream":
-		d.Kind = PragmaStream
-	}
-	for _, f := range fields[2:] {
-		if eq := strings.IndexByte(f, '='); eq > 0 {
-			key := strings.ToLower(f[:eq])
-			val := f[eq+1:]
-			switch key {
-			case "factor", "ii":
-				if n, err := strconv.Atoi(val); err == nil {
-					d.Factor = n
-				}
-			case "variable":
-				d.Variable = val
-			case "name":
-				d.Name = val
-			case "type":
-				d.PartitionType = val
-			}
-		}
-	}
-	return d
 }

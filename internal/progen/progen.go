@@ -9,7 +9,6 @@ import (
 	"github.com/hetero/heterogen/internal/cparser"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/interp"
 )
 
 // Kind names one injectable violation shape.
@@ -196,8 +195,8 @@ func Present(u *cast.Unit, v Violation) bool {
 		// preceding a function to that function's head, so look in
 		// both places (the checker does the same).
 		isTop := func(text string) bool {
-			dir := interp.ParsePragma(text)
-			return dir.Kind == interp.PragmaTop && dir.Name == v.Subject
+			dir := cast.ParsePragma(text)
+			return dir.Kind == cast.PragmaTop && dir.Name == v.Subject
 		}
 		for _, d := range u.Decls {
 			switch x := d.(type) {

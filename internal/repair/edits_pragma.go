@@ -9,7 +9,6 @@ import (
 	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/ctypes"
 	"github.com/hetero/heterogen/internal/hls"
-	"github.com/hetero/heterogen/internal/interp"
 )
 
 // ---------------------------------------------------------------------------
@@ -34,7 +33,7 @@ func instSegmentBuffer(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 
 func applySegmentBuffer(u *cast.Unit, name string) error {
 	for _, fn := range u.Funcs() {
-		if fn.Body == nil || !fnHasDataflow(fn) {
+		if fn.Body == nil || !fn.HasDataflow() {
 			continue
 		}
 		// Find consumer calls using the buffer.
@@ -132,21 +131,12 @@ func bufferShape(u *cast.Unit, fn *cast.FuncDecl, name string) (int, ctypes.Type
 	return found.Len, found.Elem, true
 }
 
-func fnHasDataflow(fn *cast.FuncDecl) bool {
-	for _, p := range fn.Pragmas {
-		if interp.ParsePragma(p.Text).Kind == interp.PragmaDataflow {
-			return true
-		}
-	}
-	return false
-}
-
 // delete_pragma: drop the dataflow pragma entirely (fixes the error at the
 // cost of the optimization — a valid but lower-fitness repair branch).
 func instDeleteDataflow(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 	var out []Edit
 	for _, fn := range u.Funcs() {
-		if !fnHasDataflow(fn) {
+		if !fn.HasDataflow() {
 			continue
 		}
 		name := fn.Name
@@ -164,7 +154,7 @@ func instDeleteDataflow(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 				kept := fn.Pragmas[:0]
 				removed := false
 				for _, p := range fn.Pragmas {
-					if interp.ParsePragma(p.Text).Kind == interp.PragmaDataflow {
+					if cast.ParsePragma(p.Text).Kind == cast.PragmaDataflow {
 						removed = true
 						continue
 					}
@@ -186,7 +176,7 @@ func instDeleteDataflow(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 func instInsertDataflow(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 	var out []Edit
 	for _, fn := range u.Funcs() {
-		if fn.Body == nil || fnHasDataflow(fn) {
+		if fn.Body == nil || fn.HasDataflow() {
 			continue
 		}
 		calls := 0
@@ -212,7 +202,7 @@ func instInsertDataflow(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 				if fn == nil {
 					return fmt.Errorf("insert_pragma: %q missing", name)
 				}
-				if fnHasDataflow(fn) {
+				if fn.HasDataflow() {
 					return fmt.Errorf("insert_pragma: %q already has dataflow", name)
 				}
 				fn.Pragmas = append(fn.Pragmas, &cast.Pragma{Text: "HLS dataflow"})
@@ -262,7 +252,7 @@ func loopSites(u *cast.Unit) []loopSite {
 // nthLoop returns the n-th loop of a function in walk order: the For
 // pointer or the While pointer (exactly one is non-nil).
 func nthLoop(u *cast.Unit, fnName string, idx int) (*cast.For, *cast.While) {
-	fn := findFunc(u, fnName)
+	fn := u.Func(fnName)
 	if fn == nil || fn.Body == nil {
 		return nil, nil
 	}
@@ -285,11 +275,6 @@ func nthLoop(u *cast.Unit, fnName string, idx int) (*cast.For, *cast.While) {
 		return true
 	})
 	return forFound, whileFound
-}
-
-// findFunc resolves plain functions and struct methods by name.
-func findFunc(u *cast.Unit, name string) *cast.FuncDecl {
-	return u.Func(name)
 }
 
 // nthFor returns the n-th loop when it is a for loop.
@@ -655,8 +640,8 @@ func instTopRename(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 		Apply: func(u *cast.Unit) error {
 			fixed := false
 			fix := func(text string) (string, bool) {
-				dir := interp.ParsePragma(text)
-				if dir.Kind == interp.PragmaTop && dir.Name == wrong {
+				dir := cast.ParsePragma(text)
+				if dir.Kind == cast.PragmaTop && dir.Name == wrong {
 					return strings.Replace(text, "name="+wrong, "name="+topOf(u), 1), true
 				}
 				return text, false
@@ -716,8 +701,8 @@ func instTopDeletePragma(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 			var kept []cast.Decl
 			for _, dd := range u.Decls {
 				if pd, ok := dd.(*cast.PragmaDecl); ok {
-					dir := interp.ParsePragma(pd.Text)
-					if dir.Kind == interp.PragmaTop && dir.Name == wrong {
+					dir := cast.ParsePragma(pd.Text)
+					if dir.Kind == cast.PragmaTop && dir.Name == wrong {
 						removed = true
 						continue
 					}
@@ -729,8 +714,8 @@ func instTopDeletePragma(u *cast.Unit, d hls.Diagnostic, st *State) []Edit {
 				if fn, ok := dd.(*cast.FuncDecl); ok {
 					filtered := fn.Pragmas[:0]
 					for _, p := range fn.Pragmas {
-						dir := interp.ParsePragma(p.Text)
-						if dir.Kind == interp.PragmaTop && dir.Name == wrong {
+						dir := cast.ParsePragma(p.Text)
+						if dir.Kind == cast.PragmaTop && dir.Name == wrong {
 							removed = true
 							continue
 						}

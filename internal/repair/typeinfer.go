@@ -1,34 +1,23 @@
-// Package repair implements HeteroGen's search-based repair engine: error
-// classification and localization from HLS diagnostics (§5.2),
-// parameterized edit templates for the six error classes (Table 2), the
-// dependence/precedence structure among those edits (Figure 7c), and the
-// dependence-guided evolutionary search with early candidate rejection via
-// the coding-style checker (§5.3).
-//
-// Candidate fitness evaluations can run concurrently (Options.Workers) on
-// the worker pool in parallel.go; results stay bit-identical to the
-// sequential search because all acceptance and virtual-cost decisions are
-// committed in enumeration order on the search goroutine.
 package repair
 
 import (
 	"github.com/hetero/heterogen/internal/cast"
-	"github.com/hetero/heterogen/internal/ctoken"
 	"github.com/hetero/heterogen/internal/ctypes"
 )
 
 // typeEnv performs best-effort static typing of expressions inside one
-// function, from declarations alone (no execution). The pointer-removal
-// and stack transforms use it to decide which expressions denote values of
-// the struct type being rewritten.
+// function, from declarations alone (no execution), typing each name by
+// its innermost declaration. The pointer-removal and stack transforms use
+// it to decide which expressions denote values of the struct type being
+// rewritten.
 type typeEnv struct {
-	unit    *cast.Unit
+	cast.TypeEnv
 	globals map[string]ctypes.Type
 	scopes  []map[string]ctypes.Type
 }
 
 func newTypeEnv(u *cast.Unit) *typeEnv {
-	env := &typeEnv{unit: u, globals: map[string]ctypes.Type{}}
+	env := &typeEnv{TypeEnv: cast.TypeEnv{Unit: u}, globals: map[string]ctypes.Type{}}
 	for _, d := range u.Decls {
 		if v, ok := d.(*cast.VarDecl); ok {
 			env.globals[v.Name] = v.Type
@@ -58,212 +47,7 @@ func (e *typeEnv) lookup(name string) ctypes.Type {
 	return nil
 }
 
-// typeOf infers the static type of an expression, or nil when unknown.
+// typeOf is the static type of x at the current scope, nil when unknown.
 func (e *typeEnv) typeOf(x cast.Expr) ctypes.Type {
-	switch n := x.(type) {
-	case *cast.IntLit:
-		return ctypes.IntT
-	case *cast.FloatLit:
-		return ctypes.DoubleT
-	case *cast.CharLit:
-		return ctypes.Char
-	case *cast.BoolLit:
-		return ctypes.Bool{}
-	case *cast.Ident:
-		return e.lookup(n.Name)
-	case *cast.Unary:
-		switch n.Op {
-		case ctoken.MUL:
-			if p, ok := ctypes.Resolve(e.typeOf(n.X)).(ctypes.Pointer); ok {
-				return p.Elem
-			}
-			return nil
-		case ctoken.AND:
-			t := e.typeOf(n.X)
-			if t == nil {
-				return nil
-			}
-			return ctypes.Pointer{Elem: t}
-		case ctoken.NOT:
-			return ctypes.IntT
-		}
-		return e.typeOf(n.X)
-	case *cast.Postfix:
-		return e.typeOf(n.X)
-	case *cast.Binary:
-		lt, rt := e.typeOf(n.L), e.typeOf(n.R)
-		switch n.Op {
-		case ctoken.LSS, ctoken.GTR, ctoken.LEQ, ctoken.GEQ,
-			ctoken.EQL, ctoken.NEQ, ctoken.LAND, ctoken.LOR:
-			return ctypes.IntT
-		}
-		if lt != nil {
-			if _, ok := ctypes.Resolve(lt).(ctypes.Pointer); ok {
-				return lt
-			}
-		}
-		if rt != nil {
-			if _, ok := ctypes.Resolve(rt).(ctypes.Pointer); ok {
-				return rt
-			}
-		}
-		if lt != nil && ctypes.IsFloat(lt) {
-			return lt
-		}
-		if rt != nil && ctypes.IsFloat(rt) {
-			return rt
-		}
-		if lt != nil {
-			return lt
-		}
-		return rt
-	case *cast.Assign:
-		return e.typeOf(n.L)
-	case *cast.Cond:
-		if t := e.typeOf(n.T); t != nil {
-			return t
-		}
-		return e.typeOf(n.F)
-	case *cast.Index:
-		switch u := ctypes.Resolve(e.typeOf(n.X)).(type) {
-		case ctypes.Array:
-			return u.Elem
-		case ctypes.Pointer:
-			return u.Elem
-		}
-		return nil
-	case *cast.Member:
-		bt := ctypes.Resolve(e.typeOf(n.X))
-		if p, ok := bt.(ctypes.Pointer); ok && n.Arrow {
-			bt = ctypes.Resolve(p.Elem)
-		}
-		if st, ok := bt.(*ctypes.Struct); ok {
-			if i := st.FieldIndex(n.Field); i >= 0 {
-				return st.Fields[i].Type
-			}
-		}
-		return nil
-	case *cast.Cast:
-		return n.To
-	case *cast.SizeofExpr, *cast.SizeofType:
-		return ctypes.UIntT
-	case *cast.Call:
-		if id, ok := n.Fun.(*cast.Ident); ok {
-			if fn := e.unit.Func(id.Name); fn != nil {
-				return fn.Ret
-			}
-			if id.Name == "malloc" {
-				return ctypes.Pointer{Elem: ctypes.Char}
-			}
-		}
-		return nil
-	case *cast.InitList:
-		return n.Type
-	}
-	return nil
-}
-
-// walkFuncTyped walks fn's body maintaining scope bindings so the visitor
-// can query expression types with correct shadowing. The visitor may
-// mutate the nodes it sees (the rewriters do).
-func walkFuncTyped(u *cast.Unit, fn *cast.FuncDecl, visit func(env *typeEnv, n cast.Node)) {
-	env := newTypeEnv(u)
-	env.push()
-	for _, p := range fn.Params {
-		env.define(p.Name, p.Type)
-	}
-	var walkStmt func(s cast.Stmt)
-	var walkExpr func(x cast.Expr)
-
-	walkExpr = func(x cast.Expr) {
-		if x == nil {
-			return
-		}
-		visit(env, x)
-		switch n := x.(type) {
-		case *cast.Unary:
-			walkExpr(n.X)
-		case *cast.Postfix:
-			walkExpr(n.X)
-		case *cast.Binary:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case *cast.Assign:
-			walkExpr(n.L)
-			walkExpr(n.R)
-		case *cast.Cond:
-			walkExpr(n.C)
-			walkExpr(n.T)
-			walkExpr(n.F)
-		case *cast.Call:
-			walkExpr(n.Fun)
-			for _, a := range n.Args {
-				walkExpr(a)
-			}
-		case *cast.Index:
-			walkExpr(n.X)
-			walkExpr(n.Idx)
-		case *cast.Member:
-			walkExpr(n.X)
-		case *cast.Cast:
-			walkExpr(n.X)
-		case *cast.SizeofExpr:
-			walkExpr(n.X)
-		case *cast.InitList:
-			for _, el := range n.Elems {
-				walkExpr(el)
-			}
-		}
-	}
-
-	walkStmt = func(s cast.Stmt) {
-		if s == nil {
-			return
-		}
-		visit(env, s)
-		switch n := s.(type) {
-		case *cast.ExprStmt:
-			walkExpr(n.X)
-		case *cast.DeclStmt:
-			walkExpr(n.Init)
-			env.define(n.Name, n.Type)
-		case *cast.Block:
-			env.push()
-			for _, st := range n.Stmts {
-				walkStmt(st)
-			}
-			env.pop()
-		case *cast.If:
-			walkExpr(n.Cond)
-			walkStmt(n.Then)
-			walkStmt(n.Else)
-		case *cast.For:
-			env.push()
-			walkStmt(n.Init)
-			walkExpr(n.Cond)
-			walkExpr(n.Post)
-			walkStmt(n.Body)
-			env.pop()
-		case *cast.While:
-			walkExpr(n.Cond)
-			walkStmt(n.Body)
-		case *cast.Return:
-			walkExpr(n.X)
-		case *cast.Switch:
-			walkExpr(n.X)
-			for _, c := range n.Cases {
-				walkExpr(c.Value)
-				for _, st := range c.Body {
-					walkStmt(st)
-				}
-			}
-		}
-	}
-	if fn.Body != nil {
-		env.push()
-		for _, s := range fn.Body.Stmts {
-			walkStmt(s)
-		}
-		env.pop()
-	}
+	return e.TypeOf(x, func(id *cast.Ident) ctypes.Type { return e.lookup(id.Name) })
 }
