@@ -233,7 +233,7 @@ func loopSites(u *cast.Unit) []loopSite {
 		cast.Inspect(fn.Body, func(n cast.Node) bool {
 			switch l := n.(type) {
 			case *cast.For:
-				site := loopSite{fn: fn.Name, idx: ord, trip: staticTrip(l)}
+				site := loopSite{fn: fn.Name, idx: ord, trip: l.TripCount()}
 				site.arrs = arraysIndexed(l.Body)
 				sites = append(sites, site)
 				ord++
@@ -297,24 +297,6 @@ func arraysIndexed(body cast.Stmt) []string {
 	})
 	sort.Strings(arrs)
 	return arrs
-}
-
-func staticTrip(f *cast.For) int {
-	cond, ok := f.Cond.(*cast.Binary)
-	if !ok {
-		return -1
-	}
-	lit, ok := cond.R.(*cast.IntLit)
-	if !ok {
-		return -1
-	}
-	if cond.Op == ctoken.LSS {
-		return int(lit.Value)
-	}
-	if cond.Op == ctoken.LEQ {
-		return int(lit.Value + 1)
-	}
-	return -1
 }
 
 // explore($p1:pragma, $l1:loop): the pragma-exploration template. For a

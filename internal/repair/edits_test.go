@@ -538,6 +538,57 @@ void kernel(int a[64], int b[64]) {
 	}
 }
 
+// TestExploreFactorsDivideTripCount pins the counted-loop trip count
+// explore reads for loops that do not start at zero, and that every
+// unroll factor it proposes for them divides that count.
+func TestExploreFactorsDivideTripCount(t *testing.T) {
+	src := `
+void kernel(int a[64], int b[8]) {
+    for (int i = 1; i <= 64; i++) {
+        a[i - 1] = i;
+    }
+    for (int i = 2; i < 10; i++) {
+        b[i - 2] = i;
+    }
+}`
+	want := []int{64, 8}
+	u := cparser.MustParse(src)
+	for i, l := range loopsOf(u.Func("kernel")) {
+		if got := l.TripCount(); got != want[i] {
+			t.Errorf("loop %d: TripCount = %d, want %d", i, got, want[i])
+		}
+	}
+	edits := instExplorePragmas(u, hls.Diagnostic{}, NewState())
+	if len(edits) == 0 {
+		t.Fatal("explore proposed nothing for two counted loops")
+	}
+	for _, e := range edits {
+		c := cast.CloneUnit(u)
+		if err := e.Apply(c); err != nil {
+			t.Fatalf("%s: %v", e.Note, err)
+		}
+		for i, l := range loopsOf(c.Func("kernel")) {
+			for _, p := range l.Pragmas {
+				if d := cast.ParsePragma(p.Text); d.Kind == cast.PragmaUnroll && want[i]%d.Factor != 0 {
+					t.Errorf("%s %s: unroll factor %d does not divide trip count %d", e.Target, e.Note, d.Factor, want[i])
+				}
+			}
+		}
+	}
+}
+
+// loopsOf lists fn's for loops in walk order.
+func loopsOf(fn *cast.FuncDecl) []*cast.For {
+	var loops []*cast.For
+	cast.Inspect(fn, func(n cast.Node) bool {
+		if l, ok := n.(*cast.For); ok {
+			loops = append(loops, l)
+		}
+		return true
+	})
+	return loops
+}
+
 func TestDependenceEnumerationOrder(t *testing.T) {
 	// For the struct class, chain heads must be constructor and flatten,
 	// with stream_static only reachable after constructor — the Figure 7c
