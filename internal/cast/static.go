@@ -113,34 +113,11 @@ func (fn *FuncDecl) HasDataflow() bool {
 // ---------------------------------------------------------------------------
 // Static expression types
 
-// TypeEnv is the unit-level context of static typing.
-type TypeEnv struct {
-	Unit *Unit
-	// Methods maps a struct tag to its methods by name; nil looks them
-	// up in the unit's struct declarations.
-	Methods map[string]map[string]*FuncDecl
-}
-
-// method finds the method name of the struct tagged tag, nil when none.
-func (env TypeEnv) method(tag, name string) *FuncDecl {
-	if env.Methods != nil {
-		return env.Methods[tag][name]
-	}
-	if sd := env.Unit.StructOf(tag); sd != nil {
-		for _, fn := range sd.Methods {
-			if fn.Name == name {
-				return fn
-			}
-		}
-	}
-	return nil
-}
-
 // TypeOf is the best-effort static type of e (nil when unknown), typing
 // identifiers with ident. Comparisons and logical operators are int,
 // pointer arithmetic keeps the pointer, and otherwise a floating operand
 // wins over an integer one.
-func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
+func (u *Unit) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 	switch x := e.(type) {
 	case *IntLit:
 		return ctypes.IntT
@@ -153,15 +130,15 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 	case *Ident:
 		return ident(x)
 	case *Index:
-		switch u := ctypes.Resolve(env.TypeOf(x.X, ident)).(type) {
+		switch t := ctypes.Resolve(u.TypeOf(x.X, ident)).(type) {
 		case ctypes.Array:
-			return u.Elem
+			return t.Elem
 		case ctypes.Pointer:
-			return u.Elem
+			return t.Elem
 		}
 		return nil
 	case *Member:
-		rt := ctypes.Resolve(env.TypeOf(x.X, ident))
+		rt := ctypes.Resolve(u.TypeOf(x.X, ident))
 		if p, ok := rt.(ctypes.Pointer); ok && x.Arrow {
 			rt = ctypes.Resolve(p.Elem)
 		}
@@ -174,12 +151,12 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 	case *Unary:
 		switch x.Op {
 		case ctoken.MUL:
-			if p, ok := ctypes.Resolve(env.TypeOf(x.X, ident)).(ctypes.Pointer); ok {
+			if p, ok := ctypes.Resolve(u.TypeOf(x.X, ident)).(ctypes.Pointer); ok {
 				return p.Elem
 			}
 			return nil
 		case ctoken.AND:
-			bt := env.TypeOf(x.X, ident)
+			bt := u.TypeOf(x.X, ident)
 			if bt == nil {
 				return nil
 			}
@@ -187,12 +164,12 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 		case ctoken.NOT:
 			return ctypes.IntT
 		}
-		return env.TypeOf(x.X, ident)
+		return u.TypeOf(x.X, ident)
 	case *Postfix:
-		return env.TypeOf(x.X, ident)
+		return u.TypeOf(x.X, ident)
 	case *Binary:
-		lt := env.TypeOf(x.L, ident)
-		rt := env.TypeOf(x.R, ident)
+		lt := u.TypeOf(x.L, ident)
+		rt := u.TypeOf(x.R, ident)
 		switch x.Op {
 		case ctoken.LSS, ctoken.GTR, ctoken.LEQ, ctoken.GEQ,
 			ctoken.EQL, ctoken.NEQ, ctoken.LAND, ctoken.LOR:
@@ -218,17 +195,17 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 		}
 		return lt
 	case *Assign:
-		return env.TypeOf(x.L, ident)
+		return u.TypeOf(x.L, ident)
 	case *Cond:
-		if t := env.TypeOf(x.T, ident); t != nil {
+		if t := u.TypeOf(x.T, ident); t != nil {
 			return t
 		}
-		return env.TypeOf(x.F, ident)
+		return u.TypeOf(x.F, ident)
 	case *Cast:
 		return x.To
 	case *Call:
 		if id, ok := x.Fun.(*Ident); ok {
-			if fn := env.Unit.Func(id.Name); fn != nil {
+			if fn := u.Func(id.Name); fn != nil {
 				return fn.Ret
 			}
 			switch id.Name {
@@ -242,7 +219,7 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 			}
 		}
 		if m, ok := x.Fun.(*Member); ok {
-			switch bt := ctypes.Resolve(env.TypeOf(m.X, ident)).(type) {
+			switch bt := ctypes.Resolve(u.TypeOf(m.X, ident)).(type) {
 			case ctypes.Stream:
 				switch m.Field {
 				case "read":
@@ -254,8 +231,12 @@ func (env TypeEnv) TypeOf(e Expr, ident func(*Ident) ctypes.Type) ctypes.Type {
 				}
 				return ctypes.Void{}
 			case *ctypes.Struct:
-				if fn := env.method(bt.Tag, m.Field); fn != nil {
-					return fn.Ret
+				if sd := u.StructOf(bt.Tag); sd != nil {
+					for _, fn := range sd.Methods {
+						if fn.Name == m.Field {
+							return fn.Ret
+						}
+					}
 				}
 			}
 		}

@@ -36,7 +36,6 @@ void k(double a, double b, int *p, int c, hls::stream<short> &s, struct Acc acc)
 		names[prm.Name] = prm.Type
 	}
 	ident := func(id *cast.Ident) ctypes.Type { return names[id.Name] }
-	env := cast.TypeEnv{Unit: u}
 	want := []struct {
 		expr string
 		typ  ctypes.Type
@@ -57,7 +56,7 @@ void k(double a, double b, int *p, int c, hls::stream<short> &s, struct Acc acc)
 		if got := cast.PrintExpr(x); got != w.expr {
 			t.Fatalf("statement %d is %q, want %q", i, got, w.expr)
 		}
-		if got := env.TypeOf(x, ident); got == nil || !got.Equal(w.typ) {
+		if got := u.TypeOf(x, ident); got == nil || !got.Equal(w.typ) {
 			t.Errorf("TypeOf(%s) = %v, want %v", w.expr, got, w.typ)
 		}
 	}

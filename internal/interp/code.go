@@ -279,12 +279,11 @@ type globalDecl struct {
 }
 
 // compileUnit compiles u's global initializers. Each one compiles
-// against the globals and method tables declared before it, exactly
-// what Reset has bound when it runs; a compiler defect faults that
-// global's initialization.
+// against the globals declared before it, exactly what Reset has bound
+// when it runs; a compiler defect faults that global's initialization.
 func compileUnit(u *cast.Unit) *unitCode {
 	c := &compiler{
-		TypeEnv: cast.TypeEnv{Unit: u, Methods: map[string]map[string]*cast.FuncDecl{}},
+		unit:    u,
 		globals: map[string]ctypes.Type{},
 	}
 	uc := &unitCode{}
@@ -294,9 +293,7 @@ func compileUnit(u *cast.Unit) *unitCode {
 			uc.decls = append(uc.decls, globalDecl{name: x.Name, alloc: c.globalInit(x)})
 			c.globals[x.Name] = x.Type
 		case *cast.StructDecl:
-			m := methodTable(x)
-			c.Methods[x.Type.Tag] = m
-			uc.decls = append(uc.decls, globalDecl{tag: x.Type.Tag, methods: m})
+			uc.decls = append(uc.decls, globalDecl{tag: x.Type.Tag, methods: methodTable(x)})
 		}
 	}
 	return uc

@@ -127,8 +127,8 @@ type ctScope struct {
 }
 
 type compiler struct {
-	cast.TypeEnv
-	fn *cast.FuncDecl
+	unit *cast.Unit
+	fn   *cast.FuncDecl
 	// recv is the receiver struct of a method body, nil otherwise.
 	recv *ctypes.Struct
 	// frameName is the running frame's name: the function name, or
@@ -158,7 +158,7 @@ func methodTable(sd *cast.StructDecl) map[string]*cast.FuncDecl {
 
 func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler {
 	c := &compiler{
-		TypeEnv: cast.TypeEnv{Unit: u, Methods: map[string]map[string]*cast.FuncDecl{}},
+		unit:    u,
 		fn:      fn,
 		recv:    recv,
 		globals: map[string]ctypes.Type{},
@@ -168,11 +168,8 @@ func newCompiler(u *cast.Unit, fn *cast.FuncDecl, recv *ctypes.Struct) *compiler
 		c.frameName = recv.Tag + "::" + fn.Name
 	}
 	for _, d := range u.Decls {
-		switch x := d.(type) {
-		case *cast.VarDecl:
+		if x, ok := d.(*cast.VarDecl); ok {
 			c.globals[x.Name] = x.Type
-		case *cast.StructDecl:
-			c.Methods[x.Type.Tag] = methodTable(x)
 		}
 	}
 	return c
@@ -1122,7 +1119,7 @@ func (c *compiler) structInit(st *ctypes.Struct, il *cast.InitList) evalOp {
 // (ambiguous), and up to array lengths, which a variable-length array's
 // binding carries only at run time (unsized).
 func (c *compiler) ctTypeOf(e cast.Expr) ctypes.Type {
-	return c.TypeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
+	return c.unit.TypeOf(e, func(id *cast.Ident) ctypes.Type { return c.resolve(id.Name).typ })
 }
 
 // typer compiles e's type as a run-time read: the names in e are
@@ -1136,8 +1133,8 @@ func (c *compiler) typer(e cast.Expr) func(in *Interp, fr *frame) ctypes.Type {
 		}
 		return true
 	})
-	env := c.TypeEnv
+	u := c.unit
 	return func(in *Interp, fr *frame) ctypes.Type {
-		return env.TypeOf(e, func(id *cast.Ident) ctypes.Type { return refs[id].typeAt(in, fr) })
+		return u.TypeOf(e, func(id *cast.Ident) ctypes.Type { return refs[id].typeAt(in, fr) })
 	}
 }

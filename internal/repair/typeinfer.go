@@ -11,13 +11,13 @@ import (
 // it to decide which expressions denote values of the struct type being
 // rewritten.
 type typeEnv struct {
-	cast.TypeEnv
+	unit    *cast.Unit
 	globals map[string]ctypes.Type
 	scopes  []map[string]ctypes.Type
 }
 
 func newTypeEnv(u *cast.Unit) *typeEnv {
-	env := &typeEnv{TypeEnv: cast.TypeEnv{Unit: u}, globals: map[string]ctypes.Type{}}
+	env := &typeEnv{unit: u, globals: map[string]ctypes.Type{}}
 	for _, d := range u.Decls {
 		if v, ok := d.(*cast.VarDecl); ok {
 			env.globals[v.Name] = v.Type
@@ -49,5 +49,5 @@ func (e *typeEnv) lookup(name string) ctypes.Type {
 
 // typeOf is the static type of x at the current scope, nil when unknown.
 func (e *typeEnv) typeOf(x cast.Expr) ctypes.Type {
-	return e.TypeOf(x, func(id *cast.Ident) ctypes.Type { return e.lookup(id.Name) })
+	return e.unit.TypeOf(x, func(id *cast.Ident) ctypes.Type { return e.lookup(id.Name) })
 }
