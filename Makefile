@@ -58,8 +58,7 @@ vet:
 # (cmd/hgeval/testdata/golden: the whole -quick evaluation, and one
 # subject's tables, figure and -trace file, untargeted and against two
 # targets) and the keys that options feed (testdata/keys.json: per
-# named configuration, the fuzz campaign's cache key and the repair
-# checkpoint's header key). Only for an intended behaviour change
+# named configuration, the fuzz campaign's cache key). Only for an intended behaviour change
 # whose fixture diff gets reviewed — see CONTRIBUTING.md.
 golden:
 	$(GO) test -count=1 -run 'TestFastEvalParity|TestFastEvalTargetsParity|TestEnumerationOrderGolden' ./internal/repair/ -update
@@ -122,12 +121,12 @@ serve-smoke:
 
 # Crash smoke: the durability kill matrix. Builds the real hgserve
 # binary, SIGKILLs it at injected crash points (mid-journal-append,
-# mid-checkpoint-append, mid-cache-write, mid-drain, plus a hard kill
-# after a terminal job), restarts it on the same -state-dir, and
-# asserts the recovery invariants: the journal always reloads, every
-# 202-acknowledged job is findable, and an interrupted repair resumes
-# to a result and event trace byte-identical to an undisturbed control
-# run. The test harness itself runs under the race detector.
+# mid-cache-write at three depths, mid-drain, plus a hard kill after a
+# terminal job), restarts it on the same -state-dir, and asserts the
+# recovery invariants: the journal always reloads, every
+# 202-acknowledged job is findable, and an interrupted repair re-run
+# against the cache reaches a result and event trace byte-identical to
+# an undisturbed control run. The test harness itself runs under the race detector.
 crash-smoke:
 	CRASH_SMOKE=1 $(GO) test -race -run TestCrashSmoke -v ./cmd/hgserve
 
@@ -150,8 +149,8 @@ target-smoke:
 
 # Fuzz smoke: every native fuzz target for 10 s on two workers — the
 # parser, the interpreter, hgstat's trace views, hgserve's job
-# submission endpoint, and the decoders of the three durable logs
-# (journal replay, checkpoint open, cache load).
+# submission endpoint, and the decoders of the two durable logs
+# (journal replay, cache load).
 # A target fails on a panic or a broken invariant and writes the input
 # under its package's testdata/fuzz, where `go test` replays it.
 fuzz-smoke:
@@ -160,7 +159,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceViews$$' -fuzztime 10s -parallel 2 ./cmd/hgstat/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime 10s -parallel 2 ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -parallel 2 ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 10s -parallel 2 ./internal/repair/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheLoad$$' -fuzztime 10s -parallel 2 ./internal/evalcache/
 
 # Docs gate: every flag that any cmd/ binary or heterogen subcommand

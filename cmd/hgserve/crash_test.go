@@ -8,8 +8,9 @@ package main
 //
 //   - the journal always reloads (torn tails are healed, never fatal);
 //   - every job a client saw a 202 for is findable after restart;
-//   - an interrupted repair job resumes to a result AND event trace
-//     byte-identical to an undisturbed control run;
+//   - an interrupted repair job re-runs against the on-disk cache to a
+//     result AND event trace byte-identical to an undisturbed control
+//     run, recomputing only what the cache did not hold;
 //   - terminal jobs are re-reported with their original payload;
 //   - SIGTERM drains and exits 0.
 
@@ -31,8 +32,9 @@ import (
 )
 
 // crashJobBody is the fixed repair job every scenario runs: the long
-// double in smokeSource forces a rewrite search, which is what
-// exercises checkpoint appends and eval-cache writes.
+// double in smokeSource forces a rewrite search, whose initial version
+// and two candidates each store a check, sim and difftest verdict —
+// six eval-cache appends.
 var crashJobBody = fmt.Sprintf(
 	`{"kind":"repair","kernel":"top","source":%q,"budget":{"max_iterations":32,"workers":1}}`,
 	smokeSource)
@@ -44,12 +46,12 @@ type daemon struct {
 }
 
 // startDaemon launches the built binary on a free port with durability
-// on. arm, when non-empty, is a HETEROGEN_CRASHPOINT spec.
-func startDaemon(t *testing.T, bin, stateDir, cacheDir, arm string) *daemon {
+// on; the eval cache takes its default place under stateDir. arm, when
+// non-empty, is a HETEROGEN_CRASHPOINT spec.
+func startDaemon(t *testing.T, bin, stateDir, arm string) *daemon {
 	t.Helper()
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0",
-		"-state-dir", stateDir, "-cache-dir", cacheDir,
-		"-drain-timeout", "2s", "-log", "text")
+		"-state-dir", stateDir, "-drain-timeout", "2s", "-log", "text")
 	cmd.Env = os.Environ()
 	if arm != "" {
 		cmd.Env = append(cmd.Env, crashpoint.EnvVar+"="+arm)
@@ -162,6 +164,30 @@ func awaitDone(t *testing.T, base, id string) crashStatus {
 	}
 }
 
+// cacheMisses sums the daemon's cache.misses.<stage> counters: the
+// evaluations this process had to compute.
+func cacheMisses(t *testing.T, base string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reg struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	var n int64
+	for k, v := range reg.Counters {
+		if strings.HasPrefix(k, "cache.misses.") {
+			n += v
+		}
+	}
+	return n
+}
+
 // jobEvents fetches a terminal job's full NDJSON event stream.
 func jobEvents(t *testing.T, base, id string) []byte {
 	t.Helper()
@@ -192,8 +218,9 @@ func TestCrashSmoke(t *testing.T) {
 	// Control: one undisturbed run establishes the expected result and
 	// event trace for the fixed job, plus the SIGTERM exit-0 contract.
 	var wantResult, wantEvents []byte
+	var wantMisses int64
 	t.Run("control", func(t *testing.T) {
-		d := startDaemon(t, bin, filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache"), "")
+		d := startDaemon(t, bin, filepath.Join(t.TempDir(), "state"), "")
 		st, ok := submitJob(t, d.base)
 		if !ok {
 			t.Fatal("control submit failed")
@@ -201,6 +228,7 @@ func TestCrashSmoke(t *testing.T) {
 		final := awaitDone(t, d.base, st.ID)
 		wantResult = append([]byte(nil), final.Result...)
 		wantEvents = jobEvents(t, d.base, st.ID)
+		wantMisses = cacheMisses(t, d.base)
 		if len(wantResult) == 0 || len(wantEvents) == 0 {
 			t.Fatal("control run produced no result or events")
 		}
@@ -211,15 +239,19 @@ func TestCrashSmoke(t *testing.T) {
 	}
 
 	// assertParity restarts on stateDir and checks the job recovers to
-	// the control result and trace, byte for byte.
-	assertParity := func(t *testing.T, stateDir, cacheDir, id string) {
-		d := startDaemon(t, bin, stateDir, cacheDir, "")
+	// the control result and trace, byte for byte, computing exactly
+	// misses evaluations.
+	assertParity := func(t *testing.T, stateDir, id string, misses int64) {
+		d := startDaemon(t, bin, stateDir, "")
 		final := awaitDone(t, d.base, id)
 		if !bytes.Equal(final.Result, wantResult) {
 			t.Errorf("recovered result differs from control:\n got %s\nwant %s", final.Result, wantResult)
 		}
 		if got := jobEvents(t, d.base, id); !bytes.Equal(got, wantEvents) {
 			t.Errorf("recovered event trace differs from control (%d vs %d bytes)", len(got), len(wantEvents))
+		}
+		if got := cacheMisses(t, d.base); got != misses {
+			t.Errorf("recovered run computed %d evaluations, want %d", got, misses)
 		}
 		d.sigterm(t)
 	}
@@ -228,15 +260,15 @@ func TestCrashSmoke(t *testing.T) {
 	// ever sees 202, so after restart the store is healed and empty —
 	// no job was promised, none is owed.
 	t.Run("kill-mid-journal-append", func(t *testing.T) {
-		stateDir, cacheDir := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache")
-		d := startDaemon(t, bin, stateDir, cacheDir, "serve.journal.append:1")
+		stateDir := filepath.Join(t.TempDir(), "state")
+		d := startDaemon(t, bin, stateDir, "serve.journal.append:1")
 		if _, ok := submitJob(t, d.base); ok {
 			t.Fatal("submit returned 202 despite dying mid-journal-append")
 		}
 		if !d.waitDeath(t, 30*time.Second) {
 			t.Fatal("daemon exited normally; crash point never fired")
 		}
-		d2 := startDaemon(t, bin, stateDir, cacheDir, "")
+		d2 := startDaemon(t, bin, stateDir, "")
 		resp, err := http.Get(d2.base + "/v1/jobs/j-000001")
 		if err != nil {
 			t.Fatal(err)
@@ -257,13 +289,16 @@ func TestCrashSmoke(t *testing.T) {
 		d2.sigterm(t)
 	})
 
-	// Mid-checkpoint-append: the job dies while persisting a repair
-	// commit; restart resumes it from the checkpoint to a byte-identical
-	// result and trace. N varies the interrupt depth.
-	for _, n := range []int{1, 3} {
-		t.Run(fmt.Sprintf("kill-mid-checkpoint-append-%d", n), func(t *testing.T) {
-			stateDir, cacheDir := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache")
-			d := startDaemon(t, bin, stateDir, cacheDir, fmt.Sprintf("repair.checkpoint.append:%d", n))
+	// Mid-cache-write: the job dies mid-append to the persistent eval
+	// cache, leaving a torn cache line the loader must skip. N varies
+	// the interrupt depth: at 1 nothing is cached yet, at 3 and 5 the
+	// kill lands mid-search with N-1 verdicts already on disk. The
+	// requeued job re-runs from the start with parity and computes only
+	// the verdicts the cache lacks.
+	for _, n := range []int{1, 3, 5} {
+		t.Run(fmt.Sprintf("kill-mid-cache-write-%d", n), func(t *testing.T) {
+			stateDir := filepath.Join(t.TempDir(), "state")
+			d := startDaemon(t, bin, stateDir, fmt.Sprintf("evalcache.append:%d", n))
 			st, ok := submitJob(t, d.base)
 			if !ok {
 				t.Fatal("submit failed")
@@ -271,32 +306,16 @@ func TestCrashSmoke(t *testing.T) {
 			if !d.waitDeath(t, 60*time.Second) {
 				t.Fatal("daemon exited normally; crash point never fired")
 			}
-			assertParity(t, stateDir, cacheDir, st.ID)
+			assertParity(t, stateDir, st.ID, wantMisses-int64(n-1))
 		})
 	}
-
-	// Mid-cache-write: the job dies mid-append to the persistent eval
-	// cache, leaving a torn cache line the loader must skip; the
-	// requeued job still recovers with parity.
-	t.Run("kill-mid-cache-write", func(t *testing.T) {
-		stateDir, cacheDir := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache")
-		d := startDaemon(t, bin, stateDir, cacheDir, "evalcache.append:1")
-		st, ok := submitJob(t, d.base)
-		if !ok {
-			t.Fatal("submit failed")
-		}
-		if !d.waitDeath(t, 60*time.Second) {
-			t.Fatal("daemon exited normally; crash point never fired")
-		}
-		assertParity(t, stateDir, cacheDir, st.ID)
-	})
 
 	// Mid-drain: SIGTERM starts the drain and the process is killed at
 	// the drain's journal-flush boundary; the finished job's terminal
 	// record was already durable and is re-reported after restart.
 	t.Run("kill-mid-drain", func(t *testing.T) {
-		stateDir, cacheDir := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache")
-		d := startDaemon(t, bin, stateDir, cacheDir, "serve.drain:1")
+		stateDir := filepath.Join(t.TempDir(), "state")
+		d := startDaemon(t, bin, stateDir, "serve.drain:1")
 		st, ok := submitJob(t, d.base)
 		if !ok {
 			t.Fatal("submit failed")
@@ -306,7 +325,7 @@ func TestCrashSmoke(t *testing.T) {
 		if !d.waitDeath(t, 30*time.Second) {
 			t.Fatal("daemon exited normally; drain crash point never fired")
 		}
-		d2 := startDaemon(t, bin, stateDir, cacheDir, "")
+		d2 := startDaemon(t, bin, stateDir, "")
 		final := awaitDone(t, d2.base, st.ID)
 		if !final.Resumed {
 			t.Error("re-reported terminal job not marked resumed")
@@ -320,8 +339,8 @@ func TestCrashSmoke(t *testing.T) {
 	// Hard kill after terminal: no crash point, just SIGKILL once the
 	// job is done — the baseline durability promise.
 	t.Run("hard-kill-after-terminal", func(t *testing.T) {
-		stateDir, cacheDir := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "cache")
-		d := startDaemon(t, bin, stateDir, cacheDir, "")
+		stateDir := filepath.Join(t.TempDir(), "state")
+		d := startDaemon(t, bin, stateDir, "")
 		st, ok := submitJob(t, d.base)
 		if !ok {
 			t.Fatal("submit failed")
@@ -329,7 +348,7 @@ func TestCrashSmoke(t *testing.T) {
 		awaitDone(t, d.base, st.ID)
 		_ = d.cmd.Process.Kill()
 		_ = d.cmd.Wait()
-		d2 := startDaemon(t, bin, stateDir, cacheDir, "")
+		d2 := startDaemon(t, bin, stateDir, "")
 		final := awaitDone(t, d2.base, st.ID)
 		if !bytes.Equal(final.Result, wantResult) {
 			t.Errorf("re-reported result differs from control")

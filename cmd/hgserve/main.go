@@ -42,6 +42,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -58,9 +59,9 @@ func main() {
 	pool := flag.Int("pool", 0, "concurrently running jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth; a full queue answers 429 (0 = 4*pool)")
 	perClient := flag.Int("per-client", 8, "max queued+running jobs per client, by X-Client-ID header or remote host (negative disables)")
-	stateDir := flag.String("state-dir", "", "durable state directory: write-ahead job journal + repair checkpoints, replayed on restart (empty disables durability)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight jobs before checkpoint-stopping them")
-	cacheDir := flag.String("cache-dir", "", "persist the shared evaluation cache in this directory (reused across restarts)")
+	stateDir := flag.String("state-dir", "", "durable state directory: write-ahead job journal, replayed on restart, and the evaluation cache unless -cache-dir or -no-cache is set (empty disables durability)")
+	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight jobs before stopping them to re-run on restart")
+	cacheDir := flag.String("cache-dir", "", "persist the shared evaluation cache in this directory, reused across restarts (default <state-dir>/cache when -state-dir is set)")
 	cacheShards := flag.Int("cache-shards", 8, "evaluation-cache shard count (concurrent jobs contend per shard, not globally)")
 	cacheCapacity := flag.Int("cache-capacity", 0, "in-memory cache entry bound across all shards (0 = package default)")
 	cacheCompactBytes := flag.Int64("cache-compact-bytes", 0, "compact the persistent cache on open once its files reach this size and are at least half garbage (0 disables compaction)")
@@ -131,6 +132,12 @@ func main() {
 		}()
 	}
 
+	// A restart re-runs interrupted jobs from the start, so a durable
+	// server keeps its cache on disk beside the journal: the re-run then
+	// pays only for the work the interrupted run had not finished.
+	if *stateDir != "" && *cacheDir == "" {
+		*cacheDir = filepath.Join(*stateDir, "cache")
+	}
 	var cache *evalcache.Cache
 	if !*noCache {
 		var err error
@@ -199,13 +206,13 @@ func main() {
 	}
 
 	// Graceful drain: stop admission, let in-flight jobs finish (or
-	// checkpoint-stop them at the deadline), then shut the listener down
-	// and flush everything durable. The order matters — Drain quiesces
-	// the pool and closes the journal before the HTTP server stops
-	// answering status polls.
+	// stop them at the deadline to re-run on restart), then shut the
+	// listener down and flush everything durable. The order matters —
+	// Drain quiesces the pool and closes the journal before the HTTP
+	// server stops answering status polls.
 	fmt.Fprintln(os.Stderr, "hgserve: draining")
 	if stopped := srv.Drain(*drainTimeout); stopped > 0 {
-		fmt.Fprintf(os.Stderr, "hgserve: checkpoint-stopped %d job(s) at drain deadline\n", stopped)
+		fmt.Fprintf(os.Stderr, "hgserve: stopped %d job(s) at drain deadline; they re-run on restart\n", stopped)
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -5,8 +5,8 @@
 //
 // SIGKILLs itself the Nth time execution reaches the named site
 // (N defaults to 1). Sites are plain string labels compiled into the
-// durability-critical write paths (journal appends, checkpoint
-// appends, cache appends, compaction, drain); with the variable unset
+// durability-critical write paths (journal appends, cache appends,
+// compaction, drain); with the variable unset
 // every site is a no-op, so production binaries carry the hooks at
 // zero behavioral cost.
 //

@@ -276,3 +276,40 @@ func TestAppendKillLeavesLoadableStore(t *testing.T) {
 		t.Errorf("torn entry resurrected as %q", v)
 	}
 }
+
+// childPutMany is the kill-keeps-earlier-puts child: put keys into a
+// fresh four-shard store until the armed crashpoint kills it.
+func childPutMany() {
+	c, err := New(Options{Dir: os.Getenv("EVALCACHE_CRASH_DIR"), Shards: 4})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for i := 0; i < 20; i++ {
+		c.Put(StageCheck, fmt.Sprintf("key-%03d", i), i)
+	}
+	c.Close()
+}
+
+// TestAppendKillKeepsEarlierPuts: every put reaches the kernel before
+// the next begins, so a SIGKILL at the ninth append leaves the eight
+// verdicts before it loadable on every shard, not only on the one the
+// kill tore. hgserve re-runs an interrupted job against this store.
+func TestAppendKillKeepsEarlierPuts(t *testing.T) {
+	if os.Getenv("EVALCACHE_CRASH_CHILD") == "1" {
+		childPutMany()
+		return
+	}
+	dir := t.TempDir()
+	if !crashHelper(t, "TestAppendKillKeepsEarlierPuts", dir, "evalcache.append:9") {
+		t.Fatal("child was not killed — the append crash point never fired")
+	}
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.Stats().DiskLoaded; got != 8 {
+		t.Errorf("reloaded %d entries after a kill at the ninth append, want 8", got)
+	}
+}

@@ -105,14 +105,19 @@ func openAppend(dir string, i int) (*diskStore, error) {
 	return &diskStore{Appender: log, f: log.File()}, nil
 }
 
-// put appends one entry line. It never fsyncs: a lost tail costs only
-// recomputation.
+// put appends one entry line and hands it to the kernel, so a killed
+// process keeps every verdict it stored: hgserve resumes an interrupted
+// job by re-running it against this cache. It never fsyncs: a tail lost
+// to power failure costs only recomputation.
 func (s *diskStore) put(k key, raw json.RawMessage) error {
 	line, err := json.Marshal(diskEntry{Stage: k.stage, Hash: k.hash, Val: raw})
 	if err != nil {
 		return err
 	}
-	return s.Append(line)
+	if err := s.Append(line); err != nil {
+		return err
+	}
+	return s.Flush()
 }
 
 // mergeSidecar merges one cache's lifetime statistics into the

@@ -1,7 +1,6 @@
 // Package jsonlog is the crash-safe JSON-lines file protocol behind
-// every durable log in the system: hgserve's job journal
-// (internal/serve), the repair search's checkpoint log
-// (internal/repair) and the evaluation cache's persistent tier
+// both durable logs in the system: hgserve's job journal
+// (internal/serve) and the evaluation cache's persistent tier
 // (internal/evalcache). It owns the bytes-on-disk half of durability:
 //
 //   - Lines reads a file back as its lines, torn tail included, for the

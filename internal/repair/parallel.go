@@ -125,26 +125,18 @@ func (p *evalPool) batchSize() int {
 	return p.workers * speculationFactor
 }
 
-// evaluateBatch computes outcomes for a batch concurrently. nextIdx is
-// the commit index the batch's first candidate will get; candidates
-// whose index the checkpoint log already covers are not scheduled — the
-// commit loop will replay them. That prediction is only a schedule hint:
-// a misprediction wastes or saves speculative work, never changes what
-// the commit loop decides. Outcomes of unscheduled candidates stay
-// zero-valued (computed == false); without a pool (nil) none is
-// scheduled. It returns only when every scheduled job is done, so no
+// evaluateBatch computes outcomes for a batch concurrently. Without a
+// pool (nil) nothing is scheduled and every outcome stays zero-valued
+// (computed == false). It returns only when every job is done, so no
 // worker runs while the search goroutine builds the next batch.
-func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate, nextIdx int) []evalOutcome {
+func (p *evalPool) evaluateBatch(s *searcher, batch []Candidate) []evalOutcome {
 	outcomes := make([]evalOutcome, len(batch))
 	if p == nil {
 		return outcomes
 	}
 	var wg sync.WaitGroup
+	wg.Add(len(batch))
 	for i, cand := range batch {
-		if s.ckpt.has(nextIdx+i, cand) {
-			continue
-		}
-		wg.Add(1)
 		p.jobs <- evalJob{s: s, unit: cand.Unit, out: &outcomes[i], wg: &wg}
 	}
 	wg.Wait()
@@ -187,7 +179,7 @@ func (s *searcher) evalCandidates(next func() (Candidate, bool), tried func(Cand
 		if len(batch) == 0 {
 			return false
 		}
-		outcomes := s.pool.evaluateBatch(s, batch, s.commitIdx)
+		outcomes := s.pool.evaluateBatch(s, batch)
 		for i, cand := range batch {
 			if s.stopped() {
 				return false
@@ -196,12 +188,7 @@ func (s *searcher) evalCandidates(next func() (Candidate, bool), tried func(Cand
 				tried(cand)
 			}
 			o := outcomes[i]
-			// The checkpoint log is authoritative at the actual commit
-			// index: a replay hit discards any speculative computation of
-			// the same candidate.
-			if ro, replayed := s.ckpt.replay(s.commitIdx, cand); replayed {
-				o = ro
-			} else if !o.computed {
+			if !o.computed {
 				// No pool, or the worker declined the job (budget raced
 				// exhausted); compute it here so commit semantics never
 				// depend on speculation.
@@ -222,11 +209,6 @@ func (s *searcher) evalCandidates(next func() (Candidate, bool), tried func(Cand
 // what makes traces byte-identical for any Workers value: workers only
 // buffer outcome data (evalOutcome), never emit.
 func (s *searcher) commitOutcome(cand Candidate, o evalOutcome, cur **cast.Unit, curScore *score) bool {
-	// The outcome becomes durable at the same moment it becomes
-	// accountable (a no-op for replayed indices, which are already on
-	// disk); commitIdx is the log's commit-order cursor.
-	s.ckpt.record(s.commitIdx, cand, o)
-	s.commitIdx++
 	cb := s.chargeOutcome(o)
 	if s.pool != nil {
 		s.pool.commit(s.stats.VirtualSeconds)

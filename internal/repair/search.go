@@ -67,20 +67,6 @@ type Options struct {
 	// allowed error classes — how the HeteroRefactor baseline's
 	// dynamic-data-only scope is modelled.
 	ClassFilter map[hls.ErrorClass]bool
-	// CheckpointPath, when non-empty, makes the search durable: every
-	// committed candidate outcome is appended to a crash-tolerant JSONL
-	// log at this path (see checkpoint.go), and a search started
-	// against an existing log whose inputs match re-derives the
-	// enumeration from zero while replaying the stored outcomes for the
-	// already-committed prefix — skipping their expensive recomputation
-	// but re-running every piece of commit-time accounting, so the
-	// resumed Result, Stats, and trace are byte-identical to an
-	// uninterrupted run's, for any Workers value and cache temperature.
-	// A log written under different inputs (seed, budget, program,
-	// tests, targets, …) is discarded, never replayed. Empty disables
-	// checkpointing and leaves every code path byte-identical to before
-	// the feature existed.
-	CheckpointPath string
 }
 
 // withDefaults resolves every unset field to the paper's value.
@@ -251,11 +237,6 @@ type searcher struct {
 	// concurrent worker use.
 	fps    *cast.Fingerprints
 	runner *difftest.Runner
-	// ckpt is the durable commit log (Options.CheckpointPath; nil
-	// otherwise) and commitIdx the global commit counter that indexes
-	// it. Both live on the search goroutine only.
-	ckpt      *checkpoint
-	commitIdx int
 }
 
 // SearchContext runs HeteroGen's iterative repair from the initial
@@ -343,14 +324,6 @@ func SearchContext(ctx context.Context, env stage.Env, original, initial *cast.U
 			s.cfg.InterpSteps, kernel, cast.FingerprintUnit(original), fuzz.CorpusFingerprint(tests))
 	}
 	s.state.TestCount = len(tests)
-	if opts.CheckpointPath != "" {
-		// An unopenable log degrades to checkpointing-off: durability is
-		// an overlay, never a reason a search cannot run.
-		if ck, err := openCheckpoint(opts.CheckpointPath, checkpointKey(opts, cfg.InterpSteps, targets, original, initial, kernel, tests)); err == nil {
-			s.ckpt = ck
-			defer ck.close()
-		}
-	}
 	if opts.Workers > 1 {
 		s.pool = newEvalPool(opts.Workers, float64(opts.Budget))
 		defer s.pool.close()
@@ -671,17 +644,7 @@ func (s *searcher) chargeOutcome(o evalOutcome) costBreakdown {
 // charge pair, used for the initial program version. It emits the
 // repair_init event, the t=0 point of Figure 2's trajectory.
 func (s *searcher) evaluate(u *cast.Unit) score {
-	var lines int
-	var simRan bool
-	var sc score
-	var failure *guard.StageFailure
-	if o, ok := s.ckpt.replayInit(); ok {
-		lines, simRan, sc, failure = o.lines, o.simRan, o.sc, o.failure
-	} else {
-		lines, simRan, sc, failure = s.computeScore(u)
-		s.ckpt.recordInit(evalOutcome{computed: true, evaluated: true,
-			lines: lines, simRan: simRan, sc: sc, failure: failure})
-	}
+	lines, simRan, sc, failure := s.computeScore(u)
 	if failure != nil {
 		// The initial version itself crashed a stage: give it the worst
 		// possible fitness so any candidate that evaluates at all is an

@@ -295,17 +295,6 @@ func builtinRegistry() []Template {
 	}
 }
 
-// TemplatesFor returns the registry templates of one class, in order.
-func TemplatesFor(c hls.ErrorClass) []Template {
-	var out []Template
-	for _, t := range Registry() {
-		if t.Class == c {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TemplateByID looks up a registry entry.
 func TemplateByID(id string) (Template, bool) {
 	for _, t := range Registry() {

@@ -7,26 +7,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hetero/heterogen/internal/evalcache"
 	"github.com/hetero/heterogen/internal/guard"
+	"github.com/hetero/heterogen/internal/subjects"
 )
-
-// sortedCheckpointIDs lists the job ids with a checkpoint file under
-// stateDir/checkpoints.
-func sortedCheckpointIDs(stateDir string) []string {
-	matches, _ := filepath.Glob(filepath.Join(stateDir, "checkpoints", "*.ckpt"))
-	ids := make([]string, 0, len(matches))
-	for _, m := range matches {
-		ids = append(ids, strings.TrimSuffix(filepath.Base(m), ".ckpt"))
-	}
-	sort.Strings(ids)
-	return ids
-}
 
 // readJournal parses every well-formed record in a state dir's journal.
 func readJournal(t *testing.T, stateDir string) []journalRecord {
@@ -158,9 +146,9 @@ func TestJournalReplayTerminal(t *testing.T) {
 		t.Fatalf("restarted server reissued job id %s", st.ID)
 	}
 	awaitTerminal(t, ts2, st2.ID)
-	// No checkpoint file may outlive a terminal job.
-	if ids := sortedCheckpointIDs(dir); len(ids) != 0 {
-		t.Errorf("terminal jobs left checkpoint files: %v", ids)
+	// The journal is the server's only file in the state dir.
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != journalFile {
+		t.Errorf("state dir holds %v (err %v), want only %s", ents, err, journalFile)
 	}
 }
 
@@ -251,7 +239,7 @@ func TestJournalCorruptTailSurvives(t *testing.T) {
 }
 
 // TestDrainQuiesces: a drain stops admission (429 "draining", /readyz
-// 503), checkpoint-stops the running job past the deadline, and the
+// 503), stops the running job past the deadline, and the
 // journal keeps that job resumable; a restart re-runs it to done.
 func TestDrainQuiesces(t *testing.T) {
 	sub := subjectP2(t)
@@ -270,7 +258,7 @@ func TestDrainQuiesces(t *testing.T) {
 
 	stopped := s1.Drain(time.Millisecond)
 	if stopped != 1 {
-		t.Fatalf("Drain checkpoint-stopped %d jobs, want 1", stopped)
+		t.Fatalf("Drain stopped %d jobs, want 1", stopped)
 	}
 	if code := readyzCode(t, ts1); code != http.StatusServiceUnavailable {
 		t.Errorf("/readyz during drain = %d, want 503", code)
@@ -305,7 +293,7 @@ func TestDrainQuiesces(t *testing.T) {
 }
 
 // TestDrainFinishesQuickJobs: jobs that complete inside the deadline
-// terminate normally — nothing is checkpoint-stopped and the journal
+// terminate normally — nothing is stopped and the journal
 // records done.
 func TestDrainFinishesQuickJobs(t *testing.T) {
 	sub := subjectP2(t)
@@ -327,7 +315,7 @@ func TestDrainFinishesQuickJobs(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if stopped := s.Drain(60 * time.Second); stopped != 0 {
-		t.Fatalf("Drain checkpoint-stopped %d jobs, want 0", stopped)
+		t.Fatalf("Drain stopped %d jobs, want 0", stopped)
 	}
 	fin := getStatus(t, ts, st.ID)
 	if fin.State != StateDone {
@@ -489,18 +477,18 @@ func TestDrainResumeRepairParity(t *testing.T) {
 	// deterministically lands mid-run; it plants no fault, so the paced
 	// run's outcome log matches the unpaced control.
 	dir := t.TempDir()
-	s1 := New(Options{StateDir: dir, Injector: pacer{300 * time.Millisecond}})
+	s1 := New(Options{StateDir: dir, Injector: pacer{300 * time.Millisecond}, Cache: stateCache(t, dir)})
 	ts1 := httptest.NewServer(s1.Handler())
 	st, _ := postJob(t, ts1, req, "")
 	awaitRunning(t, ts1, st.ID, 1)
 	if stopped := s1.Drain(time.Millisecond); stopped != 1 {
-		t.Fatalf("Drain checkpoint-stopped %d jobs, want 1", stopped)
+		t.Fatalf("Drain stopped %d jobs, want 1", stopped)
 	}
 	ts1.Close()
 	s1.Close()
 
 	// …and resume it on a restarted server.
-	s2 := New(Options{StateDir: dir})
+	s2 := New(Options{StateDir: dir, Cache: stateCache(t, dir)})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer func() { ts2.Close(); s2.Close() }()
 	fin := awaitTerminal(t, ts2, st.ID)
@@ -513,5 +501,74 @@ func TestDrainResumeRepairParity(t *testing.T) {
 	if resumedEvents := eventBody(t, ts2, st.ID); !bytes.Equal(resumedEvents, controlEvents) {
 		t.Errorf("resumed trace diverges from control (%d vs %d bytes)",
 			len(resumedEvents), len(controlEvents))
+	}
+}
+
+// stateCache opens an on-disk evaluation cache under stateDir, where
+// hgserve keeps it by default, and closes it when the test ends.
+func stateCache(t *testing.T, stateDir string) *evalcache.Cache {
+	t.Helper()
+	c, err := evalcache.New(evalcache.Options{Dir: filepath.Join(stateDir, "cache")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestDrainResumePaysOnlyUnfinishedWork: a resumed job re-runs from the
+// start, but against the cache the drained run filled, so it computes
+// only what the drained run had not: the drained and resumed runs'
+// cache misses add up to the undisturbed control run's.
+func TestDrainResumePaysOnlyUnfinishedWork(t *testing.T) {
+	// P9's search tries enough candidates that a drain after the first
+	// event lands with most of them still to evaluate.
+	sub, err := subjects.ByID("P9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Kind: KindRepair, Source: sub.Source, Kernel: sub.Kernel,
+		Budget: Budget{MaxIterations: 64, Workers: 1}}
+
+	controlCache := stateCache(t, t.TempDir())
+	_, tsC := startServer(t, Options{Cache: controlCache})
+	stC, _ := postJob(t, tsC, req, "")
+	finC := awaitTerminal(t, tsC, stC.ID)
+	if finC.State != StateDone {
+		t.Fatalf("control state = %q, want done", finC.State)
+	}
+
+	dir := t.TempDir()
+	cache1 := stateCache(t, dir)
+	s1 := New(Options{StateDir: dir, Injector: pacer{50 * time.Millisecond}, Cache: cache1})
+	ts1 := httptest.NewServer(s1.Handler())
+	st, _ := postJob(t, ts1, req, "")
+	awaitRunning(t, ts1, st.ID, 1)
+	if stopped := s1.Drain(time.Millisecond); stopped != 1 {
+		t.Fatalf("Drain stopped %d jobs, want 1", stopped)
+	}
+	ts1.Close()
+	s1.Close()
+	cache1.Close()
+
+	cache2 := stateCache(t, dir)
+	s2 := New(Options{StateDir: dir, Cache: cache2})
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() { ts2.Close(); s2.Close() }()
+	fin := awaitTerminal(t, ts2, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("resumed state = %q, want done", fin.State)
+	}
+	if got, want := mustJSON(t, fin.Result), mustJSON(t, finC.Result); got != want {
+		t.Errorf("resumed result diverges from control:\n  want: %s\n  got:  %s", want, got)
+	}
+
+	drained, resumed, control := cache1.Stats().Misses(), cache2.Stats().Misses(), controlCache.Stats().Misses()
+	if drained == 0 || resumed == 0 {
+		t.Fatalf("drain did not land mid-search: %d misses before it, %d after", drained, resumed)
+	}
+	if drained+resumed != control {
+		t.Errorf("drained run computed %d evaluations and the resumed run %d; want %d in all, as the undisturbed run",
+			drained, resumed, control)
 	}
 }

@@ -151,8 +151,8 @@ type Status struct {
 	FinishedMS int64 `json:"finished_ms,omitempty"`
 	// Resumed marks a job restored from the write-ahead journal after a
 	// daemon restart — either re-reported terminal history or a
-	// re-enqueued interrupted job (whose repair search resumes from its
-	// checkpoint with a byte-identical result).
+	// re-enqueued interrupted job (re-run from the start to a
+	// byte-identical result).
 	Resumed bool `json:"resumed,omitempty"`
 	// Error is the failure description when State is failed.
 	Error string `json:"error,omitempty"`

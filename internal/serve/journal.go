@@ -14,10 +14,11 @@
 // request payload, client, and correlation id always taken from the
 // accepted record. Terminal jobs are restored as reportable history;
 // non-terminal jobs (accepted, queued, running, or checkpointed by a
-// drain) are re-enqueued to run again — repair and transpile jobs
-// resume from their per-job checkpoint file, so the re-run's result
-// and trace are byte-identical to what the interrupted run would have
-// produced.
+// drain) are re-enqueued to run again from the start. Every job is
+// deterministic, so the re-run's result and trace are byte-identical
+// to what the interrupted run would have produced, and against the
+// shared evaluation cache it recomputes only what the interrupted run
+// had not finished.
 package serve
 
 import (
@@ -41,8 +42,9 @@ const (
 	// full request so a restart can re-create the job.
 	stateAccepted State = "accepted"
 	// stateCheckpointed marks a running job a graceful drain stopped at
-	// a commit point: not terminal — a restart re-enqueues it and the
-	// repair search resumes from its checkpoint file.
+	// a commit point: not terminal — a restart re-enqueues it and runs
+	// it again against the cache. The name predates that re-run and is
+	// kept so existing journals replay.
 	stateCheckpointed State = "checkpointed"
 )
 

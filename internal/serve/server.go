@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -82,12 +81,13 @@ type Options struct {
 	QueueWaitSLO time.Duration
 	// StateDir, when set, makes the server crash-recoverable: every job
 	// state transition is appended (fsynced) to a write-ahead journal
-	// under it before the transition is visible to clients, and repair
-	// and transpile jobs checkpoint their search under
-	// <state-dir>/checkpoints/<id>.ckpt. A restarted server replays the
-	// journal: terminal jobs are re-reported, interrupted jobs are
-	// re-enqueued and resume from their checkpoints with byte-identical
-	// results and traces. "" disables durability (today's behavior).
+	// under it before the transition is visible to clients. A restarted
+	// server replays the journal: terminal jobs are re-reported, and
+	// interrupted jobs are re-enqueued and run again from the start.
+	// The search is deterministic, so the re-run's result and trace are
+	// byte-identical to an uninterrupted run's; with a persistent Cache
+	// it only pays for the work the interrupted run had not finished.
+	// "" disables durability.
 	StateDir string
 }
 
@@ -203,7 +203,7 @@ func newServer(opts Options) *Server {
 // recover replays the write-ahead journal under Options.StateDir.
 func (s *Server) recover() error {
 	dir := s.opts.StateDir
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	jn, entries, err := openJournal(dir)
@@ -251,8 +251,8 @@ func (s *Server) recover() error {
 			j.cancel()
 			s.metrics.Add("serve.recovery.terminal_reloaded", 1)
 		} else {
-			// accepted / queued / running / checkpointed: run (again).
-			// Checkpointed searches resume from <id>.ckpt byte-identically.
+			// accepted / queued / running / checkpointed: run again from
+			// the start; the shared cache holds the finished work.
 			j.state = StateQueued
 			requeue = append(requeue, j)
 		}
@@ -277,15 +277,6 @@ func (s *Server) recover() error {
 			"jobs", n, "requeued", len(requeue), "state_dir", dir)
 	}
 	return nil
-}
-
-// checkpointPath is the per-job repair checkpoint file ("" without a
-// state dir).
-func (s *Server) checkpointPath(j *Job) string {
-	if s.opts.StateDir == "" {
-		return ""
-	}
-	return filepath.Join(s.opts.StateDir, "checkpoints", j.id+".ckpt")
 }
 
 // start launches the worker pool.
@@ -316,13 +307,13 @@ func (s *Server) Close() {
 //     terminal records journal as usual).
 //  3. Jobs still running at the deadline are stopped at their next
 //     commit point and journaled "checkpointed": a restart re-enqueues
-//     them and their searches resume from checkpoint files with
-//     byte-identical results.
+//     them and re-runs them against the shared cache to byte-identical
+//     results.
 //  4. The journal is fsynced and closed.
 //
 // Drain is idempotent; it does not cancel the server's base context
 // (call Close afterwards to release the job records). Returns the
-// number of jobs that were checkpoint-stopped.
+// number of jobs that were stopped at the deadline.
 func (s *Server) Drain(timeout time.Duration) int {
 	s.mu.Lock()
 	first := !s.draining
@@ -342,9 +333,9 @@ func (s *Server) Drain(timeout time.Duration) int {
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		// Deadline: checkpoint-stop whatever is still running. The
+		// Deadline: stop whatever is still running. The
 		// cancellation lands at the search's next commit point; the
-		// outcome log already holds everything committed before it.
+		// cache already holds every evaluation finished before it.
 		s.mu.Lock()
 		var running []*Job
 		for _, id := range s.order {
@@ -361,7 +352,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		}
 		s.mu.Unlock()
 		for _, j := range running {
-			s.jobLogger(j).Info("drain checkpoint-stopping job")
+			s.jobLogger(j).Info("drain stopping job")
 			j.cancel()
 		}
 		stopped = len(running)
@@ -370,7 +361,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 	crashpoint.Here("serve.drain")
 	s.journal.close()
 	s.metrics.Add("serve.drain.checkpoint_stopped", int64(stopped))
-	s.logger().Info("drain complete", "checkpoint_stopped", stopped)
+	s.logger().Info("drain complete", "stopped", stopped)
 	return stopped
 }
 
@@ -533,17 +524,8 @@ func (s *Server) Cancel(id string) bool {
 		s.journalAppend(record(j, StateCancelled))
 		j.events.finish()
 		s.finishAccounting(j, StateCancelled)
-		s.removeCheckpoint(j)
 	}
 	return true
-}
-
-// removeCheckpoint deletes a terminal job's repair checkpoint file —
-// nothing will ever resume it.
-func (s *Server) removeCheckpoint(j *Job) {
-	if p := s.checkpointPath(j); p != "" {
-		os.Remove(p)
-	}
 }
 
 // finishAccounting releases the client's in-flight slot and counts the
@@ -645,8 +627,8 @@ func (s *Server) runJob(j *Job) {
 
 	j.mu.Lock()
 	// A drain stop is not a cancellation: the journal keeps the job
-	// resumable ("checkpointed") so a restart re-runs it from its
-	// checkpoint, while the in-memory record for this process's clients
+	// resumable ("checkpointed") so a restart re-runs it against the
+	// cache, while the in-memory record for this process's clients
 	// reads cancelled-with-partial. An explicit user DELETE that raced
 	// the drain wins — the job stays terminal across the restart.
 	drainStopped := j.drainStop && !j.userCancelled && j.ctx.Err() != nil && st != StateDone
@@ -663,7 +645,6 @@ func (s *Server) runJob(j *Job) {
 		rec := record(j, st)
 		rec.Result, rec.Error, rec.Failure = res, msg, failure
 		s.journalAppend(rec)
-		s.removeCheckpoint(j)
 	}
 	j.events.finish()
 	j.cancel()
@@ -729,16 +710,12 @@ func (s *Server) execute(j *Job) (res *Result, err error) {
 		Kernel:   j.req.Kernel,
 		HostMain: j.req.Host,
 		Fuzz:     fuzz.Options{Seed: j.req.Seed, MaxExecs: j.budget.FuzzExecs},
-		Repair: repair.Options{Seed: j.req.Seed, MaxIterations: j.budget.MaxIterations,
-			// With a state dir, the repair search write-ahead-logs its
-			// outcomes per job id: a drained or crashed job re-runs to a
-			// byte-identical result and trace by replaying this file.
-			CheckpointPath: s.checkpointPath(j)},
-		Workers: j.budget.Workers,
-		Targets: j.targets,
-		Obs:     sink,
-		Cache:   s.opts.Cache,
-		Guard:   g,
+		Repair:   repair.Options{Seed: j.req.Seed, MaxIterations: j.budget.MaxIterations},
+		Workers:  j.budget.Workers,
+		Targets:  j.targets,
+		Obs:      sink,
+		Cache:    s.opts.Cache,
+		Guard:    g,
 	}
 
 	switch j.kind {

@@ -36,21 +36,19 @@ func keyRuns() []keyRun {
 }
 
 // optionKeys is what one run wrote to disk: the fuzz campaign's
-// evaluation-cache key and the repair checkpoint's header key.
+// evaluation-cache key.
 type optionKeys struct {
-	Config     string `json:"config"`
-	FuzzKey    string `json:"fuzz_key"`
-	Checkpoint string `json:"checkpoint_key"`
+	Config  string `json:"config"`
+	FuzzKey string `json:"fuzz_key"`
 }
 
 // TestOptionKeysGolden pins the keys that options feed. Each
-// configuration transpiles P3 with a persistent evaluation cache and a
-// repair checkpoint in a fresh directory; the fuzz campaign's key is
-// read back from the cache's entries file and the checkpoint's key
-// from its header line. Both name on-disk state that outlives a
-// process, so a change that moves either key silently invalidates
-// every cache and checkpoint written before it. testdata/keys.json is
-// rewritten by `make golden` (go test -update).
+// configuration transpiles P3 with a persistent evaluation cache in a
+// fresh directory, and the fuzz campaign's key is read back from the
+// cache's entries file. The key names on-disk state that outlives a
+// process, so a change that moves it silently invalidates every cache
+// written before it. testdata/keys.json is rewritten by `make golden`
+// (go test -update).
 func TestOptionKeysGolden(t *testing.T) {
 	s, err := subjects.ByID("P3")
 	if err != nil {
@@ -65,7 +63,6 @@ func TestOptionKeysGolden(t *testing.T) {
 		}
 		opts := r.opts
 		opts.Kernel, opts.HostMain, opts.Cache = s.Kernel, s.HostMain, cache
-		opts.Repair.CheckpointPath = filepath.Join(dir, "repair.ckpt")
 		if _, err := Transpile(s.Source, opts); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -79,12 +76,7 @@ func TestOptionKeysGolden(t *testing.T) {
 				k.FuzzKey = e.Hash
 			}
 		}
-		var hdr struct{ Key string }
-		if lines := jsonLines(t, opts.Repair.CheckpointPath); len(lines) > 0 {
-			_ = json.Unmarshal(lines[0], &hdr)
-		}
-		k.Checkpoint = hdr.Key
-		if k.FuzzKey == "" || k.Checkpoint == "" {
+		if k.FuzzKey == "" {
 			t.Fatalf("%s: missing key on disk: %+v", r.name, k)
 		}
 		got = append(got, k)
