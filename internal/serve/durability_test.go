@@ -549,7 +549,9 @@ func TestDrainResumePaysOnlyUnfinishedWork(t *testing.T) {
 	}
 	ts1.Close()
 	s1.Close()
-	cache1.Close()
+	if err := cache1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	cache2 := stateCache(t, dir)
 	s2 := New(Options{StateDir: dir, Cache: cache2})

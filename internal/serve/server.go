@@ -333,9 +333,9 @@ func (s *Server) Drain(timeout time.Duration) int {
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		// Deadline: stop whatever is still running. The
-		// cancellation lands at the search's next commit point; the
-		// cache already holds every evaluation finished before it.
+		// Deadline: stop whatever is still running. The cancellation
+		// lands at the search's next commit point; the cache already
+		// holds every evaluation finished before it.
 		s.mu.Lock()
 		var running []*Job
 		for _, id := range s.order {
